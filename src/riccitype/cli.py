@@ -458,7 +458,8 @@ def _find_transitive_elliptic(report: CertificateReport, config: RunConfig) -> C
         spectrum = np.round(iwa.ad_spectrum_on_n(data, phi), 6)
         if idx == 0:
             base_spectrum = spectrum
-            report.add_info(f"{tag}.ad_spectrum_on_n", str(spectrum.tolist()))
+            # eigvals may return the real spectrum as complex with +-0j parts
+            report.add_info(f"{tag}.ad_spectrum_on_n", str(np.real_if_close(spectrum).tolist()))
         else:
             distinct = not np.allclose(spectrum, base_spectrum, atol=1e-8)
             report.add_flag(f"{tag}.spectrum_differs_from_phi0", distinct,

@@ -77,15 +77,6 @@ class SymplecticModel:
         """Omega(x, y)."""
         return float(x @ self.omega @ y)
 
-    def describe(self) -> str:
-        lines = [f"case={self.case}", f"n={self.n}", f"ambient_dim={self.ambient_dim}"]
-        if self.case in ("hyperbolic", "elliptic"):
-            lines.append(f"k={self.k!r}")
-        if self.case in ("elliptic", "nilpotent"):
-            lines.append(f"p={self.p}")
-            lines.append(f"q={self.q}")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class CharacteristicElement:
@@ -242,10 +233,6 @@ def sigma_value(model: SymplecticModel, a, x) -> float:
     if v.shape[0] != model.ambient_dim:
         raise ValueError(f"expected vector of length {model.ambient_dim}, got {v.shape[0]}")
     return model.pairing(v, amat @ v)
-
-
-def in_sigma(model: SymplecticModel, a, x, tol: float = DEFAULT_TOL) -> bool:
-    return abs(sigma_value(model, a, x) - 1.0) <= tol
 
 
 #: retries allowed when a drawn free block is numerically degenerate

@@ -457,11 +457,6 @@ def symmetry_matrix(model: SymplecticModel, a, x) -> np.ndarray:
             - 2.0 * np.outer(ax, model.omega @ xv))
 
 
-def ambient_symmetry(model: SymplecticModel, a, x, y) -> np.ndarray:
-    """S_x applied to an ambient vector y."""
-    return symmetry_matrix(model, a, x) @ as_vector(y)
-
-
 def centralizes_a_residual(model: SymplecticModel, a, g: np.ndarray) -> tuple[float, float]:
     """Residuals of (g in Sp, gA = Ag)."""
     amat = as_matrix(a)

@@ -1,9 +1,15 @@
 """Generic numerical machinery for matrix Lie subalgebras.
 
 Subspaces of gl(N, R) are carried as lists of basis matrices; span
-arithmetic flattens matrices to vectors and uses rank-revealing SVD with a
-relative threshold.  All operations optionally work modulo a distinguished
-line (or subspace), which realizes quotient algebras concretely.
+arithmetic flattens matrices to vectors.  Every rank, row-space and
+null-space decision goes through one rank-revealing kernel,
+``rank_split``: an economy SVD for tall matrices (full V only for wide
+ones, whose kernel an economy SVD would drop), cut at a relative and/or
+absolute singular-value threshold, that also reports the singular-value
+gap at the cut.  Brackets of two bases are formed at once as a
+(d1, d2, N^2) tensor.  All operations optionally work modulo a
+distinguished line (or subspace), which realizes quotient algebras
+concretely.
 """
 
 from __future__ import annotations
@@ -11,12 +17,31 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .core import SymplecticModel, as_matrix
 
 #: relative singular-value threshold for rank decisions
 RANK_RTOL = 1e-7
+
+
+def rank_split(mat: np.ndarray, rtol: float = RANK_RTOL,
+               atol: float = 0.0) -> tuple[np.ndarray, np.ndarray, float]:
+    """Orthonormal row-space and null-space bases of an m x k matrix.
+
+    Singular values above ``max(rtol * sigma_0, atol)`` count towards the
+    rank r.  Returns ``(row_basis, null_basis, gap)``: row_basis is r x k
+    (orthonormal rows), null_basis is k x (k - r) (orthonormal columns),
+    and gap = sigma_r / sigma_{r+1} is the ratio of the smallest kept to
+    the largest dropped singular value (1-based), inf when either side of
+    the cut is empty or the largest dropped value is zero.
+    """
+    mat = np.asarray(mat, dtype=float)
+    m, k = mat.shape
+    _, s, vt = np.linalg.svd(mat, full_matrices=m < k)
+    cut = max(rtol * s[0], atol) if s.size else atol
+    rank = int(np.count_nonzero(s > cut))
+    gap = s[rank - 1] / s[rank] if 0 < rank < s.size and s[rank] > 0 else np.inf
+    return vt[:rank], vt[rank:].T, float(gap)
 
 
 def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -49,13 +74,7 @@ class MatrixLieSubspace:
     def row_space(self) -> np.ndarray:
         """Orthonormal rows spanning the flattened basis (cached)."""
         if self._row_space is None:
-            stack = self.stacked()
-            if stack.shape[0] == 0:
-                self._row_space = stack
-            else:
-                _, s, vt = np.linalg.svd(stack, full_matrices=False)
-                keep = s > RANK_RTOL * s[0]
-                self._row_space = vt[keep]
+            self._row_space = rank_split(self.stacked())[0]
         return self._row_space
 
     def distance(self, x: np.ndarray) -> float:
@@ -66,9 +85,6 @@ class MatrixLieSubspace:
             return float(np.max(np.abs(v))) if v.size else 0.0
         return float(np.max(np.abs(v - q.T @ (q @ v))))
 
-    def contains(self, x: np.ndarray, tol: float | None = None) -> bool:
-        return self.distance(x) <= (self.tol if tol is None else tol)
-
     def project_out(self, x: np.ndarray) -> np.ndarray:
         """Component of x orthogonal to the span (flattened metric)."""
         v = x.reshape(-1)
@@ -77,11 +93,16 @@ class MatrixLieSubspace:
             return x
         return (v - q.T @ (q @ v)).reshape(x.shape)
 
-    def coordinates(self, x: np.ndarray) -> np.ndarray:
-        """Least-squares coefficients of x in the basis."""
-        stack = self.stacked()
-        coeff, *_ = np.linalg.lstsq(stack.T, x.reshape(-1), rcond=None)
+    def coordinates(self, mats) -> np.ndarray:
+        """Least-squares coefficients in the basis, one column per matrix of ``mats``."""
+        rhs = np.reshape(mats, (len(mats), -1)).T
+        coeff, *_ = np.linalg.lstsq(self.stacked().T, rhs, rcond=None)
         return coeff
+
+    def combine(self, coeffs: np.ndarray) -> np.ndarray:
+        """Stacked matrices sum_i coeffs[i, j] * basis[i], one per column of ``coeffs``."""
+        n = self.ambient_dim
+        return (coeffs.T @ self.stacked()).reshape(-1, n, n)
 
     def smallest_singular_ratio(self) -> float:
         stack = self.stacked()
@@ -96,20 +117,31 @@ ZERO_FLOOR = 1e-12
 
 
 def subspace_from_matrices(mats, ambient_dim: int, tol: float = 1e-9) -> MatrixLieSubspace:
-    """Rank-reduce a list of matrices to an independent spanning set."""
-    mats = [np.asarray(m, dtype=float) for m in mats]
-    mats = [m for m in mats if np.max(np.abs(m)) > ZERO_FLOOR]
-    if not mats:
+    """Rank-reduce a list (or stacked array) of matrices to an independent spanning set."""
+    if len(mats) == 0:
         return MatrixLieSubspace(ambient_dim, [], tol)
-    stack = np.stack([m.reshape(-1) for m in mats])
-    _, s, vt = np.linalg.svd(stack, full_matrices=False)
-    keep = s > np.maximum(RANK_RTOL * s[0], ZERO_FLOOR)
-    basis = [row.reshape(ambient_dim, ambient_dim) for row in vt[keep]]
-    return MatrixLieSubspace(ambient_dim, basis, tol)
+    stack = np.asarray(mats, dtype=float)
+    stack = stack.reshape(len(stack), -1)
+    stack = stack[np.max(np.abs(stack), axis=1) > ZERO_FLOOR]
+    if stack.shape[0] == 0:
+        return MatrixLieSubspace(ambient_dim, [], tol)
+    rows = rank_split(stack, atol=ZERO_FLOOR)[0]
+    return MatrixLieSubspace(ambient_dim, list(rows.reshape(-1, ambient_dim, ambient_dim)), tol)
 
 
-def _reduce(x: np.ndarray, modulo: MatrixLieSubspace | None) -> np.ndarray:
-    return x if modulo is None else modulo.project_out(x)
+def _bracket_tensor(xs, ys, modulo: MatrixLieSubspace | None = None) -> np.ndarray:
+    """(d1, d2, N^2) array of flattened brackets [xs[i], ys[j]].
+
+    ``xs`` and ``ys`` are sequences (or stacked arrays) of N x N matrices;
+    the brackets are reduced mod ``modulo`` by one orthogonal projection.
+    """
+    x = np.asarray(xs, dtype=float)[:, None]
+    y = np.asarray(ys, dtype=float)[None]
+    flat = (x @ y - y @ x).reshape(x.shape[0], y.shape[1], -1)
+    if modulo is None:
+        return flat
+    q = modulo.row_space()
+    return flat - (flat @ q.T) @ q
 
 
 def line(x: np.ndarray, tol: float = 1e-9) -> MatrixLieSubspace:
@@ -137,9 +169,8 @@ def centralizer_in_sp(model: SymplecticModel, a, tol: float = 1e-9,
     sp_rows = np.kron(ident, omega.T) @ transpose_perm + np.kron(omega, ident)
     comm_rows = np.kron(ident, amat.T) - np.kron(amat, ident)
     system = np.vstack([sp_rows, comm_rows])
-    kernel = null_space(system, rcond=RANK_RTOL)
-    basis = [kernel[:, j].reshape(dim, dim) for j in range(kernel.shape[1])]
-    sub = MatrixLieSubspace(dim, basis, tol)
+    kernel = rank_split(system)[1]
+    sub = MatrixLieSubspace(dim, list(kernel.T.reshape(-1, dim, dim)), tol)
     if exact:
         from .exact import rational_nullspace_dimension
         exact_dim = rational_nullspace_dimension(system)
@@ -152,13 +183,12 @@ def centralizer_in_sp(model: SymplecticModel, a, tol: float = 1e-9,
 def closure_residual(s: MatrixLieSubspace,
                      modulo: MatrixLieSubspace | None = None) -> float:
     """Max distance of pairwise basis brackets from the span (mod ``modulo``)."""
-    res = 0.0
+    if s.dim < 2:
+        return 0.0
     span = s if modulo is None else subspace_from_matrices(
         s.basis + modulo.basis, s.ambient_dim, s.tol)
-    for i in range(s.dim):
-        for j in range(i + 1, s.dim):
-            res = max(res, span.distance(bracket(s.basis[i], s.basis[j])))
-    return res
+    upper = np.triu_indices(s.dim, 1)
+    return float(np.max(np.abs(_bracket_tensor(s.basis, s.basis, span)[upper])))
 
 
 def involution_eigenspace(s: MatrixLieSubspace, theta, sign: int,
@@ -169,19 +199,13 @@ def involution_eigenspace(s: MatrixLieSubspace, theta, sign: int,
     if s.dim == 0:
         return MatrixLieSubspace(s.ambient_dim, [], s.tol)
     images = [theta(b) for b in s.basis]
-    t_mat = np.zeros((s.dim, s.dim))
-    for j, img in enumerate(images):
-        if s.distance(img) > 1e-7:
-            raise ValueError("theta does not preserve the subspace")
-        t_mat[:, j] = s.coordinates(img)
+    if max(s.distance(img) for img in images) > 1e-7:
+        raise ValueError("theta does not preserve the subspace")
+    t_mat = s.coordinates(images)
     if np.max(np.abs(t_mat @ t_mat - np.eye(s.dim))) > 1e-7:
         raise ValueError("theta is not involutive on the subspace")
-    kernel = null_space(t_mat - sign * np.eye(s.dim), rcond=RANK_RTOL)
-    basis = []
-    for j in range(kernel.shape[1]):
-        mat = sum(c * b for c, b in zip(kernel[:, j], s.basis))
-        basis.append(mat)
-    return subspace_from_matrices(basis, s.ambient_dim, tol)
+    kernel = rank_split(t_mat - sign * np.eye(s.dim))[1]
+    return subspace_from_matrices(s.combine(kernel), s.ambient_dim, tol)
 
 
 def bracket_span(s1: MatrixLieSubspace, s2: MatrixLieSubspace,
@@ -189,8 +213,11 @@ def bracket_span(s1: MatrixLieSubspace, s2: MatrixLieSubspace,
     """Span of all pairwise brackets [s1, s2], reduced mod ``modulo``."""
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    mats = [_reduce(bracket(b1, b2), modulo) for b1 in s1.basis for b2 in s2.basis]
-    return subspace_from_matrices(mats, s1.ambient_dim, s1.tol)
+    if s1.dim == 0 or s2.dim == 0:
+        return MatrixLieSubspace(s1.ambient_dim, [], s1.tol)
+    brackets = _bracket_tensor(s1.basis, s2.basis, modulo)
+    return subspace_from_matrices(brackets.reshape(-1, s1.ambient_dim, s1.ambient_dim),
+                                  s1.ambient_dim, s1.tol)
 
 
 def center(s: MatrixLieSubspace,
@@ -198,15 +225,10 @@ def center(s: MatrixLieSubspace,
     """Elements commuting with everything in s (mod ``modulo``)."""
     if s.dim == 0:
         return s
-    # solve sum_i c_i [b_i, b_j] = 0 (mod `modulo`) for all j
-    system = np.concatenate(
-        [np.stack([_reduce(bracket(bi, bj), modulo).reshape(-1) for bi in s.basis], axis=1)
-         for bj in s.basis], axis=0)
-    kernel = null_space(system, rcond=RANK_RTOL)
-    basis = []
-    for c in kernel.T:
-        basis.append(sum(ci * bi for ci, bi in zip(c, s.basis)))
-    return subspace_from_matrices(basis, s.ambient_dim, s.tol)
+    # solve sum_i c_i [b_i, b_j] = 0 (mod `modulo`) for all j: rows (j, entry), columns i
+    system = _bracket_tensor(s.basis, s.basis, modulo).transpose(1, 2, 0).reshape(-1, s.dim)
+    kernel = rank_split(system)[1]
+    return subspace_from_matrices(s.combine(kernel), s.ambient_dim, s.tol)
 
 
 @dataclass
@@ -271,28 +293,21 @@ def _heisenberg_flag(s: MatrixLieSubspace, cent: MatrixLieSubspace,
     derived = bracket_span(s, s, modulo=modulo)
     if derived.dim != 1 or cent.distance(derived.basis[0]) > 1e-7:
         return False
-    z = cent.basis[0]
-    z_norm_sq = float(z.reshape(-1) @ z.reshape(-1))
-    lam = np.zeros((s.dim, s.dim))
-    for i in range(s.dim):
-        for j in range(i + 1, s.dim):
-            br = _reduce(bracket(s.basis[i], s.basis[j]), modulo)
-            lam[i, j] = float(br.reshape(-1) @ z.reshape(-1)) / z_norm_sq
-            lam[j, i] = -lam[i, j]
-    rank = int(np.linalg.matrix_rank(lam, tol=1e-8))
+    z = cent.basis[0].reshape(-1)
+    lam = _bracket_tensor(s.basis, s.basis, modulo) @ z / float(z @ z)
+    rank = rank_split(lam, rtol=0.0, atol=1e-8)[0].shape[0]
     return rank == s.dim - 1
 
 
 def ad_matrix(s: MatrixLieSubspace, x: np.ndarray,
               modulo: MatrixLieSubspace | None = None) -> np.ndarray:
     """Matrix of ad(x) = [x, .] in the basis coordinates of s."""
-    mat = np.zeros((s.dim, s.dim))
-    for j, b in enumerate(s.basis):
-        img = _reduce(bracket(x, b), modulo)
-        if s.distance(img) > 1e-6:
-            raise ValueError("ad(x) does not preserve the subspace")
-        mat[:, j] = s.coordinates(img)
-    return mat
+    if s.dim == 0:
+        return np.zeros((0, 0))
+    images = _bracket_tensor([x], s.basis, modulo)[0]
+    if max(s.distance(img) for img in images) > 1e-6:
+        raise ValueError("ad(x) does not preserve the subspace")
+    return s.coordinates(images)
 
 
 def ad_eigenvalues(s: MatrixLieSubspace, x: np.ndarray,
@@ -301,15 +316,6 @@ def ad_eigenvalues(s: MatrixLieSubspace, x: np.ndarray,
     vals = np.linalg.eigvals(ad_matrix(s, x, modulo=modulo))
     order = np.lexsort((vals.imag, vals.real))
     return vals[order]
-
-
-def _null_space_atol(mat: np.ndarray, atol: float) -> np.ndarray:
-    """Right null space with an absolute singular-value cutoff."""
-    _, s, vt = np.linalg.svd(mat)
-    num = int(np.sum(s <= atol)) + max(0, mat.shape[1] - mat.shape[0])
-    if num == 0:
-        return np.zeros((mat.shape[1], 0))
-    return vt[len(vt) - num:].T
 
 
 def ad_eigenspaces(s: MatrixLieSubspace, x: np.ndarray,
@@ -336,13 +342,11 @@ def ad_eigenspaces(s: MatrixLieSubspace, x: np.ndarray,
     scale = max(1.0, float(np.max(np.abs(mat))))
     for group in clusters:
         lam = float(np.mean(group))
-        kernel = _null_space_atol(mat - lam * np.eye(s.dim), 10 * cluster_tol * scale)
+        kernel = rank_split(mat - lam * np.eye(s.dim), rtol=0.0,
+                            atol=10 * cluster_tol * scale)[1]
         if kernel.shape[1] != len(group):
             raise ValueError(f"ad(x) defective at eigenvalue {lam:.6g}")
-        basis = []
-        for c in kernel.T:
-            basis.append(sum(ci * bi for ci, bi in zip(c, s.basis)))
-        out[lam] = subspace_from_matrices(basis, s.ambient_dim, s.tol)
+        out[lam] = subspace_from_matrices(s.combine(kernel), s.ambient_dim, s.tol)
         total += len(group)
     if total != s.dim:
         raise ValueError("eigenspace dimensions do not fill the subspace")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, null_space
+from scipy.linalg import expm
 
 from ..core import CharacteristicElement, SymplecticModel, build_model
 from ..geometry import ChartPoint, act_chart
@@ -25,6 +25,7 @@ from ..lie import (
     ad_eigenspaces,
     ad_eigenvalues,
     bracket,
+    rank_split,
     subspace_from_matrices,
 )
 from ..transvection import TransvectionData, transvection_algebra
@@ -95,12 +96,9 @@ def iwasawa_su1n(n: int, k: float = 1.0) -> IwasawaData:
     n_plus = subspace_from_matrices(pos_bases, model.ambient_dim)
     # m = centralizer of a inside k = [p1, p1]
     k_part = tv.k_part
-    mats = []
     cols = np.stack([bracket(a_gen, b).reshape(-1) for b in k_part.basis], axis=1)
-    kernel = null_space(cols, rcond=1e-9)
-    for cvec in kernel.T:
-        mats.append(sum(ci * bi for ci, bi in zip(cvec, k_part.basis)))
-    m_part = subspace_from_matrices(mats, model.ambient_dim)
+    kernel = rank_split(cols, rtol=1e-9)[1]
+    m_part = subspace_from_matrices(k_part.combine(kernel), model.ambient_dim)
     return IwasawaData(
         model=model,
         element=elem,

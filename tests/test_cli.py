@@ -236,3 +236,30 @@ def test_transvection_data_serialization():
     text = serialize.format_transvection_data(data)
     assert "a_in_k1=false" in text
     assert "[p_part]" in text and "count=4" in text
+
+
+
+def spectrum_info(out):
+    lines = [line for line in out.splitlines() if "[INFO] phi0.ad_spectrum_on_n" in line]
+    assert len(lines) == 1
+    return lines[0].split(maxsplit=2)[2]
+
+
+def test_ad_spectrum_info_prints_reals_for_split_complex_pairs(capsys, monkeypatch):
+    # LAPACK may return a real multiple eigenvalue as a (1-0j, 1+0j) pair
+    from riccitype.transitive import iwasawa
+    spectrum = iwasawa.ad_spectrum_on_n
+    monkeypatch.setattr(iwasawa, "ad_spectrum_on_n",
+                        lambda data, phi=None: spectrum(data, phi) + 0j)
+    code, out, _ = run(capsys, "find-transitive", "--case", "elliptic", "--n", "2",
+                       "--p", "1", "--samples", "5")
+    assert code == 0
+    assert spectrum_info(out) == "[1.0, 1.0, 2.0]"
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ad_spectrum_info_is_real_elliptic_n4(capsys, seed):
+    code, out, _ = run(capsys, "find-transitive", "--case", "elliptic", "--n", "4",
+                       "--p", "1", "--samples", "5", "--seed", str(seed))
+    assert code == 0
+    assert spectrum_info(out) == "[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0]"

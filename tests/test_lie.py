@@ -203,3 +203,148 @@ def test_nilpotent_part_dimension(n):
     from riccitype.transitive.iwasawa import iwasawa_su1n
     data = iwasawa_su1n(n)
     assert data.nilpotent_part.dim == 2 * n - 1
+
+
+# --- rank kernel -----------------------------------------------------------
+
+def low_rank(rng, m, k, r):
+    return rng.standard_normal((m, r)) @ rng.standard_normal((r, k))
+
+
+def check_split(mat, row_basis, null_basis, expected_rank, residual=None):
+    k = mat.shape[1]
+    assert row_basis.shape == (expected_rank, k)
+    assert null_basis.shape == (k, k - expected_rank)
+    both = np.vstack([row_basis, null_basis.T])
+    assert np.max(np.abs(both @ both.T - np.eye(k))) <= 1e-12
+    if residual is None:
+        residual = 1e-12 * (np.linalg.norm(mat, 2) if mat.size else 0.0)
+    assert np.max(np.abs(mat @ null_basis), initial=0.0) <= residual
+
+
+@pytest.mark.parametrize("m,k,r", [(60, 8, 3), (8, 60, 3), (12, 12, 5), (5, 9, 5), (9, 5, 5)])
+def test_rank_split_matches_scipy_null_space(m, k, r):
+    from scipy.linalg import null_space
+    rng = np.random.default_rng(m * 100 + k)
+    mat = low_rank(rng, m, k, r)
+    row_basis, null_basis, gap = lie.rank_split(mat)
+    assert null_basis.shape[1] == null_space(mat, rcond=lie.RANK_RTOL).shape[1] == k - r
+    check_split(mat, row_basis, null_basis, r)
+    s = np.linalg.svd(mat, compute_uv=False)
+    assert gap == (np.inf if r == min(m, k) else pytest.approx(s[r - 1] / s[r], rel=1e-6))
+    assert gap > 1e10
+
+
+def test_rank_split_empty_and_zero():
+    row_basis, null_basis, gap = lie.rank_split(np.zeros((0, 4)))
+    check_split(np.zeros((0, 4)), row_basis, null_basis, 0)
+    assert gap == np.inf
+    for shape in [(6, 4), (4, 6)]:
+        row_basis, null_basis, gap = lie.rank_split(np.zeros(shape))
+        check_split(np.zeros(shape), row_basis, null_basis, 0)
+        assert gap == np.inf
+
+
+def test_rank_split_absolute_cutoff():
+    mat = np.diag([3.0, 1e-3, 1e-9, 0.0])
+    row_basis, null_basis, gap = lie.rank_split(mat, rtol=0.0, atol=1e-6)
+    check_split(mat, row_basis, null_basis, 2, residual=1e-9)
+    assert gap == pytest.approx(1e6)
+    # the cut is the larger of the relative and the absolute threshold
+    assert lie.rank_split(mat, rtol=1e-2, atol=1e-6)[0].shape[0] == 1
+    assert lie.rank_split(mat, rtol=1e-12, atol=1e-6)[0].shape[0] == 2
+    assert lie.rank_split(mat, rtol=0.0, atol=5.0)[0].shape[0] == 0
+
+
+def test_rank_cuts_have_wide_gaps(monkeypatch):
+    from riccitype.transvection import classify_transvection, transvection_algebra
+    gaps = []
+    split = lie.rank_split
+
+    def recording_split(*args, **kwargs):
+        out = split(*args, **kwargs)
+        gaps.append(out[2])
+        return out
+
+    monkeypatch.setattr(lie, "rank_split", recording_split)
+    for case, n, p, q in core.admissible_parameters((2, 3)):
+        model, elem = core.build_model(case, n, p=p, q=q)
+        classify_transvection(transvection_algebra(model, elem), model)
+    assert len(gaps) > 100
+    assert min(gaps) >= 1e10
+
+
+def test_center_memory_stays_small():
+    import tracemalloc
+    from riccitype.transvection import transvection_algebra
+    model, elem = core.build_model("hyperbolic", 5)
+    data = transvection_algebra(model, elem)
+    assert data.algebra.dim == 35
+    tracemalloc.start()
+    try:
+        cent = lie.center(data.algebra, modulo=data.modulo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cent.dim == 0
+    # a full U of the 5040 x 35 bracket system alone would take 203 MB
+    assert peak < 20e6
+
+
+# --- batched brackets against the pairwise loops ---------------------------
+
+def reduce_oracle(x, modulo):
+    return x if modulo is None else modulo.project_out(x)
+
+
+def bracket_span_oracle(s1, s2, modulo=None):
+    mats = [reduce_oracle(lie.bracket(b1, b2), modulo) for b1 in s1.basis for b2 in s2.basis]
+    return lie.subspace_from_matrices(mats, s1.ambient_dim, s1.tol)
+
+
+def closure_residual_oracle(s, modulo=None):
+    res = 0.0
+    span = s if modulo is None else lie.subspace_from_matrices(
+        s.basis + modulo.basis, s.ambient_dim, s.tol)
+    for i in range(s.dim):
+        for j in range(i + 1, s.dim):
+            res = max(res, span.distance(lie.bracket(s.basis[i], s.basis[j])))
+    return res
+
+
+def center_oracle(s, modulo=None):
+    from scipy.linalg import null_space
+    system = np.concatenate(
+        [np.stack([reduce_oracle(lie.bracket(bi, bj), modulo).reshape(-1) for bi in s.basis],
+                  axis=1)
+         for bj in s.basis], axis=0)
+    kernel = null_space(system, rcond=lie.RANK_RTOL)
+    basis = [sum(ci * bi for ci, bi in zip(c, s.basis)) for c in kernel.T]
+    return lie.subspace_from_matrices(basis, s.ambient_dim, s.tol)
+
+
+def span_distance(a, b):
+    return max([a.distance(x) for x in b.basis] + [b.distance(x) for x in a.basis] + [0.0])
+
+
+EQUIVALENCE_CASES = [("hyperbolic", 2, None, None), ("hyperbolic", 3, None, None),
+                     ("elliptic", 2, 1, None), ("elliptic", 3, 2, None),
+                     ("nilpotent", 2, 2, 1), ("nilpotent", 3, 3, 2), ("nilpotent", 3, 1, 1)]
+
+
+@pytest.mark.parametrize("case,n,p,q", EQUIVALENCE_CASES)
+def test_batched_brackets_match_pairwise_loops(case, n, p, q):
+    from riccitype.transvection import transvection_algebra
+    model, elem = core.build_model(case, n, p=p, q=q)
+    data = transvection_algebra(model, elem)
+    for modulo in (None, lie.line(elem.matrix)):
+        g = data.algebra
+        assert abs(lie.closure_residual(g, modulo) - closure_residual_oracle(g, modulo)) <= 1e-10
+        pk = lie.closure_residual(data.p_part, modulo)
+        assert abs(pk - closure_residual_oracle(data.p_part, modulo)) <= 1e-10
+        for new, old in [(lie.center(g, modulo), center_oracle(g, modulo)),
+                         (lie.bracket_span(g, g, modulo), bracket_span_oracle(g, g, modulo)),
+                         (lie.bracket_span(data.p_part, data.k_part, modulo),
+                          bracket_span_oracle(data.p_part, data.k_part, modulo))]:
+            assert new.dim == old.dim
+            assert span_distance(new, old) <= 1e-10
