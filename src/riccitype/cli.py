@@ -141,9 +141,20 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
             core.exp_tA(elem.matrix, elem.mu, t) - _series_exp(elem.matrix, t)))))
     report.add_residual("flow.series_oracle", worst, 1e-10)
 
-    points = core.sample_sigma(model, elem, config.samples, config.seed)
+    points = []
+    _guard(report, "sampling.sigma", lambda: points.extend(
+        core.sample_sigma(model, elem, config.samples, config.seed)))
+    if not points:
+        return report
     rng = np.random.default_rng(config.seed + 1)
     has_chart = geometry.chart_kind(model) is not None
+    frames = {}
+
+    def frame_at(i):
+        """Horizontal frame at points[i], built once and shared by the sections."""
+        if i not in frames:
+            frames[i] = geometry.horizontal_basis(model, elem, points[i])
+        return frames[i]
 
     def flow_invariance():
         worst = 0.0
@@ -163,11 +174,12 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
         worst_ricci = 0.0
         worst_rho = 0.0
         ident = np.eye(2 * model.n)
-        for i, pt in enumerate(points):
+        for i in range(len(points)):
+            frame = frame_at(i)
             worst_cyc = max(worst_cyc, geometry.curvature_cyclic_residual(
-                model, elem, pt, triples=5, seed=config.seed + i))
-            worst_ricci = max(worst_ricci, geometry.ricci_type_residual(model, elem, pt))
-            rho = geometry.ricci_endomorphism(model, elem, pt)
+                model, elem, frame, triples=5, seed=config.seed + i))
+            worst_ricci = max(worst_ricci, geometry.ricci_type_residual(model, elem, frame))
+            rho = geometry.ricci_endomorphism(model, elem, frame)
             worst_rho = max(worst_rho, float(np.max(np.abs(
                 rho @ rho - 4.0 * (model.n + 1) ** 2 * elem.mu * ident))))
         if not report.add_residual("curvature.cyclic_identity", worst_cyc, 1e-9):
@@ -179,9 +191,9 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
 
     def trace_route():
         worst = 0.0
-        for pt in points[:20]:
-            frame = geometry.horizontal_basis(model, elem, pt)
-            rho = geometry.ricci_endomorphism(model, elem, pt, frame)
+        for i in range(min(len(points), 20)):
+            frame = frame_at(i)
+            rho = geometry.ricci_endomorphism(model, elem, frame)
             gram = frame.vectors.T @ model.omega @ frame.vectors
             trace_ric = geometry.ricci_tensor_by_trace(model, elem, frame)
             worst = max(worst, float(np.max(np.abs(gram @ rho - trace_ric))))
@@ -402,6 +414,10 @@ def cmd_find_transitive(config: RunConfig, candidate_file: str | None = None) ->
     if candidate_file is not None:
         with open(candidate_file) as fh:
             raw = serialize.parse_candidate(fh.read())
+        d = 2 * (model.n - 1)
+        if raw["B"].shape[0] != d:
+            raise ValueError(f"candidate dim={raw['B'].shape[0]} does not match "
+                             f"2(n-1) = {d} for n={model.n}")
         _certify_candidate(report, model, elem, "file_candidate", raw["B"], raw["c"],
                            config, a_tilde=raw["a_tilde"], a=raw["a"])
     else:

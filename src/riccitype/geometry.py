@@ -13,6 +13,13 @@ instead to compare points of the quotient.
 Horizontal geometry lives at the Sigma level: H_x = span{x, Ax}^perp is
 symplectic and pushes down isomorphically, so the reduced form, connection,
 curvature and symmetries are all evaluated on horizontal representatives.
+
+Each per-point quantity comes from one frame and one lift solve:
+``lift_tangent`` lifts a whole matrix of chart tangents with a single
+frame, differential and least-squares solve; ``chart_omega_matrix`` is the
+one route to the chart matrix of the reduced form; and the curvature and
+Ricci functions take a ``HorizontalFrame`` so that callers build it once
+per sample.
 """
 
 from __future__ import annotations
@@ -192,32 +199,26 @@ def horizontality_residual(model: SymplecticModel, a, x, v) -> float:
     return max(abs(model.pairing(v, xv)), abs(model.pairing(v, ax)))
 
 
-def _lift_darboux(model: SymplecticModel, x: np.ndarray, tangent: np.ndarray) -> np.ndarray:
+def _lift_darboux(model: SymplecticModel, x: np.ndarray, tangents: np.ndarray) -> np.ndarray:
     """Closed-form horizontal lift in the (y0, Y, gamma) chart.
 
     lift(d_y0)    = sh(a) d_x1 + ch(a) d_x2
     lift(d_ya)    = d_Xa + (Omega0 X)_a (ch(a) d_x1 + sh(a) d_x2)
     lift(d_gamma) = d_alpha + (2 x1 sh ch - x2 (ch^2+sh^2)) d_x1
                             + (x1 (ch^2+sh^2) - 2 x2 sh ch) d_x2
-    with d_alpha = sh(a) d_{x*1} + ch(a) d_{x*2}.
+    with d_alpha = sh(a) d_{x*1} + ch(a) d_{x*2}.  ``tangents`` is one
+    (2n,) tangent or a (2n, m) matrix of tangents, one per column.
     """
-    omega0 = model.omega0
     xs_small, capx, xs = _split_nilpotent(model, x)
     ch, sh = xs[0], xs[1]
-    dy0, dy, dgamma = tangent[0], tangent[1:-1], tangent[-1]
-    out = np.zeros_like(x)
-    out[0] += dy0 * sh
-    out[1] += dy0 * ch
-    coef = float(dy @ (omega0 @ capx))
-    out[0] += coef * ch
-    out[1] += coef * sh
-    out[2:2 + 2 * (model.n - 1)] += dy
+    dy0, dy, dgamma = tangents[0], tangents[1:-1], tangents[-1]
+    coef = (model.omega0 @ capx) @ dy
     ch2sh2 = ch * ch + sh * sh
-    out[0] += dgamma * (2.0 * xs_small[0] * sh * ch - xs_small[1] * ch2sh2)
-    out[1] += dgamma * (xs_small[0] * ch2sh2 - 2.0 * xs_small[1] * sh * ch)
-    out[-2] += dgamma * sh
-    out[-1] += dgamma * ch
-    return out
+    d_x1 = (dy0 * sh + coef * ch
+            + dgamma * (2.0 * xs_small[0] * sh * ch - xs_small[1] * ch2sh2))
+    d_x2 = (dy0 * ch + coef * sh
+            + dgamma * (xs_small[0] * ch2sh2 - 2.0 * xs_small[1] * sh * ch))
+    return np.concatenate([np.array([d_x1, d_x2]), dy, np.array([dgamma * sh, dgamma * ch])])
 
 
 def pushforward(model: SymplecticModel, a, x, v, fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
@@ -270,28 +271,26 @@ def differential_project(model: SymplecticModel, a, x, v) -> np.ndarray:
     return np.concatenate([vx - dt * xs - t * vxs, vcapx, vxs])
 
 
-def lift_tangent(model: SymplecticModel, a, x, chart_tangent,
-                 fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Horizontal lift of a chart tangent vector to H_x.
+def lift_tangent(model: SymplecticModel, a, x, chart_tangents) -> np.ndarray:
+    """Horizontal lifts to H_x of chart tangents at project(x).
 
-    The Darboux chart uses the closed-form lift table; other cases invert
-    the differential of the projection on a horizontal frame.  The solve
+    ``chart_tangents`` is one (2n,) tangent or a (2n, m) matrix with one
+    tangent per column; the lifts come back in the same layout.  The Darboux
+    chart uses the closed-form lift table.  The other charts build the
+    horizontal frame and the 2n x 2n differential of the projection on it
+    once, then solve one least-squares system for all columns.  The solve
     uses the exact differential (``differential_project``) so the lift is
     smooth enough to sit inside second-derivative checks; the independent
     finite-difference route stays available as ``pushforward``.
     """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    tangent = np.asarray(chart_tangent, dtype=float)
+    tangents = np.asarray(chart_tangents, dtype=float)
     xv = as_vector(x)
     if chart_kind(model) == "darboux":
-        return _lift_darboux(model, xv, tangent)
-    frame = horizontal_basis(model, a, x)
-    cols = [differential_project(model, a, xv, frame.vectors[:, j])
-            for j in range(frame.vectors.shape[1])]
-    mat = np.stack(cols, axis=1)
-    coeff, *_ = np.linalg.lstsq(mat, tangent, rcond=None)
-    return frame.vectors @ coeff
+        return _lift_darboux(model, xv, tangents)
+    frame = horizontal_basis(model, a, xv).vectors
+    dmat = np.stack([differential_project(model, a, xv, v) for v in frame.T], axis=1)
+    coeff, *_ = np.linalg.lstsq(dmat, tangents, rcond=None)
+    return frame @ coeff
 
 
 def reduced_omega(model: SymplecticModel, a, x, xbar, ybar,
@@ -314,22 +313,17 @@ def darboux_matrix(model: SymplecticModel) -> np.ndarray:
     return mat
 
 
-def chart_omega_matrix(model: SymplecticModel, a, x,
-                       fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Matrix of the reduced form on chart coordinate directions at project(x)."""
-    kind = chart_kind(model)
-    if kind is None:
-        raise ChartUnavailableError("no chart for elliptic p > 1")
-    if kind == "darboux":
-        d = 2 * model.n
-        lifts = [_lift_darboux(model, as_vector(x), e) for e in np.eye(d)]
-    else:
-        local = LocalChart(model, a, project(model, a, x))
-        d = 2 * model.n
-        dirs = local.coordinate_tangents(local.center, fd_step)
-        lifts = [lift_tangent(model, a, x, dirs[:, j], fd_step) for j in range(d)]
-    mat = np.stack(lifts, axis=1)
-    return mat.T @ model.omega @ mat
+def chart_omega_matrix(model: SymplecticModel, a, x) -> np.ndarray:
+    """Matrix of the reduced form on the local coordinate directions at project(x).
+
+    The ``LocalChart`` is centred at cp = project(x) and the form is evaluated
+    on the lifts at chart_section(cp), the point of the fiber that the chart
+    section picks; omega is invariant along the fiber.
+    """
+    cp = project(model, a, x)
+    dirs = LocalChart(model, a, cp).coordinate_tangents(cp)
+    lifts = lift_tangent(model, a, chart_section(model, a, cp), dirs)
+    return lifts.T @ model.omega @ lifts
 
 
 def connection_nabla(model: SymplecticModel, a, x, xbar, yfield,
@@ -389,20 +383,19 @@ def curvature_tensor(model: SymplecticModel, a, frame: HorizontalFrame) -> np.nd
     return r4
 
 
+def _trace_ricci(gram: np.ndarray, r4: np.ndarray) -> np.ndarray:
+    # coefficient of v_m in R(v_i, v_m) v_j, traced over m
+    return -np.einsum("ma,imja->ij", np.linalg.inv(gram), r4)
+
+
 def ricci_tensor_by_trace(model: SymplecticModel, a, frame: HorizontalFrame) -> np.ndarray:
     """r(X, Y) = Tr(Z -> R(X, Z) Y), summed over the frame coordinates."""
     gram, _ = _frame_tensors(model, a, frame)
-    r4 = curvature_tensor(model, a, frame)
-    gram_inv = np.linalg.inv(gram)
-    # coefficient of v_m in R(v_i, v_m) v_j, traced over m
-    return -np.einsum("ma,imja->ij", gram_inv, r4)
+    return _trace_ricci(gram, curvature_tensor(model, a, frame))
 
 
-def ricci_endomorphism(model: SymplecticModel, a, x,
-                       frame: HorizontalFrame | None = None) -> np.ndarray:
+def ricci_endomorphism(model: SymplecticModel, a, frame: HorizontalFrame) -> np.ndarray:
     """Matrix of the Ricci endomorphism -2(n+1) A restricted to H_x, in the frame."""
-    if frame is None:
-        frame = horizontal_basis(model, a, x)
     v = frame.vectors
     amat = as_matrix(a)
     av = amat @ v
@@ -412,17 +405,16 @@ def ricci_endomorphism(model: SymplecticModel, a, x,
     return -2.0 * (model.n + 1) * coeff
 
 
-def ricci_type_residual(model: SymplecticModel, a, x) -> float:
+def ricci_type_residual(model: SymplecticModel, a, frame: HorizontalFrame) -> float:
     """Sup-norm of R - E(r) over all frame 4-tuples; zero for Ricci-type curvature.
 
     E(X,Y,Z,T) = -1/(2n+2) [2 w(X,Y) r(Z,T) + w(X,Z) r(Y,T) + w(X,T) r(Y,Z)
                             - w(Y,Z) r(X,T) - w(Y,T) r(X,Z)]
     with r the trace Ricci tensor of the curvature itself.
     """
-    frame = horizontal_basis(model, a, x)
     gram, _ = _frame_tensors(model, a, frame)
     r4 = curvature_tensor(model, a, frame)
-    ric = ricci_tensor_by_trace(model, a, frame)
+    ric = _trace_ricci(gram, r4)
     factor = -1.0 / (2.0 * (model.n + 1))
     e4 = factor * (2.0 * np.einsum("ij,kl->ijkl", gram, ric)
                    + np.einsum("ik,jl->ijkl", gram, ric)
@@ -432,10 +424,10 @@ def ricci_type_residual(model: SymplecticModel, a, x) -> float:
     return float(np.max(np.abs(r4 - e4)))
 
 
-def curvature_cyclic_residual(model: SymplecticModel, a, x, triples: int = 50,
-                              seed: int = 0) -> float:
+def curvature_cyclic_residual(model: SymplecticModel, a, frame: HorizontalFrame,
+                              triples: int = 50, seed: int = 0) -> float:
     """Max norm of R(X,Y)Z + R(Y,Z)X + R(Z,X)Y over random horizontal triples."""
-    frame = horizontal_basis(model, a, x)
+    x = frame.base
     rng = np.random.default_rng(seed)
     res = 0.0
     for _ in range(triples):
@@ -571,7 +563,7 @@ class LocalChart:
         return ChartPoint(self.center.case, self.kind,
                           np.concatenate([xs_small, capx, xs]))
 
-    def coordinate_tangents(self, cp: ChartPoint, fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
+    def coordinate_tangents(self, cp: ChartPoint) -> np.ndarray:
         """Chart-representation tangents of the local coordinate fields at cp (exact)."""
         if self.kind in ("ball", "darboux"):
             return np.eye(self.dim)
@@ -623,14 +615,12 @@ class LocalChart:
         return np.stack(cols, axis=1)
 
 
-def coordinate_field(model: SymplecticModel, a, local: LocalChart, index: int,
-                     fd_step: float = DEFAULT_FD_STEP):
+def coordinate_field(model: SymplecticModel, a, local: LocalChart, index: int):
     """Horizontal lift of the index-th local coordinate field, as a field on Sigma_A."""
 
     def field(z):
         cp = project(model, a, z)
-        dirs = local.coordinate_tangents(cp, fd_step)
-        return lift_tangent(model, a, z, dirs[:, index], fd_step)
+        return lift_tangent(model, a, z, local.coordinate_tangents(cp)[:, index])
 
     return field
 
@@ -656,40 +646,9 @@ def symmetry_pullback_residual(model: SymplecticModel, a, x_center, cp: ChartPoi
         plus = local_image.to_local(symmetry_in_chart(model, a, x_center, local.from_local(c0 + e)))
         minus = local_image.to_local(symmetry_in_chart(model, a, x_center, local.from_local(c0 - e)))
         jac[:, i] = (plus - minus) / (2.0 * fd_step)
-    w_here = _local_omega(model, a, local, cp, fd_step)
-    w_image = _local_omega(model, a, local_image, image, fd_step)
+    w_here = chart_omega_matrix(model, a, chart_section(model, a, cp))
+    w_image = chart_omega_matrix(model, a, chart_section(model, a, image))
     return float(np.max(np.abs(jac.T @ w_image @ jac - w_here)))
-
-
-def _local_omega(model: SymplecticModel, a, local: LocalChart, cp: ChartPoint,
-                 fd_step: float) -> np.ndarray:
-    x = chart_section(model, a, cp)
-    dirs = local.coordinate_tangents(cp, fd_step)
-    if chart_kind(model) == "darboux":
-        lifts = [_lift_darboux(model, x, dirs[:, j]) for j in range(dirs.shape[1])]
-    else:
-        lifts = [lift_tangent(model, a, x, dirs[:, j], fd_step) for j in range(dirs.shape[1])]
-    mat = np.stack(lifts, axis=1)
-    return mat.T @ model.omega @ mat
-
-
-def reduced_symmetry_check(model: SymplecticModel, a, x_center, samples,
-                           fd_step: float = DEFAULT_FD_STEP):
-    """Certificate-report form of the reduced-symmetry residuals."""
-    from .report import CertificateReport
-    rep = reduced_symmetry_report(model, a, x_center, samples, fd_step)
-    report = CertificateReport("reduced-symmetry", {
-        "case": model.case, "n": model.n, "samples": len(samples), "fd_step": fd_step})
-    report.add_residual("symmetry.squares_to_identity", rep["symmetry_squared"], 1e-12)
-    report.add_residual("symmetry.symplectic", rep["symmetry_symplectic"], 1e-12)
-    report.add_residual("symmetry.commutes_with_A", rep["symmetry_commutes_A"], 1e-12)
-    report.add_residual("symmetry.fixed_point", rep["fixed_point"], 1e-9)
-    report.add_residual("symmetry.involution_in_chart", rep["involution_in_chart"], 1e-8)
-    if "symplectic_pullback" in rep:
-        report.add_residual("symmetry.symplectic_pullback", rep["symplectic_pullback"], 1e-5)
-    else:
-        report.add_info("symmetry.symplectic_pullback", "chart unavailable for elliptic p > 1")
-    return report
 
 
 def reduced_symmetry_report(model: SymplecticModel, a, x_center, samples,

@@ -57,7 +57,6 @@ class MatrixLieSubspace:
 
     ambient_dim: int
     basis: list[np.ndarray]
-    tol: float = 1e-9
     _row_space: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -116,17 +115,17 @@ class MatrixLieSubspace:
 ZERO_FLOOR = 1e-12
 
 
-def subspace_from_matrices(mats, ambient_dim: int, tol: float = 1e-9) -> MatrixLieSubspace:
+def subspace_from_matrices(mats, ambient_dim: int) -> MatrixLieSubspace:
     """Rank-reduce a list (or stacked array) of matrices to an independent spanning set."""
     if len(mats) == 0:
-        return MatrixLieSubspace(ambient_dim, [], tol)
+        return MatrixLieSubspace(ambient_dim, [])
     stack = np.asarray(mats, dtype=float)
     stack = stack.reshape(len(stack), -1)
     stack = stack[np.max(np.abs(stack), axis=1) > ZERO_FLOOR]
     if stack.shape[0] == 0:
-        return MatrixLieSubspace(ambient_dim, [], tol)
+        return MatrixLieSubspace(ambient_dim, [])
     rows = rank_split(stack, atol=ZERO_FLOOR)[0]
-    return MatrixLieSubspace(ambient_dim, list(rows.reshape(-1, ambient_dim, ambient_dim)), tol)
+    return MatrixLieSubspace(ambient_dim, list(rows.reshape(-1, ambient_dim, ambient_dim)))
 
 
 def _bracket_tensor(xs, ys, modulo: MatrixLieSubspace | None = None) -> np.ndarray:
@@ -144,13 +143,12 @@ def _bracket_tensor(xs, ys, modulo: MatrixLieSubspace | None = None) -> np.ndarr
     return flat - (flat @ q.T) @ q
 
 
-def line(x: np.ndarray, tol: float = 1e-9) -> MatrixLieSubspace:
+def line(x: np.ndarray) -> MatrixLieSubspace:
     """The one-dimensional span of a single matrix."""
-    return subspace_from_matrices([x], x.shape[0], tol)
+    return subspace_from_matrices([x], x.shape[0])
 
 
-def centralizer_in_sp(model: SymplecticModel, a, tol: float = 1e-9,
-                      exact: bool = False) -> MatrixLieSubspace:
+def centralizer_in_sp(model: SymplecticModel, a, exact: bool = False) -> MatrixLieSubspace:
     """Basis of {X : tX Omega + Omega X = 0 and XA = AX}.
 
     Solved as one SVD nullspace of the stacked linear constraints on
@@ -170,7 +168,7 @@ def centralizer_in_sp(model: SymplecticModel, a, tol: float = 1e-9,
     comm_rows = np.kron(ident, amat.T) - np.kron(amat, ident)
     system = np.vstack([sp_rows, comm_rows])
     kernel = rank_split(system)[1]
-    sub = MatrixLieSubspace(dim, list(kernel.T.reshape(-1, dim, dim)), tol)
+    sub = MatrixLieSubspace(dim, list(kernel.T.reshape(-1, dim, dim)))
     if exact:
         from .exact import rational_nullspace_dimension
         exact_dim = rational_nullspace_dimension(system)
@@ -186,18 +184,17 @@ def closure_residual(s: MatrixLieSubspace,
     if s.dim < 2:
         return 0.0
     span = s if modulo is None else subspace_from_matrices(
-        s.basis + modulo.basis, s.ambient_dim, s.tol)
+        s.basis + modulo.basis, s.ambient_dim)
     upper = np.triu_indices(s.dim, 1)
     return float(np.max(np.abs(_bracket_tensor(s.basis, s.basis, span)[upper])))
 
 
-def involution_eigenspace(s: MatrixLieSubspace, theta, sign: int,
-                          tol: float = 1e-9) -> MatrixLieSubspace:
+def involution_eigenspace(s: MatrixLieSubspace, theta, sign: int) -> MatrixLieSubspace:
     """(+1)- or (-1)-eigenspace of an involutive map theta preserving s."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if s.dim == 0:
-        return MatrixLieSubspace(s.ambient_dim, [], s.tol)
+        return MatrixLieSubspace(s.ambient_dim, [])
     images = [theta(b) for b in s.basis]
     if max(s.distance(img) for img in images) > 1e-7:
         raise ValueError("theta does not preserve the subspace")
@@ -205,7 +202,7 @@ def involution_eigenspace(s: MatrixLieSubspace, theta, sign: int,
     if np.max(np.abs(t_mat @ t_mat - np.eye(s.dim))) > 1e-7:
         raise ValueError("theta is not involutive on the subspace")
     kernel = rank_split(t_mat - sign * np.eye(s.dim))[1]
-    return subspace_from_matrices(s.combine(kernel), s.ambient_dim, tol)
+    return subspace_from_matrices(s.combine(kernel), s.ambient_dim)
 
 
 def bracket_span(s1: MatrixLieSubspace, s2: MatrixLieSubspace,
@@ -214,10 +211,10 @@ def bracket_span(s1: MatrixLieSubspace, s2: MatrixLieSubspace,
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if s1.dim == 0 or s2.dim == 0:
-        return MatrixLieSubspace(s1.ambient_dim, [], s1.tol)
+        return MatrixLieSubspace(s1.ambient_dim, [])
     brackets = _bracket_tensor(s1.basis, s2.basis, modulo)
     return subspace_from_matrices(brackets.reshape(-1, s1.ambient_dim, s1.ambient_dim),
-                                  s1.ambient_dim, s1.tol)
+                                  s1.ambient_dim)
 
 
 def center(s: MatrixLieSubspace,
@@ -228,7 +225,7 @@ def center(s: MatrixLieSubspace,
     # solve sum_i c_i [b_i, b_j] = 0 (mod `modulo`) for all j: rows (j, entry), columns i
     system = _bracket_tensor(s.basis, s.basis, modulo).transpose(1, 2, 0).reshape(-1, s.dim)
     kernel = rank_split(system)[1]
-    return subspace_from_matrices(s.combine(kernel), s.ambient_dim, s.tol)
+    return subspace_from_matrices(s.combine(kernel), s.ambient_dim)
 
 
 @dataclass
@@ -346,7 +343,7 @@ def ad_eigenspaces(s: MatrixLieSubspace, x: np.ndarray,
                             atol=10 * cluster_tol * scale)[1]
         if kernel.shape[1] != len(group):
             raise ValueError(f"ad(x) defective at eigenvalue {lam:.6g}")
-        out[lam] = subspace_from_matrices(s.combine(kernel), s.ambient_dim, s.tol)
+        out[lam] = subspace_from_matrices(s.combine(kernel), s.ambient_dim)
         total += len(group)
     if total != s.dim:
         raise ValueError("eigenspace dimensions do not fill the subspace")

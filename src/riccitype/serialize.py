@@ -97,6 +97,9 @@ def format_candidate(B: np.ndarray, a_tilde: np.ndarray, a: float, c: float) -> 
 
 def parse_candidate(text: str) -> dict:
     kv = parse_key_values(text)
+    missing = [key for key in ("dim", "B") if key not in kv]
+    if missing:
+        raise ValueError(f"candidate file lacks required key(s): {', '.join(missing)}")
     d = int(kv["dim"])
     b_flat = np.array([float(v) for v in kv["B"].split()])
     if b_flat.shape[0] != d * d:

@@ -72,10 +72,11 @@ def test_criterion_2_geometry_suite():
         model, elem = core.build_model(case, n, p=p, q=q)
         ident = np.eye(2 * n)
         for i, pt in enumerate(core.sample_sigma(model, elem, 50, seed=0)):
-            worst_ricci = max(worst_ricci, geometry.ricci_type_residual(model, elem, pt))
+            frame = geometry.horizontal_basis(model, elem, pt)
+            worst_ricci = max(worst_ricci, geometry.ricci_type_residual(model, elem, frame))
             worst_cyclic = max(worst_cyclic, geometry.curvature_cyclic_residual(
-                model, elem, pt, triples=3, seed=i))
-            rho = geometry.ricci_endomorphism(model, elem, pt)
+                model, elem, frame, triples=3, seed=i))
+            rho = geometry.ricci_endomorphism(model, elem, frame)
             worst_rho = max(worst_rho, float(np.max(np.abs(
                 rho @ rho - 4 * (n + 1) ** 2 * elem.mu * ident))))
     worst_sym = 0.0

@@ -142,6 +142,42 @@ def test_find_transitive_bad_candidate_file_fails(tmp_path, capsys):
     assert "B^2" in err
 
 
+@pytest.mark.parametrize("drop", ["dim", "B"])
+def test_find_transitive_candidate_file_missing_key(tmp_path, capsys, drop):
+    text = serialize.format_candidate(np.diag([1.0, -1.0]), np.zeros(2), 0.0, 1.0)
+    path = tmp_path / "cand.txt"
+    path.write_text("\n".join(ln for ln in text.splitlines()
+                              if not ln.startswith(drop + "=")) + "\n")
+    code, out, err = run(capsys, "find-transitive", "--case", "nilpotent", "--n", "2",
+                         "--p", "2", "--q", "1", "--candidate-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: candidate file lacks required key(s): {drop}"]
+
+
+def test_find_transitive_candidate_dim_mismatch(tmp_path, capsys):
+    path = tmp_path / "cand.txt"
+    path.write_text(serialize.format_candidate(np.eye(4), np.zeros(4), 0.0, 1.0) + "\n")
+    code, out, err = run(capsys, "find-transitive", "--case", "nilpotent", "--n", "2",
+                         "--p", "2", "--q", "1", "--candidate-file", str(path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: candidate dim=4")
+
+
+def test_verify_geometry_sampler_failure_is_fail_report(capsys):
+    # the corrupted form makes every Sigma_A draw miss the quadric
+    code, out, err = run(capsys, "verify-geometry", "--case", "hyperbolic", "--n", "2",
+                         "--debug-corrupt-omega")
+    assert code == 1
+    assert err == ""
+    assert "verdict=FAIL" in out
+    assert "[FAIL] sampling.sigma" in out
+    assert any(ln.startswith("witness.0=sampling.sigma: sampled point misses Sigma_A")
+               for ln in out.splitlines())
+
+
 def test_quaternion_evidence(capsys):
     code, out, _ = run(capsys, "quaternion-evidence", "--samples", "100")
     assert code == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from riccitype import core, geometry
+from riccitype import cli, core, geometry
 from riccitype.transvection import base_point
 
 CHART_CASES = [
@@ -159,6 +159,70 @@ def test_lift_roundtrip_fd_oracle(case, n, p, q):
         assert np.max(np.abs(back - tangent)) <= 1e-6
 
 
+def lift_oracle(model, elem, x, tangent):
+    """The former one-tangent-at-a-time lift: a frame and 2n differentials per tangent."""
+    if geometry.chart_kind(model) == "darboux":
+        xs_small, capx, xs = x[:2], x[2:-2], x[-2:]
+        ch, sh = xs[0], xs[1]
+        dy0, dy, dgamma = tangent[0], tangent[1:-1], tangent[-1]
+        out = np.zeros_like(x)
+        coef = float(dy @ (model.omega0 @ capx))
+        ch2sh2 = ch * ch + sh * sh
+        out[0] = dy0 * sh + coef * ch + dgamma * (2.0 * xs_small[0] * sh * ch
+                                                  - xs_small[1] * ch2sh2)
+        out[1] = dy0 * ch + coef * sh + dgamma * (xs_small[0] * ch2sh2
+                                                  - 2.0 * xs_small[1] * sh * ch)
+        out[2:-2] = dy
+        out[-2] = dgamma * sh
+        out[-1] = dgamma * ch
+        return out
+    frame = geometry.horizontal_basis(model, elem, x)
+    mat = np.stack([geometry.differential_project(model, elem, x, frame.vectors[:, j])
+                    for j in range(frame.vectors.shape[1])], axis=1)
+    coeff, *_ = np.linalg.lstsq(mat, tangent, rcond=None)
+    return frame.vectors @ coeff
+
+
+@pytest.mark.parametrize("case,n,p,q", CHART_CASES)
+def test_lift_tangent_matrix_matches_per_column_oracle(case, n, p, q):
+    model, elem = build(case, n, p, q)
+    rng = np.random.default_rng(59)
+    for pt in core.sample_sigma(model, elem, 4, seed=59):
+        cp = geometry.project(model, elem, pt)
+        dirs = geometry.LocalChart(model, elem, cp).coordinate_tangents(cp)
+        tangents = np.concatenate([dirs, dirs @ rng.standard_normal((2 * n, 3))], axis=1)
+        lifts = geometry.lift_tangent(model, elem, pt.x, tangents)
+        assert lifts.shape == (model.ambient_dim, tangents.shape[1])
+        for j in range(tangents.shape[1]):
+            want = lift_oracle(model, elem, pt.x, tangents[:, j])
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(lifts[:, j] - want)) <= 1e-12 * scale
+            single = geometry.lift_tangent(model, elem, pt.x, tangents[:, j])
+            assert single.shape == (model.ambient_dim,)
+            assert np.max(np.abs(single - want)) <= 1e-12 * scale
+
+
+def test_verify_geometry_builds_one_frame_per_sample(monkeypatch):
+    calls = {"horizontal_basis": 0, "differential_project": 0, "lift_tangent": 0}
+
+    def counted(name):
+        original = getattr(geometry, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(geometry, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    samples = 10
+    config = cli.RunConfig(case="hyperbolic", n=2, samples=samples, seed=0)
+    assert cli.cmd_verify_geometry(config).verdict == "PASS"
+    assert calls["horizontal_basis"] <= samples + 2 * min(samples, 20)
+    assert calls["lift_tangent"] > 0
+    assert calls["differential_project"] == 2 * config.n * calls["lift_tangent"]
+
+
 @pytest.mark.parametrize("case,n,p,q", CHART_CASES)
 def test_differential_project_matches_fd(case, n, p, q):
     model, elem = build(case, n, p, q)
@@ -294,7 +358,7 @@ def test_curvature_antisymmetry_and_cyclic(case, n, p, q):
     rng = np.random.default_rng(17)
     xb, zb = (frame.vectors @ rng.standard_normal(2 * n) for _ in range(2))
     assert np.max(np.abs(geometry.curvature(model, elem, pt.x, xb, xb, zb))) <= 1e-12
-    assert geometry.curvature_cyclic_residual(model, elem, pt, triples=50, seed=1) <= 1e-9
+    assert geometry.curvature_cyclic_residual(model, elem, frame, triples=50, seed=1) <= 1e-9
     # output stays horizontal
     out = geometry.curvature(model, elem, pt.x, xb, zb, xb)
     assert geometry.horizontality_residual(model, elem, pt.x, out) <= 1e-10
@@ -319,7 +383,7 @@ def test_ricci_endomorphism_square_and_trace_route(case, n, p, q):
     ident = np.eye(2 * n)
     for pt in core.sample_sigma(model, elem, 20, seed=19):
         frame = geometry.horizontal_basis(model, elem, pt)
-        rho = geometry.ricci_endomorphism(model, elem, pt, frame)
+        rho = geometry.ricci_endomorphism(model, elem, frame)
         assert np.max(np.abs(rho @ rho - 4 * (n + 1) ** 2 * elem.mu * ident)) <= 1e-9
         gram = frame.vectors.T @ model.omega @ frame.vectors
         trace_ric = geometry.ricci_tensor_by_trace(model, elem, frame)
@@ -329,7 +393,7 @@ def test_ricci_endomorphism_square_and_trace_route(case, n, p, q):
 def test_ricci_endomorphism_nilpotent_square_zero():
     model, elem = build("nilpotent", 3, 2, 2)
     pt = core.sample_sigma(model, elem, 1, seed=23)[0]
-    rho = geometry.ricci_endomorphism(model, elem, pt)
+    rho = geometry.ricci_endomorphism(model, elem, geometry.horizontal_basis(model, elem, pt))
     assert np.max(np.abs(rho @ rho)) <= 1e-10
 
 
@@ -343,17 +407,18 @@ def test_ricci_endomorphism_nilpotent_square_zero():
 def test_ricci_type_residual_small(case, n, p, q):
     model, elem = build(case, n, p, q)
     for pt in core.sample_sigma(model, elem, 10, seed=29):
-        assert geometry.ricci_type_residual(model, elem, pt) <= 1e-8
+        frame = geometry.horizontal_basis(model, elem, pt)
+        assert geometry.ricci_type_residual(model, elem, frame) <= 1e-8
 
 
 def test_ricci_type_residual_frame_rebase_invariant():
     model, elem = build("elliptic", 2, 1, None)
     pt = core.sample_sigma(model, elem, 1, seed=31)[0]
-    base = geometry.ricci_type_residual(model, elem, pt)
+    frame = geometry.horizontal_basis(model, elem, pt)
+    base = geometry.ricci_type_residual(model, elem, frame)
     # the residual is tensorial: recomputing on a re-based frame changes nothing
     # beyond conditioning
     rng = np.random.default_rng(31)
-    frame = geometry.horizontal_basis(model, elem, pt)
     mix = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     rebased = geometry.HorizontalFrame(pt.x, frame.vectors @ mix)
     gram, paired = geometry._frame_tensors(model, elem, rebased)
@@ -453,13 +518,25 @@ def test_act_tangent_sphere_closed_form():
 def test_ricci_type_residual_full_admissible_sweep(case, n, p, q):
     model, elem = build(case, n, p or None, q or None)
     for pt in core.sample_sigma(model, elem, 3, seed=53):
-        assert geometry.ricci_type_residual(model, elem, pt) <= 1e-8
+        frame = geometry.horizontal_basis(model, elem, pt)
+        assert geometry.ricci_type_residual(model, elem, frame) <= 1e-8
 
 
 def test_reduced_symmetry_check_report():
+    # the symmetry section of verify-geometry is the one report form of
+    # reduced_symmetry_report: same entries, thresholds and values
+    config = cli.RunConfig(case="nilpotent", n=2, p=2, q=1, samples=5, seed=3)
+    report = cli.cmd_verify_geometry(config)
+    assert report.verdict == "PASS"
     model, elem = build("nilpotent", 2, 2, 1)
     samples = core.sample_sigma(model, elem, 5, seed=3)
-    report = geometry.reduced_symmetry_check(model, elem, base_point(model), samples)
-    assert report.verdict == "PASS"
-    names = [e.name for e in report.entries]
-    assert "symmetry.symplectic_pullback" in names
+    rep = geometry.reduced_symmetry_report(model, elem, base_point(model), samples)
+    want = [("symmetry.squares_to_identity", rep["symmetry_squared"], 1e-12),
+            ("symmetry.symplectic", rep["symmetry_symplectic"], 1e-12),
+            ("symmetry.commutes_with_A", rep["symmetry_commutes_A"], 1e-12),
+            ("symmetry.fixed_point", rep["fixed_point"], 1e-9),
+            ("symmetry.involution_in_chart", rep["involution_in_chart"], 1e-8),
+            ("symmetry.symplectic_pullback", rep["symplectic_pullback"], 1e-5)]
+    got = [(e.name, e.value, e.threshold, e.verdict) for e in report.entries
+           if e.name.startswith("symmetry.")]
+    assert got == [(name, value, thr, "PASS") for name, value, thr in want]

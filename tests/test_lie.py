@@ -299,13 +299,13 @@ def reduce_oracle(x, modulo):
 
 def bracket_span_oracle(s1, s2, modulo=None):
     mats = [reduce_oracle(lie.bracket(b1, b2), modulo) for b1 in s1.basis for b2 in s2.basis]
-    return lie.subspace_from_matrices(mats, s1.ambient_dim, s1.tol)
+    return lie.subspace_from_matrices(mats, s1.ambient_dim)
 
 
 def closure_residual_oracle(s, modulo=None):
     res = 0.0
     span = s if modulo is None else lie.subspace_from_matrices(
-        s.basis + modulo.basis, s.ambient_dim, s.tol)
+        s.basis + modulo.basis, s.ambient_dim)
     for i in range(s.dim):
         for j in range(i + 1, s.dim):
             res = max(res, span.distance(lie.bracket(s.basis[i], s.basis[j])))
@@ -320,7 +320,7 @@ def center_oracle(s, modulo=None):
          for bj in s.basis], axis=0)
     kernel = null_space(system, rcond=lie.RANK_RTOL)
     basis = [sum(ci * bi for ci, bi in zip(c, s.basis)) for c in kernel.T]
-    return lie.subspace_from_matrices(basis, s.ambient_dim, s.tol)
+    return lie.subspace_from_matrices(basis, s.ambient_dim)
 
 
 def span_distance(a, b):
