@@ -348,7 +348,7 @@ def connection_nabla(model: SymplecticModel, a, x, xbar, yfield,
             + model.pairing(xbar, y_here) * (amat @ xv))
 
 
-def curvature(model: SymplecticModel, a, x, xbar, ybar, zbar) -> np.ndarray:
+def curvature(model: SymplecticModel, a, xbar, ybar, zbar) -> np.ndarray:
     """Curvature endomorphism applied to horizontal vectors.
 
     R(X, Y)Z = -2 Omega(X,Y) AZ - Omega(X,Z) AY + Omega(Y,Z) AX
@@ -427,17 +427,16 @@ def ricci_type_residual(model: SymplecticModel, a, frame: HorizontalFrame) -> fl
 def curvature_cyclic_residual(model: SymplecticModel, a, frame: HorizontalFrame,
                               triples: int = 50, seed: int = 0) -> float:
     """Max norm of R(X,Y)Z + R(Y,Z)X + R(Z,X)Y over random horizontal triples."""
-    x = frame.base
     rng = np.random.default_rng(seed)
-    res = 0.0
+    res = []
     for _ in range(triples):
         c = rng.standard_normal((3, frame.vectors.shape[1]))
         xb, yb, zb = (frame.vectors @ ci for ci in c)
-        total = (curvature(model, a, x, xb, yb, zb)
-                 + curvature(model, a, x, yb, zb, xb)
-                 + curvature(model, a, x, zb, xb, yb))
-        res = max(res, float(np.max(np.abs(total))))
-    return res
+        total = (curvature(model, a, xb, yb, zb)
+                 + curvature(model, a, yb, zb, xb)
+                 + curvature(model, a, zb, xb, yb))
+        res.append(np.max(np.abs(total)))
+    return float(np.max(res, initial=0.0))
 
 
 def symmetry_matrix(model: SymplecticModel, a, x) -> np.ndarray:
@@ -667,24 +666,20 @@ def reduced_symmetry_report(model: SymplecticModel, a, x_center, samples,
         "chart_available": chart_kind(model) is not None,
     }
     if not out["chart_available"]:
-        fixed = fiber_distance(model, a, x_center, s @ as_vector(x_center))
-        invol = max(fiber_distance(model, a, as_vector(p), s @ (s @ as_vector(p)))
-                    for p in samples)
-        out["fixed_point"] = fixed
-        out["involution_in_chart"] = invol
+        out["fixed_point"] = fiber_distance(model, a, x_center, s @ as_vector(x_center))
+        out["involution_in_chart"] = float(np.max(
+            [fiber_distance(model, a, as_vector(p), s @ (s @ as_vector(p))) for p in samples]))
         return out
     center_cp = project(model, a, x_center)
     out["fixed_point"] = chart_distance(center_cp,
                                         symmetry_in_chart(model, a, x_center, center_cp))
-    invol = 0.0
-    pullback = 0.0
+    invol, pullback = [], []
     for pt in samples:
         cp = project(model, a, pt)
         once = symmetry_in_chart(model, a, x_center, cp)
         twice = symmetry_in_chart(model, a, x_center, once)
-        invol = max(invol, chart_distance(cp, twice))
-        pullback = max(pullback,
-                       symmetry_pullback_residual(model, a, x_center, cp, fd_step))
-    out["involution_in_chart"] = invol
-    out["symplectic_pullback"] = pullback
+        invol.append(chart_distance(cp, twice))
+        pullback.append(symmetry_pullback_residual(model, a, x_center, cp, fd_step))
+    out["involution_in_chart"] = float(np.max(invol, initial=0.0))
+    out["symplectic_pullback"] = float(np.max(pullback, initial=0.0))
     return out

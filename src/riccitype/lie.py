@@ -7,7 +7,15 @@ null-space decision goes through one rank-revealing kernel,
 ones, whose kernel an economy SVD would drop), cut at a relative and/or
 absolute singular-value threshold, that also reports the singular-value
 gap at the cut.  Brackets of two bases are formed at once as a
-(d1, d2, N^2) tensor.  All operations optionally work modulo a
+(d1, d2, N^2) tensor.
+
+The structure of a bracket-closed subspace of dimension d (series,
+center, Heisenberg flag) is read from its structure constants, the
+(d, d, d) array c with [b_i, b_j] = sum_k c[i, j, k] b_k (de Graaf,
+*Lie Algebras: Theory and Algorithms*, 2000), computed once by
+``structure_constants``; its subspaces are then coordinate rows of
+length d.  The N^2 routes (``structure_constants``, ``closure_residual``,
+``bracket_span`` and ``ad_matrix``) optionally work modulo a
 distinguished line (or subspace), which realizes quotient algebras
 concretely.
 """
@@ -76,21 +84,11 @@ class MatrixLieSubspace:
             self._row_space = rank_split(self.stacked())[0]
         return self._row_space
 
-    def distance(self, x: np.ndarray) -> float:
-        """Sup-norm distance from x to the span."""
-        v = x.reshape(-1)
+    def distance(self, x) -> float:
+        """Sup-norm distance from a matrix, or the largest over a stack of matrices, to the span."""
+        v = np.reshape(x, (-1, self.ambient_dim ** 2)).T
         q = self.row_space()
-        if q.shape[0] == 0:
-            return float(np.max(np.abs(v))) if v.size else 0.0
-        return float(np.max(np.abs(v - q.T @ (q @ v))))
-
-    def project_out(self, x: np.ndarray) -> np.ndarray:
-        """Component of x orthogonal to the span (flattened metric)."""
-        v = x.reshape(-1)
-        q = self.row_space()
-        if q.shape[0] == 0:
-            return x
-        return (v - q.T @ (q @ v)).reshape(x.shape)
+        return float(np.max(np.abs(v - q.T @ (q @ v)), initial=0.0))
 
     def coordinates(self, mats) -> np.ndarray:
         """Least-squares coefficients in the basis, one column per matrix of ``mats``."""
@@ -103,28 +101,24 @@ class MatrixLieSubspace:
         n = self.ambient_dim
         return (coeffs.T @ self.stacked()).reshape(-1, n, n)
 
-    def smallest_singular_ratio(self) -> float:
-        stack = self.stacked()
-        if stack.shape[0] == 0:
-            return 1.0
-        s = np.linalg.svd(stack, compute_uv=False)
-        return float(s[-1] / s[0])
-
 
 #: matrices below this max-norm count as zero (inputs are kept at unit scale)
 ZERO_FLOOR = 1e-12
+
+
+def _row_span(stack: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the rows of ``stack`` whose max-norm exceeds ZERO_FLOOR."""
+    stack = stack[np.max(np.abs(stack), axis=1) > ZERO_FLOOR]
+    if stack.shape[0] == 0:
+        return np.zeros((0, stack.shape[1]))
+    return rank_split(stack, atol=ZERO_FLOOR)[0]
 
 
 def subspace_from_matrices(mats, ambient_dim: int) -> MatrixLieSubspace:
     """Rank-reduce a list (or stacked array) of matrices to an independent spanning set."""
     if len(mats) == 0:
         return MatrixLieSubspace(ambient_dim, [])
-    stack = np.asarray(mats, dtype=float)
-    stack = stack.reshape(len(stack), -1)
-    stack = stack[np.max(np.abs(stack), axis=1) > ZERO_FLOOR]
-    if stack.shape[0] == 0:
-        return MatrixLieSubspace(ambient_dim, [])
-    rows = rank_split(stack, atol=ZERO_FLOOR)[0]
+    rows = _row_span(np.reshape(np.asarray(mats, dtype=float), (len(mats), -1)))
     return MatrixLieSubspace(ambient_dim, list(rows.reshape(-1, ambient_dim, ambient_dim)))
 
 
@@ -133,14 +127,17 @@ def _bracket_tensor(xs, ys, modulo: MatrixLieSubspace | None = None) -> np.ndarr
 
     ``xs`` and ``ys`` are sequences (or stacked arrays) of N x N matrices;
     the brackets are reduced mod ``modulo`` by one orthogonal projection.
+    Both steps work in place, so at most two tensors of this size are live.
     """
     x = np.asarray(xs, dtype=float)[:, None]
     y = np.asarray(ys, dtype=float)[None]
-    flat = (x @ y - y @ x).reshape(x.shape[0], y.shape[1], -1)
-    if modulo is None:
-        return flat
-    q = modulo.row_space()
-    return flat - (flat @ q.T) @ q
+    flat = x @ y
+    flat -= y @ x
+    flat = flat.reshape(x.shape[0], y.shape[1], -1)
+    if modulo is not None:
+        q = modulo.row_space()
+        flat -= (flat @ q.T) @ q
+    return flat
 
 
 def line(x: np.ndarray) -> MatrixLieSubspace:
@@ -196,10 +193,11 @@ def involution_eigenspace(s: MatrixLieSubspace, theta, sign: int) -> MatrixLieSu
     if s.dim == 0:
         return MatrixLieSubspace(s.ambient_dim, [])
     images = [theta(b) for b in s.basis]
-    if max(s.distance(img) for img in images) > 1e-7:
+    # written as `not <=` so that a NaN residual fails the guard
+    if not s.distance(images) <= 1e-7:
         raise ValueError("theta does not preserve the subspace")
     t_mat = s.coordinates(images)
-    if np.max(np.abs(t_mat @ t_mat - np.eye(s.dim))) > 1e-7:
+    if not np.max(np.abs(t_mat @ t_mat - np.eye(s.dim))) <= 1e-7:
         raise ValueError("theta is not involutive on the subspace")
     kernel = rank_split(t_mat - sign * np.eye(s.dim))[1]
     return subspace_from_matrices(s.combine(kernel), s.ambient_dim)
@@ -217,15 +215,44 @@ def bracket_span(s1: MatrixLieSubspace, s2: MatrixLieSubspace,
                                   s1.ambient_dim)
 
 
-def center(s: MatrixLieSubspace,
-           modulo: MatrixLieSubspace | None = None) -> MatrixLieSubspace:
-    """Elements commuting with everything in s (mod ``modulo``)."""
-    if s.dim == 0:
-        return s
-    # solve sum_i c_i [b_i, b_j] = 0 (mod `modulo`) for all j: rows (j, entry), columns i
-    system = _bracket_tensor(s.basis, s.basis, modulo).transpose(1, 2, 0).reshape(-1, s.dim)
-    kernel = rank_split(system)[1]
-    return subspace_from_matrices(s.combine(kernel), s.ambient_dim)
+def structure_constants(s: MatrixLieSubspace,
+                        modulo: MatrixLieSubspace | None = None) -> np.ndarray:
+    """(d, d, d) array c with [b_i, b_j] = sum_k c[i, j, k] b_k (mod ``modulo``).
+
+    The brackets are expanded in the basis of s followed by the basis of
+    ``modulo`` (one least-squares solve); dropping the ``modulo``
+    coordinates realizes the quotient.
+    """
+    d = s.dim
+    if d == 0:
+        return np.zeros((0, 0, 0))
+    span = s if modulo is None else MatrixLieSubspace(s.ambient_dim, s.basis + modulo.basis)
+    coeff = span.coordinates(_bracket_tensor(s.basis, s.basis).reshape(d * d, -1))
+    return coeff[:d].T.reshape(d, d, d)
+
+
+def bracket_rows(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Orthonormal coordinate rows spanning [x, y] for coordinate rows x and y."""
+    brackets = np.einsum("ai,bj,ijk->abk", x, y, c, optimize=True)
+    return _row_span(brackets.reshape(-1, c.shape[2]))
+
+
+def series_dims(c: np.ndarray, start_rows: np.ndarray, against_self: bool) -> list[int]:
+    """Dimensions of the derived (``against_self``) or lower central series.
+
+    The series starts at the span I of the coordinate rows ``start_rows``
+    and steps to [current, current] or [I, current]; it stops at 0 or at
+    the first term that does not shrink.
+    """
+    dims = [start_rows.shape[0]]
+    current = start_rows
+    while current.shape[0] > 0:
+        nxt = bracket_rows(c, current if against_self else start_rows, current)
+        dims.append(nxt.shape[0])
+        if nxt.shape[0] >= current.shape[0]:
+            break
+        current = nxt
+    return dims
 
 
 @dataclass
@@ -242,58 +269,37 @@ class StructureCertificate:
     heisenberg: bool
 
 
-def _series(s: MatrixLieSubspace, against_self: bool,
-            modulo: MatrixLieSubspace | None) -> list[int]:
-    dims = [s.dim]
-    current = s
-    while current.dim > 0:
-        nxt = bracket_span(current if against_self else s, current, modulo=modulo)
-        if nxt.dim >= current.dim:
-            dims.append(nxt.dim)
-            break
-        dims.append(nxt.dim)
-        current = nxt
-    return dims
-
-
 def series_certificate(s: MatrixLieSubspace,
                        modulo: MatrixLieSubspace | None = None,
                        closure_tol: float = 1e-8) -> StructureCertificate:
     """Derived/lower-central series dims and abelian/solvable/nilpotent/heisenberg flags."""
-    if closure_residual(s, modulo=modulo) > closure_tol:
+    if not closure_residual(s, modulo=modulo) <= closure_tol:
         raise ValueError("subspace is not closed under the bracket")
-    derived = _series(s, against_self=True, modulo=modulo)
-    lower = _series(s, against_self=False, modulo=modulo)
-    cent = center(s, modulo=modulo)
-    solvable = derived[-1] == 0
-    nilpotent_flag = lower[-1] == 0
-    abelian = s.dim == 0 or derived[1] == 0
-    heis = _heisenberg_flag(s, cent, modulo)
+    d = s.dim
+    c = structure_constants(s, modulo)
+    derived = series_dims(c, np.eye(d), against_self=True)
+    lower = series_dims(c, np.eye(d), against_self=False)
+    # the center solves sum_i a_i c[i, j, k] = 0 for all (j, k): rows (j, k), columns i
+    system = c.transpose(1, 2, 0).reshape(d * d, d)
+    center = rank_split(system)[1]
+    heisenberg = False
+    if d >= 3 and d % 2 == 1 and center.shape[1] == 1 and derived[1] == 1:
+        # center = derived algebra = R z, so c[i, j] = lam_ij z and the form lam
+        # must have rank d - 1; `system` is c.reshape(d, d * d) transposed
+        z = center[:, 0]
+        row = bracket_rows(c, np.eye(d), np.eye(d))[0]
+        heisenberg = (np.max(np.abs(row - (row @ z) * z)) <= 1e-7
+                      and rank_split(system, rtol=0.0, atol=1e-8)[0].shape[0] == d - 1)
     return StructureCertificate(
-        dimension=s.dim,
+        dimension=d,
         derived_series_dims=derived,
         lower_central_dims=lower,
-        center_dim=cent.dim,
-        abelian=abelian,
-        solvable=solvable,
-        nilpotent=nilpotent_flag,
-        heisenberg=heis,
+        center_dim=center.shape[1],
+        abelian=d == 0 or derived[1] == 0,
+        solvable=derived[-1] == 0,
+        nilpotent=lower[-1] == 0,
+        heisenberg=bool(heisenberg),
     )
-
-
-def _heisenberg_flag(s: MatrixLieSubspace, cent: MatrixLieSubspace,
-                     modulo: MatrixLieSubspace | None) -> bool:
-    # center dim 1, derived algebra equal to the center, and the induced
-    # antisymmetric form on s/center nondegenerate (equivalently dim odd)
-    if s.dim < 3 or s.dim % 2 == 0 or cent.dim != 1:
-        return False
-    derived = bracket_span(s, s, modulo=modulo)
-    if derived.dim != 1 or cent.distance(derived.basis[0]) > 1e-7:
-        return False
-    z = cent.basis[0].reshape(-1)
-    lam = _bracket_tensor(s.basis, s.basis, modulo) @ z / float(z @ z)
-    rank = rank_split(lam, rtol=0.0, atol=1e-8)[0].shape[0]
-    return rank == s.dim - 1
 
 
 def ad_matrix(s: MatrixLieSubspace, x: np.ndarray,
@@ -302,7 +308,7 @@ def ad_matrix(s: MatrixLieSubspace, x: np.ndarray,
     if s.dim == 0:
         return np.zeros((0, 0))
     images = _bracket_tensor([x], s.basis, modulo)[0]
-    if max(s.distance(img) for img in images) > 1e-6:
+    if not s.distance(images) <= 1e-6:
         raise ValueError("ad(x) does not preserve the subspace")
     return s.coordinates(images)
 

@@ -126,7 +126,7 @@ class ClosureReport:
 
     @property
     def residual(self) -> float:
-        return max(self.residual_first, self.residual_second)
+        return float(np.max([self.residual_first, self.residual_second]))
 
     @property
     def all_conditions(self) -> bool:
@@ -147,8 +147,7 @@ def closure_conditions(cand: NilpotentCandidate, omega0: np.ndarray,
     def pair(u, w):
         return float(u @ omega0 @ w)
 
-    res1 = 0.0
-    res2 = 0.0
+    res1, res2 = [], []
     tuples = _generator_tuples(d)
     for (p, P, pp) in tuples:
         vP = p * at + B @ P + pp * ct
@@ -161,9 +160,8 @@ def closure_conditions(cand: NilpotentCandidate, omega0: np.ndarray,
                        - eps * pair(vP, Q) + eps * pair(vQ, P))
             r1 = 2.0 * eps * (p * qp - pp * q) + 2.0 * pair(P, Q)
             r2 = 2.0 * eps * (p * qp - pp * q) - 2.0 * eps * pair(vP, vQ)
-            res1 = max(res1, float(np.max(np.abs(s_vec - (B @ r_vec + r_prime * ct))))
-                       if d else 0.0)
-            res2 = max(res2, abs(0.5 * (r1 + r2) - (pair(bt, r_vec) + c * r_prime)))
+            res1.append(np.max(np.abs(s_vec - (B @ r_vec + r_prime * ct)), initial=0.0))
+            res2.append(abs(0.5 * (r1 + r2) - (pair(bt, r_vec) + c * r_prime)))
     ident = np.eye(d)
     flags = {
         "c_tilde_zero": float(np.max(np.abs(ct), initial=0.0)) <= tol,
@@ -175,7 +173,7 @@ def closure_conditions(cand: NilpotentCandidate, omega0: np.ndarray,
         "isotropic_image": float(np.max(np.abs(
             (B - c * ident).T @ omega0 @ (B - c * ident)))) <= tol,
     }
-    return ClosureReport(res1, res2, flags)
+    return ClosureReport(float(np.max(res1)), float(np.max(res2)), flags)
 
 
 def build_h(model: SymplecticModel, B, a_tilde=None, a: float = 0.0, c: float = 1.0,
@@ -305,11 +303,9 @@ def simply_transitive_certificate(model: SymplecticModel, fields, chart_points,
 
 def frame_invertibility_minimum(B: np.ndarray, gammas) -> float:
     """min over samples of |det(cosh(g) Id + sinh(g) B)| for the closed-form family."""
-    best = np.inf
-    for g in gammas:
-        best = min(best, abs(float(np.linalg.det(
-            np.cosh(g) * np.eye(B.shape[0]) + np.sinh(g) * B))))
-    return best
+    ident = np.eye(B.shape[0])
+    dets = [np.linalg.det(np.cosh(g) * ident + np.sinh(g) * B) for g in gammas]
+    return float(np.min(np.abs(dets), initial=np.inf))
 
 
 def moment_map_f(B: np.ndarray, c: float, generator, chart_point,

@@ -17,11 +17,14 @@ from .geometry import symmetry_matrix
 from .lie import (
     MatrixLieSubspace,
     StructureCertificate,
+    bracket_rows,
     bracket_span,
     centralizer_in_sp,
     involution_eigenspace,
     line,
     series_certificate,
+    series_dims,
+    structure_constants,
     subspace_from_matrices,
 )
 
@@ -110,30 +113,20 @@ def nilpotent_ideal_report(data: TransvectionData, model: SymplecticModel) -> di
     """Codimension-1 nilpotent-ideal certificate for the solvable nilpotent case (p=2).
 
     The candidate ideal is the derived algebra; the report records its
-    codimension, the ideal property [g, I] in I, and termination of its
-    lower central series (all modulo R*A).
+    codimension, the ideal property [g, I] in I (sup-norm of the off-ideal
+    part in structure-constant coordinates), and termination of its lower
+    central series (all modulo R*A).
     """
-    g = data.algebra
-    derived = bracket_span(g, g, modulo=data.modulo)
-    extended = subspace_from_matrices(
-        derived.basis + ([] if data.modulo is None else data.modulo.basis),
-        model.ambient_dim)
-    ideal_res = 0.0
-    for bg in g.basis:
-        for bi in derived.basis:
-            ideal_res = max(ideal_res, extended.distance(bg @ bi - bi @ bg))
-    series = [derived.dim]
-    current = derived
-    while current.dim > 0:
-        nxt = bracket_span(derived, current, modulo=data.modulo)
-        if nxt.dim >= current.dim:
-            series.append(nxt.dim)
-            break
-        series.append(nxt.dim)
-        current = nxt
+    c = structure_constants(data.algebra, data.modulo)
+    d = data.algebra.dim
+    ideal = bracket_rows(c, np.eye(d), np.eye(d))
+    # coordinates of [b_i, y] for every basis element b_i and ideal row y, off the ideal
+    image = np.einsum("ijk,bj->ibk", c, ideal).reshape(-1, d)
+    ideal_res = float(np.max(np.abs(image - (image @ ideal.T) @ ideal), initial=0.0))
+    series = series_dims(c, ideal, against_self=False)
     return {
-        "ideal_dim": derived.dim,
-        "codimension": g.dim - derived.dim,
+        "ideal_dim": ideal.shape[0],
+        "codimension": d - ideal.shape[0],
         "ideal_residual": ideal_res,
         "lower_central_dims": series,
         "nilpotent": series[-1] == 0,

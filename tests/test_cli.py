@@ -1,5 +1,7 @@
 """CLI behavior: exit codes, verdicts, determinism, serialization round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,16 @@ def test_verify_geometry_sampler_failure_is_fail_report(capsys):
     assert "[FAIL] sampling.sigma" in out
     assert any(ln.startswith("witness.0=sampling.sigma: sampled point misses Sigma_A")
                for ln in out.splitlines())
+
+
+def test_verify_geometry_nan_series_oracle_fails(capsys):
+    # exp(tA) overflows at k = 1e6; the NaN residual must FAIL, not read as 0
+    with pytest.warns(RuntimeWarning):
+        code, out, _ = run(capsys, "verify-geometry", "--case", "hyperbolic", "--n", "2",
+                           "--k", "1e6")
+    assert code == 1
+    assert re.search(r"\[FAIL\] flow\.series_oracle +nan ", out)
+    assert "witness.0=flow.series_oracle: exp(tA) misses its power series at t = -3" in out
 
 
 def test_quaternion_evidence(capsys):

@@ -357,23 +357,22 @@ def test_curvature_antisymmetry_and_cyclic(case, n, p, q):
     frame = geometry.horizontal_basis(model, elem, pt)
     rng = np.random.default_rng(17)
     xb, zb = (frame.vectors @ rng.standard_normal(2 * n) for _ in range(2))
-    assert np.max(np.abs(geometry.curvature(model, elem, pt.x, xb, xb, zb))) <= 1e-12
+    assert np.max(np.abs(geometry.curvature(model, elem, xb, xb, zb))) <= 1e-12
     assert geometry.curvature_cyclic_residual(model, elem, frame, triples=50, seed=1) <= 1e-9
     # output stays horizontal
-    out = geometry.curvature(model, elem, pt.x, xb, zb, xb)
+    out = geometry.curvature(model, elem, xb, zb, xb)
     assert geometry.horizontality_residual(model, elem, pt.x, out) <= 1e-10
 
 
 def test_curvature_vanishes_on_kernel_directions():
     # mu = 0: on horizontal vectors killed by A the whole formula collapses
     model, elem = build("nilpotent", 2, 2, 1)
-    x0 = base_point(model)
     f1 = np.zeros(6)
     f1[2] = 1.0
     f2 = np.zeros(6)
     f2[3] = 1.0
     # A f = 0 and Omega(f1, f2) spans the only term; R has A factors throughout
-    out = geometry.curvature(model, elem, x0, f1, f2, f1)
+    out = geometry.curvature(model, elem, f1, f2, f1)
     assert np.max(np.abs(out)) <= 1e-14
 
 

@@ -177,10 +177,17 @@ def test_series_certificate_requires_closure():
         lie.series_certificate(pair)
 
 
+def test_series_certificate_zero_dimensional():
+    cert = lie.series_certificate(lie.MatrixLieSubspace(3, []))
+    assert cert.derived_series_dims == cert.lower_central_dims == [0]
+    assert cert.center_dim == 0 and cert.abelian and not cert.heisenberg
+
+
 def test_subspace_independence_invariant():
     model, elem = core.build_model("elliptic", 3, p=2)
     g1 = lie.centralizer_in_sp(model, elem)
-    assert g1.smallest_singular_ratio() > 1e-7
+    s = np.linalg.svd(g1.stacked(), compute_uv=False)
+    assert s[-1] / s[0] > 1e-7
 
 
 def test_ad_eigenspaces_su12():
@@ -257,6 +264,7 @@ def test_rank_split_absolute_cutoff():
 
 
 def test_rank_cuts_have_wide_gaps(monkeypatch):
+    from riccitype.transitive import iwasawa, nilpotent
     from riccitype.transvection import classify_transvection, transvection_algebra
     gaps = []
     split = lie.rank_split
@@ -267,9 +275,17 @@ def test_rank_cuts_have_wide_gaps(monkeypatch):
         return out
 
     monkeypatch.setattr(lie, "rank_split", recording_split)
+    monkeypatch.setattr(iwasawa, "rank_split", recording_split)
     for case, n, p, q in core.admissible_parameters((2, 3)):
         model, elem = core.build_model(case, n, p=p, q=q)
         classify_transvection(transvection_algebra(model, elem), model)
+    for n in (2, 3):
+        model, elem = core.build_model("nilpotent", n, p=2, q=1)
+        assert nilpotent.heisenberg_extension_check(model, elem)["certificate"].heisenberg
+        data = iwasawa.iwasawa_su1n(n)
+        assert lie.series_certificate(data.nilpotent_part).heisenberg
+        _, h_phi, _ = iwasawa.build_a_phi(data, np.linspace(-1.0, 1.5, n - 1))
+        assert lie.series_certificate(h_phi).solvable
     assert len(gaps) > 100
     assert min(gaps) >= 1e10
 
@@ -282,19 +298,40 @@ def test_center_memory_stays_small():
     assert data.algebra.dim == 35
     tracemalloc.start()
     try:
-        cent = lie.center(data.algebra, modulo=data.modulo)
+        cert = lie.series_certificate(data.algebra, modulo=data.modulo)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cent.dim == 0
-    # a full U of the 5040 x 35 bracket system alone would take 203 MB
+    assert cert.center_dim == 0
+    # a full U of the 5040 x 35 N^2 center system alone would take 203 MB
     assert peak < 20e6
+
+
+def test_closure_residual_memory_stays_small():
+    import tracemalloc
+    model, elem = core.build_model("nilpotent", 7, p=2, q=1)
+    g1 = lie.centralizer_in_sp(model, elem)
+    assert g1.dim == 106
+    tracemalloc.start()
+    try:
+        res = lie.closure_residual(g1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res <= 1e-10
+    # one (106, 106, 256) bracket tensor is 23 MB; forming the difference and
+    # the projection out of place holds three of them (70 MB)
+    assert peak < 60e6
 
 
 # --- batched brackets against the pairwise loops ---------------------------
 
 def reduce_oracle(x, modulo):
-    return x if modulo is None else modulo.project_out(x)
+    if modulo is None:
+        return x
+    v = x.reshape(-1)
+    q = modulo.row_space()
+    return (v - q.T @ (q @ v)).reshape(x.shape)
 
 
 def bracket_span_oracle(s1, s2, modulo=None):
@@ -323,6 +360,18 @@ def center_oracle(s, modulo=None):
     return lie.subspace_from_matrices(basis, s.ambient_dim)
 
 
+def series_oracle(s, against_self, modulo=None):
+    dims = [s.dim]
+    current = s
+    while current.dim > 0:
+        nxt = bracket_span_oracle(current if against_self else s, current, modulo)
+        dims.append(nxt.dim)
+        if nxt.dim >= current.dim:
+            break
+        current = nxt
+    return dims
+
+
 def span_distance(a, b):
     return max([a.distance(x) for x in b.basis] + [b.distance(x) for x in a.basis] + [0.0])
 
@@ -342,9 +391,63 @@ def test_batched_brackets_match_pairwise_loops(case, n, p, q):
         assert abs(lie.closure_residual(g, modulo) - closure_residual_oracle(g, modulo)) <= 1e-10
         pk = lie.closure_residual(data.p_part, modulo)
         assert abs(pk - closure_residual_oracle(data.p_part, modulo)) <= 1e-10
-        for new, old in [(lie.center(g, modulo), center_oracle(g, modulo)),
-                         (lie.bracket_span(g, g, modulo), bracket_span_oracle(g, g, modulo)),
+        for new, old in [(lie.bracket_span(g, g, modulo), bracket_span_oracle(g, g, modulo)),
                          (lie.bracket_span(data.p_part, data.k_part, modulo),
                           bracket_span_oracle(data.p_part, data.k_part, modulo))]:
             assert new.dim == old.dim
             assert span_distance(new, old) <= 1e-10
+
+
+# --- structure constants against the N^2 routes ------------------------------
+
+def equivalence_data(case, n, p, q):
+    from riccitype.transvection import transvection_algebra
+    model, elem = core.build_model(case, n, p=p, q=q)
+    return model, transvection_algebra(model, elem)
+
+
+@pytest.mark.parametrize("case,n,p,q", EQUIVALENCE_CASES)
+def test_structure_constants_reconstruct_brackets(case, n, p, q):
+    _, data = equivalence_data(case, n, p, q)
+    g, modulo = data.algebra, data.modulo
+    c = lie.structure_constants(g, modulo)
+    assert c.shape == (g.dim,) * 3
+    basis = np.array(g.basis)
+    diffs = [np.tensordot(c[i, j], basis, axes=1) - lie.bracket(g.basis[i], g.basis[j])
+             for i in range(g.dim) for j in range(g.dim)]
+    quotient = lie.MatrixLieSubspace(g.ambient_dim, []) if modulo is None else modulo
+    assert quotient.distance(diffs) <= 1e-10
+
+
+@pytest.mark.parametrize("case,n,p,q", EQUIVALENCE_CASES)
+def test_structure_constants_match_n2_oracles(case, n, p, q):
+    from riccitype.transvection import nilpotent_ideal_report
+    model, data = equivalence_data(case, n, p, q)
+    g, modulo = data.algebra, data.modulo
+    cert = lie.series_certificate(g, modulo)
+    assert cert.center_dim == center_oracle(g, modulo).dim
+    assert cert.derived_series_dims == series_oracle(g, True, modulo)
+    assert cert.lower_central_dims == series_oracle(g, False, modulo)
+    # the former N^2 ideal certificate: pairwise containment and its own series loop
+    derived = bracket_span_oracle(g, g, modulo)
+    extended = lie.subspace_from_matrices(
+        derived.basis + ([] if modulo is None else modulo.basis), g.ambient_dim)
+    old_residual = max([extended.distance(lie.bracket(bg, bi))
+                        for bg in g.basis for bi in derived.basis] + [0.0])
+    ideal = nilpotent_ideal_report(data, model)
+    assert ideal["ideal_dim"] == derived.dim
+    assert ideal["codimension"] == g.dim - derived.dim
+    assert ideal["lower_central_dims"] == series_oracle(derived, False, modulo)
+    assert ideal["nilpotent"] == (ideal["lower_central_dims"][-1] == 0)
+    assert ideal["ideal_residual"] <= 1e-10 and old_residual <= 1e-10
+
+
+def test_distance_takes_one_matrix_or_a_stack():
+    sub = heisenberg3()
+    off = [e_matrix(1, 0, 3), 2.0 * e_matrix(2, 2, 3), sub.basis[0]]
+    assert sub.distance(off[0]) == 1.0
+    assert sub.distance(off) == max(sub.distance(x) for x in off) == 2.0
+    assert sub.distance(np.array(off)) == 2.0
+    assert lie.MatrixLieSubspace(3, []).distance(off) == 2.0
+    nan = np.full((3, 3), np.nan)
+    assert np.isnan(sub.distance(off + [nan]))
