@@ -19,7 +19,9 @@ Each per-point quantity comes from one frame and one lift solve:
 frame, differential and least-squares solve; ``chart_omega_matrix`` is the
 one route to the chart matrix of the reduced form; and the curvature and
 Ricci functions take a ``HorizontalFrame`` so that callers build it once
-per sample.
+per sample.  ``ricci_type_residual`` builds the (2n)^4 curvature tensor
+once and returns the trace Ricci tensor with its residual, so one tensor
+per sample serves both the Ricci-type and the trace-route checks.
 """
 
 from __future__ import annotations
@@ -383,17 +385,6 @@ def curvature_tensor(model: SymplecticModel, a, frame: HorizontalFrame) -> np.nd
     return r4
 
 
-def _trace_ricci(gram: np.ndarray, r4: np.ndarray) -> np.ndarray:
-    # coefficient of v_m in R(v_i, v_m) v_j, traced over m
-    return -np.einsum("ma,imja->ij", np.linalg.inv(gram), r4)
-
-
-def ricci_tensor_by_trace(model: SymplecticModel, a, frame: HorizontalFrame) -> np.ndarray:
-    """r(X, Y) = Tr(Z -> R(X, Z) Y), summed over the frame coordinates."""
-    gram, _ = _frame_tensors(model, a, frame)
-    return _trace_ricci(gram, curvature_tensor(model, a, frame))
-
-
 def ricci_endomorphism(model: SymplecticModel, a, frame: HorizontalFrame) -> np.ndarray:
     """Matrix of the Ricci endomorphism -2(n+1) A restricted to H_x, in the frame."""
     v = frame.vectors
@@ -405,23 +396,27 @@ def ricci_endomorphism(model: SymplecticModel, a, frame: HorizontalFrame) -> np.
     return -2.0 * (model.n + 1) * coeff
 
 
-def ricci_type_residual(model: SymplecticModel, a, frame: HorizontalFrame) -> float:
-    """Sup-norm of R - E(r) over all frame 4-tuples; zero for Ricci-type curvature.
+def ricci_type_residual(model: SymplecticModel, a,
+                        frame: HorizontalFrame) -> tuple[float, np.ndarray]:
+    """Sup-norm of R - E(r) over all frame 4-tuples, and the Ricci tensor r.
 
     E(X,Y,Z,T) = -1/(2n+2) [2 w(X,Y) r(Z,T) + w(X,Z) r(Y,T) + w(X,T) r(Y,Z)
                             - w(Y,Z) r(X,T) - w(Y,T) r(X,Z)]
-    with r the trace Ricci tensor of the curvature itself.
+    with r(X, Y) = Tr(Z -> R(X, Z) Y) the trace Ricci tensor of the curvature
+    itself, in frame coordinates.  The residual is zero for Ricci-type
+    curvature.
     """
     gram, _ = _frame_tensors(model, a, frame)
     r4 = curvature_tensor(model, a, frame)
-    ric = _trace_ricci(gram, r4)
+    # coefficient of v_m in R(v_i, v_m) v_j, traced over m
+    ric = -np.einsum("ma,imja->ij", np.linalg.inv(gram), r4)
     factor = -1.0 / (2.0 * (model.n + 1))
     e4 = factor * (2.0 * np.einsum("ij,kl->ijkl", gram, ric)
                    + np.einsum("ik,jl->ijkl", gram, ric)
                    + np.einsum("il,jk->ijkl", gram, ric)
                    - np.einsum("jk,il->ijkl", gram, ric)
                    - np.einsum("jl,ik->ijkl", gram, ric))
-    return float(np.max(np.abs(r4 - e4)))
+    return float(np.max(np.abs(r4 - e4))), ric
 
 
 def curvature_cyclic_residual(model: SymplecticModel, a, frame: HorizontalFrame,

@@ -9,15 +9,15 @@ absolute singular-value threshold, that also reports the singular-value
 gap at the cut.  Brackets of two bases are formed at once as a
 (d1, d2, N^2) tensor.
 
-The structure of a bracket-closed subspace of dimension d (series,
-center, Heisenberg flag) is read from its structure constants, the
-(d, d, d) array c with [b_i, b_j] = sum_k c[i, j, k] b_k (de Graaf,
-*Lie Algebras: Theory and Algorithms*, 2000), computed once by
-``structure_constants``; its subspaces are then coordinate rows of
-length d.  The N^2 routes (``structure_constants``, ``closure_residual``,
-``bracket_span`` and ``ad_matrix``) optionally work modulo a
-distinguished line (or subspace), which realizes quotient algebras
-concretely.
+The structure of a bracket-closed subspace of dimension d (closure,
+series, center, Heisenberg flag) is read from its structure constants,
+the (d, d, d) array c with [b_i, b_j] = sum_k c[i, j, k] b_k (de Graaf,
+*Lie Algebras: Theory and Algorithms*, 2000).  ``structure_constants``
+computes c and the closure residual from one bracket tensor; its
+subspaces are then coordinate rows of length d.  A quotient algebra
+(modulo a distinguished line or subspace) is taken there and only there:
+``structure_constants`` and ``series_certificate`` take ``modulo``, and
+every other route works on c or on plain matrix brackets.
 """
 
 from __future__ import annotations
@@ -122,22 +122,17 @@ def subspace_from_matrices(mats, ambient_dim: int) -> MatrixLieSubspace:
     return MatrixLieSubspace(ambient_dim, list(rows.reshape(-1, ambient_dim, ambient_dim)))
 
 
-def _bracket_tensor(xs, ys, modulo: MatrixLieSubspace | None = None) -> np.ndarray:
+def _bracket_tensor(xs, ys) -> np.ndarray:
     """(d1, d2, N^2) array of flattened brackets [xs[i], ys[j]].
 
     ``xs`` and ``ys`` are sequences (or stacked arrays) of N x N matrices;
-    the brackets are reduced mod ``modulo`` by one orthogonal projection.
-    Both steps work in place, so at most two tensors of this size are live.
+    the difference is formed in place.
     """
     x = np.asarray(xs, dtype=float)[:, None]
     y = np.asarray(ys, dtype=float)[None]
     flat = x @ y
     flat -= y @ x
-    flat = flat.reshape(x.shape[0], y.shape[1], -1)
-    if modulo is not None:
-        q = modulo.row_space()
-        flat -= (flat @ q.T) @ q
-    return flat
+    return flat.reshape(x.shape[0], y.shape[1], -1)
 
 
 def line(x: np.ndarray) -> MatrixLieSubspace:
@@ -175,17 +170,6 @@ def centralizer_in_sp(model: SymplecticModel, a, exact: bool = False) -> MatrixL
     return sub
 
 
-def closure_residual(s: MatrixLieSubspace,
-                     modulo: MatrixLieSubspace | None = None) -> float:
-    """Max distance of pairwise basis brackets from the span (mod ``modulo``)."""
-    if s.dim < 2:
-        return 0.0
-    span = s if modulo is None else subspace_from_matrices(
-        s.basis + modulo.basis, s.ambient_dim)
-    upper = np.triu_indices(s.dim, 1)
-    return float(np.max(np.abs(_bracket_tensor(s.basis, s.basis, span)[upper])))
-
-
 def involution_eigenspace(s: MatrixLieSubspace, theta, sign: int) -> MatrixLieSubspace:
     """(+1)- or (-1)-eigenspace of an involutive map theta preserving s."""
     if sign not in (1, -1):
@@ -203,32 +187,40 @@ def involution_eigenspace(s: MatrixLieSubspace, theta, sign: int) -> MatrixLieSu
     return subspace_from_matrices(s.combine(kernel), s.ambient_dim)
 
 
-def bracket_span(s1: MatrixLieSubspace, s2: MatrixLieSubspace,
-                 modulo: MatrixLieSubspace | None = None) -> MatrixLieSubspace:
-    """Span of all pairwise brackets [s1, s2], reduced mod ``modulo``."""
+def bracket_span(s1: MatrixLieSubspace, s2: MatrixLieSubspace) -> MatrixLieSubspace:
+    """Span of all pairwise brackets [s1, s2]."""
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if s1.dim == 0 or s2.dim == 0:
         return MatrixLieSubspace(s1.ambient_dim, [])
-    brackets = _bracket_tensor(s1.basis, s2.basis, modulo)
+    brackets = _bracket_tensor(s1.basis, s2.basis)
     return subspace_from_matrices(brackets.reshape(-1, s1.ambient_dim, s1.ambient_dim),
                                   s1.ambient_dim)
 
 
-def structure_constants(s: MatrixLieSubspace,
-                        modulo: MatrixLieSubspace | None = None) -> np.ndarray:
-    """(d, d, d) array c with [b_i, b_j] = sum_k c[i, j, k] b_k (mod ``modulo``).
+def structure_constants(s: MatrixLieSubspace, modulo: MatrixLieSubspace | None = None
+                        ) -> tuple[np.ndarray, float]:
+    """(c, residual): [b_i, b_j] = sum_k c[i, j, k] b_k (mod ``modulo``), and the
+    sup-norm of the brackets off span(s + modulo), which is 0 when s closes.
 
-    The brackets are expanded in the basis of s followed by the basis of
-    ``modulo`` (one least-squares solve); dropping the ``modulo``
-    coordinates realizes the quotient.
+    One bracket tensor is projected once onto orthonormal rows q of that span;
+    c takes the basis of s followed by that of ``modulo`` and drops the latter.
     """
     d = s.dim
     if d == 0:
-        return np.zeros((0, 0, 0))
-    span = s if modulo is None else MatrixLieSubspace(s.ambient_dim, s.basis + modulo.basis)
-    coeff = span.coordinates(_bracket_tensor(s.basis, s.basis).reshape(d * d, -1))
-    return coeff[:d].T.reshape(d, d, d)
+        return np.zeros((0, 0, 0)), 0.0
+    span = s if modulo is None else subspace_from_matrices(s.basis + modulo.basis,
+                                                           s.ambient_dim)
+    q = span.row_space()
+    stacked = s.stacked() if modulo is None else np.vstack([s.stacked(), modulo.stacked()])
+    flat = _bracket_tensor(s.basis, s.basis)
+    on_span = flat @ q.T
+    # kept 3-D: a (d^2, N^2) GEMM or an N^2 least-squares solve grows the BLAS buffers
+    flat -= on_span @ q
+    upper = np.triu_indices(d, 1)
+    residual = float(np.max(np.abs(flat[upper]), initial=0.0))
+    c = on_span @ np.linalg.pinv(stacked @ q.T)
+    return c[:, :, :d], residual
 
 
 def bracket_rows(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -267,16 +259,19 @@ class StructureCertificate:
     solvable: bool
     nilpotent: bool
     heisenberg: bool
+    #: read by the closure and nilpotent-ideal entries of the transvection report
+    closure_residual: float = field(compare=False)
+    structure: np.ndarray = field(repr=False, compare=False)
 
 
 def series_certificate(s: MatrixLieSubspace,
                        modulo: MatrixLieSubspace | None = None,
                        closure_tol: float = 1e-8) -> StructureCertificate:
     """Derived/lower-central series dims and abelian/solvable/nilpotent/heisenberg flags."""
-    if not closure_residual(s, modulo=modulo) <= closure_tol:
+    c, residual = structure_constants(s, modulo)
+    if not residual <= closure_tol:
         raise ValueError("subspace is not closed under the bracket")
     d = s.dim
-    c = structure_constants(s, modulo)
     derived = series_dims(c, np.eye(d), against_self=True)
     lower = series_dims(c, np.eye(d), against_self=False)
     # the center solves sum_i a_i c[i, j, k] = 0 for all (j, k): rows (j, k), columns i
@@ -299,37 +294,36 @@ def series_certificate(s: MatrixLieSubspace,
         solvable=derived[-1] == 0,
         nilpotent=lower[-1] == 0,
         heisenberg=bool(heisenberg),
+        closure_residual=residual,
+        structure=c,
     )
 
 
-def ad_matrix(s: MatrixLieSubspace, x: np.ndarray,
-              modulo: MatrixLieSubspace | None = None) -> np.ndarray:
+def ad_matrix(s: MatrixLieSubspace, x: np.ndarray) -> np.ndarray:
     """Matrix of ad(x) = [x, .] in the basis coordinates of s."""
     if s.dim == 0:
         return np.zeros((0, 0))
-    images = _bracket_tensor([x], s.basis, modulo)[0]
+    images = _bracket_tensor([x], s.basis)[0]
     if not s.distance(images) <= 1e-6:
         raise ValueError("ad(x) does not preserve the subspace")
     return s.coordinates(images)
 
 
-def ad_eigenvalues(s: MatrixLieSubspace, x: np.ndarray,
-                   modulo: MatrixLieSubspace | None = None) -> np.ndarray:
+def ad_eigenvalues(s: MatrixLieSubspace, x: np.ndarray) -> np.ndarray:
     """Complex eigenvalue multiset of ad(x) on s, sorted by (re, im)."""
-    vals = np.linalg.eigvals(ad_matrix(s, x, modulo=modulo))
+    vals = np.linalg.eigvals(ad_matrix(s, x))
     order = np.lexsort((vals.imag, vals.real))
     return vals[order]
 
 
 def ad_eigenspaces(s: MatrixLieSubspace, x: np.ndarray,
-                   cluster_tol: float = 1e-6,
-                   modulo: MatrixLieSubspace | None = None) -> dict[float, MatrixLieSubspace]:
+                   cluster_tol: float = 1e-6) -> dict[float, MatrixLieSubspace]:
     """Real eigen-decomposition of ad(x) on s, eigenvalues clustered.
 
     Raises if ad(x) is not diagonalizable over R (complex or defective
     eigenstructure at the given tolerance).
     """
-    mat = ad_matrix(s, x, modulo=modulo)
+    mat = ad_matrix(s, x)
     vals = np.linalg.eigvals(mat)
     if np.max(np.abs(vals.imag)) > cluster_tol:
         raise ValueError("ad(x) has non-real eigenvalues; not split over R")

@@ -23,7 +23,8 @@ import numpy as np
 
 from ..core import SymplecticModel, as_matrix
 from ..geometry import ChartPoint, chart_section, pushforward_darboux
-from ..lie import MatrixLieSubspace, line, subspace_from_matrices
+from ..lie import (MatrixLieSubspace, bracket_rows, line, series_certificate,
+                   structure_constants, subspace_from_matrices)
 
 
 @dataclass(frozen=True)
@@ -301,11 +302,17 @@ def simply_transitive_certificate(model: SymplecticModel, fields, chart_points,
     }
 
 
-def frame_invertibility_minimum(B: np.ndarray, gammas) -> float:
-    """min over samples of |det(cosh(g) Id + sinh(g) B)| for the closed-form family."""
+def frame_invertibility_minimum(B: np.ndarray, gammas) -> tuple[float, int]:
+    """(min over samples of sigma_min / sigma_max of cosh(g) Id + sinh(g) B, its index).
+
+    The ratio is a scale-free invertibility statistic, 1 for scalar B.
+    """
     ident = np.eye(B.shape[0])
-    dets = [np.linalg.det(np.cosh(g) * ident + np.sinh(g) * B) for g in gammas]
-    return float(np.min(np.abs(dets), initial=np.inf))
+    frames = np.array([np.cosh(g) * ident + np.sinh(g) * B for g in gammas])
+    svals = np.linalg.svd(frames, compute_uv=False)
+    ratios = svals[:, -1] / svals[:, 0]
+    worst = int(np.argmin(ratios))  # the first NaN, if any
+    return float(ratios[worst]), worst
 
 
 def moment_map_f(B: np.ndarray, c: float, generator, chart_point,
@@ -354,20 +361,25 @@ def heisenberg_extension_check(model: SymplecticModel, a, c: float = 1.0) -> dic
 
     The derived algebra of h_{c Id, c} is Heisenberg of dimension 2n - 1 and
     the complement generator acts on it with eigenvalues -c (multiplicity
-    2n - 2) and -2c (multiplicity 1).
+    2n - 2) and -2c (multiplicity 1).  Both are read in the coordinates of
+    h, from its structure constants modulo R*A.
     """
-    from ..lie import ad_eigenvalues, series_certificate, bracket_span
     d = 2 * (model.n - 1)
     sub, gens, cand = build_h(model, c * np.eye(d), a=0.0, c=c)
-    amat = as_matrix(a)
-    modulo = line(amat)
-    h_prime = bracket_span(sub, sub, modulo=modulo)
-    cert = series_certificate(h_prime, modulo=modulo)
-    dil = gens[0]  # K(1, 0, 0)
-    eigs = ad_eigenvalues(h_prime, dil, modulo=modulo)
+    modulo = line(as_matrix(a))
+    c_h, _ = structure_constants(sub, modulo)
+    ident = np.eye(sub.dim)
+    rows = bracket_rows(c_h, ident, ident)  # h' as orthonormal coordinate rows
+    cert = series_certificate(MatrixLieSubspace(sub.ambient_dim, list(sub.combine(rows.T))),
+                              modulo=modulo)
+    # row j of sum_i alpha_i c_h[i] holds the coordinates of [K(1, 0, 0), b_j]
+    images = rows @ np.tensordot(sub.coordinates([gens[0]])[:, 0], c_h, axes=1)
+    if not np.max(np.abs(images - (images @ rows.T) @ rows)) <= 1e-6:
+        raise ValueError("ad(x) does not preserve the subspace")
+    eigs = np.linalg.eigvals(images @ rows.T)
     return {
-        "derived_dim": h_prime.dim,
+        "derived_dim": rows.shape[0],
         "certificate": cert,
-        "dilation_eigenvalues": eigs,
+        "dilation_eigenvalues": eigs[np.lexsort((eigs.imag, eigs.real))],
         "expected_eigenvalues": sorted([-c] * (2 * model.n - 2) + [-2.0 * c]),
     }

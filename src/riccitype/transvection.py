@@ -24,7 +24,6 @@ from .lie import (
     line,
     series_certificate,
     series_dims,
-    structure_constants,
     subspace_from_matrices,
 )
 
@@ -109,16 +108,16 @@ def upper_left_traces(data: TransvectionData, model: SymplecticModel) -> np.ndar
     return np.array([np.trace(b[:m, :m]) for b in data.algebra.basis])
 
 
-def nilpotent_ideal_report(data: TransvectionData, model: SymplecticModel) -> dict:
+def nilpotent_ideal_report(c: np.ndarray) -> dict:
     """Codimension-1 nilpotent-ideal certificate for the solvable nilpotent case (p=2).
 
-    The candidate ideal is the derived algebra; the report records its
-    codimension, the ideal property [g, I] in I (sup-norm of the off-ideal
-    part in structure-constant coordinates), and termination of its lower
-    central series (all modulo R*A).
+    ``c`` holds the structure constants of the algebra (modulo R*A), as
+    carried by its ``StructureCertificate``.  The candidate ideal is the
+    derived algebra; the report records its codimension, the ideal property
+    [g, I] in I (sup-norm of the off-ideal part in structure-constant
+    coordinates), and termination of its lower central series.
     """
-    c = structure_constants(data.algebra, data.modulo)
-    d = data.algebra.dim
+    d = c.shape[0]
     ideal = bracket_rows(c, np.eye(d), np.eye(d))
     # coordinates of [b_i, y] for every basis element b_i and ideal row y, off the ideal
     image = np.einsum("ijk,bj->ibk", c, ideal).reshape(-1, d)

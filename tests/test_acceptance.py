@@ -73,7 +73,7 @@ def test_criterion_2_geometry_suite():
         ident = np.eye(2 * n)
         for i, pt in enumerate(core.sample_sigma(model, elem, 50, seed=0)):
             frame = geometry.horizontal_basis(model, elem, pt)
-            worst_ricci = max(worst_ricci, geometry.ricci_type_residual(model, elem, frame))
+            worst_ricci = max(worst_ricci, geometry.ricci_type_residual(model, elem, frame)[0])
             worst_cyclic = max(worst_cyclic, geometry.curvature_cyclic_residual(
                 model, elem, frame, triples=3, seed=i))
             rho = geometry.ricci_endomorphism(model, elem, frame)
@@ -128,7 +128,7 @@ def test_criterion_4_transvection_dimensions():
     model, elem = core.build_model("nilpotent", 2, p=2, q=1)
     data = transvection.transvection_algebra(model, elem)
     cert, label = transvection.classify_transvection(data, model)
-    ideal = transvection.nilpotent_ideal_report(data, model)
+    ideal = transvection.nilpotent_ideal_report(cert.structure)
     ok &= (cert.dimension == 7 and cert.solvable
            and ideal["codimension"] == 1 and ideal["nilpotent"])
     model, elem = core.build_model("nilpotent", 3, p=3, q=2)

@@ -190,6 +190,54 @@ def test_verify_geometry_nan_series_oracle_fails(capsys):
     assert "witness.0=flow.series_oracle: exp(tA) misses its power series at t = -3" in out
 
 
+def test_find_transitive_n5_scalar_frames_pass(capsys):
+    # |det| of the scalar frames read 6.4e-10 here and failed the 1e-9 floor
+    code, out, _ = run(capsys, "find-transitive", "--case", "nilpotent", "--n", "5",
+                       "--p", "2", "--q", "1", "--seed", "3")
+    assert code == 0
+    assert re.search(r"\[PASS\] scalar_c_minus\.frame_invertibility +1\.0+e\+00 ", out)
+
+
+def test_frame_invertibility_fail_names_sample_and_gamma(capsys, monkeypatch):
+    from riccitype.transitive import nilpotent as nil
+    monkeypatch.setattr(nil, "frame_invertibility_minimum", lambda b_mat, gammas: (0.0, 7))
+    code, out, _ = run(capsys, "find-transitive", "--case", "nilpotent", "--n", "2",
+                       "--p", "2", "--q", "1")
+    assert code == 1
+    assert re.search(r"witness\.0=scalar_c_plus: frame nearly singular at sample 7: "
+                     r"gamma = -?\d", out)
+
+
+def test_bracket_tensor_built_once_per_algebra(monkeypatch):
+    from riccitype import cli, lie
+    shapes = []
+    original = lie._bracket_tensor
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+    monkeypatch.setattr(lie, "_bracket_tensor", counted)
+    config = cli.RunConfig(case="nilpotent", n=3, p=2, q=1)
+    assert cli.cmd_transvection(config).verdict == "PASS"
+    # [p1, p1], the centralizer's closure, and the (11, 11) algebra once
+    assert sorted(shapes) == [(6, 6, 64), (11, 11, 64), (22, 22, 64)]
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_tolerance_sets_algebraic_thresholds(capsys, monkeypatch, how):
+    argv = ["verify-geometry", "--case", "elliptic", "--n", "2", "--p", "2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if how == "flag":
+        argv += ["--tol", "1e-30"]
+    else:
+        monkeypatch.setenv("RICCITYPE_TOL", "1e-30")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "(threshold 1.000000000e-30)" in out
+
+
 def test_quaternion_evidence(capsys):
     code, out, _ = run(capsys, "quaternion-evidence", "--samples", "100")
     assert code == 0

@@ -121,7 +121,7 @@ def test_build_h_accepted(setup):
     for b_mat, c in [(np.eye(2), 1.0), (np.diag([1.0, -1.0]), 1.0), (-np.eye(2), -1.0)]:
         sub, gens, cand = nil.build_h(model, b_mat, c=c)
         assert sub.dim == 4
-        assert lie.closure_residual(sub, modulo=lie.line(elem.matrix)) <= 1e-10
+        assert lie.structure_constants(sub, lie.line(elem.matrix))[1] <= 1e-10
 
 
 def test_build_h_rejects_preconditions(setup):
@@ -139,7 +139,7 @@ def test_build_h_closure_fails_without_isotropy():
     model, elem = core.build_model("nilpotent", 3, p=2, q=1)
     b_mat = np.diag([1.0, -1.0, 1.0, -1.0])  # (B-1)-image not Omega0-isotropic
     sub, gens, cand = nil.build_h(model, b_mat, validate=False)
-    assert lie.closure_residual(sub, modulo=lie.line(elem.matrix)) > 1e-3
+    assert lie.structure_constants(sub, lie.line(elem.matrix))[1] > 1e-3
 
 
 def test_normalize_candidate(setup):
@@ -220,7 +220,7 @@ def test_simply_transitive_certificate(setup):
         assert cert["min_rank"] == 4
         assert cert["min_singular_value"] > 0
         gammas = [cp.coords[-1] for cp in points]
-        assert nil.frame_invertibility_minimum(b_mat, gammas) > 0
+        assert nil.frame_invertibility_minimum(b_mat, gammas)[0] > 0
 
 
 def test_simply_transitive_duplicate_generator_fails(setup):
@@ -242,6 +242,17 @@ def test_frame_eigenvalues_never_vanish():
         mat = np.cosh(g) * np.eye(2) + np.sinh(g) * b_mat
         eig = np.sort(np.linalg.eigvals(mat))
         assert np.allclose(eig, np.sort([np.exp(g), np.exp(-g)]))
+
+
+def test_frame_invertibility_is_scale_free():
+    # det = e^{g tr B} underflows for scalar B although the frame is e^{+-g} Id
+    gammas = [0.3, -12.0, 12.0, 1.0]
+    for b_mat in (np.eye(8), -np.eye(8)):
+        ratio, _ = nil.frame_invertibility_minimum(b_mat, gammas)
+        assert ratio == pytest.approx(1.0)
+    ratio, worst = nil.frame_invertibility_minimum(np.diag([1.0, -1.0]), gammas)
+    assert ratio == pytest.approx(np.exp(-24.0)) and ratio < 1e-9
+    assert worst == 1
 
 
 def test_moment_map_values(setup):

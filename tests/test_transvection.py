@@ -63,7 +63,7 @@ def test_nilpotent_p2_q1_dimensions():
     assert data.p_part.dim == 4
     assert data.a_in_k1
     assert data.algebra.dim == 7
-    assert lie.closure_residual(data.algebra, modulo=data.modulo) <= 1e-10
+    assert lie.structure_constants(data.algebra, data.modulo)[1] <= 1e-10
 
 
 @pytest.mark.parametrize("n,p,q,expect_solvable,expect_abelian", [
@@ -83,7 +83,7 @@ def test_nilpotent_classification(n, p, q, expect_solvable, expect_abelian):
         assert cert.dimension == 2 * n and label == "abelian"
     if p == 2:
         assert label == "solvable"
-        ideal = transvection.nilpotent_ideal_report(data, model)
+        ideal = transvection.nilpotent_ideal_report(cert.structure)
         assert ideal["codimension"] == 1
         assert ideal["nilpotent"]
         assert ideal["ideal_residual"] <= 1e-9
