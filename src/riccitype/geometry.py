@@ -19,9 +19,14 @@ Each per-point quantity comes from one frame and one lift solve:
 frame, differential and least-squares solve; ``chart_omega_matrix`` is the
 one route to the chart matrix of the reduced form; and the curvature and
 Ricci functions take a ``HorizontalFrame`` so that callers build it once
-per sample.  ``ricci_type_residual`` builds the (2n)^4 curvature tensor
-once and returns the trace Ricci tensor with its residual, so one tensor
-per sample serves both the Ricci-type and the trace-route checks.
+per sample.  ``ricci_type_residual`` forms the frame Gram matrix and builds
+the (2n)^4 curvature tensor once, and returns the trace Ricci tensor and the
+Gram matrix with its residual, so one tensor per sample serves both the
+Ricci-type and the trace-route checks.
+
+Every chart differential is exact (``differential_project``), and so is
+every fundamental vector field: the field of X at pi(x) is
+d pi_x(-X x) (``fundamental_fields``).
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .core import CharacteristicElement, SymplecticModel, as_matrix, as_vector, exp_tA, sigma_value
+from .lie import rank_split
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -167,7 +172,9 @@ def horizontal_basis(model: SymplecticModel, a, x) -> HorizontalFrame:
     v = as_vector(x)
     amat = as_matrix(a)
     constraints = np.stack([model.omega @ v, model.omega @ (amat @ v)])
-    frame = null_space(constraints)
+    # C order: numpy's reductions over the frame depend on its memory layout,
+    # and the report values are fixed for a C-ordered frame
+    frame = np.ascontiguousarray(rank_split(constraints)[1])
     if frame.shape[1] != model.ambient_dim - 2:
         raise ValueError("horizontal space is rank deficient; is x on Sigma_A?")
     gram = frame.T @ model.omega @ frame
@@ -223,14 +230,6 @@ def _lift_darboux(model: SymplecticModel, x: np.ndarray, tangents: np.ndarray) -
     return np.concatenate([np.array([d_x1, d_x2]), dy, np.array([dgamma * sh, dgamma * ch])])
 
 
-def pushforward(model: SymplecticModel, a, x, v, fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Finite-difference differential of the projection applied to an ambient tangent."""
-    xv = as_vector(x)
-    plus = project(model, a, retract_to_sigma(model, a, xv + fd_step * v)).coords
-    minus = project(model, a, retract_to_sigma(model, a, xv - fd_step * v)).coords
-    return (plus - minus) / (2.0 * fd_step)
-
-
 def pushforward_darboux(model: SymplecticModel, x, v) -> np.ndarray:
     """Exact differential of the (y0, Y, gamma) projection on tangents of Sigma_A."""
     xs_small, capx, xs = _split_nilpotent(model, as_vector(x))
@@ -273,6 +272,33 @@ def differential_project(model: SymplecticModel, a, x, v) -> np.ndarray:
     return np.concatenate([vx - dt * xs - t * vxs, vcapx, vxs])
 
 
+def fundamental_fields(model: SymplecticModel, a, generators) -> list:
+    """Fundamental vector fields on the chart of centralizer generators.
+
+    The field of X at pi(x) is d/dt pi(exp(-tX) x) at t = 0, which is the
+    exact differential d pi_x(-X x).  Each returned callable maps a
+    ChartPoint cp to its chart tangent, evaluated at x = chart_section(cp).
+    Each generator must lie in the centralizer of A in sp: the residuals
+    |X^T Omega + Omega X| and |[X, A]| must be at most 1e-8.
+    """
+    amat = as_matrix(a)
+    fields = []
+    for x_mat in generators:
+        x_mat = np.asarray(x_mat, dtype=float)
+        sp_res = float(np.max(np.abs(x_mat.T @ model.omega + model.omega @ x_mat)))
+        comm_res = float(np.max(np.abs(x_mat @ amat - amat @ x_mat)))
+        if not (sp_res <= 1e-8 and comm_res <= 1e-8):
+            raise ValueError(f"generator is not in the centralizer of A in sp "
+                             f"(residuals {sp_res:.2e}, {comm_res:.2e})")
+
+        def field(cp: ChartPoint, x_mat=x_mat) -> np.ndarray:
+            x = chart_section(model, a, cp)
+            return differential_project(model, a, x, -(x_mat @ x))
+
+        fields.append(field)
+    return fields
+
+
 def lift_tangent(model: SymplecticModel, a, x, chart_tangents) -> np.ndarray:
     """Horizontal lifts to H_x of chart tangents at project(x).
 
@@ -282,8 +308,7 @@ def lift_tangent(model: SymplecticModel, a, x, chart_tangents) -> np.ndarray:
     horizontal frame and the 2n x 2n differential of the projection on it
     once, then solve one least-squares system for all columns.  The solve
     uses the exact differential (``differential_project``) so the lift is
-    smooth enough to sit inside second-derivative checks; the independent
-    finite-difference route stays available as ``pushforward``.
+    smooth enough to sit inside second-derivative checks.
     """
     tangents = np.asarray(chart_tangents, dtype=float)
     xv = as_vector(x)
@@ -374,9 +399,11 @@ def _frame_tensors(model: SymplecticModel, a, frame: HorizontalFrame):
     return gram, paired
 
 
-def curvature_tensor(model: SymplecticModel, a, frame: HorizontalFrame) -> np.ndarray:
-    """R(v_i, v_j, v_k, v_l) = Omega(R(v_i, v_j) v_k, v_l) on the frame."""
-    gram, paired = _frame_tensors(model, a, frame)
+def curvature_tensor(gram: np.ndarray, paired: np.ndarray) -> np.ndarray:
+    """R(v_i, v_j, v_k, v_l) = Omega(R(v_i, v_j) v_k, v_l) on a frame.
+
+    ``gram`` and ``paired`` are G_ij = Omega(v_i, v_j) and W_ij = Omega(A v_i, v_j).
+    """
     r4 = (-2.0 * np.einsum("ij,kl->ijkl", gram, paired)
           - np.einsum("ik,jl->ijkl", gram, paired)
           + np.einsum("jk,il->ijkl", gram, paired)
@@ -397,17 +424,18 @@ def ricci_endomorphism(model: SymplecticModel, a, frame: HorizontalFrame) -> np.
 
 
 def ricci_type_residual(model: SymplecticModel, a,
-                        frame: HorizontalFrame) -> tuple[float, np.ndarray]:
-    """Sup-norm of R - E(r) over all frame 4-tuples, and the Ricci tensor r.
+                        frame: HorizontalFrame) -> tuple[float, np.ndarray, np.ndarray]:
+    """Sup-norm of R - E(r) over all frame 4-tuples, the Ricci tensor r, and the Gram matrix.
 
     E(X,Y,Z,T) = -1/(2n+2) [2 w(X,Y) r(Z,T) + w(X,Z) r(Y,T) + w(X,T) r(Y,Z)
                             - w(Y,Z) r(X,T) - w(Y,T) r(X,Z)]
     with r(X, Y) = Tr(Z -> R(X, Z) Y) the trace Ricci tensor of the curvature
     itself, in frame coordinates.  The residual is zero for Ricci-type
-    curvature.
+    curvature.  The Gram matrix G_ij = Omega(v_i, v_j) is returned for
+    callers that need it next to r.
     """
-    gram, _ = _frame_tensors(model, a, frame)
-    r4 = curvature_tensor(model, a, frame)
+    gram, paired = _frame_tensors(model, a, frame)
+    r4 = curvature_tensor(gram, paired)
     # coefficient of v_m in R(v_i, v_m) v_j, traced over m
     ric = -np.einsum("ma,imja->ij", np.linalg.inv(gram), r4)
     factor = -1.0 / (2.0 * (model.n + 1))
@@ -416,7 +444,7 @@ def ricci_type_residual(model: SymplecticModel, a,
                    + np.einsum("il,jk->ijkl", gram, ric)
                    - np.einsum("jk,il->ijkl", gram, ric)
                    - np.einsum("jl,ik->ijkl", gram, ric))
-    return float(np.max(np.abs(r4 - e4))), ric
+    return float(np.max(np.abs(r4 - e4))), ric, gram
 
 
 def curvature_cyclic_residual(model: SymplecticModel, a, frame: HorizontalFrame,
@@ -441,46 +469,6 @@ def symmetry_matrix(model: SymplecticModel, a, x) -> np.ndarray:
     return (-np.eye(model.ambient_dim)
             + 2.0 * np.outer(xv, model.omega @ ax)
             - 2.0 * np.outer(ax, model.omega @ xv))
-
-
-def centralizes_a_residual(model: SymplecticModel, a, g: np.ndarray) -> tuple[float, float]:
-    """Residuals of (g in Sp, gA = Ag)."""
-    amat = as_matrix(a)
-    sp_res = float(np.max(np.abs(g.T @ model.omega @ g - model.omega)))
-    comm_res = float(np.max(np.abs(g @ amat - amat @ g)))
-    return sp_res, comm_res
-
-
-def act_chart(model: SymplecticModel, a, g: np.ndarray, cp: ChartPoint,
-              tol: float = 1e-8) -> ChartPoint:
-    """Induced action of a centralizing symplectic map on chart points."""
-    sp_res, comm_res = centralizes_a_residual(model, a, g)
-    if sp_res > tol or comm_res > tol:
-        raise ValueError(
-            f"g is not in the centralizer of A in Sp (residuals {sp_res:.2e}, {comm_res:.2e})")
-    return project(model, a, g @ chart_section(model, a, cp))
-
-
-def act_tangent_sphere(b: np.ndarray, u: np.ndarray, w: np.ndarray,
-                       k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form GL(n+1) action on the tangent-sphere chart.
-
-    B.(u, w) = (Bu/|Bu|, |Bu| B^{-T}(w - u/2k) + Bu/(2k |Bu|))
-    """
-    bu = b @ u
-    r = float(np.sqrt(bu @ bu))
-    u2 = bu / r
-    w2 = r * np.linalg.solve(b.T, w - u / (2.0 * k)) + u2 / (2.0 * k)
-    return u2, w2
-
-
-def gl_to_sp_hyperbolic(model: SymplecticModel, b: np.ndarray) -> np.ndarray:
-    """Embed B in GL(n+1) as diag(B, B^{-T}) in Sp, centralizing A."""
-    m = model.n + 1
-    g = np.zeros((2 * m, 2 * m))
-    g[:m, :m] = b
-    g[m:, m:] = np.linalg.inv(b).T
-    return g
 
 
 class LocalChart:

@@ -1,4 +1,4 @@
-"""Plain-text serialization: matrices, model descriptors, subspaces, candidates.
+"""Plain-text serialization: matrices, model descriptors, candidates.
 
 Matrices are row-major decimal text, one row per line.  Model descriptors
 and candidate files are key=value blocks; blank lines and '#' comments are
@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import SymplecticModel
-from .lie import MatrixLieSubspace
 
 
 def format_matrix(mat: np.ndarray) -> str:
@@ -36,39 +35,6 @@ def model_descriptor(model: SymplecticModel) -> str:
     if model.case == "nilpotent":
         lines.append(f"q={model.q}")
     return "\n".join(lines)
-
-
-def format_subspace(sub: MatrixLieSubspace) -> str:
-    lines = [f"ambient_dim={sub.ambient_dim}", f"count={sub.dim}"]
-    for b in sub.basis:
-        lines.append(format_matrix(b))
-        lines.append("")
-    return "\n".join(lines)
-
-
-def format_chart_point(cp) -> str:
-    """Case-tagged coordinate list, one line."""
-    return f"{cp.case}:{cp.kind}: {format_vector(cp.coords)}"
-
-
-def parse_chart_point(line: str):
-    from .geometry import ChartPoint
-    case, kind, coords = line.split(":", 2)
-    return ChartPoint(case.strip(), kind.strip(),
-                      np.array([float(v) for v in coords.split()]))
-
-
-def format_transvection_data(data) -> str:
-    """Nested subspace blocks plus the membership flag."""
-    parts = [
-        f"a_in_k1={str(bool(data.a_in_k1)).lower()}",
-        f"base_point={format_vector(data.base_point.x)}",
-        "[centralizer]", format_subspace(data.centralizer),
-        "[p_part]", format_subspace(data.p_part),
-        "[k_part]", format_subspace(data.k_part),
-        "[algebra]", format_subspace(data.algebra),
-    ]
-    return "\n".join(parts)
 
 
 def parse_key_values(text: str) -> dict[str, str]:

@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from ..core import CharacteristicElement, SymplecticModel, build_model
-from ..geometry import ChartPoint, act_chart
+from ..geometry import ChartPoint
 from ..lie import (
     MatrixLieSubspace,
     ad_eigenspaces,
@@ -137,27 +136,6 @@ def ad_spectrum_on_n(iw: IwasawaData, phi_params=None) -> np.ndarray:
     """Complex eigenvalue multiset of ad(a + phi(a)) restricted to n."""
     _, _, gen = build_a_phi(iw, phi_params)
     return ad_eigenvalues(iw.nilpotent_part, gen)
-
-
-def ball_fundamental_fields(iw: IwasawaData, generators, fd_step: float = 1e-5):
-    """Fundamental vector fields on the ball chart by differencing the chart action.
-
-    Group elements exp(-s X) are precomputed per generator; each returned
-    callable maps a ball ChartPoint to its 2n tangent coordinates.
-    """
-    model, elem = iw.model, iw.element
-    fields = []
-    for x_mat in generators:
-        g_minus = expm(-fd_step * x_mat)
-        g_plus = expm(fd_step * x_mat)
-
-        def field(cp: ChartPoint, gm=g_minus, gp=g_plus):
-            plus = act_chart(model, elem, gm, cp).coords
-            minus = act_chart(model, elem, gp, cp).coords
-            return (plus - minus) / (2.0 * fd_step)
-
-        fields.append(field)
-    return fields
 
 
 def sample_ball_points(n: int, count: int, seed: int, radius: float = 0.9) -> list[ChartPoint]:

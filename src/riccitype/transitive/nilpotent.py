@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..core import SymplecticModel, as_matrix
-from ..geometry import ChartPoint, chart_section, pushforward_darboux
+from ..geometry import ChartPoint, darboux_matrix
 from ..lie import (MatrixLieSubspace, bracket_rows, line, series_certificate,
                    structure_constants, subspace_from_matrices)
 
@@ -266,12 +266,6 @@ def fundamental_field_p2q1(B: np.ndarray, c: float, generator, chart_point,
     return out
 
 
-def sigma_level_field(model: SymplecticModel, a, k_matrix: np.ndarray, cp: ChartPoint) -> np.ndarray:
-    """Fundamental field via the exact quotient differential of -K x at a section point."""
-    x = chart_section(model, a, cp)
-    return pushforward_darboux(model, x, -(k_matrix @ x))
-
-
 def simply_transitive_certificate(model: SymplecticModel, fields, chart_points,
                                   rank_tol: float = 1e-7) -> dict:
     """Rank certificate of a family of chart vector fields at sampled points.
@@ -331,21 +325,27 @@ def moment_map_f(B: np.ndarray, c: float, generator, chart_point,
 
 
 def hamiltonian_residual(model: SymplecticModel, B: np.ndarray, c: float, generator,
-                         chart_point, fd_step: float = 1e-5) -> float:
-    """|df - i(X*)omega| componentwise, with df by central differences."""
+                         chart_point) -> float:
+    """|df - i(X*)omega| componentwise, with the closed-form differential of moment_map_f:
+
+        df/dy0 = p,   df/dY = -cosh(g) Omega0^T P - sinh(g) Omega0^T BP,
+        df/dgamma = -p' e^{2 c gamma} - sinh(g) Omega0(P,Y) - cosh(g) Omega0(BP,Y).
+    """
     omega0 = model.omega0
+    p, P, pp = generator
+    P = np.asarray(P, dtype=float)
     coords = chart_point.coords if isinstance(chart_point, ChartPoint) else np.asarray(chart_point)
-    d = coords.shape[0]
-    grad = np.zeros(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = fd_step
-        grad[i] = (moment_map_f(B, c, generator, coords + e, omega0)
-                   - moment_map_f(B, c, generator, coords - e, omega0)) / (2.0 * fd_step)
-    from ..geometry import darboux_matrix
-    w = darboux_matrix(model)
+    y, gamma = coords[1:-1], coords[-1]
+    ch, sh = np.cosh(gamma), np.sinh(gamma)
+    bp = B @ P
+    grad = np.concatenate([
+        [p],
+        -ch * (omega0.T @ P) - sh * (omega0.T @ bp),
+        [-pp * np.exp(2.0 * c * gamma) - sh * float(P @ omega0 @ y)
+         - ch * float(bp @ omega0 @ y)],
+    ])
     field = fundamental_field_p2q1(B, c, generator, coords, omega0)
-    return float(np.max(np.abs(field @ w - grad)))
+    return float(np.max(np.abs(field @ darboux_matrix(model) - grad)))
 
 
 def strongly_hamiltonian_defect(B: np.ndarray, c: float, P, Q,

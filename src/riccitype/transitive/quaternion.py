@@ -12,10 +12,9 @@ for a transitive orbit.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from ..core import build_model
-from ..geometry import act_tangent_sphere
+from ..geometry import ChartPoint, fundamental_fields
 
 
 def cross_matrix(v: np.ndarray) -> np.ndarray:
@@ -93,20 +92,11 @@ def su2_left_basis() -> list[np.ndarray]:
     return [q_left_matrix(np.concatenate([[0.0], e])) for e in np.eye(3)]
 
 
-def tangent_sphere_field(x_mat: np.ndarray, u: np.ndarray, w: np.ndarray,
-                         k: float = 1.0, fd_step: float = 1e-6) -> np.ndarray:
-    """Fundamental field of a gl(n+1) generator on the tangent-sphere chart."""
-    b_minus = expm(-fd_step * x_mat)
-    b_plus = expm(fd_step * x_mat)
-    up, wp = act_tangent_sphere(b_minus, u, w, k)
-    um, wm = act_tangent_sphere(b_plus, u, w, k)
-    return np.concatenate([up - um, wp - wm]) / (2.0 * fd_step)
-
-
-def orbit_rank_ts3_evidence(w: np.ndarray, k: float = 1.0,
-                            fd_step: float = 1e-6) -> dict:
+def orbit_rank_ts3_evidence(w: np.ndarray, k: float = 1.0) -> dict:
     """Rank bound for su(2)_L + eta(. , w) at the base point of TS^3.
 
+    Each X in gl(4) acts through diag(X, -X^T), which centralizes A in sp;
+    its field is the exact fundamental field on the tangent-sphere chart.
     Returns the stacked-field singular values, the rank (expected <= 5 < 6),
     the rank of the su(2)_L fields alone (expected 3) and the norm of the
     field of the stabilizer element eta(w, w).
@@ -114,21 +104,20 @@ def orbit_rank_ts3_evidence(w: np.ndarray, k: float = 1.0,
     w = np.asarray(w, dtype=float)
     if w.shape != (3,) or np.max(np.abs(w)) == 0.0:
         raise ValueError("w must be a nonzero vector in R^3")
-    build_model("hyperbolic", 3, k=k)  # parameter validation only
-    u0 = np.array([1.0, 0.0, 0.0, 0.0])
-    w0 = np.zeros(4)
-    gens = su2_left_basis() + [eta(v, w) for v in np.eye(3)]
-    fields = np.stack([tangent_sphere_field(g, u0, w0, k, fd_step) for g in gens], axis=1)
-    svals = np.linalg.svd(fields, compute_uv=False)
+    model, elem = build_model("hyperbolic", 3, k=k)
+    base = ChartPoint("hyperbolic", "tangent_sphere", np.eye(8)[0])  # u = e1, w = 0
+    gens = su2_left_basis() + [eta(v, w) for v in np.eye(3)] + [eta(w, w)]
+    zero = np.zeros((4, 4))
+    lifted = [np.block([[x, zero], [zero, -x.T]]) for x in gens]
+    fields = np.stack([f(base) for f in fundamental_fields(model, elem, lifted)], axis=1)
+    svals = np.linalg.svd(fields[:, :6], compute_uv=False)
     rank = int(np.sum(svals > 1e-7 * max(svals[0], 1.0)))
-    su2_fields = fields[:, :3]
-    su2_rank = int(np.linalg.matrix_rank(su2_fields, tol=1e-9))
-    stab_field = tangent_sphere_field(eta(w, w), u0, w0, k, fd_step)
+    su2_rank = int(np.linalg.matrix_rank(fields[:, :3], tol=1e-9))
     return {
         "singular_values": svals,
         "rank": rank,
         "dim_needed": 6,
         "su2_rank": su2_rank,
-        "stabilizer_field_norm": float(np.max(np.abs(stab_field))),
+        "stabilizer_field_norm": float(np.max(np.abs(fields[:, 6]))),
         "passed": rank <= 5 and su2_rank == 3,
     }

@@ -1,0 +1,80 @@
+"""Finite-difference and group-action oracles for the exact routes of the package.
+
+The package computes chart differentials, fundamental vector fields and
+Hamiltonian gradients in closed form.  The functions here recompute them
+independently, from central differences of the projection, of the chart
+action of exp(+-hX), and of the moment map, so that tests can compare the
+two routes.
+"""
+
+import numpy as np
+from scipy.linalg import expm
+
+from riccitype import geometry
+from riccitype.core import as_matrix, as_vector
+from riccitype.transitive import nilpotent as nil
+
+
+def pushforward(model, a, x, v, fd_step=1e-5):
+    """Finite-difference differential of the projection applied to an ambient tangent."""
+    xv = as_vector(x)
+    plus = geometry.project(model, a, geometry.retract_to_sigma(model, a, xv + fd_step * v))
+    minus = geometry.project(model, a, geometry.retract_to_sigma(model, a, xv - fd_step * v))
+    return (plus.coords - minus.coords) / (2.0 * fd_step)
+
+
+def act_chart(model, a, g, cp, tol=1e-8):
+    """Induced action of a centralizing symplectic map on chart points."""
+    amat = as_matrix(a)
+    sp_res = float(np.max(np.abs(g.T @ model.omega @ g - model.omega)))
+    comm_res = float(np.max(np.abs(g @ amat - amat @ g)))
+    if sp_res > tol or comm_res > tol:
+        raise ValueError(
+            f"g is not in the centralizer of A in Sp (residuals {sp_res:.2e}, {comm_res:.2e})")
+    return geometry.project(model, a, g @ geometry.chart_section(model, a, cp))
+
+
+def act_tangent_sphere(b, u, w, k):
+    """Closed-form GL(n+1) action on the tangent-sphere chart.
+
+    B.(u, w) = (Bu/|Bu|, |Bu| B^{-T}(w - u/2k) + Bu/(2k |Bu|))
+    """
+    bu = b @ u
+    r = float(np.sqrt(bu @ bu))
+    u2 = bu / r
+    w2 = r * np.linalg.solve(b.T, w - u / (2.0 * k)) + u2 / (2.0 * k)
+    return u2, w2
+
+
+def gl_to_sp_hyperbolic(model, b):
+    """Embed B in GL(n+1) as diag(B, B^{-T}) in Sp, centralizing A."""
+    m = model.n + 1
+    g = np.zeros((2 * m, 2 * m))
+    g[:m, :m] = b
+    g[m:, m:] = np.linalg.inv(b).T
+    return g
+
+
+def differenced_field(model, a, x_mat, cp, step):
+    """Fundamental field of X as the central difference of the chart action of exp(-sX)."""
+    plus = act_chart(model, a, expm(-step * x_mat), cp).coords
+    minus = act_chart(model, a, expm(step * x_mat), cp).coords
+    return (plus - minus) / (2.0 * step)
+
+
+def tangent_sphere_field(x_mat, u, w, k, step):
+    """Fundamental field of X in gl(n+1) from the closed-form tangent-sphere action."""
+    up, wp = act_tangent_sphere(expm(-step * x_mat), u, w, k)
+    um, wm = act_tangent_sphere(expm(step * x_mat), u, w, k)
+    return np.concatenate([up - um, wp - wm]) / (2.0 * step)
+
+
+def moment_map_gradient(B, c, generator, coords, omega0, step):
+    """Central-difference gradient of ``moment_map_f`` in the Darboux chart."""
+    grad = np.zeros(coords.shape[0])
+    for i in range(coords.shape[0]):
+        e = np.zeros(coords.shape[0])
+        e[i] = step
+        grad[i] = (nil.moment_map_f(B, c, generator, coords + e, omega0)
+                   - nil.moment_map_f(B, c, generator, coords - e, omega0)) / (2.0 * step)
+    return grad

@@ -213,7 +213,8 @@ def test_criterion_6_iwasawa_family():
             _, h_phi, gen = iwa.build_a_phi(data, phi)
             cert = lie.series_certificate(h_phi)
             ok &= cert.solvable and h_phi.dim == 2 * n
-            fields = iwa.ball_fundamental_fields(data, [gen] + data.nilpotent_part.basis)
+            fields = geometry.fundamental_fields(data.model, data.element,
+                                                 [gen] + data.nilpotent_part.basis)
             rank_cert = nil.simply_transitive_certificate(data.model, fields, points)
             ok &= rank_cert["passed"] and rank_cert["min_rank"] == 2 * n
             spectrum = iwa.ad_spectrum_on_n(data, phi)

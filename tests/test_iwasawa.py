@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from riccitype import core, lie
+from riccitype import core, geometry, lie
 from riccitype.transitive import iwasawa as iwa
 from riccitype.transitive import nilpotent as nil
 
@@ -118,7 +118,8 @@ def test_distinct_phis_distinct_spectra(su13):
 def test_rank_certificate_on_ball(n, phi, request):
     data = request.getfixturevalue("su12" if n == 2 else "su13")
     _, _, gen = iwa.build_a_phi(data, None if phi is None else np.array(phi))
-    fields = iwa.ball_fundamental_fields(data, [gen] + data.nilpotent_part.basis)
+    fields = geometry.fundamental_fields(data.model, data.element,
+                                         [gen] + data.nilpotent_part.basis)
     points = iwa.sample_ball_points(n, 100, seed=5)
     cert = nil.simply_transitive_certificate(data.model, fields, points)
     assert cert["passed"]

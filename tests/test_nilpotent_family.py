@@ -5,7 +5,11 @@ import pytest
 from scipy.linalg import expm
 
 from riccitype import core, geometry, lie
+from riccitype.transitive import iwasawa as iwa
 from riccitype.transitive import nilpotent as nil
+from riccitype.transitive import quaternion as quat
+
+from oracles import differenced_field, moment_map_gradient, tangent_sphere_field
 
 
 @pytest.fixture(scope="module")
@@ -191,21 +195,65 @@ def test_fundamental_field_examples(setup):
 
 
 def test_fundamental_field_cross_validation(setup):
-    # closed form vs exact quotient differential vs differenced chart action
+    # exact fields (d pi_x(-X x)) vs the closed form and vs the differenced
+    # group action, on the Darboux, ball and tangent-sphere charts
     model, elem, om0 = setup
     b_mat, c = np.diag([1.0, -1.0]), 1.0
     sub, gens, cand = nil.build_h(model, b_mat, c=c)
     tuples = nil._generator_tuples(2)
+    fields = geometry.fundamental_fields(model, elem, gens)
     for cp in darboux_points(2, 5, seed=3):
-        for gen, k in zip(tuples, gens):
+        for gen, k, field in zip(tuples, gens, fields):
             closed = nil.fundamental_field_p2q1(b_mat, c, gen, cp, om0)
-            exact = nil.sigma_level_field(model, elem, k, cp)
-            assert np.max(np.abs(closed - exact)) <= 1e-12
-            s = 1e-5
-            plus = geometry.act_chart(model, elem, expm(-s * k), cp).coords
-            minus = geometry.act_chart(model, elem, expm(s * k), cp).coords
-            fd = (plus - minus) / (2 * s)
+            assert np.max(np.abs(closed - field(cp))) <= 1e-12
+            fd = differenced_field(model, elem, k, cp, 1e-5)
             assert np.max(np.abs(closed - fd)) <= 1e-5
+    for n in (2, 3):
+        data = iwa.iwasawa_su1n(n)
+        phi = np.linspace(-1.5, 0.8, n - 1)
+        gens = [iwa.build_a_phi(data, phi)[2]] + data.nilpotent_part.basis
+        fields = geometry.fundamental_fields(data.model, data.element, gens)
+        for cp in iwa.sample_ball_points(n, 5, seed=7):
+            for k, field in zip(gens, fields):
+                fd = differenced_field(data.model, data.element, k, cp, 1e-5)
+                assert np.max(np.abs(field(cp) - fd)) <= 1e-8
+    hyp, hyp_elem = core.build_model("hyperbolic", 3)
+    w = np.array([0.3, -1.2, 0.5])
+    gl_gens = quat.su2_left_basis() + [quat.eta(v, w) for v in np.eye(3)] + [quat.eta(w, w)]
+    zero = np.zeros((4, 4))
+    fields = geometry.fundamental_fields(
+        hyp, hyp_elem, [np.block([[x, zero], [zero, -x.T]]) for x in gl_gens])
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        u = rng.standard_normal(4)
+        u /= np.linalg.norm(u)
+        tw = 0.6 * rng.standard_normal(4)
+        tw -= (u @ tw) * u
+        cp = geometry.ChartPoint("hyperbolic", "tangent_sphere", np.concatenate([u, tw]))
+        for x, field in zip(gl_gens, fields):
+            fd = tangent_sphere_field(x, u, tw, 1.0, 1e-6)
+            assert np.max(np.abs(field(cp) - fd)) <= 1e-8
+    # generators outside the centralizer of A in sp are rejected
+    not_sp = np.zeros((8, 8))
+    not_sp[0, 1] = 1.0  # commutes with A
+    not_commuting = np.zeros((8, 8))
+    not_commuting[:4, 4:] = np.eye(4)  # in sp
+    for bad in (not_sp, not_commuting):
+        with pytest.raises(ValueError, match="centralizer"):
+            geometry.fundamental_fields(hyp, hyp_elem, [bad])
+    # the exact Hamiltonian gradient vs central differences of the moment map
+    for n in (2, 3, 4):
+        nmodel, _ = core.build_model("nilpotent", n, p=2, q=1)
+        d = 2 * (n - 1)
+        split = np.diag(np.concatenate([np.ones(d // 2), -np.ones(d // 2)]))
+        dar = geometry.darboux_matrix(nmodel)
+        for b, cc in [(np.eye(d), 1.0), (-np.eye(d), -1.0), (split, 1.0)]:
+            for cp in darboux_points(n, 5, seed=29):
+                for gen in nil._generator_tuples(d):
+                    field = nil.fundamental_field_p2q1(b, cc, gen, cp, nmodel.omega0)
+                    grad = moment_map_gradient(b, cc, gen, cp.coords, nmodel.omega0, 1e-5)
+                    assert np.max(np.abs(field @ dar - grad)) <= 1e-5
+                    assert nil.hamiltonian_residual(nmodel, b, cc, gen, cp) <= 1e-12
 
 
 def test_simply_transitive_certificate(setup):
@@ -331,7 +379,7 @@ def test_normalize_preserves_transitivity_verdict(setup):
     normalized, _ = nil.normalize_candidate(model, cand)
     points = darboux_points(2, 40, seed=23)
     gens = nil.family_generators(cand, om0)
-    fields_raw = [lambda cp, k=k: nil.sigma_level_field(model, elem, k, cp) for k in gens]
+    fields_raw = geometry.fundamental_fields(model, elem, gens)
     tuples = nil._generator_tuples(2)
     fields_norm = [lambda cp, g=g: nil.fundamental_field_p2q1(normalized.B, normalized.c,
                                                               g, cp, om0)
