@@ -14,23 +14,23 @@ Horizontal geometry lives at the Sigma level: H_x = span{x, Ax}^perp is
 symplectic and pushes down isomorphically, so the reduced form, connection,
 curvature and symmetries are all evaluated on horizontal representatives.
 
-Each per-point quantity comes from one frame and one lift solve:
+One exact chart differential, ``differential_project``, serves every chart
+tangent: it takes one tangent or a matrix of tangents, one per column.
 ``lift_tangent`` lifts a whole matrix of chart tangents with a single
-frame, differential and least-squares solve; ``chart_omega_matrix`` is the
-one route to the chart matrix of the reduced form; and the curvature and
-Ricci functions take a ``HorizontalFrame`` so that callers build it once
-per sample.  ``ricci_type_residual`` forms the frame Gram matrix and builds
-the (2n)^4 curvature tensor once, and returns the trace Ricci tensor and the
-Gram matrix with its residual, so one tensor per sample serves both the
-Ricci-type and the trace-route checks.
-
-Every chart differential is exact (``differential_project``), and so is
-every fundamental vector field: the field of X at pi(x) is
-d pi_x(-X x) (``fundamental_fields``).
+frame, differential and least-squares solve, in every chart; and every
+fundamental vector field is d pi_x(-X x) (``fundamental_fields``), one
+field matrix per point.  ``chart_omega_matrix`` is the one route to the
+chart matrix of the reduced form.  The curvature and Ricci functions take
+a ``HorizontalFrame``, which carries its Gram matrix, so that callers
+build it once per sample; ``ricci_type_residual`` builds the (2n)^4
+curvature tensor once and returns the trace Ricci tensor next to the Gram
+matrix, so one tensor per sample serves both the Ricci-type and the
+trace-route checks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +60,7 @@ class HorizontalFrame:
 
     base: np.ndarray
     vectors: np.ndarray  # ambient_dim x 2n, columns span H_x
+    gram: np.ndarray  # 2n x 2n, G_ij = Omega(v_i, v_j)
 
 
 def chart_kind(model: SymplecticModel) -> str | None:
@@ -180,7 +181,7 @@ def horizontal_basis(model: SymplecticModel, a, x) -> HorizontalFrame:
     gram = frame.T @ model.omega @ frame
     if abs(np.linalg.det(gram)) < 1e-12:
         raise ValueError("Omega degenerates on the horizontal space")
-    return HorizontalFrame(v, frame)
+    return HorizontalFrame(v, frame, gram)
 
 
 def horizontal_projection(model: SymplecticModel, a, x, v) -> np.ndarray:
@@ -202,132 +203,91 @@ def retract_to_sigma(model: SymplecticModel, a, z) -> np.ndarray:
     return as_vector(z) / np.sqrt(val)
 
 
-def horizontality_residual(model: SymplecticModel, a, x, v) -> float:
-    xv = as_vector(x)
-    ax = as_matrix(a) @ xv
-    return max(abs(model.pairing(v, xv)), abs(model.pairing(v, ax)))
-
-
-def _lift_darboux(model: SymplecticModel, x: np.ndarray, tangents: np.ndarray) -> np.ndarray:
-    """Closed-form horizontal lift in the (y0, Y, gamma) chart.
-
-    lift(d_y0)    = sh(a) d_x1 + ch(a) d_x2
-    lift(d_ya)    = d_Xa + (Omega0 X)_a (ch(a) d_x1 + sh(a) d_x2)
-    lift(d_gamma) = d_alpha + (2 x1 sh ch - x2 (ch^2+sh^2)) d_x1
-                            + (x1 (ch^2+sh^2) - 2 x2 sh ch) d_x2
-    with d_alpha = sh(a) d_{x*1} + ch(a) d_{x*2}.  ``tangents`` is one
-    (2n,) tangent or a (2n, m) matrix of tangents, one per column.
-    """
-    xs_small, capx, xs = _split_nilpotent(model, x)
-    ch, sh = xs[0], xs[1]
-    dy0, dy, dgamma = tangents[0], tangents[1:-1], tangents[-1]
-    coef = (model.omega0 @ capx) @ dy
-    ch2sh2 = ch * ch + sh * sh
-    d_x1 = (dy0 * sh + coef * ch
-            + dgamma * (2.0 * xs_small[0] * sh * ch - xs_small[1] * ch2sh2))
-    d_x2 = (dy0 * ch + coef * sh
-            + dgamma * (xs_small[0] * ch2sh2 - 2.0 * xs_small[1] * sh * ch))
-    return np.concatenate([np.array([d_x1, d_x2]), dy, np.array([dgamma * sh, dgamma * ch])])
-
-
-def pushforward_darboux(model: SymplecticModel, x, v) -> np.ndarray:
-    """Exact differential of the (y0, Y, gamma) projection on tangents of Sigma_A."""
-    xs_small, capx, xs = _split_nilpotent(model, as_vector(x))
-    ch, sh = xs[0], xs[1]
-    vx, vcapx, vxs = _split_nilpotent(model, np.asarray(v, dtype=float))
-    beta = vxs[1] / ch  # tangent of the hyperbola: v_* = beta * (sh, ch)
-    dy0 = -vx[0] * sh + vx[1] * ch + beta * (xs_small[1] * sh - xs_small[0] * ch)
-    return np.concatenate([[dy0], vcapx, [beta]])
-
-
 def differential_project(model: SymplecticModel, a, x, v) -> np.ndarray:
-    """Exact differential of the projection on tangents of Sigma_A, per case."""
+    """Exact differential of the projection on tangents of Sigma_A, per case.
+
+    ``v`` is one (N,) tangent or an (N, m) matrix with one tangent per
+    column; the differential is linear in v, so the chart tangents come
+    back in the same layout.
+    """
     kind = chart_kind(model)
     if kind is None:
         raise ChartUnavailableError("no chart for elliptic p > 1")
     xv = as_vector(x)
     v = np.asarray(v, dtype=float)
-    if kind == "darboux":
-        return pushforward_darboux(model, xv, v)
+    outer = np.multiply.outer  # base-point vector times one scalar per column
     if kind == "tangent_sphere":
         m = model.n + 1
         xp, xm = xv[:m], xv[m:]
         vp, vm = v[:m], v[m:]
         r = float(np.sqrt(xp @ xp))
-        dr = float(xp @ vp) / r
-        du = vp / r - xp * dr / (r * r)
-        dw = dr * xm + r * vm + du / (2.0 * model.k)
+        dr = (xp @ vp) / r
+        du = vp / r - outer(xp, dr) / (r * r)
+        dw = outer(xm, dr) + r * vm + du / (2.0 * model.k)
         return np.concatenate([du, dw])
     if kind == "ball":
         z = _elliptic_z(model, xv)
         dz = _elliptic_z(model, v)
         w = z[1:] / z[0]
-        dw = (dz[1:] - w * dz[0]) / z[0]
+        dw = (dz[1:] - outer(w, dz[0])) / z[0]
         return np.concatenate([dw.real, dw.imag])
-    eps = model.eps
     xs_small, _, xs = _split_nilpotent(model, xv)
     vx, vcapx, vxs = _split_nilpotent(model, v)
+    if kind == "darboux":
+        ch, sh = xs[0], xs[1]
+        beta = vxs[1] / ch  # tangent of the hyperbola: v_* = beta * (sh, ch)
+        dy0 = -vx[0] * sh + vx[1] * ch + beta * (xs_small[1] * sh - xs_small[0] * ch)
+        return np.concatenate([[dy0], vcapx, [beta]])
+    eps = model.eps
     t = float(np.sum(eps * xs_small * xs))
-    dt = float(np.sum(eps * (vx * xs + xs_small * vxs)))
-    return np.concatenate([vx - dt * xs - t * vxs, vcapx, vxs])
+    dt = (eps * xs) @ vx + (eps * xs_small) @ vxs
+    return np.concatenate([vx - outer(xs, dt) - t * vxs, vcapx, vxs])
 
 
-def fundamental_fields(model: SymplecticModel, a, generators) -> list:
+def fundamental_fields(model: SymplecticModel, a,
+                       generators) -> Callable[[ChartPoint], np.ndarray]:
     """Fundamental vector fields on the chart of centralizer generators.
 
     The field of X at pi(x) is d/dt pi(exp(-tX) x) at t = 0, which is the
-    exact differential d pi_x(-X x).  Each returned callable maps a
-    ChartPoint cp to its chart tangent, evaluated at x = chart_section(cp).
-    Each generator must lie in the centralizer of A in sp: the residuals
-    |X^T Omega + Omega X| and |[X, A]| must be at most 1e-8.
+    exact differential d pi_x(-X x).  The returned callable maps a
+    ChartPoint cp to the (2n, g) matrix whose column j is the field of
+    generator j, evaluated at x = chart_section(cp).  Each generator must
+    lie in the centralizer of A in sp: the residuals |X^T Omega + Omega X|
+    and |[X, A]| must be at most 1e-8.
     """
     amat = as_matrix(a)
-    fields = []
-    for x_mat in generators:
-        x_mat = np.asarray(x_mat, dtype=float)
+    gens = np.asarray(generators, dtype=float)
+    for x_mat in gens:
         sp_res = float(np.max(np.abs(x_mat.T @ model.omega + model.omega @ x_mat)))
         comm_res = float(np.max(np.abs(x_mat @ amat - amat @ x_mat)))
         if not (sp_res <= 1e-8 and comm_res <= 1e-8):
             raise ValueError(f"generator is not in the centralizer of A in sp "
                              f"(residuals {sp_res:.2e}, {comm_res:.2e})")
 
-        def field(cp: ChartPoint, x_mat=x_mat) -> np.ndarray:
-            x = chart_section(model, a, cp)
-            return differential_project(model, a, x, -(x_mat @ x))
+    def fields(cp: ChartPoint) -> np.ndarray:
+        x = chart_section(model, a, cp)
+        return differential_project(model, a, x, -(gens @ x).T)
 
-        fields.append(field)
     return fields
 
 
 def lift_tangent(model: SymplecticModel, a, x, chart_tangents) -> np.ndarray:
     """Horizontal lifts to H_x of chart tangents at project(x).
 
-    ``chart_tangents`` is one (2n,) tangent or a (2n, m) matrix with one
-    tangent per column; the lifts come back in the same layout.  The Darboux
-    chart uses the closed-form lift table.  The other charts build the
-    horizontal frame and the 2n x 2n differential of the projection on it
-    once, then solve one least-squares system for all columns.  The solve
-    uses the exact differential (``differential_project``) so the lift is
-    smooth enough to sit inside second-derivative checks.
+    ``chart_tangents`` is one tangent of the chart representation or a
+    matrix with one tangent per column; the lifts come back in the same
+    layout.  Every chart builds the horizontal frame and the differential of
+    the projection on it once, then solves one least-squares system for all
+    columns.  The solve uses the exact differential (``differential_project``)
+    so the lift is smooth enough to sit inside second-derivative checks.
+    It goes through a QR factorization: the chart coordinates can scale the
+    rows of the differential very unevenly (the Darboux y0 row grows like
+    x cosh(gamma)), which costs an SVD-based solve over a digit of accuracy.
     """
-    tangents = np.asarray(chart_tangents, dtype=float)
     xv = as_vector(x)
-    if chart_kind(model) == "darboux":
-        return _lift_darboux(model, xv, tangents)
     frame = horizontal_basis(model, a, xv).vectors
-    dmat = np.stack([differential_project(model, a, xv, v) for v in frame.T], axis=1)
-    coeff, *_ = np.linalg.lstsq(dmat, tangents, rcond=None)
-    return frame @ coeff
-
-
-def reduced_omega(model: SymplecticModel, a, x, xbar, ybar,
-                  tol: float = 1e-7) -> float:
-    """Reduced symplectic form omega(X, Y) = Omega(Xbar, Ybar) on horizontal lifts."""
-    for v in (xbar, ybar):
-        scale = max(1.0, float(np.linalg.norm(v)))
-        if horizontality_residual(model, a, x, v) > tol * scale:
-            raise ValueError("input vector is not horizontal at x")
-    return model.pairing(np.asarray(xbar, float), np.asarray(ybar, float))
+    q, r = np.linalg.qr(differential_project(model, a, xv, frame))
+    return frame @ np.linalg.solve(r, q.T @ np.asarray(chart_tangents, dtype=float))
 
 
 def darboux_matrix(model: SymplecticModel) -> np.ndarray:
@@ -393,10 +353,8 @@ def curvature(model: SymplecticModel, a, xbar, ybar, zbar) -> np.ndarray:
 
 def _frame_tensors(model: SymplecticModel, a, frame: HorizontalFrame):
     v = frame.vectors
-    amat = as_matrix(a)
-    gram = v.T @ model.omega @ v          # G_ij = Omega(v_i, v_j)
-    paired = (amat @ v).T @ model.omega @ v  # W_ij = Omega(A v_i, v_j), symmetric
-    return gram, paired
+    paired = (as_matrix(a) @ v).T @ model.omega @ v  # W_ij = Omega(A v_i, v_j), symmetric
+    return frame.gram, paired
 
 
 def curvature_tensor(gram: np.ndarray, paired: np.ndarray) -> np.ndarray:

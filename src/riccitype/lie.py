@@ -18,6 +18,8 @@ subspaces are then coordinate rows of length d.  A quotient algebra
 (modulo a distinguished line or subspace) is taken there and only there:
 ``structure_constants`` and ``series_certificate`` take ``modulo``, and
 every other route works on c or on plain matrix brackets.
+``constants_certificate`` reads the certificate from c alone, for an
+algebra known only by its structure constants.
 """
 
 from __future__ import annotations
@@ -269,9 +271,19 @@ def series_certificate(s: MatrixLieSubspace,
                        closure_tol: float = 1e-8) -> StructureCertificate:
     """Derived/lower-central series dims and abelian/solvable/nilpotent/heisenberg flags."""
     c, residual = structure_constants(s, modulo)
+    return constants_certificate(c, residual, closure_tol)
+
+
+def constants_certificate(c: np.ndarray, residual: float,
+                          closure_tol: float = 1e-8) -> StructureCertificate:
+    """``series_certificate`` of the algebra with structure constants c.
+
+    ``residual`` is the algebra's closure residual, as ``structure_constants``
+    returns it; the certificate is refused when it exceeds ``closure_tol``.
+    """
     if not residual <= closure_tol:
         raise ValueError("subspace is not closed under the bracket")
-    d = s.dim
+    d = c.shape[0]
     derived = series_dims(c, np.eye(d), against_self=True)
     lower = series_dims(c, np.eye(d), against_self=False)
     # the center solves sum_i a_i c[i, j, k] = 0 for all (j, k): rows (j, k), columns i

@@ -6,7 +6,6 @@ from .nilpotent import (
     build_h,
     candidate_matrix_K,
     closure_conditions,
-    fundamental_field_p2q1,
     heisenberg_extension_check,
     moment_map_f,
     normalize_candidate,
@@ -22,7 +21,6 @@ __all__ = [
     "build_h",
     "candidate_matrix_K",
     "closure_conditions",
-    "fundamental_field_p2q1",
     "heisenberg_extension_check",
     "moment_map_f",
     "normalize_candidate",

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..core import SymplecticModel, as_matrix
 from ..geometry import ChartPoint, darboux_matrix
-from ..lie import (MatrixLieSubspace, bracket_rows, line, series_certificate,
+from ..lie import (MatrixLieSubspace, bracket_rows, constants_certificate, line,
                    structure_constants, subspace_from_matrices)
 
 
@@ -241,37 +241,13 @@ def normalize_candidate(model: SymplecticModel, cand: NilpotentCandidate
     return out, conjugators
 
 
-def fundamental_field_p2q1(B: np.ndarray, c: float, generator, chart_point,
-                           omega0: np.ndarray) -> np.ndarray:
-    """Closed-form fundamental vector field on the (y0, Y, gamma) chart.
-
-    For the generator with parameters (p, P, p') of a normalized family:
-
-        -p d_gamma
-        -(cosh(g) P + sinh(g) BP) d_Y
-        -(Omega0(P,Y) sinh(g) + Omega0(BP,Y) cosh(g) + p' (sinh(g)+c cosh(g))^2) d_y0
-    """
-    p, P, pp = generator
-    P = np.asarray(P, dtype=float)
-    coords = chart_point.coords if isinstance(chart_point, ChartPoint) else np.asarray(chart_point)
-    y = coords[1:-1]
-    gamma = coords[-1]
-    ch, sh = np.cosh(gamma), np.sinh(gamma)
-    bp = B @ P
-    out = np.zeros_like(coords)
-    out[-1] = -p
-    out[1:-1] = -(ch * P + sh * bp)
-    out[0] = -(float(P @ omega0 @ y) * sh + float(bp @ omega0 @ y) * ch
-               + pp * (sh + c * ch) ** 2)
-    return out
-
-
 def simply_transitive_certificate(model: SymplecticModel, fields, chart_points,
                                   rank_tol: float = 1e-7) -> dict:
     """Rank certificate of a family of chart vector fields at sampled points.
 
-    ``fields`` are callables ChartPoint -> tangent vector.  Reports the rank
-    and smallest singular value at every sample; the verdict fails with a
+    ``fields`` maps a ChartPoint to the matrix with one field per column, as
+    ``geometry.fundamental_fields`` returns it.  Reports the rank and
+    smallest singular value at every sample; the verdict fails with a
     witness if the rank ever drops below the chart dimension.
     """
     expected = 2 * model.n
@@ -279,7 +255,7 @@ def simply_transitive_certificate(model: SymplecticModel, fields, chart_points,
     witness = None
     ranks = []
     for idx, cp in enumerate(chart_points):
-        mat = np.stack([np.asarray(f(cp), dtype=float) for f in fields], axis=1)
+        mat = np.asarray(fields(cp), dtype=float)
         svals = np.linalg.svd(mat, compute_uv=False)
         rank = int(np.sum(svals > rank_tol * svals[0]))
         ranks.append(rank)
@@ -324,28 +300,29 @@ def moment_map_f(B: np.ndarray, c: float, generator, chart_point,
                  - ((B @ P) @ omega0 @ y) * np.sinh(gamma))
 
 
-def hamiltonian_residual(model: SymplecticModel, B: np.ndarray, c: float, generator,
-                         chart_point) -> float:
-    """|df - i(X*)omega| componentwise, with the closed-form differential of moment_map_f:
+def hamiltonian_residual(model: SymplecticModel, B: np.ndarray, c: float, fields,
+                         chart_point: ChartPoint) -> float:
+    """max |df - i(X*)omega| over the 2n unit generators of a normalized family at a point.
+
+    ``fields`` is the ``geometry.fundamental_fields`` callable of
+    ``family_generators`` of a normalized candidate (a~ = 0, a = 0) with
+    this B and c, so column j of its matrix is the field of the j-th unit
+    tuple (1, 0, 0), (0, e_a, 0), (0, 0, 1).  Row j of the gradient matrix
+    is the closed-form differential of moment_map_f for that tuple:
 
         df/dy0 = p,   df/dY = -cosh(g) Omega0^T P - sinh(g) Omega0^T BP,
         df/dgamma = -p' e^{2 c gamma} - sinh(g) Omega0(P,Y) - cosh(g) Omega0(BP,Y).
     """
     omega0 = model.omega0
-    p, P, pp = generator
-    P = np.asarray(P, dtype=float)
-    coords = chart_point.coords if isinstance(chart_point, ChartPoint) else np.asarray(chart_point)
-    y, gamma = coords[1:-1], coords[-1]
+    y, gamma = chart_point.coords[1:-1], chart_point.coords[-1]
     ch, sh = np.cosh(gamma), np.sinh(gamma)
-    bp = B @ P
-    grad = np.concatenate([
-        [p],
-        -ch * (omega0.T @ P) - sh * (omega0.T @ bp),
-        [-pp * np.exp(2.0 * c * gamma) - sh * float(P @ omega0 @ y)
-         - ch * float(bp @ omega0 @ y)],
-    ])
-    field = fundamental_field_p2q1(B, c, generator, coords, omega0)
-    return float(np.max(np.abs(field @ darboux_matrix(model) - grad)))
+    oy = omega0 @ y
+    grad = np.zeros((2 * model.n, 2 * model.n))
+    grad[0, 0] = 1.0
+    grad[1:-1, 1:-1] = -ch * omega0 - sh * (B.T @ omega0)
+    grad[1:-1, -1] = -sh * oy - ch * (B.T @ oy)
+    grad[-1, -1] = -np.exp(2.0 * c * gamma)
+    return float(np.max(np.abs(fields(chart_point).T @ darboux_matrix(model) - grad)))
 
 
 def strongly_hamiltonian_defect(B: np.ndarray, c: float, P, Q,
@@ -366,12 +343,14 @@ def heisenberg_extension_check(model: SymplecticModel, a, c: float = 1.0) -> dic
     """
     d = 2 * (model.n - 1)
     sub, gens, cand = build_h(model, c * np.eye(d), a=0.0, c=c)
-    modulo = line(as_matrix(a))
-    c_h, _ = structure_constants(sub, modulo)
+    c_h, _ = structure_constants(sub, line(as_matrix(a)))
     ident = np.eye(sub.dim)
     rows = bracket_rows(c_h, ident, ident)  # h' as orthonormal coordinate rows
-    cert = series_certificate(MatrixLieSubspace(sub.ambient_dim, list(sub.combine(rows.T))),
-                              modulo=modulo)
+    # brackets of h' in the coordinates of h, then read in the rows of h'
+    brackets = np.einsum("ai,bj,ijk->abk", rows, rows, c_h)
+    c_derived = brackets @ rows.T
+    cert = constants_certificate(
+        c_derived, float(np.max(np.abs(brackets - c_derived @ rows), initial=0.0)))
     # row j of sum_i alpha_i c_h[i] holds the coordinates of [K(1, 0, 0), b_j]
     images = rows @ np.tensordot(sub.coordinates([gens[0]])[:, 0], c_h, axes=1)
     if not np.max(np.abs(images - (images @ rows.T) @ rows)) <= 1e-6:

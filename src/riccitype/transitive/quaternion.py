@@ -109,7 +109,7 @@ def orbit_rank_ts3_evidence(w: np.ndarray, k: float = 1.0) -> dict:
     gens = su2_left_basis() + [eta(v, w) for v in np.eye(3)] + [eta(w, w)]
     zero = np.zeros((4, 4))
     lifted = [np.block([[x, zero], [zero, -x.T]]) for x in gens]
-    fields = np.stack([f(base) for f in fundamental_fields(model, elem, lifted)], axis=1)
+    fields = fundamental_fields(model, elem, lifted)(base)
     svals = np.linalg.svd(fields[:, :6], compute_uv=False)
     rank = int(np.sum(svals > 1e-7 * max(svals[0], 1.0)))
     su2_rank = int(np.linalg.matrix_rank(fields[:, :3], tol=1e-9))

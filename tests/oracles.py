@@ -1,10 +1,12 @@
-"""Finite-difference and group-action oracles for the exact routes of the package.
+"""Finite-difference, group-action and closed-form oracles for the exact routes of the package.
 
 The package computes chart differentials, fundamental vector fields and
-Hamiltonian gradients in closed form.  The functions here recompute them
-independently, from central differences of the projection, of the chart
-action of exp(+-hX), and of the moment map, so that tests can compare the
-two routes.
+Hamiltonian gradients through one exact chart differential.  The functions
+here recompute them independently, from central differences of the
+projection, of the chart action of exp(+-hX), and of the moment map, and
+from the hand-derived Darboux-chart formulas, so that tests can compare the
+routes.  The reduced form on horizontal lifts is evaluated here directly,
+with its horizontality guard.
 """
 
 import numpy as np
@@ -78,3 +80,54 @@ def moment_map_gradient(B, c, generator, coords, omega0, step):
         grad[i] = (nil.moment_map_f(B, c, generator, coords + e, omega0)
                    - nil.moment_map_f(B, c, generator, coords - e, omega0)) / (2.0 * step)
     return grad
+
+
+def fundamental_field_p2q1(B, c, generator, chart_point, omega0):
+    """Closed-form fundamental vector field on the (y0, Y, gamma) chart.
+
+    For the generator with parameters (p, P, p') of a normalized family:
+
+        -p d_gamma
+        -(cosh(g) P + sinh(g) BP) d_Y
+        -(Omega0(P,Y) sinh(g) + Omega0(BP,Y) cosh(g) + p' (sinh(g)+c cosh(g))^2) d_y0
+    """
+    p, P, pp = generator
+    P = np.asarray(P, dtype=float)
+    coords = chart_point.coords if isinstance(chart_point, geometry.ChartPoint) \
+        else np.asarray(chart_point)
+    y = coords[1:-1]
+    gamma = coords[-1]
+    ch, sh = np.cosh(gamma), np.sinh(gamma)
+    bp = B @ P
+    out = np.zeros_like(coords)
+    out[-1] = -p
+    out[1:-1] = -(ch * P + sh * bp)
+    out[0] = -(float(P @ omega0 @ y) * sh + float(bp @ omega0 @ y) * ch
+               + pp * (sh + c * ch) ** 2)
+    return out
+
+
+def closed_form_fields(B, c, omega0):
+    """The closed-form fields of the unit tuples (1, 0, 0), (0, e_a, 0), (0, 0, 1),
+    as a callable ChartPoint -> matrix with one field per column."""
+    tuples = nil._generator_tuples(B.shape[0])
+
+    def fields(cp):
+        return np.stack([fundamental_field_p2q1(B, c, g, cp, omega0) for g in tuples], axis=1)
+    return fields
+
+
+def horizontality_residual(model, a, x, v):
+    """max |Omega(v, x)|, |Omega(v, Ax)|: zero exactly when v lies in H_x."""
+    xv = as_vector(x)
+    ax = as_matrix(a) @ xv
+    return max(abs(model.pairing(v, xv)), abs(model.pairing(v, ax)))
+
+
+def reduced_omega(model, a, x, xbar, ybar, tol=1e-7):
+    """Reduced symplectic form omega(X, Y) = Omega(Xbar, Ybar) on horizontal lifts."""
+    for v in (xbar, ybar):
+        scale = max(1.0, float(np.linalg.norm(v)))
+        if horizontality_residual(model, a, x, v) > tol * scale:
+            raise ValueError("input vector is not horizontal at x")
+    return model.pairing(np.asarray(xbar, float), np.asarray(ybar, float))

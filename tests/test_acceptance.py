@@ -158,17 +158,14 @@ def test_criterion_5_flat_case_family():
     sh_equiv = True
     points = [geometry.ChartPoint("nilpotent", "darboux", rng.standard_normal(4))
               for _ in range(100)]
-    tuples = nil._generator_tuples(d)
     for b_mat, c in accepted:
         cand = nil.make_candidate(b_mat, b_tilde=np.zeros(d), c=c)
         worst_closure = max(worst_closure, nil.closure_conditions(cand, om0).residual)
-        fields = [lambda cp, g=g, b=b_mat, cc=c: nil.fundamental_field_p2q1(b, cc, g, cp, om0)
-                  for g in tuples]
+        fields = geometry.fundamental_fields(model, elem, nil.family_generators(cand, om0))
         cert = nil.simply_transitive_certificate(model, fields, points)
         worst_rank_ok &= cert["passed"] and cert["min_rank"] == 4
         for cp in points[:25]:
-            for g in tuples:
-                worst_ham = max(worst_ham, nil.hamiltonian_residual(model, b_mat, c, g, cp))
+            worst_ham = max(worst_ham, nil.hamiltonian_residual(model, b_mat, c, fields, cp))
         defect = max(abs(nil.strongly_hamiltonian_defect(b_mat, c, np.eye(d)[i],
                                                          np.eye(d)[j], om0))
                      for i in range(d) for j in range(d))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import riccitype
-from riccitype import serialize
+from riccitype import core, serialize
 from riccitype.cli import main
 
 
@@ -82,6 +82,21 @@ def test_transvection_elliptic(capsys):
     code, out, _ = run(capsys, "transvection", "--case", "elliptic", "--n", "2", "--p", "2")
     assert code == 0
     assert "su(2,1)" in out
+
+
+@pytest.mark.parametrize("case,n,p,q", core.admissible_parameters((2, 3, 4)))
+def test_transvection_passes_every_admissible_tuple(capsys, case, n, p, q):
+    # nilpotent p = n + 1 has no middle block, so A lies outside k1 = [p1, p1]
+    argv = ["transvection", "--case", case, "--n", str(n)]
+    if case != "hyperbolic":
+        argv += ["--p", str(p)]
+    if case == "nilpotent":
+        argv += ["--q", str(q)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0, out
+    if case == "nilpotent":
+        assert ("A.in_k1" in out) == (p <= n)
+        assert ("A.not_in_k1" in out) == (p == n + 1)
 
 
 def test_find_transitive_nilpotent_pass(capsys):

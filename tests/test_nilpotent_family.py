@@ -9,13 +9,20 @@ from riccitype.transitive import iwasawa as iwa
 from riccitype.transitive import nilpotent as nil
 from riccitype.transitive import quaternion as quat
 
-from oracles import differenced_field, moment_map_gradient, tangent_sphere_field
+from oracles import (closed_form_fields, differenced_field, fundamental_field_p2q1,
+                     moment_map_gradient, tangent_sphere_field)
 
 
 @pytest.fixture(scope="module")
 def setup():
     model, elem = core.build_model("nilpotent", 2, p=2, q=1)
     return model, elem, model.omega0
+
+
+def family_fields(model, elem, b_mat, c):
+    """Exact fields of the normalized family (a~ = 0, a = 0) with this B and c."""
+    cand = nil.make_candidate(b_mat, c=c)
+    return geometry.fundamental_fields(model, elem, nil.family_generators(cand, model.omega0))
 
 
 def darboux_points(n, count, seed, scale=1.0):
@@ -184,14 +191,12 @@ def test_normalize_fixed_point(setup):
 def test_fundamental_field_examples(setup):
     model, elem, om0 = setup
     origin = geometry.ChartPoint("nilpotent", "darboux", np.zeros(4))
-    b_mat = np.diag([1.0, -1.0])
-    out = nil.fundamental_field_p2q1(b_mat, 1.0, (1.0, np.zeros(2), 0.0), origin, om0)
-    assert np.allclose(out, [0, 0, 0, -1.0])
-    out = nil.fundamental_field_p2q1(b_mat, 1.0, (0.0, np.zeros(2), 1.0), origin, om0)
-    assert np.allclose(out, [-1.0, 0, 0, 0])
+    fields = family_fields(model, elem, np.diag([1.0, -1.0]), 1.0)(origin)
+    assert fields.shape == (4, 4)
+    assert np.allclose(fields[:, 0], [0, 0, 0, -1.0])
+    assert np.allclose(fields[:, 3], [-1.0, 0, 0, 0])
     p_vec = np.array([0.4, -0.3])
-    out = nil.fundamental_field_p2q1(b_mat, 1.0, (0.0, p_vec, 0.0), origin, om0)
-    assert np.allclose(out, np.concatenate([[0.0], -p_vec, [0.0]]))
+    assert np.allclose(fields[:, 1:3] @ p_vec, np.concatenate([[0.0], -p_vec, [0.0]]))
 
 
 def test_fundamental_field_cross_validation(setup):
@@ -203,9 +208,10 @@ def test_fundamental_field_cross_validation(setup):
     tuples = nil._generator_tuples(2)
     fields = geometry.fundamental_fields(model, elem, gens)
     for cp in darboux_points(2, 5, seed=3):
-        for gen, k, field in zip(tuples, gens, fields):
-            closed = nil.fundamental_field_p2q1(b_mat, c, gen, cp, om0)
-            assert np.max(np.abs(closed - field(cp))) <= 1e-12
+        mat = fields(cp)
+        for gen, k, field in zip(tuples, gens, mat.T):
+            closed = fundamental_field_p2q1(b_mat, c, gen, cp, om0)
+            assert np.max(np.abs(closed - field)) <= 1e-12
             fd = differenced_field(model, elem, k, cp, 1e-5)
             assert np.max(np.abs(closed - fd)) <= 1e-5
     for n in (2, 3):
@@ -214,9 +220,9 @@ def test_fundamental_field_cross_validation(setup):
         gens = [iwa.build_a_phi(data, phi)[2]] + data.nilpotent_part.basis
         fields = geometry.fundamental_fields(data.model, data.element, gens)
         for cp in iwa.sample_ball_points(n, 5, seed=7):
-            for k, field in zip(gens, fields):
+            for k, field in zip(gens, fields(cp).T):
                 fd = differenced_field(data.model, data.element, k, cp, 1e-5)
-                assert np.max(np.abs(field(cp) - fd)) <= 1e-8
+                assert np.max(np.abs(field - fd)) <= 1e-8
     hyp, hyp_elem = core.build_model("hyperbolic", 3)
     w = np.array([0.3, -1.2, 0.5])
     gl_gens = quat.su2_left_basis() + [quat.eta(v, w) for v in np.eye(3)] + [quat.eta(w, w)]
@@ -230,9 +236,9 @@ def test_fundamental_field_cross_validation(setup):
         tw = 0.6 * rng.standard_normal(4)
         tw -= (u @ tw) * u
         cp = geometry.ChartPoint("hyperbolic", "tangent_sphere", np.concatenate([u, tw]))
-        for x, field in zip(gl_gens, fields):
+        for x, field in zip(gl_gens, fields(cp).T):
             fd = tangent_sphere_field(x, u, tw, 1.0, 1e-6)
-            assert np.max(np.abs(field(cp) - fd)) <= 1e-8
+            assert np.max(np.abs(field - fd)) <= 1e-8
     # generators outside the centralizer of A in sp are rejected
     not_sp = np.zeros((8, 8))
     not_sp[0, 1] = 1.0  # commutes with A
@@ -243,26 +249,25 @@ def test_fundamental_field_cross_validation(setup):
             geometry.fundamental_fields(hyp, hyp_elem, [bad])
     # the exact Hamiltonian gradient vs central differences of the moment map
     for n in (2, 3, 4):
-        nmodel, _ = core.build_model("nilpotent", n, p=2, q=1)
+        nmodel, nelem = core.build_model("nilpotent", n, p=2, q=1)
         d = 2 * (n - 1)
         split = np.diag(np.concatenate([np.ones(d // 2), -np.ones(d // 2)]))
         dar = geometry.darboux_matrix(nmodel)
         for b, cc in [(np.eye(d), 1.0), (-np.eye(d), -1.0), (split, 1.0)]:
+            fields = family_fields(nmodel, nelem, b, cc)
             for cp in darboux_points(n, 5, seed=29):
-                for gen in nil._generator_tuples(d):
-                    field = nil.fundamental_field_p2q1(b, cc, gen, cp, nmodel.omega0)
+                mat = fields(cp)
+                for gen, field in zip(nil._generator_tuples(d), mat.T):
                     grad = moment_map_gradient(b, cc, gen, cp.coords, nmodel.omega0, 1e-5)
                     assert np.max(np.abs(field @ dar - grad)) <= 1e-5
-                    assert nil.hamiltonian_residual(nmodel, b, cc, gen, cp) <= 1e-12
+                assert nil.hamiltonian_residual(nmodel, b, cc, fields, cp) <= 1e-12
 
 
 def test_simply_transitive_certificate(setup):
     model, elem, om0 = setup
-    tuples = nil._generator_tuples(2)
     points = darboux_points(2, 100, seed=11)
     for b_mat, c in [(np.eye(2), 1.0), (np.diag([1.0, -1.0]), 1.0), (-np.eye(2), -1.0)]:
-        fields = [lambda cp, g=g, b=b_mat, cc=c: nil.fundamental_field_p2q1(b, cc, g, cp, om0)
-                  for g in tuples]
+        fields = family_fields(model, elem, b_mat, c)
         cert = nil.simply_transitive_certificate(model, fields, points)
         assert cert["passed"]
         assert cert["min_rank"] == 4
@@ -273,11 +278,9 @@ def test_simply_transitive_certificate(setup):
 
 def test_simply_transitive_duplicate_generator_fails(setup):
     model, elem, om0 = setup
-    tuples = nil._generator_tuples(2)
     points = darboux_points(2, 10, seed=13)
-    fields = [lambda cp, g=g: nil.fundamental_field_p2q1(np.eye(2), 1.0, g, cp, om0)
-              for g in tuples[:3]]
-    fields.append(fields[2])
+    gens = nil.family_generators(nil.make_candidate(np.eye(2)), om0)
+    fields = geometry.fundamental_fields(model, elem, gens[:3] + [gens[2]])
     cert = nil.simply_transitive_certificate(model, fields, points)
     assert not cert["passed"]
     assert cert["witness"] is not None
@@ -314,12 +317,11 @@ def test_moment_map_values(setup):
 
 def test_moment_map_hamiltonian_identity(setup):
     model, elem, om0 = setup
-    tuples = nil._generator_tuples(2)
     for b_mat, c in [(np.eye(2), 1.0), (np.diag([1.0, -1.0]), 1.0)]:
+        fields = family_fields(model, elem, b_mat, c)
         worst = 0.0
         for cp in darboux_points(2, 50, seed=17):
-            for gen in tuples:
-                worst = max(worst, nil.hamiltonian_residual(model, b_mat, c, gen, cp))
+            worst = max(worst, nil.hamiltonian_residual(model, b_mat, c, fields, cp))
         assert worst <= 1e-5
 
 
@@ -369,6 +371,33 @@ def test_heisenberg_extension_larger_n():
     assert got == [-2.0, -1.0, -1.0, -1.0, -1.0]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_heisenberg_extension_reads_derived_algebra_from_constants(monkeypatch, n, c):
+    model, elem = core.build_model("nilpotent", n, p=2, q=1)
+    shapes = []
+    original = lie._bracket_tensor
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+    monkeypatch.setattr(lie, "_bracket_tensor", counted)
+    cert = nil.heisenberg_extension_check(model, elem, c=c)["certificate"]
+    # one bracket tensor, of h itself; h' is read from its structure constants
+    dim = model.ambient_dim
+    assert shapes == [(2 * n, 2 * n, dim * dim)]
+    monkeypatch.undo()
+    # the matrix route: h' as matrices, its own bracket tensor, modulo R*A
+    sub, _, _ = nil.build_h(model, c * np.eye(2 * (n - 1)), c=c)
+    modulo = lie.line(elem.matrix)
+    c_h, _ = lie.structure_constants(sub, modulo)
+    rows = lie.bracket_rows(c_h, np.eye(sub.dim), np.eye(sub.dim))
+    derived = lie.MatrixLieSubspace(dim, list(sub.combine(rows.T)))
+    assert cert == lie.series_certificate(derived, modulo=modulo)
+    assert cert.closure_residual <= 1e-12
+
+
 def test_normalize_preserves_transitivity_verdict(setup):
     # same seeded samples, generic sigma-level fields before vs closed form after
     model, elem, om0 = setup
@@ -380,10 +409,7 @@ def test_normalize_preserves_transitivity_verdict(setup):
     points = darboux_points(2, 40, seed=23)
     gens = nil.family_generators(cand, om0)
     fields_raw = geometry.fundamental_fields(model, elem, gens)
-    tuples = nil._generator_tuples(2)
-    fields_norm = [lambda cp, g=g: nil.fundamental_field_p2q1(normalized.B, normalized.c,
-                                                              g, cp, om0)
-                   for g in tuples]
+    fields_norm = closed_form_fields(normalized.B, normalized.c, om0)
     cert_raw = nil.simply_transitive_certificate(model, fields_raw, points)
     cert_norm = nil.simply_transitive_certificate(model, fields_norm, points)
     assert cert_raw["passed"] == cert_norm["passed"] == True
