@@ -341,18 +341,19 @@ def _certify_candidate(report: CertificateReport, model, elem, name: str,
            for _ in range(max(config.samples, 100))]
     norm_cand, _ = nil.normalize_candidate(model, cand)
     fields = geometry.fundamental_fields(model, elem, nil.family_generators(norm_cand, omega0))
-    cert = nil.simply_transitive_certificate(model, fields, pts, rank_tol=config.tol_rank)
+    mats = [fields(cp) for cp in pts]
+    cert = nil.simply_transitive_certificate(model, mats, rank_tol=config.tol_rank)
     if not report.add_equals(f"{name}.transitive_rank", cert["min_rank"], 2 * model.n):
-        idx, cp = cert["witness"]
-        report.add_witness(f"{name}: rank deficiency at sample {idx}: {cp.coords.tolist()}")
+        idx = cert["witness"]
+        report.add_witness(f"{name}: rank deficiency at sample {idx}: {pts[idx].coords.tolist()}")
     report.add_info(f"{name}.min_singular_value", cert["min_singular_value"])
     gammas = [cp.coords[-1] for cp in pts]
     ratio, worst = nil.frame_invertibility_minimum(norm_cand.B, gammas)
     if not report.add_exceeds(f"{name}.frame_invertibility", ratio, 1e-9):
         report.add_witness(f"{name}: frame nearly singular at sample {worst}: "
                            f"gamma = {gammas[worst]:.6g}")
-    worst = np.max([nil.hamiltonian_residual(model, norm_cand.B, norm_cand.c, fields, cp)
-                    for cp in pts[:min(50, len(pts))]])
+    worst = np.max([nil.hamiltonian_residual(model, norm_cand.B, norm_cand.c, mat, cp)
+                    for mat, cp in zip(mats[:50], pts)])
     report.add_residual(f"{name}.hamiltonian_identity", worst, config.tol_algebraic)
     d = 2 * (model.n - 1)
     defect = np.max([abs(nil.strongly_hamiltonian_defect(norm_cand.B, norm_cand.c,
@@ -449,12 +450,12 @@ def _find_transitive_elliptic(report: CertificateReport, config: RunConfig) -> C
         report.add_flag(f"{tag}.solvable", cert.solvable)
         fields = geometry.fundamental_fields(data.model, data.element,
                                              [gen] + data.nilpotent_part.basis)
-        cert_rank = nil.simply_transitive_certificate(data.model, fields, pts,
+        cert_rank = nil.simply_transitive_certificate(data.model, [fields(cp) for cp in pts],
                                                       rank_tol=config.tol_rank)
         if not report.add_equals(f"{tag}.transitive_rank", cert_rank["min_rank"], 2 * n):
-            idx_w, cp = cert_rank["witness"]
+            idx_w = cert_rank["witness"]
             report.add_witness(f"{tag}: rank deficiency at ball sample {idx_w}: "
-                               f"{cp.coords.tolist()}")
+                               f"{pts[idx_w].coords.tolist()}")
         report.add_info(f"{tag}.min_singular_value", cert_rank["min_singular_value"])
         spectrum = np.round(iwa.ad_spectrum_on_n(data, phi), 6)
         if idx == 0:

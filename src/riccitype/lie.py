@@ -267,21 +267,18 @@ class StructureCertificate:
 
 
 def series_certificate(s: MatrixLieSubspace,
-                       modulo: MatrixLieSubspace | None = None,
-                       closure_tol: float = 1e-8) -> StructureCertificate:
+                       modulo: MatrixLieSubspace | None = None) -> StructureCertificate:
     """Derived/lower-central series dims and abelian/solvable/nilpotent/heisenberg flags."""
-    c, residual = structure_constants(s, modulo)
-    return constants_certificate(c, residual, closure_tol)
+    return constants_certificate(*structure_constants(s, modulo))
 
 
-def constants_certificate(c: np.ndarray, residual: float,
-                          closure_tol: float = 1e-8) -> StructureCertificate:
+def constants_certificate(c: np.ndarray, residual: float) -> StructureCertificate:
     """``series_certificate`` of the algebra with structure constants c.
 
     ``residual`` is the algebra's closure residual, as ``structure_constants``
-    returns it; the certificate is refused when it exceeds ``closure_tol``.
+    returns it; the certificate is refused when it exceeds 1e-8.
     """
-    if not residual <= closure_tol:
+    if not residual <= 1e-8:
         raise ValueError("subspace is not closed under the bracket")
     d = c.shape[0]
     derived = series_dims(c, np.eye(d), against_self=True)

@@ -241,34 +241,26 @@ def normalize_candidate(model: SymplecticModel, cand: NilpotentCandidate
     return out, conjugators
 
 
-def simply_transitive_certificate(model: SymplecticModel, fields, chart_points,
+def simply_transitive_certificate(model: SymplecticModel, matrices,
                                   rank_tol: float = 1e-7) -> dict:
     """Rank certificate of a family of chart vector fields at sampled points.
 
-    ``fields`` maps a ChartPoint to the matrix with one field per column, as
-    ``geometry.fundamental_fields`` returns it.  Reports the rank and
-    smallest singular value at every sample; the verdict fails with a
-    witness if the rank ever drops below the chart dimension.
+    ``matrices`` holds one field matrix per sample, one field per column, as
+    the ``geometry.fundamental_fields`` callable returns it.  Reports the
+    rank and smallest singular value at every sample; the verdict fails with
+    the index of the first sample whose rank drops below the chart dimension.
     """
     expected = 2 * model.n
-    min_sv = np.inf
-    witness = None
-    ranks = []
-    for idx, cp in enumerate(chart_points):
-        mat = np.asarray(fields(cp), dtype=float)
-        svals = np.linalg.svd(mat, compute_uv=False)
-        rank = int(np.sum(svals > rank_tol * svals[0]))
-        ranks.append(rank)
-        min_sv = min(min_sv, float(svals[min(expected, len(svals)) - 1]))
-        if rank < expected and witness is None:
-            witness = (idx, cp)
+    svals = np.linalg.svd(np.asarray(matrices, dtype=float), compute_uv=False)
+    ranks = np.sum(svals > rank_tol * svals[:, :1], axis=1)
+    deficient = np.flatnonzero(ranks < expected)
     return {
         "expected_rank": expected,
-        "ranks": ranks,
-        "min_rank": min(ranks),
-        "min_singular_value": float(min_sv),
-        "passed": witness is None and min(ranks) == expected,
-        "witness": witness,
+        "ranks": ranks.tolist(),
+        "min_rank": int(ranks.min()),
+        "min_singular_value": float(svals[:, min(expected, svals.shape[1]) - 1].min()),
+        "passed": deficient.size == 0,
+        "witness": int(deficient[0]) if deficient.size else None,
     }
 
 
@@ -300,14 +292,14 @@ def moment_map_f(B: np.ndarray, c: float, generator, chart_point,
                  - ((B @ P) @ omega0 @ y) * np.sinh(gamma))
 
 
-def hamiltonian_residual(model: SymplecticModel, B: np.ndarray, c: float, fields,
-                         chart_point: ChartPoint) -> float:
+def hamiltonian_residual(model: SymplecticModel, B: np.ndarray, c: float,
+                         fields: np.ndarray, chart_point: ChartPoint) -> float:
     """max |df - i(X*)omega| over the 2n unit generators of a normalized family at a point.
 
-    ``fields`` is the ``geometry.fundamental_fields`` callable of
+    ``fields`` is the (2n, 2n) field matrix at ``chart_point`` of
     ``family_generators`` of a normalized candidate (a~ = 0, a = 0) with
-    this B and c, so column j of its matrix is the field of the j-th unit
-    tuple (1, 0, 0), (0, e_a, 0), (0, 0, 1).  Row j of the gradient matrix
+    this B and c, so column j is the field of the j-th unit tuple
+    (1, 0, 0), (0, e_a, 0), (0, 0, 1).  Row j of the gradient matrix
     is the closed-form differential of moment_map_f for that tuple:
 
         df/dy0 = p,   df/dY = -cosh(g) Omega0^T P - sinh(g) Omega0^T BP,
@@ -322,7 +314,7 @@ def hamiltonian_residual(model: SymplecticModel, B: np.ndarray, c: float, fields
     grad[1:-1, 1:-1] = -ch * omega0 - sh * (B.T @ omega0)
     grad[1:-1, -1] = -sh * oy - ch * (B.T @ oy)
     grad[-1, -1] = -np.exp(2.0 * c * gamma)
-    return float(np.max(np.abs(fields(chart_point).T @ darboux_matrix(model) - grad)))
+    return float(np.max(np.abs(fields.T @ darboux_matrix(model) - grad)))
 
 
 def strongly_hamiltonian_defect(B: np.ndarray, c: float, P, Q,

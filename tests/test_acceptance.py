@@ -162,10 +162,10 @@ def test_criterion_5_flat_case_family():
         cand = nil.make_candidate(b_mat, b_tilde=np.zeros(d), c=c)
         worst_closure = max(worst_closure, nil.closure_conditions(cand, om0).residual)
         fields = geometry.fundamental_fields(model, elem, nil.family_generators(cand, om0))
-        cert = nil.simply_transitive_certificate(model, fields, points)
+        cert = nil.simply_transitive_certificate(model, [fields(cp) for cp in points])
         worst_rank_ok &= cert["passed"] and cert["min_rank"] == 4
         for cp in points[:25]:
-            worst_ham = max(worst_ham, nil.hamiltonian_residual(model, b_mat, c, fields, cp))
+            worst_ham = max(worst_ham, nil.hamiltonian_residual(model, b_mat, c, fields(cp), cp))
         defect = max(abs(nil.strongly_hamiltonian_defect(b_mat, c, np.eye(d)[i],
                                                          np.eye(d)[j], om0))
                      for i in range(d) for j in range(d))
@@ -212,7 +212,8 @@ def test_criterion_6_iwasawa_family():
             ok &= cert.solvable and h_phi.dim == 2 * n
             fields = geometry.fundamental_fields(data.model, data.element,
                                                  [gen] + data.nilpotent_part.basis)
-            rank_cert = nil.simply_transitive_certificate(data.model, fields, points)
+            rank_cert = nil.simply_transitive_certificate(data.model,
+                                                           [fields(cp) for cp in points])
             ok &= rank_cert["passed"] and rank_cert["min_rank"] == 2 * n
             spectrum = iwa.ad_spectrum_on_n(data, phi)
             if idx == 0:

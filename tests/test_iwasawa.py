@@ -121,7 +121,7 @@ def test_rank_certificate_on_ball(n, phi, request):
     fields = geometry.fundamental_fields(data.model, data.element,
                                          [gen] + data.nilpotent_part.basis)
     points = iwa.sample_ball_points(n, 100, seed=5)
-    cert = nil.simply_transitive_certificate(data.model, fields, points)
+    cert = nil.simply_transitive_certificate(data.model, [fields(cp) for cp in points])
     assert cert["passed"]
     assert cert["min_rank"] == 2 * n
 

@@ -260,7 +260,7 @@ def test_fundamental_field_cross_validation(setup):
                 for gen, field in zip(nil._generator_tuples(d), mat.T):
                     grad = moment_map_gradient(b, cc, gen, cp.coords, nmodel.omega0, 1e-5)
                     assert np.max(np.abs(field @ dar - grad)) <= 1e-5
-                assert nil.hamiltonian_residual(nmodel, b, cc, fields, cp) <= 1e-12
+                assert nil.hamiltonian_residual(nmodel, b, cc, mat, cp) <= 1e-12
 
 
 def test_simply_transitive_certificate(setup):
@@ -268,7 +268,7 @@ def test_simply_transitive_certificate(setup):
     points = darboux_points(2, 100, seed=11)
     for b_mat, c in [(np.eye(2), 1.0), (np.diag([1.0, -1.0]), 1.0), (-np.eye(2), -1.0)]:
         fields = family_fields(model, elem, b_mat, c)
-        cert = nil.simply_transitive_certificate(model, fields, points)
+        cert = nil.simply_transitive_certificate(model, [fields(cp) for cp in points])
         assert cert["passed"]
         assert cert["min_rank"] == 4
         assert cert["min_singular_value"] > 0
@@ -281,7 +281,7 @@ def test_simply_transitive_duplicate_generator_fails(setup):
     points = darboux_points(2, 10, seed=13)
     gens = nil.family_generators(nil.make_candidate(np.eye(2)), om0)
     fields = geometry.fundamental_fields(model, elem, gens[:3] + [gens[2]])
-    cert = nil.simply_transitive_certificate(model, fields, points)
+    cert = nil.simply_transitive_certificate(model, [fields(cp) for cp in points])
     assert not cert["passed"]
     assert cert["witness"] is not None
 
@@ -321,7 +321,7 @@ def test_moment_map_hamiltonian_identity(setup):
         fields = family_fields(model, elem, b_mat, c)
         worst = 0.0
         for cp in darboux_points(2, 50, seed=17):
-            worst = max(worst, nil.hamiltonian_residual(model, b_mat, c, fields, cp))
+            worst = max(worst, nil.hamiltonian_residual(model, b_mat, c, fields(cp), cp))
         assert worst <= 1e-5
 
 
@@ -410,7 +410,7 @@ def test_normalize_preserves_transitivity_verdict(setup):
     gens = nil.family_generators(cand, om0)
     fields_raw = geometry.fundamental_fields(model, elem, gens)
     fields_norm = closed_form_fields(normalized.B, normalized.c, om0)
-    cert_raw = nil.simply_transitive_certificate(model, fields_raw, points)
-    cert_norm = nil.simply_transitive_certificate(model, fields_norm, points)
+    cert_raw = nil.simply_transitive_certificate(model, [fields_raw(cp) for cp in points])
+    cert_norm = nil.simply_transitive_certificate(model, [fields_norm(cp) for cp in points])
     assert cert_raw["passed"] == cert_norm["passed"] == True
     assert cert_raw["ranks"] == cert_norm["ranks"]
