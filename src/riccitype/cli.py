@@ -165,7 +165,7 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
         report.add_residual(name, np.max(dists), config.tol_algebraic)
 
     def curvature_suite():
-        # one frame, curvature tensor and rho per sample; the trace route reads the first 20
+        # one frame, Ricci-type residual and rho per sample; the trace route reads the first 20
         cyc, ricci, rho_sq, trace_errs = [], [], [], []
         ident = np.eye(2 * model.n)
         for i, pt in enumerate(points):
@@ -180,10 +180,13 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
                 trace_errs.append(np.max(np.abs(gram @ rho - trace_ric)))
         if not report.add_residual("curvature.cyclic_identity", np.max(cyc),
                                    config.tol_algebraic):
-            report.add_witness(f"cyclic identity fails; first sample {points[0].x.tolist()}")
+            worst = int(np.argmax(cyc))
+            report.add_witness(f"cyclic identity fails; worst sample {worst}: "
+                               f"{points[worst].x.tolist()}")
         if not report.add_residual("curvature.ricci_type_residual", np.max(ricci), 1e-8):
-            report.add_witness(
-                f"Ricci-type residual too large; first sample {points[0].x.tolist()}")
+            worst = int(np.argmax(ricci))
+            report.add_witness(f"Ricci-type residual too large; worst sample {worst}: "
+                               f"{points[worst].x.tolist()}")
         report.add_residual("ricci.square_identity", np.max(rho_sq), config.tol_algebraic)
         report.add_residual("ricci.trace_route_match", np.max(trace_errs), config.tol_algebraic)
 

@@ -131,3 +131,30 @@ def reduced_omega(model, a, x, xbar, ybar, tol=1e-7):
         if horizontality_residual(model, a, x, v) > tol * scale:
             raise ValueError("input vector is not horizontal at x")
     return model.pairing(np.asarray(xbar, float), np.asarray(ybar, float))
+
+
+def curvature_tensor(gram, paired):
+    """R(v_i, v_j, v_k, v_l) = Omega(R(v_i, v_j) v_k, v_l) on a frame, materialized.
+
+    ``gram`` and ``paired`` are G_ij = Omega(v_i, v_j) and W_ij = Omega(A v_i, v_j).
+    """
+    return (-2.0 * np.einsum("ij,kl->ijkl", gram, paired)
+            - np.einsum("ik,jl->ijkl", gram, paired)
+            + np.einsum("jk,il->ijkl", gram, paired)
+            + np.einsum("ik,jl->ijkl", paired, gram)
+            - np.einsum("jk,il->ijkl", paired, gram))
+
+
+def ricci_type_defect(gram, paired, n):
+    """sup |R - E(r)| and r by the einsum route: R and E(r) as two (2n)^4 tensors,
+    r the trace of the materialized R."""
+    r4 = curvature_tensor(gram, paired)
+    # coefficient of v_m in R(v_i, v_m) v_j, traced over m
+    ric = -np.einsum("ma,imja->ij", np.linalg.inv(gram), r4)
+    factor = -1.0 / (2.0 * (n + 1))
+    e4 = factor * (2.0 * np.einsum("ij,kl->ijkl", gram, ric)
+                   + np.einsum("ik,jl->ijkl", gram, ric)
+                   + np.einsum("il,jk->ijkl", gram, ric)
+                   - np.einsum("jk,il->ijkl", gram, ric)
+                   - np.einsum("jl,ik->ijkl", gram, ric))
+    return float(np.max(np.abs(r4 - e4))), ric

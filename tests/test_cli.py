@@ -308,6 +308,50 @@ def test_report_determinism(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-geometry", "--case", "hyperbolic", "--n", "8", "--samples", "10"],
+    ["verify-geometry", "--case", "nilpotent", "--n", "8", "--p", "3", "--q", "2",
+     "--samples", "10"],
+])
+def test_report_independent_of_blas_threads(argv):
+    script = f"import sys; from riccitype.cli import main; sys.exit(main({argv!r}))"
+    src = str(Path(riccitype.__file__).resolve().parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("target,name,prefix", [
+    ("curvature_cyclic_residual", "curvature.cyclic_identity", "cyclic identity fails"),
+    ("ricci_type_residual", "curvature.ricci_type_residual",
+     "Ricci-type residual too large"),
+])
+def test_curvature_witness_names_worst_sample(capsys, monkeypatch, target, name, prefix):
+    from riccitype import geometry
+    original = getattr(geometry, target)
+    calls = []
+
+    def spiked(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(None)
+        if len(calls) != 4:
+            return out
+        return 1.0 if target == "curvature_cyclic_residual" else (1.0,) + out[1:]
+    monkeypatch.setattr(geometry, target, spiked)
+    code, out, _ = run(capsys, "verify-geometry", "--case", "hyperbolic", "--n", "2",
+                       "--samples", "6", "--seed", "5")
+    assert code == 1
+    assert re.search(rf"\[FAIL\] {re.escape(name)} +1\.0+e\+00 ", out)
+    model, elem = core.build_model("hyperbolic", 2)
+    point = core.sample_sigma(model, elem, 6, seed=5)[3].x.tolist()
+    assert f"witness.0={prefix}; worst sample 3: {point}" in out
+
+
 def test_report_seed_changes_samples_not_verdict(capsys):
     code1, out1, _ = run(capsys, "verify-geometry", "--case", "nilpotent", "--n", "2",
                          "--p", "2", "--q", "1", "--samples", "5", "--seed", "1")

@@ -1,13 +1,15 @@
 """Reduction geometry: charts, lifts, reduced form, connection, curvature, symmetries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from riccitype import cli, core, geometry
 from riccitype.transvection import base_point
 
-from oracles import (act_chart, act_tangent_sphere, gl_to_sp_hyperbolic,
-                     horizontality_residual, pushforward, reduced_omega)
+from oracles import (act_chart, act_tangent_sphere, curvature_tensor, gl_to_sp_hyperbolic,
+                     horizontality_residual, pushforward, reduced_omega, ricci_type_defect)
 
 CHART_CASES = [
     ("hyperbolic", 2, None, None),
@@ -207,7 +209,7 @@ def test_lift_tangent_matrix_matches_per_column_oracle(case, n, p, q):
 
 def test_verify_geometry_builds_one_frame_per_sample(monkeypatch):
     calls = {"horizontal_basis": 0, "differential_project": 0, "lift_tangent": 0,
-             "curvature_tensor": 0}
+             "ricci_type_residual": 0}
 
     def counted(name):
         original = getattr(geometry, name)
@@ -226,8 +228,8 @@ def test_verify_geometry_builds_one_frame_per_sample(monkeypatch):
     assert calls["lift_tangent"] > 0
     # one differential of the whole frame per lift
     assert calls["differential_project"] == calls["lift_tangent"]
-    # one curvature tensor per sample serves the Ricci-type and trace-route checks
-    assert calls["curvature_tensor"] == samples
+    # one residual build per sample serves the Ricci-type and trace-route checks
+    assert calls["ricci_type_residual"] == samples
 
 
 @pytest.mark.parametrize("case,n,p,q", CHART_CASES)
@@ -436,17 +438,67 @@ def test_ricci_type_residual_frame_rebase_invariant():
     mix = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     vectors = frame.vectors @ mix
     rebased = geometry.HorizontalFrame(pt.x, vectors, vectors.T @ model.omega @ vectors)
-    gram, paired = geometry._frame_tensors(model, elem, rebased)
-    r4 = geometry.curvature_tensor(gram, paired)
-    ric = geometry.ricci_type_residual(model, elem, rebased)[1]
-    factor = -1.0 / (2.0 * (model.n + 1))
-    e4 = factor * (2.0 * np.einsum("ij,kl->ijkl", gram, ric)
-                   + np.einsum("ik,jl->ijkl", gram, ric)
-                   + np.einsum("il,jk->ijkl", gram, ric)
-                   - np.einsum("jk,il->ijkl", gram, ric)
-                   - np.einsum("jl,ik->ijkl", gram, ric))
-    assert float(np.max(np.abs(r4 - e4))) <= 1e-8
+    residual, ric, gram = geometry.ricci_type_residual(model, elem, rebased)
+    paired = geometry._frame_tensors(model, elem, rebased)[1]
+    want, want_ric = ricci_type_defect(gram, paired, model.n)
+    assert residual <= 1e-8
+    assert want <= 1e-8
     assert base <= 1e-8
+    assert _relative(ric, want_ric) <= 1e-12
+    # on the re-based frame the fused kernel still reports a real defect at its true size
+    for wrong_n in (model.n - 1, model.n + 1):
+        got = geometry._ricci_type_defect(gram, paired, wrong_n)[0]
+        want = ricci_type_defect(gram, paired, wrong_n)[0]
+        assert want > 1e-2
+        assert abs(got - want) <= 1e-12 * want
+
+
+def _relative(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_ricci_trace_term_by_term_matches_materialized_trace(d):
+    # generic antisymmetric invertible G and symmetric W, not only frame tensors
+    rng = np.random.default_rng(61 + d)
+    for _ in range(5):
+        x = rng.standard_normal((d, d))
+        gram = x - x.T + np.kron(np.eye(d // 2), [[0.0, 1.0], [-1.0, 0.0]])
+        y = rng.standard_normal((d, d))
+        paired = y + y.T
+        want = -np.einsum("ma,imja->ij", np.linalg.inv(gram), curvature_tensor(gram, paired))
+        got = geometry._ricci_type_defect(gram, paired, d // 2)[1]
+        assert _relative(got, want) <= 1e-12
+
+
+def test_ricci_type_defect_detects_wrong_coefficient():
+    # E(r) for the wrong n leaves an O(1) defect; the fused kernel must report it exactly
+    for case, n, p, q in [("hyperbolic", 3, None, None), ("elliptic", 3, 2, None),
+                          ("nilpotent", 4, 3, 2)]:
+        model, elem = build(case, n, p, q)
+        for pt in core.sample_sigma(model, elem, 3, seed=67):
+            frame = geometry.horizontal_basis(model, elem, pt)
+            gram, paired = geometry._frame_tensors(model, elem, frame)
+            for wrong_n in (n - 1, n + 1, 2 * n):
+                got = geometry._ricci_type_defect(gram, paired, wrong_n)[0]
+                want = ricci_type_defect(gram, paired, wrong_n)[0]
+                assert want > 1e-2
+                assert abs(got - want) <= 1e-12 * want
+
+
+def test_ricci_type_residual_memory_n16():
+    model, elem = build("hyperbolic", 16, None, None)
+    pt = core.sample_sigma(model, elem, 1, seed=71)[0]
+    frame = geometry.horizontal_basis(model, elem, pt)
+    tracemalloc.start()
+    try:
+        residual = geometry.ricci_type_residual(model, elem, frame)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-8
+    # one (32)^4 float array is 8 MB; the einsum route peaked at 32 MB
+    assert peak < 24 * 2 ** 20
 
 
 @pytest.mark.parametrize("case,n,p,q", ALL_CASES)
@@ -529,12 +581,18 @@ def test_act_tangent_sphere_closed_form():
     assert np.max(np.abs(moved.coords - np.concatenate([u2, w2]))) <= 1e-9
 
 
-@pytest.mark.parametrize("case,n,p,q", core.admissible_parameters((2, 3, 4)))
+@pytest.mark.parametrize("case,n,p,q",
+                         core.admissible_parameters((2, 3, 4)) + [("hyperbolic", 8, 0, 0)])
 def test_ricci_type_residual_full_admissible_sweep(case, n, p, q):
     model, elem = build(case, n, p or None, q or None)
     for pt in core.sample_sigma(model, elem, 3, seed=53):
         frame = geometry.horizontal_basis(model, elem, pt)
-        assert geometry.ricci_type_residual(model, elem, frame)[0] <= 1e-8
+        residual, ric, gram = geometry.ricci_type_residual(model, elem, frame)
+        assert residual <= 1e-8
+        # the einsum oracle materializes R and E(r); both routes agree
+        want, want_ric = ricci_type_defect(gram, geometry._frame_tensors(model, elem, frame)[1], n)
+        assert want <= 1e-8
+        assert _relative(ric, want_ric) <= 1e-12
 
 
 def test_reduced_symmetry_check_report():
