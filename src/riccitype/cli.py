@@ -45,7 +45,6 @@ class RunConfig:
     q: int | None = None
     seed: int = 0
     samples: int = 50
-    fd_step: float = 1e-5
     tol_algebraic: float = 1e-9
     tol_rank: float = 1e-7
     exact_mode: bool = False
@@ -53,14 +52,13 @@ class RunConfig:
     def validate(self) -> None:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.fd_step <= 0 or self.tol_algebraic <= 0 or self.tol_rank <= 0:
-            raise ValueError("fd-step and tolerances must be positive")
+        if self.tol_algebraic <= 0 or self.tol_rank <= 0:
+            raise ValueError("tolerances must be positive")
 
     def as_dict(self) -> dict:
         out = {"case": self.case, "n": self.n, "seed": self.seed,
-               "samples": self.samples, "fd_step": self.fd_step,
-               "tol_algebraic": self.tol_algebraic, "tol_rank": self.tol_rank,
-               "exact": self.exact_mode}
+               "samples": self.samples, "tol_algebraic": self.tol_algebraic,
+               "tol_rank": self.tol_rank, "exact": self.exact_mode}
         if self.case in ("hyperbolic", "elliptic"):
             out["k"] = self.k
         if self.p is not None:
@@ -200,8 +198,7 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
 
     def symmetry_suite():
         x0 = transvection.base_point(model)
-        sym = geometry.reduced_symmetry_report(model, elem, x0, points[:20],
-                                               fd_step=config.fd_step)
+        sym = geometry.reduced_symmetry_report(model, elem, x0, points[:20])
         report.add_residual("symmetry.squares_to_identity", sym["symmetry_squared"], 1e-12)
         report.add_residual("symmetry.symplectic", sym["symmetry_symplectic"], 1e-12)
         report.add_residual("symmetry.commutes_with_A", sym["symmetry_commutes_A"], 1e-12)
@@ -509,7 +506,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=50)
-        p.add_argument("--fd-step", type=float, default=1e-5)
         p.add_argument("--tol", type=float,
                        default=float(env_tol) if env_tol else 1e-9,
                        help="algebraic tolerance (env RICCITYPE_TOL overrides the default)")
@@ -537,7 +533,7 @@ def _parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     config = RunConfig(
         case=args.case, n=args.n, k=args.k, p=args.p, q=args.q, seed=args.seed,
-        samples=args.samples, fd_step=args.fd_step, tol_algebraic=args.tol,
+        samples=args.samples, tol_algebraic=args.tol,
         tol_rank=args.tol_rank, exact_mode=args.exact)
     config.validate()
     return config

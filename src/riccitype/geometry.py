@@ -20,12 +20,16 @@ tangent: it takes one tangent or a matrix of tangents, one per column.
 frame, differential and least-squares solve, in every chart; and every
 fundamental vector field is d pi_x(-X x) (``fundamental_fields``), one
 field matrix per point.  ``chart_omega_matrix`` is the one route to the
-chart matrix of the reduced form.  The curvature and Ricci functions take
-a ``HorizontalFrame``, which carries its Gram matrix, so that callers
-build it once per sample.  ``ricci_type_residual`` traces the Ricci tensor
-from the frame factors in O(n^3), builds R - E(r) as one (2n)^4 array, and
-returns r next to the Gram matrix, so one call per sample serves both the
-Ricci-type and the trace-route checks.
+chart matrix of the reduced form.  The reduced symmetry's chart
+differential is d pi_{Sx} o S on lifts, so its symplectic pullback is
+exact too; the only finite difference left is ``connection_nabla``,
+which no command uses.  ``curvature`` takes one vector per column, so the
+cyclic check is one call per cyclic permutation.  The cyclic and Ricci
+checks take a ``HorizontalFrame``, which carries its Gram matrix, so that
+callers build it once per sample.  ``ricci_type_residual`` traces the
+Ricci tensor from the frame factors in O(n^3), builds R - E(r) as one
+(2n)^4 array, and returns r next to the Gram matrix, so one call per
+sample serves both the Ricci-type and the trace-route checks.
 """
 
 from __future__ import annotations
@@ -37,8 +41,6 @@ import numpy as np
 
 from .core import CharacteristicElement, SymplecticModel, as_matrix, as_vector, exp_tA, sigma_value
 from .lie import rank_split
-
-DEFAULT_FD_STEP = 1e-5
 
 
 class ChartUnavailableError(ValueError):
@@ -314,7 +316,7 @@ def chart_omega_matrix(model: SymplecticModel, a, x) -> np.ndarray:
 
 
 def connection_nabla(model: SymplecticModel, a, x, xbar, yfield,
-                     fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
+                     fd_step: float = 1e-5) -> np.ndarray:
     """Covariant derivative of a horizontal field in a horizontal direction.
 
     Evaluates D0_{Xbar} Ybar - Omega(A Xbar, Ybar) x + Omega(Xbar, Ybar) Ax,
@@ -340,15 +342,20 @@ def curvature(model: SymplecticModel, a, xbar, ybar, zbar) -> np.ndarray:
 
     R(X, Y)Z = -2 Omega(X,Y) AZ - Omega(X,Z) AY + Omega(Y,Z) AX
                + Omega(AX,Z) Y - Omega(AY,Z) X
+
+    Each argument is one (N,) vector or an (N, m) matrix with one vector per
+    column; column j of the result is R(X_j, Y_j) Z_j.
     """
     amat = as_matrix(a)
     om = model.omega
-    xbar, ybar, zbar = (np.asarray(v, dtype=float) for v in (xbar, ybar, zbar))
-    return (-2.0 * (xbar @ om @ ybar) * (amat @ zbar)
-            - (xbar @ om @ zbar) * (amat @ ybar)
-            + (ybar @ om @ zbar) * (amat @ xbar)
-            + ((amat @ xbar) @ om @ zbar) * ybar
-            - ((amat @ ybar) @ om @ zbar) * xbar)
+    x, y, z = (np.asarray(v, dtype=float) for v in (xbar, ybar, zbar))
+    ax, ay, az = amat @ x, amat @ y, amat @ z
+
+    def pair(u, v):  # Omega(u, v), column by column
+        return np.sum(u * (om @ v), axis=0)
+
+    return (-2.0 * pair(x, y) * az - pair(x, z) * ay + pair(y, z) * ax
+            + pair(ax, z) * y - pair(ay, z) * x)
 
 
 def _frame_tensors(model: SymplecticModel, a, frame: HorizontalFrame):
@@ -426,16 +433,12 @@ def ricci_type_residual(model: SymplecticModel, a,
 def curvature_cyclic_residual(model: SymplecticModel, a, frame: HorizontalFrame,
                               triples: int = 50, seed: int = 0) -> float:
     """Max norm of R(X,Y)Z + R(Y,Z)X + R(Z,X)Y over random horizontal triples."""
-    rng = np.random.default_rng(seed)
-    res = []
-    for _ in range(triples):
-        c = rng.standard_normal((3, frame.vectors.shape[1]))
-        xb, yb, zb = (frame.vectors @ ci for ci in c)
-        total = (curvature(model, a, xb, yb, zb)
-                 + curvature(model, a, yb, zb, xb)
-                 + curvature(model, a, zb, xb, yb))
-        res.append(np.max(np.abs(total)))
-    return float(np.max(res, initial=0.0))
+    coeffs = np.random.default_rng(seed).standard_normal((triples, 3, frame.vectors.shape[1]))
+    xb, yb, zb = (frame.vectors @ coeffs[:, i].T for i in range(3))  # one triple per column
+    total = (curvature(model, a, xb, yb, zb)
+             + curvature(model, a, yb, zb, xb)
+             + curvature(model, a, zb, xb, yb))
+    return float(np.max(np.abs(total), initial=0.0))
 
 
 def symmetry_matrix(model: SymplecticModel, a, x) -> np.ndarray:
@@ -448,78 +451,30 @@ def symmetry_matrix(model: SymplecticModel, a, x) -> np.ndarray:
 
 
 class LocalChart:
-    """Genuine local coordinates around a chart point.
+    """Local coordinate directions around a chart point.
 
-    The intrinsic charts (ball, darboux) are global coordinate systems and
-    the local map is a translation.  The embedded representations
-    (tangent_sphere, quadric) get a graph chart: one constrained coordinate
-    pair is solved from the defining equations.
+    The intrinsic charts (ball, darboux) are global coordinate systems, so
+    their coordinate tangents are the unit vectors.  The embedded
+    representations (tangent_sphere, quadric) use a graph chart: the pivot
+    pair, picked at the centre, is solved from the defining equations, and
+    the free coordinates are the local ones.  Only the exact tangents of
+    those coordinates are computed (``coordinate_tangents``); no route needs
+    the chart map itself, since every chart tangent is lifted linearly.
     """
 
     def __init__(self, model: SymplecticModel, a, center: ChartPoint):
         self.model = model
-        self.a = a
         self.kind = center.kind
-        self.center = center
         if self.kind == "tangent_sphere":
             m = model.n + 1
-            u = center.coords[:m]
-            self.pivot = int(np.argmax(np.abs(u)))
-            self.sign = 1.0 if u[self.pivot] >= 0 else -1.0
+            self.pivot = int(np.argmax(np.abs(center.coords[:m])))
         elif self.kind == "quadric":
-            p = model.p
-            xs = center.coords[-p:]
-            weighted = model.eps * xs
-            self.pivot = int(np.argmax(np.abs(weighted)))
-            self.sign = 1.0 if xs[self.pivot] >= 0 else -1.0
+            xs = center.coords[-model.p:]
+            self.pivot = int(np.argmax(np.abs(model.eps * xs)))
 
     @property
     def dim(self) -> int:
         return 2 * self.model.n
-
-    def to_local(self, cp: ChartPoint) -> np.ndarray:
-        c = cp.coords
-        if self.kind in ("ball", "darboux"):
-            return c - self.center.coords
-        if self.kind == "tangent_sphere":
-            m = self.model.n + 1
-            idx = [i for i in range(m) if i != self.pivot]
-            return np.concatenate([c[:m][idx], c[m:][idx]])
-        p = self.model.p
-        m2 = 2 * (self.model.n + 1 - p)
-        idx = [i for i in range(p) if i != self.pivot]
-        return np.concatenate([c[:p][idx], c[p:p + m2], c[p + m2:][idx]])
-
-    def from_local(self, local: np.ndarray) -> ChartPoint:
-        if self.kind in ("ball", "darboux"):
-            return ChartPoint(self.center.case, self.kind, self.center.coords + local)
-        if self.kind == "tangent_sphere":
-            m = self.model.n + 1
-            idx = [i for i in range(m) if i != self.pivot]
-            u = np.zeros(m)
-            w = np.zeros(m)
-            u[idx] = local[:m - 1]
-            w[idx] = local[m - 1:]
-            u[self.pivot] = self.sign * np.sqrt(1.0 - float(u[idx] @ u[idx]))
-            w[self.pivot] = -float(u[idx] @ w[idx]) / u[self.pivot]
-            return ChartPoint(self.center.case, self.kind, np.concatenate([u, w]))
-        p = self.model.p
-        m2 = 2 * (self.model.n + 1 - p)
-        eps = self.model.eps
-        idx = [i for i in range(p) if i != self.pivot]
-        xs_small = np.zeros(p)
-        xs = np.zeros(p)
-        xs_small[idx] = local[:p - 1]
-        capx = local[p - 1:p - 1 + m2]
-        xs[idx] = local[p - 1 + m2:]
-        rad = eps[self.pivot] * (1.0 - float(np.sum(eps[idx] * xs[idx] ** 2)))
-        if rad <= 0:
-            raise ValueError("local coordinates leave the graph chart domain")
-        xs[self.pivot] = self.sign * np.sqrt(rad)
-        xs_small[self.pivot] = (-float(np.sum(eps[idx] * xs_small[idx] * xs[idx]))
-                                / (eps[self.pivot] * xs[self.pivot]))
-        return ChartPoint(self.center.case, self.kind,
-                          np.concatenate([xs_small, capx, xs]))
 
     def coordinate_tangents(self, cp: ChartPoint) -> np.ndarray:
         """Chart-representation tangents of the local coordinate fields at cp (exact)."""
@@ -583,34 +538,38 @@ def coordinate_field(model: SymplecticModel, a, local: LocalChart, index: int):
     return field
 
 
-def symmetry_in_chart(model: SymplecticModel, a, x_center, cp: ChartPoint) -> ChartPoint:
-    """The reduced symmetry s_{pi(x_center)} applied to a chart point."""
-    s = symmetry_matrix(model, a, x_center)
+def symmetry_in_chart(model: SymplecticModel, a, s, cp: ChartPoint) -> ChartPoint:
+    """The reduced symmetry induced by the linear symmetry ``s`` (``symmetry_matrix``)
+    applied to a chart point."""
     return project(model, a, s @ chart_section(model, a, cp))
 
 
-def symmetry_pullback_residual(model: SymplecticModel, a, x_center, cp: ChartPoint,
-                               fd_step: float = DEFAULT_FD_STEP) -> float:
-    """|J^T omega' J - omega| for the chart differential J of the reduced symmetry."""
-    local = LocalChart(model, a, cp)
-    image = symmetry_in_chart(model, a, x_center, cp)
-    local_image = LocalChart(model, a, image)
-    c0 = local.to_local(cp)
-    d = local.dim
-    jac = np.zeros((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = fd_step
-        plus = local_image.to_local(symmetry_in_chart(model, a, x_center, local.from_local(c0 + e)))
-        minus = local_image.to_local(symmetry_in_chart(model, a, x_center, local.from_local(c0 - e)))
-        jac[:, i] = (plus - minus) / (2.0 * fd_step)
-    w_here = chart_omega_matrix(model, a, chart_section(model, a, cp))
-    w_image = chart_omega_matrix(model, a, chart_section(model, a, image))
-    return float(np.max(np.abs(jac.T @ w_image @ jac - w_here)))
+def _symmetry_differential(model: SymplecticModel, a, s, cp: ChartPoint):
+    """Lifts L of the local coordinate tangents at cp, the image chart point, and
+    T = d pi_{s x}(s L) with x = chart_section(cp).
+
+    s commutes with A and preserves Omega, so s L is tangent to Sigma_A at s x
+    and T is the chart differential of the reduced symmetry on those directions.
+    """
+    x = chart_section(model, a, cp)
+    lifts = lift_tangent(model, a, x, LocalChart(model, a, cp).coordinate_tangents(cp))
+    sx = s @ x
+    return lifts, project(model, a, sx), differential_project(model, a, sx, s @ lifts)
 
 
-def reduced_symmetry_report(model: SymplecticModel, a, x_center, samples,
-                            fd_step: float = DEFAULT_FD_STEP) -> dict:
+def symmetry_pullback_residual(model: SymplecticModel, a, s, cp: ChartPoint) -> float:
+    """|J^T omega' J - omega| for the chart differential J of the reduced symmetry, exactly.
+
+    M lifts the image tangents T (``_symmetry_differential``) at the section
+    point over the image; the lift is linear, so M^T Omega M - L^T Omega L
+    equals J^T omega' J - omega and no local chart of the image is needed.
+    """
+    lifts, image, tangents = _symmetry_differential(model, a, s, cp)
+    moved = lift_tangent(model, a, chart_section(model, a, image), tangents)
+    return float(np.max(np.abs(moved.T @ model.omega @ moved - lifts.T @ model.omega @ lifts)))
+
+
+def reduced_symmetry_report(model: SymplecticModel, a, x_center, samples) -> dict:
     """Residuals of the reduced-symmetry axioms at the given Sigma_A samples.
 
     Returns ambient involution/symplectic/commutation residuals, the chart
@@ -630,15 +589,13 @@ def reduced_symmetry_report(model: SymplecticModel, a, x_center, samples,
             [fiber_distance(model, a, as_vector(p), s @ (s @ as_vector(p))) for p in samples]))
         return out
     center_cp = project(model, a, x_center)
-    out["fixed_point"] = chart_distance(center_cp,
-                                        symmetry_in_chart(model, a, x_center, center_cp))
+    out["fixed_point"] = chart_distance(center_cp, symmetry_in_chart(model, a, s, center_cp))
     invol, pullback = [], []
     for pt in samples:
         cp = project(model, a, pt)
-        once = symmetry_in_chart(model, a, x_center, cp)
-        twice = symmetry_in_chart(model, a, x_center, once)
+        twice = symmetry_in_chart(model, a, s, symmetry_in_chart(model, a, s, cp))
         invol.append(chart_distance(cp, twice))
-        pullback.append(symmetry_pullback_residual(model, a, x_center, cp, fd_step))
+        pullback.append(symmetry_pullback_residual(model, a, s, cp))
     out["involution_in_chart"] = float(np.max(invol, initial=0.0))
     out["symplectic_pullback"] = float(np.max(pullback, initial=0.0))
     return out

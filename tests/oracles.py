@@ -1,9 +1,10 @@
 """Finite-difference, group-action and closed-form oracles for the exact routes of the package.
 
-The package computes chart differentials, fundamental vector fields and
-Hamiltonian gradients through one exact chart differential.  The functions
-here recompute them independently, from central differences of the
-projection, of the chart action of exp(+-hX), and of the moment map, and
+The package computes chart differentials, fundamental vector fields,
+Hamiltonian gradients and the reduced symmetry's differential through one
+exact chart differential.  The functions here recompute them independently,
+from central differences of the projection, of the chart action of
+exp(+-hX) and of the reduced symmetry, and of the moment map, and
 from the hand-derived Darboux-chart formulas, so that tests can compare the
 routes.  The reduced form on horizontal lifts is evaluated here directly,
 with its horizontality guard.
@@ -23,6 +24,18 @@ def pushforward(model, a, x, v, fd_step=1e-5):
     plus = geometry.project(model, a, geometry.retract_to_sigma(model, a, xv + fd_step * v))
     minus = geometry.project(model, a, geometry.retract_to_sigma(model, a, xv - fd_step * v))
     return (plus.coords - minus.coords) / (2.0 * fd_step)
+
+
+def symmetry_chart_differential(model, a, s, x, directions, step=1e-5):
+    """Central differences of the reduced symmetry ``s`` in the chart, along ambient
+    tangents at x (one per column): each side is retracted to Sigma_A and
+    projected, so no local chart is involved."""
+    cols = []
+    for v in np.asarray(directions, dtype=float).T:
+        plus, minus = (geometry.symmetry_in_chart(model, a, s, geometry.project(
+            model, a, geometry.retract_to_sigma(model, a, x + h * v))) for h in (step, -step))
+        cols.append((plus.coords - minus.coords) / (2.0 * step))
+    return np.stack(cols, axis=1)
 
 
 def act_chart(model, a, g, cp, tol=1e-8):

@@ -84,7 +84,7 @@ def test_criterion_2_geometry_suite():
         model, elem = core.build_model(case, n, p=p, q=q)
         samples = core.sample_sigma(model, elem, 20, seed=1)
         rep = geometry.reduced_symmetry_report(model, elem, transvection.base_point(model),
-                                               samples, fd_step=1e-5)
+                                               samples)
         worst_sym = max(worst_sym, rep["symmetry_squared"], rep["fixed_point"],
                         rep["involution_in_chart"], rep["symplectic_pullback"])
     record(2, "geometry suite",

@@ -61,6 +61,34 @@ def test_verify_geometry_corrupted_omega_fails(capsys):
     assert code == 1
     assert "verdict: FAIL" in out
     assert "witness" in out
+    assert "[FAIL] symmetry.symplectic_pullback" in out
+
+
+def _tuple_argv(case, n, p, q):
+    argv = ["--case", case, "--n", str(n)]
+    if case != "hyperbolic":
+        argv += ["--p", str(p)]
+    if case == "nilpotent":
+        argv += ["--q", str(q)]
+    return argv
+
+
+@pytest.mark.parametrize("case,n,p,q", core.admissible_parameters((2, 3, 4)))
+def test_verify_geometry_passes_every_admissible_tuple(capsys, case, n, p, q):
+    code, out, _ = run(capsys, "verify-geometry", *_tuple_argv(case, n, p, q))
+    assert code == 0, out
+    pullback = re.search(r"\[PASS\] symmetry\.symplectic_pullback +(\S+) ", out)
+    # the chart differential is exact, so the pullback sits at rounding level
+    assert (pullback is None) == (case == "elliptic" and p > 1)
+    if pullback:
+        assert float(pullback.group(1)) <= 1e-10
+
+
+def test_fd_step_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-geometry", "--case", "hyperbolic", "--n", "2", "--fd-step", "1e-5"])
+    assert exc.value.code == 2
+    assert "--fd-step" in capsys.readouterr().err
 
 
 def test_transvection_hyperbolic(capsys):
@@ -87,12 +115,7 @@ def test_transvection_elliptic(capsys):
 @pytest.mark.parametrize("case,n,p,q", core.admissible_parameters((2, 3, 4)))
 def test_transvection_passes_every_admissible_tuple(capsys, case, n, p, q):
     # nilpotent p = n + 1 has no middle block, so A lies outside k1 = [p1, p1]
-    argv = ["transvection", "--case", case, "--n", str(n)]
-    if case != "hyperbolic":
-        argv += ["--p", str(p)]
-    if case == "nilpotent":
-        argv += ["--q", str(q)]
-    code, out, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, "transvection", *_tuple_argv(case, n, p, q))
     assert code == 0, out
     if case == "nilpotent":
         assert ("A.in_k1" in out) == (p <= n)
@@ -225,15 +248,6 @@ def test_frame_invertibility_fail_names_sample_and_gamma(capsys, monkeypatch):
     assert code == 1
     assert re.search(r"witness\.0=scalar_c_plus: frame nearly singular at sample 7: "
                      r"gamma = -?\d", out)
-
-
-def test_find_transitive_hamiltonian_identity_ignores_fd_step(capsys):
-    # the gradient of the moment map is exact; a coarse step once read 5.2e-3 > 1e-5
-    code, out, _ = run(capsys, "find-transitive", "--case", "nilpotent", "--n", "2",
-                       "--p", "2", "--q", "1", "--fd-step", "1e-2")
-    assert code == 0
-    assert re.search(r"\[PASS\] scalar_c_plus\.hamiltonian_identity +\S+ +"
-                     r"\(threshold 1\.000000000e-09\)", out)
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,7 +9,8 @@ from riccitype import cli, core, geometry
 from riccitype.transvection import base_point
 
 from oracles import (act_chart, act_tangent_sphere, curvature_tensor, gl_to_sp_hyperbolic,
-                     horizontality_residual, pushforward, reduced_omega, ricci_type_defect)
+                     horizontality_residual, pushforward, reduced_omega, ricci_type_defect,
+                     symmetry_chart_differential)
 
 CHART_CASES = [
     ("hyperbolic", 2, None, None),
@@ -209,7 +210,7 @@ def test_lift_tangent_matrix_matches_per_column_oracle(case, n, p, q):
 
 def test_verify_geometry_builds_one_frame_per_sample(monkeypatch):
     calls = {"horizontal_basis": 0, "differential_project": 0, "lift_tangent": 0,
-             "ricci_type_residual": 0}
+             "ricci_type_residual": 0, "curvature": 0}
 
     def counted(name):
         original = getattr(geometry, name)
@@ -226,10 +227,13 @@ def test_verify_geometry_builds_one_frame_per_sample(monkeypatch):
     assert cli.cmd_verify_geometry(config).verdict == "PASS"
     assert calls["horizontal_basis"] <= samples + 2 * min(samples, 20)
     assert calls["lift_tangent"] > 0
-    # one differential of the whole frame per lift
-    assert calls["differential_project"] == calls["lift_tangent"]
+    # one differential of the whole frame per lift, and one image differential
+    # per symplectic-pullback sample
+    assert calls["differential_project"] == calls["lift_tangent"] + min(samples, 20)
     # one residual build per sample serves the Ricci-type and trace-route checks
     assert calls["ricci_type_residual"] == samples
+    # one batched call per cyclic permutation, over all triples of a sample
+    assert calls["curvature"] == 3 * samples
 
 
 @pytest.mark.parametrize("case,n,p,q", CHART_CASES)
@@ -376,6 +380,16 @@ def test_curvature_antisymmetry_and_cyclic(case, n, p, q):
     xb, zb = (frame.vectors @ rng.standard_normal(2 * n) for _ in range(2))
     assert np.max(np.abs(geometry.curvature(model, elem, xb, xb, zb))) <= 1e-12
     assert geometry.curvature_cyclic_residual(model, elem, frame, triples=50, seed=1) <= 1e-9
+    # the one (triples, 3, 2n) draw holds the per-triple draws of the same stream
+    per_triple = np.random.default_rng(1)
+    assert np.array_equal(np.random.default_rng(1).standard_normal((50, 3, 2 * n)),
+                          np.stack([per_triple.standard_normal((3, 2 * n)) for _ in range(50)]))
+    # one vector per column: each column is the curvature of that column's vectors
+    cols = [rng.standard_normal((model.ambient_dim, 4)) for _ in range(3)]
+    batched = geometry.curvature(model, elem, *cols)
+    for j in range(4):
+        single = geometry.curvature(model, elem, *(c[:, j] for c in cols))
+        assert _relative(batched[:, j], single) <= 1e-12
     # output stays horizontal
     out = geometry.curvature(model, elem, xb, zb, xb)
     assert horizontality_residual(model, elem, pt.x, out) <= 1e-10
@@ -537,7 +551,25 @@ def test_reduced_symmetry_report(case, n, p, q):
     assert rep["fixed_point"] <= 1e-9
     assert rep["involution_in_chart"] <= 1e-8
     if rep["chart_available"]:
-        assert rep["symplectic_pullback"] <= 1e-5
+        # the chart differential is exact, so only rounding is left
+        assert rep["symplectic_pullback"] <= 1e-12
+
+
+@pytest.mark.parametrize("case,n,p,q", CHART_CASES)
+def test_symmetry_differential_matches_fd(case, n, p, q):
+    model, elem = build(case, n, p, q)
+    s = geometry.symmetry_matrix(model, elem, base_point(model))
+    rng = np.random.default_rng(61)
+    cps = ([geometry.project(model, elem, pt) for pt in core.sample_sigma(model, elem, 4, seed=61)]
+           + [moderate_chart_point(model, elem, rng) for _ in range(3)])
+    for cp in cps:
+        lifts, image, tangents = geometry._symmetry_differential(model, elem, s, cp)
+        assert geometry.chart_distance(image, geometry.symmetry_in_chart(model, elem, s, cp)) \
+            <= 1e-12
+        fd = symmetry_chart_differential(model, elem, s, geometry.chart_section(model, elem, cp),
+                                         lifts)
+        for j in range(tangents.shape[1]):
+            assert _relative(tangents[:, j], fd[:, j]) <= 1e-6
 
 
 def test_act_chart_flow_is_identity():
