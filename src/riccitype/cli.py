@@ -111,10 +111,11 @@ def _quotient_type(model: core.SymplecticModel) -> str:
     return base
 
 
-def _guard(report: CertificateReport, name: str, fn) -> None:
-    """Run a suite section; a numerical failure becomes a FAIL entry with witness."""
+def _guard(report: CertificateReport, name: str, fn):
+    """Run a suite section and return its result; a numerical failure becomes a
+    FAIL entry with witness, and the result is None."""
     try:
-        fn()
+        return fn()
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
         report.add_flag(name, False, detail=str(exc))
         report.add_witness(f"{name}: {exc}")
@@ -133,21 +134,21 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
     ok &= report.add_residual("characteristic.square_identity", res["square_identity"], 1e-12)
     if not ok:
         report.add_witness("omega/A identities fail at construction; model corrupted?")
-    # residuals are reduced with np.max/np.min, which keep a NaN, never with max/min
     ts = np.linspace(-3.0, 3.0, 7)
-    errs = [np.max(np.abs(core.exp_tA(elem.matrix, elem.mu, t) - _series_exp(elem.matrix, t)))
-            for t in ts]
-    if not report.add_residual("flow.series_oracle", np.max(errs), 1e-10):
-        report.add_witness(f"flow.series_oracle: exp(tA) misses its power series "
-                           f"at t = {ts[np.argmax(errs)]:g}")
+    report.add_sampled("flow.series_oracle",
+                       [np.max(np.abs(core.exp_tA(elem.matrix, elem.mu, t)
+                                      - _series_exp(elem.matrix, t))) for t in ts],
+                       1e-10, lambda i: f"t = {ts[i]:g}")
 
-    points = []
-    _guard(report, "sampling.sigma", lambda: points.extend(
-        core.sample_sigma(model, elem, config.samples, config.seed)))
+    points = _guard(report, "sampling.sigma",
+                    lambda: core.sample_sigma(model, elem, config.samples, config.seed))
     if not points:
         return report
     rng = np.random.default_rng(config.seed + 1)
     has_chart = geometry.chart_kind(model) is not None
+
+    def point(i):
+        return points[i].x.tolist()
 
     def flow_invariance():
         dists = []
@@ -160,7 +161,7 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
             else:
                 dists.append(geometry.fiber_distance(model, elem, pt.x, moved))
         name = "projection.flow_invariance" if has_chart else "projection.flow_invariance_fiber"
-        report.add_residual(name, np.max(dists), config.tol_algebraic)
+        report.add_sampled(name, dists, config.tol_algebraic, point)
 
     def curvature_suite():
         # one frame, Ricci-type residual and rho per sample; the trace route reads the first 20
@@ -176,25 +177,18 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
             rho_sq.append(np.max(np.abs(rho @ rho - 4.0 * (model.n + 1) ** 2 * elem.mu * ident)))
             if i < 20:
                 trace_errs.append(np.max(np.abs(gram @ rho - trace_ric)))
-        if not report.add_residual("curvature.cyclic_identity", np.max(cyc),
-                                   config.tol_algebraic):
-            worst = int(np.argmax(cyc))
-            report.add_witness(f"cyclic identity fails; worst sample {worst}: "
-                               f"{points[worst].x.tolist()}")
-        if not report.add_residual("curvature.ricci_type_residual", np.max(ricci), 1e-8):
-            worst = int(np.argmax(ricci))
-            report.add_witness(f"Ricci-type residual too large; worst sample {worst}: "
-                               f"{points[worst].x.tolist()}")
-        report.add_residual("ricci.square_identity", np.max(rho_sq), config.tol_algebraic)
-        report.add_residual("ricci.trace_route_match", np.max(trace_errs), config.tol_algebraic)
+        report.add_sampled("curvature.cyclic_identity", cyc, config.tol_algebraic, point)
+        report.add_sampled("curvature.ricci_type_residual", ricci, 1e-8, point)
+        report.add_sampled("ricci.square_identity", rho_sq, config.tol_algebraic, point)
+        report.add_sampled("ricci.trace_route_match", trace_errs, config.tol_algebraic, point)
 
     def darboux():
         if geometry.chart_kind(model) != "darboux":
             return
         dar = geometry.darboux_matrix(model)
-        worst = np.max([np.max(np.abs(geometry.chart_omega_matrix(model, elem, pt) - dar))
-                        for pt in points])
-        report.add_residual("reduced_form.darboux_constant", worst, 1e-8)
+        report.add_sampled("reduced_form.darboux_constant",
+                           [np.max(np.abs(geometry.chart_omega_matrix(model, elem, pt) - dar))
+                            for pt in points], 1e-8, point)
 
     def symmetry_suite():
         x0 = transvection.base_point(model)
@@ -203,10 +197,11 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
         report.add_residual("symmetry.symplectic", sym["symmetry_symplectic"], 1e-12)
         report.add_residual("symmetry.commutes_with_A", sym["symmetry_commutes_A"], 1e-12)
         report.add_residual("symmetry.fixed_point", sym["fixed_point"], config.tol_algebraic)
-        report.add_residual("symmetry.involution_in_chart", sym["involution_in_chart"], 1e-8)
+        report.add_sampled("symmetry.involution_in_chart", sym["involution_in_chart"], 1e-8,
+                           point)
         if "symplectic_pullback" in sym:
-            report.add_residual("symmetry.symplectic_pullback",
-                                sym["symplectic_pullback"], 1e-5)
+            report.add_sampled("symmetry.symplectic_pullback", sym["symplectic_pullback"], 1e-5,
+                               point)
         else:
             report.add_info("symmetry.symplectic_pullback",
                             "chart unavailable for elliptic p > 1; ambient identity checked")
@@ -230,7 +225,12 @@ _EXPECTED_G1 = {
 def cmd_transvection(config: RunConfig) -> CertificateReport:
     report = CertificateReport("transvection", config.as_dict())
     model, elem = _build(config)
-    data = transvection.transvection_algebra(model, elem, exact=config.exact_mode)
+    try:
+        data = transvection.transvection_algebra(model, elem, exact=config.exact_mode)
+    except RuntimeError as exc:  # --exact: the rational and floating dimensions differ
+        report.add_flag("centralizer.exact_dim", False, detail=str(exc))
+        report.add_witness(f"centralizer.exact_dim: {exc}")
+        return report
     cert, label = transvection.classify_transvection(data, model)
 
     expected_g1 = _EXPECTED_G1[model.case]
@@ -352,9 +352,10 @@ def _certify_candidate(report: CertificateReport, model, elem, name: str,
     if not report.add_exceeds(f"{name}.frame_invertibility", ratio, 1e-9):
         report.add_witness(f"{name}: frame nearly singular at sample {worst}: "
                            f"gamma = {gammas[worst]:.6g}")
-    worst = np.max([nil.hamiltonian_residual(model, norm_cand.B, norm_cand.c, mat, cp)
-                    for mat, cp in zip(mats[:50], pts)])
-    report.add_residual(f"{name}.hamiltonian_identity", worst, config.tol_algebraic)
+    report.add_sampled(f"{name}.hamiltonian_identity",
+                       [nil.hamiltonian_residual(model, norm_cand.B, norm_cand.c, mat, cp)
+                        for mat, cp in zip(mats[:50], pts)],
+                       config.tol_algebraic, lambda i: pts[i].coords.tolist())
     d = 2 * (model.n - 1)
     defect = np.max([abs(nil.strongly_hamiltonian_defect(norm_cand.B, norm_cand.c,
                                                          np.eye(d)[i], np.eye(d)[j], omega0))
@@ -472,13 +473,13 @@ def _find_transitive_elliptic(report: CertificateReport, config: RunConfig) -> C
 def cmd_quaternion_evidence(config: RunConfig, w: np.ndarray) -> CertificateReport:
     report = CertificateReport("quaternion-evidence", config.as_dict())
     rng = np.random.default_rng(config.seed)
-    errs = []
+    draws = []  # (unit q, x, y)
     for _ in range(max(config.samples, 100)):
         qvec = rng.standard_normal(4)
-        qvec /= np.linalg.norm(qvec)
-        x, y = rng.standard_normal(3), rng.standard_normal(3)
-        errs.extend(quat.equivariance_residuals(qvec, x, y))
-    report.add_residual("eta.equivariance", np.max(errs), 1e-10)
+        draws.append((qvec / np.linalg.norm(qvec), rng.standard_normal(3), rng.standard_normal(3)))
+    report.add_sampled("eta.equivariance",
+                       [np.max(quat.equivariance_residuals(*draw)) for draw in draws], 1e-10,
+                       lambda i: f"q, x, y = {[v.tolist() for v in draws[i]]}")
     evidence = quat.orbit_rank_ts3_evidence(w, k=config.k)
     ok = report.add_flag("orbit.rank_at_most_5", evidence["rank"] <= 5,
                          detail=f"rank={evidence['rank']} of needed {evidence['dim_needed']}")

@@ -21,10 +21,10 @@ frame, differential and least-squares solve, in every chart; and every
 fundamental vector field is d pi_x(-X x) (``fundamental_fields``), one
 field matrix per point.  ``chart_omega_matrix`` is the one route to the
 chart matrix of the reduced form.  The reduced symmetry's chart
-differential is d pi_{Sx} o S on lifts, so its symplectic pullback is
-exact too; the only finite difference left is ``connection_nabla``,
-which no command uses.  ``curvature`` takes one vector per column, so the
-cyclic check is one call per cyclic permutation.  The cyclic and Ricci
+differential is d pi_{Sx} o S on the horizontal frame, so its symplectic
+pullback is exact too; the only finite difference left is
+``connection_nabla``, which no command uses.  ``curvature`` takes one
+vector per column, so the cyclic check is one call per cyclic permutation.  The cyclic and Ricci
 checks take a ``HorizontalFrame``, which carries its Gram matrix, so that
 callers build it once per sample.  ``ricci_type_residual`` traces the
 Ricci tensor from the frame factors in O(n^3), builds R - E(r) as one
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CharacteristicElement, SymplecticModel, as_matrix, as_vector, exp_tA, sigma_value
+from .core import CharacteristicElement, SymplecticModel, as_matrix, as_vector, sigma_value
 from .lie import rank_split
 
 
@@ -154,14 +154,10 @@ def fiber_time(model: SymplecticModel, a, x, y) -> float:
     return float(np.sum(eps * xs_y[0] * xs_y[2]) - np.sum(eps * xs_x[0] * xs_x[2]))
 
 
-def fiber_distance(model: SymplecticModel, a, x, y) -> float:
+def fiber_distance(model: SymplecticModel, a: CharacteristicElement, x, y) -> float:
     """Distance from y to the exp(tA)-orbit through x (chart-free comparison)."""
-    amat = as_matrix(a)
-    mu = a.mu if isinstance(a, CharacteristicElement) else None
-    if mu is None:
-        mu = {"hyperbolic": model.k ** 2, "elliptic": -model.k ** 2, "nilpotent": 0.0}[model.case]
     t = fiber_time(model, a, x, y)
-    return float(np.max(np.abs(as_vector(y) - exp_tA(amat, mu, t) @ as_vector(x))))
+    return float(np.max(np.abs(as_vector(y) - a.flow(t) @ as_vector(x))))
 
 
 def chart_distance(cp1: ChartPoint, cp2: ChartPoint) -> float:
@@ -472,14 +468,10 @@ class LocalChart:
             xs = center.coords[-model.p:]
             self.pivot = int(np.argmax(np.abs(model.eps * xs)))
 
-    @property
-    def dim(self) -> int:
-        return 2 * self.model.n
-
     def coordinate_tangents(self, cp: ChartPoint) -> np.ndarray:
         """Chart-representation tangents of the local coordinate fields at cp (exact)."""
         if self.kind in ("ball", "darboux"):
-            return np.eye(self.dim)
+            return np.eye(2 * self.model.n)
         c = cp.coords
         if self.kind == "tangent_sphere":
             m = self.model.n + 1
@@ -545,14 +537,13 @@ def symmetry_in_chart(model: SymplecticModel, a, s, cp: ChartPoint) -> ChartPoin
 
 
 def _symmetry_differential(model: SymplecticModel, a, s, cp: ChartPoint):
-    """Lifts L of the local coordinate tangents at cp, the image chart point, and
-    T = d pi_{s x}(s L) with x = chart_section(cp).
+    """The horizontal frame L at x = chart_section(cp), the image point, and T = d pi_{s x}(s L).
 
     s commutes with A and preserves Omega, so s L is tangent to Sigma_A at s x
-    and T is the chart differential of the reduced symmetry on those directions.
+    and T is the chart differential of the reduced symmetry on the tangents d pi_x(L).
     """
     x = chart_section(model, a, cp)
-    lifts = lift_tangent(model, a, x, LocalChart(model, a, cp).coordinate_tangents(cp))
+    lifts = horizontal_basis(model, a, x).vectors
     sx = s @ x
     return lifts, project(model, a, sx), differential_project(model, a, sx, s @ lifts)
 
@@ -562,7 +553,8 @@ def symmetry_pullback_residual(model: SymplecticModel, a, s, cp: ChartPoint) -> 
 
     M lifts the image tangents T (``_symmetry_differential``) at the section
     point over the image; the lift is linear, so M^T Omega M - L^T Omega L
-    equals J^T omega' J - omega and no local chart of the image is needed.
+    is J^T omega' J - omega in the basis d pi_x(L).  That holds in any basis, and
+    on the orthonormal frame the rounding floor is eps, not eps |L|^2 for lifts L.
     """
     lifts, image, tangents = _symmetry_differential(model, a, s, cp)
     moved = lift_tangent(model, a, chart_section(model, a, image), tangents)
@@ -573,8 +565,8 @@ def reduced_symmetry_report(model: SymplecticModel, a, x_center, samples) -> dic
     """Residuals of the reduced-symmetry axioms at the given Sigma_A samples.
 
     Returns ambient involution/symplectic/commutation residuals, the chart
-    fixed-point and involutivity defects, and the symplectic-pullback
-    residual of the chart differential (where a chart exists).
+    fixed-point defect, and per sample the involutivity defect and the
+    symplectic-pullback residual of the chart differential (where a chart exists).
     """
     s = symmetry_matrix(model, a, x_center)
     out = {
@@ -585,17 +577,15 @@ def reduced_symmetry_report(model: SymplecticModel, a, x_center, samples) -> dic
     }
     if not out["chart_available"]:
         out["fixed_point"] = fiber_distance(model, a, x_center, s @ as_vector(x_center))
-        out["involution_in_chart"] = float(np.max(
-            [fiber_distance(model, a, as_vector(p), s @ (s @ as_vector(p))) for p in samples]))
+        out["involution_in_chart"] = [
+            fiber_distance(model, a, as_vector(p), s @ (s @ as_vector(p))) for p in samples]
         return out
     center_cp = project(model, a, x_center)
     out["fixed_point"] = chart_distance(center_cp, symmetry_in_chart(model, a, s, center_cp))
-    invol, pullback = [], []
+    out["involution_in_chart"], out["symplectic_pullback"] = [], []
     for pt in samples:
         cp = project(model, a, pt)
         twice = symmetry_in_chart(model, a, s, symmetry_in_chart(model, a, s, cp))
-        invol.append(chart_distance(cp, twice))
-        pullback.append(symmetry_pullback_residual(model, a, s, cp))
-    out["involution_in_chart"] = float(np.max(invol, initial=0.0))
-    out["symplectic_pullback"] = float(np.max(pullback, initial=0.0))
+        out["involution_in_chart"].append(chart_distance(cp, twice))
+        out["symplectic_pullback"].append(symmetry_pullback_residual(model, a, s, cp))
     return out

@@ -4,8 +4,10 @@ Entries carry (name, value, threshold, verdict).  Verdicts are PASS/FAIL
 for computed checks, DOCUMENTED for classification facts that are recorded
 rather than recomputed, and UNKNOWN for questions left open.  The overall
 verdict is PASS iff every computed entry passes, FAIL if any fails, and
-UNKNOWN when nothing was computed.  Rendering is byte-stable for a fixed
-configuration: no timestamps, fixed float formatting, ordered entries.
+UNKNOWN when nothing was computed.  ``add_sampled`` is the one reduction
+of a residual sampled over points or times.  Rendering is byte-stable for
+a fixed configuration: no timestamps, fixed float formatting, ordered
+entries.
 """
 
 from __future__ import annotations
@@ -48,6 +50,17 @@ class CertificateReport:
         ok = float(value) <= float(threshold)
         self.entries.append(ReportEntry(name, float(value), float(threshold),
                                         "PASS" if ok else "FAIL", detail))
+        return ok
+
+    def add_sampled(self, name: str, values, threshold: float, sample) -> bool:
+        """Residual valued at its worst sample; ``np.argmax`` makes a NaN the worst, so it fails.
+
+        On FAIL one witness names the entry, the worst index i and ``sample(i)``.
+        """
+        worst = int(np.argmax(values))
+        ok = self.add_residual(name, values[worst], threshold)
+        if not ok:
+            self.add_witness(f"{name}: worst sample {worst}: {sample(worst)}")
         return ok
 
     def add_exceeds(self, name: str, value: float, floor: float,

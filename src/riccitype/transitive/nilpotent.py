@@ -101,13 +101,9 @@ def candidate_matrix_K(cand: NilpotentCandidate, p: float, P: np.ndarray,
 
 
 def family_generators(cand: NilpotentCandidate, omega0: np.ndarray) -> list[np.ndarray]:
-    """Generators K(1,0,0), K(0,e_a,0), K(0,0,1)."""
-    d = cand.block_dim
-    gens = [candidate_matrix_K(cand, 1.0, np.zeros(d), 0.0, omega0)]
-    for a in range(d):
-        gens.append(candidate_matrix_K(cand, 0.0, np.eye(d)[a], 0.0, omega0))
-    gens.append(candidate_matrix_K(cand, 0.0, np.zeros(d), 1.0, omega0))
-    return gens
+    """Generators K(1,0,0), K(0,e_a,0), K(0,0,1), in the order of ``_generator_tuples``."""
+    return [candidate_matrix_K(cand, p, P, pp, omega0)
+            for p, P, pp in _generator_tuples(cand.block_dim)]
 
 
 def _generator_tuples(d: int) -> list[tuple[float, np.ndarray, float]]:

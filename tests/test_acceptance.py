@@ -86,7 +86,8 @@ def test_criterion_2_geometry_suite():
         rep = geometry.reduced_symmetry_report(model, elem, transvection.base_point(model),
                                                samples)
         worst_sym = max(worst_sym, rep["symmetry_squared"], rep["fixed_point"],
-                        rep["involution_in_chart"], rep["symplectic_pullback"])
+                        np.max(rep["involution_in_chart"]),
+                        np.max(rep["symplectic_pullback"]))
     record(2, "geometry suite",
            worst_ricci <= 1e-8 and worst_cyclic <= 1e-9 and worst_rho <= 1e-9
            and worst_sym <= 1e-5,

@@ -112,6 +112,14 @@ def test_transvection_elliptic(capsys):
     assert "su(2,1)" in out
 
 
+@pytest.mark.parametrize("command", ["construct", "find-transitive"])
+@pytest.mark.parametrize("case,n,p,q", core.admissible_parameters((2, 3, 4)))
+def test_command_passes_every_admissible_tuple(capsys, command, case, n, p, q):
+    code, out, err = run(capsys, command, *_tuple_argv(case, n, p, q))
+    assert code == 0, out
+    assert err == ""
+
+
 @pytest.mark.parametrize("case,n,p,q", core.admissible_parameters((2, 3, 4)))
 def test_transvection_passes_every_admissible_tuple(capsys, case, n, p, q):
     # nilpotent p = n + 1 has no middle block, so A lies outside k1 = [p1, p1]
@@ -120,6 +128,21 @@ def test_transvection_passes_every_admissible_tuple(capsys, case, n, p, q):
     if case == "nilpotent":
         assert ("A.in_k1" in out) == (p <= n)
         assert ("A.not_in_k1" in out) == (p == n + 1)
+
+
+def test_exact_dimension_mismatch_is_fail_report(capsys, monkeypatch):
+    from riccitype import exact, lie
+    # the float dimension + 1 stands in for a rational rank that disagrees
+    monkeypatch.setattr(exact, "rational_nullspace_dimension",
+                        lambda mat: mat.shape[1] - np.linalg.matrix_rank(mat) + 1)
+    code, out, err = run(capsys, "transvection", "--case", "nilpotent", "--n", "2",
+                         "--p", "2", "--q", "1", "--exact")
+    assert code == 1
+    assert err == ""
+    assert "verdict=FAIL" in out
+    dim = lie.centralizer_in_sp(*core.build_model("nilpotent", 2, p=2, q=1)).dim
+    assert (f"witness.0=centralizer.exact_dim: floating nullspace dim {dim} "
+            f"!= exact dim {dim + 1}") in out
 
 
 def test_find_transitive_nilpotent_pass(capsys):
@@ -229,7 +252,7 @@ def test_verify_geometry_nan_series_oracle_fails(capsys):
                            "--k", "1e6")
     assert code == 1
     assert re.search(r"\[FAIL\] flow\.series_oracle +nan ", out)
-    assert "witness.0=flow.series_oracle: exp(tA) misses its power series at t = -3" in out
+    assert "witness.0=flow.series_oracle: worst sample 0: t = -3" in out
 
 
 def test_find_transitive_n5_scalar_frames_pass(capsys):
@@ -340,12 +363,11 @@ def test_report_independent_of_blas_threads(argv):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("target,name,prefix", [
-    ("curvature_cyclic_residual", "curvature.cyclic_identity", "cyclic identity fails"),
-    ("ricci_type_residual", "curvature.ricci_type_residual",
-     "Ricci-type residual too large"),
+@pytest.mark.parametrize("target,name", [
+    ("curvature_cyclic_residual", "curvature.cyclic_identity"),
+    ("ricci_type_residual", "curvature.ricci_type_residual"),
 ])
-def test_curvature_witness_names_worst_sample(capsys, monkeypatch, target, name, prefix):
+def test_curvature_witness_names_worst_sample(capsys, monkeypatch, target, name):
     from riccitype import geometry
     original = getattr(geometry, target)
     calls = []
@@ -363,7 +385,7 @@ def test_curvature_witness_names_worst_sample(capsys, monkeypatch, target, name,
     assert re.search(rf"\[FAIL\] {re.escape(name)} +1\.0+e\+00 ", out)
     model, elem = core.build_model("hyperbolic", 2)
     point = core.sample_sigma(model, elem, 6, seed=5)[3].x.tolist()
-    assert f"witness.0={prefix}; worst sample 3: {point}" in out
+    assert f"witness.0={name}: worst sample 3: {point}" in out
 
 
 def test_report_seed_changes_samples_not_verdict(capsys):
@@ -437,3 +459,100 @@ def test_ad_spectrum_info_is_real_elliptic_n4(capsys, seed):
                        "--p", "1", "--samples", "5", "--seed", str(seed))
     assert code == 0
     assert spectrum_info(out) == "[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0]"
+
+
+NAN = float("nan")
+
+
+def _nan_sample(key):
+    # a reduced_symmetry_report whose sample 3 reads NaN under key
+    return lambda rep: {**rep, key: rep[key][:3] + [NAN] + rep[key][4:]}
+
+
+def _sigma_point(case, n, p, q):
+    model, elem = core.build_model(case, n, p=p or None, q=q or None)
+    return str(core.sample_sigma(model, elem, 6, seed=5)[3].x.tolist())
+
+
+def _darboux_point(case, n, p, q):
+    rng = np.random.default_rng(5 + 17)
+    return str([rng.standard_normal(2 * n) for _ in range(4)][3].tolist())
+
+
+def _quaternion_draw(case, n, p, q):
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        qvec = rng.standard_normal(4)
+        qvec /= np.linalg.norm(qvec)
+        draw = (qvec, rng.standard_normal(3), rng.standard_normal(3))
+    return "q, x, y = " + str([v.tolist() for v in draw])
+
+
+HYPERBOLIC = ("hyperbolic", 2, 0, 0)
+DARBOUX = ("nilpotent", 2, 2, 1)
+
+
+ELLIPTIC_P2 = ("elliptic", 2, 2, 1)
+NAN_CASES = {  # test id: command, tuple, spiked function, its spiked call, spoil, entry, sample
+    "series_oracle": ("verify-geometry", HYPERBOLIC, "cli._series_exp", 3, lambda m: m * NAN,
+                      "flow.series_oracle", lambda *params: "t = 0"),
+    "flow_invariance": ("verify-geometry", HYPERBOLIC, "geometry.chart_distance", 3,
+                        lambda d: NAN, "projection.flow_invariance", _sigma_point),
+    "flow_invariance_fiber": ("verify-geometry", ELLIPTIC_P2, "geometry.fiber_distance", 3,
+                              lambda d: NAN, "projection.flow_invariance_fiber", _sigma_point),
+    "cyclic_identity": ("verify-geometry", HYPERBOLIC, "geometry.curvature_cyclic_residual", 3,
+                        lambda r: NAN, "curvature.cyclic_identity", _sigma_point),
+    "ricci_type_residual": ("verify-geometry", HYPERBOLIC, "geometry.ricci_type_residual", 3,
+                            lambda out: (NAN,) + out[1:], "curvature.ricci_type_residual",
+                            _sigma_point),
+    "square_identity": ("verify-geometry", HYPERBOLIC, "geometry.ricci_endomorphism", 3,
+                        lambda m: m * NAN, "ricci.square_identity", _sigma_point),
+    "trace_route_match": ("verify-geometry", HYPERBOLIC, "geometry.ricci_type_residual", 3,
+                          lambda out: (out[0], out[1] * NAN, out[2]), "ricci.trace_route_match",
+                          _sigma_point),
+    "darboux_constant": ("verify-geometry", DARBOUX, "geometry.chart_omega_matrix", 3,
+                         lambda m: m * NAN, "reduced_form.darboux_constant", _sigma_point),
+    "involution_in_chart": ("verify-geometry", DARBOUX, "geometry.reduced_symmetry_report", 0,
+                            _nan_sample("involution_in_chart"), "symmetry.involution_in_chart",
+                            _sigma_point),
+    "involution_in_chart_fiber": ("verify-geometry", ELLIPTIC_P2,
+                                  "geometry.reduced_symmetry_report", 0,
+                                  _nan_sample("involution_in_chart"),
+                                  "symmetry.involution_in_chart", _sigma_point),
+    "symplectic_pullback": ("verify-geometry", HYPERBOLIC, "geometry.symmetry_pullback_residual",
+                            3, lambda r: NAN, "symmetry.symplectic_pullback", _sigma_point),
+    "hamiltonian_identity": ("find-transitive", DARBOUX, "nil.hamiltonian_residual", 3,
+                             lambda r: NAN, "scalar_c_plus.hamiltonian_identity",
+                             _darboux_point),
+    "equivariance": ("quaternion-evidence", HYPERBOLIC, "quat.equivariance_residuals", 3,
+                     lambda r: (NAN, 0.0), "eta.equivariance", _quaternion_draw),
+}
+
+
+@pytest.mark.parametrize("command,params,target,call,spoil,name,sample",
+                         list(NAN_CASES.values()), ids=list(NAN_CASES))
+def test_nan_sample_fails_and_is_named(capsys, monkeypatch, command, params, target, call,
+                                       spoil, name, sample):
+    # every sampled residual goes through one reduction: a NaN at one sample
+    # is the worst value, fails the entry, and the witness names that sample
+    from riccitype import cli, geometry
+    from riccitype.transitive import nilpotent as nil
+    from riccitype.transitive import quaternion as quat
+    modules = {"cli": cli, "geometry": geometry, "nil": nil, "quat": quat}
+    module, attr = target.split(".")
+    original = getattr(modules[module], attr)
+    calls = []
+
+    def spiked(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(None)
+        return spoil(out) if len(calls) == call + 1 else out
+    monkeypatch.setattr(modules[module], attr, spiked)
+    argv = [command, "--samples", "6", "--seed", "5"]
+    if command != "quaternion-evidence":
+        argv += _tuple_argv(*params)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err == ""
+    assert re.search(rf"\[FAIL\] {re.escape(name)} +nan ", out)
+    assert f"witness.0={name}: worst sample 3: {sample(*params)}" in out
