@@ -10,6 +10,7 @@ byte-identical report body.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, replace as dc_replace
@@ -164,19 +165,15 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
         report.add_sampled(name, dists, config.tol_algebraic, point)
 
     def curvature_suite():
-        # one frame, Ricci-type residual and rho per sample; the trace route reads the first 20
-        cyc, ricci, rho_sq, trace_errs = [], [], [], []
+        # one frame stack serves every sample; the trace route reads the first 20
+        frame = geometry.horizontal_basis(model, elem, np.stack([pt.x for pt in points]))
+        cyc = geometry.curvature_cyclic_residual(model, elem, frame, triples=5, seed=config.seed)
+        ricci, trace_ric, gram = geometry.ricci_type_residual(model, elem, frame)
+        rho = geometry.ricci_endomorphism(model, elem, frame)
         ident = np.eye(2 * model.n)
-        for i, pt in enumerate(points):
-            frame = geometry.horizontal_basis(model, elem, pt)
-            cyc.append(geometry.curvature_cyclic_residual(
-                model, elem, frame, triples=5, seed=config.seed + i))
-            residual, trace_ric, gram = geometry.ricci_type_residual(model, elem, frame)
-            ricci.append(residual)
-            rho = geometry.ricci_endomorphism(model, elem, frame)
-            rho_sq.append(np.max(np.abs(rho @ rho - 4.0 * (model.n + 1) ** 2 * elem.mu * ident)))
-            if i < 20:
-                trace_errs.append(np.max(np.abs(gram @ rho - trace_ric)))
+        rho_sq = np.max(np.abs(rho @ rho - 4.0 * (model.n + 1) ** 2 * elem.mu * ident),
+                        axis=(1, 2))
+        trace_errs = np.max(np.abs(gram[:20] @ rho[:20] - trace_ric[:20]), axis=(1, 2))
         report.add_sampled("curvature.cyclic_identity", cyc, config.tol_algebraic, point)
         report.add_sampled("curvature.ricci_type_residual", ricci, 1e-8, point)
         report.add_sampled("ricci.square_identity", rho_sq, config.tol_algebraic, point)
@@ -491,13 +488,18 @@ def cmd_quaternion_evidence(config: RunConfig, w: np.ndarray) -> CertificateRepo
     return report
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Nothing in it may read the environment: ``RICCITYPE_TOL`` is read at every
+    parse, by ``_config_from_args``.
+    """
     parser = argparse.ArgumentParser(
         prog="riccitype",
         description="Ricci-type reduced symplectic symmetric spaces: "
                     "construction, verification and transitive-subgroup certificates")
     sub = parser.add_subparsers(dest="command", required=True)
-    env_tol = os.environ.get("RICCITYPE_TOL")
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--case", choices=core.CASES, default="nilpotent")
@@ -507,8 +509,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=50)
-        p.add_argument("--tol", type=float,
-                       default=float(env_tol) if env_tol else 1e-9,
+        p.add_argument("--tol", type=float, default=None,
                        help="algebraic tolerance (env RICCITYPE_TOL overrides the default)")
         p.add_argument("--tol-rank", type=float, default=1e-7)
         p.add_argument("--exact", action="store_true",
@@ -532,9 +533,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
+    env_tol = os.environ.get("RICCITYPE_TOL")
+    tol = args.tol if args.tol is not None else float(env_tol) if env_tol else 1e-9
     config = RunConfig(
         case=args.case, n=args.n, k=args.k, p=args.p, q=args.q, seed=args.seed,
-        samples=args.samples, tol_algebraic=args.tol,
+        samples=args.samples, tol_algebraic=tol,
         tol_rank=args.tol_rank, exact_mode=args.exact)
     config.validate()
     return config

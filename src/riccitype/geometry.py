@@ -23,13 +23,18 @@ field matrix per point.  ``chart_omega_matrix`` is the one route to the
 chart matrix of the reduced form.  The reduced symmetry's chart
 differential is d pi_{Sx} o S on the horizontal frame, so its symplectic
 pullback is exact too; the only finite difference left is
-``connection_nabla``, which no command uses.  ``curvature`` takes one
-vector per column, so the cyclic check is one call per cyclic permutation.  The cyclic and Ricci
-checks take a ``HorizontalFrame``, which carries its Gram matrix, so that
-callers build it once per sample.  ``ricci_type_residual`` traces the
-Ricci tensor from the frame factors in O(n^3), builds R - E(r) as one
-(2n)^4 array, and returns r next to the Gram matrix, so one call per
-sample serves both the Ricci-type and the trace-route checks.
+``connection_nabla``, which no command uses.
+
+The curvature checks run over a leading sample axis.  ``horizontal_basis``
+takes one point or an (S, N) stack and returns a ``HorizontalFrame`` (with
+its Gram matrix) carrying that axis; ``curvature`` takes one vector per
+column, of one matrix or of a stack.  The cyclic, Ricci-type and Ricci
+endomorphism checks take a frame or a frame stack and return one value,
+or one r, rho and Gram matrix, per sample.  Each sample gets the BLAS and
+LAPACK calls it would get alone, so its values do not depend on the batch.
+``ricci_type_residual`` traces r from the frame factors in O(n^3) and
+builds R - E(r) in chunks of at most ``DEFECT_BUDGET`` doubles, so one
+call serves both the Ricci-type and the trace-route checks.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CharacteristicElement, SymplecticModel, as_matrix, as_vector, sigma_value
-from .lie import rank_split
+from .lie import RANK_RTOL
 
 
 class ChartUnavailableError(ValueError):
@@ -58,7 +63,11 @@ class ChartPoint:
 
 @dataclass(frozen=True)
 class HorizontalFrame:
-    """Basis of H_x = span{x, Ax}^perp at a base point of Sigma_A."""
+    """Basis of H_x = span{x, Ax}^perp at a base point of Sigma_A.
+
+    A frame stack over S sample points carries a leading sample axis on
+    every field: base (S, N), vectors (S, N, 2n), gram (S, 2n, 2n).
+    """
 
     base: np.ndarray
     vectors: np.ndarray  # ambient_dim x 2n, columns span H_x
@@ -166,20 +175,38 @@ def chart_distance(cp1: ChartPoint, cp2: ChartPoint) -> float:
     return float(np.max(np.abs(cp1.coords - cp2.coords)))
 
 
+def _apply(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mat @ v for each row v of an (S, N) stack: one matrix-vector product
+    per row, the product a single point gets."""
+    return np.matmul(mat, vecs[..., None])[..., 0]
+
+
 def horizontal_basis(model: SymplecticModel, a, x) -> HorizontalFrame:
-    """Orthonormal basis of H_x = {v : Omega(v, x) = Omega(v, Ax) = 0}."""
+    """Orthonormal basis of H_x = {v : Omega(v, x) = Omega(v, Ax) = 0}.
+
+    ``x`` is one point or an (S, N) stack of points, one per row; a stack
+    gives a frame stack (``HorizontalFrame``) from one batched SVD of the
+    (S, 2, N) constraints.  The first sample that fails raises.
+    """
     v = as_vector(x)
-    amat = as_matrix(a)
-    constraints = np.stack([model.omega @ v, model.omega @ (amat @ v)])
+    pts = v.reshape(-1, v.shape[-1])
+    constraints = np.stack([_apply(model.omega, pts),
+                            _apply(model.omega, _apply(as_matrix(a), pts))], axis=1)
+    _, s, vt = np.linalg.svd(constraints)
+    # the relative cut of lie.rank_split, one row of singular values per sample
+    rank = np.count_nonzero(s > RANK_RTOL * s[:, :1], axis=1)
     # C order: numpy's reductions over the frame depend on its memory layout,
     # and the report values are fixed for a C-ordered frame
-    frame = np.ascontiguousarray(rank_split(constraints)[1])
-    if frame.shape[1] != model.ambient_dim - 2:
-        raise ValueError("horizontal space is rank deficient; is x on Sigma_A?")
-    gram = frame.T @ model.omega @ frame
-    if abs(np.linalg.det(gram)) < 1e-12:
+    frame = np.ascontiguousarray(np.swapaxes(vt[:, 2:], 1, 2))
+    gram = np.swapaxes(frame, 1, 2) @ model.omega @ frame
+    failed = (rank != 2) | (np.abs(np.linalg.det(gram)) < 1e-12)
+    if failed.any():
+        if rank[np.argmax(failed)] != 2:
+            raise ValueError("horizontal space is rank deficient; is x on Sigma_A?")
         raise ValueError("Omega degenerates on the horizontal space")
-    return HorizontalFrame(v, frame, gram)
+    if v.ndim == 1:
+        return HorizontalFrame(v, frame[0], gram[0])
+    return HorizontalFrame(pts, frame, gram)
 
 
 def horizontal_projection(model: SymplecticModel, a, x, v) -> np.ndarray:
@@ -339,16 +366,18 @@ def curvature(model: SymplecticModel, a, xbar, ybar, zbar) -> np.ndarray:
     R(X, Y)Z = -2 Omega(X,Y) AZ - Omega(X,Z) AY + Omega(Y,Z) AX
                + Omega(AX,Z) Y - Omega(AY,Z) X
 
-    Each argument is one (N,) vector or an (N, m) matrix with one vector per
-    column; column j of the result is R(X_j, Y_j) Z_j.
+    Each argument is one (N,) vector, an (N, m) matrix with one vector per
+    column, or an (S, N, m) stack of such matrices; column j of the result
+    is R(X_j, Y_j) Z_j.
     """
     amat = as_matrix(a)
     om = model.omega
     x, y, z = (np.asarray(v, dtype=float) for v in (xbar, ybar, zbar))
     ax, ay, az = amat @ x, amat @ y, amat @ z
+    axis = 0 if x.ndim == 1 else -2
 
     def pair(u, v):  # Omega(u, v), column by column
-        return np.sum(u * (om @ v), axis=0)
+        return np.sum(u * (om @ v), axis=axis, keepdims=True)
 
     return (-2.0 * pair(x, y) * az - pair(x, z) * ay + pair(y, z) * ax
             + pair(ax, z) * y - pair(ay, z) * x)
@@ -356,70 +385,100 @@ def curvature(model: SymplecticModel, a, xbar, ybar, zbar) -> np.ndarray:
 
 def _frame_tensors(model: SymplecticModel, a, frame: HorizontalFrame):
     v = frame.vectors
-    paired = (as_matrix(a) @ v).T @ model.omega @ v  # W_ij = Omega(A v_i, v_j), symmetric
+    # W_ij = Omega(A v_i, v_j), symmetric
+    paired = np.swapaxes(as_matrix(a) @ v, -1, -2) @ model.omega @ v
     return frame.gram, paired
 
 
 def ricci_endomorphism(model: SymplecticModel, a, frame: HorizontalFrame) -> np.ndarray:
-    """Matrix of the Ricci endomorphism -2(n+1) A restricted to H_x, in the frame."""
+    """Matrix of the Ricci endomorphism -2(n+1) A restricted to H_x, in the frame.
+
+    A frame stack gives one matrix per sample, as an (S, 2n, 2n) stack.
+    """
     v = frame.vectors
-    amat = as_matrix(a)
-    av = amat @ v
-    coeff = v.T @ av  # frame is Euclidean-orthonormal and A preserves H_x
+    av = as_matrix(a) @ v
+    coeff = np.swapaxes(v, -1, -2) @ av  # frame is Euclidean-orthonormal and A preserves H_x
     if np.max(np.abs(v @ coeff - av)) > 1e-8:
         raise ValueError("frame mismatch: A does not preserve the given frame span")
     return -2.0 * (model.n + 1) * coeff
 
 
-def _ricci_type_defect(gram: np.ndarray, paired: np.ndarray, n: int) -> tuple[float, np.ndarray]:
+#: doubles of R - E(r) built at once: ``_ricci_type_defect`` takes the samples in
+#: chunks of DEFECT_BUDGET // (2n)^4, at least one, so n <= 4 builds all 50 samples
+#: of a run together and n = 16 one 8 MB array per sample
+DEFECT_BUDGET = 2 ** 20
+
+
+def _defect_sup(g, w, r, scalar, f: float) -> np.ndarray:
+    """Sup-norm of R - E(r) for each sample of (m, d, d) stacks of G, W, r and -2W - 2fr.
+
+    Its (m, d, d, d, d) array is freed on return, before the next chunk builds its own.
+    """
+    m, d = g.shape[:2]
+    # at row i, column c of left[s, j] (index k) times row c of right[s, j] (index l):
+    # -G_ik W_jl + W_ik G_jl - f G_ik r_jl + f r_ik G_jl     (c < 4, i-factors on the left)
+    # + G_jk W_il - W_jk G_il - f r_jk G_il + f G_jk r_il   (c >= 4, i-factors on the right)
+    row_left = np.stack([-g, w, -f * g, f * r], axis=-1)
+    row_right = np.stack([w, g, g, r], axis=-2)
+    left = np.empty((m, d, d, 8))
+    right = np.empty((m, d, 8, d))
+    left[..., 4:] = np.stack([g, -w, -f * r, f * g], axis=-1)
+    right[:, :, :4] = np.stack([w, g, r, g], axis=-2)
+    defect = np.empty((m, d, d, d, d))
+    for i in range(d):  # one row at a time: no (2n)^4 operand next to the defect
+        left[..., :4] = row_left[:, i, None]
+        right[:, :, 4:] = row_right[:, i, None]
+        np.matmul(left, right, out=defect[:, i])
+        defect[:, i] += g[:, i, :, None, None] * scalar[:, None]
+    flat = defect.reshape(m, -1)
+    top, low = flat.max(axis=1), -flat.min(axis=1)
+    return np.where(low > top, low, top)  # max(top, low) as Python takes it
+
+
+def _ricci_type_defect(gram: np.ndarray, paired: np.ndarray, n: int):
     """Sup-norm of R - E(r) over all frame 4-tuples, and the trace Ricci tensor r.
 
     ``gram`` and ``paired`` are G_ij = Omega(v_i, v_j) and W_ij = Omega(A v_i, v_j),
-    and the curvature on the frame is
+    one (2n, 2n) matrix each or (S, 2n, 2n) stacks (then one sup-norm and one
+    r per sample), and the curvature on the frame is
 
         R_ijkl = -2 G_ij W_kl - G_ik W_jl + G_jk W_il + W_ik G_jl - W_jk G_il.
 
     r_ij = -sum_{m,a} (G^-1)_ma R_imja is contracted term by term, in O(n^3).
     At fixed (i, j), R - E(r) is the (k, l) matrix G_ij (-2 W - 2 f r) plus
     eight outer products, four of R on (G, W) and four of -E on (G, r), with
-    f = -1/(2n+2); one batched matmul builds all of them.
+    f = -1/(2n+2); one batched matmul per row i builds all of them, over a
+    chunk of samples (``DEFECT_BUDGET``, ``_defect_sup``).
     """
     ginv = np.linalg.inv(gram)
-    ric = -(-2.0 * gram @ ginv @ paired.T
-            - gram * np.sum(ginv * paired)
-            + paired @ (ginv.T @ gram)
-            + paired * np.sum(ginv * gram)
-            - gram @ (ginv.T @ paired))
+    ginv_t = np.swapaxes(ginv, -1, -2)
+    ric = -(-2.0 * gram @ ginv @ np.swapaxes(paired, -1, -2)
+            - gram * np.sum(ginv * paired, axis=(-2, -1), keepdims=True)
+            + paired @ (ginv_t @ gram)
+            + paired * np.sum(ginv * gram, axis=(-2, -1), keepdims=True)
+            - gram @ (ginv_t @ paired))
     f = -1.0 / (2.0 * (n + 1))
-    d = gram.shape[0]
-    # column c of left[i, j] (index k) times row c of right[i, j] (index l)
-    left = np.empty((d, d, d, 8))
-    right = np.empty((d, d, 8, d))
-    # -G_ik W_jl + W_ik G_jl - f G_ik r_jl + f r_ik G_jl
-    left[..., :4] = np.stack([-gram, paired, -f * gram, f * ric], axis=-1)[:, None]
-    right[:, :, :4] = np.stack([paired, gram, ric, gram], axis=1)[None]
-    # G_jk W_il - W_jk G_il - f r_jk G_il + f G_jk r_il
-    left[..., 4:] = np.stack([gram, -paired, -f * ric, f * gram], axis=-1)[None]
-    right[:, :, 4:] = np.stack([paired, gram, gram, ric], axis=1)[:, None]
-    defect = np.matmul(left, right)
-    del left, right
-    scalar = -2.0 * paired - 2.0 * f * ric
-    for block, g_row in zip(defect, gram):  # in place, one i at a time: no second (2n)^4 array
-        block += np.multiply.outer(g_row, scalar)
-    return float(max(defect.max(), -defect.min())), ric
+    d = gram.shape[-1]
+    stack = [np.reshape(t, (-1, d, d)) for t in (gram, paired, ric, -2.0 * paired - 2.0 * f * ric)]
+    step = max(1, DEFECT_BUDGET // d ** 4)
+    residual = np.concatenate([_defect_sup(*(t[lo:lo + step] for t in stack), f)
+                               for lo in range(0, len(stack[0]), step)])
+    if gram.ndim == 2:
+        return float(residual[0]), ric
+    return residual, ric
 
 
-def ricci_type_residual(model: SymplecticModel, a,
-                        frame: HorizontalFrame) -> tuple[float, np.ndarray, np.ndarray]:
+def ricci_type_residual(model: SymplecticModel, a, frame: HorizontalFrame):
     """Sup-norm of R - E(r) over all frame 4-tuples, the Ricci tensor r, and the Gram matrix.
 
     E(X,Y,Z,T) = -1/(2n+2) [2 w(X,Y) r(Z,T) + w(X,Z) r(Y,T) + w(X,T) r(Y,Z)
                             - w(Y,Z) r(X,T) - w(Y,T) r(X,Z)]
     with r(X, Y) = Tr(Z -> R(X, Z) Y) the trace Ricci tensor of the curvature
     itself, in frame coordinates.  The residual is zero for Ricci-type
-    curvature.  The trace is O(n^3) and R - E(r) is built as one (2n)^4
-    array (``_ricci_type_defect``).  The Gram matrix G_ij = Omega(v_i, v_j)
-    is returned for callers that need it next to r.
+    curvature.  The trace is O(n^3) and R - E(r) is built as (2n)^4 arrays
+    (``_ricci_type_defect``).  The Gram matrix G_ij = Omega(v_i, v_j) is
+    returned for callers that need it next to r.  A frame stack gives one
+    residual, r and G per sample: an (S,) array and two (S, 2n, 2n) stacks.
     """
     gram, paired = _frame_tensors(model, a, frame)
     residual, ric = _ricci_type_defect(gram, paired, model.n)
@@ -427,14 +486,23 @@ def ricci_type_residual(model: SymplecticModel, a,
 
 
 def curvature_cyclic_residual(model: SymplecticModel, a, frame: HorizontalFrame,
-                              triples: int = 50, seed: int = 0) -> float:
-    """Max norm of R(X,Y)Z + R(Y,Z)X + R(Z,X)Y over random horizontal triples."""
-    coeffs = np.random.default_rng(seed).standard_normal((triples, 3, frame.vectors.shape[1]))
-    xb, yb, zb = (frame.vectors @ coeffs[:, i].T for i in range(3))  # one triple per column
+                              triples: int = 50, seed: int = 0):
+    """Max norm of R(X,Y)Z + R(Y,Z)X + R(Z,X)Y over random horizontal triples.
+
+    Sample i of a frame stack draws its triples from ``default_rng(seed + i)``
+    and gets its own value, an (S,) array; a single frame is sample 0.
+    """
+    v = frame.vectors
+    stack = v.reshape(-1, *v.shape[-2:])
+    coeffs = np.stack([np.random.default_rng(seed + i).standard_normal((triples, 3, v.shape[-1]))
+                       for i in range(len(stack))])
+    # one triple per column
+    xb, yb, zb = (stack @ np.swapaxes(coeffs[:, :, i], 1, 2) for i in range(3))
     total = (curvature(model, a, xb, yb, zb)
              + curvature(model, a, yb, zb, xb)
              + curvature(model, a, zb, xb, yb))
-    return float(np.max(np.abs(total), initial=0.0))
+    worst = np.max(np.abs(total), axis=(1, 2), initial=0.0)
+    return worst if v.ndim == 3 else float(worst[0])
 
 
 def symmetry_matrix(model: SymplecticModel, a, x) -> np.ndarray:

@@ -146,8 +146,10 @@ def centralizer_in_sp(model: SymplecticModel, a, exact: bool = False) -> MatrixL
     """Basis of {X : tX Omega + Omega X = 0 and XA = AX}.
 
     Solved as one SVD nullspace of the stacked linear constraints on
-    vec(X).  With exact=True a rational-arithmetic nullspace cross-checks
-    the dimension (entries of Omega and A are rational for k = 1).
+    vec(X).  The commutation rows are built from A / max|A|, so their
+    scale does not depend on k.  With exact=True a rational-arithmetic
+    nullspace cross-checks the dimension (the entries of Omega and of
+    A / max|A| are rational).
     """
     amat = as_matrix(a)
     omega = model.omega
@@ -159,7 +161,10 @@ def centralizer_in_sp(model: SymplecticModel, a, exact: bool = False) -> MatrixL
         for j in range(dim):
             transpose_perm[i * dim + j, j * dim + i] = 1.0
     sp_rows = np.kron(ident, omega.T) @ transpose_perm + np.kron(omega, ident)
-    comm_rows = np.kron(ident, amat.T) - np.kron(amat, ident)
+    # [X, A] = 0 is scale-free: at unit scale the commutation rows survive the
+    # relative rank cut and the rational audit's rounding for any k
+    unit = amat / np.max(np.abs(amat))
+    comm_rows = np.kron(ident, unit.T) - np.kron(unit, ident)
     system = np.vstack([sp_rows, comm_rows])
     kernel = rank_split(system)[1]
     sub = MatrixLieSubspace(dim, list(kernel.T.reshape(-1, dim, dim)))

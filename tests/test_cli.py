@@ -349,6 +349,8 @@ def test_report_determinism(capsys):
     ["verify-geometry", "--case", "hyperbolic", "--n", "8", "--samples", "10"],
     ["verify-geometry", "--case", "nilpotent", "--n", "8", "--p", "3", "--q", "2",
      "--samples", "10"],
+    # 50 samples in one batched (2n)^4 pass
+    ["verify-geometry", "--case", "nilpotent", "--n", "3", "--p", "2", "--q", "1"],
 ])
 def test_report_independent_of_blas_threads(argv):
     script = f"import sys; from riccitype.cli import main; sys.exit(main({argv!r}))"
@@ -373,14 +375,16 @@ def test_curvature_witness_names_worst_sample(capsys, monkeypatch, target, name)
     calls = []
 
     def spiked(*args, **kwargs):
+        # one batched call; sample 3 of its per-sample residuals reads 1.0
         out = original(*args, **kwargs)
         calls.append(None)
-        if len(calls) != 4:
-            return out
-        return 1.0 if target == "curvature_cyclic_residual" else (1.0,) + out[1:]
+        if target == "curvature_cyclic_residual":
+            return _spoil_sample_3(out, 1.0)
+        return (_spoil_sample_3(out[0], 1.0),) + out[1:]
     monkeypatch.setattr(geometry, target, spiked)
     code, out, _ = run(capsys, "verify-geometry", "--case", "hyperbolic", "--n", "2",
                        "--samples", "6", "--seed", "5")
+    assert len(calls) == 1
     assert code == 1
     assert re.search(rf"\[FAIL\] {re.escape(name)} +1\.0+e\+00 ", out)
     model, elem = core.build_model("hyperbolic", 2)
@@ -419,6 +423,29 @@ def test_env_tolerance_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "transvection", "--case", "hyperbolic", "--n", "2")
     assert code == 0
     assert "config tol_algebraic = 1.000000000e-06" in out
+
+
+def test_bad_env_tolerance_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("RICCITYPE_TOL", "tight")
+    code, out, err = run(capsys, "transvection", "--case", "hyperbolic", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("k", ["1e-7", "1e-3", "1e3"])
+@pytest.mark.parametrize("case", [("hyperbolic",), ("elliptic", "--p", "1"),
+                                  ("elliptic", "--p", "2")],
+                         ids=["hyperbolic", "elliptic-p1", "elliptic-p2"])
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_transvection_centralizer_dim_over_k(capsys, case, k, exact):
+    # the commutation rows are solved at unit scale, so the centralizer keeps
+    # dim (n + 1)^2 = 9 at n = 2 for small and large k, in rational arithmetic too
+    argv = ["transvection", "--case", *case, "--n", "2", "--k", k] + ["--exact"] * exact
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "entry.0.name=centralizer.dim\nentry.0.value=9\nentry.0.threshold=9\n" in out
+    assert "verdict=PASS" in out
 
 
 def test_matrix_roundtrip():
@@ -469,6 +496,14 @@ def _nan_sample(key):
     return lambda rep: {**rep, key: rep[key][:3] + [NAN] + rep[key][4:]}
 
 
+def _spoil_sample_3(values, spoil=NAN):
+    # a copy of a batched per-sample output (one value or matrix per sample)
+    # whose sample 3 is replaced by spoil
+    out = np.array(values, dtype=float)
+    out[3] = spoil
+    return out
+
+
 def _sigma_point(case, n, p, q):
     model, elem = core.build_model(case, n, p=p or None, q=q or None)
     return str(core.sample_sigma(model, elem, 6, seed=5)[3].x.tolist())
@@ -500,16 +535,16 @@ NAN_CASES = {  # test id: command, tuple, spiked function, its spiked call, spoi
                         lambda d: NAN, "projection.flow_invariance", _sigma_point),
     "flow_invariance_fiber": ("verify-geometry", ELLIPTIC_P2, "geometry.fiber_distance", 3,
                               lambda d: NAN, "projection.flow_invariance_fiber", _sigma_point),
-    "cyclic_identity": ("verify-geometry", HYPERBOLIC, "geometry.curvature_cyclic_residual", 3,
-                        lambda r: NAN, "curvature.cyclic_identity", _sigma_point),
-    "ricci_type_residual": ("verify-geometry", HYPERBOLIC, "geometry.ricci_type_residual", 3,
-                            lambda out: (NAN,) + out[1:], "curvature.ricci_type_residual",
-                            _sigma_point),
-    "square_identity": ("verify-geometry", HYPERBOLIC, "geometry.ricci_endomorphism", 3,
-                        lambda m: m * NAN, "ricci.square_identity", _sigma_point),
-    "trace_route_match": ("verify-geometry", HYPERBOLIC, "geometry.ricci_type_residual", 3,
-                          lambda out: (out[0], out[1] * NAN, out[2]), "ricci.trace_route_match",
-                          _sigma_point),
+    "cyclic_identity": ("verify-geometry", HYPERBOLIC, "geometry.curvature_cyclic_residual", 0,
+                        _spoil_sample_3, "curvature.cyclic_identity", _sigma_point),
+    "ricci_type_residual": ("verify-geometry", HYPERBOLIC, "geometry.ricci_type_residual", 0,
+                            lambda out: (_spoil_sample_3(out[0]),) + out[1:],
+                            "curvature.ricci_type_residual", _sigma_point),
+    "square_identity": ("verify-geometry", HYPERBOLIC, "geometry.ricci_endomorphism", 0,
+                        _spoil_sample_3, "ricci.square_identity", _sigma_point),
+    "trace_route_match": ("verify-geometry", HYPERBOLIC, "geometry.ricci_type_residual", 0,
+                          lambda out: (out[0], _spoil_sample_3(out[1]), out[2]),
+                          "ricci.trace_route_match", _sigma_point),
     "darboux_constant": ("verify-geometry", DARBOUX, "geometry.chart_omega_matrix", 3,
                          lambda m: m * NAN, "reduced_form.darboux_constant", _sigma_point),
     "involution_in_chart": ("verify-geometry", DARBOUX, "geometry.reduced_symmetry_report", 0,

@@ -211,13 +211,17 @@ def test_lift_tangent_matrix_matches_per_column_oracle(case, n, p, q):
 def test_verify_geometry_builds_one_frame_per_sample(monkeypatch):
     calls = {"horizontal_basis": 0, "differential_project": 0, "lift_tangent": 0,
              "ricci_type_residual": 0, "curvature": 0}
+    stacks = []
 
     def counted(name):
         original = getattr(geometry, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return original(*args, **kwargs)
+            out = original(*args, **kwargs)
+            if name == "horizontal_basis" and out.vectors.ndim == 3:
+                stacks.append(out.vectors.shape[0])
+            return out
         monkeypatch.setattr(geometry, name, wrapper)
 
     for name in calls:
@@ -225,15 +229,57 @@ def test_verify_geometry_builds_one_frame_per_sample(monkeypatch):
     samples = 10
     config = cli.RunConfig(case="hyperbolic", n=2, samples=samples, seed=0)
     assert cli.cmd_verify_geometry(config).verdict == "PASS"
-    assert calls["horizontal_basis"] <= samples + 2 * min(samples, 20)
+    # one frame stack over every sample; one frame per lift and per pullback sample
+    assert stacks == [samples]
+    assert calls["horizontal_basis"] == 1 + calls["lift_tangent"] + min(samples, 20)
     assert calls["lift_tangent"] > 0
     # one differential of the whole frame per lift, and one image differential
     # per symplectic-pullback sample
     assert calls["differential_project"] == calls["lift_tangent"] + min(samples, 20)
-    # one residual build per sample serves the Ricci-type and trace-route checks
-    assert calls["ricci_type_residual"] == samples
-    # one batched call per cyclic permutation, over all triples of a sample
-    assert calls["curvature"] == 3 * samples
+    # one residual build over the stack serves the Ricci-type and trace-route checks
+    assert calls["ricci_type_residual"] == 1
+    # one batched call per cyclic permutation, over all triples of every sample
+    assert calls["curvature"] == 3
+
+
+BATCH_CASES = core.admissible_parameters((2, 3)) + [("hyperbolic", 8, 0, 0)]
+
+
+@pytest.mark.parametrize("case,n,p,q", BATCH_CASES)
+def test_frame_stack_matches_single_frames(case, n, p, q):
+    # the report values rest on the stacked calls giving each sample exactly
+    # what the per-frame calls give it; n = 8 with 20 samples spans two
+    # chunks of the (2n)^4 defect
+    model, elem = build(case, n, p or None, q or None)
+    count = 20 if n == 8 else 6
+    pts = core.sample_sigma(model, elem, count, seed=73)
+    frames = geometry.horizontal_basis(model, elem, np.stack([pt.x for pt in pts]))
+    assert frames.vectors.shape == (count, model.ambient_dim, 2 * n)
+    assert all(frames.vectors[i].flags.c_contiguous for i in range(count))
+    cyc = geometry.curvature_cyclic_residual(model, elem, frames, triples=5, seed=73)
+    residual, ric, gram = geometry.ricci_type_residual(model, elem, frames)
+    rho = geometry.ricci_endomorphism(model, elem, frames)
+    assert cyc.shape == residual.shape == (count,)
+    for i, pt in enumerate(pts):
+        frame = geometry.horizontal_basis(model, elem, pt)
+        assert np.array_equal(frames.vectors[i], frame.vectors)
+        assert np.array_equal(frames.gram[i], frame.gram)
+        assert np.array_equal(frames.base[i], frame.base)
+        one = geometry.curvature_cyclic_residual(model, elem, frame, triples=5, seed=73 + i)
+        assert isinstance(one, float) and cyc[i] == one
+        one_residual, one_ric, one_gram = geometry.ricci_type_residual(model, elem, frame)
+        assert isinstance(one_residual, float) and residual[i] == one_residual
+        assert np.array_equal(ric[i], one_ric)
+        assert np.array_equal(gram[i], one_gram)
+        assert np.array_equal(rho[i], geometry.ricci_endomorphism(model, elem, frame))
+
+
+def test_frame_stack_raises_for_a_bad_sample():
+    model, elem = build("hyperbolic", 2, None, None)
+    pts = np.stack([pt.x for pt in core.sample_sigma(model, elem, 3, seed=79)])
+    pts[1] = 0.0  # span{x, Ax} collapses: rank deficient
+    with pytest.raises(ValueError, match="rank deficient"):
+        geometry.horizontal_basis(model, elem, pts)
 
 
 @pytest.mark.parametrize("case,n,p,q", CHART_CASES)
@@ -512,6 +558,22 @@ def test_ricci_type_residual_memory_n16():
         tracemalloc.stop()
     assert residual <= 1e-8
     # one (32)^4 float array is 8 MB; the einsum route peaked at 32 MB
+    assert peak < 24 * 2 ** 20
+
+
+def test_ricci_type_residual_memory_n16_frame_stack():
+    # 50 samples go through the (2n)^4 defect one DEFECT_BUDGET chunk at a time
+    model, elem = build("hyperbolic", 16, None, None)
+    pts = core.sample_sigma(model, elem, 50, seed=71)
+    frames = geometry.horizontal_basis(model, elem, np.stack([pt.x for pt in pts]))
+    tracemalloc.start()
+    try:
+        residual = geometry.ricci_type_residual(model, elem, frames)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual.shape == (50,)
+    assert np.max(residual) <= 1e-8
     assert peak < 24 * 2 ** 20
 
 
