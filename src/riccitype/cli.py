@@ -447,7 +447,7 @@ def _find_transitive_elliptic(report: CertificateReport, config: RunConfig) -> C
         report.add_equals(f"{tag}.dim", h_phi.dim, 2 * n)
         report.add_flag(f"{tag}.solvable", cert.solvable)
         fields = geometry.fundamental_fields(data.model, data.element,
-                                             [gen] + data.nilpotent_part.basis)
+                                             [gen, *data.nilpotent_part.basis])
         cert_rank = nil.simply_transitive_certificate(data.model, [fields(cp) for cp in pts],
                                                       rank_tol=config.tol_rank)
         if not report.add_equals(f"{tag}.transitive_rank", cert_rank["min_rank"], 2 * n):

@@ -604,28 +604,27 @@ def symmetry_in_chart(model: SymplecticModel, a, s, cp: ChartPoint) -> ChartPoin
     return project(model, a, s @ chart_section(model, a, cp))
 
 
-def _symmetry_differential(model: SymplecticModel, a, s, cp: ChartPoint):
-    """The horizontal frame L at x = chart_section(cp), the image point, and T = d pi_{s x}(s L).
+def _symmetry_differential(model: SymplecticModel, a, s, x, sx):
+    """The horizontal frame L at x and T = d pi_{sx}(s L), for sx = s x.
 
     s commutes with A and preserves Omega, so s L is tangent to Sigma_A at s x
     and T is the chart differential of the reduced symmetry on the tangents d pi_x(L).
     """
-    x = chart_section(model, a, cp)
     lifts = horizontal_basis(model, a, x).vectors
-    sx = s @ x
-    return lifts, project(model, a, sx), differential_project(model, a, sx, s @ lifts)
+    return lifts, differential_project(model, a, sx, s @ lifts)
 
 
-def symmetry_pullback_residual(model: SymplecticModel, a, s, cp: ChartPoint) -> float:
+def symmetry_pullback_residual(model: SymplecticModel, a, s, x, sx, y) -> float:
     """|J^T omega' J - omega| for the chart differential J of the reduced symmetry, exactly.
 
-    M lifts the image tangents T (``_symmetry_differential``) at the section
-    point over the image; the lift is linear, so M^T Omega M - L^T Omega L
-    is J^T omega' J - omega in the basis d pi_x(L).  That holds in any basis, and
-    on the orthonormal frame the rounding floor is eps, not eps |L|^2 for lifts L.
+    x is a section point, sx = s x, and y the section point over project(sx).
+    M lifts the image tangents T (``_symmetry_differential``) at y; the lift
+    is linear, so M^T Omega M - L^T Omega L is J^T omega' J - omega in the
+    basis d pi_x(L).  That holds in any basis, and on the orthonormal frame
+    the rounding floor is eps, not eps |L|^2 for lifts L.
     """
-    lifts, image, tangents = _symmetry_differential(model, a, s, cp)
-    moved = lift_tangent(model, a, chart_section(model, a, image), tangents)
+    lifts, tangents = _symmetry_differential(model, a, s, x, sx)
+    moved = lift_tangent(model, a, y, tangents)
     return float(np.max(np.abs(moved.T @ model.omega @ moved - lifts.T @ model.omega @ lifts)))
 
 
@@ -652,8 +651,11 @@ def reduced_symmetry_report(model: SymplecticModel, a, x_center, samples) -> dic
     out["fixed_point"] = chart_distance(center_cp, symmetry_in_chart(model, a, s, center_cp))
     out["involution_in_chart"], out["symplectic_pullback"] = [], []
     for pt in samples:
+        # one section point and one image per sample feed both checks
         cp = project(model, a, pt)
-        twice = symmetry_in_chart(model, a, s, symmetry_in_chart(model, a, s, cp))
-        out["involution_in_chart"].append(chart_distance(cp, twice))
-        out["symplectic_pullback"].append(symmetry_pullback_residual(model, a, s, cp))
+        x = chart_section(model, a, cp)
+        sx = s @ x
+        y = chart_section(model, a, project(model, a, sx))
+        out["involution_in_chart"].append(chart_distance(cp, project(model, a, s @ y)))
+        out["symplectic_pullback"].append(symmetry_pullback_residual(model, a, s, x, sx, y))
     return out

@@ -1,7 +1,8 @@
 """Generic numerical machinery for matrix Lie subalgebras.
 
-Subspaces of gl(N, R) are carried as lists of basis matrices; span
-arithmetic flattens matrices to vectors.  Every rank, row-space and
+Subspaces of gl(N, R) are carried as orthonormal rows of their
+flattened basis matrices (``MatrixLieSubspace.rows``), so coordinates
+and distances are projections onto the rows.  Every rank, row-space and
 null-space decision goes through one rank-revealing kernel,
 ``rank_split``: an economy SVD for tall matrices (full V only for wide
 ones, whose kernel an economy SVD would drop), cut at a relative and/or
@@ -63,45 +64,36 @@ def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MatrixLieSubspace:
-    """Span of a list of N x N matrices, with numerically independent basis."""
+    """Span of N x N matrices, carried as orthonormal rows of their flattenings.
+
+    ``rows`` is (dim, N^2) with rows @ rows.T = I; every constructor in this
+    package keeps that invariant (``rank_split`` row and null bases, products
+    of orthonormal coordinate columns with orthonormal rows, and stacks of
+    trace-orthogonal eigenspaces), so coordinates and distances are
+    projections onto the rows.
+    """
 
     ambient_dim: int
-    basis: list[np.ndarray]
-    _row_space: np.ndarray | None = field(default=None, repr=False, compare=False)
+    rows: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.rows.shape[0]
 
-    def stacked(self) -> np.ndarray:
-        """dim x N^2 matrix of flattened basis elements."""
-        n2 = self.ambient_dim ** 2
-        if not self.basis:
-            return np.zeros((0, n2))
-        return np.stack([b.reshape(-1) for b in self.basis])
+    @property
+    def basis(self) -> np.ndarray:
+        """(dim, N, N) stack of the basis matrices."""
+        n = self.ambient_dim
+        return self.rows.reshape(self.dim, n, n)
 
-    def row_space(self) -> np.ndarray:
-        """Orthonormal rows spanning the flattened basis (cached)."""
-        if self._row_space is None:
-            self._row_space = rank_split(self.stacked())[0]
-        return self._row_space
+    def coordinates(self, mats) -> np.ndarray:
+        """Coordinates of the orthogonal projections onto the span, one column per matrix."""
+        return self.rows @ np.reshape(mats, (-1, self.rows.shape[1])).T
 
     def distance(self, x) -> float:
         """Sup-norm distance from a matrix, or the largest over a stack of matrices, to the span."""
-        v = np.reshape(x, (-1, self.ambient_dim ** 2)).T
-        q = self.row_space()
-        return float(np.max(np.abs(v - q.T @ (q @ v)), initial=0.0))
-
-    def coordinates(self, mats) -> np.ndarray:
-        """Least-squares coefficients in the basis, one column per matrix of ``mats``."""
-        rhs = np.reshape(mats, (len(mats), -1)).T
-        coeff, *_ = np.linalg.lstsq(self.stacked().T, rhs, rcond=None)
-        return coeff
-
-    def combine(self, coeffs: np.ndarray) -> np.ndarray:
-        """Stacked matrices sum_i coeffs[i, j] * basis[i], one per column of ``coeffs``."""
-        n = self.ambient_dim
-        return (coeffs.T @ self.stacked()).reshape(-1, n, n)
+        v = np.reshape(x, (-1, self.rows.shape[1])).T
+        return float(np.max(np.abs(v - self.rows.T @ (self.rows @ v)), initial=0.0))
 
 
 #: matrices below this max-norm count as zero (inputs are kept at unit scale)
@@ -111,17 +103,13 @@ ZERO_FLOOR = 1e-12
 def _row_span(stack: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the rows of ``stack`` whose max-norm exceeds ZERO_FLOOR."""
     stack = stack[np.max(np.abs(stack), axis=1) > ZERO_FLOOR]
-    if stack.shape[0] == 0:
-        return np.zeros((0, stack.shape[1]))
     return rank_split(stack, atol=ZERO_FLOOR)[0]
 
 
 def subspace_from_matrices(mats, ambient_dim: int) -> MatrixLieSubspace:
-    """Rank-reduce a list (or stacked array) of matrices to an independent spanning set."""
-    if len(mats) == 0:
-        return MatrixLieSubspace(ambient_dim, [])
-    rows = _row_span(np.reshape(np.asarray(mats, dtype=float), (len(mats), -1)))
-    return MatrixLieSubspace(ambient_dim, list(rows.reshape(-1, ambient_dim, ambient_dim)))
+    """Orthonormal rows spanning a list (or stacked array) of matrices."""
+    flat = np.reshape(np.asarray(mats, dtype=float), (len(mats), ambient_dim ** 2))
+    return MatrixLieSubspace(ambient_dim, _row_span(flat))
 
 
 def _bracket_tensor(xs, ys) -> np.ndarray:
@@ -134,7 +122,7 @@ def _bracket_tensor(xs, ys) -> np.ndarray:
     y = np.asarray(ys, dtype=float)[None]
     flat = x @ y
     flat -= y @ x
-    return flat.reshape(x.shape[0], y.shape[1], -1)
+    return flat.reshape(x.shape[0], y.shape[1], x.shape[-1] ** 2)
 
 
 def line(x: np.ndarray) -> MatrixLieSubspace:
@@ -155,19 +143,16 @@ def centralizer_in_sp(model: SymplecticModel, a, exact: bool = False) -> MatrixL
     omega = model.omega
     dim = model.ambient_dim
     ident = np.eye(dim)
-    # row-major vec: vec(MX) = (M kron I) v, vec(XM) = (I kron tM) v
-    transpose_perm = np.zeros((dim * dim, dim * dim))
-    for i in range(dim):
-        for j in range(dim):
-            transpose_perm[i * dim + j, j * dim + i] = 1.0
-    sp_rows = np.kron(ident, omega.T) @ transpose_perm + np.kron(omega, ident)
+    # row-major vec: vec(MX) = (M kron I) v, vec(XM) = (I kron tM) v, and
+    # vec(tX) permutes v by the index array `transpose`
+    transpose = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+    sp_rows = np.kron(ident, omega.T)[:, transpose] + np.kron(omega, ident)
     # [X, A] = 0 is scale-free: at unit scale the commutation rows survive the
     # relative rank cut and the rational audit's rounding for any k
     unit = amat / np.max(np.abs(amat))
     comm_rows = np.kron(ident, unit.T) - np.kron(unit, ident)
     system = np.vstack([sp_rows, comm_rows])
-    kernel = rank_split(system)[1]
-    sub = MatrixLieSubspace(dim, list(kernel.T.reshape(-1, dim, dim)))
+    sub = MatrixLieSubspace(dim, rank_split(system)[1].T)
     if exact:
         from .exact import rational_nullspace_dimension
         exact_dim = rational_nullspace_dimension(system)
@@ -181,28 +166,24 @@ def involution_eigenspace(s: MatrixLieSubspace, theta, sign: int) -> MatrixLieSu
     """(+1)- or (-1)-eigenspace of an involutive map theta preserving s."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if s.dim == 0:
-        return MatrixLieSubspace(s.ambient_dim, [])
-    images = [theta(b) for b in s.basis]
+    images = np.reshape([theta(b) for b in s.basis], s.rows.shape)
     # written as `not <=` so that a NaN residual fails the guard
     if not s.distance(images) <= 1e-7:
         raise ValueError("theta does not preserve the subspace")
     t_mat = s.coordinates(images)
-    if not np.max(np.abs(t_mat @ t_mat - np.eye(s.dim))) <= 1e-7:
+    if not np.max(np.abs(t_mat @ t_mat - np.eye(s.dim)), initial=0.0) <= 1e-7:
         raise ValueError("theta is not involutive on the subspace")
+    # orthonormal coordinate columns of orthonormal rows give orthonormal rows
     kernel = rank_split(t_mat - sign * np.eye(s.dim))[1]
-    return subspace_from_matrices(s.combine(kernel), s.ambient_dim)
+    return MatrixLieSubspace(s.ambient_dim, kernel.T @ s.rows)
 
 
 def bracket_span(s1: MatrixLieSubspace, s2: MatrixLieSubspace) -> MatrixLieSubspace:
     """Span of all pairwise brackets [s1, s2]."""
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if s1.dim == 0 or s2.dim == 0:
-        return MatrixLieSubspace(s1.ambient_dim, [])
     brackets = _bracket_tensor(s1.basis, s2.basis)
-    return subspace_from_matrices(brackets.reshape(-1, s1.ambient_dim, s1.ambient_dim),
-                                  s1.ambient_dim)
+    return subspace_from_matrices(brackets.reshape(-1, s1.rows.shape[1]), s1.ambient_dim)
 
 
 def structure_constants(s: MatrixLieSubspace, modulo: MatrixLieSubspace | None = None
@@ -210,23 +191,20 @@ def structure_constants(s: MatrixLieSubspace, modulo: MatrixLieSubspace | None =
     """(c, residual): [b_i, b_j] = sum_k c[i, j, k] b_k (mod ``modulo``), and the
     sup-norm of the brackets off span(s + modulo), which is 0 when s closes.
 
-    One bracket tensor is projected once onto orthonormal rows q of that span;
-    c takes the basis of s followed by that of ``modulo`` and drops the latter.
+    One bracket tensor is projected once onto orthonormal rows q of that span.
+    Without ``modulo``, q is the rows of s and the projection is c itself; with
+    it, c takes the rows of s followed by those of ``modulo`` and drops the latter.
     """
     d = s.dim
-    if d == 0:
-        return np.zeros((0, 0, 0)), 0.0
-    span = s if modulo is None else subspace_from_matrices(s.basis + modulo.basis,
-                                                           s.ambient_dim)
-    q = span.row_space()
-    stacked = s.stacked() if modulo is None else np.vstack([s.stacked(), modulo.stacked()])
+    stacked = s.rows if modulo is None else np.vstack([s.rows, modulo.rows])
+    q = s.rows if modulo is None else _row_span(stacked)
     flat = _bracket_tensor(s.basis, s.basis)
     on_span = flat @ q.T
-    # kept 3-D: a (d^2, N^2) GEMM or an N^2 least-squares solve grows the BLAS buffers
+    # kept 3-D: a (d^2, N^2) GEMM grows the BLAS buffers
     flat -= on_span @ q
     upper = np.triu_indices(d, 1)
     residual = float(np.max(np.abs(flat[upper]), initial=0.0))
-    c = on_span @ np.linalg.pinv(stacked @ q.T)
+    c = on_span if modulo is None else on_span @ np.linalg.pinv(stacked @ q.T)
     return c[:, :, :d], residual
 
 
@@ -315,8 +293,6 @@ def constants_certificate(c: np.ndarray, residual: float) -> StructureCertificat
 
 def ad_matrix(s: MatrixLieSubspace, x: np.ndarray) -> np.ndarray:
     """Matrix of ad(x) = [x, .] in the basis coordinates of s."""
-    if s.dim == 0:
-        return np.zeros((0, 0))
     images = _bracket_tensor([x], s.basis)[0]
     if not s.distance(images) <= 1e-6:
         raise ValueError("ad(x) does not preserve the subspace")
@@ -357,7 +333,7 @@ def ad_eigenspaces(s: MatrixLieSubspace, x: np.ndarray,
                             atol=10 * cluster_tol * scale)[1]
         if kernel.shape[1] != len(group):
             raise ValueError(f"ad(x) defective at eigenvalue {lam:.6g}")
-        out[lam] = subspace_from_matrices(s.combine(kernel), s.ambient_dim)
+        out[lam] = MatrixLieSubspace(s.ambient_dim, kernel.T @ s.rows)
         total += len(group)
     if total != s.dim:
         raise ValueError("eigenspace dimensions do not fill the subspace")

@@ -16,12 +16,6 @@ def format_matrix(mat: np.ndarray) -> str:
     return "\n".join(" ".join(repr(float(v)) for v in row) for row in np.atleast_2d(mat))
 
 
-def parse_matrix(text: str) -> np.ndarray:
-    rows = [[float(v) for v in line.split()]
-            for line in text.strip().splitlines() if line.strip()]
-    return np.array(rows)
-
-
 def format_vector(vec: np.ndarray) -> str:
     return " ".join(repr(float(v)) for v in np.asarray(vec).ravel())
 

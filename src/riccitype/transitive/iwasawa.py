@@ -87,17 +87,15 @@ def iwasawa_su1n(n: int, k: float = 1.0) -> IwasawaData:
     a_gen = rank_one_odd_element(n)
     if tv.p_part.distance(a_gen / np.linalg.norm(a_gen)) > 1e-9:
         raise RuntimeError("rank-one element is not in the odd part")
-    spaces = ad_eigenspaces(g, a_gen)
-    pos_bases: list[np.ndarray] = []
-    for lam, sub in spaces.items():
-        if lam > 0.5:
-            pos_bases.extend(sub.basis)
-    n_plus = subspace_from_matrices(pos_bases, model.ambient_dim)
+    # a is symmetric, so ad(a) is self-adjoint in the trace form and its
+    # eigenspaces are trace-orthogonal: the stacked rows stay orthonormal
+    n_plus = MatrixLieSubspace(model.ambient_dim, np.vstack(
+        [sub.rows for lam, sub in ad_eigenspaces(g, a_gen).items() if lam > 0.5]))
     # m = centralizer of a inside k = [p1, p1]
     k_part = tv.k_part
     cols = np.stack([bracket(a_gen, b).reshape(-1) for b in k_part.basis], axis=1)
     kernel = rank_split(cols, rtol=1e-9)[1]
-    m_part = subspace_from_matrices(k_part.combine(kernel), model.ambient_dim)
+    m_part = MatrixLieSubspace(model.ambient_dim, kernel.T @ k_part.rows)
     return IwasawaData(
         model=model,
         element=elem,
@@ -128,7 +126,7 @@ def build_a_phi(iw: IwasawaData, phi_params=None, phi_matrix: np.ndarray | None 
         raise ValueError("phi(a) does not lie in the centralizer m")
     gen = iw.a_generator + phi_matrix
     a_phi = subspace_from_matrices([gen], iw.model.ambient_dim)
-    h_phi = subspace_from_matrices([gen] + iw.nilpotent_part.basis, iw.model.ambient_dim)
+    h_phi = subspace_from_matrices([gen, *iw.nilpotent_part.basis], iw.model.ambient_dim)
     return a_phi, h_phi, gen
 
 

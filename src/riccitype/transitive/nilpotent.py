@@ -125,10 +125,6 @@ class ClosureReport:
     def residual(self) -> float:
         return float(np.max([self.residual_first, self.residual_second]))
 
-    @property
-    def all_conditions(self) -> bool:
-        return all(self.flags.values())
-
 
 def closure_conditions(cand: NilpotentCandidate, omega0: np.ndarray,
                        tol: float = 1e-10) -> ClosureReport:

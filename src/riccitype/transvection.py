@@ -3,7 +3,8 @@
 The symmetry S at the distinguished base point of Sigma_A conjugates the
 centralizer algebra g1 = {X in sp : XA = AX}; its (-1)-eigenspace p1 and
 the bracket span k1 = [p1, p1] assemble the transvection algebra, taken
-modulo the line R*A whenever A lies in k1 (nilpotent case).
+modulo the line R*A whenever A lies in k1 (nilpotent case).  The algebra's
+basis is graded: p1 rows first, then k~ rows, with no re-orthonormalization.
 """
 
 from __future__ import annotations
@@ -35,8 +36,11 @@ A_MEMBERSHIP_TOL = 1e-7
 class TransvectionData:
     """Base point, centralizer split and the assembled transvection algebra.
 
-    ``algebra`` carries representative matrices; when ``a_in_k1`` the
-    brackets are understood modulo the line through A (``modulo``).
+    ``algebra`` carries the graded basis: the rows of p1 followed by those of
+    k~ (k1, or its trace-orthogonal complement of A when ``a_in_k1``), so
+    its structure constants have the symmetric-pair block form
+    [p, p] in k, [k, p] in p, [k, k] in k.  When ``a_in_k1`` the brackets
+    are understood modulo the line through A (``modulo``).
     """
 
     base_point: SigmaPoint
@@ -78,18 +82,16 @@ def transvection_algebra(model: SymplecticModel, a,
     amat = as_matrix(a)
     a_unit = amat / np.linalg.norm(amat.reshape(-1))
     a_in_k1 = k1.distance(a_unit) <= A_MEMBERSHIP_TOL
-    if not a_in_k1:
-        algebra = subspace_from_matrices(p1.basis + k1.basis, model.ambient_dim)
-        modulo = None
-    else:
+    k_rows, modulo = k1.rows, None
+    if a_in_k1:
         # quotient by R*A: keep the trace-orthogonal complement of A inside k1
         flat_a = a_unit.reshape(-1)
-        reduced = []
-        for b in k1.basis:
-            reduced.append(b - (b.reshape(-1) @ flat_a) * a_unit)
-        k_complement = subspace_from_matrices(reduced, model.ambient_dim)
-        algebra = subspace_from_matrices(p1.basis + k_complement.basis, model.ambient_dim)
+        k_rows = subspace_from_matrices(k1.rows - np.outer(k1.rows @ flat_a, flat_a),
+                                        model.ambient_dim).rows
         modulo = line(amat)
+    # S is orthogonal, so theta = Ad S preserves the trace form and its
+    # eigenspaces p1 and k1 are trace-orthogonal: the stacked rows stay orthonormal
+    algebra = MatrixLieSubspace(model.ambient_dim, np.vstack([p1.rows, k_rows]))
     return TransvectionData(
         base_point=x0,
         symmetry=s_mat,

@@ -7,7 +7,8 @@ from central differences of the projection, of the chart action of
 exp(+-hX) and of the reduced symmetry, and of the moment map, and
 from the hand-derived Darboux-chart formulas, so that tests can compare the
 routes.  The reduced form on horizontal lifts is evaluated here directly,
-with its horizontality guard.
+with its horizontality guard, and subspace coordinates by a least-squares
+solve in the basis.
 """
 
 import numpy as np
@@ -16,6 +17,12 @@ from scipy.linalg import expm
 from riccitype import geometry
 from riccitype.core import as_matrix, as_vector
 from riccitype.transitive import nilpotent as nil
+
+
+def coordinates_oracle(sub, mats):
+    """Least-squares coefficients of matrices in the basis of a subspace, one column each."""
+    flat = np.reshape(mats, (len(mats), -1)).T
+    return np.linalg.lstsq(sub.basis.reshape(sub.dim, -1).T, flat, rcond=None)[0]
 
 
 def pushforward(model, a, x, v, fd_step=1e-5):

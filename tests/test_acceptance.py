@@ -212,7 +212,7 @@ def test_criterion_6_iwasawa_family():
             cert = lie.series_certificate(h_phi)
             ok &= cert.solvable and h_phi.dim == 2 * n
             fields = geometry.fundamental_fields(data.model, data.element,
-                                                 [gen] + data.nilpotent_part.basis)
+                                                 [gen, *data.nilpotent_part.basis])
             rank_cert = nil.simply_transitive_certificate(data.model,
                                                            [fields(cp) for cp in points])
             ok &= rank_cert["passed"] and rank_cert["min_rank"] == 2 * n

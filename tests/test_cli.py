@@ -451,7 +451,7 @@ def test_transvection_centralizer_dim_over_k(capsys, case, k, exact):
 def test_matrix_roundtrip():
     rng = np.random.default_rng(0)
     mat = rng.standard_normal((4, 6))
-    assert np.array_equal(serialize.parse_matrix(serialize.format_matrix(mat)), mat)
+    assert np.array_equal(np.loadtxt(serialize.format_matrix(mat).splitlines()), mat)
 
 
 def test_candidate_roundtrip():

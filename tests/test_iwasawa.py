@@ -119,7 +119,7 @@ def test_rank_certificate_on_ball(n, phi, request):
     data = request.getfixturevalue("su12" if n == 2 else "su13")
     _, _, gen = iwa.build_a_phi(data, None if phi is None else np.array(phi))
     fields = geometry.fundamental_fields(data.model, data.element,
-                                         [gen] + data.nilpotent_part.basis)
+                                         [gen, *data.nilpotent_part.basis])
     points = iwa.sample_ball_points(n, 100, seed=5)
     cert = nil.simply_transitive_certificate(data.model, [fields(cp) for cp in points])
     assert cert["passed"]

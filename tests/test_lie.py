@@ -6,6 +6,8 @@ import pytest
 from riccitype import core, lie
 from riccitype.exact import rational_nullspace_dimension
 
+from oracles import coordinates_oracle
+
 
 def e_matrix(i, j, n=2):
     m = np.zeros((n, n))
@@ -136,7 +138,7 @@ def heisenberg3():
     p = e_matrix(0, 1, 3)
     q = e_matrix(1, 2, 3)
     z = e_matrix(0, 2, 3)
-    return lie.MatrixLieSubspace(3, [p, q, z])
+    return lie.MatrixLieSubspace(3, np.array([p, q, z]).reshape(3, 9))
 
 
 def test_series_certificate_heisenberg():
@@ -178,7 +180,7 @@ def test_series_certificate_requires_closure():
 
 
 def test_series_certificate_zero_dimensional():
-    cert = lie.series_certificate(lie.MatrixLieSubspace(3, []))
+    cert = lie.series_certificate(lie.MatrixLieSubspace(3, np.zeros((0, 9))))
     assert cert.derived_series_dims == cert.lower_central_dims == [0]
     assert cert.center_dim == 0 and cert.abelian and not cert.heisenberg
 
@@ -186,7 +188,7 @@ def test_series_certificate_zero_dimensional():
 def test_subspace_independence_invariant():
     model, elem = core.build_model("elliptic", 3, p=2)
     g1 = lie.centralizer_in_sp(model, elem)
-    s = np.linalg.svd(g1.stacked(), compute_uv=False)
+    s = np.linalg.svd(g1.rows, compute_uv=False)
     assert s[-1] / s[0] > 1e-7
 
 
@@ -330,7 +332,7 @@ def reduce_oracle(x, modulo):
     if modulo is None:
         return x
     v = x.reshape(-1)
-    q = modulo.row_space()
+    q = modulo.rows
     return (v - q.T @ (q @ v)).reshape(x.shape)
 
 
@@ -342,7 +344,7 @@ def bracket_span_oracle(s1, s2, modulo=None):
 def closure_residual_oracle(s, modulo=None):
     res = 0.0
     span = s if modulo is None else lie.subspace_from_matrices(
-        s.basis + modulo.basis, s.ambient_dim)
+        [*s.basis, *modulo.basis], s.ambient_dim)
     for i in range(s.dim):
         for j in range(i + 1, s.dim):
             res = max(res, span.distance(lie.bracket(s.basis[i], s.basis[j])))
@@ -416,7 +418,8 @@ def test_structure_constants_reconstruct_brackets(case, n, p, q):
     basis = np.array(g.basis)
     diffs = [np.tensordot(c[i, j], basis, axes=1) - lie.bracket(g.basis[i], g.basis[j])
              for i in range(g.dim) for j in range(g.dim)]
-    quotient = lie.MatrixLieSubspace(g.ambient_dim, []) if modulo is None else modulo
+    quotient = lie.MatrixLieSubspace(g.ambient_dim, np.zeros((0, g.ambient_dim ** 2))) \
+        if modulo is None else modulo
     assert quotient.distance(diffs) <= 1e-10
 
 
@@ -432,7 +435,7 @@ def test_structure_constants_match_n2_oracles(case, n, p, q):
     # the former N^2 ideal certificate: pairwise containment and its own series loop
     derived = bracket_span_oracle(g, g, modulo)
     extended = lie.subspace_from_matrices(
-        derived.basis + ([] if modulo is None else modulo.basis), g.ambient_dim)
+        [*derived.basis, *([] if modulo is None else modulo.basis)], g.ambient_dim)
     old_residual = max([extended.distance(lie.bracket(bg, bi))
                         for bg in g.basis for bi in derived.basis] + [0.0])
     ideal = nilpotent_ideal_report(cert.structure)
@@ -443,12 +446,24 @@ def test_structure_constants_match_n2_oracles(case, n, p, q):
     assert ideal["ideal_residual"] <= 1e-10 and old_residual <= 1e-10
 
 
+@pytest.mark.parametrize("case,n,p,q", EQUIVALENCE_CASES)
+def test_coordinates_match_least_squares(case, n, p, q):
+    # coordinates are a projection onto orthonormal rows; on span elements
+    # they agree with a least-squares solve in the basis
+    _, data = equivalence_data(case, n, p, q)
+    rng = np.random.default_rng(11)
+    for sub in (data.centralizer, data.p_part, data.k_part, data.algebra):
+        mats = np.tensordot(rng.standard_normal((6, sub.dim)), sub.basis, axes=1)
+        want = coordinates_oracle(sub, mats)
+        assert np.max(np.abs(sub.coordinates(mats) - want)) <= 1e-12
+
+
 def test_distance_takes_one_matrix_or_a_stack():
     sub = heisenberg3()
     off = [e_matrix(1, 0, 3), 2.0 * e_matrix(2, 2, 3), sub.basis[0]]
     assert sub.distance(off[0]) == 1.0
     assert sub.distance(off) == max(sub.distance(x) for x in off) == 2.0
     assert sub.distance(np.array(off)) == 2.0
-    assert lie.MatrixLieSubspace(3, []).distance(off) == 2.0
+    assert lie.MatrixLieSubspace(3, np.zeros((0, 9))).distance(off) == 2.0
     nan = np.full((3, 3), np.nan)
     assert np.isnan(sub.distance(off + [nan]))

@@ -127,3 +127,49 @@ def test_flow_kernel_acts_trivially_on_chart():
     for t in (-1.0, 0.4, 2.0):
         moved = act_chart(model, elem, elem.flow(t), cp)
         assert geometry.chart_distance(cp, moved) <= 1e-9
+
+
+# --- orthonormal rows and the graded basis --------------------------------------
+
+ALGEBRA_LARGE = [("hyperbolic", 6, 0, 0), ("elliptic", 6, 3, 4), ("nilpotent", 7, 3, 1),
+                 ("nilpotent", 7, 2, 1)]
+SUBSPACE_CASES = core.admissible_parameters((2, 3, 4)) + ALGEBRA_LARGE
+
+
+@pytest.mark.parametrize("case,n,p,q", SUBSPACE_CASES)
+def test_subspaces_have_orthonormal_rows(case, n, p, q):
+    # coordinates and distances are projections onto the rows, so every
+    # subspace the package builds must carry orthonormal rows
+    from riccitype.transitive import iwasawa
+    from riccitype.transitive import nilpotent as nil
+    model, elem = build(case, n, p or None, q or None)
+    data = transvection.transvection_algebra(model, elem)
+    subs = [data.centralizer, data.p_part, data.k_part, data.algebra, lie.line(elem.matrix),
+            lie.bracket_span(data.p_part, data.k_part)]
+    if data.modulo is not None:
+        subs.append(data.modulo)
+    if case == "elliptic" and p == 1:
+        iw = iwasawa.iwasawa_su1n(n)
+        a_phi, h_phi, _ = iwasawa.build_a_phi(iw, np.linspace(-1.0, 1.5, n - 1))
+        subs += [iw.algebra, iw.compact_part, iw.abelian_part, iw.centralizer_m,
+                 iw.nilpotent_part, a_phi, h_phi,
+                 *lie.ad_eigenspaces(iw.algebra, iw.a_generator).values()]
+    if case == "nilpotent" and p == 2 and q == 1:
+        subs.append(nil.build_h(model, np.eye(2 * (n - 1)))[0])
+    for sub in subs:
+        assert sub.rows.shape == (sub.dim, model.ambient_dim ** 2)
+        assert np.max(np.abs(sub.rows @ sub.rows.T - np.eye(sub.dim)), initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("case,n,p,q", SUBSPACE_CASES)
+def test_structure_constants_have_symmetric_pair_blocks(case, n, p, q):
+    # the algebra's basis is p1 rows then k~ rows, so c is graded:
+    # [p, p] in k, [p, k] and [k, p] in p, [k, k] in k
+    model, elem = build(case, n, p or None, q or None)
+    data = transvection.transvection_algebra(model, elem)
+    c = transvection.classify_transvection(data, model)[0].structure
+    pp, kk = slice(None, data.p_part.dim), slice(data.p_part.dim, None)
+    off = [c[pp, pp, pp], c[pp, kk, kk], c[kk, pp, kk], c[kk, kk, pp]]
+    assert max(np.max(np.abs(block), initial=0.0) for block in off) <= 1e-12
+    if data.algebra.dim > data.p_part.dim:  # the blocks are not vacuous: [p, p] reaches k~
+        assert np.max(np.abs(c[pp, pp, kk])) > 0.1
