@@ -91,7 +91,7 @@ def cmd_construct(config: RunConfig, out=sys.stdout) -> int:
     print("A=", file=out)
     print(serialize.format_matrix(elem.matrix), file=out)
     pts = core.sample_sigma(model, elem, config.samples, config.seed)
-    worst = np.max([abs(core.sigma_value(model, elem, x) - 1.0) for x in pts])
+    worst = np.max(np.abs(core.sigma_value(model, elem, np.stack([pt.x for pt in pts])) - 1.0))
     print(f"sigma_residual_max={worst:.3e}", file=out)
     return 0
 
@@ -145,6 +145,7 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
                     lambda: core.sample_sigma(model, elem, config.samples, config.seed))
     if not points:
         return report
+    xs = np.stack([pt.x for pt in points])  # one row per sample, for every section
     rng = np.random.default_rng(config.seed + 1)
     has_chart = geometry.chart_kind(model) is not None
 
@@ -152,21 +153,19 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
         return points[i].x.tolist()
 
     def flow_invariance():
-        dists = []
-        for pt in points[:20]:
-            t = float(rng.uniform(-3.0, 3.0))
-            moved = elem.flow(t) @ pt.x
-            if has_chart:
-                dists.append(geometry.chart_distance(
-                    geometry.project(model, elem, pt), geometry.project(model, elem, moved)))
-            else:
-                dists.append(geometry.fiber_distance(model, elem, pt.x, moved))
+        ts = rng.uniform(-3.0, 3.0, size=len(xs[:20]))
+        moved = core.apply_rows(elem.flow(ts), xs[:20])
+        if has_chart:
+            dists = np.max(np.abs(geometry.project(model, elem, xs[:20])
+                                  - geometry.project(model, elem, moved)), axis=-1)
+        else:
+            dists = geometry.fiber_distance(model, elem, xs[:20], moved)
         name = "projection.flow_invariance" if has_chart else "projection.flow_invariance_fiber"
         report.add_sampled(name, dists, config.tol_algebraic, point)
 
     def curvature_suite():
         # one frame stack serves every sample; the trace route reads the first 20
-        frame = geometry.horizontal_basis(model, elem, np.stack([pt.x for pt in points]))
+        frame = geometry.horizontal_basis(model, elem, xs)
         cyc = geometry.curvature_cyclic_residual(model, elem, frame, triples=5, seed=config.seed)
         ricci, trace_ric, gram = geometry.ricci_type_residual(model, elem, frame)
         rho = geometry.ricci_endomorphism(model, elem, frame)
@@ -182,14 +181,13 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
     def darboux():
         if geometry.chart_kind(model) != "darboux":
             return
-        dar = geometry.darboux_matrix(model)
+        defect = geometry.chart_omega_matrix(model, elem, xs) - geometry.darboux_matrix(model)
         report.add_sampled("reduced_form.darboux_constant",
-                           [np.max(np.abs(geometry.chart_omega_matrix(model, elem, pt) - dar))
-                            for pt in points], 1e-8, point)
+                           np.max(np.abs(defect), axis=(1, 2)), 1e-8, point)
 
     def symmetry_suite():
         x0 = transvection.base_point(model)
-        sym = geometry.reduced_symmetry_report(model, elem, x0, points[:20])
+        sym = geometry.reduced_symmetry_report(model, elem, x0, xs[:20])
         report.add_residual("symmetry.squares_to_identity", sym["symmetry_squared"], 1e-12)
         report.add_residual("symmetry.symplectic", sym["symmetry_symplectic"], 1e-12)
         report.add_residual("symmetry.commutes_with_A", sym["symmetry_commutes_A"], 1e-12)
@@ -334,30 +332,25 @@ def _certify_candidate(report: CertificateReport, model, elem, name: str,
     report.add_residual(f"{name}.bracket_closure_mod_A",
                         lie.structure_constants(sub, lie.line(elem.matrix))[1], 1e-10)
     rng = np.random.default_rng(config.seed + 17)
-    pts = [geometry.ChartPoint(model.case, "darboux", rng.standard_normal(2 * model.n))
-           for _ in range(max(config.samples, 100))]
+    pts = rng.standard_normal((max(config.samples, 100), 2 * model.n))  # Darboux chart points
     norm_cand, _ = nil.normalize_candidate(model, cand)
-    fields = geometry.fundamental_fields(model, elem, nil.family_generators(norm_cand, omega0))
-    mats = [fields(cp) for cp in pts]
+    mats = geometry.fundamental_fields(model, elem, nil.family_generators(norm_cand, omega0), pts)
     cert = nil.simply_transitive_certificate(model, mats, rank_tol=config.tol_rank)
     if not report.add_equals(f"{name}.transitive_rank", cert["min_rank"], 2 * model.n):
         idx = cert["witness"]
-        report.add_witness(f"{name}: rank deficiency at sample {idx}: {pts[idx].coords.tolist()}")
+        report.add_witness(f"{name}: rank deficiency at sample {idx}: {pts[idx].tolist()}")
     report.add_info(f"{name}.min_singular_value", cert["min_singular_value"])
-    gammas = [cp.coords[-1] for cp in pts]
+    gammas = pts[:, -1]
     ratio, worst = nil.frame_invertibility_minimum(norm_cand.B, gammas)
     if not report.add_exceeds(f"{name}.frame_invertibility", ratio, 1e-9):
         report.add_witness(f"{name}: frame nearly singular at sample {worst}: "
                            f"gamma = {gammas[worst]:.6g}")
     report.add_sampled(f"{name}.hamiltonian_identity",
-                       [nil.hamiltonian_residual(model, norm_cand.B, norm_cand.c, mat, cp)
-                        for mat, cp in zip(mats[:50], pts)],
-                       config.tol_algebraic, lambda i: pts[i].coords.tolist())
-    d = 2 * (model.n - 1)
-    defect = np.max([abs(nil.strongly_hamiltonian_defect(norm_cand.B, norm_cand.c,
-                                                         np.eye(d)[i], np.eye(d)[j], omega0))
-                     for i in range(d) for j in range(d)])
-    is_scalar = float(np.max(np.abs(norm_cand.B - norm_cand.c * np.eye(d)))) <= 1e-9
+                       nil.hamiltonian_residual(model, norm_cand.B, norm_cand.c, mats[:50],
+                                                pts[:50]),
+                       config.tol_algebraic, lambda i: pts[i].tolist())
+    defect = np.max(np.abs(nil.strongly_hamiltonian_defect(norm_cand.B, omega0)))
+    is_scalar = float(np.max(np.abs(norm_cand.B - norm_cand.c * np.eye(len(omega0))))) <= 1e-9
     report.add_flag(f"{name}.strongly_hamiltonian_iff_scalar",
                     (defect <= 1e-12) == is_scalar,
                     detail=f"defect={defect:.3e}, B==c*Id: {is_scalar}")
@@ -447,13 +440,13 @@ def _find_transitive_elliptic(report: CertificateReport, config: RunConfig) -> C
         report.add_equals(f"{tag}.dim", h_phi.dim, 2 * n)
         report.add_flag(f"{tag}.solvable", cert.solvable)
         fields = geometry.fundamental_fields(data.model, data.element,
-                                             [gen, *data.nilpotent_part.basis])
-        cert_rank = nil.simply_transitive_certificate(data.model, [fields(cp) for cp in pts],
+                                             [gen, *data.nilpotent_part.basis], pts)
+        cert_rank = nil.simply_transitive_certificate(data.model, fields,
                                                       rank_tol=config.tol_rank)
         if not report.add_equals(f"{tag}.transitive_rank", cert_rank["min_rank"], 2 * n):
             idx_w = cert_rank["witness"]
             report.add_witness(f"{tag}: rank deficiency at ball sample {idx_w}: "
-                               f"{pts[idx_w].coords.tolist()}")
+                               f"{pts[idx_w].tolist()}")
         report.add_info(f"{tag}.min_singular_value", cert_rank["min_singular_value"])
         spectrum = np.round(iwa.ad_spectrum_on_n(data, phi), 6)
         if idx == 0:

@@ -85,8 +85,8 @@ class CharacteristicElement:
     matrix: np.ndarray
     mu: float
 
-    def flow(self, t: float) -> np.ndarray:
-        """exp(tA) in closed form."""
+    def flow(self, t) -> np.ndarray:
+        """exp(tA) in closed form, one matrix per time of an array."""
         return exp_tA(self.matrix, self.mu, t)
 
 
@@ -98,7 +98,8 @@ class SigmaPoint:
 
 
 def as_vector(x) -> np.ndarray:
-    """Coerce SigmaPoint or array-like to a 1-d float array."""
+    """Coerce SigmaPoint or array-like to a float array: one point, or a stack of points
+    one per row."""
     if isinstance(x, SigmaPoint):
         return x.x
     return np.asarray(x, dtype=float)
@@ -109,6 +110,14 @@ def as_matrix(a) -> np.ndarray:
     if isinstance(a, CharacteristicElement):
         return a.matrix
     return np.asarray(a, dtype=float)
+
+
+def apply_rows(mat, vecs) -> np.ndarray:
+    """mat @ v for each row v of an (S, N) stack, with one matrix or one per row.
+
+    Each row gets one matrix-vector product, the product a single point gets.
+    """
+    return np.matmul(mat, vecs[..., None])[..., 0]
 
 
 def _hyperbolic_model(n: int, k: float) -> tuple[SymplecticModel, CharacteristicElement]:
@@ -193,8 +202,8 @@ def admissible_parameters(n_values=(2, 3, 4)) -> list[tuple[str, int, int, int]]
     return out
 
 
-def exp_tA(a_matrix: np.ndarray, mu: float, t: float) -> np.ndarray:
-    """Closed-form exp(tA) for A^2 = mu*Id.
+def exp_tA(a_matrix: np.ndarray, mu: float, t) -> np.ndarray:
+    """Closed-form exp(tA) for A^2 = mu*Id; an array of times gives one matrix per time.
 
     mu = k^2:  cosh(kt) I + sinh(kt)/k A
     mu = -k^2: cos(kt) I + sin(kt)/k A
@@ -202,6 +211,7 @@ def exp_tA(a_matrix: np.ndarray, mu: float, t: float) -> np.ndarray:
     """
     a = as_matrix(a_matrix)
     ident = np.eye(a.shape[0])
+    t = np.asarray(t, dtype=float)[..., None, None]
     if mu > 0:
         k = np.sqrt(mu)
         return np.cosh(k * t) * ident + (np.sinh(k * t) / k) * a
@@ -226,13 +236,12 @@ def characteristic_residuals(model: SymplecticModel, elem: CharacteristicElement
     }
 
 
-def sigma_value(model: SymplecticModel, a, x) -> float:
-    """Omega(x, Ax); a point is on Sigma_A iff this equals 1."""
-    amat = as_matrix(a)
+def sigma_value(model: SymplecticModel, a, x):
+    """Omega(x, Ax), one value per row of a stack; a point is on Sigma_A iff this equals 1."""
     v = as_vector(x)
-    if v.shape[0] != model.ambient_dim:
-        raise ValueError(f"expected vector of length {model.ambient_dim}, got {v.shape[0]}")
-    return model.pairing(v, amat @ v)
+    if v.shape[-1] != model.ambient_dim:
+        raise ValueError(f"expected vector of length {model.ambient_dim}, got {v.shape[-1]}")
+    return (v[..., None, :] @ model.omega @ apply_rows(as_matrix(a), v)[..., None])[..., 0, 0]
 
 
 #: retries allowed when a drawn free block is numerically degenerate

@@ -13,16 +13,13 @@ from fractions import Fraction
 import numpy as np
 
 
-def _to_fractions(mat: np.ndarray, max_denominator: int = 10 ** 6) -> list[list[Fraction]]:
-    rows = []
-    for row in np.asarray(mat):
-        frow = [Fraction(float(v)).limit_denominator(max_denominator) for v in row]
-        rows.append(frow)
-    return rows
+def _to_fractions(mat: np.ndarray) -> list[list[Fraction]]:
+    # every binary float is a rational: Fraction(float(v)) is its exact value
+    return [[Fraction(float(v)) for v in row] for row in np.asarray(mat)]
 
 
 def rational_rank(mat: np.ndarray) -> int:
-    """Rank over Q of a matrix with (near-)rational entries."""
+    """Exact rank over Q of a float matrix, each entry read as the rational it is."""
     rows = _to_fractions(mat)
     if not rows:
         return 0

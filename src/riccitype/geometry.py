@@ -14,24 +14,25 @@ Horizontal geometry lives at the Sigma level: H_x = span{x, Ax}^perp is
 symplectic and pushes down isomorphically, so the reduced form, connection,
 curvature and symmetries are all evaluated on horizontal representatives.
 
-One exact chart differential, ``differential_project``, serves every chart
-tangent: it takes one tangent or a matrix of tangents, one per column.
-``lift_tangent`` lifts a whole matrix of chart tangents with a single
-frame, differential and least-squares solve, in every chart; and every
-fundamental vector field is d pi_x(-X x) (``fundamental_fields``), one
-field matrix per point.  ``chart_omega_matrix`` is the one route to the
-chart matrix of the reduced form.  The reduced symmetry's chart
-differential is d pi_{Sx} o S on the horizontal frame, so its symplectic
-pullback is exact too; the only finite difference left is
-``connection_nabla``, which no command uses.
+A chart point is a plain coordinate array, one (d,) point or an (S, d) stack
+of points one per row, in the chart ``chart_kind(model)``.  Every chart
+function takes one point or a stack: ``project``, ``chart_section``, the
+fiber comparisons, and the one exact chart differential,
+``differential_project``, which serves every chart tangent: the lifts
+(``lift_tangent``, one frame, differential and QR solve per point), the
+fundamental fields d pi_x(-X x) (``fundamental_fields``, an (S, d, g) field
+stack), the reduced form (``chart_omega_matrix``) and the reduced symmetry's
+differential d pi_{Sx} o S, whose symplectic pullback is exact too.  No
+finite difference is left: the difference-quotient connection is a test oracle.
 
 The curvature checks run over a leading sample axis.  ``horizontal_basis``
 takes one point or an (S, N) stack and returns a ``HorizontalFrame`` (with
 its Gram matrix) carrying that axis; ``curvature`` takes one vector per
 column, of one matrix or of a stack.  The cyclic, Ricci-type and Ricci
 endomorphism checks take a frame or a frame stack and return one value,
-or one r, rho and Gram matrix, per sample.  Each sample gets the BLAS and
-LAPACK calls it would get alone, so its values do not depend on the batch.
+or one r, rho and Gram matrix, per sample.  In the chart layer and the
+frame layer alike, each sample gets the BLAS and LAPACK calls it would get
+alone, so its values do not depend on the batch.
 ``ricci_type_residual`` traces r from the frame factors in O(n^3) and
 builds R - E(r) in chunks of at most ``DEFECT_BUDGET`` doubles, so one
 call serves both the Ricci-type and the trace-route checks.
@@ -39,26 +40,16 @@ call serves both the Ricci-type and the trace-route checks.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CharacteristicElement, SymplecticModel, as_matrix, as_vector, sigma_value
+from .core import CharacteristicElement, SymplecticModel, apply_rows, as_matrix, as_vector
 from .lie import RANK_RTOL
 
 
 class ChartUnavailableError(ValueError):
     """Raised for operations that need a chart the case does not provide."""
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """Case-tagged coordinates of a point of M_A."""
-
-    case: str
-    kind: str
-    coords: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,100 +76,95 @@ def chart_kind(model: SymplecticModel) -> str | None:
     return "quadric"
 
 
-def _split_nilpotent(model: SymplecticModel, x: np.ndarray):
+def _split_nilpotent(model: SymplecticModel, x: np.ndarray, axis: int = -1):
     p = model.p
-    m = model.n + 1 - p
-    return x[:p], x[p:p + 2 * m], x[p + 2 * m:]
+    return np.split(x, [p, p + 2 * (model.n + 1 - p)], axis=axis)
 
 
 def _elliptic_z(model: SymplecticModel, x: np.ndarray) -> np.ndarray:
     m = model.n + 1
-    return x[:m] + 1j * x[m:]
+    return x[..., :m] + 1j * x[..., m:]
 
 
-def project(model: SymplecticModel, a, x) -> ChartPoint:
-    """Chart coordinates of the exp(tA)-orbit of x in Sigma_A."""
-    v = as_vector(x)
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u @ v for each pair of rows: one dot product per row, the one a single point gets."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def project(model: SymplecticModel, a, x) -> np.ndarray:
+    """Chart coordinates of the exp(tA)-orbit of x in Sigma_A.
+
+    ``x`` is one point or an (S, N) stack of points, one per row; the chart
+    coordinates come back in the same layout.
+    """
     kind = chart_kind(model)
     if kind is None:
         raise ChartUnavailableError(
             "no chart for elliptic p > 1; use fiber_distance on Sigma_A points")
+    v = as_vector(x)
     if kind == "tangent_sphere":
         m = model.n + 1
-        xp, xm = v[:m], v[m:]
-        r = float(np.sqrt(xp @ xp))
+        xp, xm = v[..., :m], v[..., m:]
+        r = np.sqrt(_dot(xp, xp))[..., None]
         u = xp / r
-        w = r * xm + u / (2.0 * model.k)
-        return ChartPoint(model.case, kind, np.concatenate([u, w]))
+        return np.concatenate([u, r * xm + u / (2.0 * model.k)], axis=-1)
     if kind == "ball":
         z = _elliptic_z(model, v)
-        w = z[1:] / z[0]
-        return ChartPoint(model.case, kind, np.concatenate([w.real, w.imag]))
-    if kind == "darboux":
-        xs_small, capx, xs = _split_nilpotent(model, v)
-        if xs[0] <= 0:
-            raise ValueError("point lies outside the component with x*^1 > 0")
-        alpha = float(np.arcsinh(xs[1]))
-        y0 = -xs_small[0] * np.sinh(alpha) + xs_small[1] * np.cosh(alpha)
-        return ChartPoint(model.case, kind, np.concatenate([[y0], capx, [alpha]]))
+        w = z[..., 1:] / z[..., :1]
+        return np.concatenate([w.real, w.imag], axis=-1)
     xs_small, capx, xs = _split_nilpotent(model, v)
-    eps = model.eps
-    t = float(np.sum(eps * xs_small * xs))
-    return ChartPoint(model.case, kind, np.concatenate([xs_small - t * xs, capx, xs]))
+    if kind == "darboux":
+        if np.any(xs[..., 0] <= 0):
+            raise ValueError("point lies outside the component with x*^1 > 0")
+        alpha = np.arcsinh(xs[..., 1:])
+        y0 = -xs_small[..., :1] * np.sinh(alpha) + xs_small[..., 1:] * np.cosh(alpha)
+        return np.concatenate([y0, capx, alpha], axis=-1)
+    t = np.sum(model.eps * xs_small * xs, axis=-1, keepdims=True)
+    return np.concatenate([xs_small - t * xs, capx, xs], axis=-1)
 
 
-def chart_section(model: SymplecticModel, a, cp: ChartPoint) -> np.ndarray:
-    """A Sigma_A point in the fiber over a chart point (a section of the projection)."""
-    c = cp.coords
-    if cp.kind == "tangent_sphere":
+def chart_section(model: SymplecticModel, a, coords) -> np.ndarray:
+    """A Sigma_A point in the fiber over each chart point (a section of the projection)."""
+    c = np.asarray(coords, dtype=float)
+    kind = chart_kind(model)
+    if kind == "tangent_sphere":
         m = model.n + 1
-        u, w = c[:m], c[m:]
-        return np.concatenate([u, w - u / (2.0 * model.k)])
-    if cp.kind == "ball":
+        u, w = c[..., :m], c[..., m:]
+        return np.concatenate([u, w - u / (2.0 * model.k)], axis=-1)
+    if kind == "ball":
         n = model.n
-        w = c[:n] + 1j * c[n:]
-        z1 = 1.0 / np.sqrt(model.k * (1.0 - float(w.real @ w.real + w.imag @ w.imag)))
-        z = np.concatenate([[z1], z1 * w])
-        return np.concatenate([z.real, z.imag])
-    if cp.kind == "darboux":
-        y0, capy, gamma = c[0], c[1:-1], c[-1]
+        w = c[..., :n] + 1j * c[..., n:]
+        z1 = 1.0 / np.sqrt(model.k * (1.0 - (_dot(w.real, w.real) + _dot(w.imag, w.imag))))
+        z = np.concatenate([z1[..., None], z1[..., None] * w], axis=-1)
+        return np.concatenate([z.real, z.imag], axis=-1)
+    if kind == "darboux":
+        y0, capy, gamma = c[..., :1], c[..., 1:-1], c[..., -1:]
         ch, sh = np.cosh(gamma), np.sinh(gamma)
-        return np.concatenate([[y0 * sh, y0 * ch], capy, [ch, sh]])
+        return np.concatenate([y0 * sh, y0 * ch, capy, ch, sh], axis=-1)
     return c.copy()
 
 
-def fiber_time(model: SymplecticModel, a, x, y) -> float:
-    """Flow time t with y approx exp(tA) x, per-case closed form."""
+def fiber_time(model: SymplecticModel, a, x, y):
+    """Flow time t with y approx exp(tA) x, per-case closed form, one per row of a stack."""
     vx, vy = as_vector(x), as_vector(y)
     if model.case == "hyperbolic":
         m = model.n + 1
-        return float(np.log(np.linalg.norm(vy[:m]) / np.linalg.norm(vx[:m])) / model.k)
+        xp, yp = vx[..., :m], vy[..., :m]
+        return np.log(np.sqrt(_dot(yp, yp)) / np.sqrt(_dot(xp, xp))) / model.k
     if model.case == "elliptic":
         zx, zy = _elliptic_z(model, vx), _elliptic_z(model, vy)
-        phase = np.angle(np.sum(zy * np.conj(zx)))
-        return float(phase / model.k)
+        return np.angle(np.sum(zy * np.conj(zx), axis=-1)) / model.k
     eps = model.eps
     xs_x = _split_nilpotent(model, vx)
     xs_y = _split_nilpotent(model, vy)
-    return float(np.sum(eps * xs_y[0] * xs_y[2]) - np.sum(eps * xs_x[0] * xs_x[2]))
+    return np.sum(eps * xs_y[0] * xs_y[2], axis=-1) - np.sum(eps * xs_x[0] * xs_x[2], axis=-1)
 
 
-def fiber_distance(model: SymplecticModel, a: CharacteristicElement, x, y) -> float:
-    """Distance from y to the exp(tA)-orbit through x (chart-free comparison)."""
-    t = fiber_time(model, a, x, y)
-    return float(np.max(np.abs(as_vector(y) - a.flow(t) @ as_vector(x))))
-
-
-def chart_distance(cp1: ChartPoint, cp2: ChartPoint) -> float:
-    if cp1.kind != cp2.kind:
-        raise ValueError(f"chart kinds differ: {cp1.kind} vs {cp2.kind}")
-    return float(np.max(np.abs(cp1.coords - cp2.coords)))
-
-
-def _apply(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """mat @ v for each row v of an (S, N) stack: one matrix-vector product
-    per row, the product a single point gets."""
-    return np.matmul(mat, vecs[..., None])[..., 0]
+def fiber_distance(model: SymplecticModel, a: CharacteristicElement, x, y):
+    """Distance from y to the exp(tA)-orbit through x (chart-free comparison), per row."""
+    vy = as_vector(y)
+    moved = apply_rows(a.flow(fiber_time(model, a, x, vy)), as_vector(x))
+    return np.max(np.abs(vy - moved), axis=-1)
 
 
 def horizontal_basis(model: SymplecticModel, a, x) -> HorizontalFrame:
@@ -190,8 +176,8 @@ def horizontal_basis(model: SymplecticModel, a, x) -> HorizontalFrame:
     """
     v = as_vector(x)
     pts = v.reshape(-1, v.shape[-1])
-    constraints = np.stack([_apply(model.omega, pts),
-                            _apply(model.omega, _apply(as_matrix(a), pts))], axis=1)
+    constraints = np.stack([apply_rows(model.omega, pts),
+                            apply_rows(model.omega, apply_rows(as_matrix(a), pts))], axis=1)
     _, s, vt = np.linalg.svd(constraints)
     # the relative cut of lie.rank_split, one row of singular values per sample
     rank = np.count_nonzero(s > RANK_RTOL * s[:, :1], axis=1)
@@ -209,30 +195,12 @@ def horizontal_basis(model: SymplecticModel, a, x) -> HorizontalFrame:
     return HorizontalFrame(pts, frame, gram)
 
 
-def horizontal_projection(model: SymplecticModel, a, x, v) -> np.ndarray:
-    """Component of v in H_x along span{x, Ax}."""
-    xv = as_vector(x)
-    amat = as_matrix(a)
-    ax = amat @ xv
-    sigma = model.pairing(xv, ax)
-    alpha = model.pairing(v, ax) / sigma
-    beta = -model.pairing(v, xv) / sigma
-    return v - alpha * xv - beta * ax
-
-
-def retract_to_sigma(model: SymplecticModel, a, z) -> np.ndarray:
-    """Rescale a nearby ambient point back onto Sigma_A."""
-    val = sigma_value(model, a, z)
-    if val <= 0:
-        raise ValueError("cannot retract: Omega(z, Az) <= 0")
-    return as_vector(z) / np.sqrt(val)
-
-
 def differential_project(model: SymplecticModel, a, x, v) -> np.ndarray:
     """Exact differential of the projection on tangents of Sigma_A, per case.
 
-    ``v`` is one (N,) tangent or an (N, m) matrix with one tangent per
-    column; the differential is linear in v, so the chart tangents come
+    At one point ``x``, ``v`` is one (N,) tangent or an (N, m) matrix with
+    one tangent per column; at an (S, N) stack of points it is (S, N) or
+    (S, N, m).  The differential is linear in v, so the chart tangents come
     back in the same layout.
     """
     kind = chart_kind(model)
@@ -240,45 +208,51 @@ def differential_project(model: SymplecticModel, a, x, v) -> np.ndarray:
         raise ChartUnavailableError("no chart for elliptic p > 1")
     xv = as_vector(x)
     v = np.asarray(v, dtype=float)
-    outer = np.multiply.outer  # base-point vector times one scalar per column
+    one = v.ndim == xv.ndim  # one tangent per point: a matrix of one column
+    if one:
+        v = v[..., None]
     if kind == "tangent_sphere":
         m = model.n + 1
-        xp, xm = xv[:m], xv[m:]
-        vp, vm = v[:m], v[m:]
-        r = float(np.sqrt(xp @ xp))
-        dr = (xp @ vp) / r
-        du = vp / r - outer(xp, dr) / (r * r)
-        dw = outer(xm, dr) + r * vm + du / (2.0 * model.k)
-        return np.concatenate([du, dw])
-    if kind == "ball":
-        z = _elliptic_z(model, xv)
-        dz = _elliptic_z(model, v)
-        w = z[1:] / z[0]
-        dw = (dz[1:] - outer(w, dz[0])) / z[0]
-        return np.concatenate([dw.real, dw.imag])
-    xs_small, _, xs = _split_nilpotent(model, xv)
-    vx, vcapx, vxs = _split_nilpotent(model, v)
-    if kind == "darboux":
-        ch, sh = xs[0], xs[1]
-        beta = vxs[1] / ch  # tangent of the hyperbola: v_* = beta * (sh, ch)
-        dy0 = -vx[0] * sh + vx[1] * ch + beta * (xs_small[1] * sh - xs_small[0] * ch)
-        return np.concatenate([[dy0], vcapx, [beta]])
-    eps = model.eps
-    t = float(np.sum(eps * xs_small * xs))
-    dt = (eps * xs) @ vx + (eps * xs_small) @ vxs
-    return np.concatenate([vx - outer(xs, dt) - t * vxs, vcapx, vxs])
+        xp, xm = xv[..., :m], xv[..., m:]
+        vp, vm = v[..., :m, :], v[..., m:, :]
+        r = np.sqrt(_dot(xp, xp))[..., None, None]
+        dr = (xp[..., None, :] @ vp) / r
+        du = vp / r - xp[..., :, None] * dr / (r * r)
+        dw = xm[..., :, None] * dr + r * vm + du / (2.0 * model.k)
+        out = np.concatenate([du, dw], axis=-2)
+    elif kind == "ball":
+        m = model.n + 1
+        z = _elliptic_z(model, xv)[..., :, None]
+        dz = v[..., :m, :] + 1j * v[..., m:, :]
+        w = z[..., 1:, :] / z[..., :1, :]
+        dw = (dz[..., 1:, :] - w * dz[..., :1, :]) / z[..., :1, :]
+        out = np.concatenate([dw.real, dw.imag], axis=-2)
+    else:
+        xs_small, _, xs = _split_nilpotent(model, xv)
+        vx, vcapx, vxs = _split_nilpotent(model, v, axis=-2)
+        if kind == "darboux":
+            ch, sh = xs[..., 0, None, None], xs[..., 1, None, None]
+            x0, x1 = xs_small[..., 0, None, None], xs_small[..., 1, None, None]
+            beta = vxs[..., 1:, :] / ch  # tangent of the hyperbola: v_* = beta * (sh, ch)
+            dy0 = -vx[..., :1, :] * sh + vx[..., 1:, :] * ch + beta * (x1 * sh - x0 * ch)
+            out = np.concatenate([dy0, vcapx, beta], axis=-2)
+        else:
+            eps = model.eps
+            t = np.sum(eps * xs_small * xs, axis=-1)[..., None, None]
+            dt = (eps * xs)[..., None, :] @ vx + (eps * xs_small)[..., None, :] @ vxs
+            out = np.concatenate([vx - xs[..., :, None] * dt - t * vxs, vcapx, vxs], axis=-2)
+    return out[..., 0] if one else out
 
 
-def fundamental_fields(model: SymplecticModel, a,
-                       generators) -> Callable[[ChartPoint], np.ndarray]:
+def fundamental_fields(model: SymplecticModel, a, generators, coords) -> np.ndarray:
     """Fundamental vector fields on the chart of centralizer generators.
 
     The field of X at pi(x) is d/dt pi(exp(-tX) x) at t = 0, which is the
-    exact differential d pi_x(-X x).  The returned callable maps a
-    ChartPoint cp to the (2n, g) matrix whose column j is the field of
-    generator j, evaluated at x = chart_section(cp).  Each generator must
-    lie in the centralizer of A in sp: the residuals |X^T Omega + Omega X|
-    and |[X, A]| must be at most 1e-8.
+    exact differential d pi_x(-X x), at x = chart_section(coords).  One
+    chart point gives the (2n, g) matrix whose column j is the field of
+    generator j; an (S, 2n) stack gives an (S, 2n, g) field stack.  Each
+    generator must lie in the centralizer of A in sp: the residuals
+    |X^T Omega + Omega X| and |[X, A]| must be at most 1e-8.
     """
     amat = as_matrix(a)
     gens = np.asarray(generators, dtype=float)
@@ -288,31 +262,31 @@ def fundamental_fields(model: SymplecticModel, a,
         if not (sp_res <= 1e-8 and comm_res <= 1e-8):
             raise ValueError(f"generator is not in the centralizer of A in sp "
                              f"(residuals {sp_res:.2e}, {comm_res:.2e})")
-
-    def fields(cp: ChartPoint) -> np.ndarray:
-        x = chart_section(model, a, cp)
-        return differential_project(model, a, x, -(gens @ x).T)
-
-    return fields
+    x = chart_section(model, a, coords)
+    # X x for every generator X, one matrix-vector product each, one column per generator
+    images = np.swapaxes(-(gens @ x[..., None, :, None])[..., 0], -1, -2)
+    return differential_project(model, a, x, images)
 
 
 def lift_tangent(model: SymplecticModel, a, x, chart_tangents) -> np.ndarray:
     """Horizontal lifts to H_x of chart tangents at project(x).
 
-    ``chart_tangents`` is one tangent of the chart representation or a
-    matrix with one tangent per column; the lifts come back in the same
-    layout.  Every chart builds the horizontal frame and the differential of
-    the projection on it once, then solves one least-squares system for all
-    columns.  The solve uses the exact differential (``differential_project``)
-    so the lift is smooth enough to sit inside second-derivative checks.
-    It goes through a QR factorization: the chart coordinates can scale the
-    rows of the differential very unevenly (the Darboux y0 row grows like
-    x cosh(gamma)), which costs an SVD-based solve over a digit of accuracy.
+    ``chart_tangents`` is one tangent or a matrix with one tangent per column,
+    and the lifts come back in the same layout; at an (S, N) stack of points
+    they are an (S, d, m) stack, or one (d, m) matrix for every point.  Every
+    chart builds the horizontal frame and the differential of the projection
+    on it once, then solves one least-squares system for all columns.  The
+    solve uses the exact differential (``differential_project``) so the lift is
+    smooth enough to sit inside second-derivative checks.  It goes through a QR
+    factorization: the chart coordinates can scale the rows of the differential
+    very unevenly (the Darboux y0 row grows like x cosh(gamma)), which costs an
+    SVD-based solve over a digit of accuracy.
     """
     xv = as_vector(x)
     frame = horizontal_basis(model, a, xv).vectors
     q, r = np.linalg.qr(differential_project(model, a, xv, frame))
-    return frame @ np.linalg.solve(r, q.T @ np.asarray(chart_tangents, dtype=float))
+    rhs = np.swapaxes(q, -1, -2) @ np.asarray(chart_tangents, dtype=float)
+    return frame @ np.linalg.solve(r, rhs)
 
 
 def darboux_matrix(model: SymplecticModel) -> np.ndarray:
@@ -330,34 +304,13 @@ def chart_omega_matrix(model: SymplecticModel, a, x) -> np.ndarray:
 
     The ``LocalChart`` is centred at cp = project(x) and the form is evaluated
     on the lifts at chart_section(cp), the point of the fiber that the chart
-    section picks; omega is invariant along the fiber.
+    section picks; omega is invariant along the fiber.  In the ball and Darboux
+    charts the coordinate tangents are the unit vectors, so a stack is one lift.
     """
     cp = project(model, a, x)
     dirs = LocalChart(model, a, cp).coordinate_tangents(cp)
     lifts = lift_tangent(model, a, chart_section(model, a, cp), dirs)
-    return lifts.T @ model.omega @ lifts
-
-
-def connection_nabla(model: SymplecticModel, a, x, xbar, yfield,
-                     fd_step: float = 1e-5) -> np.ndarray:
-    """Covariant derivative of a horizontal field in a horizontal direction.
-
-    Evaluates D0_{Xbar} Ybar - Omega(A Xbar, Ybar) x + Omega(Xbar, Ybar) Ax,
-    where the flat term D0 is a central finite difference of the field along
-    the retracted line through x.
-    """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    xv = as_vector(x)
-    amat = as_matrix(a)
-    xbar = np.asarray(xbar, dtype=float)
-    y_here = np.asarray(yfield(xv), dtype=float)
-    y_plus = np.asarray(yfield(retract_to_sigma(model, a, xv + fd_step * xbar)), dtype=float)
-    y_minus = np.asarray(yfield(retract_to_sigma(model, a, xv - fd_step * xbar)), dtype=float)
-    flat = (y_plus - y_minus) / (2.0 * fd_step)
-    return (flat
-            - model.pairing(amat @ xbar, y_here) * xv
-            + model.pairing(xbar, y_here) * (amat @ xv))
+    return np.swapaxes(lifts, -1, -2) @ model.omega @ lifts
 
 
 def curvature(model: SymplecticModel, a, xbar, ybar, zbar) -> np.ndarray:
@@ -526,21 +479,22 @@ class LocalChart:
     the chart map itself, since every chart tangent is lifted linearly.
     """
 
-    def __init__(self, model: SymplecticModel, a, center: ChartPoint):
+    def __init__(self, model: SymplecticModel, a, center: np.ndarray):
         self.model = model
-        self.kind = center.kind
+        self.kind = chart_kind(model)
+        if self.kind in ("tangent_sphere", "quadric") and np.ndim(center) != 1:
+            raise ValueError("a graph chart is centred at one chart point")
         if self.kind == "tangent_sphere":
             m = model.n + 1
-            self.pivot = int(np.argmax(np.abs(center.coords[:m])))
+            self.pivot = int(np.argmax(np.abs(center[:m])))
         elif self.kind == "quadric":
-            xs = center.coords[-model.p:]
+            xs = center[-model.p:]
             self.pivot = int(np.argmax(np.abs(model.eps * xs)))
 
-    def coordinate_tangents(self, cp: ChartPoint) -> np.ndarray:
-        """Chart-representation tangents of the local coordinate fields at cp (exact)."""
+    def coordinate_tangents(self, c: np.ndarray) -> np.ndarray:
+        """Chart-representation tangents of the local coordinate fields at c (exact)."""
         if self.kind in ("ball", "darboux"):
             return np.eye(2 * self.model.n)
-        c = cp.coords
         if self.kind == "tangent_sphere":
             m = self.model.n + 1
             u, w = c[:m], c[m:]
@@ -588,22 +542,6 @@ class LocalChart:
         return np.stack(cols, axis=1)
 
 
-def coordinate_field(model: SymplecticModel, a, local: LocalChart, index: int):
-    """Horizontal lift of the index-th local coordinate field, as a field on Sigma_A."""
-
-    def field(z):
-        cp = project(model, a, z)
-        return lift_tangent(model, a, z, local.coordinate_tangents(cp)[:, index])
-
-    return field
-
-
-def symmetry_in_chart(model: SymplecticModel, a, s, cp: ChartPoint) -> ChartPoint:
-    """The reduced symmetry induced by the linear symmetry ``s`` (``symmetry_matrix``)
-    applied to a chart point."""
-    return project(model, a, s @ chart_section(model, a, cp))
-
-
 def _symmetry_differential(model: SymplecticModel, a, s, x, sx):
     """The horizontal frame L at x and T = d pi_{sx}(s L), for sx = s x.
 
@@ -614,28 +552,32 @@ def _symmetry_differential(model: SymplecticModel, a, s, x, sx):
     return lifts, differential_project(model, a, sx, s @ lifts)
 
 
-def symmetry_pullback_residual(model: SymplecticModel, a, s, x, sx, y) -> float:
+def symmetry_pullback_residual(model: SymplecticModel, a, s, x, sx, y):
     """|J^T omega' J - omega| for the chart differential J of the reduced symmetry, exactly.
 
-    x is a section point, sx = s x, and y the section point over project(sx).
-    M lifts the image tangents T (``_symmetry_differential``) at y; the lift
-    is linear, so M^T Omega M - L^T Omega L is J^T omega' J - omega in the
-    basis d pi_x(L).  That holds in any basis, and on the orthonormal frame
-    the rounding floor is eps, not eps |L|^2 for lifts L.
+    x is a section point, sx = s x, and y the section point over project(sx),
+    or (S, N) stacks of them (then one residual per row).  M lifts the image
+    tangents T (``_symmetry_differential``) at y; the lift is linear, so
+    M^T Omega M - L^T Omega L is J^T omega' J - omega in the basis d pi_x(L).
+    That holds in any basis, and on the orthonormal frame the rounding floor
+    is eps, not eps |L|^2 for lifts L.
     """
     lifts, tangents = _symmetry_differential(model, a, s, x, sx)
     moved = lift_tangent(model, a, y, tangents)
-    return float(np.max(np.abs(moved.T @ model.omega @ moved - lifts.T @ model.omega @ lifts)))
+    forms = [np.swapaxes(v, -1, -2) @ model.omega @ v for v in (moved, lifts)]
+    return np.max(np.abs(forms[0] - forms[1]), axis=(-2, -1))
 
 
 def reduced_symmetry_report(model: SymplecticModel, a, x_center, samples) -> dict:
-    """Residuals of the reduced-symmetry axioms at the given Sigma_A samples.
+    """Residuals of the reduced-symmetry axioms at an (S, N) stack of Sigma_A samples.
 
     Returns ambient involution/symplectic/commutation residuals, the chart
     fixed-point defect, and per sample the involutivity defect and the
-    symplectic-pullback residual of the chart differential (where a chart exists).
+    symplectic-pullback residual of the chart differential (where a chart
+    exists), as (S,) arrays.
     """
     s = symmetry_matrix(model, a, x_center)
+    pts = as_vector(samples)
     out = {
         "symmetry_squared": float(np.max(np.abs(s @ s - np.eye(model.ambient_dim)))),
         "symmetry_symplectic": float(np.max(np.abs(s.T @ model.omega @ s - model.omega))),
@@ -643,19 +585,18 @@ def reduced_symmetry_report(model: SymplecticModel, a, x_center, samples) -> dic
         "chart_available": chart_kind(model) is not None,
     }
     if not out["chart_available"]:
-        out["fixed_point"] = fiber_distance(model, a, x_center, s @ as_vector(x_center))
-        out["involution_in_chart"] = [
-            fiber_distance(model, a, as_vector(p), s @ (s @ as_vector(p))) for p in samples]
+        out["fixed_point"] = float(fiber_distance(model, a, x_center, s @ as_vector(x_center)))
+        out["involution_in_chart"] = fiber_distance(model, a, pts,
+                                                    apply_rows(s, apply_rows(s, pts)))
         return out
-    center_cp = project(model, a, x_center)
-    out["fixed_point"] = chart_distance(center_cp, symmetry_in_chart(model, a, s, center_cp))
-    out["involution_in_chart"], out["symplectic_pullback"] = [], []
-    for pt in samples:
-        # one section point and one image per sample feed both checks
-        cp = project(model, a, pt)
-        x = chart_section(model, a, cp)
-        sx = s @ x
-        y = chart_section(model, a, project(model, a, sx))
-        out["involution_in_chart"].append(chart_distance(cp, project(model, a, s @ y)))
-        out["symplectic_pullback"].append(symmetry_pullback_residual(model, a, s, x, sx, y))
+    center = project(model, a, x_center)
+    out["fixed_point"] = float(np.max(np.abs(
+        center - project(model, a, s @ chart_section(model, a, center)))))
+    # one section point and one image per sample feed both checks
+    cp = project(model, a, pts)
+    x = chart_section(model, a, cp)
+    sx = apply_rows(s, x)
+    y = chart_section(model, a, project(model, a, sx))
+    out["involution_in_chart"] = np.max(np.abs(cp - project(model, a, apply_rows(s, y))), axis=-1)
+    out["symplectic_pullback"] = symmetry_pullback_residual(model, a, s, x, sx, y)
     return out

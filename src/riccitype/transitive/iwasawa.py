@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import CharacteristicElement, SymplecticModel, build_model
-from ..geometry import ChartPoint
 from ..lie import (
     MatrixLieSubspace,
     ad_eigenspaces,
@@ -136,13 +135,12 @@ def ad_spectrum_on_n(iw: IwasawaData, phi_params=None) -> np.ndarray:
     return ad_eigenvalues(iw.nilpotent_part, gen)
 
 
-def sample_ball_points(n: int, count: int, seed: int, radius: float = 0.9) -> list[ChartPoint]:
-    """Seeded sample of points of the ball chart |w| < 1."""
+def sample_ball_points(n: int, count: int, seed: int, radius: float = 0.9) -> np.ndarray:
+    """Seeded (count, 2n) sample of points of the ball chart |w| < 1, one per row."""
     rng = np.random.default_rng(seed)
     points = []
     for _ in range(count):
         v = rng.standard_normal(2 * n)
         r = radius * rng.uniform() ** (1.0 / (2 * n))
-        w = r * v / np.linalg.norm(v)
-        points.append(ChartPoint("elliptic", "ball", w))
-    return points
+        points.append(r * v / np.linalg.norm(v))
+    return np.array(points)

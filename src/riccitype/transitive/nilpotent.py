@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..core import SymplecticModel, as_matrix
-from ..geometry import ChartPoint, darboux_matrix
+from ..core import SymplecticModel, apply_rows, as_matrix
+from ..geometry import darboux_matrix
 from ..lie import (MatrixLieSubspace, bracket_rows, constants_certificate, line,
                    structure_constants, subspace_from_matrices)
 
@@ -237,8 +237,8 @@ def simply_transitive_certificate(model: SymplecticModel, matrices,
                                   rank_tol: float = 1e-7) -> dict:
     """Rank certificate of a family of chart vector fields at sampled points.
 
-    ``matrices`` holds one field matrix per sample, one field per column, as
-    the ``geometry.fundamental_fields`` callable returns it.  Reports the
+    ``matrices`` is the (S, 2n, g) field stack, one field per column, that
+    ``geometry.fundamental_fields`` returns for S chart points.  Reports the
     rank and smallest singular value at every sample; the verdict fails with
     the index of the first sample whose rank drops below the chart dimension.
     """
@@ -261,23 +261,23 @@ def frame_invertibility_minimum(B: np.ndarray, gammas) -> tuple[float, int]:
 
     The ratio is a scale-free invertibility statistic, 1 for scalar B.
     """
-    ident = np.eye(B.shape[0])
-    frames = np.array([np.cosh(g) * ident + np.sinh(g) * B for g in gammas])
+    g = np.asarray(gammas, dtype=float)[:, None, None]
+    frames = np.cosh(g) * np.eye(B.shape[0]) + np.sinh(g) * B
     svals = np.linalg.svd(frames, compute_uv=False)
     ratios = svals[:, -1] / svals[:, 0]
     worst = int(np.argmin(ratios))  # the first NaN, if any
     return float(ratios[worst]), worst
 
 
-def moment_map_f(B: np.ndarray, c: float, generator, chart_point,
+def moment_map_f(B: np.ndarray, c: float, generator, coords,
                  omega0: np.ndarray) -> float:
-    """Hamiltonian of the fundamental field:
+    """Hamiltonian of the fundamental field at a Darboux chart point (y0, Y, gamma):
 
     f = p y0 - (1/2c) p' e^{2 c gamma} - Omega0(P,Y) cosh(g) - Omega0(BP,Y) sinh(g).
     """
     p, P, pp = generator
     P = np.asarray(P, dtype=float)
-    coords = chart_point.coords if isinstance(chart_point, ChartPoint) else np.asarray(chart_point)
+    coords = np.asarray(coords, dtype=float)
     y0, y, gamma = coords[0], coords[1:-1], coords[-1]
     return float(p * y0 - pp * np.exp(2.0 * c * gamma) / (2.0 * c)
                  - (P @ omega0 @ y) * np.cosh(gamma)
@@ -285,36 +285,40 @@ def moment_map_f(B: np.ndarray, c: float, generator, chart_point,
 
 
 def hamiltonian_residual(model: SymplecticModel, B: np.ndarray, c: float,
-                         fields: np.ndarray, chart_point: ChartPoint) -> float:
+                         fields: np.ndarray, coords: np.ndarray):
     """max |df - i(X*)omega| over the 2n unit generators of a normalized family at a point.
 
-    ``fields`` is the (2n, 2n) field matrix at ``chart_point`` of
-    ``family_generators`` of a normalized candidate (a~ = 0, a = 0) with
-    this B and c, so column j is the field of the j-th unit tuple
-    (1, 0, 0), (0, e_a, 0), (0, 0, 1).  Row j of the gradient matrix
-    is the closed-form differential of moment_map_f for that tuple:
+    ``fields`` is the (2n, 2n) field matrix at the Darboux chart point
+    ``coords`` of ``family_generators`` of a normalized candidate (a~ = 0,
+    a = 0) with this B and c, so column j is the field of the j-th unit tuple
+    (1, 0, 0), (0, e_a, 0), (0, 0, 1); an (S, 2n, 2n) field stack at an
+    (S, 2n) stack of points gives one residual per point.  Row j of the
+    gradient matrix is the closed-form differential of moment_map_f for
+    that tuple:
 
         df/dy0 = p,   df/dY = -cosh(g) Omega0^T P - sinh(g) Omega0^T BP,
         df/dgamma = -p' e^{2 c gamma} - sinh(g) Omega0(P,Y) - cosh(g) Omega0(BP,Y).
     """
     omega0 = model.omega0
-    y, gamma = chart_point.coords[1:-1], chart_point.coords[-1]
+    y, gamma = coords[..., 1:-1], coords[..., -1:]
     ch, sh = np.cosh(gamma), np.sinh(gamma)
-    oy = omega0 @ y
-    grad = np.zeros((2 * model.n, 2 * model.n))
-    grad[0, 0] = 1.0
-    grad[1:-1, 1:-1] = -ch * omega0 - sh * (B.T @ omega0)
-    grad[1:-1, -1] = -sh * oy - ch * (B.T @ oy)
-    grad[-1, -1] = -np.exp(2.0 * c * gamma)
-    return float(np.max(np.abs(fields.T @ darboux_matrix(model) - grad)))
+    oy = apply_rows(omega0, y)
+    grad = np.zeros(np.shape(fields))
+    grad[..., 0, 0] = 1.0
+    grad[..., 1:-1, 1:-1] = -ch[..., None] * omega0 - sh[..., None] * (B.T @ omega0)
+    grad[..., 1:-1, -1] = -sh * oy - ch * apply_rows(B.T, oy)
+    grad[..., -1, -1] = -np.exp(2.0 * c * gamma[..., 0])
+    return np.max(np.abs(np.swapaxes(fields, -1, -2) @ darboux_matrix(model) - grad),
+                  axis=(-2, -1))
 
 
-def strongly_hamiltonian_defect(B: np.ndarray, c: float, P, Q,
-                                omega0: np.ndarray) -> float:
-    """Comoment homomorphism defect (1/2)(Omega0(BP, BQ) - Omega0(P, Q))."""
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    return 0.5 * float((B @ P) @ omega0 @ (B @ Q) - P @ omega0 @ Q)
+def strongly_hamiltonian_defect(B: np.ndarray, omega0: np.ndarray) -> np.ndarray:
+    """Comoment homomorphism defect 0.5 (B^T Omega0 B - Omega0).
+
+    Entry (i, j) is (1/2)(Omega0(B e_i, B e_j) - Omega0(e_i, e_j)); it vanishes
+    exactly when B preserves Omega0.
+    """
+    return 0.5 * (B.T @ omega0 @ B - omega0)
 
 
 def heisenberg_extension_check(model: SymplecticModel, a, c: float = 1.0) -> dict:

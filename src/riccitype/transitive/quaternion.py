@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import build_model
-from ..geometry import ChartPoint, fundamental_fields
+from ..geometry import fundamental_fields
+from ..lie import rank_split
 
 
 def cross_matrix(v: np.ndarray) -> np.ndarray:
@@ -105,14 +106,14 @@ def orbit_rank_ts3_evidence(w: np.ndarray, k: float = 1.0) -> dict:
     if w.shape != (3,) or np.max(np.abs(w)) == 0.0:
         raise ValueError("w must be a nonzero vector in R^3")
     model, elem = build_model("hyperbolic", 3, k=k)
-    base = ChartPoint("hyperbolic", "tangent_sphere", np.eye(8)[0])  # u = e1, w = 0
     gens = su2_left_basis() + [eta(v, w) for v in np.eye(3)] + [eta(w, w)]
     zero = np.zeros((4, 4))
     lifted = [np.block([[x, zero], [zero, -x.T]]) for x in gens]
-    fields = fundamental_fields(model, elem, lifted)(base)
+    fields = fundamental_fields(model, elem, lifted, np.eye(8)[0])  # at u = e1, w = 0
     svals = np.linalg.svd(fields[:, :6], compute_uv=False)
-    rank = int(np.sum(svals > 1e-7 * max(svals[0], 1.0)))
-    su2_rank = int(np.linalg.matrix_rank(fields[:, :3], tol=1e-9))
+    # the rank cut is relative to the largest field, with an absolute floor of 1e-7
+    rank = len(rank_split(fields[:, :6], atol=1e-7)[0])
+    su2_rank = len(rank_split(fields[:, :3], rtol=0.0, atol=1e-9)[0])
     return {
         "singular_values": svals,
         "rank": rank,

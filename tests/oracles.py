@@ -8,14 +8,17 @@ exp(+-hX) and of the reduced symmetry, and of the moment map, and
 from the hand-derived Darboux-chart formulas, so that tests can compare the
 routes.  The reduced form on horizontal lifts is evaluated here directly,
 with its horizontality guard, and subspace coordinates by a least-squares
-solve in the basis.
+solve in the basis.  The canonical connection is a central difference of a
+horizontal field along the line retracted to Sigma_A (``connection_nabla``),
+on horizontal projections of constant vectors and on the lifted local
+coordinate fields; no command needs it.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
 from riccitype import geometry
-from riccitype.core import as_matrix, as_vector
+from riccitype.core import as_matrix, as_vector, sigma_value
 from riccitype.transitive import nilpotent as nil
 
 
@@ -28,9 +31,59 @@ def coordinates_oracle(sub, mats):
 def pushforward(model, a, x, v, fd_step=1e-5):
     """Finite-difference differential of the projection applied to an ambient tangent."""
     xv = as_vector(x)
-    plus = geometry.project(model, a, geometry.retract_to_sigma(model, a, xv + fd_step * v))
-    minus = geometry.project(model, a, geometry.retract_to_sigma(model, a, xv - fd_step * v))
-    return (plus.coords - minus.coords) / (2.0 * fd_step)
+    plus = geometry.project(model, a, retract_to_sigma(model, a, xv + fd_step * v))
+    minus = geometry.project(model, a, retract_to_sigma(model, a, xv - fd_step * v))
+    return (plus - minus) / (2.0 * fd_step)
+
+
+def horizontal_projection(model, a, x, v):
+    """Component of v in H_x along span{x, Ax}."""
+    xv = as_vector(x)
+    ax = as_matrix(a) @ xv
+    sigma = model.pairing(xv, ax)
+    alpha = model.pairing(v, ax) / sigma
+    beta = -model.pairing(v, xv) / sigma
+    return v - alpha * xv - beta * ax
+
+
+def retract_to_sigma(model, a, z):
+    """Rescale a nearby ambient point back onto Sigma_A."""
+    val = sigma_value(model, a, z)
+    if val <= 0:
+        raise ValueError("cannot retract: Omega(z, Az) <= 0")
+    return as_vector(z) / np.sqrt(val)
+
+
+def connection_nabla(model, a, x, xbar, yfield, fd_step=1e-5):
+    """Covariant derivative of a horizontal field in a horizontal direction.
+
+    Evaluates D0_{Xbar} Ybar - Omega(A Xbar, Ybar) x + Omega(Xbar, Ybar) Ax,
+    where the flat term D0 is a central finite difference of the field along
+    the retracted line through x.
+    """
+    if fd_step <= 0:
+        raise ValueError("fd_step must be positive")
+    xv = as_vector(x)
+    amat = as_matrix(a)
+    xbar = np.asarray(xbar, dtype=float)
+    y_here = np.asarray(yfield(xv), dtype=float)
+    y_plus = np.asarray(yfield(retract_to_sigma(model, a, xv + fd_step * xbar)), dtype=float)
+    y_minus = np.asarray(yfield(retract_to_sigma(model, a, xv - fd_step * xbar)), dtype=float)
+    flat = (y_plus - y_minus) / (2.0 * fd_step)
+    return (flat
+            - model.pairing(amat @ xbar, y_here) * xv
+            + model.pairing(xbar, y_here) * (amat @ xv))
+
+
+def coordinate_field(model, a, local, index):
+    """Horizontal lift of the index-th local coordinate field of a ``geometry.LocalChart``,
+    as a field on Sigma_A."""
+
+    def field(z):
+        cp = geometry.project(model, a, z)
+        return geometry.lift_tangent(model, a, z, local.coordinate_tangents(cp)[:, index])
+
+    return field
 
 
 def symmetry_chart_differential(model, a, s, x, directions, step=1e-5):
@@ -39,14 +92,15 @@ def symmetry_chart_differential(model, a, s, x, directions, step=1e-5):
     projected, so no local chart is involved."""
     cols = []
     for v in np.asarray(directions, dtype=float).T:
-        plus, minus = (geometry.symmetry_in_chart(model, a, s, geometry.project(
-            model, a, geometry.retract_to_sigma(model, a, x + h * v))) for h in (step, -step))
-        cols.append((plus.coords - minus.coords) / (2.0 * step))
+        plus, minus = (geometry.project(model, a, s @ geometry.chart_section(
+            model, a, geometry.project(model, a, retract_to_sigma(model, a, x + h * v))))
+            for h in (step, -step))
+        cols.append((plus - minus) / (2.0 * step))
     return np.stack(cols, axis=1)
 
 
 def act_chart(model, a, g, cp, tol=1e-8):
-    """Induced action of a centralizing symplectic map on chart points."""
+    """Induced action of a centralizing symplectic map on chart coordinates."""
     amat = as_matrix(a)
     sp_res = float(np.max(np.abs(g.T @ model.omega @ g - model.omega)))
     comm_res = float(np.max(np.abs(g @ amat - amat @ g)))
@@ -79,8 +133,8 @@ def gl_to_sp_hyperbolic(model, b):
 
 def differenced_field(model, a, x_mat, cp, step):
     """Fundamental field of X as the central difference of the chart action of exp(-sX)."""
-    plus = act_chart(model, a, expm(-step * x_mat), cp).coords
-    minus = act_chart(model, a, expm(step * x_mat), cp).coords
+    plus = act_chart(model, a, expm(-step * x_mat), cp)
+    minus = act_chart(model, a, expm(step * x_mat), cp)
     return (plus - minus) / (2.0 * step)
 
 
@@ -102,7 +156,7 @@ def moment_map_gradient(B, c, generator, coords, omega0, step):
     return grad
 
 
-def fundamental_field_p2q1(B, c, generator, chart_point, omega0):
+def fundamental_field_p2q1(B, c, generator, coords, omega0):
     """Closed-form fundamental vector field on the (y0, Y, gamma) chart.
 
     For the generator with parameters (p, P, p') of a normalized family:
@@ -113,8 +167,7 @@ def fundamental_field_p2q1(B, c, generator, chart_point, omega0):
     """
     p, P, pp = generator
     P = np.asarray(P, dtype=float)
-    coords = chart_point.coords if isinstance(chart_point, geometry.ChartPoint) \
-        else np.asarray(chart_point)
+    coords = np.asarray(coords, dtype=float)
     y = coords[1:-1]
     gamma = coords[-1]
     ch, sh = np.cosh(gamma), np.sinh(gamma)
@@ -129,7 +182,7 @@ def fundamental_field_p2q1(B, c, generator, chart_point, omega0):
 
 def closed_form_fields(B, c, omega0):
     """The closed-form fields of the unit tuples (1, 0, 0), (0, e_a, 0), (0, 0, 1),
-    as a callable ChartPoint -> matrix with one field per column."""
+    as a callable from Darboux chart coordinates to a matrix with one field per column."""
     tuples = nil._generator_tuples(B.shape[0])
 
     def fields(cp):

@@ -493,7 +493,7 @@ NAN = float("nan")
 
 def _nan_sample(key):
     # a reduced_symmetry_report whose sample 3 reads NaN under key
-    return lambda rep: {**rep, key: rep[key][:3] + [NAN] + rep[key][4:]}
+    return lambda rep: {**rep, key: _spoil_sample_3(rep[key])}
 
 
 def _spoil_sample_3(values, spoil=NAN):
@@ -531,10 +531,11 @@ ELLIPTIC_P2 = ("elliptic", 2, 2, 1)
 NAN_CASES = {  # test id: command, tuple, spiked function, its spiked call, spoil, entry, sample
     "series_oracle": ("verify-geometry", HYPERBOLIC, "cli._series_exp", 3, lambda m: m * NAN,
                       "flow.series_oracle", lambda *params: "t = 0"),
-    "flow_invariance": ("verify-geometry", HYPERBOLIC, "geometry.chart_distance", 3,
-                        lambda d: NAN, "projection.flow_invariance", _sigma_point),
-    "flow_invariance_fiber": ("verify-geometry", ELLIPTIC_P2, "geometry.fiber_distance", 3,
-                              lambda d: NAN, "projection.flow_invariance_fiber", _sigma_point),
+    # call 1 projects the flowed points
+    "flow_invariance": ("verify-geometry", HYPERBOLIC, "geometry.project", 1, _spoil_sample_3,
+                        "projection.flow_invariance", _sigma_point),
+    "flow_invariance_fiber": ("verify-geometry", ELLIPTIC_P2, "geometry.fiber_distance", 0,
+                              _spoil_sample_3, "projection.flow_invariance_fiber", _sigma_point),
     "cyclic_identity": ("verify-geometry", HYPERBOLIC, "geometry.curvature_cyclic_residual", 0,
                         _spoil_sample_3, "curvature.cyclic_identity", _sigma_point),
     "ricci_type_residual": ("verify-geometry", HYPERBOLIC, "geometry.ricci_type_residual", 0,
@@ -545,8 +546,8 @@ NAN_CASES = {  # test id: command, tuple, spiked function, its spiked call, spoi
     "trace_route_match": ("verify-geometry", HYPERBOLIC, "geometry.ricci_type_residual", 0,
                           lambda out: (out[0], _spoil_sample_3(out[1]), out[2]),
                           "ricci.trace_route_match", _sigma_point),
-    "darboux_constant": ("verify-geometry", DARBOUX, "geometry.chart_omega_matrix", 3,
-                         lambda m: m * NAN, "reduced_form.darboux_constant", _sigma_point),
+    "darboux_constant": ("verify-geometry", DARBOUX, "geometry.chart_omega_matrix", 0,
+                         _spoil_sample_3, "reduced_form.darboux_constant", _sigma_point),
     "involution_in_chart": ("verify-geometry", DARBOUX, "geometry.reduced_symmetry_report", 0,
                             _nan_sample("involution_in_chart"), "symmetry.involution_in_chart",
                             _sigma_point),
@@ -555,9 +556,9 @@ NAN_CASES = {  # test id: command, tuple, spiked function, its spiked call, spoi
                                   _nan_sample("involution_in_chart"),
                                   "symmetry.involution_in_chart", _sigma_point),
     "symplectic_pullback": ("verify-geometry", HYPERBOLIC, "geometry.symmetry_pullback_residual",
-                            3, lambda r: NAN, "symmetry.symplectic_pullback", _sigma_point),
-    "hamiltonian_identity": ("find-transitive", DARBOUX, "nil.hamiltonian_residual", 3,
-                             lambda r: NAN, "scalar_c_plus.hamiltonian_identity",
+                            0, _spoil_sample_3, "symmetry.symplectic_pullback", _sigma_point),
+    "hamiltonian_identity": ("find-transitive", DARBOUX, "nil.hamiltonian_residual", 0,
+                             _spoil_sample_3, "scalar_c_plus.hamiltonian_identity",
                              _darboux_point),
     "equivariance": ("quaternion-evidence", HYPERBOLIC, "quat.equivariance_residuals", 3,
                      lambda r: (NAN, 0.0), "eta.equivariance", _quaternion_draw),

@@ -69,6 +69,13 @@ def test_rational_nullspace_oracle():
     assert rational_nullspace_dimension(system) == 11
 
 
+def test_rational_nullspace_reads_floats_exactly():
+    # 1e-7 and 1 + 2^-52 are rationals other than 0 and 1: rounding each entry to a
+    # bounded denominator read them as 0 and 1, and the dimensions as 2 and 1
+    assert rational_nullspace_dimension(np.array([[1e-7, 0.0]])) == 1
+    assert rational_nullspace_dimension(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]])) == 0
+
+
 def test_closure_residual_examples():
     e12, e21 = e_matrix(0, 1), e_matrix(1, 0)
     abelian_line = lie.subspace_from_matrices([e12], 2)

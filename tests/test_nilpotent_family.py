@@ -19,16 +19,16 @@ def setup():
     return model, elem, model.omega0
 
 
-def family_fields(model, elem, b_mat, c):
-    """Exact fields of the normalized family (a~ = 0, a = 0) with this B and c."""
+def family_fields(model, elem, b_mat, c, coords):
+    """Exact fields of the normalized family (a~ = 0, a = 0) with this B and c at chart points."""
     cand = nil.make_candidate(b_mat, c=c)
-    return geometry.fundamental_fields(model, elem, nil.family_generators(cand, model.omega0))
+    return geometry.fundamental_fields(model, elem, nil.family_generators(cand, model.omega0),
+                                       coords)
 
 
 def darboux_points(n, count, seed, scale=1.0):
-    rng = np.random.default_rng(seed)
-    return [geometry.ChartPoint("nilpotent", "darboux", scale * rng.standard_normal(2 * n))
-            for _ in range(count)]
+    """A (count, 2n) stack of Darboux chart points, one per row."""
+    return scale * np.random.default_rng(seed).standard_normal((count, 2 * n))
 
 
 def test_candidate_matrix_linearity_and_zero(setup):
@@ -190,8 +190,7 @@ def test_normalize_fixed_point(setup):
 
 def test_fundamental_field_examples(setup):
     model, elem, om0 = setup
-    origin = geometry.ChartPoint("nilpotent", "darboux", np.zeros(4))
-    fields = family_fields(model, elem, np.diag([1.0, -1.0]), 1.0)(origin)
+    fields = family_fields(model, elem, np.diag([1.0, -1.0]), 1.0, np.zeros(4))
     assert fields.shape == (4, 4)
     assert np.allclose(fields[:, 0], [0, 0, 0, -1.0])
     assert np.allclose(fields[:, 3], [-1.0, 0, 0, 0])
@@ -206,9 +205,8 @@ def test_fundamental_field_cross_validation(setup):
     b_mat, c = np.diag([1.0, -1.0]), 1.0
     sub, gens, cand = nil.build_h(model, b_mat, c=c)
     tuples = nil._generator_tuples(2)
-    fields = geometry.fundamental_fields(model, elem, gens)
-    for cp in darboux_points(2, 5, seed=3):
-        mat = fields(cp)
+    points = darboux_points(2, 5, seed=3)
+    for cp, mat in zip(points, geometry.fundamental_fields(model, elem, gens, points)):
         for gen, k, field in zip(tuples, gens, mat.T):
             closed = fundamental_field_p2q1(b_mat, c, gen, cp, om0)
             assert np.max(np.abs(closed - field)) <= 1e-12
@@ -218,25 +216,25 @@ def test_fundamental_field_cross_validation(setup):
         data = iwa.iwasawa_su1n(n)
         phi = np.linspace(-1.5, 0.8, n - 1)
         gens = [iwa.build_a_phi(data, phi)[2], *data.nilpotent_part.basis]
-        fields = geometry.fundamental_fields(data.model, data.element, gens)
-        for cp in iwa.sample_ball_points(n, 5, seed=7):
-            for k, field in zip(gens, fields(cp).T):
+        points = iwa.sample_ball_points(n, 5, seed=7)
+        for cp, mat in zip(points, geometry.fundamental_fields(data.model, data.element, gens,
+                                                               points)):
+            for k, field in zip(gens, mat.T):
                 fd = differenced_field(data.model, data.element, k, cp, 1e-5)
                 assert np.max(np.abs(field - fd)) <= 1e-8
     hyp, hyp_elem = core.build_model("hyperbolic", 3)
     w = np.array([0.3, -1.2, 0.5])
     gl_gens = quat.su2_left_basis() + [quat.eta(v, w) for v in np.eye(3)] + [quat.eta(w, w)]
     zero = np.zeros((4, 4))
-    fields = geometry.fundamental_fields(
-        hyp, hyp_elem, [np.block([[x, zero], [zero, -x.T]]) for x in gl_gens])
+    lifted = [np.block([[x, zero], [zero, -x.T]]) for x in gl_gens]
     rng = np.random.default_rng(3)
     for _ in range(5):
         u = rng.standard_normal(4)
         u /= np.linalg.norm(u)
         tw = 0.6 * rng.standard_normal(4)
         tw -= (u @ tw) * u
-        cp = geometry.ChartPoint("hyperbolic", "tangent_sphere", np.concatenate([u, tw]))
-        for x, field in zip(gl_gens, fields(cp).T):
+        cp = np.concatenate([u, tw])
+        for x, field in zip(gl_gens, geometry.fundamental_fields(hyp, hyp_elem, lifted, cp).T):
             fd = tangent_sphere_field(x, u, tw, 1.0, 1e-6)
             assert np.max(np.abs(field - fd)) <= 1e-8
     # generators outside the centralizer of A in sp are rejected
@@ -246,7 +244,7 @@ def test_fundamental_field_cross_validation(setup):
     not_commuting[:4, 4:] = np.eye(4)  # in sp
     for bad in (not_sp, not_commuting):
         with pytest.raises(ValueError, match="centralizer"):
-            geometry.fundamental_fields(hyp, hyp_elem, [bad])
+            geometry.fundamental_fields(hyp, hyp_elem, [bad], np.eye(8)[0])
     # the exact Hamiltonian gradient vs central differences of the moment map
     for n in (2, 3, 4):
         nmodel, nelem = core.build_model("nilpotent", n, p=2, q=1)
@@ -254,11 +252,10 @@ def test_fundamental_field_cross_validation(setup):
         split = np.diag(np.concatenate([np.ones(d // 2), -np.ones(d // 2)]))
         dar = geometry.darboux_matrix(nmodel)
         for b, cc in [(np.eye(d), 1.0), (-np.eye(d), -1.0), (split, 1.0)]:
-            fields = family_fields(nmodel, nelem, b, cc)
-            for cp in darboux_points(n, 5, seed=29):
-                mat = fields(cp)
+            points = darboux_points(n, 5, seed=29)
+            for cp, mat in zip(points, family_fields(nmodel, nelem, b, cc, points)):
                 for gen, field in zip(nil._generator_tuples(d), mat.T):
-                    grad = moment_map_gradient(b, cc, gen, cp.coords, nmodel.omega0, 1e-5)
+                    grad = moment_map_gradient(b, cc, gen, cp, nmodel.omega0, 1e-5)
                     assert np.max(np.abs(field @ dar - grad)) <= 1e-5
                 assert nil.hamiltonian_residual(nmodel, b, cc, mat, cp) <= 1e-12
 
@@ -267,21 +264,20 @@ def test_simply_transitive_certificate(setup):
     model, elem, om0 = setup
     points = darboux_points(2, 100, seed=11)
     for b_mat, c in [(np.eye(2), 1.0), (np.diag([1.0, -1.0]), 1.0), (-np.eye(2), -1.0)]:
-        fields = family_fields(model, elem, b_mat, c)
-        cert = nil.simply_transitive_certificate(model, [fields(cp) for cp in points])
+        cert = nil.simply_transitive_certificate(model, family_fields(model, elem, b_mat, c,
+                                                                      points))
         assert cert["passed"]
         assert cert["min_rank"] == 4
         assert cert["min_singular_value"] > 0
-        gammas = [cp.coords[-1] for cp in points]
-        assert nil.frame_invertibility_minimum(b_mat, gammas)[0] > 0
+        assert nil.frame_invertibility_minimum(b_mat, points[:, -1])[0] > 0
 
 
 def test_simply_transitive_duplicate_generator_fails(setup):
     model, elem, om0 = setup
     points = darboux_points(2, 10, seed=13)
     gens = nil.family_generators(nil.make_candidate(np.eye(2)), om0)
-    fields = geometry.fundamental_fields(model, elem, gens[:3] + [gens[2]])
-    cert = nil.simply_transitive_certificate(model, [fields(cp) for cp in points])
+    cert = nil.simply_transitive_certificate(
+        model, geometry.fundamental_fields(model, elem, gens[:3] + [gens[2]], points))
     assert not cert["passed"]
     assert cert["witness"] is not None
 
@@ -309,28 +305,28 @@ def test_frame_invertibility_is_scale_free():
 def test_moment_map_values(setup):
     model, elem, om0 = setup
     b_mat = np.eye(2)
-    cp = geometry.ChartPoint("nilpotent", "darboux", np.array([0.7, 0.1, -0.2, 0.0]))
+    cp = np.array([0.7, 0.1, -0.2, 0.0])
     assert nil.moment_map_f(b_mat, 1.0, (1.0, np.zeros(2), 0.0), cp, om0) == pytest.approx(0.7)
-    origin = geometry.ChartPoint("nilpotent", "darboux", np.zeros(4))
+    origin = np.zeros(4)
     assert nil.moment_map_f(b_mat, 1.0, (0.0, np.zeros(2), 1.0), origin, om0) == pytest.approx(-0.5)
 
 
 def test_moment_map_hamiltonian_identity(setup):
     model, elem, om0 = setup
     for b_mat, c in [(np.eye(2), 1.0), (np.diag([1.0, -1.0]), 1.0)]:
-        fields = family_fields(model, elem, b_mat, c)
+        points = darboux_points(2, 50, seed=17)
         worst = 0.0
-        for cp in darboux_points(2, 50, seed=17):
-            worst = max(worst, nil.hamiltonian_residual(model, b_mat, c, fields(cp), cp))
+        for cp, mat in zip(points, family_fields(model, elem, b_mat, c, points)):
+            worst = max(worst, nil.hamiltonian_residual(model, b_mat, c, mat, cp))
         assert worst <= 1e-5
 
 
 def test_strongly_hamiltonian_defect(setup):
     model, elem, om0 = setup
-    e1, e2 = np.eye(2)
-    assert nil.strongly_hamiltonian_defect(np.eye(2), 1.0, e1, e2, om0) == 0
-    assert nil.strongly_hamiltonian_defect(np.diag([1.0, -1.0]), 1.0, e1, e2, om0) == -1.0
-    assert nil.strongly_hamiltonian_defect(np.diag([1.0, -1.0]), 1.0, e1, e1, om0) == 0
+    # entry (i, j) is the defect at (e_i, e_j)
+    assert nil.strongly_hamiltonian_defect(np.eye(2), om0)[0, 1] == 0
+    assert nil.strongly_hamiltonian_defect(np.diag([1.0, -1.0]), om0)[0, 1] == -1.0
+    assert nil.strongly_hamiltonian_defect(np.diag([1.0, -1.0]), om0)[0, 0] == 0
 
 
 def test_strongly_hamiltonian_iff_scalar(setup):
@@ -343,9 +339,7 @@ def test_strongly_hamiltonian_iff_scalar(setup):
     s = expm(0.4 * sp_gen)
     sweep.append((s @ np.diag([1.0, -1.0]) @ np.linalg.inv(s), 1.0))
     for b_mat, c in sweep:
-        defect = max(abs(nil.strongly_hamiltonian_defect(b_mat, c, np.eye(2)[i],
-                                                         np.eye(2)[j], om0))
-                     for i in range(2) for j in range(2))
+        defect = np.max(np.abs(nil.strongly_hamiltonian_defect(b_mat, om0)))
         scalar = np.max(np.abs(b_mat - c * np.eye(2))) <= 1e-9
         assert (defect <= 1e-12) == scalar
 
@@ -408,9 +402,9 @@ def test_normalize_preserves_transitivity_verdict(setup):
     normalized, _ = nil.normalize_candidate(model, cand)
     points = darboux_points(2, 40, seed=23)
     gens = nil.family_generators(cand, om0)
-    fields_raw = geometry.fundamental_fields(model, elem, gens)
     fields_norm = closed_form_fields(normalized.B, normalized.c, om0)
-    cert_raw = nil.simply_transitive_certificate(model, [fields_raw(cp) for cp in points])
+    cert_raw = nil.simply_transitive_certificate(
+        model, geometry.fundamental_fields(model, elem, gens, points))
     cert_norm = nil.simply_transitive_certificate(model, [fields_norm(cp) for cp in points])
     assert cert_raw["passed"] == cert_norm["passed"] == True
     assert cert_raw["ranks"] == cert_norm["ranks"]
