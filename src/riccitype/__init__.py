@@ -8,7 +8,6 @@ transitive subgroups where they exist.
 
 from .core import (
     CharacteristicElement,
-    SigmaPoint,
     SymplecticModel,
     build_A_from_ricci,
     build_model,
@@ -19,7 +18,6 @@ from .core import (
 
 __all__ = [
     "CharacteristicElement",
-    "SigmaPoint",
     "SymplecticModel",
     "build_A_from_ricci",
     "build_model",

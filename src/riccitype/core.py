@@ -12,7 +12,11 @@ forms are supported, tagged by the sign of mu:
   (e_1..e_p, f_1..f_{2(n+1-p)}, e*_1..e*_p) with Omega in 3x3 block form.
 
 The level set Sigma_A = {x : Omega(x, Ax) = 1} carries the one-parameter
-flow exp(tA), given in closed form per sign class.
+flow exp(tA), given in closed form per sign class (``exp_tA``) and as a
+truncated Taylor series for the oracle (``series_exp``).  A batch of
+Sigma_A points is an (S, N) array, one point per row, as every layer reads
+it; ``sample_sigma`` draws it as one seeded block and solves the quadric
+row-wise.
 """
 
 from __future__ import annotations
@@ -90,21 +94,6 @@ class CharacteristicElement:
         return exp_tA(self.matrix, self.mu, t)
 
 
-@dataclass(frozen=True)
-class SigmaPoint:
-    """A point of the quadric Sigma_A = {x : Omega(x, Ax) = 1}."""
-
-    x: np.ndarray
-
-
-def as_vector(x) -> np.ndarray:
-    """Coerce SigmaPoint or array-like to a float array: one point, or a stack of points
-    one per row."""
-    if isinstance(x, SigmaPoint):
-        return x.x
-    return np.asarray(x, dtype=float)
-
-
 def as_matrix(a) -> np.ndarray:
     """Coerce CharacteristicElement or array-like to a square matrix."""
     if isinstance(a, CharacteristicElement):
@@ -118,6 +107,11 @@ def apply_rows(mat, vecs) -> np.ndarray:
     Each row gets one matrix-vector product, the product a single point gets.
     """
     return np.matmul(mat, vecs[..., None])[..., 0]
+
+
+def dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u @ v for each pair of rows: one dot product per row, the one a single point gets."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def _hyperbolic_model(n: int, k: float) -> tuple[SymplecticModel, CharacteristicElement]:
@@ -221,6 +215,18 @@ def exp_tA(a_matrix: np.ndarray, mu: float, t) -> np.ndarray:
     return ident + t * a
 
 
+def series_exp(a_matrix: np.ndarray, t, terms: int = 25) -> np.ndarray:
+    """Truncated Taylor series of exp(tA), the oracle for exp_tA; an array of times
+    gives one matrix per time."""
+    a = as_matrix(a_matrix)
+    t = np.asarray(t, dtype=float)[..., None, None]
+    acc = term = np.eye(a.shape[0])
+    for j in range(1, terms):
+        term = term @ (t * a) / j
+        acc = acc + term
+    return acc
+
+
 def sp_residual(omega: np.ndarray, x: np.ndarray) -> float:
     """Max-norm of tX Omega + Omega X (zero iff X in sp(Omega))."""
     return float(np.max(np.abs(x.T @ omega + omega @ x)))
@@ -238,95 +244,82 @@ def characteristic_residuals(model: SymplecticModel, elem: CharacteristicElement
 
 def sigma_value(model: SymplecticModel, a, x):
     """Omega(x, Ax), one value per row of a stack; a point is on Sigma_A iff this equals 1."""
-    v = as_vector(x)
+    v = np.asarray(x, dtype=float)
     if v.shape[-1] != model.ambient_dim:
         raise ValueError(f"expected vector of length {model.ambient_dim}, got {v.shape[-1]}")
     return (v[..., None, :] @ model.omega @ apply_rows(as_matrix(a), v)[..., None])[..., 0, 0]
 
 
-#: retries allowed when a drawn free block is numerically degenerate
+#: rounds of redraws allowed for the rows whose free block is numerically degenerate
 MAX_SAMPLE_RETRIES = 100
 
 
-def _redraw(rng: np.random.Generator, size: int, accept) -> np.ndarray:
-    for _ in range(MAX_SAMPLE_RETRIES):
-        v = rng.standard_normal(size)
-        if accept(v):
-            return v
-    raise RuntimeError("sampling failed: degenerate draws exhausted the retry budget")
+def _degenerate(model: SymplecticModel, z: np.ndarray) -> np.ndarray:
+    """Rows of free draws that cannot be solved onto Sigma_A: max|x+| < 0.1
+    (hyperbolic), |pos|^2 < 1e-8 for the positive-sign block otherwise."""
+    if model.case == "hyperbolic":
+        return np.max(np.abs(z[:, :model.n + 1]), axis=1) < 0.1
+    pos = z[:, model.ambient_dim:]
+    return dot_rows(pos, pos) < 1e-8
 
 
-def _sample_hyperbolic(model: SymplecticModel, rng: np.random.Generator) -> np.ndarray:
-    m = model.n + 1
-    k = model.k
-    xp = _redraw(rng, m, lambda v: np.max(np.abs(v)) >= 0.1)
-    xm = rng.standard_normal(m)
-    j = int(np.argmax(np.abs(xp)))
-    rest = xp @ xm - xp[j] * xm[j]
-    xm[j] = (-1.0 / (2.0 * k) - rest) / xp[j]
-    return np.concatenate([xp, xm])
-
-
-def _scale_split(weighted_pos: np.ndarray, neg_sq: float, target: float) -> np.ndarray:
-    # rescale the positive-sign block so that |pos|^2 - neg_sq = target
-    lam = np.sqrt((target + neg_sq) / (weighted_pos @ weighted_pos))
-    return lam * weighted_pos
-
-
-def _sample_elliptic(model: SymplecticModel, rng: np.random.Generator) -> np.ndarray:
-    m = model.n + 1
-    p, k = model.p, model.k
-    x = rng.standard_normal(m)
-    y = rng.standard_normal(m)
-    pos = _redraw(rng, 2 * p, lambda v: v @ v >= 1e-8)
-    neg_sq = float(x[p:] @ x[p:] + y[p:] @ y[p:])
-    pos = _scale_split(pos, neg_sq, 1.0 / k)
-    x[:p], y[:p] = pos[:p], pos[p:]
-    return np.concatenate([x, y])
-
-
-def _sample_nilpotent(model: SymplecticModel, rng: np.random.Generator) -> np.ndarray:
-    p, q = model.p, model.q
-    m = model.n + 1 - p
-    x = rng.standard_normal(p)
-    capx = rng.standard_normal(2 * m)
-    xs = rng.standard_normal(p)
-    pos = _redraw(rng, q, lambda v: v @ v >= 1e-8)
-    neg_sq = float(xs[q:] @ xs[q:])
-    pos = _scale_split(pos, neg_sq, 1.0)
-    if q == 1:
+def _solve_quadric(model: SymplecticModel, z: np.ndarray) -> np.ndarray:
+    """The Sigma_A point of each row of free draws: one linear coordinate is
+    solved (hyperbolic), or the positive-sign block is rescaled so that
+    |pos|^2 - |neg|^2 meets the quadric."""
+    x, pos = z[:, :model.ambient_dim].copy(), z[:, model.ambient_dim:]
+    m, p, q = model.n + 1, model.p, model.q
+    if model.case == "hyperbolic":
+        xp, xm = x[:, :m], x[:, m:]
+        rows = np.arange(len(x))
+        j = np.argmax(np.abs(xp), axis=1)
+        rest = dot_rows(xp, xm) - xp[rows, j] * xm[rows, j]
+        xm[rows, j] = (-1.0 / (2.0 * model.k) - rest) / xp[rows, j]
+        return x
+    if model.case == "elliptic":
+        neg_sq = dot_rows(x[:, p:m], x[:, p:m]) + dot_rows(x[:, m + p:], x[:, m + p:])
+        target, cols = 1.0 / model.k, np.r_[:p, m:m + p]
+    else:
+        start = 2 * m - p  # x*_1
+        neg_sq = dot_rows(x[:, start + q:], x[:, start + q:])
+        target, cols = 1.0, np.arange(start, start + q)
+    pos = np.sqrt((target + neg_sq) / dot_rows(pos, pos))[:, None] * pos
+    if model.case == "nilpotent" and q == 1:
         # fix the connected component x*^1 = cosh(alpha) > 0
-        pos[0] = abs(pos[0])
-    xs[:q] = pos
-    return np.concatenate([x, capx, xs])
+        pos[:, 0] = np.abs(pos[:, 0])
+    x[:, cols] = pos
+    return x
 
 
-def sample_sigma(model: SymplecticModel, a, count: int, seed: int) -> list[SigmaPoint]:
-    """Deterministic seeded sample of Sigma_A points.
+def sample_sigma(model: SymplecticModel, a, count: int, seed: int) -> np.ndarray:
+    """Deterministic seeded sample of Sigma_A, one point per row of a (count, N) array.
 
-    Free coordinates are drawn from a standard normal and the single
-    quadratic constraint is solved exactly by rescaling the positive-sign
-    block (or solving one linear coordinate in the hyperbolic case), so no
-    rejection loop is needed.  For nilpotent q = 1 the component with
-    x*^1 > 0 is sampled.
+    One standard-normal block holds every row's free coordinates: x+, x-
+    (hyperbolic); x, y, then the positive-sign block (elliptic); x, X, x*,
+    then the positive-sign block (nilpotent).  The quadric is solved exactly
+    per row, for one linear coordinate (hyperbolic) or by rescaling the
+    positive-sign block.  A row whose free block is degenerate is redrawn
+    whole after the block, in at most MAX_SAMPLE_RETRIES rounds.  For
+    nilpotent q = 1 the component with x*^1 > 0 is sampled.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    amat = as_matrix(a)
+    extra = {"hyperbolic": 0, "elliptic": 2 * model.p, "nilpotent": model.q}[model.case]
     rng = np.random.default_rng(seed)
-    sampler = {
-        "hyperbolic": _sample_hyperbolic,
-        "elliptic": _sample_elliptic,
-        "nilpotent": _sample_nilpotent,
-    }[model.case]
-    points = []
-    for _ in range(count):
-        v = sampler(model, rng)
-        val = model.pairing(v, amat @ v)
-        if abs(val - 1.0) > 1e-12:
-            raise RuntimeError(f"sampled point misses Sigma_A by {abs(val - 1.0):.3e}")
-        points.append(SigmaPoint(v))
-    return points
+    z = rng.standard_normal((count, model.ambient_dim + extra))
+    bad = _degenerate(model, z)
+    for _ in range(MAX_SAMPLE_RETRIES):
+        if not bad.any():
+            break
+        z[bad] = rng.standard_normal((int(bad.sum()), z.shape[1]))
+        bad = _degenerate(model, z)
+    if bad.any():
+        raise RuntimeError("sampling failed: degenerate draws exhausted the retry budget")
+    x = _solve_quadric(model, z)
+    miss = np.abs(sigma_value(model, a, x) - 1.0)
+    if np.any(miss > 1e-12):
+        raise RuntimeError(f"sampled point misses Sigma_A by {miss[np.argmax(miss > 1e-12)]:.3e}")
+    return x
 
 
 def ricci_ambient_form(n: int) -> np.ndarray:

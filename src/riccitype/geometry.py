@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CharacteristicElement, SymplecticModel, apply_rows, as_matrix, as_vector
+from .core import CharacteristicElement, SymplecticModel, apply_rows, as_matrix, dot_rows
 from .lie import RANK_RTOL
 
 
@@ -86,11 +86,6 @@ def _elliptic_z(model: SymplecticModel, x: np.ndarray) -> np.ndarray:
     return x[..., :m] + 1j * x[..., m:]
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u @ v for each pair of rows: one dot product per row, the one a single point gets."""
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
-
-
 def project(model: SymplecticModel, a, x) -> np.ndarray:
     """Chart coordinates of the exp(tA)-orbit of x in Sigma_A.
 
@@ -101,11 +96,11 @@ def project(model: SymplecticModel, a, x) -> np.ndarray:
     if kind is None:
         raise ChartUnavailableError(
             "no chart for elliptic p > 1; use fiber_distance on Sigma_A points")
-    v = as_vector(x)
+    v = np.asarray(x, dtype=float)
     if kind == "tangent_sphere":
         m = model.n + 1
         xp, xm = v[..., :m], v[..., m:]
-        r = np.sqrt(_dot(xp, xp))[..., None]
+        r = np.sqrt(dot_rows(xp, xp))[..., None]
         u = xp / r
         return np.concatenate([u, r * xm + u / (2.0 * model.k)], axis=-1)
     if kind == "ball":
@@ -134,7 +129,8 @@ def chart_section(model: SymplecticModel, a, coords) -> np.ndarray:
     if kind == "ball":
         n = model.n
         w = c[..., :n] + 1j * c[..., n:]
-        z1 = 1.0 / np.sqrt(model.k * (1.0 - (_dot(w.real, w.real) + _dot(w.imag, w.imag))))
+        w_sq = dot_rows(w.real, w.real) + dot_rows(w.imag, w.imag)
+        z1 = 1.0 / np.sqrt(model.k * (1.0 - w_sq))
         z = np.concatenate([z1[..., None], z1[..., None] * w], axis=-1)
         return np.concatenate([z.real, z.imag], axis=-1)
     if kind == "darboux":
@@ -146,11 +142,11 @@ def chart_section(model: SymplecticModel, a, coords) -> np.ndarray:
 
 def fiber_time(model: SymplecticModel, a, x, y):
     """Flow time t with y approx exp(tA) x, per-case closed form, one per row of a stack."""
-    vx, vy = as_vector(x), as_vector(y)
+    vx, vy = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if model.case == "hyperbolic":
         m = model.n + 1
         xp, yp = vx[..., :m], vy[..., :m]
-        return np.log(np.sqrt(_dot(yp, yp)) / np.sqrt(_dot(xp, xp))) / model.k
+        return np.log(np.sqrt(dot_rows(yp, yp)) / np.sqrt(dot_rows(xp, xp))) / model.k
     if model.case == "elliptic":
         zx, zy = _elliptic_z(model, vx), _elliptic_z(model, vy)
         return np.angle(np.sum(zy * np.conj(zx), axis=-1)) / model.k
@@ -162,8 +158,8 @@ def fiber_time(model: SymplecticModel, a, x, y):
 
 def fiber_distance(model: SymplecticModel, a: CharacteristicElement, x, y):
     """Distance from y to the exp(tA)-orbit through x (chart-free comparison), per row."""
-    vy = as_vector(y)
-    moved = apply_rows(a.flow(fiber_time(model, a, x, vy)), as_vector(x))
+    vy = np.asarray(y, dtype=float)
+    moved = apply_rows(a.flow(fiber_time(model, a, x, vy)), np.asarray(x, dtype=float))
     return np.max(np.abs(vy - moved), axis=-1)
 
 
@@ -174,7 +170,7 @@ def horizontal_basis(model: SymplecticModel, a, x) -> HorizontalFrame:
     gives a frame stack (``HorizontalFrame``) from one batched SVD of the
     (S, 2, N) constraints.  The first sample that fails raises.
     """
-    v = as_vector(x)
+    v = np.asarray(x, dtype=float)
     pts = v.reshape(-1, v.shape[-1])
     constraints = np.stack([apply_rows(model.omega, pts),
                             apply_rows(model.omega, apply_rows(as_matrix(a), pts))], axis=1)
@@ -206,7 +202,7 @@ def differential_project(model: SymplecticModel, a, x, v) -> np.ndarray:
     kind = chart_kind(model)
     if kind is None:
         raise ChartUnavailableError("no chart for elliptic p > 1")
-    xv = as_vector(x)
+    xv = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     one = v.ndim == xv.ndim  # one tangent per point: a matrix of one column
     if one:
@@ -215,7 +211,7 @@ def differential_project(model: SymplecticModel, a, x, v) -> np.ndarray:
         m = model.n + 1
         xp, xm = xv[..., :m], xv[..., m:]
         vp, vm = v[..., :m, :], v[..., m:, :]
-        r = np.sqrt(_dot(xp, xp))[..., None, None]
+        r = np.sqrt(dot_rows(xp, xp))[..., None, None]
         dr = (xp[..., None, :] @ vp) / r
         du = vp / r - xp[..., :, None] * dr / (r * r)
         dw = xm[..., :, None] * dr + r * vm + du / (2.0 * model.k)
@@ -282,7 +278,7 @@ def lift_tangent(model: SymplecticModel, a, x, chart_tangents) -> np.ndarray:
     very unevenly (the Darboux y0 row grows like x cosh(gamma)), which costs an
     SVD-based solve over a digit of accuracy.
     """
-    xv = as_vector(x)
+    xv = np.asarray(x, dtype=float)
     frame = horizontal_basis(model, a, xv).vectors
     q, r = np.linalg.qr(differential_project(model, a, xv, frame))
     rhs = np.swapaxes(q, -1, -2) @ np.asarray(chart_tangents, dtype=float)
@@ -460,7 +456,7 @@ def curvature_cyclic_residual(model: SymplecticModel, a, frame: HorizontalFrame,
 
 def symmetry_matrix(model: SymplecticModel, a, x) -> np.ndarray:
     """Linear symmetry S_x y = -y + 2 Omega(y, Ax) x - 2 Omega(y, x) Ax."""
-    xv = as_vector(x)
+    xv = np.asarray(x, dtype=float)
     ax = as_matrix(a) @ xv
     return (-np.eye(model.ambient_dim)
             + 2.0 * np.outer(xv, model.omega @ ax)
@@ -577,7 +573,7 @@ def reduced_symmetry_report(model: SymplecticModel, a, x_center, samples) -> dic
     exists), as (S,) arrays.
     """
     s = symmetry_matrix(model, a, x_center)
-    pts = as_vector(samples)
+    pts = np.asarray(samples, dtype=float)
     out = {
         "symmetry_squared": float(np.max(np.abs(s @ s - np.eye(model.ambient_dim)))),
         "symmetry_symplectic": float(np.max(np.abs(s.T @ model.omega @ s - model.omega))),
@@ -585,7 +581,8 @@ def reduced_symmetry_report(model: SymplecticModel, a, x_center, samples) -> dic
         "chart_available": chart_kind(model) is not None,
     }
     if not out["chart_available"]:
-        out["fixed_point"] = float(fiber_distance(model, a, x_center, s @ as_vector(x_center)))
+        x0 = np.asarray(x_center, dtype=float)
+        out["fixed_point"] = float(fiber_distance(model, a, x0, s @ x0))
         out["involution_in_chart"] = fiber_distance(model, a, pts,
                                                     apply_rows(s, apply_rows(s, pts)))
         return out

@@ -13,79 +13,81 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import build_model
+from ..core import apply_rows, build_model, dot_rows
 from ..geometry import fundamental_fields
 from ..lie import rank_split
 
 
 def cross_matrix(v: np.ndarray) -> np.ndarray:
-    """Matrix of x -> v x (cross product)."""
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    """Matrix of x -> v x (cross product), one per row of a stack of vectors."""
+    v = np.asarray(v, dtype=float)
+    zero = np.zeros(v.shape[:-1])
+    rows = [zero, -v[..., 2], v[..., 1], v[..., 2], zero, -v[..., 0], -v[..., 1], v[..., 0], zero]
+    return np.stack(rows, axis=-1).reshape(v.shape[:-1] + (3, 3))
+
+
+def _q_matrix(q: np.ndarray, sign: float) -> np.ndarray:
+    # [[q0, -sign vec^T], [sign vec, q0 I + vec x]], one per row of a stack
+    q = np.asarray(q, dtype=float)
+    q0, vec = q[..., 0], q[..., 1:]
+    out = np.zeros(q.shape[:-1] + (4, 4))
+    out[..., 0, 0] = q0
+    out[..., 0, 1:] = -sign * vec
+    out[..., 1:, 0] = sign * vec
+    out[..., 1:, 1:] = q0[..., None, None] * np.eye(3) + cross_matrix(vec)
+    return out
 
 
 def q_left_matrix(q: np.ndarray) -> np.ndarray:
-    """Matrix of x -> q x on R^4 = H, q = (q0, vec)."""
-    q = np.asarray(q, dtype=float)
-    q0, vec = q[0], q[1:]
-    out = np.zeros((4, 4))
-    out[0, 0] = q0
-    out[0, 1:] = -vec
-    out[1:, 0] = vec
-    out[1:, 1:] = q0 * np.eye(3) + cross_matrix(vec)
-    return out
+    """Matrix of x -> q x on R^4 = H, q = (q0, vec); one per row of a stack."""
+    return _q_matrix(q, 1.0)
 
 
 def q_right_matrix(q: np.ndarray) -> np.ndarray:
-    """Matrix of x -> x q^{-1} on R^4 for unit q."""
-    q = np.asarray(q, dtype=float)
-    q0, vec = q[0], q[1:]
-    out = np.zeros((4, 4))
-    out[0, 0] = q0
-    out[0, 1:] = vec
-    out[1:, 0] = -vec
-    out[1:, 1:] = q0 * np.eye(3) + cross_matrix(vec)
-    return out
+    """Matrix of x -> x q^{-1} on R^4 for unit q; one per row of a stack."""
+    return _q_matrix(q, -1.0)
 
 
 def rotation_matrix(q: np.ndarray) -> np.ndarray:
-    """SO(3) rotation of the conjugation x -> q x q^{-1} for unit q.
+    """SO(3) rotation of the conjugation x -> q x q^{-1} for unit q; one per row of a stack.
 
     R(q) v = (q0^2 - |vec|^2) v + 2 q0 (vec x v) + 2 (vec . v) vec
     """
     q = np.asarray(q, dtype=float)
-    q0, vec = q[0], q[1:]
-    return ((q0 * q0 - vec @ vec) * np.eye(3)
+    q0, vec = q[..., 0, None, None], q[..., 1:]
+    return ((q0 * q0 - dot_rows(vec, vec)[..., None, None]) * np.eye(3)
             + 2.0 * q0 * cross_matrix(vec)
-            + 2.0 * np.outer(vec, vec))
+            + 2.0 * (vec[..., :, None] * vec[..., None, :]))
 
 
 def eta(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Symmetric traceless 4x4 block matrix pairing two vectors of R^3.
+    """Symmetric traceless 4x4 block matrix pairing two vectors of R^3, one per row pair.
 
     eta(x, y) = [[x.y, (y x x)^T], [y x x, x y^T + y x^T - (x.y) I]]
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     cross = np.cross(y, x)
-    out = np.zeros((4, 4))
-    out[0, 0] = x @ y
-    out[0, 1:] = cross
-    out[1:, 0] = cross
-    out[1:, 1:] = np.outer(x, y) + np.outer(y, x) - (x @ y) * np.eye(3)
+    xy = dot_rows(x, y)
+    out = np.zeros(x.shape[:-1] + (4, 4))
+    out[..., 0, 0] = xy
+    out[..., 0, 1:] = cross
+    out[..., 1:, 0] = cross
+    out[..., 1:, 1:] = (x[..., :, None] * y[..., None, :] + y[..., :, None] * x[..., None, :]
+                        - xy[..., None, None] * np.eye(3))
     return out
 
 
-def equivariance_residuals(q: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Residuals of q_L eta q_L^{-1} = eta(R x, y) and q_R eta q_R^{-1} = eta(x, R y)."""
+def equivariance_residuals(q: np.ndarray, x: np.ndarray,
+                           y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of q_L eta q_L^{-1} = eta(R x, y) and q_R eta q_R^{-1} = eta(x, R y).
+
+    A stack of draws, one per row of q, x and y, gives two (S,) arrays.
+    """
     ql, qr, rot = q_left_matrix(q), q_right_matrix(q), rotation_matrix(q)
     e = eta(x, y)
-    left = np.max(np.abs(ql @ e @ ql.T - eta(rot @ x, y)))
-    right = np.max(np.abs(qr @ e @ qr.T - eta(x, rot @ y)))
-    return float(left), float(right)
+    left = ql @ e @ np.swapaxes(ql, -1, -2) - eta(apply_rows(rot, x), y)
+    right = qr @ e @ np.swapaxes(qr, -1, -2) - eta(x, apply_rows(rot, y))
+    return np.max(np.abs(left), axis=(-2, -1)), np.max(np.abs(right), axis=(-2, -1))
 
 
 def su2_left_basis() -> list[np.ndarray]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SigmaPoint, SymplecticModel, as_matrix
+from .core import SymplecticModel, as_matrix
 from .geometry import symmetry_matrix
 from .lie import (
     MatrixLieSubspace,
@@ -43,7 +43,7 @@ class TransvectionData:
     are understood modulo the line through A (``modulo``).
     """
 
-    base_point: SigmaPoint
+    base_point: np.ndarray
     symmetry: np.ndarray
     centralizer: MatrixLieSubspace  # g1
     p_part: MatrixLieSubspace       # (-1)-eigenspace of conjugation by S
@@ -53,8 +53,8 @@ class TransvectionData:
     modulo: MatrixLieSubspace | None
 
 
-def base_point(model: SymplecticModel) -> SigmaPoint:
-    """The distinguished base point of Sigma_A for each normal form."""
+def base_point(model: SymplecticModel) -> np.ndarray:
+    """The distinguished base point of Sigma_A for each normal form, an (N,) array."""
     dim = model.ambient_dim
     x = np.zeros(dim)
     if model.case == "hyperbolic":
@@ -65,7 +65,7 @@ def base_point(model: SymplecticModel) -> SigmaPoint:
         x[0] = 1.0 / np.sqrt(model.k)
     else:
         x[model.p + 2 * (model.n + 1 - model.p)] = 1.0  # e*_1
-    return SigmaPoint(x)
+    return x
 
 
 def transvection_algebra(model: SymplecticModel, a,

@@ -11,14 +11,16 @@ with its horizontality guard, and subspace coordinates by a least-squares
 solve in the basis.  The canonical connection is a central difference of a
 horizontal field along the line retracted to Sigma_A (``connection_nabla``),
 on horizontal projections of constant vectors and on the lifted local
-coordinate fields; no command needs it.
+coordinate fields; no command needs it.  ``sample_sigma_pointwise`` is the
+per-point Sigma_A sampler that the block sampler replaced: it draws each
+point's free coordinates in turn and redraws a degenerate block in place.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
 from riccitype import geometry
-from riccitype.core import as_matrix, as_vector, sigma_value
+from riccitype.core import MAX_SAMPLE_RETRIES, as_matrix, sigma_value
 from riccitype.transitive import nilpotent as nil
 
 
@@ -30,7 +32,7 @@ def coordinates_oracle(sub, mats):
 
 def pushforward(model, a, x, v, fd_step=1e-5):
     """Finite-difference differential of the projection applied to an ambient tangent."""
-    xv = as_vector(x)
+    xv = np.asarray(x, dtype=float)
     plus = geometry.project(model, a, retract_to_sigma(model, a, xv + fd_step * v))
     minus = geometry.project(model, a, retract_to_sigma(model, a, xv - fd_step * v))
     return (plus - minus) / (2.0 * fd_step)
@@ -38,7 +40,7 @@ def pushforward(model, a, x, v, fd_step=1e-5):
 
 def horizontal_projection(model, a, x, v):
     """Component of v in H_x along span{x, Ax}."""
-    xv = as_vector(x)
+    xv = np.asarray(x, dtype=float)
     ax = as_matrix(a) @ xv
     sigma = model.pairing(xv, ax)
     alpha = model.pairing(v, ax) / sigma
@@ -51,7 +53,7 @@ def retract_to_sigma(model, a, z):
     val = sigma_value(model, a, z)
     if val <= 0:
         raise ValueError("cannot retract: Omega(z, Az) <= 0")
-    return as_vector(z) / np.sqrt(val)
+    return np.asarray(z, dtype=float) / np.sqrt(val)
 
 
 def connection_nabla(model, a, x, xbar, yfield, fd_step=1e-5):
@@ -63,7 +65,7 @@ def connection_nabla(model, a, x, xbar, yfield, fd_step=1e-5):
     """
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
-    xv = as_vector(x)
+    xv = np.asarray(x, dtype=float)
     amat = as_matrix(a)
     xbar = np.asarray(xbar, dtype=float)
     y_here = np.asarray(yfield(xv), dtype=float)
@@ -192,7 +194,7 @@ def closed_form_fields(B, c, omega0):
 
 def horizontality_residual(model, a, x, v):
     """max |Omega(v, x)|, |Omega(v, Ax)|: zero exactly when v lies in H_x."""
-    xv = as_vector(x)
+    xv = np.asarray(x, dtype=float)
     ax = as_matrix(a) @ xv
     return max(abs(model.pairing(v, xv)), abs(model.pairing(v, ax)))
 
@@ -231,3 +233,56 @@ def ricci_type_defect(gram, paired, n):
                    - np.einsum("jk,il->ijkl", gram, ric)
                    - np.einsum("jl,ik->ijkl", gram, ric))
     return float(np.max(np.abs(r4 - e4))), ric
+
+
+def _redraw(rng, size, accept, redraws):
+    for _ in range(MAX_SAMPLE_RETRIES):
+        v = rng.standard_normal(size)
+        if accept(v):
+            return v
+        redraws.append(None)
+    raise RuntimeError("sampling failed: degenerate draws exhausted the retry budget")
+
+
+def sample_sigma_pointwise(model, a, count, seed):
+    """Per-point reference for ``core.sample_sigma``.
+
+    Returns the (count, N) stack and the index of the first point whose
+    degenerate free block was redrawn in place (None if no draw was redrawn);
+    from that point on the stream differs from the block sampler's.
+    """
+    rng = np.random.default_rng(seed)
+    m, p, q, k = model.n + 1, model.p, model.q, model.k
+    points, first_redraw, redraws = [], None, []
+    for i in range(count):
+        if model.case == "hyperbolic":
+            xp = _redraw(rng, m, lambda v: np.max(np.abs(v)) >= 0.1, redraws)
+            xm = rng.standard_normal(m)
+            j = int(np.argmax(np.abs(xp)))
+            rest = xp @ xm - xp[j] * xm[j]
+            xm[j] = (-1.0 / (2.0 * k) - rest) / xp[j]
+            v = np.concatenate([xp, xm])
+        elif model.case == "elliptic":
+            x, y = rng.standard_normal(m), rng.standard_normal(m)
+            pos = _redraw(rng, 2 * p, lambda v: v @ v >= 1e-8, redraws)
+            neg_sq = float(x[p:] @ x[p:] + y[p:] @ y[p:])
+            pos = np.sqrt((1.0 / k + neg_sq) / (pos @ pos)) * pos
+            x[:p], y[:p] = pos[:p], pos[p:]
+            v = np.concatenate([x, y])
+        else:
+            mid = m - p
+            x, capx, xs = rng.standard_normal(p), rng.standard_normal(2 * mid), rng.standard_normal(p)
+            pos = _redraw(rng, q, lambda v: v @ v >= 1e-8, redraws)
+            neg_sq = float(xs[q:] @ xs[q:])
+            pos = np.sqrt((1.0 + neg_sq) / (pos @ pos)) * pos
+            if q == 1:
+                pos[0] = abs(pos[0])
+            xs[:q] = pos
+            v = np.concatenate([x, capx, xs])
+        if redraws and first_redraw is None:
+            first_redraw = i
+        val = model.pairing(v, as_matrix(a) @ v)
+        if abs(val - 1.0) > 1e-12:
+            raise RuntimeError(f"sampled point misses Sigma_A by {abs(val - 1.0):.3e}")
+        points.append(v)
+    return np.array(points), first_redraw

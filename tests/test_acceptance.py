@@ -82,7 +82,7 @@ def test_criterion_2_geometry_suite():
     worst_sym = 0.0
     for case, n, p, q in SYMMETRY_MODELS:
         model, elem = core.build_model(case, n, p=p, q=q)
-        samples = np.stack([pt.x for pt in core.sample_sigma(model, elem, 20, seed=1)])
+        samples = core.sample_sigma(model, elem, 20, seed=1)
         rep = geometry.reduced_symmetry_report(model, elem, transvection.base_point(model),
                                                samples)
         worst_sym = max(worst_sym, rep["symmetry_squared"], rep["fixed_point"],

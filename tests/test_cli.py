@@ -245,6 +245,17 @@ def test_verify_geometry_sampler_failure_is_fail_report(capsys):
                for ln in out.splitlines())
 
 
+def test_verify_geometry_exhausted_redraws_is_fail_report(capsys, monkeypatch):
+    # seed 5 draws one degenerate hyperbolic row; with no redraw round left it fails
+    monkeypatch.setattr(core, "MAX_SAMPLE_RETRIES", 0)
+    code, out, err = run(capsys, "verify-geometry", "--case", "hyperbolic", "--n", "2",
+                         "--seed", "5")
+    assert (code, err) == (1, "")
+    assert "[FAIL] sampling.sigma" in out
+    assert ("witness.0=sampling.sigma: sampling failed: degenerate draws exhausted the "
+            "retry budget") in out
+
+
 def test_verify_geometry_nan_series_oracle_fails(capsys):
     # exp(tA) overflows at k = 1e6; the NaN residual must FAIL, not read as 0
     with pytest.warns(RuntimeWarning):
@@ -388,7 +399,7 @@ def test_curvature_witness_names_worst_sample(capsys, monkeypatch, target, name)
     assert code == 1
     assert re.search(rf"\[FAIL\] {re.escape(name)} +1\.0+e\+00 ", out)
     model, elem = core.build_model("hyperbolic", 2)
-    point = core.sample_sigma(model, elem, 6, seed=5)[3].x.tolist()
+    point = core.sample_sigma(model, elem, 6, seed=5)[3].tolist()
     assert f"witness.0={name}: worst sample 3: {point}" in out
 
 
@@ -506,7 +517,7 @@ def _spoil_sample_3(values, spoil=NAN):
 
 def _sigma_point(case, n, p, q):
     model, elem = core.build_model(case, n, p=p or None, q=q or None)
-    return str(core.sample_sigma(model, elem, 6, seed=5)[3].x.tolist())
+    return str(core.sample_sigma(model, elem, 6, seed=5)[3].tolist())
 
 
 def _darboux_point(case, n, p, q):
@@ -529,7 +540,8 @@ DARBOUX = ("nilpotent", 2, 2, 1)
 
 ELLIPTIC_P2 = ("elliptic", 2, 2, 1)
 NAN_CASES = {  # test id: command, tuple, spiked function, its spiked call, spoil, entry, sample
-    "series_oracle": ("verify-geometry", HYPERBOLIC, "cli._series_exp", 3, lambda m: m * NAN,
+    # call 3 of the series is the time t = 0
+    "series_oracle": ("verify-geometry", HYPERBOLIC, "core.series_exp", 3, lambda m: m * NAN,
                       "flow.series_oracle", lambda *params: "t = 0"),
     # call 1 projects the flowed points
     "flow_invariance": ("verify-geometry", HYPERBOLIC, "geometry.project", 1, _spoil_sample_3,
@@ -560,8 +572,9 @@ NAN_CASES = {  # test id: command, tuple, spiked function, its spiked call, spoi
     "hamiltonian_identity": ("find-transitive", DARBOUX, "nil.hamiltonian_residual", 0,
                              _spoil_sample_3, "scalar_c_plus.hamiltonian_identity",
                              _darboux_point),
-    "equivariance": ("quaternion-evidence", HYPERBOLIC, "quat.equivariance_residuals", 3,
-                     lambda r: (NAN, 0.0), "eta.equivariance", _quaternion_draw),
+    "equivariance": ("quaternion-evidence", HYPERBOLIC, "quat.equivariance_residuals", 0,
+                     lambda out: (_spoil_sample_3(out[0]), out[1]), "eta.equivariance",
+                     _quaternion_draw),
 }
 
 
@@ -571,10 +584,10 @@ def test_nan_sample_fails_and_is_named(capsys, monkeypatch, command, params, tar
                                        spoil, name, sample):
     # every sampled residual goes through one reduction: a NaN at one sample
     # is the worst value, fails the entry, and the witness names that sample
-    from riccitype import cli, geometry
+    from riccitype import geometry
     from riccitype.transitive import nilpotent as nil
     from riccitype.transitive import quaternion as quat
-    modules = {"cli": cli, "geometry": geometry, "nil": nil, "quat": quat}
+    modules = {"core": core, "geometry": geometry, "nil": nil, "quat": quat}
     module, attr = target.split(".")
     original = getattr(modules[module], attr)
     calls = []

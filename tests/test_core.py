@@ -5,6 +5,8 @@ import pytest
 
 from riccitype import core
 
+from oracles import sample_sigma_pointwise
+
 
 def series_exp(a, t, terms=25):
     acc = np.eye(a.shape[0])
@@ -129,6 +131,17 @@ def test_exp_matches_series_oracle(case, n, p, t):
     assert np.max(np.abs(elem.flow(t) - series_exp(elem.matrix, t))) <= 1e-12
 
 
+@pytest.mark.parametrize("case,n,p", [("hyperbolic", 2, None), ("elliptic", 3, 2)])
+def test_series_exp_stack_matches_single_times(case, n, p):
+    model, elem = core.build_model(case, n, p=p)
+    ts = np.linspace(-3.0, 3.0, 7)
+    stack = core.series_exp(elem.matrix, ts)
+    assert stack.shape == (7, model.ambient_dim, model.ambient_dim)
+    for t, mat in zip(ts, stack):
+        assert np.array_equal(mat, core.series_exp(elem.matrix, t))
+        assert np.array_equal(mat, series_exp(elem.matrix, t))
+
+
 @pytest.mark.parametrize("case,n,p,q", [
     ("hyperbolic", 2, None, None),
     ("elliptic", 3, 2, None),
@@ -144,7 +157,7 @@ def test_exp_flow_properties(case, n, p, q):
     m = elem.flow(1.3)
     assert np.max(np.abs(m.T @ model.omega @ m - model.omega)) <= 1e-12
     for pt in core.sample_sigma(model, elem, 5, seed=1):
-        moved = elem.flow(2.1) @ pt.x
+        moved = elem.flow(2.1) @ pt
         assert abs(core.sigma_value(model, elem, moved) - core.sigma_value(model, elem, pt)) <= 1e-10
 
 
@@ -189,21 +202,21 @@ def test_sample_sigma_constraint_and_determinism(case, n, p, q):
         assert abs(core.sigma_value(model, elem, pt) - 1.0) <= 1e-12
     again = core.sample_sigma(model, elem, 25, seed=7)
     for a, b in zip(pts, again):
-        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a, b)
 
 
 def test_sample_sigma_hyperbolic_pairing():
     k = 0.8
     model, elem = core.build_model("hyperbolic", 2, k=k)
     for pt in core.sample_sigma(model, elem, 10, seed=1):
-        xp, xm = pt.x[:3], pt.x[3:]
+        xp, xm = pt[:3], pt[3:]
         assert abs(xp @ xm + 1.0 / (2.0 * k)) <= 1e-12
 
 
 def test_sample_sigma_nilpotent_component():
     model, elem = core.build_model("nilpotent", 2, p=2, q=1)
     for pt in core.sample_sigma(model, elem, 20, seed=0):
-        xs = pt.x[4:]
+        xs = pt[4:]
         assert xs[0] > 0
         assert abs(xs[0] ** 2 - xs[1] ** 2 - 1.0) <= 1e-12
 
@@ -212,3 +225,36 @@ def test_sample_sigma_rejects_bad_count():
     model, elem = core.build_model("hyperbolic", 2)
     with pytest.raises(ValueError):
         core.sample_sigma(model, elem, 0, seed=0)
+
+
+@pytest.mark.parametrize("case,n,p,q", core.admissible_parameters((2, 3, 4)))
+def test_sample_sigma_matches_pointwise_reference(case, n, p, q):
+    # each block row is the point the per-point sampler draws, up to its first redraw
+    model, elem = core.build_model(case, n, p=p or None, q=q or None)
+    for seed in range(8):
+        got = core.sample_sigma(model, elem, 50, seed)
+        want, first_redraw = sample_sigma_pointwise(model, elem, 50, seed)
+        assert isinstance(got, np.ndarray) and got.shape == (50, model.ambient_dim)
+        if first_redraw is None:
+            assert np.array_equal(got, want)
+        else:
+            assert np.array_equal(got[:first_redraw], want[:first_redraw])
+
+
+def test_sample_sigma_redraws_degenerate_rows():
+    # hyperbolic n = 2, seed 5: row 47 has max|x+| < 0.1 and is redrawn after the block
+    model, elem = core.build_model("hyperbolic", 2)
+    xs = core.sample_sigma(model, elem, 50, seed=5)
+    want, first_redraw = sample_sigma_pointwise(model, elem, 50, seed=5)
+    assert first_redraw == 47
+    assert np.all(np.max(np.abs(xs[:, :3]), axis=1) >= 0.1)
+    assert np.max(np.abs(core.sigma_value(model, elem, xs) - 1.0)) <= 1e-12
+    assert np.array_equal(xs[:47], want[:47])
+
+
+def test_sample_sigma_retry_budget(monkeypatch):
+    monkeypatch.setattr(core, "MAX_SAMPLE_RETRIES", 0)
+    model, elem = core.build_model("hyperbolic", 2)
+    assert core.sample_sigma(model, elem, 50, seed=0).shape == (50, 6)
+    with pytest.raises(RuntimeError, match="exhausted the retry budget"):
+        core.sample_sigma(model, elem, 50, seed=5)

@@ -64,10 +64,10 @@ def test_horizontal_basis_frame(case, n, p, q):
     for pt in core.sample_sigma(model, elem, 5, seed=2):
         frame = geometry.horizontal_basis(model, elem, pt)
         assert frame.vectors.shape == (model.ambient_dim, 2 * n)
-        ax = elem.matrix @ pt.x
+        ax = elem.matrix @ pt
         for j in range(2 * n):
             v = frame.vectors[:, j]
-            assert abs(model.pairing(v, pt.x)) <= 1e-12
+            assert abs(model.pairing(v, pt)) <= 1e-12
             assert abs(model.pairing(v, ax)) <= 1e-12
         gram = frame.vectors.T @ model.omega @ frame.vectors
         assert abs(np.linalg.det(gram)) > 1e-8
@@ -88,7 +88,7 @@ def test_project_hyperbolic_formula():
     k = 1.3
     model, elem = core.build_model("hyperbolic", 2, k=k)
     pt = core.sample_sigma(model, elem, 1, seed=4)[0]
-    xp, xm = pt.x[:3], pt.x[3:]
+    xp, xm = pt[:3], pt[3:]
     r = np.sqrt(xp @ xp)
     cp = geometry.project(model, elem, pt)
     u, w = cp[:3], cp[3:]
@@ -112,7 +112,7 @@ def test_project_flow_invariance(case, n, p, q):
         cp = geometry.project(model, elem, pt)
         for _ in range(2):
             t = float(rng.uniform(-3, 3))
-            cp2 = geometry.project(model, elem, elem.flow(t) @ pt.x)
+            cp2 = geometry.project(model, elem, elem.flow(t) @ pt)
             assert np.max(np.abs(cp - cp2)) <= 1e-9
 
 
@@ -121,14 +121,14 @@ def test_project_flow_invariance_fiber_elliptic_p2():
     with pytest.raises(geometry.ChartUnavailableError):
         geometry.project(model, elem, core.sample_sigma(model, elem, 1, seed=0)[0])
     for pt in core.sample_sigma(model, elem, 10, seed=3):
-        moved = elem.flow(1.7) @ pt.x
-        assert geometry.fiber_distance(model, elem, pt.x, moved) <= 1e-10
+        moved = elem.flow(1.7) @ pt
+        assert geometry.fiber_distance(model, elem, pt, moved) <= 1e-10
 
 
 def test_project_rejects_wrong_component():
     model, elem = build("nilpotent", 2, 2, 1)
     pt = core.sample_sigma(model, elem, 1, seed=0)[0]
-    flipped = pt.x.copy()
+    flipped = pt.copy()
     flipped[4:] = -flipped[4:]
     with pytest.raises(ValueError):
         geometry.project(model, elem, flipped)
@@ -160,10 +160,10 @@ def test_lift_roundtrip_fd_oracle(case, n, p, q):
     for pt in core.sample_sigma(model, elem, 3, seed=13):
         frame = geometry.horizontal_basis(model, elem, pt)
         v = frame.vectors @ rng.standard_normal(2 * n)
-        tangent = pushforward(model, elem, pt.x, v, fd_step=1e-5)
-        lift = geometry.lift_tangent(model, elem, pt.x, tangent)
-        assert horizontality_residual(model, elem, pt.x, lift) <= 1e-8
-        back = pushforward(model, elem, pt.x, lift, fd_step=1e-5)
+        tangent = pushforward(model, elem, pt, v, fd_step=1e-5)
+        lift = geometry.lift_tangent(model, elem, pt, tangent)
+        assert horizontality_residual(model, elem, pt, lift) <= 1e-8
+        back = pushforward(model, elem, pt, lift, fd_step=1e-5)
         assert np.max(np.abs(back - tangent)) <= 1e-6
 
 
@@ -199,13 +199,13 @@ def test_lift_tangent_matrix_matches_per_column_oracle(case, n, p, q):
         cp = geometry.project(model, elem, pt)
         dirs = geometry.LocalChart(model, elem, cp).coordinate_tangents(cp)
         tangents = np.concatenate([dirs, dirs @ rng.standard_normal((2 * n, 3))], axis=1)
-        lifts = geometry.lift_tangent(model, elem, pt.x, tangents)
+        lifts = geometry.lift_tangent(model, elem, pt, tangents)
         assert lifts.shape == (model.ambient_dim, tangents.shape[1])
         for j in range(tangents.shape[1]):
-            want = lift_oracle(model, elem, pt.x, tangents[:, j])
+            want = lift_oracle(model, elem, pt, tangents[:, j])
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(lifts[:, j] - want)) <= 1e-12 * scale
-            single = geometry.lift_tangent(model, elem, pt.x, tangents[:, j])
+            single = geometry.lift_tangent(model, elem, pt, tangents[:, j])
             assert single.shape == (model.ambient_dim,)
             assert np.max(np.abs(single - want)) <= 1e-12 * scale
 
@@ -285,7 +285,7 @@ def test_frame_stack_matches_single_frames(case, n, p, q):
     model, elem = build(case, n, p or None, q or None)
     count = 20 if n == 8 else 6
     pts = core.sample_sigma(model, elem, count, seed=73)
-    frames = geometry.horizontal_basis(model, elem, np.stack([pt.x for pt in pts]))
+    frames = geometry.horizontal_basis(model, elem, pts)
     assert frames.vectors.shape == (count, model.ambient_dim, 2 * n)
     assert all(frames.vectors[i].flags.c_contiguous for i in range(count))
     cyc = geometry.curvature_cyclic_residual(model, elem, frames, triples=5, seed=73)
@@ -312,7 +312,7 @@ def test_chart_stack_matches_single_points(case, n, p, q):
     # that point alone, so a stacked report reads the per-point values
     model, elem = build(case, n, p or None, q or None)
     count = 20 if n == 8 else 6
-    pts = np.stack([pt.x for pt in core.sample_sigma(model, elem, count, seed=83)])
+    pts = core.sample_sigma(model, elem, count, seed=83)
     ts = np.random.default_rng(83).uniform(-3.0, 3.0, size=count)
     flows = elem.flow(ts)
     moved = core.apply_rows(flows, pts)
@@ -384,7 +384,7 @@ def test_field_stack_matches_single_points(case):
 
 def test_frame_stack_raises_for_a_bad_sample():
     model, elem = build("hyperbolic", 2, None, None)
-    pts = np.stack([pt.x for pt in core.sample_sigma(model, elem, 3, seed=79)])
+    pts = core.sample_sigma(model, elem, 3, seed=79)
     pts[1] = 0.0  # span{x, Ax} collapses: rank deficient
     with pytest.raises(ValueError, match="rank deficient"):
         geometry.horizontal_basis(model, elem, pts)
@@ -398,15 +398,15 @@ def test_differential_project_matches_fd(case, n, p, q):
     frame = geometry.horizontal_basis(model, elem, pt)
     # the frame, a random horizontal tangent, and A x (tangent to the fiber, mapped to 0)
     tangents = np.column_stack([frame.vectors, frame.vectors @ rng.standard_normal(2 * n),
-                                elem.matrix @ pt.x])
-    exact = geometry.differential_project(model, elem, pt.x, tangents)
+                                elem.matrix @ pt])
+    exact = geometry.differential_project(model, elem, pt, tangents)
     chart_dim = geometry.project(model, elem, pt).shape[0]
     assert exact.shape == (chart_dim, tangents.shape[1])
     for j in range(tangents.shape[1]):
-        single = geometry.differential_project(model, elem, pt.x, tangents[:, j])
+        single = geometry.differential_project(model, elem, pt, tangents[:, j])
         assert single.shape == (chart_dim,)
         assert np.max(np.abs(exact[:, j] - single)) <= 1e-14
-        fd = pushforward(model, elem, pt.x, tangents[:, j], fd_step=1e-5)
+        fd = pushforward(model, elem, pt, tangents[:, j], fd_step=1e-5)
         assert np.max(np.abs(exact[:, j] - fd)) <= 1e-6
 
 
@@ -416,11 +416,11 @@ def test_reduced_omega_antisymmetry_and_errors():
     frame = geometry.horizontal_basis(model, elem, pt)
     v = frame.vectors[:, 0]
     w = frame.vectors[:, 1]
-    assert reduced_omega(model, elem, pt.x, v, v) == 0
-    assert np.isclose(reduced_omega(model, elem, pt.x, v, w),
-                      -reduced_omega(model, elem, pt.x, w, v))
+    assert reduced_omega(model, elem, pt, v, v) == 0
+    assert np.isclose(reduced_omega(model, elem, pt, v, w),
+                      -reduced_omega(model, elem, pt, w, v))
     with pytest.raises(ValueError):
-        reduced_omega(model, elem, pt.x, pt.x, w)
+        reduced_omega(model, elem, pt, pt, w)
 
 
 def test_darboux_chart_matrix_constant():
@@ -466,8 +466,8 @@ def test_connection_against_analytic_oracle(case, n, p, q):
     frame = geometry.horizontal_basis(model, elem, pt)
     xbar = frame.vectors @ rng.standard_normal(2 * n)
     field = constant_projection_field(model, elem, c)
-    got = connection_nabla(model, elem, pt.x, xbar, field)
-    x = pt.x
+    got = connection_nabla(model, elem, pt, xbar, field)
+    x = pt
     ax = a @ x
     y_here = field(x)
     flat = -(model.pairing(c, a @ xbar) * x + model.pairing(c, ax) * xbar
@@ -481,7 +481,7 @@ def test_connection_rejects_bad_step():
     model, elem = build("nilpotent", 2, 2, 1)
     pt = core.sample_sigma(model, elem, 1, seed=0)[0]
     with pytest.raises(ValueError):
-        connection_nabla(model, elem, pt.x, np.zeros(6), lambda z: z, fd_step=0.0)
+        connection_nabla(model, elem, pt, np.zeros(6), lambda z: z, fd_step=0.0)
 
 
 @pytest.mark.parametrize("case,n,p,q", CHART_CASES)
@@ -546,7 +546,7 @@ def test_curvature_antisymmetry_and_cyclic(case, n, p, q):
         assert _relative(batched[:, j], single) <= 1e-12
     # output stays horizontal
     out = geometry.curvature(model, elem, xb, zb, xb)
-    assert horizontality_residual(model, elem, pt.x, out) <= 1e-10
+    assert horizontality_residual(model, elem, pt, out) <= 1e-10
 
 
 def test_curvature_vanishes_on_kernel_directions():
@@ -605,7 +605,7 @@ def test_ricci_type_residual_frame_rebase_invariant():
     rng = np.random.default_rng(31)
     mix = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     vectors = frame.vectors @ mix
-    rebased = geometry.HorizontalFrame(pt.x, vectors, vectors.T @ model.omega @ vectors)
+    rebased = geometry.HorizontalFrame(pt, vectors, vectors.T @ model.omega @ vectors)
     residual, ric, gram = geometry.ricci_type_residual(model, elem, rebased)
     paired = geometry._frame_tensors(model, elem, rebased)[1]
     want, want_ric = ricci_type_defect(gram, paired, model.n)
@@ -673,7 +673,7 @@ def test_ricci_type_residual_memory_n16_frame_stack():
     # 50 samples go through the (2n)^4 defect one DEFECT_BUDGET chunk at a time
     model, elem = build("hyperbolic", 16, None, None)
     pts = core.sample_sigma(model, elem, 50, seed=71)
-    frames = geometry.horizontal_basis(model, elem, np.stack([pt.x for pt in pts]))
+    frames = geometry.horizontal_basis(model, elem, pts)
     tracemalloc.start()
     try:
         residual = geometry.ricci_type_residual(model, elem, frames)[0]
@@ -690,8 +690,8 @@ def test_ambient_symmetry_properties(case, n, p, q):
     model, elem = build(case, n, p, q)
     pt = core.sample_sigma(model, elem, 1, seed=37)[0]
     s = geometry.symmetry_matrix(model, elem, pt)
-    assert np.max(np.abs(s @ pt.x - pt.x)) <= 1e-12
-    ax = elem.matrix @ pt.x
+    assert np.max(np.abs(s @ pt - pt)) <= 1e-12
+    ax = elem.matrix @ pt
     assert np.max(np.abs(s @ ax - ax)) <= 1e-12
     rng = np.random.default_rng(37)
     for _ in range(20):
@@ -715,7 +715,7 @@ def test_symmetry_matrix_matches_normal_forms():
 @pytest.mark.parametrize("case,n,p,q", ALL_CASES)
 def test_reduced_symmetry_report(case, n, p, q):
     model, elem = build(case, n, p, q)
-    samples = np.stack([pt.x for pt in core.sample_sigma(model, elem, 8, seed=41)])
+    samples = core.sample_sigma(model, elem, 8, seed=41)
     rep = geometry.reduced_symmetry_report(model, elem, base_point(model), samples)
     assert rep["symmetry_squared"] <= 1e-12
     assert rep["fixed_point"] <= 1e-9
@@ -732,7 +732,7 @@ def test_symplectic_pullback_rounding_floor_n16():
     # lifted graph-chart tangents reach 1.3e3, which put an eps |L|^2 floor of 1.3e-10 on
     # the pullback, while the orthonormal frame holds it near eps
     model, elem = build("hyperbolic", 16, None, None)
-    samples = np.stack([pt.x for pt in core.sample_sigma(model, elem, 50, seed=1)[:20]])
+    samples = core.sample_sigma(model, elem, 50, seed=1)[:20]
     rep = geometry.reduced_symmetry_report(model, elem, base_point(model), samples)
     assert np.max(rep["symplectic_pullback"]) <= 1e-13
 
@@ -814,7 +814,7 @@ def test_reduced_symmetry_check_report():
     report = cli.cmd_verify_geometry(config)
     assert report.verdict == "PASS"
     model, elem = build("nilpotent", 2, 2, 1)
-    samples = np.stack([pt.x for pt in core.sample_sigma(model, elem, 5, seed=3)])
+    samples = core.sample_sigma(model, elem, 5, seed=3)
     rep = geometry.reduced_symmetry_report(model, elem, base_point(model), samples)
     want = [("symmetry.squares_to_identity", rep["symmetry_squared"], 1e-12),
             ("symmetry.symplectic", rep["symmetry_symplectic"], 1e-12),

@@ -86,6 +86,24 @@ def test_equivariance_100_triples():
     assert worst <= 1e-10
 
 
+def test_stacked_draws_match_single_draws():
+    # one call over a stack of draws gives every draw's matrices and residuals
+    z = np.random.default_rng(13).standard_normal((40, 10))
+    qs = z[:, :4] / np.linalg.norm(z[:, :4], axis=1, keepdims=True)
+    x, y = z[:, 4:7], z[:, 7:]
+    left, right = quat.equivariance_residuals(qs, x, y)
+    assert left.shape == right.shape == (40,)
+    stacks = [quat.q_left_matrix(qs), quat.q_right_matrix(qs), quat.rotation_matrix(qs),
+              quat.cross_matrix(x), quat.eta(x, y)]
+    for i in range(40):
+        assert np.array_equal([left[i], right[i]],
+                              quat.equivariance_residuals(qs[i], x[i], y[i]))
+        singles = [quat.q_left_matrix(qs[i]), quat.q_right_matrix(qs[i]),
+                   quat.rotation_matrix(qs[i]), quat.cross_matrix(x[i]), quat.eta(x[i], y[i])]
+        for stack, single in zip(stacks, singles):
+            assert np.array_equal(stack[i], single)
+
+
 @pytest.mark.parametrize("w", [np.array([1.0, 0, 0]), np.array([0.3, -1.2, 0.5])])
 def test_orbit_rank_bound(w):
     rep = quat.orbit_rank_ts3_evidence(w)

@@ -19,17 +19,17 @@ def test_base_points_match_normal_forms():
     expected = np.zeros(6)
     expected[0] = -1.0
     expected[3] = 1.0
-    assert np.allclose(x0.x, expected)  # 1/sqrt(2k) = 1 for k = 1/2
+    assert np.allclose(x0, expected)  # 1/sqrt(2k) = 1 for k = 1/2
     assert abs(core.sigma_value(model, elem, x0) - 1.0) <= 1e-14
 
     model, elem = build("elliptic", 2, p=1, k=4.0)
     x0 = transvection.base_point(model)
-    assert np.isclose(x0.x[0], 0.5)
+    assert np.isclose(x0[0], 0.5)
     assert abs(core.sigma_value(model, elem, x0) - 1.0) <= 1e-14
 
     model, elem = build("nilpotent", 2, p=2, q=1)
     x0 = transvection.base_point(model)
-    assert x0.x[4] == 1.0 and np.sum(np.abs(x0.x)) == 1.0
+    assert x0[4] == 1.0 and np.sum(np.abs(x0)) == 1.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
