@@ -46,7 +46,7 @@ def signature_matrix(p: int, q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymplecticModel:
-    """Ambient space data: case tag, dimensions, Omega and the basis labels."""
+    """Ambient space data: case tag, dimensions and Omega."""
 
     case: str
     n: int
@@ -54,7 +54,6 @@ class SymplecticModel:
     p: int
     q: int
     omega: np.ndarray
-    basis_labels: tuple[str, ...]
 
     @property
     def ambient_dim(self) -> int:
@@ -120,8 +119,7 @@ def _hyperbolic_model(n: int, k: float) -> tuple[SymplecticModel, Characteristic
     a = np.zeros((2 * m, 2 * m))
     a[:m, :m] = k * np.eye(m)
     a[m:, m:] = -k * np.eye(m)
-    labels = tuple(f"e{i+1}" for i in range(m)) + tuple(f"e'{i+1}" for i in range(m))
-    model = SymplecticModel("hyperbolic", n, k, 0, 0, omega, labels)
+    model = SymplecticModel("hyperbolic", n, k, 0, 0, omega)
     return model, CharacteristicElement(a, k * k)
 
 
@@ -135,8 +133,7 @@ def _elliptic_model(n: int, k: float, p: int) -> tuple[SymplecticModel, Characte
     a = np.zeros((2 * m, 2 * m))
     a[:m, m:] = -k * np.eye(m)
     a[m:, :m] = k * np.eye(m)
-    labels = tuple(f"e{i+1}" for i in range(m)) + tuple(f"f{i+1}" for i in range(m))
-    model = SymplecticModel("elliptic", n, k, p, q, omega, labels)
+    model = SymplecticModel("elliptic", n, k, p, q, omega)
     return model, CharacteristicElement(a, -k * k)
 
 
@@ -150,10 +147,7 @@ def _nilpotent_model(n: int, p: int, q: int) -> tuple[SymplecticModel, Character
     omega[p:p + 2 * m, p:p + 2 * m] = standard_symplectic_form(m)
     a = np.zeros((dim, dim))
     a[:p, p + 2 * m:] = np.eye(p)
-    labels = (tuple(f"e{i+1}" for i in range(p))
-              + tuple(f"f{i+1}" for i in range(2 * m))
-              + tuple(f"e*{i+1}" for i in range(p)))
-    model = SymplecticModel("nilpotent", n, 0.0, p, q, omega, labels)
+    model = SymplecticModel("nilpotent", n, 0.0, p, q, omega)
     return model, CharacteristicElement(a, 0.0)
 
 

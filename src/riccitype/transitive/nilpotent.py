@@ -2,8 +2,11 @@
 
 A candidate complement to the even part of the transvection algebra is
 parametrized by (B, a~, b~, c~, a, c, eps); its generator for parameters
-(p, P, p') is the block matrix K below.  The subspace closes under the
-bracket (mod R*A) iff two bilinear identities hold, which force
+(p, P, p') is the block matrix K below.  The family is spanned by the
+generators of the unit tuples, the rows of eye(2n) read as (p | P | p'), and
+is carried as their (2n, N, N) stack.  The subspace closes under the
+bracket (mod R*A) iff two bilinear identities hold, evaluated on every pair
+of unit tuples at once, which force
 
     c~ = 0,  B^2 = -eps*Id,  eps = -1 (so q = 1),  c^2 = 1,
     Omega0(b~, .) = Omega0(a~, (Id - cB) .),
@@ -21,9 +24,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..core import SymplecticModel, apply_rows, as_matrix
+from ..core import SymplecticModel, apply_rows, as_matrix, dot_rows
 from ..geometry import darboux_matrix
-from ..lie import (MatrixLieSubspace, bracket_rows, constants_certificate, line,
+from ..lie import (RANK_RTOL, MatrixLieSubspace, bracket_rows, constants_certificate, line,
                    structure_constants, subspace_from_matrices)
 
 
@@ -67,8 +70,8 @@ def b_tilde_from_relation(a_tilde: np.ndarray, B: np.ndarray, c: float,
     return np.linalg.solve(omega0.T, row)
 
 
-def candidate_matrix_K(cand: NilpotentCandidate, p: float, P: np.ndarray,
-                       p_prime: float, omega0: np.ndarray) -> np.ndarray:
+def candidate_matrix_K(cand: NilpotentCandidate, p, P, p_prime,
+                       omega0: np.ndarray) -> np.ndarray:
     """Generator matrix K(p, P, p') of the candidate family.
 
     Blocks over the basis (e_1, e_2; f_a; e*_1, e*_2), with
@@ -78,39 +81,38 @@ def candidate_matrix_K(cand: NilpotentCandidate, p: float, P: np.ndarray,
         [      0      .                0                    .        (P | v)             ]
         [      0      .                0                    .  [[0, -eps p], [p, 0]]     ]
 
-    where p'' = a p + Omega0(b~, P) + c p'.
+    where p'' = a p + Omega0(b~, P) + c p'.  A stack of g tuples, p and p'
+    of shape (g,) and P of shape (g, d), gives the (g, N, N) stack of their
+    matrices; one tuple gives one (N, N) matrix.
     """
+    p, pp = np.asarray(p, dtype=float), np.asarray(p_prime, dtype=float)
     P = np.asarray(P, dtype=float)
     d = cand.block_dim
-    if P.shape[0] != d or omega0.shape != (d, d):
+    if P.shape[-1] != d or omega0.shape != (d, d):
         raise ValueError("dimension mismatch between P, B and Omega0")
     eps = float(cand.epsilon)
-    v = p * cand.a_tilde + cand.B @ P + p_prime * cand.c_tilde
-    ppp = cand.a * p + float(cand.b_tilde @ omega0 @ P) + cand.c * p_prime
-    dim = 4 + d
-    k = np.zeros((dim, dim))
-    corner = np.array([[0.0, -eps * p], [p, 0.0]])
-    k[:2, :2] = corner
-    k[d + 2:, d + 2:] = corner
-    k[0, 2:2 + d] = -(P @ omega0)
-    k[1, 2:2 + d] = -eps * (v @ omega0)
-    k[:2, d + 2:] = np.array([[-ppp, eps * p_prime], [p_prime, ppp]])
-    k[2:2 + d, d + 2] = P
-    k[2:2 + d, d + 3] = v
+    v = p[..., None] * cand.a_tilde + apply_rows(cand.B, P) + pp[..., None] * cand.c_tilde
+    ppp = cand.a * p + dot_rows(cand.b_tilde @ omega0, P) + cand.c * pp
+    k = np.zeros(p.shape + (4 + d, 4 + d))
+    for i in (0, d + 2):  # the two corner blocks [[0, -eps p], [p, 0]]
+        k[..., i, i + 1] = -eps * p
+        k[..., i + 1, i] = p
+    k[..., 0, 2:2 + d] = -(P @ omega0)
+    k[..., 1, 2:2 + d] = -eps * (v @ omega0)
+    k[..., 0, d + 2] = -ppp
+    k[..., 0, d + 3] = eps * pp
+    k[..., 1, d + 2] = pp
+    k[..., 1, d + 3] = ppp
+    k[..., 2:2 + d, d + 2] = P
+    k[..., 2:2 + d, d + 3] = v
     return k
 
 
-def family_generators(cand: NilpotentCandidate, omega0: np.ndarray) -> list[np.ndarray]:
-    """Generators K(1,0,0), K(0,e_a,0), K(0,0,1), in the order of ``_generator_tuples``."""
-    return [candidate_matrix_K(cand, p, P, pp, omega0)
-            for p, P, pp in _generator_tuples(cand.block_dim)]
-
-
-def _generator_tuples(d: int) -> list[tuple[float, np.ndarray, float]]:
-    tuples = [(1.0, np.zeros(d), 0.0)]
-    tuples += [(0.0, np.eye(d)[a], 0.0) for a in range(d)]
-    tuples += [(0.0, np.zeros(d), 1.0)]
-    return tuples
+def family_generators(cand: NilpotentCandidate, omega0: np.ndarray) -> np.ndarray:
+    """(2n, N, N) stack of K(1,0,0), K(0,e_a,0), K(0,0,1): the unit tuples are the
+    rows of eye(d + 2), read as (p | P | p')."""
+    units = np.eye(cand.block_dim + 2)
+    return candidate_matrix_K(cand, units[:, 0], units[:, 1:-1], units[:, -1], omega0)
 
 
 @dataclass
@@ -128,33 +130,38 @@ class ClosureReport:
 
 def closure_conditions(cand: NilpotentCandidate, omega0: np.ndarray,
                        tol: float = 1e-10) -> ClosureReport:
-    """Evaluate both closure identities over a spanning set of generator pairs.
+    """Evaluate both closure identities on every pair of unit generator tuples.
 
     By bilinearity it is enough to run all pairs of unit tuples
-    (p, P, p') in {(1,0,0)} u {(0,e_a,0)} u {(0,0,1)}.
+    (p, P, p') in {(1,0,0)} u {(0,e_a,0)} u {(0,0,1)}, the rows of
+    eye(d + 2).  Each identity is one (g, g) array, or (g, g, d) for the
+    vector identity, with the first tuple of a pair on axis 0 and the second
+    (q, Q, q') on axis 1; every Omega0 product is one dot per pair.
     """
     d = cand.block_dim
     eps = float(cand.epsilon)
     B, at, bt, ct, c = cand.B, cand.a_tilde, cand.b_tilde, cand.c_tilde, cand.c
-
-    def pair(u, w):
-        return float(u @ omega0 @ w)
-
-    res1, res2 = [], []
-    tuples = _generator_tuples(d)
-    for (p, P, pp) in tuples:
-        vP = p * at + B @ P + pp * ct
-        for (q, Q, qp) in tuples:
-            vQ = q * at + B @ Q + qp * ct
-            r_vec = q * (B @ P) - p * (B @ Q) + (q * pp - p * qp) * ct
-            s_vec = eps * (-q * P + p * Q)
-            r_prime = (-2.0 * p * pair(bt, Q) + 2.0 * q * pair(bt, P)
-                       - 2.0 * c * (p * qp - pp * q)
-                       - eps * pair(vP, Q) + eps * pair(vQ, P))
-            r1 = 2.0 * eps * (p * qp - pp * q) + 2.0 * pair(P, Q)
-            r2 = 2.0 * eps * (p * qp - pp * q) - 2.0 * eps * pair(vP, vQ)
-            res1.append(np.max(np.abs(s_vec - (B @ r_vec + r_prime * ct)), initial=0.0))
-            res2.append(abs(0.5 * (r1 + r2) - (pair(bt, r_vec) + c * r_prime)))
+    units = np.eye(d + 2)
+    P = units[:, 1:-1]
+    p, pp = units[:, :1], units[:, -1:]
+    q, qp = p.T, pp.T
+    BP = apply_rows(B, P)
+    v = p * at + BP + pp * ct
+    bt_om, v_om = bt @ omega0, v @ omega0
+    b_pair = dot_rows(bt_om, P)  # Omega0(b~, P) per tuple
+    first, second = np.s_[:, None], np.s_[None, :]
+    cross = p * qp - pp * q
+    r_vec = q[..., None] * BP[first] - p[..., None] * BP[second] - cross[..., None] * ct
+    s_vec = eps * (-q[..., None] * P[first] + p[..., None] * P[second])
+    r_prime = (-2.0 * p * b_pair[second] + 2.0 * q * b_pair[first]
+               - 2.0 * c * cross
+               - eps * dot_rows(v_om[first], P[second])
+               + eps * dot_rows(v_om[second], P[first]))
+    r1 = 2.0 * eps * cross + 2.0 * dot_rows((P @ omega0)[first], P[second])
+    r2 = 2.0 * eps * cross - 2.0 * eps * dot_rows(v_om[first], v[second])
+    res1 = np.max(np.abs(s_vec - (apply_rows(B, r_vec) + r_prime[..., None] * ct)),
+                  axis=-1, initial=0.0)
+    res2 = np.abs(0.5 * (r1 + r2) - (dot_rows(bt_om, r_vec) + c * r_prime))
     ident = np.eye(d)
     flags = {
         "c_tilde_zero": float(np.max(np.abs(ct), initial=0.0)) <= tol,
@@ -170,13 +177,13 @@ def closure_conditions(cand: NilpotentCandidate, omega0: np.ndarray,
 
 
 def build_h(model: SymplecticModel, B, a_tilde=None, a: float = 0.0, c: float = 1.0,
-            validate: bool = True) -> tuple[MatrixLieSubspace, list[np.ndarray], NilpotentCandidate]:
+            validate: bool = True) -> tuple[MatrixLieSubspace, np.ndarray, NilpotentCandidate]:
     """Assemble the candidate subalgebra h_{B, a~, a, c} inside the transvection quotient.
 
     Preconditions for an accepted family (checked unless validate=False):
     B^2 = Id, c^2 = 1 and the isotropy of the image of (B - c) under Omega0.
-    Returns (subspace, generator list, completed candidate); the subspace is
-    understood modulo the line R*A.
+    Returns (subspace, (2n, N, N) generator stack, completed candidate); the
+    subspace is understood modulo the line R*A.
     """
     if model.case != "nilpotent" or model.p != 2 or model.q != 1:
         raise ValueError("candidate families require the nilpotent case with p=2, q=1")
@@ -234,7 +241,7 @@ def normalize_candidate(model: SymplecticModel, cand: NilpotentCandidate
 
 
 def simply_transitive_certificate(model: SymplecticModel, matrices,
-                                  rank_tol: float = 1e-7) -> dict:
+                                  rank_tol: float = RANK_RTOL) -> dict:
     """Rank certificate of a family of chart vector fields at sampled points.
 
     ``matrices`` is the (S, 2n, g) field stack, one field per column, that

@@ -14,6 +14,9 @@ on horizontal projections of constant vectors and on the lifted local
 coordinate fields; no command needs it.  ``sample_sigma_pointwise`` is the
 per-point Sigma_A sampler that the block sampler replaced: it draws each
 point's free coordinates in turn and redraws a degenerate block in place.
+``closure_conditions_pairwise`` evaluates the p = 2 closure identities one
+pair of unit generator tuples at a time, the loop that the pair arrays of
+``nilpotent.closure_conditions`` replaced.
 """
 
 import numpy as np
@@ -185,11 +188,58 @@ def fundamental_field_p2q1(B, c, generator, coords, omega0):
 def closed_form_fields(B, c, omega0):
     """The closed-form fields of the unit tuples (1, 0, 0), (0, e_a, 0), (0, 0, 1),
     as a callable from Darboux chart coordinates to a matrix with one field per column."""
-    tuples = nil._generator_tuples(B.shape[0])
+    tuples = generator_tuples(B.shape[0])
 
     def fields(cp):
         return np.stack([fundamental_field_p2q1(B, c, g, cp, omega0) for g in tuples], axis=1)
     return fields
+
+
+def generator_tuples(d):
+    """The unit tuples (1, 0, 0), (0, e_a, 0), (0, 0, 1) as (p, P, p') triples."""
+    tuples = [(1.0, np.zeros(d), 0.0)]
+    tuples += [(0.0, np.eye(d)[a], 0.0) for a in range(d)]
+    tuples += [(0.0, np.zeros(d), 1.0)]
+    return tuples
+
+
+def closure_conditions_pairwise(cand, omega0, tol=1e-10):
+    """Both closure identities of a candidate, one generator pair and one Omega0 product
+    at a time, over all pairs of ``generator_tuples``."""
+    d = cand.block_dim
+    eps = float(cand.epsilon)
+    B, at, bt, ct, c = cand.B, cand.a_tilde, cand.b_tilde, cand.c_tilde, cand.c
+
+    def pair(u, w):
+        return float(u @ omega0 @ w)
+
+    res1, res2 = [], []
+    tuples = generator_tuples(d)
+    for (p, P, pp) in tuples:
+        vP = p * at + B @ P + pp * ct
+        for (q, Q, qp) in tuples:
+            vQ = q * at + B @ Q + qp * ct
+            r_vec = q * (B @ P) - p * (B @ Q) + (q * pp - p * qp) * ct
+            s_vec = eps * (-q * P + p * Q)
+            r_prime = (-2.0 * p * pair(bt, Q) + 2.0 * q * pair(bt, P)
+                       - 2.0 * c * (p * qp - pp * q)
+                       - eps * pair(vP, Q) + eps * pair(vQ, P))
+            r1 = 2.0 * eps * (p * qp - pp * q) + 2.0 * pair(P, Q)
+            r2 = 2.0 * eps * (p * qp - pp * q) - 2.0 * eps * pair(vP, vQ)
+            res1.append(np.max(np.abs(s_vec - (B @ r_vec + r_prime * ct)), initial=0.0))
+            res2.append(abs(0.5 * (r1 + r2) - (pair(bt, r_vec) + c * r_prime)))
+    ident = np.eye(d)
+    flags = {
+        "c_tilde_zero": float(np.max(np.abs(ct), initial=0.0)) <= tol,
+        "b_square": float(np.max(np.abs(B @ B + eps * ident))) <= tol,
+        "eps_minus_one": cand.epsilon == -1,
+        "c_square_one": abs(c * c - 1.0) <= tol,
+        "b_tilde_relation": float(np.max(np.abs(
+            bt @ omega0 - (at @ omega0) @ (ident - c * B)))) <= tol,
+        "isotropic_image": float(np.max(np.abs(
+            (B - c * ident).T @ omega0 @ (B - c * ident)))) <= tol,
+    }
+    return nil.ClosureReport(float(np.max(res1)), float(np.max(res2)), flags)
 
 
 def horizontality_residual(model, a, x, v):

@@ -245,6 +245,16 @@ def test_verify_geometry_sampler_failure_is_fail_report(capsys):
                for ln in out.splitlines())
 
 
+def test_construct_sampler_failure_exits_one(capsys):
+    # at k = 1e3 a hyperbolic draw misses Sigma_A by more than 1e-12: the FAIL that
+    # verify-geometry reports as sampling.sigma, here one line on stderr
+    code, out, err = run(capsys, "construct", "--case", "hyperbolic", "--n", "2", "--k", "1e3")
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: sampled point misses Sigma_A by ")
+    assert out == ""
+
+
 def test_verify_geometry_exhausted_redraws_is_fail_report(capsys, monkeypatch):
     # seed 5 draws one degenerate hyperbolic row; with no redraw round left it fails
     monkeypatch.setattr(core, "MAX_SAMPLE_RETRIES", 0)

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
-from riccitype import core, geometry, lie
+from riccitype import cli, core, geometry, lie
 from riccitype.transitive import iwasawa as iwa
 from riccitype.transitive import nilpotent as nil
 from riccitype.transitive import quaternion as quat
 
-from oracles import (closed_form_fields, differenced_field, fundamental_field_p2q1,
-                     moment_map_gradient, tangent_sphere_field)
+from oracles import (closed_form_fields, closure_conditions_pairwise, differenced_field,
+                     fundamental_field_p2q1, generator_tuples, moment_map_gradient,
+                     tangent_sphere_field)
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +131,79 @@ def test_closure_isotropy_control_after_rebasing_omega0():
     assert not rep.flags["isotropic_image"]
 
 
+def report_candidates(n):
+    """The candidates whose closure a find-transitive run checks, at seeds 0-7: the
+    default sweep, the unnormalized family and the six negative controls."""
+    model, _ = core.build_model("nilpotent", n, p=2, q=1)
+    d = 2 * (n - 1)
+    cands = [nil.build_h(model, b_mat, c=c)[2] for seed in range(8)
+             for _, b_mat, c in cli._default_candidates(model, seed)]
+    at = np.zeros(d)
+    at[0] = 0.5
+    cands.append(nil.build_h(model, np.eye(d), a_tilde=at, a=0.7, c=1.0)[2])
+    return model, cands + [cand for _, cand in cli._negative_controls(model)]
+
+
+def assert_matches_loop(cand, om0):
+    """Pair arrays vs the pairwise loop, and the generator stack vs one K per tuple."""
+    rep, ref = nil.closure_conditions(cand, om0), closure_conditions_pairwise(cand, om0)
+    assert np.array_equal([rep.residual_first, rep.residual_second],
+                          [ref.residual_first, ref.residual_second])
+    assert rep.flags == ref.flags
+    per_tuple = [nil.candidate_matrix_K(cand, p, P, pp, om0)
+                 for p, P, pp in generator_tuples(cand.block_dim)]
+    assert np.array_equal(nil.family_generators(cand, om0), per_tuple)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+def test_closure_conditions_match_pairwise_loop(n):
+    model, cands = report_candidates(n)
+    assert len(cands) == 39
+    for cand in cands:
+        assert_matches_loop(cand, model.omega0)
+
+
+# a failing example makes hypothesis import its patch writer, which warns on import
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_closure_conditions_match_pairwise_loop_property(data):
+    d = data.draw(st.sampled_from([2, 4]))
+    eps = data.draw(st.sampled_from([-1, 1]))
+    entries = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+
+    def draw(shape):
+        return data.draw(hnp.arrays(float, shape, elements=entries))
+    cand = nil.make_candidate(draw((d, d)), draw(d), draw(d), draw(d),
+                              data.draw(entries), data.draw(entries), eps)
+    om0 = core.standard_symplectic_form(d // 2)
+    assert_matches_loop(cand, om0)
+    # a stack of arbitrary tuples gives one K per tuple
+    g = data.draw(st.integers(1, 4))
+    p, P, pp = draw(g), draw((g, d)), draw(g)
+    stacked = nil.candidate_matrix_K(cand, p, P, pp, om0)
+    assert stacked.shape == (g, d + 4, d + 4)
+    assert np.array_equal(stacked, [nil.candidate_matrix_K(cand, p[i], P[i], pp[i], om0)
+                                    for i in range(g)])
+
+
+def test_find_transitive_k_calls_do_not_grow_with_n(monkeypatch, capsys):
+    # one K call per generator stack, however many generators the family has
+    original = nil.candidate_matrix_K
+    counts = []
+
+    def counted(*args, **kwargs):
+        counts[-1] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(nil, "candidate_matrix_K", counted)
+    for n in (2, 6):
+        counts.append(0)
+        assert cli.main(["find-transitive", "--case", "nilpotent", "--n", str(n),
+                         "--p", "2", "--q", "1"]) == 0
+    capsys.readouterr()
+    assert counts[0] == counts[1] > 0
+
+
 def test_build_h_accepted(setup):
     model, elem, om0 = setup
     for b_mat, c in [(np.eye(2), 1.0), (np.diag([1.0, -1.0]), 1.0), (-np.eye(2), -1.0)]:
@@ -174,7 +251,7 @@ def test_normalize_candidate(setup):
         total = g @ total
     old_gens = nil.family_generators(cand, om0)
     new_span = lie.subspace_from_matrices(
-        nil.family_generators(normalized, om0) + [elem.matrix], 6)
+        [*nil.family_generators(normalized, om0), elem.matrix], 6)
     for k in old_gens:
         moved = total @ k @ np.linalg.inv(total)
         assert new_span.distance(moved / np.linalg.norm(moved)) <= 1e-10
@@ -204,7 +281,7 @@ def test_fundamental_field_cross_validation(setup):
     model, elem, om0 = setup
     b_mat, c = np.diag([1.0, -1.0]), 1.0
     sub, gens, cand = nil.build_h(model, b_mat, c=c)
-    tuples = nil._generator_tuples(2)
+    tuples = generator_tuples(2)
     points = darboux_points(2, 5, seed=3)
     for cp, mat in zip(points, geometry.fundamental_fields(model, elem, gens, points)):
         for gen, k, field in zip(tuples, gens, mat.T):
@@ -254,7 +331,7 @@ def test_fundamental_field_cross_validation(setup):
         for b, cc in [(np.eye(d), 1.0), (-np.eye(d), -1.0), (split, 1.0)]:
             points = darboux_points(n, 5, seed=29)
             for cp, mat in zip(points, family_fields(nmodel, nelem, b, cc, points)):
-                for gen, field in zip(nil._generator_tuples(d), mat.T):
+                for gen, field in zip(generator_tuples(d), mat.T):
                     grad = moment_map_gradient(b, cc, gen, cp, nmodel.omega0, 1e-5)
                     assert np.max(np.abs(field @ dar - grad)) <= 1e-5
                 assert nil.hamiltonian_residual(nmodel, b, cc, mat, cp) <= 1e-12
@@ -277,7 +354,7 @@ def test_simply_transitive_duplicate_generator_fails(setup):
     points = darboux_points(2, 10, seed=13)
     gens = nil.family_generators(nil.make_candidate(np.eye(2)), om0)
     cert = nil.simply_transitive_certificate(
-        model, geometry.fundamental_fields(model, elem, gens[:3] + [gens[2]], points))
+        model, geometry.fundamental_fields(model, elem, gens[[0, 1, 2, 2]], points))
     assert not cert["passed"]
     assert cert["witness"] is not None
 
