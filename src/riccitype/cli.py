@@ -3,8 +3,10 @@ quaternion-evidence.
 
 Exit codes: 0 for PASS (or purely documented/unknown verdicts), 1 for a
 verification FAIL, 2 for usage or configuration errors.  All randomness
-flows through the single --seed; identical configuration yields a
-byte-identical report body.
+flows through the single --seed; at the default BLAS setting (one thread,
+see ``riccitype``) identical configuration yields a byte-identical report
+body.  A caller-set ``OPENBLAS_NUM_THREADS`` may move its last printed
+digits.
 """
 
 from __future__ import annotations
@@ -260,7 +262,7 @@ def cmd_transvection(config: RunConfig) -> CertificateReport:
         report.add_flag("algebra.abelian", cert.abelian)
     elif model.p == 2:
         report.add_flag("algebra.solvable", cert.solvable)
-        ideal = transvection.nilpotent_ideal_report(cert.structure)
+        ideal = transvection.nilpotent_ideal_report(cert)
         report.add_equals("ideal.codimension", ideal["codimension"], 1)
         report.add_residual("ideal.bracket_containment", ideal["ideal_residual"],
                             config.tol_algebraic)

@@ -214,21 +214,22 @@ def bracket_rows(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _row_span(brackets.reshape(-1, c.shape[2]))
 
 
-def series_dims(c: np.ndarray, start_rows: np.ndarray, against_self: bool) -> list[int]:
+def series_dims(c: np.ndarray, start_rows: np.ndarray, second_rows: np.ndarray,
+                against_self: bool) -> list[int]:
     """Dimensions of the derived (``against_self``) or lower central series.
 
-    The series starts at the span I of the coordinate rows ``start_rows``
-    and steps to [current, current] or [I, current]; it stops at 0 or at
-    the first term that does not shrink.
+    The series starts at the span I of the coordinate rows ``start_rows``;
+    its second term [I, I] is ``second_rows``, which the caller forms, once
+    for both series of an algebra.  It steps to [current, current] or [I, current]
+    and stops at 0 or at the first term that does not shrink.
     """
     dims = [start_rows.shape[0]]
-    current = start_rows
+    current, nxt = start_rows, second_rows
     while current.shape[0] > 0:
-        nxt = bracket_rows(c, current if against_self else start_rows, current)
         dims.append(nxt.shape[0])
-        if nxt.shape[0] >= current.shape[0]:
+        if not 0 < nxt.shape[0] < current.shape[0]:
             break
-        current = nxt
+        current, nxt = nxt, bracket_rows(c, nxt if against_self else start_rows, nxt)
     return dims
 
 
@@ -247,6 +248,8 @@ class StructureCertificate:
     #: read by the closure and nilpotent-ideal entries of the transvection report
     closure_residual: float = field(compare=False)
     structure: np.ndarray = field(repr=False, compare=False)
+    #: orthonormal coordinate rows of the derived algebra [g, g]
+    derived_rows: np.ndarray = field(repr=False, compare=False)
 
 
 def series_certificate(s: MatrixLieSubspace,
@@ -264,8 +267,10 @@ def constants_certificate(c: np.ndarray, residual: float) -> StructureCertificat
     if not residual <= 1e-8:
         raise ValueError("subspace is not closed under the bracket")
     d = c.shape[0]
-    derived = series_dims(c, np.eye(d), against_self=True)
-    lower = series_dims(c, np.eye(d), against_self=False)
+    eye = np.eye(d)
+    derived_rows = bracket_rows(c, eye, eye) if d else eye
+    derived = series_dims(c, eye, derived_rows, against_self=True)
+    lower = series_dims(c, eye, derived_rows, against_self=False)
     # the center solves sum_i a_i c[i, j, k] = 0 for all (j, k): rows (j, k), columns i
     system = c.transpose(1, 2, 0).reshape(d * d, d)
     center = rank_split(system)[1]
@@ -274,7 +279,7 @@ def constants_certificate(c: np.ndarray, residual: float) -> StructureCertificat
         # center = derived algebra = R z, so c[i, j] = lam_ij z and the form lam
         # must have rank d - 1; `system` is c.reshape(d, d * d) transposed
         z = center[:, 0]
-        row = bracket_rows(c, np.eye(d), np.eye(d))[0]
+        row = derived_rows[0]
         heisenberg = (np.max(np.abs(row - (row @ z) * z)) <= 1e-7
                       and rank_split(system, rtol=0.0, atol=1e-8)[0].shape[0] == d - 1)
     return StructureCertificate(
@@ -288,6 +293,7 @@ def constants_certificate(c: np.ndarray, residual: float) -> StructureCertificat
         heisenberg=bool(heisenberg),
         closure_residual=residual,
         structure=c,
+        derived_rows=derived_rows,
     )
 
 

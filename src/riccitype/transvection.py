@@ -110,21 +110,21 @@ def upper_left_traces(data: TransvectionData, model: SymplecticModel) -> np.ndar
     return np.array([np.trace(b[:m, :m]) for b in data.algebra.basis])
 
 
-def nilpotent_ideal_report(c: np.ndarray) -> dict:
+def nilpotent_ideal_report(cert: StructureCertificate) -> dict:
     """Codimension-1 nilpotent-ideal certificate for the solvable nilpotent case (p=2).
 
-    ``c`` holds the structure constants of the algebra (modulo R*A), as
-    carried by its ``StructureCertificate``.  The candidate ideal is the
-    derived algebra; the report records its codimension, the ideal property
-    [g, I] in I (sup-norm of the off-ideal part in structure-constant
+    ``cert`` is the algebra's certificate (modulo R*A); its structure
+    constants c and derived algebra are read from it.  The candidate ideal
+    is the derived algebra; the report records its codimension, the ideal
+    property [g, I] in I (sup-norm of the off-ideal part in structure-constant
     coordinates), and termination of its lower central series.
     """
+    c, ideal = cert.structure, cert.derived_rows
     d = c.shape[0]
-    ideal = bracket_rows(c, np.eye(d), np.eye(d))
     # coordinates of [b_i, y] for every basis element b_i and ideal row y, off the ideal
     image = np.einsum("ijk,bj->ibk", c, ideal).reshape(-1, d)
     ideal_res = float(np.max(np.abs(image - (image @ ideal.T) @ ideal), initial=0.0))
-    series = series_dims(c, ideal, against_self=False)
+    series = series_dims(c, ideal, bracket_rows(c, ideal, ideal), against_self=False)
     return {
         "ideal_dim": ideal.shape[0],
         "codimension": d - ideal.shape[0],

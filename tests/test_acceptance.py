@@ -129,7 +129,7 @@ def test_criterion_4_transvection_dimensions():
     model, elem = core.build_model("nilpotent", 2, p=2, q=1)
     data = transvection.transvection_algebra(model, elem)
     cert, label = transvection.classify_transvection(data, model)
-    ideal = transvection.nilpotent_ideal_report(cert.structure)
+    ideal = transvection.nilpotent_ideal_report(cert)
     ok &= (cert.dimension == 7 and cert.solvable
            and ideal["codimension"] == 1 and ideal["nilpotent"])
     model, elem = core.build_model("nilpotent", 3, p=3, q=2)

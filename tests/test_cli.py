@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, verdicts, determinism, serialization round-trips."""
 
+import json
 import os
 import re
 import subprocess
@@ -384,6 +385,60 @@ def test_report_independent_of_blas_threads(argv):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_fresh(script: str, **env_vars: str) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter with the BLAS thread variables set as given."""
+    src = str(Path(riccitype.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(env_vars, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_default_report_is_the_one_thread_report():
+    # a reduction split over two BLAS threads moves the last digits of this body
+    argv = ["transvection", "--case", "hyperbolic", "--n", "6", "--seed", "0"]
+    script = f"import sys; from riccitype.cli import main; sys.exit(main({argv!r}))"
+    assert run_fresh(script).stdout == run_fresh(script, OPENBLAS_NUM_THREADS="1").stdout
+
+
+# thread count of each loaded OpenBLAS, and the thread variables, after `import riccitype`
+BLAS_PROBE = """
+import ctypes, json, os
+import riccitype
+maps = open("/proc/self/maps").read() if os.path.exists("/proc/self/maps") else ""
+threads = []
+for path in sorted({ln.split()[-1] for ln in maps.splitlines() if "openblas" in ln.lower()}):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        if hasattr(lib, symbol):
+            fn = getattr(lib, symbol)
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            threads.append(fn())
+            break
+print(json.dumps({"threads": threads,
+                  "env": {k: os.environ.get(k) for k in %r}}))
+""" % (BLAS_THREAD_VARS,)
+
+
+@pytest.mark.parametrize("env_vars", [{}, {"OPENBLAS_NUM_THREADS": "2"},
+                                      {"OMP_NUM_THREADS": "2"}])
+def test_blas_threads_pinned_only_by_default(env_vars):
+    got = json.loads(run_fresh(BLAS_PROBE, **env_vars).stdout)
+    if not got["threads"]:
+        pytest.skip("no OpenBLAS library found in the process")
+    # OpenBLAS caps a requested count at the processors it may run on
+    want = min(2, len(os.sched_getaffinity(0))) if env_vars else 1
+    assert got["threads"] == [want] * len(got["threads"])
+    # the pin leaves no variable behind; a caller's own setting stays
+    assert got["env"] == {k: env_vars.get(k) for k in BLAS_THREAD_VARS}
 
 
 @pytest.mark.parametrize("target,name", [

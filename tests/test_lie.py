@@ -192,6 +192,27 @@ def test_series_certificate_zero_dimensional():
     assert cert.center_dim == 0 and cert.abelian and not cert.heisenberg
 
 
+def test_derived_algebra_formed_once_per_certificate(monkeypatch):
+    from riccitype import transvection
+    calls = []
+    original = lie.bracket_rows
+
+    def recording(c, x, y):
+        full = x.shape[0] == c.shape[0] and np.array_equal(x, np.eye(c.shape[0]))
+        calls.append(full and np.array_equal(x, y))
+        return original(c, x, y)
+    monkeypatch.setattr(lie, "bracket_rows", recording)
+    monkeypatch.setattr(transvection, "bracket_rows", recording)
+    # the derived and lower central series and the Heisenberg test all read [g, g]
+    assert lie.series_certificate(heisenberg3()).heisenberg
+    model, elem = core.build_model("nilpotent", 3, p=2, q=1)
+    data = transvection.transvection_algebra(model, elem)
+    cert, _ = transvection.classify_transvection(data, model)
+    ideal = transvection.nilpotent_ideal_report(cert)
+    assert ideal["codimension"] == 1 and ideal["nilpotent"]
+    assert calls.count(True) == 2 and len(calls) > 2
+
+
 def test_subspace_independence_invariant():
     model, elem = core.build_model("elliptic", 3, p=2)
     g1 = lie.centralizer_in_sp(model, elem)
@@ -445,7 +466,7 @@ def test_structure_constants_match_n2_oracles(case, n, p, q):
         [*derived.basis, *([] if modulo is None else modulo.basis)], g.ambient_dim)
     old_residual = max([extended.distance(lie.bracket(bg, bi))
                         for bg in g.basis for bi in derived.basis] + [0.0])
-    ideal = nilpotent_ideal_report(cert.structure)
+    ideal = nilpotent_ideal_report(cert)
     assert ideal["ideal_dim"] == derived.dim
     assert ideal["codimension"] == g.dim - derived.dim
     assert ideal["lower_central_dims"] == series_oracle(derived, False, modulo)

@@ -163,8 +163,6 @@ def test_closure_conditions_match_pairwise_loop(n):
         assert_matches_loop(cand, model.omega0)
 
 
-# a failing example makes hypothesis import its patch writer, which warns on import
-@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.data())
 def test_closure_conditions_match_pairwise_loop_property(data):

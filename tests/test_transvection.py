@@ -85,7 +85,7 @@ def test_nilpotent_classification(n, p, q, expect_solvable, expect_abelian):
         assert cert.dimension == 2 * n and label == "abelian"
     if p == 2:
         assert label == "solvable"
-        ideal = transvection.nilpotent_ideal_report(cert.structure)
+        ideal = transvection.nilpotent_ideal_report(cert)
         assert ideal["codimension"] == 1
         assert ideal["nilpotent"]
         assert ideal["ideal_residual"] <= 1e-9
