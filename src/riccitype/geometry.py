@@ -25,17 +25,15 @@ stack), the reduced form (``chart_omega_matrix``) and the reduced symmetry's
 differential d pi_{Sx} o S, whose symplectic pullback is exact too.  No
 finite difference is left: the difference-quotient connection is a test oracle.
 
-The curvature checks run over a leading sample axis.  ``horizontal_basis``
-takes one point or an (S, N) stack and returns a ``HorizontalFrame`` (with
-its Gram matrix) carrying that axis; ``curvature`` takes one vector per
-column, of one matrix or of a stack.  The cyclic, Ricci-type and Ricci
-endomorphism checks take a frame or a frame stack and return one value,
-or one r, rho and Gram matrix, per sample.  In the chart layer and the
-frame layer alike, each sample gets the BLAS and LAPACK calls it would get
-alone, so its values do not depend on the batch.
-``ricci_type_residual`` traces r from the frame factors in O(n^3) and
-builds R - E(r) in chunks of at most ``DEFECT_BUDGET`` doubles, so one
-call serves both the Ricci-type and the trace-route checks.
+``horizontal_basis`` takes one point or an (S, N) stack and returns a
+``HorizontalFrame`` (with its Gram matrix) carrying that sample axis;
+``curvature`` takes one vector per column, of one matrix or of a stack.  The
+cyclic check, the trace Ricci tensor (``ricci_tensor``, O(n^3)) and the
+Ricci endomorphism take a frame or a frame stack and return one value, or
+one r, rho and Gram matrix, per sample; in every layer each sample gets the
+BLAS and LAPACK calls it would get alone.  The Ricci-type check
+(``ricci_type_residual``) runs at one point, on the curvature of the
+transvection algebra built from closed-form odd generators (``algebra_curvature``).
 """
 
 from __future__ import annotations
@@ -332,13 +330,6 @@ def curvature(model: SymplecticModel, a, xbar, ybar, zbar) -> np.ndarray:
             + pair(ax, z) * y - pair(ay, z) * x)
 
 
-def _frame_tensors(model: SymplecticModel, a, frame: HorizontalFrame):
-    v = frame.vectors
-    # W_ij = Omega(A v_i, v_j), symmetric
-    paired = np.swapaxes(as_matrix(a) @ v, -1, -2) @ model.omega @ v
-    return frame.gram, paired
-
-
 def ricci_endomorphism(model: SymplecticModel, a, frame: HorizontalFrame) -> np.ndarray:
     """Matrix of the Ricci endomorphism -2(n+1) A restricted to H_x, in the frame.
 
@@ -352,86 +343,95 @@ def ricci_endomorphism(model: SymplecticModel, a, frame: HorizontalFrame) -> np.
     return -2.0 * (model.n + 1) * coeff
 
 
-#: doubles of R - E(r) built at once: ``_ricci_type_defect`` takes the samples in
-#: chunks of DEFECT_BUDGET // (2n)^4, at least one, so n <= 4 builds all 50 samples
-#: of a run together and n = 16 one 8 MB array per sample
-DEFECT_BUDGET = 2 ** 20
+def _trace_ricci(gram: np.ndarray, paired: np.ndarray) -> np.ndarray:
+    """r_ij = -sum_{m,a} (G^-1)_ma R_imja of the closed-form curvature, term by term in O(n^3).
 
-
-def _defect_sup(g, w, r, scalar, f: float) -> np.ndarray:
-    """Sup-norm of R - E(r) for each sample of (m, d, d) stacks of G, W, r and -2W - 2fr.
-
-    Its (m, d, d, d, d) array is freed on return, before the next chunk builds its own.
-    """
-    m, d = g.shape[:2]
-    # at row i, column c of left[s, j] (index k) times row c of right[s, j] (index l):
-    # -G_ik W_jl + W_ik G_jl - f G_ik r_jl + f r_ik G_jl     (c < 4, i-factors on the left)
-    # + G_jk W_il - W_jk G_il - f r_jk G_il + f G_jk r_il   (c >= 4, i-factors on the right)
-    row_left = np.stack([-g, w, -f * g, f * r], axis=-1)
-    row_right = np.stack([w, g, g, r], axis=-2)
-    left = np.empty((m, d, d, 8))
-    right = np.empty((m, d, 8, d))
-    left[..., 4:] = np.stack([g, -w, -f * r, f * g], axis=-1)
-    right[:, :, :4] = np.stack([w, g, r, g], axis=-2)
-    defect = np.empty((m, d, d, d, d))
-    for i in range(d):  # one row at a time: no (2n)^4 operand next to the defect
-        left[..., :4] = row_left[:, i, None]
-        right[:, :, 4:] = row_right[:, i, None]
-        np.matmul(left, right, out=defect[:, i])
-        defect[:, i] += g[:, i, :, None, None] * scalar[:, None]
-    flat = defect.reshape(m, -1)
-    top, low = flat.max(axis=1), -flat.min(axis=1)
-    return np.where(low > top, low, top)  # max(top, low) as Python takes it
-
-
-def _ricci_type_defect(gram: np.ndarray, paired: np.ndarray, n: int):
-    """Sup-norm of R - E(r) over all frame 4-tuples, and the trace Ricci tensor r.
-
-    ``gram`` and ``paired`` are G_ij = Omega(v_i, v_j) and W_ij = Omega(A v_i, v_j),
-    one (2n, 2n) matrix each or (S, 2n, 2n) stacks (then one sup-norm and one
-    r per sample), and the curvature on the frame is
-
-        R_ijkl = -2 G_ij W_kl - G_ik W_jl + G_jk W_il + W_ik G_jl - W_jk G_il.
-
-    r_ij = -sum_{m,a} (G^-1)_ma R_imja is contracted term by term, in O(n^3).
-    At fixed (i, j), R - E(r) is the (k, l) matrix G_ij (-2 W - 2 f r) plus
-    eight outer products, four of R on (G, W) and four of -E on (G, r), with
-    f = -1/(2n+2); one batched matmul per row i builds all of them, over a
-    chunk of samples (``DEFECT_BUDGET``, ``_defect_sup``).
+    G_ij = Omega(v_i, v_j) and W_ij = Omega(A v_i, v_j) are (2n, 2n) matrices or
+    (S, 2n, 2n) stacks, and R_ijkl = -2 G_ij W_kl - G_ik W_jl + G_jk W_il
+    + W_ik G_jl - W_jk G_il.
     """
     ginv = np.linalg.inv(gram)
     ginv_t = np.swapaxes(ginv, -1, -2)
-    ric = -(-2.0 * gram @ ginv @ np.swapaxes(paired, -1, -2)
-            - gram * np.sum(ginv * paired, axis=(-2, -1), keepdims=True)
-            + paired @ (ginv_t @ gram)
-            + paired * np.sum(ginv * gram, axis=(-2, -1), keepdims=True)
-            - gram @ (ginv_t @ paired))
+    return -(-2.0 * gram @ ginv @ np.swapaxes(paired, -1, -2)
+             - gram * np.sum(ginv * paired, axis=(-2, -1), keepdims=True)
+             + paired @ (ginv_t @ gram)
+             + paired * np.sum(ginv * gram, axis=(-2, -1), keepdims=True)
+             - gram @ (ginv_t @ paired))
+
+
+def ricci_tensor(model: SymplecticModel, a, frame: HorizontalFrame):
+    """Trace Ricci tensor r(X, Y) = Tr(Z -> R(X, Z) Y) and the Gram matrix G in the frame.
+
+    A frame stack gives one r and G per sample, two (S, 2n, 2n) stacks.
+    """
+    v = frame.vectors
+    paired = np.swapaxes(as_matrix(a) @ v, -1, -2) @ model.omega @ v  # Omega(A v_i, v_j)
+    return _trace_ricci(frame.gram, paired), frame.gram
+
+
+def transvection_generators(model: SymplecticModel, a, frame: HorizontalFrame) -> np.ndarray:
+    """Odd generators X_u = (Au).x - u.(Ax) of the transvection algebra at x = frame.base.
+
+    (a.b) y = Omega(a, y) b + Omega(b, y) a.  For u in H_x, X_u commutes with
+    A, X_u x = u, and S_x X_u S_x = -X_u, so the X_u span p1 at x.  One X_u
+    per frame vector u: a (2n, N, N) stack.
+    """
+    amat, om, x, u = as_matrix(a), model.omega, frame.base, frame.vectors.T
+
+    def sym(rows, b):  # rows[m].b for every row: b Omega(rows[m], .) + rows[m] Omega(b, .)
+        return b[:, None] * (rows @ om)[:, None, :] + rows[:, :, None] * (b @ om)
+
+    return sym(u @ amat.T, x) - sym(u, amat @ x)
+
+
+def algebra_curvature(model: SymplecticModel, a, frame: HorizontalFrame) -> np.ndarray:
+    """Curvature R_ijkl = Omega(-[[X_i, X_j], X_k] x, v_l) of the transvection algebra at x.
+
+    R(u, v)w = -[[X_u, X_v], X_w] x on the odd part (Kobayashi & Nomizu II,
+    ch. XI), with X_u from ``transvection_generators`` at x = frame.base; the
+    closed-form ``curvature`` is not used.  The (2n)^4 array is filled row by row.
+    """
+    v = frame.vectors
+    gens = transvection_generators(model, a, frame)
+    moved = gens @ v  # moved[j, :, k] = X_j v_k, and X_j x = v_j
+    om_v = model.omega @ v
+    curv = np.empty((v.shape[1],) * 4)
+    for i in range(len(curv)):
+        bv = gens[i] @ moved - gens @ moved[i]  # [X_i, X_j] v_k at [j, :, k]
+        bx = moved[i].T - moved[:, :, i]  # [X_i, X_j] x at row j
+        # -[[X_i, X_j], X_k] x = -[X_i, X_j] v_k + X_k [X_i, X_j] x, at [j, k]
+        curv[i] = (np.moveaxis(gens @ bx.T, 2, 0) - np.swapaxes(bv, 1, 2)) @ om_v
+    return curv
+
+
+def _ricci_type_defect(curv: np.ndarray, gram: np.ndarray, n: int):
+    """Sup-norm of R - E(r) for a (2n)^4 curvature array R, and its trace Ricci tensor r.
+
+    r_ij = -sum_{m,a} (G^-1)_ma R_imja, and E(r) (see ``ricci_type_residual``)
+    has the coefficient f = -1/(2n+2); it is built one row i at a time.
+    """
+    ric = -np.einsum("ma,imja->ij", np.linalg.inv(gram), curv)
     f = -1.0 / (2.0 * (n + 1))
-    d = gram.shape[-1]
-    stack = [np.reshape(t, (-1, d, d)) for t in (gram, paired, ric, -2.0 * paired - 2.0 * f * ric)]
-    step = max(1, DEFECT_BUDGET // d ** 4)
-    residual = np.concatenate([_defect_sup(*(t[lo:lo + step] for t in stack), f)
-                               for lo in range(0, len(stack[0]), step)])
-    if gram.ndim == 2:
-        return float(residual[0]), ric
-    return residual, ric
+    rows = [np.max(np.abs(curv[i] - f * (2.0 * gram[i, :, None, None] * ric
+                                         + gram[i, None, :, None] * ric[:, None, :]
+                                         + gram[i, None, None, :] * ric[:, :, None]
+                                         - gram[:, :, None] * ric[i, None, None, :]
+                                         - gram[:, None, :] * ric[i, None, :, None])))
+            for i in range(len(curv))]
+    return float(np.max(rows)), ric
 
 
-def ricci_type_residual(model: SymplecticModel, a, frame: HorizontalFrame):
-    """Sup-norm of R - E(r) over all frame 4-tuples, the Ricci tensor r, and the Gram matrix.
+def ricci_type_residual(model: SymplecticModel, a, x) -> float:
+    """Sup-norm of R - E(r) over all frame 4-tuples at one point x of Sigma_A.
 
     E(X,Y,Z,T) = -1/(2n+2) [2 w(X,Y) r(Z,T) + w(X,Z) r(Y,T) + w(X,T) r(Y,Z)
                             - w(Y,Z) r(X,T) - w(Y,T) r(X,Z)]
-    with r(X, Y) = Tr(Z -> R(X, Z) Y) the trace Ricci tensor of the curvature
-    itself, in frame coordinates.  The residual is zero for Ricci-type
-    curvature.  The trace is O(n^3) and R - E(r) is built as (2n)^4 arrays
-    (``_ricci_type_defect``).  The Gram matrix G_ij = Omega(v_i, v_j) is
-    returned for callers that need it next to r.  A frame stack gives one
-    residual, r and G per sample: an (S,) array and two (S, 2n, 2n) stacks.
+    with r the trace Ricci tensor of R, the transvection algebra's curvature
+    at x (``algebra_curvature``).  The transvection group acts transitively
+    and preserves R, so the base point stands for every point.
     """
-    gram, paired = _frame_tensors(model, a, frame)
-    residual, ric = _ricci_type_defect(gram, paired, model.n)
-    return residual, ric, gram
+    frame = horizontal_basis(model, a, x)
+    return _ricci_type_defect(algebra_curvature(model, a, frame), frame.gram, model.n)[0]
 
 
 def curvature_cyclic_residual(model: SymplecticModel, a, frame: HorizontalFrame,

@@ -162,17 +162,17 @@ def centralizer_in_sp(model: SymplecticModel, a, exact: bool = False) -> MatrixL
     return sub
 
 
-def involution_eigenspace(s: MatrixLieSubspace, theta, sign: int) -> MatrixLieSubspace:
-    """(+1)- or (-1)-eigenspace of an involutive map theta preserving s."""
+def involution_eigenspace(s: MatrixLieSubspace, sym: np.ndarray, sign: int) -> MatrixLieSubspace:
+    """(+1)- or (-1)-eigenspace of conjugation m -> sym m sym, an involution of s."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    images = np.reshape([theta(b) for b in s.basis], s.rows.shape)
+    images = (sym @ s.basis @ sym).reshape(s.rows.shape)
     # written as `not <=` so that a NaN residual fails the guard
     if not s.distance(images) <= 1e-7:
-        raise ValueError("theta does not preserve the subspace")
+        raise ValueError("conjugation by sym does not preserve the subspace")
     t_mat = s.coordinates(images)
     if not np.max(np.abs(t_mat @ t_mat - np.eye(s.dim)), initial=0.0) <= 1e-7:
-        raise ValueError("theta is not involutive on the subspace")
+        raise ValueError("conjugation by sym is not involutive on the subspace")
     # orthonormal coordinate columns of orthonormal rows give orthonormal rows
     kernel = rank_split(t_mat - sign * np.eye(s.dim))[1]
     return MatrixLieSubspace(s.ambient_dim, kernel.T @ s.rows)

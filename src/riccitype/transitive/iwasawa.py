@@ -22,7 +22,6 @@ from ..lie import (
     MatrixLieSubspace,
     ad_eigenspaces,
     ad_eigenvalues,
-    bracket,
     rank_split,
     subspace_from_matrices,
 )
@@ -92,7 +91,7 @@ def iwasawa_su1n(n: int, k: float = 1.0) -> IwasawaData:
         [sub.rows for lam, sub in ad_eigenspaces(g, a_gen).items() if lam > 0.5]))
     # m = centralizer of a inside k = [p1, p1]
     k_part = tv.k_part
-    cols = np.stack([bracket(a_gen, b).reshape(-1) for b in k_part.basis], axis=1)
+    cols = (a_gen @ k_part.basis - k_part.basis @ a_gen).reshape(k_part.dim, -1).T
     kernel = rank_split(cols, rtol=1e-9)[1]
     m_part = MatrixLieSubspace(model.ambient_dim, kernel.T @ k_part.rows)
     return IwasawaData(
@@ -138,9 +137,6 @@ def ad_spectrum_on_n(iw: IwasawaData, phi_params=None) -> np.ndarray:
 def sample_ball_points(n: int, count: int, seed: int, radius: float = 0.9) -> np.ndarray:
     """Seeded (count, 2n) sample of points of the ball chart |w| < 1, one per row."""
     rng = np.random.default_rng(seed)
-    points = []
-    for _ in range(count):
-        v = rng.standard_normal(2 * n)
-        r = radius * rng.uniform() ** (1.0 / (2 * n))
-        points.append(r * v / np.linalg.norm(v))
-    return np.array(points)
+    v = rng.standard_normal((count, 2 * n))
+    r = radius * rng.uniform(size=count) ** (1.0 / (2 * n))
+    return (r / np.linalg.norm(v, axis=1))[:, None] * v

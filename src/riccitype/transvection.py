@@ -74,8 +74,7 @@ def transvection_algebra(model: SymplecticModel, a,
     x0 = base_point(model)
     s_mat = symmetry_matrix(model, a, x0)
     g1 = centralizer_in_sp(model, a, exact=exact)
-    theta = lambda m: s_mat @ m @ s_mat
-    p1 = involution_eigenspace(g1, theta, -1)
+    p1 = involution_eigenspace(g1, s_mat, -1)
     k1 = bracket_span(p1, p1)
     if p1.dim == 0 or k1.dim == 0:
         raise ValueError("degenerate eigenspace split; check the base point")
@@ -107,7 +106,7 @@ def transvection_algebra(model: SymplecticModel, a,
 def upper_left_traces(data: TransvectionData, model: SymplecticModel) -> np.ndarray:
     """Traces of the leading (n+1)-block of the algebra basis (hyperbolic sl check)."""
     m = model.n + 1
-    return np.array([np.trace(b[:m, :m]) for b in data.algebra.basis])
+    return np.trace(data.algebra.basis[:, :m, :m], axis1=1, axis2=2)
 
 
 def nilpotent_ideal_report(cert: StructureCertificate) -> dict:

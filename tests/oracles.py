@@ -258,6 +258,12 @@ def reduced_omega(model, a, x, xbar, ybar, tol=1e-7):
     return model.pairing(np.asarray(xbar, float), np.asarray(ybar, float))
 
 
+def frame_pairing(model, a, frame):
+    """W_ij = Omega(A v_i, v_j) on the columns of a frame."""
+    v = frame.vectors
+    return (as_matrix(a) @ v).T @ model.omega @ v
+
+
 def curvature_tensor(gram, paired):
     """R(v_i, v_j, v_k, v_l) = Omega(R(v_i, v_j) v_k, v_l) on a frame, materialized.
 

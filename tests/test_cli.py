@@ -449,23 +449,22 @@ def test_curvature_witness_names_worst_sample(capsys, monkeypatch, target, name)
     from riccitype import geometry
     original = getattr(geometry, target)
     calls = []
+    sampled = target == "curvature_cyclic_residual"
 
     def spiked(*args, **kwargs):
-        # one batched call; sample 3 of its per-sample residuals reads 1.0
+        # one call: sample 3 of the batched cyclic residuals reads 1.0, or the
+        # Ricci-type residual at the base point does
         out = original(*args, **kwargs)
         calls.append(None)
-        if target == "curvature_cyclic_residual":
-            return _spoil_sample_3(out, 1.0)
-        return (_spoil_sample_3(out[0], 1.0),) + out[1:]
+        return _spoil_sample_3(out, 1.0) if sampled else 1.0
     monkeypatch.setattr(geometry, target, spiked)
     code, out, _ = run(capsys, "verify-geometry", "--case", "hyperbolic", "--n", "2",
                        "--samples", "6", "--seed", "5")
     assert len(calls) == 1
     assert code == 1
     assert re.search(rf"\[FAIL\] {re.escape(name)} +1\.0+e\+00 ", out)
-    model, elem = core.build_model("hyperbolic", 2)
-    point = core.sample_sigma(model, elem, 6, seed=5)[3].tolist()
-    assert f"witness.0={name}: worst sample 3: {point}" in out
+    where = (_sigma_point if sampled else _base_point)(*HYPERBOLIC)
+    assert f"witness.0={name}: {where}" in out
 
 
 def test_report_seed_changes_samples_not_verdict(capsys):
@@ -580,14 +579,21 @@ def _spoil_sample_3(values, spoil=NAN):
     return out
 
 
+# each witness helper returns what the witness says after "<entry>: "
 def _sigma_point(case, n, p, q):
     model, elem = core.build_model(case, n, p=p or None, q=q or None)
-    return str(core.sample_sigma(model, elem, 6, seed=5)[3].tolist())
+    return f"worst sample 3: {core.sample_sigma(model, elem, 6, seed=5)[3].tolist()}"
+
+
+def _base_point(case, n, p, q):
+    from riccitype import transvection
+    model, _ = core.build_model(case, n, p=p or None, q=q or None)
+    return f"base point {transvection.base_point(model).tolist()}"
 
 
 def _darboux_point(case, n, p, q):
     rng = np.random.default_rng(5 + 17)
-    return str([rng.standard_normal(2 * n) for _ in range(4)][3].tolist())
+    return f"worst sample 3: {[rng.standard_normal(2 * n) for _ in range(4)][3].tolist()}"
 
 
 def _quaternion_draw(case, n, p, q):
@@ -596,7 +602,7 @@ def _quaternion_draw(case, n, p, q):
         qvec = rng.standard_normal(4)
         qvec /= np.linalg.norm(qvec)
         draw = (qvec, rng.standard_normal(3), rng.standard_normal(3))
-    return "q, x, y = " + str([v.tolist() for v in draw])
+    return "worst sample 3: q, x, y = " + str([v.tolist() for v in draw])
 
 
 HYPERBOLIC = ("hyperbolic", 2, 0, 0)
@@ -604,10 +610,10 @@ DARBOUX = ("nilpotent", 2, 2, 1)
 
 
 ELLIPTIC_P2 = ("elliptic", 2, 2, 1)
-NAN_CASES = {  # test id: command, tuple, spiked function, its spiked call, spoil, entry, sample
+NAN_CASES = {  # test id: command, tuple, spiked function, its spiked call, spoil, entry, witness
     # call 3 of the series is the time t = 0
     "series_oracle": ("verify-geometry", HYPERBOLIC, "core.series_exp", 3, lambda m: m * NAN,
-                      "flow.series_oracle", lambda *params: "t = 0"),
+                      "flow.series_oracle", lambda *params: "worst sample 3: t = 0"),
     # call 1 projects the flowed points
     "flow_invariance": ("verify-geometry", HYPERBOLIC, "geometry.project", 1, _spoil_sample_3,
                         "projection.flow_invariance", _sigma_point),
@@ -615,13 +621,13 @@ NAN_CASES = {  # test id: command, tuple, spiked function, its spiked call, spoi
                               _spoil_sample_3, "projection.flow_invariance_fiber", _sigma_point),
     "cyclic_identity": ("verify-geometry", HYPERBOLIC, "geometry.curvature_cyclic_residual", 0,
                         _spoil_sample_3, "curvature.cyclic_identity", _sigma_point),
+    # one residual, at the base point
     "ricci_type_residual": ("verify-geometry", HYPERBOLIC, "geometry.ricci_type_residual", 0,
-                            lambda out: (_spoil_sample_3(out[0]),) + out[1:],
-                            "curvature.ricci_type_residual", _sigma_point),
+                            lambda out: NAN, "curvature.ricci_type_residual", _base_point),
     "square_identity": ("verify-geometry", HYPERBOLIC, "geometry.ricci_endomorphism", 0,
                         _spoil_sample_3, "ricci.square_identity", _sigma_point),
-    "trace_route_match": ("verify-geometry", HYPERBOLIC, "geometry.ricci_type_residual", 0,
-                          lambda out: (out[0], _spoil_sample_3(out[1]), out[2]),
+    "trace_route_match": ("verify-geometry", HYPERBOLIC, "geometry.ricci_tensor", 0,
+                          lambda out: (_spoil_sample_3(out[0]), out[1]),
                           "ricci.trace_route_match", _sigma_point),
     "darboux_constant": ("verify-geometry", DARBOUX, "geometry.chart_omega_matrix", 0,
                          _spoil_sample_3, "reduced_form.darboux_constant", _sigma_point),
@@ -643,10 +649,10 @@ NAN_CASES = {  # test id: command, tuple, spiked function, its spiked call, spoi
 }
 
 
-@pytest.mark.parametrize("command,params,target,call,spoil,name,sample",
+@pytest.mark.parametrize("command,params,target,call,spoil,name,witness",
                          list(NAN_CASES.values()), ids=list(NAN_CASES))
 def test_nan_sample_fails_and_is_named(capsys, monkeypatch, command, params, target, call,
-                                       spoil, name, sample):
+                                       spoil, name, witness):
     # every sampled residual goes through one reduction: a NaN at one sample
     # is the worst value, fails the entry, and the witness names that sample
     from riccitype import geometry
@@ -669,4 +675,4 @@ def test_nan_sample_fails_and_is_named(capsys, monkeypatch, command, params, tar
     assert code == 1
     assert err == ""
     assert re.search(rf"\[FAIL\] {re.escape(name)} +nan ", out)
-    assert f"witness.0={name}: worst sample 3: {sample(*params)}" in out
+    assert f"witness.0={name}: {witness(*params)}" in out

@@ -5,13 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from riccitype import cli, core, geometry
+from riccitype import cli, core, geometry, lie
 from riccitype.transitive import iwasawa as iwa
 from riccitype.transitive import nilpotent as nil
-from riccitype.transvection import base_point
+from riccitype.transvection import base_point, transvection_algebra
 
 from oracles import (act_chart, act_tangent_sphere, connection_nabla, coordinate_field,
-                     curvature_tensor, gl_to_sp_hyperbolic, horizontal_projection,
+                     curvature_tensor, frame_pairing, gl_to_sp_hyperbolic, horizontal_projection,
                      horizontality_residual, pushforward, reduced_omega, retract_to_sigma,
                      ricci_type_defect, symmetry_chart_differential)
 
@@ -234,23 +234,27 @@ def count_calls(monkeypatch, names):
 def test_verify_geometry_builds_one_frame_per_sample(monkeypatch):
     calls, stacks = count_calls(monkeypatch, (
         "horizontal_basis", "differential_project", "lift_tangent", "ricci_type_residual",
-        "curvature"))
+        "ricci_tensor", "algebra_curvature", "curvature"))
     counts = {}
     for samples in (10, 40):
         calls.update(dict.fromkeys(calls, 0))
         stacks.clear()
         config = cli.RunConfig(case="hyperbolic", n=2, samples=samples, seed=0)
         assert cli.cmd_verify_geometry(config).verdict == "PASS"
-        # every frame is a stack: one over every sample, then the frames of the
-        # image differential and of the lift of the pullback over its first 20
-        assert stacks == [samples, min(samples, 20), min(samples, 20)]
-        assert calls["horizontal_basis"] == 1 + 2 * calls["lift_tangent"]
+        # one stack over every sample, one frame at the base point for the
+        # Ricci-type check, then the stacks of the image differential and of
+        # the lift of the pullback over the first 20 samples
+        assert stacks == [samples, None, min(samples, 20), min(samples, 20)]
+        assert calls["horizontal_basis"] == 2 + 2 * calls["lift_tangent"]
         assert calls["lift_tangent"] > 0
         # one differential of the whole frame stack per lift, and one image differential
         assert calls["differential_project"] == calls["lift_tangent"] + 1
-        # one residual build over the stack serves the Ricci-type and trace-route checks
-        assert calls["ricci_type_residual"] == 1
-        # one batched call per cyclic permutation, over all triples of every sample
+        # Ricci type once, on the algebra's curvature at the base point, and
+        # one trace over the stack for the trace route
+        assert calls["ricci_type_residual"] == calls["algebra_curvature"] == 1
+        assert calls["ricci_tensor"] == 1
+        # one batched call per cyclic permutation, over all triples of every sample;
+        # the Ricci-type check does not read the closed-form curvature
         assert calls["curvature"] == 3
         counts[samples] = dict(calls)
     # no call count grows with the samples: no per-sample loop over the chart layer
@@ -280,8 +284,7 @@ BATCH_CASES = core.admissible_parameters((2, 3)) + [("hyperbolic", 8, 0, 0)]
 @pytest.mark.parametrize("case,n,p,q", BATCH_CASES)
 def test_frame_stack_matches_single_frames(case, n, p, q):
     # the report values rest on the stacked calls giving each sample exactly
-    # what the per-frame calls give it; n = 8 with 20 samples spans two
-    # chunks of the (2n)^4 defect
+    # what the per-frame calls give it
     model, elem = build(case, n, p or None, q or None)
     count = 20 if n == 8 else 6
     pts = core.sample_sigma(model, elem, count, seed=73)
@@ -289,9 +292,10 @@ def test_frame_stack_matches_single_frames(case, n, p, q):
     assert frames.vectors.shape == (count, model.ambient_dim, 2 * n)
     assert all(frames.vectors[i].flags.c_contiguous for i in range(count))
     cyc = geometry.curvature_cyclic_residual(model, elem, frames, triples=5, seed=73)
-    residual, ric, gram = geometry.ricci_type_residual(model, elem, frames)
+    ric, gram = geometry.ricci_tensor(model, elem, frames)
     rho = geometry.ricci_endomorphism(model, elem, frames)
-    assert cyc.shape == residual.shape == (count,)
+    assert cyc.shape == (count,)
+    assert ric.shape == gram.shape == (count, 2 * n, 2 * n)
     for i, pt in enumerate(pts):
         frame = geometry.horizontal_basis(model, elem, pt)
         assert np.array_equal(frames.vectors[i], frame.vectors)
@@ -299,8 +303,7 @@ def test_frame_stack_matches_single_frames(case, n, p, q):
         assert np.array_equal(frames.base[i], frame.base)
         one = geometry.curvature_cyclic_residual(model, elem, frame, triples=5, seed=73 + i)
         assert isinstance(one, float) and cyc[i] == one
-        one_residual, one_ric, one_gram = geometry.ricci_type_residual(model, elem, frame)
-        assert isinstance(one_residual, float) and residual[i] == one_residual
+        one_ric, one_gram = geometry.ricci_tensor(model, elem, frame)
         assert np.array_equal(ric[i], one_ric)
         assert np.array_equal(gram[i], one_gram)
         assert np.array_equal(rho[i], geometry.ricci_endomorphism(model, elem, frame))
@@ -570,7 +573,7 @@ def test_ricci_endomorphism_square_and_trace_route(case, n, p, q):
         rho = geometry.ricci_endomorphism(model, elem, frame)
         assert np.max(np.abs(rho @ rho - 4 * (n + 1) ** 2 * elem.mu * ident)) <= 1e-9
         gram = frame.vectors.T @ model.omega @ frame.vectors
-        trace_ric = geometry.ricci_type_residual(model, elem, frame)[1]
+        trace_ric = geometry.ricci_tensor(model, elem, frame)[0]
         assert np.max(np.abs(gram @ rho - trace_ric)) <= 1e-9
 
 
@@ -589,33 +592,35 @@ def test_ricci_endomorphism_nilpotent_square_zero():
     ("nilpotent", 4, 3, 1),
 ])
 def test_ricci_type_residual_small(case, n, p, q):
+    # the algebra route holds at every point, not only at the base point
     model, elem = build(case, n, p, q)
-    for pt in core.sample_sigma(model, elem, 10, seed=29):
-        frame = geometry.horizontal_basis(model, elem, pt)
-        assert geometry.ricci_type_residual(model, elem, frame)[0] <= 1e-8
+    for pt in [base_point(model), *core.sample_sigma(model, elem, 10, seed=29)]:
+        assert geometry.ricci_type_residual(model, elem, pt) <= 1e-8
 
 
 def test_ricci_type_residual_frame_rebase_invariant():
     model, elem = build("elliptic", 2, 1, None)
     pt = core.sample_sigma(model, elem, 1, seed=31)[0]
-    frame = geometry.horizontal_basis(model, elem, pt)
-    base = geometry.ricci_type_residual(model, elem, frame)[0]
+    base = geometry.ricci_type_residual(model, elem, pt)
     # the residual is tensorial: recomputing on a re-based frame changes nothing
     # beyond conditioning
+    frame = geometry.horizontal_basis(model, elem, pt)
     rng = np.random.default_rng(31)
     mix = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     vectors = frame.vectors @ mix
     rebased = geometry.HorizontalFrame(pt, vectors, vectors.T @ model.omega @ vectors)
-    residual, ric, gram = geometry.ricci_type_residual(model, elem, rebased)
-    paired = geometry._frame_tensors(model, elem, rebased)[1]
+    curv = geometry.algebra_curvature(model, elem, rebased)
+    gram = rebased.gram
+    residual, ric = geometry._ricci_type_defect(curv, gram, model.n)
+    paired = frame_pairing(model, elem, rebased)
     want, want_ric = ricci_type_defect(gram, paired, model.n)
     assert residual <= 1e-8
     assert want <= 1e-8
     assert base <= 1e-8
     assert _relative(ric, want_ric) <= 1e-12
-    # on the re-based frame the fused kernel still reports a real defect at its true size
+    # on the re-based frame a wrong coefficient still reads a real defect at its true size
     for wrong_n in (model.n - 1, model.n + 1):
-        got = geometry._ricci_type_defect(gram, paired, wrong_n)[0]
+        got = geometry._ricci_type_defect(curv, gram, wrong_n)[0]
         want = ricci_type_defect(gram, paired, wrong_n)[0]
         assert want > 1e-2
         assert abs(got - want) <= 1e-12 * want
@@ -635,53 +640,70 @@ def test_ricci_trace_term_by_term_matches_materialized_trace(d):
         y = rng.standard_normal((d, d))
         paired = y + y.T
         want = -np.einsum("ma,imja->ij", np.linalg.inv(gram), curvature_tensor(gram, paired))
-        got = geometry._ricci_type_defect(gram, paired, d // 2)[1]
+        got = geometry._trace_ricci(gram, paired)
         assert _relative(got, want) <= 1e-12
 
 
 def test_ricci_type_defect_detects_wrong_coefficient():
-    # E(r) for the wrong n leaves an O(1) defect; the fused kernel must report it exactly
+    # E(r) for the wrong n leaves an O(1) defect on the algebra's curvature,
+    # the size the einsum oracle reads on the closed form
     for case, n, p, q in [("hyperbolic", 3, None, None), ("elliptic", 3, 2, None),
-                          ("nilpotent", 4, 3, 2)]:
+                          ("nilpotent", 4, 3, 2), ("hyperbolic", 16, None, None)]:
         model, elem = build(case, n, p, q)
-        for pt in core.sample_sigma(model, elem, 3, seed=67):
+        points = [base_point(model)]
+        if n <= 4:
+            points += list(core.sample_sigma(model, elem, 3, seed=67))
+        for pt in points:
             frame = geometry.horizontal_basis(model, elem, pt)
-            gram, paired = geometry._frame_tensors(model, elem, frame)
+            curv = geometry.algebra_curvature(model, elem, frame)
+            paired = frame_pairing(model, elem, frame)
             for wrong_n in (n - 1, n + 1, 2 * n):
-                got = geometry._ricci_type_defect(gram, paired, wrong_n)[0]
-                want = ricci_type_defect(gram, paired, wrong_n)[0]
-                assert want > 1e-2
+                got = geometry._ricci_type_defect(curv, frame.gram, wrong_n)[0]
+                want = ricci_type_defect(frame.gram, paired, wrong_n)[0]
+                assert got > 1e-2
                 assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("case,n,p,q", [t for t in core.admissible_parameters((2, 3))
+                                        if t[0] != "nilpotent"])
+@pytest.mark.parametrize("k", [1e-3, 1.0, 1e3])
+def test_ricci_type_residual_k_ladder(case, n, p, q, k):
+    # k scales A and leaves the (1,3) curvature alone: the check holds at every k
+    model, elem = core.build_model(case, n, k=k, p=p)
+    assert geometry.ricci_type_residual(model, elem, base_point(model)) <= 1e-8
+
+
+@pytest.mark.parametrize("case,n,p,q", core.admissible_parameters((2, 3, 4)))
+def test_transvection_generators_span_p_part(case, n, p, q):
+    # the closed-form X_u span the odd part that the centralizer split computes
+    model, elem = build(case, n, p or None, q or None)
+    x0 = base_point(model)
+    frame = geometry.horizontal_basis(model, elem, x0)
+    gens = geometry.transvection_generators(model, elem, frame)
+    s = geometry.symmetry_matrix(model, elem, x0)
+    amat, om = elem.matrix, model.omega
+    assert np.max(np.abs(np.swapaxes(gens, 1, 2) @ om + om @ gens)) <= 1e-12
+    assert np.max(np.abs(amat @ gens - gens @ amat)) <= 1e-12
+    assert np.max(np.abs(s @ gens @ s + gens)) <= 1e-12
+    assert np.max(np.abs((gens @ x0).T - frame.vectors)) <= 1e-12
+    span = lie.subspace_from_matrices(gens, model.ambient_dim)
+    p_part = transvection_algebra(model, elem).p_part
+    assert span.dim == p_part.dim == 2 * n
+    assert span.distance(p_part.basis) <= 1e-12
+    assert p_part.distance(span.basis) <= 1e-12
 
 
 def test_ricci_type_residual_memory_n16():
     model, elem = build("hyperbolic", 16, None, None)
-    pt = core.sample_sigma(model, elem, 1, seed=71)[0]
-    frame = geometry.horizontal_basis(model, elem, pt)
+    x0 = base_point(model)
     tracemalloc.start()
     try:
-        residual = geometry.ricci_type_residual(model, elem, frame)[0]
+        residual = geometry.ricci_type_residual(model, elem, x0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert residual <= 1e-8
     # one (32)^4 float array is 8 MB; the einsum route peaked at 32 MB
-    assert peak < 24 * 2 ** 20
-
-
-def test_ricci_type_residual_memory_n16_frame_stack():
-    # 50 samples go through the (2n)^4 defect one DEFECT_BUDGET chunk at a time
-    model, elem = build("hyperbolic", 16, None, None)
-    pts = core.sample_sigma(model, elem, 50, seed=71)
-    frames = geometry.horizontal_basis(model, elem, pts)
-    tracemalloc.start()
-    try:
-        residual = geometry.ricci_type_residual(model, elem, frames)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert residual.shape == (50,)
-    assert np.max(residual) <= 1e-8
     assert peak < 24 * 2 ** 20
 
 
@@ -797,14 +819,21 @@ def test_act_tangent_sphere_closed_form():
                          core.admissible_parameters((2, 3, 4)) + [("hyperbolic", 8, 0, 0)])
 def test_ricci_type_residual_full_admissible_sweep(case, n, p, q):
     model, elem = build(case, n, p or None, q or None)
-    for pt in core.sample_sigma(model, elem, 3, seed=53):
+    for i, pt in enumerate([base_point(model), *core.sample_sigma(model, elem, 3, seed=53)]):
         frame = geometry.horizontal_basis(model, elem, pt)
-        residual, ric, gram = geometry.ricci_type_residual(model, elem, frame)
+        curv = geometry.algebra_curvature(model, elem, frame)
+        paired = frame_pairing(model, elem, frame)
+        # the algebra's curvature is the closed form, materialized by the oracle
+        assert np.max(np.abs(curv - curvature_tensor(frame.gram, paired))) <= 1e-13
+        residual, ric = geometry._ricci_type_defect(curv, frame.gram, n)
         assert residual <= 1e-8
-        # the einsum oracle materializes R and E(r); both routes agree
-        want, want_ric = ricci_type_defect(gram, geometry._frame_tensors(model, elem, frame)[1], n)
+        # the einsum oracle materializes R and E(r) from the closed form; both routes agree
+        want, want_ric = ricci_type_defect(frame.gram, paired, n)
         assert want <= 1e-8
-        assert _relative(ric, want_ric) <= 1e-12
+        # r vanishes on the flat p = 1 models, up to rounding of either route
+        assert np.max(np.abs(ric - want_ric)) <= 1e-12 * max(1.0, float(np.max(np.abs(want_ric))))
+        if i > 0:  # the sampled trace route and the oracle's trace, at the samples
+            assert _relative(geometry.ricci_tensor(model, elem, frame)[0], want_ric) <= 1e-12
 
 
 def test_reduced_symmetry_check_report():

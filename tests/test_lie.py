@@ -90,28 +90,29 @@ def test_involution_eigenspace_dims_and_restriction():
     from riccitype.geometry import symmetry_matrix
     s = symmetry_matrix(model, elem, base_point(model))
     g1 = lie.centralizer_in_sp(model, elem)
-    theta = lambda m: s @ m @ s
-    minus = lie.involution_eigenspace(g1, theta, -1)
-    plus = lie.involution_eigenspace(g1, theta, +1)
+    minus = lie.involution_eigenspace(g1, s, -1)
+    plus = lie.involution_eigenspace(g1, s, +1)
     assert minus.dim == 4  # 2n
     assert minus.dim + plus.dim == g1.dim
     for b in minus.basis:
-        assert np.max(np.abs(theta(b) + b)) <= 1e-10
+        assert np.max(np.abs(s @ b @ s + b)) <= 1e-10
     for b in plus.basis:
-        assert np.max(np.abs(theta(b) - b)) <= 1e-10
+        assert np.max(np.abs(s @ b @ s - b)) <= 1e-10
 
 
 def test_involution_eigenspace_rejects_non_involution():
     model, elem = core.build_model("hyperbolic", 2)
     g1 = lie.centralizer_in_sp(model, elem)
-    with pytest.raises(ValueError):
-        lie.involution_eigenspace(g1, lambda m: 2.0 * m, +1)
+    with pytest.raises(ValueError, match="not involutive"):
+        # conjugation by sqrt(2) I doubles every matrix
+        lie.involution_eigenspace(g1, np.sqrt(2.0) * np.eye(g1.ambient_dim), +1)
 
 
 def test_involution_eigenspace_rejects_non_preserving():
     sub = lie.subspace_from_matrices([e_matrix(0, 1)], 2)
-    with pytest.raises(ValueError):
-        lie.involution_eigenspace(sub, lambda m: m.T, -1)
+    with pytest.raises(ValueError, match="does not preserve"):
+        # conjugation by the swap takes E_01 to E_10, off the span
+        lie.involution_eigenspace(sub, np.array([[0.0, 1.0], [1.0, 0.0]]), -1)
 
 
 def test_bracket_span_hyperbolic_k1():
@@ -120,7 +121,7 @@ def test_bracket_span_hyperbolic_k1():
     from riccitype.geometry import symmetry_matrix
     s = symmetry_matrix(model, elem, base_point(model))
     g1 = lie.centralizer_in_sp(model, elem)
-    p1 = lie.involution_eigenspace(g1, lambda m: s @ m @ s, -1)
+    p1 = lie.involution_eigenspace(g1, s, -1)
     k1 = lie.bracket_span(p1, p1)
     assert k1.dim == 4  # gl(n) for n = 2
     for b in k1.basis:
