@@ -67,10 +67,9 @@ class MatrixLieSubspace:
     """Span of N x N matrices, carried as orthonormal rows of their flattenings.
 
     ``rows`` is (dim, N^2) with rows @ rows.T = I; every constructor in this
-    package keeps that invariant (``rank_split`` row and null bases, products
-    of orthonormal coordinate columns with orthonormal rows, and stacks of
-    trace-orthogonal eigenspaces), so coordinates and distances are
-    projections onto the rows.
+    package keeps that invariant (``rank_split`` row and null bases, and
+    products of orthonormal coordinate columns with orthonormal rows), so
+    coordinates and distances are projections onto the rows.
     """
 
     ambient_dim: int
@@ -306,41 +305,6 @@ def ad_matrix(s: MatrixLieSubspace, x: np.ndarray) -> np.ndarray:
 
 
 def ad_eigenvalues(s: MatrixLieSubspace, x: np.ndarray) -> np.ndarray:
-    """Complex eigenvalue multiset of ad(x) on s, sorted by (re, im)."""
-    vals = np.linalg.eigvals(ad_matrix(s, x))
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
+    """Eigenvalue multiset of ad(x) on s, in LAPACK's order: sort it after any rounding."""
+    return np.linalg.eigvals(ad_matrix(s, x))
 
-
-def ad_eigenspaces(s: MatrixLieSubspace, x: np.ndarray,
-                   cluster_tol: float = 1e-6) -> dict[float, MatrixLieSubspace]:
-    """Real eigen-decomposition of ad(x) on s, eigenvalues clustered.
-
-    Raises if ad(x) is not diagonalizable over R (complex or defective
-    eigenstructure at the given tolerance).
-    """
-    mat = ad_matrix(s, x)
-    vals = np.linalg.eigvals(mat)
-    if np.max(np.abs(vals.imag)) > cluster_tol:
-        raise ValueError("ad(x) has non-real eigenvalues; not split over R")
-    reals = np.sort(vals.real)
-    clusters: list[list[float]] = []
-    for v in reals:
-        if clusters and abs(v - clusters[-1][-1]) <= cluster_tol:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    out: dict[float, MatrixLieSubspace] = {}
-    total = 0
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    for group in clusters:
-        lam = float(np.mean(group))
-        kernel = rank_split(mat - lam * np.eye(s.dim), rtol=0.0,
-                            atol=10 * cluster_tol * scale)[1]
-        if kernel.shape[1] != len(group):
-            raise ValueError(f"ad(x) defective at eigenvalue {lam:.6g}")
-        out[lam] = MatrixLieSubspace(s.ambient_dim, kernel.T @ s.rows)
-        total += len(group)
-    if total != s.dim:
-        raise ValueError("eigenspace dimensions do not fill the subspace")
-    return out

@@ -4,11 +4,11 @@ The transvection algebra of the elliptic p = 1 model is su(1, n), realized
 as real 2(n+1) matrices through the complex identification z = x + iy.
 With the standard rank-one element a of the odd part, the algebra splits
 into ad(a)-eigenspaces with eigenvalues {0, +-1, +-2}; n is the sum of the
-positive ones (a Heisenberg algebra of dimension 2n - 1) and m is the
-centralizer of a in the even part.  Graphs a_phi = {X + phi(X)} over the
-line R a, with phi(a) in the maximal torus of m, give a family of solvable
-algebras h_phi = a_phi + n whose groups act simply transitively on the
-ball chart.
+positive ones (a Heisenberg algebra of dimension 2n - 1), read from one
+symmetric eigensolve since a is symmetric, and m is the centralizer of a in
+the even part.  Graphs a_phi = {X + phi(X)} over the line R a, with phi(a)
+in the maximal torus of m, give a family of solvable algebras
+h_phi = a_phi + n whose groups act simply transitively on the ball chart.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import CharacteristicElement, SymplecticModel, build_model
-from ..lie import (
-    MatrixLieSubspace,
-    ad_eigenspaces,
-    ad_eigenvalues,
-    rank_split,
-    subspace_from_matrices,
-)
+from ..lie import MatrixLieSubspace, ad_matrix, rank_split, subspace_from_matrices
 from ..transvection import TransvectionData, transvection_algebra
 
 
@@ -85,10 +79,13 @@ def iwasawa_su1n(n: int, k: float = 1.0) -> IwasawaData:
     a_gen = rank_one_odd_element(n)
     if tv.p_part.distance(a_gen / np.linalg.norm(a_gen)) > 1e-9:
         raise RuntimeError("rank-one element is not in the odd part")
-    # a is symmetric, so ad(a) is self-adjoint in the trace form and its
-    # eigenspaces are trace-orthogonal: the stacked rows stay orthonormal
-    n_plus = MatrixLieSubspace(model.ambient_dim, np.vstack(
-        [sub.rows for lam, sub in ad_eigenspaces(g, a_gen).items() if lam > 0.5]))
+    # a is symmetric, so ad(a) is self-adjoint in the trace form: its matrix in
+    # the orthonormal rows of g is symmetric, with eigenvalues in {0, +-1, +-2}
+    ad_a = ad_matrix(g, a_gen)
+    if not np.max(np.abs(ad_a - ad_a.T)) <= 1e-9:
+        raise ValueError("ad(a) is not symmetric in the orthonormal rows of g")
+    vals, vecs = np.linalg.eigh(ad_a)
+    n_plus = MatrixLieSubspace(model.ambient_dim, vecs[:, vals > 0.5].T @ g.rows)
     # m = centralizer of a inside k = [p1, p1]
     k_part = tv.k_part
     cols = (a_gen @ k_part.basis - k_part.basis @ a_gen).reshape(k_part.dim, -1).T
@@ -107,36 +104,22 @@ def iwasawa_su1n(n: int, k: float = 1.0) -> IwasawaData:
     )
 
 
-def build_a_phi(iw: IwasawaData, phi_params=None, phi_matrix: np.ndarray | None = None
-                ) -> tuple[MatrixLieSubspace, MatrixLieSubspace, np.ndarray]:
-    """Graph deformation a_phi and the solvable algebra h_phi = a_phi + n.
+def build_a_phi(iw: IwasawaData, phi_params) -> tuple[MatrixLieSubspace, np.ndarray]:
+    """The solvable algebra h_phi = a_phi + n and the generator a + phi(a) of a_phi.
 
-    phi is given either by torus coordinates (length n-1) or directly as a
-    matrix, which must lie in m.  Returns (a_phi, h_phi, deformed generator).
+    phi(a) is the torus element of m with angles ``phi_params`` (length n-1).
     """
-    if phi_matrix is None:
-        phi_params = np.zeros(iw.n - 1) if phi_params is None else phi_params
-        phi_matrix = torus_element(iw.n, phi_params)
-    else:
-        phi_matrix = np.asarray(phi_matrix, dtype=float)
-    norm = np.linalg.norm(phi_matrix)
-    if norm > 0 and iw.centralizer_m.distance(phi_matrix / norm) > 1e-8:
+    phi = torus_element(iw.n, phi_params)
+    norm = np.linalg.norm(phi)
+    if norm > 0 and iw.centralizer_m.distance(phi / norm) > 1e-8:
         raise ValueError("phi(a) does not lie in the centralizer m")
-    gen = iw.a_generator + phi_matrix
-    a_phi = subspace_from_matrices([gen], iw.model.ambient_dim)
-    h_phi = subspace_from_matrices([gen, *iw.nilpotent_part.basis], iw.model.ambient_dim)
-    return a_phi, h_phi, gen
+    gen = iw.a_generator + phi
+    return subspace_from_matrices([gen, *iw.nilpotent_part.basis], iw.model.ambient_dim), gen
 
 
-def ad_spectrum_on_n(iw: IwasawaData, phi_params=None) -> np.ndarray:
-    """Complex eigenvalue multiset of ad(a + phi(a)) restricted to n."""
-    _, _, gen = build_a_phi(iw, phi_params)
-    return ad_eigenvalues(iw.nilpotent_part, gen)
-
-
-def sample_ball_points(n: int, count: int, seed: int, radius: float = 0.9) -> np.ndarray:
-    """Seeded (count, 2n) sample of points of the ball chart |w| < 1, one per row."""
+def sample_ball_points(n: int, count: int, seed: int) -> np.ndarray:
+    """Seeded (count, 2n) sample of points of the ball chart, one per row, all with |w| < 0.9."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((count, 2 * n))
-    r = radius * rng.uniform(size=count) ** (1.0 / (2 * n))
+    r = 0.9 * rng.uniform(size=count) ** (1.0 / (2 * n))
     return (r / np.linalg.norm(v, axis=1))[:, None] * v

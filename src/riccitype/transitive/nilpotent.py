@@ -30,6 +30,10 @@ from ..lie import (RANK_RTOL, MatrixLieSubspace, bracket_rows, constants_certifi
                    structure_constants, subspace_from_matrices)
 
 
+#: tolerance of the closure-condition flags and of the preconditions of ``build_h``
+CONDITION_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class NilpotentCandidate:
     """Parameters of a candidate complement subspace."""
@@ -128,15 +132,15 @@ class ClosureReport:
         return float(np.max([self.residual_first, self.residual_second]))
 
 
-def closure_conditions(cand: NilpotentCandidate, omega0: np.ndarray,
-                       tol: float = 1e-10) -> ClosureReport:
+def closure_conditions(cand: NilpotentCandidate, omega0: np.ndarray) -> ClosureReport:
     """Evaluate both closure identities on every pair of unit generator tuples.
 
     By bilinearity it is enough to run all pairs of unit tuples
     (p, P, p') in {(1,0,0)} u {(0,e_a,0)} u {(0,0,1)}, the rows of
     eye(d + 2).  Each identity is one (g, g) array, or (g, g, d) for the
     vector identity, with the first tuple of a pair on axis 0 and the second
-    (q, Q, q') on axis 1; every Omega0 product is one dot per pair.
+    (q, Q, q') on axis 1; every Omega0 product is one dot per pair.  The
+    condition flags hold to CONDITION_TOL.
     """
     d = cand.block_dim
     eps = float(cand.epsilon)
@@ -164,23 +168,23 @@ def closure_conditions(cand: NilpotentCandidate, omega0: np.ndarray,
     res2 = np.abs(0.5 * (r1 + r2) - (dot_rows(bt_om, r_vec) + c * r_prime))
     ident = np.eye(d)
     flags = {
-        "c_tilde_zero": float(np.max(np.abs(ct), initial=0.0)) <= tol,
-        "b_square": float(np.max(np.abs(B @ B + eps * ident))) <= tol,
+        "c_tilde_zero": float(np.max(np.abs(ct), initial=0.0)) <= CONDITION_TOL,
+        "b_square": float(np.max(np.abs(B @ B + eps * ident))) <= CONDITION_TOL,
         "eps_minus_one": cand.epsilon == -1,
-        "c_square_one": abs(c * c - 1.0) <= tol,
+        "c_square_one": abs(c * c - 1.0) <= CONDITION_TOL,
         "b_tilde_relation": float(np.max(np.abs(
-            bt @ omega0 - (at @ omega0) @ (ident - c * B)))) <= tol,
+            bt @ omega0 - (at @ omega0) @ (ident - c * B)))) <= CONDITION_TOL,
         "isotropic_image": float(np.max(np.abs(
-            (B - c * ident).T @ omega0 @ (B - c * ident)))) <= tol,
+            (B - c * ident).T @ omega0 @ (B - c * ident)))) <= CONDITION_TOL,
     }
     return ClosureReport(float(np.max(res1)), float(np.max(res2)), flags)
 
 
-def build_h(model: SymplecticModel, B, a_tilde=None, a: float = 0.0, c: float = 1.0,
-            validate: bool = True) -> tuple[MatrixLieSubspace, np.ndarray, NilpotentCandidate]:
+def build_h(model: SymplecticModel, B, a_tilde=None, a: float = 0.0, c: float = 1.0
+            ) -> tuple[MatrixLieSubspace, np.ndarray, NilpotentCandidate]:
     """Assemble the candidate subalgebra h_{B, a~, a, c} inside the transvection quotient.
 
-    Preconditions for an accepted family (checked unless validate=False):
+    Preconditions for an accepted family, each checked to CONDITION_TOL:
     B^2 = Id, c^2 = 1 and the isotropy of the image of (B - c) under Omega0.
     Returns (subspace, (2n, N, N) generator stack, completed candidate); the
     subspace is understood modulo the line R*A.
@@ -191,14 +195,13 @@ def build_h(model: SymplecticModel, B, a_tilde=None, a: float = 0.0, c: float = 
     B = np.asarray(B, dtype=float)
     d = B.shape[0]
     ident = np.eye(d)
-    if validate:
-        if np.max(np.abs(B @ B - ident)) > 1e-10:
-            raise ValueError("precondition failed: B^2 = Id")
-        if abs(c * c - 1.0) > 1e-10:
-            raise ValueError("precondition failed: c^2 = 1")
-        rel = np.max(np.abs((B - c * ident).T @ omega0 @ (B - c * ident)))
-        if rel > 1e-10:
-            raise ValueError("precondition failed: image of (B - c*Id) must be Omega0-isotropic")
+    if np.max(np.abs(B @ B - ident)) > CONDITION_TOL:
+        raise ValueError("precondition failed: B^2 = Id")
+    if abs(c * c - 1.0) > CONDITION_TOL:
+        raise ValueError("precondition failed: c^2 = 1")
+    rel = np.max(np.abs((B - c * ident).T @ omega0 @ (B - c * ident)))
+    if rel > CONDITION_TOL:
+        raise ValueError("precondition failed: image of (B - c*Id) must be Omega0-isotropic")
     at = np.zeros(d) if a_tilde is None else np.asarray(a_tilde, dtype=float)
     cand = make_candidate(B, a_tilde=at, b_tilde=b_tilde_from_relation(at, B, c, omega0),
                           a=a, c=c, epsilon=-1)
@@ -276,21 +279,6 @@ def frame_invertibility_minimum(B: np.ndarray, gammas) -> tuple[float, int]:
     return float(ratios[worst]), worst
 
 
-def moment_map_f(B: np.ndarray, c: float, generator, coords,
-                 omega0: np.ndarray) -> float:
-    """Hamiltonian of the fundamental field at a Darboux chart point (y0, Y, gamma):
-
-    f = p y0 - (1/2c) p' e^{2 c gamma} - Omega0(P,Y) cosh(g) - Omega0(BP,Y) sinh(g).
-    """
-    p, P, pp = generator
-    P = np.asarray(P, dtype=float)
-    coords = np.asarray(coords, dtype=float)
-    y0, y, gamma = coords[0], coords[1:-1], coords[-1]
-    return float(p * y0 - pp * np.exp(2.0 * c * gamma) / (2.0 * c)
-                 - (P @ omega0 @ y) * np.cosh(gamma)
-                 - ((B @ P) @ omega0 @ y) * np.sinh(gamma))
-
-
 def hamiltonian_residual(model: SymplecticModel, B: np.ndarray, c: float,
                          fields: np.ndarray, coords: np.ndarray):
     """max |df - i(X*)omega| over the 2n unit generators of a normalized family at a point.
@@ -300,8 +288,10 @@ def hamiltonian_residual(model: SymplecticModel, B: np.ndarray, c: float,
     a = 0) with this B and c, so column j is the field of the j-th unit tuple
     (1, 0, 0), (0, e_a, 0), (0, 0, 1); an (S, 2n, 2n) field stack at an
     (S, 2n) stack of points gives one residual per point.  Row j of the
-    gradient matrix is the closed-form differential of moment_map_f for
-    that tuple:
+    gradient matrix is the closed-form differential, at the chart point
+    (y0, Y, gamma), of the Hamiltonian of that tuple (p, P, p'),
+
+        f = p y0 - (1/2c) p' e^{2 c gamma} - Omega0(P,Y) cosh(g) - Omega0(BP,Y) sinh(g):
 
         df/dy0 = p,   df/dY = -cosh(g) Omega0^T P - sinh(g) Omega0^T BP,
         df/dgamma = -p' e^{2 c gamma} - sinh(g) Omega0(P,Y) - cosh(g) Omega0(BP,Y).

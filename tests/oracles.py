@@ -16,7 +16,9 @@ per-point Sigma_A sampler that the block sampler replaced: it draws each
 point's free coordinates in turn and redraws a degenerate block in place.
 ``closure_conditions_pairwise`` evaluates the p = 2 closure identities one
 pair of unit generator tuples at a time, the loop that the pair arrays of
-``nilpotent.closure_conditions`` replaced.
+``nilpotent.closure_conditions`` replaced.  ``moment_map_f`` is the
+closed-form Hamiltonian of a normalized p = 2 family in the Darboux chart,
+which ``moment_map_gradient`` differences; no command needs it.
 """
 
 import numpy as np
@@ -150,14 +152,28 @@ def tangent_sphere_field(x_mat, u, w, k, step):
     return np.concatenate([up - um, wp - wm]) / (2.0 * step)
 
 
+def moment_map_f(B: np.ndarray, c: float, generator, coords, omega0: np.ndarray) -> float:
+    """Hamiltonian of the fundamental field at a Darboux chart point (y0, Y, gamma):
+
+    f = p y0 - (1/2c) p' e^{2 c gamma} - Omega0(P,Y) cosh(g) - Omega0(BP,Y) sinh(g).
+    """
+    p, P, pp = generator
+    P = np.asarray(P, dtype=float)
+    coords = np.asarray(coords, dtype=float)
+    y0, y, gamma = coords[0], coords[1:-1], coords[-1]
+    return float(p * y0 - pp * np.exp(2.0 * c * gamma) / (2.0 * c)
+                 - (P @ omega0 @ y) * np.cosh(gamma)
+                 - ((B @ P) @ omega0 @ y) * np.sinh(gamma))
+
+
 def moment_map_gradient(B, c, generator, coords, omega0, step):
     """Central-difference gradient of ``moment_map_f`` in the Darboux chart."""
     grad = np.zeros(coords.shape[0])
     for i in range(coords.shape[0]):
         e = np.zeros(coords.shape[0])
         e[i] = step
-        grad[i] = (nil.moment_map_f(B, c, generator, coords + e, omega0)
-                   - nil.moment_map_f(B, c, generator, coords - e, omega0)) / (2.0 * step)
+        grad[i] = (moment_map_f(B, c, generator, coords + e, omega0)
+                   - moment_map_f(B, c, generator, coords - e, omega0)) / (2.0 * step)
     return grad
 
 

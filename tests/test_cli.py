@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import riccitype
-from riccitype import core, serialize
+from riccitype import core, lie, serialize
 from riccitype.cli import main
 
 
@@ -545,14 +545,33 @@ def spectrum_info(out):
 
 def test_ad_spectrum_info_prints_reals_for_split_complex_pairs(capsys, monkeypatch):
     # LAPACK may return a real multiple eigenvalue as a (1-0j, 1+0j) pair
-    from riccitype.transitive import iwasawa
-    spectrum = iwasawa.ad_spectrum_on_n
-    monkeypatch.setattr(iwasawa, "ad_spectrum_on_n",
-                        lambda data, phi=None: spectrum(data, phi) + 0j)
+    spectrum = lie.ad_eigenvalues
+    monkeypatch.setattr(lie, "ad_eigenvalues", lambda s, x: spectrum(s, x) + 0j)
     code, out, _ = run(capsys, "find-transitive", "--case", "elliptic", "--n", "2",
                        "--p", "1", "--samples", "5")
     assert code == 0
     assert spectrum_info(out) == "[1.0, 1.0, 2.0]"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_find_transitive_elliptic_ignores_basis_of_n(capsys, monkeypatch, seed):
+    # n is a span: another orthonormal basis of it must leave the report as it is,
+    # the order of the printed spectra included
+    from dataclasses import replace
+
+    from riccitype.transitive import iwasawa
+    argv = ("find-transitive", "--case", "elliptic", "--n", "3", "--p", "1", "--samples", "5",
+            "--seed", str(seed))
+    expected = run(capsys, *argv)
+    build = iwasawa.iwasawa_su1n
+    rot = np.linalg.qr(np.random.default_rng(seed).standard_normal((5, 5)))[0]
+
+    def rotated(*args, **kwargs):
+        data = build(*args, **kwargs)
+        n_part = data.nilpotent_part
+        return replace(data, nilpotent_part=replace(n_part, rows=rot @ n_part.rows))
+    monkeypatch.setattr(iwasawa, "iwasawa_su1n", rotated)
+    assert run(capsys, *argv) == expected
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -611,8 +630,8 @@ DARBOUX = ("nilpotent", 2, 2, 1)
 
 ELLIPTIC_P2 = ("elliptic", 2, 2, 1)
 NAN_CASES = {  # test id: command, tuple, spiked function, its spiked call, spoil, entry, witness
-    # call 3 of the series is the time t = 0
-    "series_oracle": ("verify-geometry", HYPERBOLIC, "core.series_exp", 3, lambda m: m * NAN,
+    # one call for the seven times; its sample 3 is the time t = 0
+    "series_oracle": ("verify-geometry", HYPERBOLIC, "core.series_exp", 0, _spoil_sample_3,
                       "flow.series_oracle", lambda *params: "worst sample 3: t = 0"),
     # call 1 projects the flowed points
     "flow_invariance": ("verify-geometry", HYPERBOLIC, "geometry.project", 1, _spoil_sample_3,

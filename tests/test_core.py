@@ -131,15 +131,19 @@ def test_exp_matches_series_oracle(case, n, p, t):
     assert np.max(np.abs(elem.flow(t) - series_exp(elem.matrix, t))) <= 1e-12
 
 
-@pytest.mark.parametrize("case,n,p", [("hyperbolic", 2, None), ("elliptic", 3, 2)])
+@pytest.mark.parametrize("case,n,p", [("hyperbolic", 2, None), ("elliptic", 3, 2),
+                                    ("hyperbolic", 16, None), ("elliptic", 16, 1)])
 def test_series_exp_stack_matches_single_times(case, n, p):
+    # verify-geometry's flow.series_oracle reads both stacks in one call each
     model, elem = core.build_model(case, n, p=p)
     ts = np.linspace(-3.0, 3.0, 7)
     stack = core.series_exp(elem.matrix, ts)
-    assert stack.shape == (7, model.ambient_dim, model.ambient_dim)
-    for t, mat in zip(ts, stack):
+    flows = core.exp_tA(elem.matrix, elem.mu, ts)
+    assert stack.shape == flows.shape == (7, model.ambient_dim, model.ambient_dim)
+    for t, mat, flow in zip(ts, stack, flows):
         assert np.array_equal(mat, core.series_exp(elem.matrix, t))
         assert np.array_equal(mat, series_exp(elem.matrix, t))
+        assert np.array_equal(flow, core.exp_tA(elem.matrix, elem.mu, t))
 
 
 @pytest.mark.parametrize("case,n,p,q", [

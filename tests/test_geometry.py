@@ -372,7 +372,7 @@ def test_field_stack_matches_single_points(case):
     else:
         data = iwa.iwasawa_su1n(2)
         model, elem = data.model, data.element
-        gens = [iwa.build_a_phi(data, np.array([0.7]))[2], *data.nilpotent_part.basis]
+        gens = [iwa.build_a_phi(data, np.array([0.7]))[1], *data.nilpotent_part.basis]
         coords = iwa.sample_ball_points(2, 30, seed=89)
     fields = geometry.fundamental_fields(model, elem, gens, coords)
     assert fields.shape == (30, 4, len(gens))

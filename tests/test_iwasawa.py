@@ -1,5 +1,7 @@
 """Iwasawa pieces of su(1, n) and the deformed simply transitive families."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -56,10 +58,25 @@ def test_nilpotent_part_is_ad_invariant(su12):
         assert su12.nilpotent_part.distance(img / norm) <= 1e-9
 
 
-def test_ad_spectrum_on_g(su13):
-    spaces = lie.ad_eigenspaces(su13.algebra, su13.a_generator)
-    mults = {round(lam): sub.dim for lam, sub in spaces.items()}
-    assert mults == {-2: 1, -1: 4, 0: 5, 1: 4, 2: 1}
+def test_ad_spectrum_on_g(su12, su13):
+    # the real-rank-one Iwasawa split: n is the +1 and +2 eigenspaces of ad(a)
+    for data in (su12, su13):
+        n = data.n
+        vals = np.linalg.eigvalsh(lie.ad_matrix(data.algebra, data.a_generator))
+        lams, mults = np.unique(np.round(vals).astype(int), return_counts=True)
+        assert np.max(np.abs(vals - np.round(vals))) <= 1e-9
+        assert dict(zip(lams.tolist(), mults.tolist())) == {
+            -2: 1, -1: 2 * (n - 1), 0: (n - 1) ** 2 + 1, 1: 2 * (n - 1), 2: 1}
+
+
+def test_nonsymmetric_ad_matrix_is_refused(monkeypatch):
+    # ad(a) is self-adjoint for the symmetric a; a skewed matrix must not be eigensolved
+    def skewed(s, x):
+        mat = lie.ad_matrix(s, x)
+        return mat + np.triu(np.full(mat.shape, 1e-6), 1)
+    monkeypatch.setattr(iwa, "ad_matrix", skewed)
+    with pytest.raises(ValueError, match="ad\\(a\\) is not symmetric"):
+        iwa.iwasawa_su1n(2)
 
 
 def test_a_generator_membership(su12):
@@ -70,8 +87,7 @@ def test_a_generator_membership(su12):
 
 
 def test_build_a_phi_zero_is_classical(su12):
-    a_phi, h_phi, gen = iwa.build_a_phi(su12, None)
-    assert a_phi.dim == 1
+    h_phi, gen = iwa.build_a_phi(su12, np.zeros(1))
     assert np.max(np.abs(gen - su12.a_generator)) == 0
     cert = lie.series_certificate(h_phi)
     assert cert.solvable and h_phi.dim == 4
@@ -81,7 +97,7 @@ def test_build_a_phi_zero_is_classical(su12):
 def test_build_a_phi_deformed(n, phi, request):
     data = request.getfixturevalue("su12" if n == 2 else "su13")
     phi = np.array(phi)
-    a_phi, h_phi, gen = iwa.build_a_phi(data, phi)
+    h_phi, gen = iwa.build_a_phi(data, phi)
     assert h_phi.dim == 2 * n
     cert = lie.series_certificate(h_phi)
     assert cert.solvable and not cert.abelian
@@ -93,23 +109,29 @@ def test_build_a_phi_deformed(n, phi, request):
 
 
 def test_build_a_phi_rejects_non_m_matrix(su12):
-    with pytest.raises(ValueError):
-        iwa.build_a_phi(su12, phi_matrix=np.eye(6))
+    # the torus element is checked against m: against a wrong m it is refused
+    wrong = replace(su12, centralizer_m=su12.abelian_part)
+    with pytest.raises(ValueError, match="centralizer m"):
+        iwa.build_a_phi(wrong, np.array([0.9]))
+
+
+def spectrum_on_n(data, phi):
+    return lie.ad_eigenvalues(data.nilpotent_part, iwa.build_a_phi(data, np.array(phi))[1])
 
 
 def test_phi_changes_eigenvalue_multiset(su12):
-    base = iwa.ad_spectrum_on_n(su12, None)
+    base = spectrum_on_n(su12, [0.0])
     assert np.max(np.abs(base.imag)) <= 1e-9
     assert np.allclose(np.sort(base.real), [1.0, 1.0, 2.0])
     for phi in ([0.9], [-1.4]):
-        spectrum = iwa.ad_spectrum_on_n(su12, np.array(phi))
+        spectrum = spectrum_on_n(su12, phi)
         assert np.max(np.abs(spectrum.imag)) > 0.1
         assert not np.allclose(np.sort_complex(spectrum), np.sort_complex(base), atol=1e-8)
 
 
 def test_distinct_phis_distinct_spectra(su13):
-    s1 = iwa.ad_spectrum_on_n(su13, np.array([0.5, -1.1]))
-    s2 = iwa.ad_spectrum_on_n(su13, np.array([1.5, 0.3]))
+    s1 = spectrum_on_n(su13, [0.5, -1.1])
+    s2 = spectrum_on_n(su13, [1.5, 0.3])
     assert not np.allclose(np.sort_complex(s1), np.sort_complex(s2), atol=1e-8)
 
 
@@ -117,7 +139,7 @@ def test_distinct_phis_distinct_spectra(su13):
                                    (3, None), (3, [0.5, -1.1])])
 def test_rank_certificate_on_ball(n, phi, request):
     data = request.getfixturevalue("su12" if n == 2 else "su13")
-    _, _, gen = iwa.build_a_phi(data, None if phi is None else np.array(phi))
+    _, gen = iwa.build_a_phi(data, np.zeros(n - 1) if phi is None else np.array(phi))
     points = iwa.sample_ball_points(n, 100, seed=5)
     fields = geometry.fundamental_fields(data.model, data.element,
                                          [gen, *data.nilpotent_part.basis], points)

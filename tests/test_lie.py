@@ -221,21 +221,6 @@ def test_subspace_independence_invariant():
     assert s[-1] / s[0] > 1e-7
 
 
-def test_ad_eigenspaces_su12():
-    from riccitype.transitive.iwasawa import iwasawa_su1n
-    data = iwasawa_su1n(2)
-    spaces = lie.ad_eigenspaces(data.algebra, data.a_generator)
-    mults = {round(lam): sub.dim for lam, sub in spaces.items()}
-    assert mults == {-2: 1, -1: 2, 0: 2, 1: 2, 2: 1}
-
-
-def test_ad_eigenspaces_central_element():
-    sub = heisenberg3()
-    spaces = lie.ad_eigenspaces(sub, sub.basis[2])
-    assert list(spaces.keys()) == [0.0]
-    assert spaces[0.0].dim == 3
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_nilpotent_part_dimension(n):
     from riccitype.transitive.iwasawa import iwasawa_su1n
@@ -315,8 +300,12 @@ def test_rank_cuts_have_wide_gaps(monkeypatch):
         assert nilpotent.heisenberg_extension_check(model, elem)["certificate"].heisenberg
         data = iwasawa.iwasawa_su1n(n)
         assert lie.series_certificate(data.nilpotent_part).heisenberg
-        _, h_phi, _ = iwasawa.build_a_phi(data, np.linspace(-1.0, 1.5, n - 1))
+        h_phi, _ = iwasawa.build_a_phi(data, np.linspace(-1.0, 1.5, n - 1))
         assert lie.series_certificate(h_phi).solvable
+        # the Iwasawa cut at 0.5 sits between the integer eigenvalues of ad(a)
+        vals = np.linalg.eigvalsh(lie.ad_matrix(data.algebra, data.a_generator))
+        assert np.max(np.abs(vals - np.round(vals))) <= 1e-9
+        assert set(np.round(vals).tolist()) <= {-2.0, -1.0, 0.0, 1.0, 2.0}
     assert len(gaps) > 100
     assert min(gaps) >= 1e10
 

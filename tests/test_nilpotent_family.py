@@ -13,7 +13,7 @@ from riccitype.transitive import nilpotent as nil
 from riccitype.transitive import quaternion as quat
 
 from oracles import (closed_form_fields, closure_conditions_pairwise, differenced_field,
-                     fundamental_field_p2q1, generator_tuples, moment_map_gradient,
+                     fundamental_field_p2q1, generator_tuples, moment_map_f, moment_map_gradient,
                      tangent_sphere_field)
 
 
@@ -221,10 +221,15 @@ def test_build_h_rejects_preconditions(setup):
 
 
 def test_build_h_closure_fails_without_isotropy():
-    # skipping validation, the assembled family genuinely fails to close
+    # the family that build_h refuses, assembled by hand, genuinely fails to close
     model, elem = core.build_model("nilpotent", 3, p=2, q=1)
     b_mat = np.diag([1.0, -1.0, 1.0, -1.0])  # (B-1)-image not Omega0-isotropic
-    sub, gens, cand = nil.build_h(model, b_mat, validate=False)
+    with pytest.raises(ValueError, match="isotropic"):
+        nil.build_h(model, b_mat)
+    cand = nil.make_candidate(b_mat)  # a~ = b~ = 0, a = 0 and c = 1, as build_h would complete it
+    sub = lie.subspace_from_matrices(nil.family_generators(cand, model.omega0),
+                                     model.ambient_dim)
+    assert sub.dim == 2 * model.n
     assert lie.structure_constants(sub, lie.line(elem.matrix))[1] > 1e-3
 
 
@@ -290,7 +295,7 @@ def test_fundamental_field_cross_validation(setup):
     for n in (2, 3):
         data = iwa.iwasawa_su1n(n)
         phi = np.linspace(-1.5, 0.8, n - 1)
-        gens = [iwa.build_a_phi(data, phi)[2], *data.nilpotent_part.basis]
+        gens = [iwa.build_a_phi(data, phi)[1], *data.nilpotent_part.basis]
         points = iwa.sample_ball_points(n, 5, seed=7)
         for cp, mat in zip(points, geometry.fundamental_fields(data.model, data.element, gens,
                                                                points)):
@@ -381,9 +386,9 @@ def test_moment_map_values(setup):
     model, elem, om0 = setup
     b_mat = np.eye(2)
     cp = np.array([0.7, 0.1, -0.2, 0.0])
-    assert nil.moment_map_f(b_mat, 1.0, (1.0, np.zeros(2), 0.0), cp, om0) == pytest.approx(0.7)
+    assert moment_map_f(b_mat, 1.0, (1.0, np.zeros(2), 0.0), cp, om0) == pytest.approx(0.7)
     origin = np.zeros(4)
-    assert nil.moment_map_f(b_mat, 1.0, (0.0, np.zeros(2), 1.0), origin, om0) == pytest.approx(-0.5)
+    assert moment_map_f(b_mat, 1.0, (0.0, np.zeros(2), 1.0), origin, om0) == pytest.approx(-0.5)
 
 
 def test_moment_map_hamiltonian_identity(setup):

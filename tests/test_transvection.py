@@ -150,10 +150,9 @@ def test_subspaces_have_orthonormal_rows(case, n, p, q):
         subs.append(data.modulo)
     if case == "elliptic" and p == 1:
         iw = iwasawa.iwasawa_su1n(n)
-        a_phi, h_phi, _ = iwasawa.build_a_phi(iw, np.linspace(-1.0, 1.5, n - 1))
+        h_phi, _ = iwasawa.build_a_phi(iw, np.linspace(-1.0, 1.5, n - 1))
         subs += [iw.algebra, iw.compact_part, iw.abelian_part, iw.centralizer_m,
-                 iw.nilpotent_part, a_phi, h_phi,
-                 *lie.ad_eigenspaces(iw.algebra, iw.a_generator).values()]
+                 iw.nilpotent_part, h_phi]
     if case == "nilpotent" and p == 2 and q == 1:
         subs.append(nil.build_h(model, np.eye(2 * (n - 1)))[0])
     for sub in subs:
