@@ -221,6 +221,15 @@ def test_subspace_independence_invariant():
     assert s[-1] / s[0] > 1e-7
 
 
+def test_ad_eigenspaces_su12():
+    from riccitype.transitive.iwasawa import iwasawa_su1n
+    data = iwasawa_su1n(2)
+    vals = np.linalg.eigvalsh(lie.ad_matrix(data.algebra, data.a_generator))
+    lams, mults = np.unique(np.round(vals).astype(int), return_counts=True)
+    assert np.max(np.abs(vals - np.round(vals))) <= 1e-9
+    assert dict(zip(lams.tolist(), mults.tolist())) == {-2: 1, -1: 2, 0: 2, 1: 2, 2: 1}
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_nilpotent_part_dimension(n):
     from riccitype.transitive.iwasawa import iwasawa_su1n
