@@ -7,15 +7,15 @@ null-space decision goes through one rank-revealing kernel,
 ``rank_split``: an economy SVD for tall matrices (full V only for wide
 ones, whose kernel an economy SVD would drop), cut at a relative and/or
 absolute singular-value threshold, that also reports the singular-value
-gap at the cut.  Brackets of two bases are formed at once as a
-(d1, d2, N^2) tensor.
+gap at the cut.  Brackets of a basis with itself are formed for the pairs
+i < j from one GEMM of all products; two bases give a (d1, d2, N^2) tensor.
 
 The structure of a bracket-closed subspace of dimension d (closure,
 series, center, Heisenberg flag) is read from its structure constants,
 the (d, d, d) array c with [b_i, b_j] = sum_k c[i, j, k] b_k (de Graaf,
 *Lie Algebras: Theory and Algorithms*, 2000).  ``structure_constants``
-computes c and the closure residual from one bracket tensor; its
-subspaces are then coordinate rows of length d.  A quotient algebra
+computes c and the closure residual from the brackets of the pairs i < j;
+its subspaces are then coordinate rows of length d.  A quotient algebra
 (modulo a distinguished line or subspace) is taken there and only there:
 ``structure_constants`` and ``series_certificate`` take ``modulo``, and
 every other route works on c or on plain matrix brackets.
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SymplecticModel, as_matrix
+from .core import SymplecticModel, as_matrix, sp_residual
 
 #: relative singular-value threshold for rank decisions
 RANK_RTOL = 1e-7
@@ -124,34 +124,51 @@ def _bracket_tensor(xs, ys) -> np.ndarray:
     return flat.reshape(x.shape[0], y.shape[1], x.shape[-1] ** 2)
 
 
+def _pair_brackets(basis: np.ndarray) -> np.ndarray:
+    """(d(d-1)/2, N^2) flattened brackets [b_i, b_j], i < j, from one (dN, N) x (N, dN) GEMM."""
+    d, n = basis.shape[:2]
+    prod = basis.reshape(d * n, n) @ basis.transpose(1, 0, 2).reshape(n, d * n)
+    prod = prod.reshape(d, n, d, n).transpose(0, 2, 1, 3)  # prod[i, j] = b_i b_j
+    i, j = np.triu_indices(d, 1)
+    flat = prod[i, j].reshape(-1, n * n)
+    flat -= prod[j, i].reshape(-1, n * n)
+    return flat
+
+
 def line(x: np.ndarray) -> MatrixLieSubspace:
     """The one-dimensional span of a single matrix."""
     return subspace_from_matrices([x], x.shape[0])
 
 
 def centralizer_in_sp(model: SymplecticModel, a, exact: bool = False) -> MatrixLieSubspace:
-    """Basis of {X : tX Omega + Omega X = 0 and XA = AX}.
+    """Basis of {X : tX Omega + Omega X = 0 and XA = AX}, solved on S = Omega X.
 
-    Solved as one SVD nullspace of the stacked linear constraints on
-    vec(X).  The commutation rows are built from A / max|A|, so their
-    scale does not depend on k.  With exact=True a rational-arithmetic
-    nullspace cross-checks the dimension (the entries of Omega and of
-    A / max|A| are rational).
+    X is in sp(Omega) iff S is symmetric and, as tA Omega = -Omega A, XA = AX
+    iff SA + tA S = 0: one ``rank_split`` on the N(N+1)/2 upper-triangle
+    coordinates of S, weighted 1/sqrt(2) off the diagonal, so orthonormal null
+    vectors give orthonormal X = tOmega S (Omega is a signed permutation).  With
+    exact=True a rational nullspace of the unweighted system checks the dimension.
     """
     amat = as_matrix(a)
     omega = model.omega
     dim = model.ambient_dim
-    ident = np.eye(dim)
-    # row-major vec: vec(MX) = (M kron I) v, vec(XM) = (I kron tM) v, and
-    # vec(tX) permutes v by the index array `transpose`
-    transpose = np.arange(dim * dim).reshape(dim, dim).T.ravel()
-    sp_rows = np.kron(ident, omega.T)[:, transpose] + np.kron(omega, ident)
+    if not np.max(np.abs(omega.T @ omega - np.eye(dim))) <= ZERO_FLOOR:
+        raise ValueError("Omega is not orthogonal, so X = tOmega S does not invert S = Omega X")
     # [X, A] = 0 is scale-free: at unit scale the commutation rows survive the
     # relative rank cut and the rational audit's rounding for any k
     unit = amat / np.max(np.abs(amat))
-    comm_rows = np.kron(ident, unit.T) - np.kron(unit, ident)
-    system = np.vstack([sp_rows, comm_rows])
-    sub = MatrixLieSubspace(dim, rank_split(system)[1].T)
+    if not sp_residual(omega, unit) <= ZERO_FLOOR:
+        raise ValueError("A is not in sp(Omega), so XA = AX is not SA + tA S = 0")
+    row, col = np.triu_indices(dim)
+    sym = np.zeros((row.size, dim, dim))  # E_rc + E_cr, and E_rr on the diagonal
+    sym[:, row, col] = sym[:, col, row] = np.eye(row.size)
+    image = (sym.reshape(-1, dim) @ unit).reshape(sym.shape)
+    system = (image + image.transpose(0, 2, 1))[:, row, col].T  # SA + t(SA) = SA + tA S
+    weight = np.where(row == col, 1.0, np.sqrt(0.5))
+    coords = (rank_split(system * weight)[1] * weight[:, None]).T
+    s_mats = np.zeros((coords.shape[0], dim, dim))
+    s_mats[:, row, col] = s_mats[:, col, row] = coords
+    sub = MatrixLieSubspace(dim, (omega.T @ s_mats).reshape(-1, dim * dim))
     if exact:
         from .exact import rational_nullspace_dimension
         exact_dim = rational_nullspace_dimension(system)
@@ -178,11 +195,12 @@ def involution_eigenspace(s: MatrixLieSubspace, sym: np.ndarray, sign: int) -> M
 
 
 def bracket_span(s1: MatrixLieSubspace, s2: MatrixLieSubspace) -> MatrixLieSubspace:
-    """Span of all pairwise brackets [s1, s2]."""
+    """Span of all pairwise brackets [s1, s2]; [s, s] reads only the pairs i < j."""
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    brackets = _bracket_tensor(s1.basis, s2.basis)
-    return subspace_from_matrices(brackets.reshape(-1, s1.rows.shape[1]), s1.ambient_dim)
+    brackets = (_pair_brackets(s1.basis) if s1 is s2
+                else _bracket_tensor(s1.basis, s2.basis).reshape(-1, s1.rows.shape[1]))
+    return subspace_from_matrices(brackets, s1.ambient_dim)
 
 
 def structure_constants(s: MatrixLieSubspace, modulo: MatrixLieSubspace | None = None
@@ -190,21 +208,22 @@ def structure_constants(s: MatrixLieSubspace, modulo: MatrixLieSubspace | None =
     """(c, residual): [b_i, b_j] = sum_k c[i, j, k] b_k (mod ``modulo``), and the
     sup-norm of the brackets off span(s + modulo), which is 0 when s closes.
 
-    One bracket tensor is projected once onto orthonormal rows q of that span.
-    Without ``modulo``, q is the rows of s and the projection is c itself; with
-    it, c takes the rows of s followed by those of ``modulo`` and drops the latter.
+    The brackets of the pairs i < j are projected by two GEMMs onto orthonormal
+    rows q of that span, and c[j, i] = -c[i, j], c[i, i] = 0.  Without ``modulo``,
+    q is the rows of s and the projection is c itself; with it, c takes the
+    rows of s followed by those of ``modulo`` and drops the latter.
     """
     d = s.dim
     stacked = s.rows if modulo is None else np.vstack([s.rows, modulo.rows])
     q = s.rows if modulo is None else _row_span(stacked)
-    flat = _bracket_tensor(s.basis, s.basis)
+    flat = _pair_brackets(s.basis)
     on_span = flat @ q.T
-    # kept 3-D: a (d^2, N^2) GEMM grows the BLAS buffers
     flat -= on_span @ q
-    upper = np.triu_indices(d, 1)
-    residual = float(np.max(np.abs(flat[upper]), initial=0.0))
-    c = on_span if modulo is None else on_span @ np.linalg.pinv(stacked @ q.T)
-    return c[:, :, :d], residual
+    residual = float(np.max(np.abs(flat), initial=0.0))
+    pairs = on_span if modulo is None else on_span @ np.linalg.pinv(stacked @ q.T)
+    c = np.zeros((d, d, d))
+    c[np.triu_indices(d, 1)] = pairs[:, :d]
+    return c - c.swapaxes(0, 1), residual
 
 
 def bracket_rows(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

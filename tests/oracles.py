@@ -19,12 +19,18 @@ pair of unit generator tuples at a time, the loop that the pair arrays of
 ``nilpotent.closure_conditions`` replaced.  ``moment_map_f`` is the
 closed-form Hamiltonian of a normalized p = 2 family in the Darboux chart,
 which ``moment_map_gradient`` differences; no command needs it.
+``centralizer_oracle`` solves the centralizer of A in sp(Omega) from the
+(2N^2, N^2) stack of the sp and commutation rows on vec(X), and
+``structure_constants_oracle`` projects the full (d, d, N^2) bracket tensor
+over all pairs (i, j): the two routes that ``lie.centralizer_in_sp`` (on
+symmetric S = Omega X) and ``lie.structure_constants`` (pairs i < j only)
+replaced.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
-from riccitype import geometry
+from riccitype import geometry, lie
 from riccitype.core import MAX_SAMPLE_RETRIES, as_matrix, sigma_value
 from riccitype.transitive import nilpotent as nil
 
@@ -358,3 +364,36 @@ def sample_sigma_pointwise(model, a, count, seed):
             raise RuntimeError(f"sampled point misses Sigma_A by {abs(val - 1.0):.3e}")
         points.append(v)
     return np.array(points), first_redraw
+
+
+def centralizer_system(model, a):
+    """(2N^2, N^2) rows of tX Omega + Omega X = 0 and [X, A / max|A|] = 0 on row-major vec(X)."""
+    amat = as_matrix(a)
+    omega = model.omega
+    dim = model.ambient_dim
+    ident = np.eye(dim)
+    # vec(MX) = (M kron I) v, vec(XM) = (I kron tM) v, and vec(tX) permutes v
+    transpose = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+    sp_rows = np.kron(ident, omega.T)[:, transpose] + np.kron(omega, ident)
+    unit = amat / np.max(np.abs(amat))
+    comm_rows = np.kron(ident, unit.T) - np.kron(unit, ident)
+    return np.vstack([sp_rows, comm_rows])
+
+
+def centralizer_oracle(model, a):
+    """The centralizer of A in sp(Omega) as one SVD null space of ``centralizer_system``."""
+    system = centralizer_system(model, a)
+    return lie.MatrixLieSubspace(model.ambient_dim, lie.rank_split(system)[1].T)
+
+
+def structure_constants_oracle(s, modulo=None):
+    """(c, residual) from the full (d, d, N^2) bracket tensor, projected in one pass."""
+    d = s.dim
+    stacked = s.rows if modulo is None else np.vstack([s.rows, modulo.rows])
+    q = s.rows if modulo is None else lie._row_span(stacked)
+    flat = lie._bracket_tensor(s.basis, s.basis)
+    on_span = flat @ q.T
+    flat -= on_span @ q
+    residual = float(np.max(np.abs(flat[np.triu_indices(d, 1)]), initial=0.0))
+    c = on_span if modulo is None else on_span @ np.linalg.pinv(stacked @ q.T)
+    return c[:, :, :d], residual

@@ -319,17 +319,21 @@ def test_commands_run_without_scipy(argv):
 def test_bracket_tensor_built_once_per_algebra(monkeypatch):
     from riccitype import cli, lie
     shapes = []
-    original = lie._bracket_tensor
 
-    def counted(*args, **kwargs):
-        out = original(*args, **kwargs)
-        shapes.append(out.shape)
-        return out
-    monkeypatch.setattr(lie, "_bracket_tensor", counted)
+    def counting(original):
+        def counted(*args, **kwargs):
+            out = original(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+        return counted
+    # every bracket kernel is counted: the pair kernel and the full tensor
+    for name in ("_pair_brackets", "_bracket_tensor"):
+        monkeypatch.setattr(lie, name, counting(getattr(lie, name)))
     config = cli.RunConfig(case="nilpotent", n=3, p=2, q=1)
     assert cli.cmd_transvection(config).verdict == "PASS"
-    # [p1, p1], the centralizer's closure, and the (11, 11) algebra once
-    assert sorted(shapes) == [(6, 6, 64), (11, 11, 64), (22, 22, 64)]
+    # [p1, p1] (d = 6), the centralizer's closure (d = 22), and the (11, 11)
+    # algebra once, each as its d(d - 1)/2 pairs i < j
+    assert sorted(shapes) == [(15, 64), (55, 64), (231, 64)]
 
 
 @pytest.mark.parametrize("how", ["flag", "env"])

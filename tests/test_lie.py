@@ -6,7 +6,7 @@ import pytest
 from riccitype import core, lie
 from riccitype.exact import rational_nullspace_dimension
 
-from oracles import coordinates_oracle
+from oracles import centralizer_oracle, coordinates_oracle, structure_constants_oracle
 
 
 def e_matrix(i, j, n=2):
@@ -51,6 +51,51 @@ def test_centralizer_exact_mode_cross_check():
     model, elem = core.build_model("nilpotent", 2, p=2, q=1)
     g1 = lie.centralizer_in_sp(model, elem, exact=True)
     assert g1.dim == 11
+
+
+K_LADDER = [1e-7, 1e-3, 0.1, 1.0, 2.0, 10.0, 1e2, 1e3]
+
+
+@pytest.mark.parametrize("k", K_LADDER)
+def test_centralizer_matches_vec_x_oracle(k):
+    # the (m, m) solve on symmetric S = Omega X against the (2N^2, N^2) stack on vec(X)
+    for case, n, p, q in core.admissible_parameters((2, 3, 4)):
+        model, elem = core.build_model(case, n, k=k, p=p, q=q)
+        new, old = lie.centralizer_in_sp(model, elem), centralizer_oracle(model, elem)
+        assert new.dim == old.dim, (case, n, p, q)
+        assert max(new.distance(old.basis), old.distance(new.basis)) <= 1e-13, (case, n, p, q)
+        assert np.max(np.abs(new.rows @ new.rows.T - np.eye(new.dim))) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_centralizer_exact_dimension_on_symmetric_system(monkeypatch, n):
+    from riccitype import exact
+    shapes = []
+
+    def recorded(mat):
+        shapes.append(mat.shape)
+        return rational_nullspace_dimension(mat)
+    monkeypatch.setattr(exact, "rational_nullspace_dimension", recorded)
+    for case, n_, p, q in core.admissible_parameters((n,)):
+        model, elem = core.build_model(case, n_, p=p, q=q)
+        # exact=True raises when the rational and floating dimensions differ
+        sub = lie.centralizer_in_sp(model, elem, exact=True)
+        assert sub.dim == lie.centralizer_in_sp(model, elem).dim
+    m = (2 * n + 2) * (2 * n + 3) // 2
+    assert shapes == [(m, m)] * len(core.admissible_parameters((n,)))
+
+
+def test_centralizer_refuses_non_orthogonal_omega():
+    from dataclasses import replace
+    model, elem = core.build_model("hyperbolic", 2)
+    with pytest.raises(ValueError, match="Omega is not orthogonal"):
+        lie.centralizer_in_sp(replace(model, omega=2.0 * model.omega), elem)
+
+
+def test_centralizer_refuses_a_outside_sp():
+    model, elem = core.build_model("elliptic", 2, p=1)
+    with pytest.raises(ValueError, match=r"A is not in sp\(Omega\)"):
+        lie.centralizer_in_sp(model, elem.matrix + 1e-6 * np.eye(model.ambient_dim))
 
 
 def test_rational_nullspace_oracle():
@@ -348,9 +393,10 @@ def test_closure_residual_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert res <= 1e-10
-    # one (106, 106, 256) bracket tensor is 23 MB; forming the difference and
-    # the projection out of place holds three of them (70 MB)
-    assert peak < 60e6
+    # the product tensor b_i b_j is 23 MB, and gathering the 5565 pairs i < j
+    # and their partners adds 11.4 MB each (46 MB); the full (106, 106, 256)
+    # bracket tensor of structure_constants_oracle peaks at 56 MB
+    assert peak < 50e6
 
 
 # --- batched brackets against the pairwise loops ---------------------------
@@ -429,6 +475,21 @@ def test_batched_brackets_match_pairwise_loops(case, n, p, q):
 
 
 # --- structure constants against the N^2 routes ------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pair_kernel_matches_full_bracket_tensor(n):
+    from riccitype.transvection import transvection_algebra
+    for case, n_, p, q in core.admissible_parameters((n,)):
+        model, elem = core.build_model(case, n_, p=p, q=q)
+        data = transvection_algebra(model, elem)
+        for s, modulo in [(data.centralizer, None), (data.p_part, None),
+                          (data.algebra, None), (data.algebra, lie.line(elem.matrix))]:
+            c, res = lie.structure_constants(s, modulo)
+            c_old, res_old = structure_constants_oracle(s, modulo)
+            assert np.max(np.abs(c - c_old), initial=0.0) <= 1e-13, (case, n_, p, q)
+            assert abs(res - res_old) <= 1e-13
+            assert np.array_equal(c, -c.swapaxes(0, 1))
+
 
 def equivalence_data(case, n, p, q):
     from riccitype.transvection import transvection_algebra

@@ -450,17 +450,20 @@ def test_heisenberg_extension_larger_n():
 def test_heisenberg_extension_reads_derived_algebra_from_constants(monkeypatch, n, c):
     model, elem = core.build_model("nilpotent", n, p=2, q=1)
     shapes = []
-    original = lie._bracket_tensor
 
-    def counted(*args, **kwargs):
-        out = original(*args, **kwargs)
-        shapes.append(out.shape)
-        return out
-    monkeypatch.setattr(lie, "_bracket_tensor", counted)
+    def counting(original):
+        def counted(*args, **kwargs):
+            out = original(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+        return counted
+    for name in ("_pair_brackets", "_bracket_tensor"):
+        monkeypatch.setattr(lie, name, counting(getattr(lie, name)))
     cert = nil.heisenberg_extension_check(model, elem, c=c)["certificate"]
-    # one bracket tensor, of h itself; h' is read from its structure constants
+    # one bracket computation, of h's 2n(2n - 1)/2 pairs i < j; h' is read
+    # from its structure constants
     dim = model.ambient_dim
-    assert shapes == [(2 * n, 2 * n, dim * dim)]
+    assert shapes == [(n * (2 * n - 1), dim * dim)]
     monkeypatch.undo()
     # the matrix route: h' as matrices, its own bracket tensor, modulo R*A
     sub, _, _ = nil.build_h(model, c * np.eye(2 * (n - 1)), c=c)
