@@ -29,7 +29,6 @@ if "numpy" not in sys.modules and not any(
 from .core import (  # noqa: E402
     CharacteristicElement,
     SymplecticModel,
-    build_A_from_ricci,
     build_model,
     exp_tA,
     sample_sigma,
@@ -39,7 +38,6 @@ from .core import (  # noqa: E402
 __all__ = [
     "CharacteristicElement",
     "SymplecticModel",
-    "build_A_from_ricci",
     "build_model",
     "exp_tA",
     "sample_sigma",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from dataclasses import dataclass, replace as dc_replace
 
@@ -474,11 +473,7 @@ def cmd_quaternion_evidence(config: RunConfig, w: np.ndarray) -> CertificateRepo
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.
-
-    Nothing in it may read the environment: ``RICCITYPE_TOL`` is read at every
-    parse, by ``_config_from_args``.
-    """
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="riccitype",
         description="Ricci-type reduced symplectic symmetric spaces: "
@@ -493,8 +488,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=50)
-        p.add_argument("--tol", type=float, default=None,
-                       help="algebraic tolerance (env RICCITYPE_TOL overrides the default)")
+        p.add_argument("--tol", type=float, default=core.DEFAULT_TOL, help="algebraic tolerance")
         p.add_argument("--tol-rank", type=float, default=lie.RANK_RTOL)
         p.add_argument("--exact", action="store_true",
                        help="cross-check nullspace dimensions with rational arithmetic")
@@ -517,11 +511,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    env_tol = os.environ.get("RICCITYPE_TOL")
-    tol = args.tol if args.tol is not None else float(env_tol) if env_tol else core.DEFAULT_TOL
     config = RunConfig(
         case=args.case, n=args.n, k=args.k, p=args.p, q=args.q, seed=args.seed,
-        samples=args.samples, tol_algebraic=tol,
+        samples=args.samples, tol_algebraic=args.tol,
         tol_rank=args.tol_rank, exact_mode=args.exact)
     config.validate()
     return config

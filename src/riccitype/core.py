@@ -77,8 +77,8 @@ class SymplecticModel:
         raise ValueError("eps is not defined for the hyperbolic case")
 
     def pairing(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Omega(x, y)."""
-        return float(x @ self.omega @ y)
+        """Omega(x, y), as 1/2 (x Omega y - y Omega x): exactly antisymmetric in rounding."""
+        return 0.5 * float(x @ self.omega @ y - y @ self.omega @ x)
 
 
 @dataclass(frozen=True)
@@ -314,41 +314,3 @@ def sample_sigma(model: SymplecticModel, a, count: int, seed: int) -> np.ndarray
     if np.any(miss > 1e-12):
         raise RuntimeError(f"sampled point misses Sigma_A by {miss[np.argmax(miss > 1e-12)]:.3e}")
     return x
-
-
-def ricci_ambient_form(n: int) -> np.ndarray:
-    """Omega on R^{2(n+1)} adapted to the 3x3-block construction below.
-
-    Basis order (e_0, e'_0, v_1..v_{2n}) with Omega(e_0, e'_0) = 1 and the
-    standard form on the trailing 2n-dimensional symplectic block.
-    """
-    dim = 2 * (n + 1)
-    omega = np.zeros((dim, dim))
-    omega[0, 1] = 1.0
-    omega[1, 0] = -1.0
-    omega[2:, 2:] = standard_symplectic_form(n)
-    return omega
-
-
-def build_A_from_ricci(rho_check: np.ndarray, mu: float, n: int,
-                       tol: float = DEFAULT_TOL) -> CharacteristicElement:
-    """Characteristic element on R^{2(n+1)} realizing a prescribed Ricci endomorphism.
-
-    Given rho_check in End(R^{2n}) with rho_check^2 = mu*Id, returns the
-    3x3-block matrix
-
-        [[0, mu/4(n+1)^2, 0], [1, 0, 0], [0, 0, -rho_check/2(n+1)]]
-
-    which squares to (mu/4(n+1)^2)*Id.  Its ambient form is ricci_ambient_form(n).
-    """
-    rho = np.asarray(rho_check, dtype=float)
-    if rho.shape != (2 * n, 2 * n):
-        raise ValueError(f"rho_check must be {2*n}x{2*n}, got {rho.shape}")
-    if np.max(np.abs(rho @ rho - mu * np.eye(2 * n))) > tol:
-        raise ValueError("rho_check does not satisfy rho_check^2 = mu*Id")
-    dim = 2 * (n + 1)
-    a = np.zeros((dim, dim))
-    a[0, 1] = mu / (4.0 * (n + 1) ** 2)
-    a[1, 0] = 1.0
-    a[2:, 2:] = -rho / (2.0 * (n + 1))
-    return CharacteristicElement(a, mu / (4.0 * (n + 1) ** 2))

@@ -21,9 +21,10 @@ fiber comparisons, and the one exact chart differential,
 ``differential_project``, which serves every chart tangent: the lifts
 (``lift_tangent``, one frame, differential and QR solve per point), the
 fundamental fields d pi_x(-X x) (``fundamental_fields``, an (S, d, g) field
-stack), the reduced form (``chart_omega_matrix``) and the reduced symmetry's
-differential d pi_{Sx} o S, whose symplectic pullback is exact too.  No
-finite difference is left: the difference-quotient connection is a test oracle.
+stack), the reduced form in the intrinsic charts (``chart_omega_matrix``)
+and the reduced symmetry's differential d pi_{Sx} o S, whose symplectic
+pullback is exact too.  No finite difference is left: the difference-quotient
+connection is a test oracle.
 
 ``horizontal_basis`` takes one point or an (S, N) stack and returns a
 ``HorizontalFrame`` (with its Gram matrix) carrying that sample axis;
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CharacteristicElement, SymplecticModel, apply_rows, as_matrix, dot_rows
-from .lie import RANK_RTOL
+from .lie import rank_count
 
 
 class ChartUnavailableError(ValueError):
@@ -173,8 +174,7 @@ def horizontal_basis(model: SymplecticModel, a, x) -> HorizontalFrame:
     constraints = np.stack([apply_rows(model.omega, pts),
                             apply_rows(model.omega, apply_rows(as_matrix(a), pts))], axis=1)
     _, s, vt = np.linalg.svd(constraints)
-    # the relative cut of lie.rank_split, one row of singular values per sample
-    rank = np.count_nonzero(s > RANK_RTOL * s[:, :1], axis=1)
+    rank = rank_count(s)  # one row of singular values per sample
     # C order: numpy's reductions over the frame depend on its memory layout,
     # and the report values are fixed for a C-ordered frame
     frame = np.ascontiguousarray(np.swapaxes(vt[:, 2:], 1, 2))
@@ -294,16 +294,20 @@ def darboux_matrix(model: SymplecticModel) -> np.ndarray:
 
 
 def chart_omega_matrix(model: SymplecticModel, a, x) -> np.ndarray:
-    """Matrix of the reduced form on the local coordinate directions at project(x).
+    """Matrix of the reduced form on the coordinate directions at project(x).
 
-    The ``LocalChart`` is centred at cp = project(x) and the form is evaluated
-    on the lifts at chart_section(cp), the point of the fiber that the chart
-    section picks; omega is invariant along the fiber.  In the ball and Darboux
-    charts the coordinate tangents are the unit vectors, so a stack is one lift.
+    Only the intrinsic charts (ball, Darboux) are coordinate systems, with the
+    unit vectors as coordinate tangents; the embedded representations raise
+    ``ChartUnavailableError``.  The form is evaluated on the lifts at
+    chart_section(cp), the point of the fiber over cp = project(x) that the
+    chart section picks; omega is invariant along the fiber.
     """
+    kind = chart_kind(model)
+    if kind in ("tangent_sphere", "quadric"):
+        raise ChartUnavailableError(f"the {kind} representation has no coordinate directions; "
+                                    "the reduced form matrix needs the ball or Darboux chart")
     cp = project(model, a, x)
-    dirs = LocalChart(model, a, cp).coordinate_tangents(cp)
-    lifts = lift_tangent(model, a, chart_section(model, a, cp), dirs)
+    lifts = lift_tangent(model, a, chart_section(model, a, cp), np.eye(2 * model.n))
     return np.swapaxes(lifts, -1, -2) @ model.omega @ lifts
 
 
@@ -461,81 +465,6 @@ def symmetry_matrix(model: SymplecticModel, a, x) -> np.ndarray:
     return (-np.eye(model.ambient_dim)
             + 2.0 * np.outer(xv, model.omega @ ax)
             - 2.0 * np.outer(ax, model.omega @ xv))
-
-
-class LocalChart:
-    """Local coordinate directions around a chart point.
-
-    The intrinsic charts (ball, darboux) are global coordinate systems, so
-    their coordinate tangents are the unit vectors.  The embedded
-    representations (tangent_sphere, quadric) use a graph chart: the pivot
-    pair, picked at the centre, is solved from the defining equations, and
-    the free coordinates are the local ones.  Only the exact tangents of
-    those coordinates are computed (``coordinate_tangents``); no route needs
-    the chart map itself, since every chart tangent is lifted linearly.
-    """
-
-    def __init__(self, model: SymplecticModel, a, center: np.ndarray):
-        self.model = model
-        self.kind = chart_kind(model)
-        if self.kind in ("tangent_sphere", "quadric") and np.ndim(center) != 1:
-            raise ValueError("a graph chart is centred at one chart point")
-        if self.kind == "tangent_sphere":
-            m = model.n + 1
-            self.pivot = int(np.argmax(np.abs(center[:m])))
-        elif self.kind == "quadric":
-            xs = center[-model.p:]
-            self.pivot = int(np.argmax(np.abs(model.eps * xs)))
-
-    def coordinate_tangents(self, c: np.ndarray) -> np.ndarray:
-        """Chart-representation tangents of the local coordinate fields at c (exact)."""
-        if self.kind in ("ball", "darboux"):
-            return np.eye(2 * self.model.n)
-        if self.kind == "tangent_sphere":
-            m = self.model.n + 1
-            u, w = c[:m], c[m:]
-            idx = [i for i in range(m) if i != self.pivot]
-            cols = []
-            for i in idx:  # d/du_i
-                du = np.zeros(m)
-                dw = np.zeros(m)
-                du[i] = 1.0
-                du[self.pivot] = -u[i] / u[self.pivot]
-                dw[self.pivot] = (-w[i] / u[self.pivot]
-                                  + w[self.pivot] * u[i] / u[self.pivot] ** 2)
-                cols.append(np.concatenate([du, dw]))
-            for i in idx:  # d/dw_i
-                du = np.zeros(m)
-                dw = np.zeros(m)
-                dw[i] = 1.0
-                dw[self.pivot] = -u[i] / u[self.pivot]
-                cols.append(np.concatenate([du, dw]))
-            return np.stack(cols, axis=1)
-        p = self.model.p
-        m2 = 2 * (self.model.n + 1 - p)
-        eps = self.model.eps
-        xs_small, _, xs = c[:p], c[p:p + m2], c[p + m2:]
-        idx = [i for i in range(p) if i != self.pivot]
-        piv = self.pivot
-        cols = []
-        for i in idx:  # d/dx_i
-            dsm = np.zeros(p)
-            dsm[i] = 1.0
-            dsm[piv] = -eps[i] * xs[i] / (eps[piv] * xs[piv])
-            cols.append(np.concatenate([dsm, np.zeros(m2), np.zeros(p)]))
-        for j in range(m2):  # d/dX_j
-            dcap = np.zeros(m2)
-            dcap[j] = 1.0
-            cols.append(np.concatenate([np.zeros(p), dcap, np.zeros(p)]))
-        for i in idx:  # d/dx*_i
-            dsm = np.zeros(p)
-            dxs = np.zeros(p)
-            dxs[i] = 1.0
-            dxs[piv] = -eps[piv] * eps[i] * xs[i] / xs[piv]
-            dsm[piv] = (-eps[i] * xs_small[i] / (eps[piv] * xs[piv])
-                        + eps[piv] * eps[i] * xs[i] * xs_small[piv] / xs[piv] ** 2)
-            cols.append(np.concatenate([dsm, np.zeros(m2), dxs]))
-        return np.stack(cols, axis=1)
 
 
 def _symmetry_differential(model: SymplecticModel, a, s, x, sx):

@@ -7,8 +7,9 @@ null-space decision goes through one rank-revealing kernel,
 ``rank_split``: an economy SVD for tall matrices (full V only for wide
 ones, whose kernel an economy SVD would drop), cut at a relative and/or
 absolute singular-value threshold, that also reports the singular-value
-gap at the cut.  Brackets of a basis with itself are formed for the pairs
-i < j from one GEMM of all products; two bases give a (d1, d2, N^2) tensor.
+gap at the cut; ``rank_count`` is that cut on given singular values, for
+callers that take their own SVD.  Brackets of a basis with itself are formed
+for the pairs i < j from one GEMM of all products.
 
 The structure of a bracket-closed subspace of dimension d (closure,
 series, center, Heisenberg flag) is read from its structure constants,
@@ -35,6 +36,21 @@ from .core import SymplecticModel, as_matrix, sp_residual
 RANK_RTOL = 1e-7
 
 
+def rank_count(s: np.ndarray, rtol: float = RANK_RTOL, atol: float = 0.0) -> int | np.ndarray:
+    """Number of singular values above ``max(rtol * s_0, atol)``.
+
+    ``s`` is descending along its last axis; a stack of rows gives one count per row.
+    """
+    return (s > np.maximum(rtol * s[..., :1], atol)).sum(axis=-1)
+
+
+def _svd(mat) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors, as ``rank_split`` takes them."""
+    mat = np.asarray(mat, dtype=float)
+    _, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
+    return s, vt
+
+
 def rank_split(mat: np.ndarray, rtol: float = RANK_RTOL,
                atol: float = 0.0) -> tuple[np.ndarray, np.ndarray, float]:
     """Orthonormal row-space and null-space bases of an m x k matrix.
@@ -46,11 +62,8 @@ def rank_split(mat: np.ndarray, rtol: float = RANK_RTOL,
     the largest dropped singular value (1-based), inf when either side of
     the cut is empty or the largest dropped value is zero.
     """
-    mat = np.asarray(mat, dtype=float)
-    m, k = mat.shape
-    _, s, vt = np.linalg.svd(mat, full_matrices=m < k)
-    cut = max(rtol * s[0], atol) if s.size else atol
-    rank = int(np.count_nonzero(s > cut))
+    s, vt = _svd(mat)
+    rank = int(rank_count(s, rtol, atol))
     gap = s[rank - 1] / s[rank] if 0 < rank < s.size and s[rank] > 0 else np.inf
     return vt[:rank], vt[rank:].T, float(gap)
 
@@ -109,19 +122,6 @@ def subspace_from_matrices(mats, ambient_dim: int) -> MatrixLieSubspace:
     """Orthonormal rows spanning a list (or stacked array) of matrices."""
     flat = np.reshape(np.asarray(mats, dtype=float), (len(mats), ambient_dim ** 2))
     return MatrixLieSubspace(ambient_dim, _row_span(flat))
-
-
-def _bracket_tensor(xs, ys) -> np.ndarray:
-    """(d1, d2, N^2) array of flattened brackets [xs[i], ys[j]].
-
-    ``xs`` and ``ys`` are sequences (or stacked arrays) of N x N matrices;
-    the difference is formed in place.
-    """
-    x = np.asarray(xs, dtype=float)[:, None]
-    y = np.asarray(ys, dtype=float)[None]
-    flat = x @ y
-    flat -= y @ x
-    return flat.reshape(x.shape[0], y.shape[1], x.shape[-1] ** 2)
 
 
 def _pair_brackets(basis: np.ndarray) -> np.ndarray:
@@ -194,13 +194,9 @@ def involution_eigenspace(s: MatrixLieSubspace, sym: np.ndarray, sign: int) -> M
     return MatrixLieSubspace(s.ambient_dim, kernel.T @ s.rows)
 
 
-def bracket_span(s1: MatrixLieSubspace, s2: MatrixLieSubspace) -> MatrixLieSubspace:
-    """Span of all pairwise brackets [s1, s2]; [s, s] reads only the pairs i < j."""
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    brackets = (_pair_brackets(s1.basis) if s1 is s2
-                else _bracket_tensor(s1.basis, s2.basis).reshape(-1, s1.rows.shape[1]))
-    return subspace_from_matrices(brackets, s1.ambient_dim)
+def bracket_span(s: MatrixLieSubspace) -> MatrixLieSubspace:
+    """Span of the derived subspace [s, s], from the brackets of the pairs i < j."""
+    return subspace_from_matrices(_pair_brackets(s.basis), s.ambient_dim)
 
 
 def structure_constants(s: MatrixLieSubspace, modulo: MatrixLieSubspace | None = None
@@ -291,7 +287,9 @@ def constants_certificate(c: np.ndarray, residual: float) -> StructureCertificat
     lower = series_dims(c, eye, derived_rows, against_self=False)
     # the center solves sum_i a_i c[i, j, k] = 0 for all (j, k): rows (j, k), columns i
     system = c.transpose(1, 2, 0).reshape(d * d, d)
-    center = rank_split(system)[1]
+    # one SVD serves the relative cut of the center and the absolute rank cut below
+    sing, vt = _svd(system)
+    center = vt[rank_count(sing):].T
     heisenberg = False
     if d >= 3 and d % 2 == 1 and center.shape[1] == 1 and derived[1] == 1:
         # center = derived algebra = R z, so c[i, j] = lam_ij z and the form lam
@@ -299,7 +297,7 @@ def constants_certificate(c: np.ndarray, residual: float) -> StructureCertificat
         z = center[:, 0]
         row = derived_rows[0]
         heisenberg = (np.max(np.abs(row - (row @ z) * z)) <= 1e-7
-                      and rank_split(system, rtol=0.0, atol=1e-8)[0].shape[0] == d - 1)
+                      and rank_count(sing, rtol=0.0, atol=1e-8) == d - 1)
     return StructureCertificate(
         dimension=d,
         derived_series_dims=derived,
@@ -317,7 +315,7 @@ def constants_certificate(c: np.ndarray, residual: float) -> StructureCertificat
 
 def ad_matrix(s: MatrixLieSubspace, x: np.ndarray) -> np.ndarray:
     """Matrix of ad(x) = [x, .] in the basis coordinates of s."""
-    images = _bracket_tensor([x], s.basis)[0]
+    images = x @ s.basis - s.basis @ x
     if not s.distance(images) <= 1e-6:
         raise ValueError("ad(x) does not preserve the subspace")
     return s.coordinates(images)

@@ -27,7 +27,7 @@ import numpy as np
 from ..core import SymplecticModel, apply_rows, as_matrix, dot_rows
 from ..geometry import darboux_matrix
 from ..lie import (RANK_RTOL, MatrixLieSubspace, bracket_rows, constants_certificate, line,
-                   structure_constants, subspace_from_matrices)
+                   rank_count, structure_constants, subspace_from_matrices)
 
 
 #: tolerance of the closure-condition flags and of the preconditions of ``build_h``
@@ -254,7 +254,7 @@ def simply_transitive_certificate(model: SymplecticModel, matrices,
     """
     expected = 2 * model.n
     svals = np.linalg.svd(np.asarray(matrices, dtype=float), compute_uv=False)
-    ranks = np.sum(svals > rank_tol * svals[:, :1], axis=1)
+    ranks = rank_count(svals, rank_tol)
     deficient = np.flatnonzero(ranks < expected)
     return {
         "expected_rank": expected,

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..core import apply_rows, build_model, dot_rows
 from ..geometry import fundamental_fields
-from ..lie import rank_split
+from ..lie import rank_count
 
 
 def cross_matrix(v: np.ndarray) -> np.ndarray:
@@ -114,8 +114,8 @@ def orbit_rank_ts3_evidence(w: np.ndarray, k: float = 1.0) -> dict:
     fields = fundamental_fields(model, elem, lifted, np.eye(8)[0])  # at u = e1, w = 0
     svals = np.linalg.svd(fields[:, :6], compute_uv=False)
     # the rank cut is relative to the largest field, with an absolute floor of 1e-7
-    rank = len(rank_split(fields[:, :6], atol=1e-7)[0])
-    su2_rank = len(rank_split(fields[:, :3], rtol=0.0, atol=1e-9)[0])
+    rank = int(rank_count(svals, atol=1e-7))
+    su2_rank = int(rank_count(np.linalg.svd(fields[:, :3], compute_uv=False), rtol=0.0, atol=1e-9))
     return {
         "singular_values": svals,
         "rank": rank,

@@ -75,7 +75,7 @@ def transvection_algebra(model: SymplecticModel, a,
     s_mat = symmetry_matrix(model, a, x0)
     g1 = centralizer_in_sp(model, a, exact=exact)
     p1 = involution_eigenspace(g1, s_mat, -1)
-    k1 = bracket_span(p1, p1)
+    k1 = bracket_span(p1)
     if p1.dim == 0 or k1.dim == 0:
         raise ValueError("degenerate eigenspace split; check the base point")
     amat = as_matrix(a)

@@ -11,9 +11,11 @@ with its horizontality guard, and subspace coordinates by a least-squares
 solve in the basis.  The canonical connection is a central difference of a
 horizontal field along the line retracted to Sigma_A (``connection_nabla``),
 on horizontal projections of constant vectors and on the lifted local
-coordinate fields; no command needs it.  ``sample_sigma_pointwise`` is the
-per-point Sigma_A sampler that the block sampler replaced: it draws each
-point's free coordinates in turn and redraws a degenerate block in place.
+coordinate fields (``coordinate_tangents``: unit vectors in the intrinsic
+charts, a solve on the chart differential in the graph charts); no command
+needs it.  ``sample_sigma_pointwise`` is the per-point Sigma_A sampler that
+the block sampler replaced: it draws each point's free coordinates in turn
+and redraws a degenerate block in place.
 ``closure_conditions_pairwise`` evaluates the p = 2 closure identities one
 pair of unit generator tuples at a time, the loop that the pair arrays of
 ``nilpotent.closure_conditions`` replaced.  ``moment_map_f`` is the
@@ -24,14 +26,17 @@ which ``moment_map_gradient`` differences; no command needs it.
 ``structure_constants_oracle`` projects the full (d, d, N^2) bracket tensor
 over all pairs (i, j): the two routes that ``lie.centralizer_in_sp`` (on
 symmetric S = Omega X) and ``lie.structure_constants`` (pairs i < j only)
-replaced.
+replaced.  ``build_A_from_ricci`` realizes a prescribed Ricci endomorphism
+as a characteristic element on ``ricci_ambient_form`` (Cahen, Gutt &
+Rawnsley 2000); no command needs it.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
 from riccitype import geometry, lie
-from riccitype.core import MAX_SAMPLE_RETRIES, as_matrix, sigma_value
+from riccitype.core import (DEFAULT_TOL, MAX_SAMPLE_RETRIES, CharacteristicElement, as_matrix,
+                            sigma_value, standard_symplectic_form)
 from riccitype.transitive import nilpotent as nil
 
 
@@ -88,13 +93,38 @@ def connection_nabla(model, a, x, xbar, yfield, fd_step=1e-5):
             + model.pairing(xbar, y_here) * (amat @ xv))
 
 
-def coordinate_field(model, a, local, index):
-    """Horizontal lift of the index-th local coordinate field of a ``geometry.LocalChart``,
-    as a field on Sigma_A."""
+def coordinate_tangents(model, a, center, x):
+    """Chart tangents at project(x) of the local coordinate fields of the chart centred at
+    the chart point ``center``, one per column.
+
+    Ball and Darboux coordinates are global, with the unit vectors as tangents.  A
+    graph chart (tangent sphere, quadric) keeps the free coordinates, all but the
+    pivot pair picked at the centre; with D = d pi_x(horizontal frame), its
+    coordinate frame is T = D D[free]^-1, whose free rows are the unit vectors.
+    """
+    kind = geometry.chart_kind(model)
+    if kind in ("ball", "darboux"):
+        return np.eye(2 * model.n)
+    m = model.n + 1
+    if kind == "tangent_sphere":  # (u, w): the pivot pair is (u_i, w_i)
+        pivot = int(np.argmax(np.abs(center[:m])))
+        pair = [pivot, m + pivot]
+    else:  # (x, X, x*): the pivot pair is (x_i, x*_i)
+        pivot = int(np.argmax(np.abs(model.eps * center[-model.p:])))
+        pair = [pivot, 2 * m - model.p + pivot]
+    free = np.delete(np.arange(2 * m), pair)
+    frame = geometry.horizontal_basis(model, a, x).vectors
+    diff = geometry.differential_project(model, a, x, frame)
+    return diff @ np.linalg.inv(diff[free])
+
+
+def coordinate_field(model, a, center, index):
+    """Horizontal lift of the index-th local coordinate field of the chart centred at
+    ``center`` (``coordinate_tangents``), as a field on Sigma_A."""
 
     def field(z):
-        cp = geometry.project(model, a, z)
-        return geometry.lift_tangent(model, a, z, local.coordinate_tangents(cp)[:, index])
+        tangent = coordinate_tangents(model, a, center, z)[:, index]
+        return geometry.lift_tangent(model, a, z, tangent)
 
     return field
 
@@ -391,9 +421,47 @@ def structure_constants_oracle(s, modulo=None):
     d = s.dim
     stacked = s.rows if modulo is None else np.vstack([s.rows, modulo.rows])
     q = s.rows if modulo is None else lie._row_span(stacked)
-    flat = lie._bracket_tensor(s.basis, s.basis)
+    b = s.basis[:, None]  # the (d, d, N^2) tensor of every bracket [b_i, b_j]
+    flat = (b @ s.basis - s.basis @ b).reshape(d, d, -1)
     on_span = flat @ q.T
     flat -= on_span @ q
     residual = float(np.max(np.abs(flat[np.triu_indices(d, 1)]), initial=0.0))
     c = on_span if modulo is None else on_span @ np.linalg.pinv(stacked @ q.T)
     return c[:, :, :d], residual
+
+
+def ricci_ambient_form(n):
+    """Omega on R^{2(n+1)} adapted to the 3x3-block construction below.
+
+    Basis order (e_0, e'_0, v_1..v_{2n}) with Omega(e_0, e'_0) = 1 and the
+    standard form on the trailing 2n-dimensional symplectic block.
+    """
+    dim = 2 * (n + 1)
+    omega = np.zeros((dim, dim))
+    omega[0, 1] = 1.0
+    omega[1, 0] = -1.0
+    omega[2:, 2:] = standard_symplectic_form(n)
+    return omega
+
+
+def build_A_from_ricci(rho_check, mu, n, tol=DEFAULT_TOL):
+    """Characteristic element on R^{2(n+1)} realizing a prescribed Ricci endomorphism.
+
+    Given rho_check in End(R^{2n}) with rho_check^2 = mu*Id, returns the
+    3x3-block matrix
+
+        [[0, mu/4(n+1)^2, 0], [1, 0, 0], [0, 0, -rho_check/2(n+1)]]
+
+    which squares to (mu/4(n+1)^2)*Id.  Its ambient form is ricci_ambient_form(n).
+    """
+    rho = np.asarray(rho_check, dtype=float)
+    if rho.shape != (2 * n, 2 * n):
+        raise ValueError(f"rho_check must be {2*n}x{2*n}, got {rho.shape}")
+    if np.max(np.abs(rho @ rho - mu * np.eye(2 * n))) > tol:
+        raise ValueError("rho_check does not satisfy rho_check^2 = mu*Id")
+    dim = 2 * (n + 1)
+    a = np.zeros((dim, dim))
+    a[0, 1] = mu / (4.0 * (n + 1) ** 2)
+    a[1, 0] = 1.0
+    a[2:, 2:] = -rho / (2.0 * (n + 1))
+    return CharacteristicElement(a, mu / (4.0 * (n + 1) ** 2))

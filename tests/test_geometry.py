@@ -11,9 +11,9 @@ from riccitype.transitive import nilpotent as nil
 from riccitype.transvection import base_point, transvection_algebra
 
 from oracles import (act_chart, act_tangent_sphere, connection_nabla, coordinate_field,
-                     curvature_tensor, frame_pairing, gl_to_sp_hyperbolic, horizontal_projection,
-                     horizontality_residual, pushforward, reduced_omega, retract_to_sigma,
-                     ricci_type_defect, symmetry_chart_differential)
+                     coordinate_tangents, curvature_tensor, frame_pairing, gl_to_sp_hyperbolic,
+                     horizontal_projection, horizontality_residual, pushforward, reduced_omega,
+                     retract_to_sigma, ricci_type_defect, symmetry_chart_differential)
 
 CHART_CASES = [
     ("hyperbolic", 2, None, None),
@@ -197,7 +197,7 @@ def test_lift_tangent_matrix_matches_per_column_oracle(case, n, p, q):
     rng = np.random.default_rng(59)
     for pt in core.sample_sigma(model, elem, 4, seed=59):
         cp = geometry.project(model, elem, pt)
-        dirs = geometry.LocalChart(model, elem, cp).coordinate_tangents(cp)
+        dirs = coordinate_tangents(model, elem, cp, pt)
         tangents = np.concatenate([dirs, dirs @ rng.standard_normal((2 * n, 3))], axis=1)
         lifts = geometry.lift_tangent(model, elem, pt, tangents)
         assert lifts.shape == (model.ambient_dim, tangents.shape[1])
@@ -413,17 +413,30 @@ def test_differential_project_matches_fd(case, n, p, q):
         assert np.max(np.abs(exact[:, j] - fd)) <= 1e-6
 
 
-def test_reduced_omega_antisymmetry_and_errors():
-    model, elem = build("nilpotent", 2, 2, 1)
-    pt = core.sample_sigma(model, elem, 1, seed=5)[0]
-    frame = geometry.horizontal_basis(model, elem, pt)
-    v = frame.vectors[:, 0]
-    w = frame.vectors[:, 1]
-    assert reduced_omega(model, elem, pt, v, v) == 0
-    assert np.isclose(reduced_omega(model, elem, pt, v, w),
-                      -reduced_omega(model, elem, pt, w, v))
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_reduced_omega_antisymmetry_and_errors(seed, order):
+    # exact in rounding, whatever the memory layout of the frame the vectors come from
+    for case, n, p, q in CHART_CASES:
+        model, elem = build(case, n, p, q)
+        for pt in core.sample_sigma(model, elem, 10, seed=seed):
+            vecs = np.asarray(geometry.horizontal_basis(model, elem, pt).vectors, order=order)
+            for i, v in enumerate(vecs.T):
+                assert reduced_omega(model, elem, pt, v, v) == 0
+                for w in vecs.T[i + 1:]:
+                    vw = reduced_omega(model, elem, pt, v, w)
+                    assert vw == -reduced_omega(model, elem, pt, w, v)
     with pytest.raises(ValueError):
         reduced_omega(model, elem, pt, pt, w)
+
+
+@pytest.mark.parametrize("case,n,p,q", [("hyperbolic", 2, None, None), ("nilpotent", 3, 3, 2)])
+def test_chart_omega_matrix_needs_an_intrinsic_chart(case, n, p, q):
+    # the tangent-sphere and quadric representations are embedded, not coordinate systems
+    model, elem = build(case, n, p, q)
+    pt = core.sample_sigma(model, elem, 1, seed=0)[0]
+    with pytest.raises(geometry.ChartUnavailableError, match="needs the ball or Darboux chart"):
+        geometry.chart_omega_matrix(model, elem, pt)
 
 
 def test_darboux_chart_matrix_constant():
@@ -493,11 +506,10 @@ def test_connection_torsion_free_on_coordinate_fields(case, n, p, q):
     rng = np.random.default_rng(31)
     cp = moderate_chart_point(model, elem, rng)
     x = geometry.chart_section(model, elem, cp)
-    local = geometry.LocalChart(model, elem, cp)
     pairs = [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)]
     for i, j in pairs:
-        fi = coordinate_field(model, elem, local, i)
-        fj = coordinate_field(model, elem, local, j)
+        fi = coordinate_field(model, elem, cp, i)
+        fj = coordinate_field(model, elem, cp, j)
         nij = connection_nabla(model, elem, x, fi(x), fj)
         nji = connection_nabla(model, elem, x, fj(x), fi)
         assert np.max(np.abs(nij - nji)) <= 1e-5
@@ -509,8 +521,7 @@ def test_connection_parallel_omega(case, n, p, q):
     rng = np.random.default_rng(33)
     cp = moderate_chart_point(model, elem, rng)
     x = geometry.chart_section(model, elem, cp)
-    local = geometry.LocalChart(model, elem, cp)
-    fields = [coordinate_field(model, elem, local, i) for i in range(3)]
+    fields = [coordinate_field(model, elem, cp, i) for i in range(3)]
     fx, fy, fz = fields
     h = 1e-5
 

@@ -1,0 +1,98 @@
+"""Reach guard: every function of the package runs in some command, or is allowlisted.
+
+Small ``cli.main`` operations, one per command and per ``find-transitive``
+branch plus ``--exact``, ``--candidate-file``, ``--debug-corrupt-omega`` and a
+failing ``--tol``, run under ``sys.setprofile``.  The ``def`` functions of ``src/riccitype``
+(methods and nested functions included) that never run must be exactly the
+allowlist: a helper that no command reaches belongs in the tests, or nowhere.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import riccitype
+from riccitype import cli
+
+PACKAGE = Path(riccitype.__file__).resolve().parent
+
+#: functions that no command runs: desk-scale parameter lists and the candidate
+#: writer, which tests and callers use, and test-facing primitives
+NEVER_RUN = {
+    "core.admissible_parameters",
+    "serialize.format_candidate",
+    "serialize.format_vector",
+    "core.SymplecticModel.pairing",
+    "lie.bracket",
+    "cli.script_main",
+}
+
+SMALL = ["--n", "2", "--samples", "5"]
+OPERATIONS = [
+    ["construct", "--case", "hyperbolic"],
+    # two FAIL reports: a sampled entry's witness, and a failed construction
+    ["verify-geometry", "--case", "hyperbolic", "--tol", "1e-30"],
+    ["verify-geometry", "--case", "hyperbolic", "--debug-corrupt-omega"],
+    ["verify-geometry", "--case", "elliptic", "--p", "1"],
+    ["verify-geometry", "--case", "elliptic", "--p", "2"],
+    ["verify-geometry", "--case", "nilpotent", "--p", "2", "--q", "1"],
+    ["verify-geometry", "--case", "nilpotent", "--p", "3", "--q", "2"],
+    ["transvection", "--case", "hyperbolic", "--exact"],
+    ["transvection", "--case", "nilpotent", "--p", "2", "--q", "1"],
+    ["find-transitive", "--case", "hyperbolic"],
+    ["find-transitive", "--case", "elliptic", "--p", "1"],
+    ["find-transitive", "--case", "elliptic", "--p", "2"],
+    ["find-transitive", "--case", "nilpotent", "--p", "1", "--q", "1"],
+    ["find-transitive", "--case", "nilpotent", "--p", "2", "--q", "2"],
+    ["find-transitive", "--case", "nilpotent", "--p", "3", "--q", "3"],
+    ["find-transitive", "--case", "nilpotent", "--p", "3", "--q", "1"],
+    ["find-transitive", "--case", "nilpotent", "--p", "2", "--q", "1"],
+    ["quaternion-evidence"],
+]
+
+
+def defined_functions() -> dict:
+    """{(file, first line): "module.qualname"} of every def in the package.
+
+    The first line is that of the first decorator, as in ``co_firstlineno``.
+    """
+    out = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[(str(path), first)] = f"{prefix}{child.name}"
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                name = f"{child.name}." if isinstance(child, ast.ClassDef) else ""
+                visit(child, path, prefix + name)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        visit(ast.parse(path.read_text()), path, f"{module}.")
+    return out
+
+
+def test_only_allowlisted_functions_never_run(tmp_path, capsys):
+    candidate = tmp_path / "candidate.txt"
+    candidate.write_text("dim=2\nB=1.0 0.0 0.0 -1.0\na_tilde=0.5 0.0\na=0.7\nc=1.0\n")
+    operations = OPERATIONS + [["find-transitive", "--case", "nilpotent", "--p", "2", "--q", "1",
+                                "--candidate-file", str(candidate)]]
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    cli._parser.cache_clear()  # a cached parser would skip the parser's own code
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(op + SMALL) for op in operations]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert codes == [1 if {"--tol", "--debug-corrupt-omega"} & set(op) else 0 for op in operations]
+    ran = {(str(Path(file).resolve()), line) for file, line in ran}
+    never_run = {name for key, name in defined_functions().items() if key not in ran}
+    assert never_run == NEVER_RUN

@@ -145,7 +145,7 @@ def test_subspaces_have_orthonormal_rows(case, n, p, q):
     model, elem = build(case, n, p or None, q or None)
     data = transvection.transvection_algebra(model, elem)
     subs = [data.centralizer, data.p_part, data.k_part, data.algebra, lie.line(elem.matrix),
-            lie.bracket_span(data.p_part, data.k_part)]
+            lie.bracket_span(data.algebra)]
     if data.modulo is not None:
         subs.append(data.modulo)
     if case == "elliptic" and p == 1:
