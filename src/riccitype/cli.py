@@ -222,8 +222,7 @@ def cmd_transvection(config: RunConfig) -> CertificateReport:
         report.add_equals("centralizer.dim", data.centralizer.dim, (model.n + 1) ** 2)
     else:
         report.add_info("centralizer.dim", data.centralizer.dim)
-    report.add_residual("centralizer.closure",
-                        lie.structure_constants(data.centralizer)[1], 1e-10)
+    report.add_residual("centralizer.closure", lie.closure_residual(data.centralizer), 1e-10)
     report.add_equals("p_part.dim", data.p_part.dim, 2 * model.n)
 
     sig = data.symmetry
@@ -331,7 +330,7 @@ def _certify_candidate(report: CertificateReport, model, elem, name: str,
     report.add_residual(f"{name}.closure_conditions", rep.residual, 1e-10)
     report.add_equals(f"{name}.dim", sub.dim, 2 * model.n)
     report.add_residual(f"{name}.bracket_closure_mod_A",
-                        lie.structure_constants(sub, lie.line(elem.matrix))[1], 1e-10)
+                        lie.closure_residual(sub, lie.line(elem.matrix)), 1e-10)
     rng = np.random.default_rng(config.seed + 17)
     pts = rng.standard_normal((max(config.samples, 100), 2 * model.n))  # Darboux chart points
     norm_cand, _ = nil.normalize_candidate(model, cand)

@@ -171,8 +171,10 @@ def horizontal_basis(model: SymplecticModel, a, x) -> HorizontalFrame:
     """
     v = np.asarray(x, dtype=float)
     pts = v.reshape(-1, v.shape[-1])
+    # H_x does not depend on the scale of A; at unit scale the Omega A x row survives the rank cut
+    unit = as_matrix(a) / np.max(np.abs(as_matrix(a)))
     constraints = np.stack([apply_rows(model.omega, pts),
-                            apply_rows(model.omega, apply_rows(as_matrix(a), pts))], axis=1)
+                            apply_rows(model.omega, apply_rows(unit, pts))], axis=1)
     _, s, vt = np.linalg.svd(constraints)
     rank = rank_count(s)  # one row of singular values per sample
     # C order: numpy's reductions over the frame depend on its memory layout,

@@ -9,19 +9,21 @@ ones, whose kernel an economy SVD would drop), cut at a relative and/or
 absolute singular-value threshold, that also reports the singular-value
 gap at the cut; ``rank_count`` is that cut on given singular values, for
 callers that take their own SVD.  Brackets of a basis with itself are formed
-for the pairs i < j from one GEMM of all products.
+for the pairs i < j by one kernel, in fixed blocks of rows i, so that only one
+block of products is held at a time.
 
 The structure of a bracket-closed subspace of dimension d (closure,
 series, center, Heisenberg flag) is read from its structure constants,
 the (d, d, d) array c with [b_i, b_j] = sum_k c[i, j, k] b_k (de Graaf,
 *Lie Algebras: Theory and Algorithms*, 2000).  ``structure_constants``
-computes c and the closure residual from the brackets of the pairs i < j;
-its subspaces are then coordinate rows of length d.  A quotient algebra
-(modulo a distinguished line or subspace) is taken there and only there:
-``structure_constants`` and ``series_certificate`` take ``modulo``, and
-every other route works on c or on plain matrix brackets.
-``constants_certificate`` reads the certificate from c alone, for an
-algebra known only by its structure constants.
+computes c block by block, and ``closure_residual`` only the residual of
+the brackets off the span; coordinate subspaces are then rows of length d.
+A quotient algebra (modulo a distinguished line or subspace) is taken
+there and only there: those two and ``series_certificate`` take ``modulo``,
+and every other route works on c or on plain matrix brackets.
+``constants_certificate`` reads the certificate from c alone; when the first
+g basis elements p generate the algebra, [g, g] = [g, p] and the center
+{x : [x, p] = 0} are read from its columns c[:, :g].
 """
 
 from __future__ import annotations
@@ -124,15 +126,17 @@ def subspace_from_matrices(mats, ambient_dim: int) -> MatrixLieSubspace:
     return MatrixLieSubspace(ambient_dim, _row_span(flat))
 
 
-def _pair_brackets(basis: np.ndarray) -> np.ndarray:
-    """(d(d-1)/2, N^2) flattened brackets [b_i, b_j], i < j, from one (dN, N) x (N, dN) GEMM."""
-    d, n = basis.shape[:2]
-    prod = basis.reshape(d * n, n) @ basis.transpose(1, 0, 2).reshape(n, d * n)
-    prod = prod.reshape(d, n, d, n).transpose(0, 2, 1, 3)  # prod[i, j] = b_i b_j
-    i, j = np.triu_indices(d, 1)
-    flat = prod[i, j].reshape(-1, n * n)
-    flat -= prod[j, i].reshape(-1, n * n)
-    return flat
+#: rows i per block of ``_pair_brackets``: about 5 * _BLOCK * d * N^2 doubles live at once
+_BLOCK = 8
+
+
+def _pair_brackets(basis: np.ndarray):
+    """Yield (i, j, flat) per block of rows i: flat[m] is [b_i, b_j] flattened, i = i[m] < j[m]."""
+    d = basis.shape[0]
+    for start in range(0, d, _BLOCK):
+        i, j = np.triu_indices(min(_BLOCK, d - start), 1, d - start)
+        x, y = basis[i + start], basis[j + start]
+        yield i + start, j + start, (x @ y - y @ x).reshape(i.size, basis[0].size)
 
 
 def line(x: np.ndarray) -> MatrixLieSubspace:
@@ -196,30 +200,40 @@ def involution_eigenspace(s: MatrixLieSubspace, sym: np.ndarray, sign: int) -> M
 
 def bracket_span(s: MatrixLieSubspace) -> MatrixLieSubspace:
     """Span of the derived subspace [s, s], from the brackets of the pairs i < j."""
-    return subspace_from_matrices(_pair_brackets(s.basis), s.ambient_dim)
+    flat = [block for _, _, block in _pair_brackets(s.basis)]
+    return subspace_from_matrices(np.vstack(flat) if flat else flat, s.ambient_dim)
+
+
+def closure_residual(s: MatrixLieSubspace, modulo: MatrixLieSubspace | None = None,
+                     c: np.ndarray | None = None) -> float:
+    """Sup-norm of the brackets of the pairs i < j off span(s + modulo), which is 0
+    when s closes; a (d, d, d) ``c`` is filled with their coordinates on s, c[j, i] = -c[i, j].
+
+    Each block of pairs is projected by two GEMMs onto orthonormal rows q of that
+    span.  Without ``modulo``, q is the rows of s and the projection is c itself; with
+    it, c takes the rows of s followed by those of ``modulo`` and drops the latter.
+    """
+    d = s.dim
+    stacked = s.rows if modulo is None else np.vstack([s.rows, modulo.rows])
+    q = s.rows if modulo is None else _row_span(stacked)
+    lift = None if modulo is None or c is None else np.linalg.pinv(stacked @ q.T)
+    residual = 0.0
+    for i, j, flat in _pair_brackets(s.basis):
+        on_span = flat @ q.T
+        flat -= on_span @ q
+        residual = max(residual, float(np.max(np.abs(flat), initial=0.0)))
+        if c is not None:
+            c[i, j] = (on_span if lift is None else on_span @ lift)[:, :d]
+            c[j, i] = -c[i, j]
+    return residual
 
 
 def structure_constants(s: MatrixLieSubspace, modulo: MatrixLieSubspace | None = None
                         ) -> tuple[np.ndarray, float]:
     """(c, residual): [b_i, b_j] = sum_k c[i, j, k] b_k (mod ``modulo``), and the
-    sup-norm of the brackets off span(s + modulo), which is 0 when s closes.
-
-    The brackets of the pairs i < j are projected by two GEMMs onto orthonormal
-    rows q of that span, and c[j, i] = -c[i, j], c[i, i] = 0.  Without ``modulo``,
-    q is the rows of s and the projection is c itself; with it, c takes the
-    rows of s followed by those of ``modulo`` and drops the latter.
-    """
-    d = s.dim
-    stacked = s.rows if modulo is None else np.vstack([s.rows, modulo.rows])
-    q = s.rows if modulo is None else _row_span(stacked)
-    flat = _pair_brackets(s.basis)
-    on_span = flat @ q.T
-    flat -= on_span @ q
-    residual = float(np.max(np.abs(flat), initial=0.0))
-    pairs = on_span if modulo is None else on_span @ np.linalg.pinv(stacked @ q.T)
-    c = np.zeros((d, d, d))
-    c[np.triu_indices(d, 1)] = pairs[:, :d]
-    return c - c.swapaxes(0, 1), residual
+    ``closure_residual`` of s."""
+    c = np.zeros((s.dim,) * 3)
+    return c, closure_residual(s, modulo, c)
 
 
 def bracket_rows(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -272,28 +286,31 @@ def series_certificate(s: MatrixLieSubspace,
     return constants_certificate(*structure_constants(s, modulo))
 
 
-def constants_certificate(c: np.ndarray, residual: float) -> StructureCertificate:
+def constants_certificate(c: np.ndarray, residual: float,
+                          generators: int | None = None) -> StructureCertificate:
     """``series_certificate`` of the algebra with structure constants c.
 
     ``residual`` is the algebra's closure residual, as ``structure_constants``
-    returns it; the certificate is refused when it exceeds 1e-8.
+    returns it; the certificate is refused when it exceeds 1e-8.  The first
+    ``generators`` basis elements (default: all) must generate the algebra.
     """
     if not residual <= 1e-8:
         raise ValueError("subspace is not closed under the bracket")
     d = c.shape[0]
+    g = d if generators is None else generators
     eye = np.eye(d)
-    derived_rows = bracket_rows(c, eye, eye) if d else eye
+    derived_rows = _row_span(c[:, :g].reshape(-1, d)) if d else eye
     derived = series_dims(c, eye, derived_rows, against_self=True)
     lower = series_dims(c, eye, derived_rows, against_self=False)
-    # the center solves sum_i a_i c[i, j, k] = 0 for all (j, k): rows (j, k), columns i
-    system = c.transpose(1, 2, 0).reshape(d * d, d)
+    # the center solves sum_i a_i c[i, j, k] = 0 for all j < g and k: rows (j, k), columns i
+    system = c[:, :g].transpose(1, 2, 0).reshape(g * d, d)
     # one SVD serves the relative cut of the center and the absolute rank cut below
     sing, vt = _svd(system)
     center = vt[rank_count(sing):].T
     heisenberg = False
     if d >= 3 and d % 2 == 1 and center.shape[1] == 1 and derived[1] == 1:
         # center = derived algebra = R z, so c[i, j] = lam_ij z and the form lam
-        # must have rank d - 1; `system` is c.reshape(d, d * d) transposed
+        # must have rank d - 1; lam[:, :g] has the same kernel R z, as p generates
         z = center[:, 0]
         row = derived_rows[0]
         heisenberg = (np.max(np.abs(row - (row @ z) * z)) <= 1e-7

@@ -21,10 +21,11 @@ from .lie import (
     bracket_rows,
     bracket_span,
     centralizer_in_sp,
+    constants_certificate,
     involution_eigenspace,
     line,
-    series_certificate,
     series_dims,
+    structure_constants,
     subspace_from_matrices,
 )
 
@@ -141,7 +142,8 @@ def classify_transvection(data: TransvectionData,
     abelian R^{2n}; p=2 -> solvable with codimension-1 nilpotent ideal;
     p>2 -> non-solvable (Levi-type).
     """
-    cert = series_certificate(data.algebra, modulo=data.modulo)
+    # p1 generates the algebra, so [g, g] and the center are read from its columns of c
+    cert = constants_certificate(*structure_constants(data.algebra, data.modulo), data.p_part.dim)
     n = model.n
     if model.case == "hyperbolic":
         label = f"sl({n + 1},R)" if cert.dimension == (n + 1) ** 2 - 1 else "unexpected"

@@ -240,23 +240,30 @@ def test_series_certificate_zero_dimensional():
 
 def test_derived_algebra_formed_once_per_certificate(monkeypatch):
     from riccitype import transvection
-    calls = []
-    original = lie.bracket_rows
+    spans = []
+    original = lie._row_span
 
-    def recording(c, x, y):
-        full = x.shape[0] == c.shape[0] and np.array_equal(x, np.eye(c.shape[0]))
-        calls.append(full and np.array_equal(x, y))
-        return original(c, x, y)
-    monkeypatch.setattr(lie, "bracket_rows", recording)
-    monkeypatch.setattr(transvection, "bracket_rows", recording)
+    def recording(stack):
+        spans.append(stack)
+        return original(stack)
+    monkeypatch.setattr(lie, "_row_span", recording)
+
+    def derived_spans(cert, generators):
+        # [g, g] = [g, p] is the row span of the columns c[:, :generators]
+        d = cert.dimension
+        block = cert.structure[:, :generators].reshape(-1, d)
+        return sum(x.shape == block.shape and np.array_equal(x, block) for x in spans)
     # the derived and lower central series and the Heisenberg test all read [g, g]
-    assert lie.series_certificate(heisenberg3()).heisenberg
+    cert = lie.series_certificate(heisenberg3())
+    assert cert.heisenberg and derived_spans(cert, 3) == 1
+    spans.clear()
     model, elem = core.build_model("nilpotent", 3, p=2, q=1)
     data = transvection.transvection_algebra(model, elem)
     cert, _ = transvection.classify_transvection(data, model)
     ideal = transvection.nilpotent_ideal_report(cert)
     assert ideal["codimension"] == 1 and ideal["nilpotent"]
-    assert calls.count(True) == 2 and len(calls) > 2
+    assert derived_spans(cert, data.p_part.dim) == 1 and len(spans) > 1
+    assert data.p_part.dim < cert.dimension
 
 
 def test_subspace_independence_invariant():
@@ -386,17 +393,20 @@ def test_closure_residual_memory_stays_small():
     model, elem = core.build_model("nilpotent", 7, p=2, q=1)
     g1 = lie.centralizer_in_sp(model, elem)
     assert g1.dim == 106
-    tracemalloc.start()
-    try:
-        res = lie.structure_constants(g1)[1]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res <= 1e-10
-    # the product tensor b_i b_j is 23 MB, and gathering the 5565 pairs i < j
-    # and their partners adds 11.4 MB each (46 MB); the full (106, 106, 256)
-    # bracket tensor of structure_constants_oracle peaks at 56 MB
-    assert peak < 50e6
+    peaks = []
+    for route in (lie.closure_residual, lambda s: lie.structure_constants(s)[1]):
+        tracemalloc.start()
+        try:
+            res = route(g1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert res <= 1e-10
+    # the pair kernel holds one block of at most 8 x 105 pairs at a time
+    # (1.7 MB per array), against 23 MB for the whole product tensor b_i b_j;
+    # structure_constants adds its (106, 106, 106) c, 9.5 MB
+    assert peaks[0] < 12e6
+    assert peaks[1] < 22e6
 
 
 # --- batched brackets against the pairwise loops ---------------------------
@@ -489,6 +499,47 @@ def test_pair_kernel_matches_full_bracket_tensor(n):
             assert np.max(np.abs(c - c_old), initial=0.0) <= 1e-13, (case, n_, p, q)
             assert abs(res - res_old) <= 1e-13
             assert np.array_equal(c, -c.swapaxes(0, 1))
+
+
+def off_centralizer_row(model, g1, seed):
+    """A unit element of sp(Omega) orthogonal to g1, so outside the centralizer."""
+    sym = np.random.default_rng(seed).standard_normal((model.ambient_dim,) * 2)
+    x = (model.omega.T @ (sym + sym.T)).reshape(-1)  # tOmega S is in sp(Omega) for symmetric S
+    x -= g1.rows.T @ (g1.rows @ x)
+    return x / np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_closure_residual_matches_oracle_on_centralizer(n):
+    for seed, (case, n_, p, q) in enumerate(core.admissible_parameters((n,))):
+        model, elem = core.build_model(case, n_, p=p, q=q)
+        g1 = lie.centralizer_in_sp(model, elem)
+        res = lie.closure_residual(g1)
+        assert abs(res - structure_constants_oracle(g1)[1]) <= 1e-15, (case, n_, p, q)
+        assert res <= 1e-10
+        # negative control: one row replaced by an sp(Omega) element outside g1
+        rows = g1.rows.copy()
+        rows[0] = off_centralizer_row(model, g1, seed)
+        broken = lie.MatrixLieSubspace(g1.ambient_dim, rows)
+        assert np.max(np.abs(broken.rows @ broken.rows.T - np.eye(g1.dim))) <= 1e-12
+        assert lie.closure_residual(broken) > 1e-3, (case, n_, p, q)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_graded_certificate_matches_full_constants(n):
+    from riccitype.transvection import transvection_algebra
+    for case, n_, p, q in core.admissible_parameters((n,)):
+        model, elem = core.build_model(case, n_, p=p, q=q)
+        data = transvection_algebra(model, elem)
+        c, res = lie.structure_constants(data.algebra, data.modulo)
+        graded = lie.constants_certificate(c, res, generators=data.p_part.dim)
+        full = lie.constants_certificate(c, res)
+        # series dims, center dim and the abelian/solvable/nilpotent/Heisenberg flags
+        assert graded == full, (case, n_, p, q)
+        rows, rows_full = graded.derived_rows, full.derived_rows
+        assert rows.shape == rows_full.shape
+        # the orthogonal projectors onto the two derived row spans
+        assert np.max(np.abs(rows.T @ rows - rows_full.T @ rows_full)) <= 1e-12
 
 
 def equivalence_data(case, n, p, q):

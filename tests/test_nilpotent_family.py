@@ -449,20 +449,23 @@ def test_heisenberg_extension_larger_n():
 @pytest.mark.parametrize("c", [1.0, -1.0])
 def test_heisenberg_extension_reads_derived_algebra_from_constants(monkeypatch, n, c):
     model, elem = core.build_model("nilpotent", n, p=2, q=1)
-    shapes = []
+    calls = []
 
     def counting(original):
-        def counted(*args, **kwargs):
-            out = original(*args, **kwargs)
-            shapes.append(out.shape)
-            return out
+        def counted(basis):
+            pairs = []
+            calls.append((basis.shape, pairs))
+            for i, j, flat in original(basis):
+                pairs.extend(zip(i.tolist(), j.tolist()))
+                yield i, j, flat
         return counted
     monkeypatch.setattr(lie, "_pair_brackets", counting(lie._pair_brackets))
     cert = nil.heisenberg_extension_check(model, elem, c=c)["certificate"]
-    # one bracket computation, of h's 2n(2n - 1)/2 pairs i < j; h' is read
-    # from its structure constants
+    # one bracket computation, of each of h's 2n(2n - 1)/2 pairs i < j once;
+    # h' is read from its structure constants
     dim = model.ambient_dim
-    assert shapes == [(n * (2 * n - 1), dim * dim)]
+    assert [shape for shape, _ in calls] == [(2 * n, dim, dim)]
+    assert calls[0][1] == list(zip(*(k.tolist() for k in np.triu_indices(2 * n, 1))))
     monkeypatch.undo()
     # the matrix route: h' as matrices, its own bracket tensor, modulo R*A
     sub, _, _ = nil.build_h(model, c * np.eye(2 * (n - 1)), c=c)
