@@ -13,17 +13,18 @@ for the pairs i < j by one kernel, in fixed blocks of rows i, so that only one
 block of products is held at a time.
 
 The structure of a bracket-closed subspace of dimension d (closure,
-series, center, Heisenberg flag) is read from its structure constants,
+derived series, Heisenberg flag) is read from its structure constants,
 the (d, d, d) array c with [b_i, b_j] = sum_k c[i, j, k] b_k (de Graaf,
 *Lie Algebras: Theory and Algorithms*, 2000).  ``structure_constants``
 computes c block by block, and ``closure_residual`` only the residual of
 the brackets off the span; coordinate subspaces are then rows of length d.
-A quotient algebra (modulo a distinguished line or subspace) is taken
+A quotient algebra (modulo extra orthonormal rows, orthogonal to s) is taken
 there and only there: those two and ``series_certificate`` take ``modulo``,
 and every other route works on c or on plain matrix brackets.
 ``constants_certificate`` reads the certificate from c alone; when the first
-g basis elements p generate the algebra, [g, g] = [g, p] and the center
-{x : [x, p] = 0} are read from its columns c[:, :g].
+g basis elements p generate the algebra, [g, g] = [g, p] is read from its
+columns c[:, :g], and so is the center {x : [x, p] = 0} when the Heisenberg
+test needs it.
 """
 
 from __future__ import annotations
@@ -209,21 +210,20 @@ def closure_residual(s: MatrixLieSubspace, modulo: MatrixLieSubspace | None = No
     """Sup-norm of the brackets of the pairs i < j off span(s + modulo), which is 0
     when s closes; a (d, d, d) ``c`` is filled with their coordinates on s, c[j, i] = -c[i, j].
 
-    Each block of pairs is projected by two GEMMs onto orthonormal rows q of that
-    span.  Without ``modulo``, q is the rows of s and the projection is c itself; with
-    it, c takes the rows of s followed by those of ``modulo`` and drops the latter.
+    Each block of pairs is projected by two GEMMs onto the rows q of s followed by
+    those of ``modulo``: extra orthonormal rows, orthogonal to s (a ValueError
+    otherwise).  c keeps the coordinates on the rows of s.
     """
-    d = s.dim
-    stacked = s.rows if modulo is None else np.vstack([s.rows, modulo.rows])
-    q = s.rows if modulo is None else _row_span(stacked)
-    lift = None if modulo is None or c is None else np.linalg.pinv(stacked @ q.T)
+    q = s.rows if modulo is None else np.vstack([s.rows, modulo.rows])
+    if not np.max(np.abs(q @ q.T - np.eye(q.shape[0])), initial=0.0) <= 1e-12:
+        raise ValueError("the rows of s and modulo are not jointly orthonormal")
     residual = 0.0
     for i, j, flat in _pair_brackets(s.basis):
         on_span = flat @ q.T
         flat -= on_span @ q
         residual = max(residual, float(np.max(np.abs(flat), initial=0.0)))
         if c is not None:
-            c[i, j] = (on_span if lift is None else on_span @ lift)[:, :d]
+            c[i, j] = on_span[:, :s.dim]
             c[j, i] = -c[i, j]
     return residual
 
@@ -247,8 +247,8 @@ def series_dims(c: np.ndarray, start_rows: np.ndarray, second_rows: np.ndarray,
     """Dimensions of the derived (``against_self``) or lower central series.
 
     The series starts at the span I of the coordinate rows ``start_rows``;
-    its second term [I, I] is ``second_rows``, which the caller forms, once
-    for both series of an algebra.  It steps to [current, current] or [I, current]
+    its second term [I, I] is ``second_rows``, which the caller has already
+    formed.  It steps to [current, current] or [I, current]
     and stops at 0 or at the first term that does not shrink.
     """
     dims = [start_rows.shape[0]]
@@ -263,15 +263,12 @@ def series_dims(c: np.ndarray, start_rows: np.ndarray, second_rows: np.ndarray,
 
 @dataclass
 class StructureCertificate:
-    """Series dimensions and structural flags of a bracket-closed subspace."""
+    """Derived series dimensions and structural flags of a bracket-closed subspace."""
 
     dimension: int
     derived_series_dims: list[int]
-    lower_central_dims: list[int]
-    center_dim: int
     abelian: bool
     solvable: bool
-    nilpotent: bool
     heisenberg: bool
     #: read by the closure and nilpotent-ideal entries of the transvection report
     closure_residual: float = field(compare=False)
@@ -282,7 +279,7 @@ class StructureCertificate:
 
 def series_certificate(s: MatrixLieSubspace,
                        modulo: MatrixLieSubspace | None = None) -> StructureCertificate:
-    """Derived/lower-central series dims and abelian/solvable/nilpotent/heisenberg flags."""
+    """Derived series dims and abelian/solvable/heisenberg flags."""
     return constants_certificate(*structure_constants(s, modulo))
 
 
@@ -301,28 +298,21 @@ def constants_certificate(c: np.ndarray, residual: float,
     eye = np.eye(d)
     derived_rows = _row_span(c[:, :g].reshape(-1, d)) if d else eye
     derived = series_dims(c, eye, derived_rows, against_self=True)
-    lower = series_dims(c, eye, derived_rows, against_self=False)
-    # the center solves sum_i a_i c[i, j, k] = 0 for all j < g and k: rows (j, k), columns i
-    system = c[:, :g].transpose(1, 2, 0).reshape(g * d, d)
-    # one SVD serves the relative cut of the center and the absolute rank cut below
-    sing, vt = _svd(system)
-    center = vt[rank_count(sing):].T
     heisenberg = False
-    if d >= 3 and d % 2 == 1 and center.shape[1] == 1 and derived[1] == 1:
+    if d >= 3 and d % 2 == 1 and derived[1] == 1:
+        # the center solves sum_i a_i c[i, j, k] = 0 for all j < g and k: rows (j, k),
+        # columns i; one SVD serves its relative cut and the absolute rank cut below.
         # center = derived algebra = R z, so c[i, j] = lam_ij z and the form lam
         # must have rank d - 1; lam[:, :g] has the same kernel R z, as p generates
-        z = center[:, 0]
-        row = derived_rows[0]
-        heisenberg = (np.max(np.abs(row - (row @ z) * z)) <= 1e-7
+        sing, vt = _svd(c[:, :g].transpose(1, 2, 0).reshape(g * d, d))
+        z, row = vt[-1], derived_rows[0]  # the center is R z when the relative cut drops one
+        heisenberg = (rank_count(sing) == d - 1 and np.max(np.abs(row - (row @ z) * z)) <= 1e-7
                       and rank_count(sing, rtol=0.0, atol=1e-8) == d - 1)
     return StructureCertificate(
         dimension=d,
         derived_series_dims=derived,
-        lower_central_dims=lower,
-        center_dim=center.shape[1],
         abelian=d == 0 or derived[1] == 0,
         solvable=derived[-1] == 0,
-        nilpotent=lower[-1] == 0,
         heisenberg=bool(heisenberg),
         closure_residual=residual,
         structure=c,

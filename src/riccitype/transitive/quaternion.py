@@ -107,6 +107,8 @@ def orbit_rank_ts3_evidence(w: np.ndarray, k: float = 1.0) -> dict:
     w = np.asarray(w, dtype=float)
     if w.shape != (3,) or np.max(np.abs(w)) == 0.0:
         raise ValueError("w must be a nonzero vector in R^3")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"w must be finite, got {w.tolist()}")
     model, elem = build_model("hyperbolic", 3, k=k)
     gens = su2_left_basis() + [eta(v, w) for v in np.eye(3)] + [eta(w, w)]
     zero = np.zeros((4, 4))

@@ -5,6 +5,8 @@ centralizer algebra g1 = {X in sp : XA = AX}; its (-1)-eigenspace p1 and
 the bracket span k1 = [p1, p1] assemble the transvection algebra, taken
 modulo the line R*A whenever A lies in k1 (nilpotent case).  The algebra's
 basis is graded: p1 rows first, then k~ rows, with no re-orthonormalization.
+``algebra_dimension`` is the dimension each normal form predicts; the report's
+``algebra.dim`` entry and the classification labels both read it.
 """
 
 from __future__ import annotations
@@ -35,21 +37,21 @@ A_MEMBERSHIP_TOL = 1e-7
 
 @dataclass
 class TransvectionData:
-    """Base point, centralizer split and the assembled transvection algebra.
+    """Centralizer split at the base point and the assembled transvection algebra.
 
     ``algebra`` carries the graded basis: the rows of p1 followed by those of
-    k~ (k1, or its trace-orthogonal complement of A when ``a_in_k1``), so
+    k~ (k1, or its trace-orthogonal complement of A when A lies in k1), so
     its structure constants have the symmetric-pair block form
-    [p, p] in k, [k, p] in p, [k, k] in k.  When ``a_in_k1`` the brackets
-    are understood modulo the line through A (``modulo``).
+    [p, p] in k, [k, p] in p, [k, k] in k.  When A lies in k1 the brackets
+    are understood modulo the line through A (``modulo``, None otherwise).
     """
 
-    base_point: np.ndarray
     symmetry: np.ndarray
     centralizer: MatrixLieSubspace  # g1
     p_part: MatrixLieSubspace       # (-1)-eigenspace of conjugation by S
     k_part: MatrixLieSubspace       # [p1, p1]
-    a_in_k1: bool
+    #: sup-norm distance of A / |A| to k1; A lies in k1 when it is <= A_MEMBERSHIP_TOL
+    a_distance: float
     algebra: MatrixLieSubspace
     modulo: MatrixLieSubspace | None
 
@@ -69,11 +71,17 @@ def base_point(model: SymplecticModel) -> np.ndarray:
     return x
 
 
+def algebra_dimension(model: SymplecticModel) -> int:
+    """Dimension of the transvection algebra, modulo R*A when A lies in k1: (n+1)^2 - 1
+    for sl(n+1, R) and su(p, q), p^2 + 2p(n+1-p) - 1 for mu = 0 (2n, abelian, at p = 1)."""
+    n, p = model.n, model.p
+    return (n + 1) ** 2 - 1 if model.case != "nilpotent" else p ** 2 + 2 * p * (n + 1 - p) - 1
+
+
 def transvection_algebra(model: SymplecticModel, a,
                          exact: bool = False) -> TransvectionData:
     """Assemble the transvection algebra from the centralizer split at the base point."""
-    x0 = base_point(model)
-    s_mat = symmetry_matrix(model, a, x0)
+    s_mat = symmetry_matrix(model, a, base_point(model))
     g1 = centralizer_in_sp(model, a, exact=exact)
     p1 = involution_eigenspace(g1, s_mat, -1)
     k1 = bracket_span(p1)
@@ -81,9 +89,9 @@ def transvection_algebra(model: SymplecticModel, a,
         raise ValueError("degenerate eigenspace split; check the base point")
     amat = as_matrix(a)
     a_unit = amat / np.linalg.norm(amat.reshape(-1))
-    a_in_k1 = k1.distance(a_unit) <= A_MEMBERSHIP_TOL
+    a_distance = k1.distance(a_unit)
     k_rows, modulo = k1.rows, None
-    if a_in_k1:
+    if a_distance <= A_MEMBERSHIP_TOL:
         # quotient by R*A: keep the trace-orthogonal complement of A inside k1
         flat_a = a_unit.reshape(-1)
         k_rows = subspace_from_matrices(k1.rows - np.outer(k1.rows @ flat_a, flat_a),
@@ -93,12 +101,11 @@ def transvection_algebra(model: SymplecticModel, a,
     # eigenspaces p1 and k1 are trace-orthogonal: the stacked rows stay orthonormal
     algebra = MatrixLieSubspace(model.ambient_dim, np.vstack([p1.rows, k_rows]))
     return TransvectionData(
-        base_point=x0,
         symmetry=s_mat,
         centralizer=g1,
         p_part=p1,
         k_part=k1,
-        a_in_k1=a_in_k1,
+        a_distance=a_distance,
         algebra=algebra,
         modulo=modulo,
     )
@@ -142,19 +149,17 @@ def classify_transvection(data: TransvectionData,
     abelian R^{2n}; p=2 -> solvable with codimension-1 nilpotent ideal;
     p>2 -> non-solvable (Levi-type).
     """
-    # p1 generates the algebra, so [g, g] and the center are read from its columns of c
+    # p1 generates the algebra, so [g, g] is read from its columns of c
     cert = constants_certificate(*structure_constants(data.algebra, data.modulo), data.p_part.dim)
-    n = model.n
+    expected = cert.dimension == algebra_dimension(model)
     if model.case == "hyperbolic":
-        label = f"sl({n + 1},R)" if cert.dimension == (n + 1) ** 2 - 1 else "unexpected"
+        label = f"sl({model.n + 1},R)" if expected else "unexpected"
     elif model.case == "elliptic":
-        expected = (n + 1) ** 2 - 1
-        label = f"su({model.p},{model.q})" if cert.dimension == expected else "unexpected"
+        label = f"su({model.p},{model.q})" if expected else "unexpected"
+    elif model.p == 1:
+        label = "abelian" if cert.abelian and expected else "unexpected"
+    elif model.p == 2:
+        label = "solvable" if cert.solvable else "unexpected"
     else:
-        if model.p == 1:
-            label = "abelian" if cert.abelian and cert.dimension == 2 * n else "unexpected"
-        elif model.p == 2:
-            label = "solvable" if cert.solvable else "unexpected"
-        else:
-            label = "non-solvable (Levi-type)" if not cert.solvable else "unexpected"
+        label = "non-solvable (Levi-type)" if not cert.solvable else "unexpected"
     return cert, label

@@ -26,13 +26,16 @@ which ``moment_map_gradient`` differences; no command needs it.
 ``structure_constants_oracle`` projects the full (d, d, N^2) bracket tensor
 over all pairs (i, j): the two routes that ``lie.centralizer_in_sp`` (on
 symmetric S = Omega X) and ``lie.structure_constants`` (pairs i < j only)
-replaced.  ``build_A_from_ricci`` realizes a prescribed Ricci endomorphism
+replaced.  ``center_oracle``, ``series_oracle`` and ``closure_residual_oracle``
+read the center, the derived or lower central series and the closure of a
+subspace from one matrix bracket per pair, with no structure constants.
+``build_A_from_ricci`` realizes a prescribed Ricci endomorphism
 as a characteristic element on ``ricci_ambient_form`` (Cahen, Gutt &
 Rawnsley 2000); no command needs it.
 """
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 
 from riccitype import geometry, lie
 from riccitype.core import (DEFAULT_TOL, MAX_SAMPLE_RETRIES, CharacteristicElement, as_matrix,
@@ -428,6 +431,56 @@ def structure_constants_oracle(s, modulo=None):
     residual = float(np.max(np.abs(flat[np.triu_indices(d, 1)]), initial=0.0))
     c = on_span if modulo is None else on_span @ np.linalg.pinv(stacked @ q.T)
     return c[:, :, :d], residual
+
+
+def reduce_oracle(x, modulo):
+    """x with its component on the orthonormal rows of ``modulo`` removed."""
+    if modulo is None:
+        return x
+    v = x.reshape(-1)
+    q = modulo.rows
+    return (v - q.T @ (q @ v)).reshape(x.shape)
+
+
+def bracket_span_oracle(s1, s2, modulo=None):
+    """Span of [s1, s2] (mod ``modulo``), one matrix bracket per pair of basis elements."""
+    mats = [reduce_oracle(lie.bracket(b1, b2), modulo) for b1 in s1.basis for b2 in s2.basis]
+    return lie.subspace_from_matrices(mats, s1.ambient_dim)
+
+
+def closure_residual_oracle(s, modulo=None):
+    """Largest distance of a pair bracket to span(s + modulo), one pair at a time."""
+    res = 0.0
+    span = s if modulo is None else lie.subspace_from_matrices(
+        [*s.basis, *modulo.basis], s.ambient_dim)
+    for i in range(s.dim):
+        for j in range(i + 1, s.dim):
+            res = max(res, span.distance(lie.bracket(s.basis[i], s.basis[j])))
+    return res
+
+
+def center_oracle(s, modulo=None):
+    """The center of s (mod ``modulo``), from one null space of all pair brackets."""
+    system = np.concatenate(
+        [np.stack([reduce_oracle(lie.bracket(bi, bj), modulo).reshape(-1) for bi in s.basis],
+                  axis=1)
+         for bj in s.basis], axis=0)
+    kernel = null_space(system, rcond=lie.RANK_RTOL)
+    basis = [sum(ci * bi for ci, bi in zip(c, s.basis)) for c in kernel.T]
+    return lie.subspace_from_matrices(basis, s.ambient_dim)
+
+
+def series_oracle(s, against_self, modulo=None):
+    """Dimensions of the derived (``against_self``) or lower central series of s."""
+    dims = [s.dim]
+    current = s
+    while current.dim > 0:
+        nxt = bracket_span_oracle(current if against_self else s, current, modulo)
+        dims.append(nxt.dim)
+        if nxt.dim >= current.dim:
+            break
+        current = nxt
+    return dims
 
 
 def ricci_ambient_form(n):

@@ -507,6 +507,48 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == out
 
 
+def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
+    # a failed write is a configuration error (exit 2), not a verification FAIL
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, "transvection", "--case", "hyperbolic", "--n", "2",
+                         "--out", str(target))
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(target) in lines[0]
+    assert not target.parent.exists()
+
+
+HYPERBOLIC_ARGS = ("--case", "hyperbolic", "--n", "2")
+DARBOUX_ARGS = ("--case", "nilpotent", "--n", "2", "--p", "2", "--q", "1")
+INVALID_INPUTS = {  # test id: argv, a fragment of the one error line
+    "k_nan": (("verify-geometry", *HYPERBOLIC_ARGS, "--k", "nan"), "k must be finite and > 0"),
+    "k_inf": (("verify-geometry", *HYPERBOLIC_ARGS, "--k", "inf"), "k must be finite and > 0"),
+    "k_inf_elliptic": (("transvection", "--case", "elliptic", "--n", "2", "--p", "1",
+                        "--k", "inf"), "k must be finite and > 0"),
+    "k_nan_quaternion": (("quaternion-evidence", "--k", "nan"), "k must be finite and > 0"),
+    "tol_nan": (("verify-geometry", *HYPERBOLIC_ARGS, "--tol", "nan"),
+                "tolerances must be finite and positive"),
+    "tol_inf": (("verify-geometry", *HYPERBOLIC_ARGS, "--tol", "inf"),
+                "tolerances must be finite and positive"),
+    "tol_rank_nan": (("find-transitive", *DARBOUX_ARGS, "--tol-rank", "nan"),
+                     "tolerances must be finite and positive"),
+    **{f"seed_negative_{command}": ((command, *args, "--seed", "-1"), "seed must be >= 0")
+       for command, args in [("construct", HYPERBOLIC_ARGS), ("verify-geometry", HYPERBOLIC_ARGS),
+                             ("transvection", HYPERBOLIC_ARGS), ("find-transitive", DARBOUX_ARGS),
+                             ("quaternion-evidence", ())]},
+    "w_nan": (("quaternion-evidence", "--w", "nan,0,0"), "w must be finite"),
+    "w_inf": (("quaternion-evidence", "--w", "1,inf,0"), "w must be finite"),
+}
+
+
+@pytest.mark.parametrize("argv,message", list(INVALID_INPUTS.values()), ids=list(INVALID_INPUTS))
+def test_invalid_input_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--samples", "5")
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
 def test_machine_block_parseable(capsys):
     _, out, _ = run(capsys, "transvection", "--case", "hyperbolic", "--n", "2")
     machine = out.split("-- machine --", 1)[1]

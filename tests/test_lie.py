@@ -6,7 +6,9 @@ import pytest
 from riccitype import core, lie
 from riccitype.exact import rational_nullspace_dimension
 
-from oracles import centralizer_oracle, coordinates_oracle, structure_constants_oracle
+from oracles import (bracket_span_oracle, center_oracle, centralizer_oracle,
+                     closure_residual_oracle, coordinates_oracle, series_oracle,
+                     structure_constants_oracle)
 
 
 def e_matrix(i, j, n=2):
@@ -195,11 +197,14 @@ def heisenberg3():
 
 
 def test_series_certificate_heisenberg():
-    cert = lie.series_certificate(heisenberg3())
+    h = heisenberg3()
+    cert = lie.series_certificate(h)
     assert cert.heisenberg
-    assert cert.nilpotent and cert.solvable and not cert.abelian
-    assert cert.center_dim == 1
+    assert cert.solvable and not cert.abelian
     assert cert.derived_series_dims == [3, 1, 0]
+    # nilpotent, with a one-dimensional center
+    assert series_oracle(h, False) == [3, 1, 0]
+    assert center_oracle(h).dim == 1
 
 
 def test_series_certificate_sl2():
@@ -222,7 +227,7 @@ def test_series_certificate_rebase_invariance():
         [sum(mix[i, j] * base.basis[j] for j in range(3)) for i in range(3)], 3)
     cert1 = lie.series_certificate(rebased)
     assert cert0.derived_series_dims == cert1.derived_series_dims
-    assert cert0.lower_central_dims == cert1.lower_central_dims
+    assert series_oracle(base, False) == series_oracle(rebased, False) == [3, 1, 0]
     assert cert0.heisenberg == cert1.heisenberg
 
 
@@ -233,9 +238,49 @@ def test_series_certificate_requires_closure():
 
 
 def test_series_certificate_zero_dimensional():
-    cert = lie.series_certificate(lie.MatrixLieSubspace(3, np.zeros((0, 9))))
-    assert cert.derived_series_dims == cert.lower_central_dims == [0]
-    assert cert.center_dim == 0 and cert.abelian and not cert.heisenberg
+    zero = lie.MatrixLieSubspace(3, np.zeros((0, 9)))
+    cert = lie.series_certificate(zero)
+    assert cert.derived_series_dims == series_oracle(zero, False) == [0]
+    assert cert.abelian and cert.solvable and not cert.heisenberg
+
+
+def test_closure_residual_refuses_modulo_not_orthogonal_to_s():
+    # the quotient rows are stacked under those of s as they are, so they must be
+    # orthonormal and orthogonal to s
+    h = heisenberg3()
+    for modulo in (lie.line(h.basis[0]), lie.line(h.basis[2] + e_matrix(1, 0, 3))):
+        with pytest.raises(ValueError, match="not jointly orthonormal"):
+            lie.closure_residual(h, modulo)
+        with pytest.raises(ValueError, match="not jointly orthonormal"):
+            lie.structure_constants(h, modulo)
+    # an orthogonal line is accepted, and d = 0 has no pairs to bracket
+    assert lie.closure_residual(h, lie.line(e_matrix(1, 0, 3))) == 0.0
+    zero = lie.MatrixLieSubspace(3, np.zeros((0, 9)))
+    assert lie.closure_residual(zero) == lie.closure_residual(zero, lie.line(h.basis[0])) == 0.0
+
+
+def test_center_svd_runs_only_for_the_heisenberg_test(monkeypatch):
+    import sys
+    from riccitype import transvection
+    from riccitype.transitive import iwasawa
+    callers = []
+    original = lie._svd
+
+    def recording(mat):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(mat)
+    monkeypatch.setattr(lie, "_svd", recording)
+    # d = 15 and d = 11 are odd, but [g, g] is not a line: no center SVD
+    for case, n, p, q in [("hyperbolic", 3, None, None), ("nilpotent", 3, 2, 1)]:
+        model, elem = core.build_model(case, n, p=p, q=q)
+        callers.clear()
+        transvection.classify_transvection(transvection.transvection_algebra(model, elem), model)
+        assert "rank_split" in callers and "constants_certificate" not in callers, case
+    # the Iwasawa n is Heisenberg: one SVD of its center system
+    data = iwasawa.iwasawa_su1n(3)
+    callers.clear()
+    assert lie.series_certificate(data.nilpotent_part).heisenberg
+    assert callers.count("constants_certificate") == 1
 
 
 def test_derived_algebra_formed_once_per_certificate(monkeypatch):
@@ -253,7 +298,7 @@ def test_derived_algebra_formed_once_per_certificate(monkeypatch):
         d = cert.dimension
         block = cert.structure[:, :generators].reshape(-1, d)
         return sum(x.shape == block.shape and np.array_equal(x, block) for x in spans)
-    # the derived and lower central series and the Heisenberg test all read [g, g]
+    # the derived series and the Heisenberg test both read [g, g]
     cert = lie.series_certificate(heisenberg3())
     assert cert.heisenberg and derived_spans(cert, 3) == 1
     spans.clear()
@@ -383,7 +428,10 @@ def test_center_memory_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert cert.center_dim == 0
+    assert cert.derived_series_dims == [35, 35] and not cert.heisenberg
+    # sl(6) is centerless: the (d^2, d) system sum_i x_i c[i, j, k] = 0 has full column rank
+    sing = np.linalg.svd(cert.structure.transpose(1, 2, 0).reshape(-1, 35), compute_uv=False)
+    assert sing[-1] > 1e-7 * sing[0]
     # a full U of the 5040 x 35 N^2 center system alone would take 203 MB
     assert peak < 20e6
 
@@ -410,52 +458,6 @@ def test_closure_residual_memory_stays_small():
 
 
 # --- batched brackets against the pairwise loops ---------------------------
-
-def reduce_oracle(x, modulo):
-    if modulo is None:
-        return x
-    v = x.reshape(-1)
-    q = modulo.rows
-    return (v - q.T @ (q @ v)).reshape(x.shape)
-
-
-def bracket_span_oracle(s1, s2, modulo=None):
-    mats = [reduce_oracle(lie.bracket(b1, b2), modulo) for b1 in s1.basis for b2 in s2.basis]
-    return lie.subspace_from_matrices(mats, s1.ambient_dim)
-
-
-def closure_residual_oracle(s, modulo=None):
-    res = 0.0
-    span = s if modulo is None else lie.subspace_from_matrices(
-        [*s.basis, *modulo.basis], s.ambient_dim)
-    for i in range(s.dim):
-        for j in range(i + 1, s.dim):
-            res = max(res, span.distance(lie.bracket(s.basis[i], s.basis[j])))
-    return res
-
-
-def center_oracle(s, modulo=None):
-    from scipy.linalg import null_space
-    system = np.concatenate(
-        [np.stack([reduce_oracle(lie.bracket(bi, bj), modulo).reshape(-1) for bi in s.basis],
-                  axis=1)
-         for bj in s.basis], axis=0)
-    kernel = null_space(system, rcond=lie.RANK_RTOL)
-    basis = [sum(ci * bi for ci, bi in zip(c, s.basis)) for c in kernel.T]
-    return lie.subspace_from_matrices(basis, s.ambient_dim)
-
-
-def series_oracle(s, against_self, modulo=None):
-    dims = [s.dim]
-    current = s
-    while current.dim > 0:
-        nxt = bracket_span_oracle(current if against_self else s, current, modulo)
-        dims.append(nxt.dim)
-        if nxt.dim >= current.dim:
-            break
-        current = nxt
-    return dims
-
 
 def span_distance(a, b):
     return max([a.distance(x) for x in b.basis] + [b.distance(x) for x in a.basis] + [0.0])
@@ -562,15 +564,30 @@ def test_structure_constants_reconstruct_brackets(case, n, p, q):
     assert quotient.distance(diffs) <= 1e-10
 
 
+#: sl and su are centerless and perfect; the p = 2 algebra is solvable but not
+#: nilpotent; the p = 1 translations are abelian
+CENTER_AND_LOWER_CENTRAL = {
+    ("hyperbolic", 2, None, None): (0, [8, 8]),
+    ("hyperbolic", 3, None, None): (0, [15, 15]),
+    ("elliptic", 2, 1, None): (0, [8, 8]),
+    ("elliptic", 3, 2, None): (0, [15, 15]),
+    ("nilpotent", 2, 2, 1): (0, [7, 6, 6]),
+    ("nilpotent", 3, 3, 2): (0, [14, 14]),
+    ("nilpotent", 3, 1, 1): (6, [6, 0]),
+}
+
+
 @pytest.mark.parametrize("case,n,p,q", EQUIVALENCE_CASES)
 def test_structure_constants_match_n2_oracles(case, n, p, q):
     from riccitype.transvection import nilpotent_ideal_report
     model, data = equivalence_data(case, n, p, q)
     g, modulo = data.algebra, data.modulo
     cert = lie.series_certificate(g, modulo)
-    assert cert.center_dim == center_oracle(g, modulo).dim
     assert cert.derived_series_dims == series_oracle(g, True, modulo)
-    assert cert.lower_central_dims == series_oracle(g, False, modulo)
+    # the center and the lower central series, which no report reads, from the oracles
+    center_dim, lower = CENTER_AND_LOWER_CENTRAL[case, n, p, q]
+    assert center_oracle(g, modulo).dim == center_dim
+    assert series_oracle(g, False, modulo) == lower
     # the former N^2 ideal certificate: pairwise containment and its own series loop
     derived = bracket_span_oracle(g, g, modulo)
     extended = lie.subspace_from_matrices(

@@ -12,9 +12,9 @@ from riccitype.transitive import iwasawa as iwa
 from riccitype.transitive import nilpotent as nil
 from riccitype.transitive import quaternion as quat
 
-from oracles import (closed_form_fields, closure_conditions_pairwise, differenced_field,
-                     fundamental_field_p2q1, generator_tuples, moment_map_f, moment_map_gradient,
-                     tangent_sphere_field)
+from oracles import (center_oracle, closed_form_fields, closure_conditions_pairwise,
+                     differenced_field, fundamental_field_p2q1, generator_tuples, moment_map_f,
+                     moment_map_gradient, series_oracle, tangent_sphere_field)
 
 
 @pytest.fixture(scope="module")
@@ -429,8 +429,14 @@ def test_heisenberg_extension(c):
     model, elem = core.build_model("nilpotent", 2, p=2, q=1)
     rep = nil.heisenberg_extension_check(model, elem, c=c)
     assert rep["derived_dim"] == 3
-    cert = rep["certificate"]
-    assert cert.heisenberg and cert.nilpotent and cert.center_dim == 1
+    assert rep["certificate"].heisenberg
+    # the same h' as matrices, modulo R*A: nilpotent, with a one-dimensional center
+    sub, _, _ = nil.build_h(model, c * np.eye(2), c=c)
+    modulo = lie.line(elem.matrix)
+    rows = lie.bracket_rows(lie.structure_constants(sub, modulo)[0], np.eye(4), np.eye(4))
+    derived = lie.MatrixLieSubspace(model.ambient_dim, rows @ sub.rows)
+    assert series_oracle(derived, False, modulo) == [3, 1, 0]
+    assert center_oracle(derived, modulo).dim == 1
     got = sorted(np.round(rep["dilation_eigenvalues"].real, 9).tolist())
     assert got == sorted(rep["expected_eigenvalues"])
     assert np.max(np.abs(rep["dilation_eigenvalues"].imag)) <= 1e-9
