@@ -57,6 +57,8 @@ class RunConfig:
         # written as `not 0 < t < inf` so that NaN fails too
         if not (0 < self.tol_algebraic < np.inf and 0 < self.tol_rank < np.inf):
             raise ValueError("tolerances must be finite and positive")
+        if self.tol_rank >= 1:  # a relative cut: at 1 it drops even the largest value
+            raise ValueError(f"tol-rank must be < 1, got {self.tol_rank}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -271,30 +273,25 @@ def cmd_transvection(config: RunConfig) -> CertificateReport:
 def _default_candidates(model: core.SymplecticModel, seed: int):
     """Accepted sweep: scalar, split-signature, and a random Sp-conjugate."""
     d = 2 * (model.n - 1)
-    m = d // 2
     omega0 = model.omega0
-    split = np.diag(np.concatenate([np.ones(m), -np.ones(m)]))
+    split = core.signature_matrix(d // 2, d // 2)
     rng = np.random.default_rng(seed)
     gen = rng.standard_normal((d, d))
     sp_gen = 0.5 * (gen - omega0 @ gen.T @ np.linalg.inv(omega0))
     s = core.series_exp(sp_gen, 0.3)
     conj = s @ split @ np.linalg.inv(s)
-    named = [
+    return [
         ("scalar_c_plus", np.eye(d), 1.0),
         ("scalar_c_minus", -np.eye(d), -1.0),
         ("split_signature", split, 1.0),
         ("sp_conjugate", conj, 1.0),
     ]
-    return named
 
 
 def _negative_controls(model: core.SymplecticModel):
     d = 2 * (model.n - 1)
     e1 = np.eye(d)[0]
-    j = np.zeros((d, d))
-    m = d // 2
-    j[:m, m:] = -np.eye(m)
-    j[m:, :m] = np.eye(m)
+    j = core.standard_symplectic_form(d // 2).T
     return [
         ("violates_c_tilde", nil.make_candidate(np.eye(d), c_tilde=e1)),
         ("violates_b_square", nil.make_candidate(np.diag([2.0] + [1.0] * (d - 1)))),
@@ -321,28 +318,28 @@ def _certify_candidate(report: CertificateReport, model, elem, name: str,
                        b_mat: np.ndarray, c: float, config: RunConfig,
                        a_tilde=None, a: float = 0.0) -> None:
     omega0 = model.omega0
-    sub, gens, cand = nil.build_h(model, b_mat, a_tilde=a_tilde, a=a, c=c)
-    rep = nil.closure_conditions(cand, omega0)
-    report.add_residual(f"{name}.closure_conditions", rep.residual, 1e-10)
+    sub, _, cand = nil.build_h(model, b_mat, a_tilde=a_tilde, a=a, c=c)
+    report.add_residual(f"{name}.closure_conditions",
+                        max(nil.closure_conditions(cand, omega0)), 1e-10)
     report.add_equals(f"{name}.dim", sub.dim, 2 * model.n)
     report.add_residual(f"{name}.bracket_closure_mod_A",
                         lie.closure_residual(sub, lie.line(elem.matrix)), 1e-10)
     rng = np.random.default_rng(config.seed + 17)
     pts = rng.standard_normal((max(config.samples, 100), 2 * model.n))  # Darboux chart points
-    norm_cand, _ = nil.normalize_candidate(model, cand)
-    mats = geometry.fundamental_fields(model, elem, nil.family_generators(norm_cand, omega0), pts)
+    # the normalized family (B, c), to which a~ and a are conjugated away
+    normalized = nil.family_generators(nil.make_candidate(b_mat, c=c), omega0)
+    mats = geometry.fundamental_fields(model, elem, normalized, pts)
     _transitive_rank(report, name, model, mats, pts, "sample", config)
     gammas = pts[:, -1]
-    ratio, worst = nil.frame_invertibility_minimum(norm_cand.B, gammas)
+    ratio, worst = nil.frame_invertibility_minimum(b_mat, gammas)
     if not report.add_exceeds(f"{name}.frame_invertibility", ratio, 1e-9):
         report.add_witness(f"{name}: frame nearly singular at sample {worst}: "
                            f"gamma = {gammas[worst]:.6g}")
     report.add_sampled(f"{name}.hamiltonian_identity",
-                       nil.hamiltonian_residual(model, norm_cand.B, norm_cand.c, mats[:50],
-                                                pts[:50]),
+                       nil.hamiltonian_residual(model, b_mat, c, mats[:50], pts[:50]),
                        config.tol_algebraic, lambda i: pts[i].tolist())
-    defect = np.max(np.abs(nil.strongly_hamiltonian_defect(norm_cand.B, omega0)))
-    is_scalar = float(np.max(np.abs(norm_cand.B - norm_cand.c * np.eye(len(omega0))))) <= 1e-9
+    defect = np.max(np.abs(nil.strongly_hamiltonian_defect(b_mat, omega0)))
+    is_scalar = float(np.max(np.abs(b_mat - c * np.eye(len(omega0))))) <= 1e-9
     report.add_flag(f"{name}.strongly_hamiltonian_iff_scalar",
                     (defect <= 1e-12) == is_scalar,
                     detail=f"defect={defect:.3e}, B==c*Id: {is_scalar}")
@@ -399,8 +396,8 @@ def cmd_find_transitive(config: RunConfig, candidate_file: str | None = None) ->
         _certify_candidate(report, model, elem, "unnormalized", np.eye(d), 1.0, config,
                            a_tilde=at, a=0.7)
         for name, cand in _negative_controls(model):
-            rep = nil.closure_conditions(cand, model.omega0)
-            if not report.add_exceeds(f"{name}.closure_conditions", rep.residual, 1e-3):
+            if not report.add_exceeds(f"{name}.closure_conditions",
+                                      max(nil.closure_conditions(cand, model.omega0)), 1e-3):
                 report.add_witness(f"{name} unexpectedly closes")
         heis = nil.heisenberg_extension_check(model, elem, c=1.0)
         report.add_flag("heisenberg.derived_is_heisenberg", heis["certificate"].heisenberg)

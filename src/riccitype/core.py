@@ -155,16 +155,17 @@ def build_model(case: str, n: int, k: float = 1.0, p: int | None = None,
                 q: int | None = None) -> tuple[SymplecticModel, CharacteristicElement]:
     """Construct the normal-form model for one of the three cases.
 
-    Raises ValueError for n < 2, k not in (0, inf) (hyperbolic/elliptic) or (p, q) out
-    of range (elliptic: 1 <= p <= n+1; nilpotent: 1 <= q <= p <= n+1).
+    Raises ValueError for n < 2, k <= 0 or mu = +-k^2 not finite and nonzero
+    (hyperbolic/elliptic) or (p, q) out of range (elliptic: 1 <= p <= n+1;
+    nilpotent: 1 <= q <= p <= n+1).
     """
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    # written as `not 0 < k < inf` so that NaN fails too
-    if case in ("hyperbolic", "elliptic") and not 0 < k < np.inf:
-        raise ValueError(f"k must be finite and > 0, got {k}")
+    # written as `not (k > 0 and 0 < k^2 < inf)` so that NaN fails too
+    if case in ("hyperbolic", "elliptic") and not (k > 0 and 0 < float(k) * float(k) < np.inf):
+        raise ValueError(f"k must be finite and > 0 with k^2 finite and nonzero, got {k}")
     if case == "hyperbolic":
         return _hyperbolic_model(n, float(k))
     if case == "elliptic":

@@ -12,6 +12,8 @@ of unit tuples at once, which force
     Omega0(b~, .) = Omega0(a~, (Id - cB) .),
     Omega0((B - c)X, (B - c)Y) = 0  for all X, Y.
 
+A unipotent move and a shear conjugate every accepted family to its normalized family
+(B, c), ``make_candidate(B, c=c)``; the conjugators are a test oracle (tests/oracles.py).
 Accepted families act simply transitively on the x*^1 > 0 component; the
 action is Hamiltonian with explicit comoment, and strongly Hamiltonian
 exactly when B = c*Id, in which case the algebra is a one-dimensional
@@ -20,7 +22,7 @@ dilation extension of the Heisenberg algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from ..lie import (RANK_RTOL, MatrixLieSubspace, bracket_rows, constants_certifi
                    rank_count, structure_constants, subspace_from_matrices)
 
 
-#: tolerance of the closure-condition flags and of the preconditions of ``build_h``
+#: tolerance of the preconditions of ``build_h``
 CONDITION_TOL = 1e-10
 
 
@@ -119,28 +121,15 @@ def family_generators(cand: NilpotentCandidate, omega0: np.ndarray) -> np.ndarra
     return candidate_matrix_K(cand, units[:, 0], units[:, 1:-1], units[:, -1], omega0)
 
 
-@dataclass
-class ClosureReport:
-    """Residuals of the two bracket-closure identities plus condition flags."""
-
-    residual_first: float
-    residual_second: float
-    flags: dict[str, bool]
-
-    @property
-    def residual(self) -> float:
-        return float(np.max([self.residual_first, self.residual_second]))
-
-
-def closure_conditions(cand: NilpotentCandidate, omega0: np.ndarray) -> ClosureReport:
+def closure_conditions(cand: NilpotentCandidate, omega0: np.ndarray) -> tuple[float, float]:
     """Evaluate both closure identities on every pair of unit generator tuples.
 
     By bilinearity it is enough to run all pairs of unit tuples
     (p, P, p') in {(1,0,0)} u {(0,e_a,0)} u {(0,0,1)}, the rows of
     eye(d + 2).  Each identity is one (g, g) array, or (g, g, d) for the
     vector identity, with the first tuple of a pair on axis 0 and the second
-    (q, Q, q') on axis 1; every Omega0 product is one dot per pair.  The
-    condition flags hold to CONDITION_TOL.
+    (q, Q, q') on axis 1; every Omega0 product is one dot per pair.  Returns
+    the sup-norm residuals (first, second) of the vector and scalar identity.
     """
     d = cand.block_dim
     eps = float(cand.epsilon)
@@ -166,18 +155,7 @@ def closure_conditions(cand: NilpotentCandidate, omega0: np.ndarray) -> ClosureR
     res1 = np.max(np.abs(s_vec - (apply_rows(B, r_vec) + r_prime[..., None] * ct)),
                   axis=-1, initial=0.0)
     res2 = np.abs(0.5 * (r1 + r2) - (dot_rows(bt_om, r_vec) + c * r_prime))
-    ident = np.eye(d)
-    flags = {
-        "c_tilde_zero": float(np.max(np.abs(ct), initial=0.0)) <= CONDITION_TOL,
-        "b_square": float(np.max(np.abs(B @ B + eps * ident))) <= CONDITION_TOL,
-        "eps_minus_one": cand.epsilon == -1,
-        "c_square_one": abs(c * c - 1.0) <= CONDITION_TOL,
-        "b_tilde_relation": float(np.max(np.abs(
-            bt @ omega0 - (at @ omega0) @ (ident - c * B)))) <= CONDITION_TOL,
-        "isotropic_image": float(np.max(np.abs(
-            (B - c * ident).T @ omega0 @ (B - c * ident)))) <= CONDITION_TOL,
-    }
-    return ClosureReport(float(np.max(res1)), float(np.max(res2)), flags)
+    return float(np.max(res1)), float(np.max(res2))
 
 
 def build_h(model: SymplecticModel, B, a_tilde=None, a: float = 0.0, c: float = 1.0
@@ -210,37 +188,6 @@ def build_h(model: SymplecticModel, B, a_tilde=None, a: float = 0.0, c: float = 
     if sub.dim != 2 * model.n:
         raise ValueError(f"candidate family has dimension {sub.dim}, expected {2 * model.n}")
     return sub, gens, cand
-
-
-def normalize_candidate(model: SymplecticModel, cand: NilpotentCandidate
-                        ) -> tuple[NilpotentCandidate, list[np.ndarray]]:
-    """Conjugate away a~ (unipotent move) and then a (shear move).
-
-    Returns the normalized candidate together with the conjugating group
-    elements, in the order they are applied.
-    """
-    omega0 = model.omega0
-    d = cand.block_dim
-    dim = model.ambient_dim
-    conjugators: list[np.ndarray] = []
-    out = cand
-    if np.max(np.abs(out.a_tilde)) > 0:
-        u = -out.a_tilde
-        g = np.eye(dim)
-        g[0, 2:2 + d] = -(u @ omega0)
-        g[2:2 + d, d + 2] = u
-        conjugators.append(g)
-        new_a = out.a - out.c * float(u @ omega0 @ out.a_tilde)
-        out = replace(out, a_tilde=np.zeros(d), a=new_a,
-                      b_tilde=b_tilde_from_relation(np.zeros(d), out.B, out.c, omega0))
-    if abs(out.a) > 0:
-        r = -out.a / (2.0 * out.c)
-        g = np.eye(dim)
-        g[0, d + 2] = r
-        g[1, d + 3] = -r
-        conjugators.append(g)
-        out = replace(out, a=out.a + 2.0 * r * out.c)
-    return out, conjugators
 
 
 def simply_transitive_certificate(model: SymplecticModel, matrices,

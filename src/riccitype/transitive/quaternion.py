@@ -102,13 +102,15 @@ def orbit_rank_ts3_evidence(w: np.ndarray, k: float = 1.0) -> dict:
     its field is the exact fundamental field on the tangent-sphere chart.
     Returns the stacked-field singular values, the rank (expected <= 5 < 6),
     the rank of the su(2)_L fields alone (expected 3) and the norm of the
-    field of the stabilizer element eta(w, w).
+    field of the stabilizer element eta(w, w).  w is read at max|w| = 1:
+    span{eta(., w)} and the line of eta(w, w) do not depend on its scale.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (3,) or np.max(np.abs(w)) == 0.0:
         raise ValueError("w must be a nonzero vector in R^3")
     if not np.all(np.isfinite(w)):
         raise ValueError(f"w must be finite, got {w.tolist()}")
+    w = w / np.max(np.abs(w))
     model, elem = build_model("hyperbolic", 3, k=k)
     gens = su2_left_basis() + [eta(v, w) for v in np.eye(3)] + [eta(w, w)]
     zero = np.zeros((4, 4))

@@ -18,7 +18,10 @@ the block sampler replaced: it draws each point's free coordinates in turn
 and redraws a degenerate block in place.
 ``closure_conditions_pairwise`` evaluates the p = 2 closure identities one
 pair of unit generator tuples at a time, the loop that the pair arrays of
-``nilpotent.closure_conditions`` replaced.  ``moment_map_f`` is the
+``nilpotent.closure_conditions`` replaced, and flags the six conditions they
+force.  ``normalize_candidate`` conjugates a p = 2 family to its normalized
+family (B, c); no command needs the conjugators, since the result is
+``nilpotent.make_candidate(B, c=c)`` for every family ``build_h`` completes.  ``moment_map_f`` is the
 closed-form Hamiltonian of a normalized p = 2 family in the Darboux chart,
 which ``moment_map_gradient`` differences; no command needs it.
 ``centralizer_oracle`` solves the centralizer of A in sp(Omega) from the
@@ -33,6 +36,8 @@ subspace from one matrix bracket per pair, with no structure constants.
 as a characteristic element on ``ricci_ambient_form`` (Cahen, Gutt &
 Rawnsley 2000); no command needs it.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import expm, null_space
@@ -260,7 +265,8 @@ def generator_tuples(d):
 
 def closure_conditions_pairwise(cand, omega0, tol=1e-10):
     """Both closure identities of a candidate, one generator pair and one Omega0 product
-    at a time, over all pairs of ``generator_tuples``."""
+    at a time, over all pairs of ``generator_tuples``: (first residual, second residual,
+    {condition: holds to tol})."""
     d = cand.block_dim
     eps = float(cand.epsilon)
     B, at, bt, ct, c = cand.B, cand.a_tilde, cand.b_tilde, cand.c_tilde, cand.c
@@ -294,7 +300,37 @@ def closure_conditions_pairwise(cand, omega0, tol=1e-10):
         "isotropic_image": float(np.max(np.abs(
             (B - c * ident).T @ omega0 @ (B - c * ident)))) <= tol,
     }
-    return nil.ClosureReport(float(np.max(res1)), float(np.max(res2)), flags)
+    return float(np.max(res1)), float(np.max(res2)), flags
+
+
+def normalize_candidate(model, cand):
+    """Conjugate away a~ (unipotent move) and then a (shear move).
+
+    Returns the normalized candidate together with the conjugating group
+    elements, in the order they are applied.
+    """
+    omega0 = model.omega0
+    d = cand.block_dim
+    dim = model.ambient_dim
+    conjugators = []
+    out = cand
+    if np.max(np.abs(out.a_tilde)) > 0:
+        u = -out.a_tilde
+        g = np.eye(dim)
+        g[0, 2:2 + d] = -(u @ omega0)
+        g[2:2 + d, d + 2] = u
+        conjugators.append(g)
+        new_a = out.a - out.c * float(u @ omega0 @ out.a_tilde)
+        out = replace(out, a_tilde=np.zeros(d), a=new_a,
+                      b_tilde=nil.b_tilde_from_relation(np.zeros(d), out.B, out.c, omega0))
+    if abs(out.a) > 0:
+        r = -out.a / (2.0 * out.c)
+        g = np.eye(dim)
+        g[0, d + 2] = r
+        g[1, d + 3] = -r
+        conjugators.append(g)
+        out = replace(out, a=out.a + 2.0 * r * out.c)
+    return out, conjugators
 
 
 def horizontality_residual(model, a, x, v):

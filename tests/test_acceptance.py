@@ -167,7 +167,7 @@ def test_criterion_5_flat_case_family():
     points = rng.standard_normal((100, 4))  # Darboux chart points
     for b_mat, c in accepted:
         cand = nil.make_candidate(b_mat, b_tilde=np.zeros(d), c=c)
-        worst_closure = max(worst_closure, nil.closure_conditions(cand, om0).residual)
+        worst_closure = max(worst_closure, *nil.closure_conditions(cand, om0))
         fields = geometry.fundamental_fields(model, elem, nil.family_generators(cand, om0),
                                              points)
         cert = nil.simply_transitive_certificate(model, fields)
@@ -187,7 +187,7 @@ def test_criterion_5_flat_case_family():
         nil.make_candidate(-np.eye(d), c=1.0),
     ]
     for cand in controls:
-        min_violation = min(min_violation, nil.closure_conditions(cand, om0).residual)
+        min_violation = min(min_violation, max(nil.closure_conditions(cand, om0)))
     heis_ok = True
     for c in (1.0, -1.0):
         rep = nil.heisenberg_extension_check(model, elem, c=c)

@@ -520,6 +520,7 @@ def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
 
 HYPERBOLIC_ARGS = ("--case", "hyperbolic", "--n", "2")
 DARBOUX_ARGS = ("--case", "nilpotent", "--n", "2", "--p", "2", "--q", "1")
+K_SQUARE = "k must be finite and > 0 with k^2 finite and nonzero"
 INVALID_INPUTS = {  # test id: argv, a fragment of the one error line
     "k_nan": (("verify-geometry", *HYPERBOLIC_ARGS, "--k", "nan"), "k must be finite and > 0"),
     "k_inf": (("verify-geometry", *HYPERBOLIC_ARGS, "--k", "inf"), "k must be finite and > 0"),
@@ -538,6 +539,17 @@ INVALID_INPUTS = {  # test id: argv, a fragment of the one error line
                              ("quaternion-evidence", ())]},
     "w_nan": (("quaternion-evidence", "--w", "nan,0,0"), "w must be finite"),
     "w_inf": (("quaternion-evidence", "--w", "1,inf,0"), "w must be finite"),
+    # --tol-rank is a relative cut: at 1 or above it drops every singular value
+    "tol_rank_one": (("find-transitive", *DARBOUX_ARGS, "--tol-rank", "1"),
+                     "tol-rank must be < 1"),
+    "tol_rank_huge": (("find-transitive", *DARBOUX_ARGS, "--tol-rank", "1e300"),
+                      "tol-rank must be < 1"),
+    # mu = +-k^2 overflows to inf or underflows to 0
+    "k_square_overflow": (("transvection", *HYPERBOLIC_ARGS, "--k", "1e300"), K_SQUARE),
+    "k_square_overflow_construct": (("construct", *HYPERBOLIC_ARGS, "--k", "1e200"), K_SQUARE),
+    **{f"k_square_underflow_{command}": ((command, "--case", "elliptic", "--n", "2", "--p", "1",
+                                          "--k", "1e-200"), K_SQUARE)
+       for command in ("transvection", "verify-geometry")},
 }
 
 
@@ -547,6 +559,24 @@ def test_invalid_input_is_a_usage_error(capsys, argv, message):
     assert (code, out) == (2, "")
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
+def test_tol_rank_below_one_stays_a_verdict(capsys):
+    # a cut of 0.5 is a legitimate setting that drops real directions: a FAIL, not an error
+    code, out, err = run(capsys, "find-transitive", *DARBOUX_ARGS, "--tol-rank", "0.5")
+    assert (code, err) == (1, "")
+    assert "verdict: FAIL" in out
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 3.0, 1e308])
+@pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0), (1.0, 1.0, 0.0)], ids=["e1", "e1+e2"])
+def test_quaternion_evidence_ignores_the_scale_of_w(capsys, direction, scale):
+    # at 1e-9 the eta columns used to fall under the absolute rank floor (rank 3)
+    unit = run(capsys, "quaternion-evidence", "--w", ",".join(map(repr, direction)))
+    scaled = run(capsys, "quaternion-evidence",
+                 "--w", ",".join(repr(scale * x) for x in direction))
+    assert "rank=5 of needed 6" in scaled[1]
+    assert scaled == unit == (0, unit[1], "")
 
 
 def test_machine_block_parseable(capsys):

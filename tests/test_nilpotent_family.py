@@ -1,5 +1,7 @@
 """Candidate families, closure conditions and transitivity for the p=2, q=1 case."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,8 @@ from riccitype.transitive import quaternion as quat
 
 from oracles import (center_oracle, closed_form_fields, closure_conditions_pairwise,
                      differenced_field, fundamental_field_p2q1, generator_tuples, moment_map_f,
-                     moment_map_gradient, series_oracle, tangent_sphere_field)
+                     moment_map_gradient, normalize_candidate, series_oracle,
+                     tangent_sphere_field)
 
 
 @pytest.fixture(scope="module")
@@ -84,9 +87,8 @@ def test_closure_conditions_accepted(setup):
     model, elem, om0 = setup
     for b_mat, c in [(np.eye(2), 1.0), (-np.eye(2), -1.0), (np.diag([1.0, -1.0]), 1.0)]:
         cand = nil.make_candidate(b_mat, b_tilde=np.zeros(2), c=c)
-        rep = nil.closure_conditions(cand, om0)
-        assert rep.residual <= 1e-12
-        assert all(rep.flags.values())
+        assert max(nil.closure_conditions(cand, om0)) <= 1e-12
+        assert all(closure_conditions_pairwise(cand, om0)[2].values())
 
 
 def test_closure_conditions_accepted_with_a_tilde(setup):
@@ -96,9 +98,8 @@ def test_closure_conditions_accepted_with_a_tilde(setup):
     cand = nil.make_candidate(b_mat, a_tilde=at,
                               b_tilde=nil.b_tilde_from_relation(at, b_mat, 1.0, om0),
                               a=0.8, c=1.0)
-    rep = nil.closure_conditions(cand, om0)
-    assert rep.residual <= 1e-12
-    assert all(rep.flags.values())
+    assert max(nil.closure_conditions(cand, om0)) <= 1e-12
+    assert all(closure_conditions_pairwise(cand, om0)[2].values())
 
 
 def test_closure_conditions_negative_controls(setup):
@@ -112,9 +113,8 @@ def test_closure_conditions_negative_controls(setup):
         "isotropy": nil.make_candidate(-np.eye(2), c=1.0),
     }
     for name, cand in controls.items():
-        rep = nil.closure_conditions(cand, om0)
-        assert rep.residual > 1e-3, name
-        assert not all(rep.flags.values()), name
+        assert max(nil.closure_conditions(cand, om0)) > 1e-3, name
+        assert not all(closure_conditions_pairwise(cand, om0)[2].values()), name
 
 
 def test_closure_isotropy_control_after_rebasing_omega0():
@@ -123,33 +123,36 @@ def test_closure_isotropy_control_after_rebasing_omega0():
     model, elem = core.build_model("nilpotent", 3, p=2, q=1)
     om0 = model.omega0
     b_mat = np.diag([1.0, 1.0, -1.0, -1.0])
-    assert nil.closure_conditions(nil.make_candidate(b_mat), om0).residual <= 1e-12
+    assert max(nil.closure_conditions(nil.make_candidate(b_mat), om0)) <= 1e-12
     swap = np.eye(4)[[0, 2, 1, 3]]
     om0_rebased = swap.T @ om0 @ swap
-    rep = nil.closure_conditions(nil.make_candidate(b_mat), om0_rebased)
-    assert rep.residual > 1e-3
-    assert not rep.flags["isotropic_image"]
+    cand = nil.make_candidate(b_mat)
+    assert max(nil.closure_conditions(cand, om0_rebased)) > 1e-3
+    assert not closure_conditions_pairwise(cand, om0_rebased)[2]["isotropic_image"]
 
 
-def report_candidates(n):
-    """The candidates whose closure a find-transitive run checks, at seeds 0-7: the
-    default sweep, the unnormalized family and the six negative controls."""
-    model, _ = core.build_model("nilpotent", n, p=2, q=1)
-    d = 2 * (n - 1)
+def accepted_candidates(model):
+    """The candidates that a find-transitive run completes with build_h, at seeds 0-7:
+    the default sweep and the unnormalized family."""
+    d = 2 * (model.n - 1)
     cands = [nil.build_h(model, b_mat, c=c)[2] for seed in range(8)
              for _, b_mat, c in cli._default_candidates(model, seed)]
     at = np.zeros(d)
     at[0] = 0.5
-    cands.append(nil.build_h(model, np.eye(d), a_tilde=at, a=0.7, c=1.0)[2])
-    return model, cands + [cand for _, cand in cli._negative_controls(model)]
+    return cands + [nil.build_h(model, np.eye(d), a_tilde=at, a=0.7, c=1.0)[2]]
+
+
+def report_candidates(n):
+    """The candidates whose closure a find-transitive run checks, at seeds 0-7: the
+    accepted candidates and the six negative controls."""
+    model, _ = core.build_model("nilpotent", n, p=2, q=1)
+    return model, accepted_candidates(model) + [cand for _, cand in cli._negative_controls(model)]
 
 
 def assert_matches_loop(cand, om0):
     """Pair arrays vs the pairwise loop, and the generator stack vs one K per tuple."""
-    rep, ref = nil.closure_conditions(cand, om0), closure_conditions_pairwise(cand, om0)
-    assert np.array_equal([rep.residual_first, rep.residual_second],
-                          [ref.residual_first, ref.residual_second])
-    assert rep.flags == ref.flags
+    assert np.array_equal(nil.closure_conditions(cand, om0),
+                          closure_conditions_pairwise(cand, om0)[:2])
     per_tuple = [nil.candidate_matrix_K(cand, p, P, pp, om0)
                  for p, P, pp in generator_tuples(cand.block_dim)]
     assert np.array_equal(nil.family_generators(cand, om0), per_tuple)
@@ -239,7 +242,7 @@ def test_normalize_candidate(setup):
     cand = nil.make_candidate(np.eye(2), a_tilde=at,
                               b_tilde=nil.b_tilde_from_relation(at, np.eye(2), 1.0, om0),
                               a=0.8, c=1.0)
-    normalized, conjugators = nil.normalize_candidate(model, cand)
+    normalized, conjugators = normalize_candidate(model, cand)
     assert np.max(np.abs(normalized.a_tilde)) == 0
     assert normalized.a == 0
     assert len(conjugators) == 2
@@ -247,7 +250,7 @@ def test_normalize_candidate(setup):
         assert core.sp_residual(model.omega, g - np.eye(6)) <= 1.0  # group elements
         assert np.max(np.abs(g.T @ model.omega @ g - model.omega)) <= 1e-12
     # closure is preserved
-    assert nil.closure_conditions(normalized, om0).residual <= 1e-12
+    assert max(nil.closure_conditions(normalized, om0)) <= 1e-12
     # the conjugated family spans the normalized family modulo the flow generator
     total = np.eye(6)
     for g in conjugators:
@@ -263,9 +266,30 @@ def test_normalize_candidate(setup):
 def test_normalize_fixed_point(setup):
     model, elem, om0 = setup
     cand = nil.make_candidate(np.diag([1.0, -1.0]), c=1.0)
-    normalized, conjugators = nil.normalize_candidate(model, cand)
+    normalized, conjugators = normalize_candidate(model, cand)
     assert conjugators == []
     assert np.array_equal(normalized.B, cand.B)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_normalized_family_is_make_candidate(n):
+    # find-transitive certifies make_candidate(B, c=c) in place of the conjugated family
+    model, _ = core.build_model("nilpotent", n, p=2, q=1)
+    d = 2 * (n - 1)
+    at = np.linspace(-0.4, 0.9, d)
+    split = core.signature_matrix(d // 2, d // 2)
+    cands = accepted_candidates(model) + [
+        nil.build_h(model, b_mat, a_tilde=at, a=a, c=-1.0)[2]
+        for b_mat, a in [(-np.eye(d), 0.7), (split, -1.3)]]
+    if n == 2:  # the candidate file of the reach guard
+        cands.append(nil.build_h(model, np.diag([1.0, -1.0]), a_tilde=[0.5, 0.0], a=0.7)[2])
+    assert sum(np.any(cand.a_tilde != 0) and cand.a != 0 for cand in cands) == 3 + (n == 2)
+    for cand in cands:
+        normalized, _ = normalize_candidate(model, cand)
+        expected = nil.make_candidate(cand.B, c=cand.c)
+        for field in dataclasses.fields(expected):
+            got, want = getattr(normalized, field.name), getattr(expected, field.name)
+            assert type(got) is type(want) and np.array_equal(got, want), field.name
 
 
 def test_fundamental_field_examples(setup):
@@ -490,7 +514,7 @@ def test_normalize_preserves_transitivity_verdict(setup):
     cand = nil.make_candidate(np.eye(2), a_tilde=at,
                               b_tilde=nil.b_tilde_from_relation(at, np.eye(2), 1.0, om0),
                               a=0.8, c=1.0)
-    normalized, _ = nil.normalize_candidate(model, cand)
+    normalized, _ = normalize_candidate(model, cand)
     points = darboux_points(2, 40, seed=23)
     gens = nil.family_generators(cand, om0)
     fields_norm = closed_form_fields(normalized.B, normalized.c, om0)
