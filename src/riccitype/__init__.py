@@ -11,7 +11,9 @@ a second thread spin-waits without saving time, and a reduction split over
 threads rounds differently, so report bodies would depend on the core
 count.  When no thread variable is set and numpy is not yet loaded,
 ``OPENBLAS_NUM_THREADS=1`` is set around numpy's import and removed after
-it, so child processes of a host program do not inherit it.
+it, so child processes of a host program do not inherit it.  In every case
+numpy loads with the package, so OpenBLAS reads its thread count at
+``import riccitype``.
 """
 
 import os
@@ -25,23 +27,7 @@ if "numpy" not in sys.modules and not any(
         __import__("numpy")
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
-
-from .core import (  # noqa: E402
-    CharacteristicElement,
-    SymplecticModel,
-    build_model,
-    exp_tA,
-    sample_sigma,
-    sigma_value,
-)
-
-__all__ = [
-    "CharacteristicElement",
-    "SymplecticModel",
-    "build_model",
-    "exp_tA",
-    "sample_sigma",
-    "sigma_value",
-]
+else:  # a caller's thread setting is read at the same point
+    __import__("numpy")
 
 __version__ = "0.1.0"

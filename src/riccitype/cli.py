@@ -80,19 +80,19 @@ def _build(config: RunConfig):
 
 
 def cmd_construct(config: RunConfig, out=sys.stdout) -> int:
-    model, elem = _build(config)
+    model = _build(config)
     try:
-        xs = core.sample_sigma(model, elem, config.samples, config.seed)
+        xs = core.sample_sigma(model, config.samples, config.seed)
     except RuntimeError as exc:  # the FAIL that verify-geometry reports as sampling.sigma
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(serialize.model_descriptor(model), file=out)
-    print(f"mu={elem.mu!r}", file=out)
+    print(f"mu={model.mu!r}", file=out)
     print(f"sigma_samples={config.samples}", file=out)
     print(f"quotient_type={_quotient_type(model)}", file=out)
     print("A=", file=out)
-    print(serialize.format_matrix(elem.matrix), file=out)
-    worst = np.max(np.abs(core.sigma_value(model, elem, xs) - 1.0))
+    print(serialize.format_matrix(model.A), file=out)
+    worst = np.max(np.abs(core.sigma_value(model, xs) - 1.0))
     print(f"sigma_residual_max={worst:.3e}", file=out)
     return 0
 
@@ -125,25 +125,25 @@ def _guard(report: CertificateReport, name: str, fn):
 
 def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> CertificateReport:
     report = CertificateReport("verify-geometry", config.as_dict())
-    model, elem = _build(config)
+    model = _build(config)
     if corrupt_omega:
         bad = model.omega.copy()
         bad[0, -1] += 1e-3
         model = dc_replace(model, omega=bad)
         report.add_info("debug", "omega deliberately corrupted")
-    res = core.characteristic_residuals(model, elem)
+    res = core.characteristic_residuals(model)
     ok = report.add_residual("characteristic.sp_membership", res["sp_membership"], 1e-12)
     ok &= report.add_residual("characteristic.square_identity", res["square_identity"], 1e-12)
     if not ok:
         report.add_witness("omega/A identities fail at construction; model corrupted?")
     ts = np.linspace(-3.0, 3.0, 7)
-    flows = core.exp_tA(elem.matrix, elem.mu, ts) - core.series_exp(elem.matrix, ts)
+    flows = model.flow(ts) - core.series_exp(model.A, ts)
     report.add_sampled("flow.series_oracle", np.max(np.abs(flows), axis=(1, 2)), 1e-10,
                        lambda i: f"t = {ts[i]:g}")
 
     # one row per sample, for every section
     xs = _guard(report, "sampling.sigma",
-                lambda: core.sample_sigma(model, elem, config.samples, config.seed))
+                lambda: core.sample_sigma(model, config.samples, config.seed))
     if xs is None:
         return report
     rng = np.random.default_rng(config.seed + 1)
@@ -155,24 +155,24 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
 
     def flow_invariance():
         ts = rng.uniform(-3.0, 3.0, size=len(xs[:20]))
-        moved = core.apply_rows(elem.flow(ts), xs[:20])
+        moved = core.apply_rows(model.flow(ts), xs[:20])
         if has_chart:
-            dists = np.max(np.abs(geometry.project(model, elem, xs[:20])
-                                  - geometry.project(model, elem, moved)), axis=-1)
+            dists = np.max(np.abs(geometry.project(model, xs[:20])
+                                  - geometry.project(model, moved)), axis=-1)
         else:
-            dists = geometry.fiber_distance(model, elem, xs[:20], moved)
+            dists = geometry.fiber_distance(model, xs[:20], moved)
         name = "projection.flow_invariance" if has_chart else "projection.flow_invariance_fiber"
         report.add_sampled(name, dists, config.tol_algebraic, point)
 
     def curvature_suite():
         # one frame stack serves every sample; the trace route reads the first 20
-        frame = geometry.horizontal_basis(model, elem, xs)
-        cyc = geometry.curvature_cyclic_residual(model, elem, frame, triples=5, seed=config.seed)
-        ricci = geometry.ricci_type_residual(model, elem, x0)  # once: the group is transitive
-        trace_ric, gram = geometry.ricci_tensor(model, elem, frame)
-        rho = geometry.ricci_endomorphism(model, elem, frame)
+        frame = geometry.horizontal_basis(model, xs)
+        cyc = geometry.curvature_cyclic_residual(model, frame, triples=5, seed=config.seed)
+        ricci = geometry.ricci_type_residual(model, x0)  # once: the group is transitive
+        trace_ric, gram = geometry.ricci_tensor(model, frame)
+        rho = geometry.ricci_endomorphism(model, frame)
         ident = np.eye(2 * model.n)
-        rho_sq = np.max(np.abs(rho @ rho - 4.0 * (model.n + 1) ** 2 * elem.mu * ident),
+        rho_sq = np.max(np.abs(rho @ rho - 4.0 * (model.n + 1) ** 2 * model.mu * ident),
                         axis=(1, 2))
         trace_errs = np.max(np.abs(gram[:20] @ rho[:20] - trace_ric[:20]), axis=(1, 2))
         report.add_sampled("curvature.cyclic_identity", cyc, config.tol_algebraic, point)
@@ -184,12 +184,12 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
     def darboux():
         if geometry.chart_kind(model) != "darboux":
             return
-        defect = geometry.chart_omega_matrix(model, elem, xs) - geometry.darboux_matrix(model)
+        defect = geometry.chart_omega_matrix(model, xs) - geometry.darboux_matrix(model)
         report.add_sampled("reduced_form.darboux_constant",
                            np.max(np.abs(defect), axis=(1, 2)), 1e-8, point)
 
     def symmetry_suite():
-        sym = geometry.reduced_symmetry_report(model, elem, x0, xs[:20])
+        sym = geometry.reduced_symmetry_report(model, x0, xs[:20])
         report.add_residual("symmetry.squares_to_identity", sym["symmetry_squared"], 1e-12)
         report.add_residual("symmetry.symplectic", sym["symmetry_symplectic"], 1e-12)
         report.add_residual("symmetry.commutes_with_A", sym["symmetry_commutes_A"], 1e-12)
@@ -214,9 +214,9 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
 
 def cmd_transvection(config: RunConfig) -> CertificateReport:
     report = CertificateReport("transvection", config.as_dict())
-    model, elem = _build(config)
+    model = _build(config)
     try:
-        data = transvection.transvection_algebra(model, elem, exact=config.exact_mode)
+        data = transvection.transvection_algebra(model, exact=config.exact_mode)
     except RuntimeError as exc:  # --exact: the rational and floating dimensions differ
         report.add_flag("centralizer.exact_dim", False, detail=str(exc))
         report.add_witness(f"centralizer.exact_dim: {exc}")
@@ -234,7 +234,7 @@ def cmd_transvection(config: RunConfig) -> CertificateReport:
     theta_sq = float(np.max(np.abs(sig @ sig - np.eye(model.ambient_dim))))
     report.add_residual("sigma1.involution", theta_sq, 1e-10)
     report.add_residual("sigma1.fixes_A", float(np.max(np.abs(
-        sig @ elem.matrix @ sig - elem.matrix))), 1e-10)
+        sig @ model.A @ sig - model.A))), 1e-10)
 
     # for nilpotent p = n + 1 there is no middle block and A is not a bracket of p1
     if model.case == "nilpotent" and model.p <= model.n:
@@ -314,7 +314,7 @@ def _transitive_rank(report: CertificateReport, name: str, model, fields: np.nda
     report.add_info(f"{name}.min_singular_value", cert["min_singular_value"])
 
 
-def _certify_candidate(report: CertificateReport, model, elem, name: str,
+def _certify_candidate(report: CertificateReport, model, name: str,
                        b_mat: np.ndarray, c: float, config: RunConfig,
                        a_tilde=None, a: float = 0.0) -> None:
     omega0 = model.omega0
@@ -323,12 +323,12 @@ def _certify_candidate(report: CertificateReport, model, elem, name: str,
                         max(nil.closure_conditions(cand, omega0)), 1e-10)
     report.add_equals(f"{name}.dim", sub.dim, 2 * model.n)
     report.add_residual(f"{name}.bracket_closure_mod_A",
-                        lie.closure_residual(sub, lie.line(elem.matrix)), 1e-10)
+                        lie.closure_residual(sub, lie.line(model.A)), 1e-10)
     rng = np.random.default_rng(config.seed + 17)
     pts = rng.standard_normal((max(config.samples, 100), 2 * model.n))  # Darboux chart points
     # the normalized family (B, c), to which a~ and a are conjugated away
     normalized = nil.family_generators(nil.make_candidate(b_mat, c=c), omega0)
-    mats = geometry.fundamental_fields(model, elem, normalized, pts)
+    mats = geometry.fundamental_fields(model, normalized, pts)
     _transitive_rank(report, name, model, mats, pts, "sample", config)
     gammas = pts[:, -1]
     ratio, worst = nil.frame_invertibility_minimum(b_mat, gammas)
@@ -347,7 +347,7 @@ def _certify_candidate(report: CertificateReport, model, elem, name: str,
 
 def cmd_find_transitive(config: RunConfig, candidate_file: str | None = None) -> CertificateReport:
     report = CertificateReport("find-transitive", config.as_dict())
-    model, elem = _build(config)
+    model = _build(config)
 
     if model.case == "hyperbolic":
         report.add_documented("nonexistence.mu_positive", NONEXISTENCE_POSITIVE)
@@ -361,7 +361,7 @@ def cmd_find_transitive(config: RunConfig, candidate_file: str | None = None) ->
 
     # nilpotent
     if model.p == 1:
-        data = transvection.transvection_algebra(model, elem)
+        data = transvection.transvection_algebra(model)
         _, label = transvection.classify_transvection(data, model)
         report.add_flag("translations.abelian", label == "abelian")
         report.add_documented("existence.flat_case", FLAT_P1)
@@ -384,22 +384,22 @@ def cmd_find_transitive(config: RunConfig, candidate_file: str | None = None) ->
         if raw["B"].shape[0] != d:
             raise ValueError(f"candidate dim={raw['B'].shape[0]} does not match "
                              f"2(n-1) = {d} for n={model.n}")
-        _certify_candidate(report, model, elem, "file_candidate", raw["B"], raw["c"],
+        _certify_candidate(report, model, "file_candidate", raw["B"], raw["c"],
                            config, a_tilde=raw["a_tilde"], a=raw["a"])
     else:
         for name, b_mat, c in _default_candidates(model, config.seed):
-            _certify_candidate(report, model, elem, name, b_mat, c, config)
+            _certify_candidate(report, model, name, b_mat, c, config)
         # normalization exercise: a~ and a nonzero, same split-signature B
         d = 2 * (model.n - 1)
         at = np.zeros(d)
         at[0] = 0.5
-        _certify_candidate(report, model, elem, "unnormalized", np.eye(d), 1.0, config,
+        _certify_candidate(report, model, "unnormalized", np.eye(d), 1.0, config,
                            a_tilde=at, a=0.7)
         for name, cand in _negative_controls(model):
             if not report.add_exceeds(f"{name}.closure_conditions",
                                       max(nil.closure_conditions(cand, model.omega0)), 1e-3):
                 report.add_witness(f"{name} unexpectedly closes")
-        heis = nil.heisenberg_extension_check(model, elem, c=1.0)
+        heis = nil.heisenberg_extension_check(model, c=1.0)
         report.add_flag("heisenberg.derived_is_heisenberg", heis["certificate"].heisenberg)
         report.add_equals("heisenberg.derived_dim", heis["derived_dim"], 2 * model.n - 1)
         got = sorted(np.round(heis["dilation_eigenvalues"].real, 8).tolist())
@@ -411,7 +411,7 @@ def cmd_find_transitive(config: RunConfig, candidate_file: str | None = None) ->
 def _find_transitive_elliptic(report: CertificateReport, config: RunConfig) -> CertificateReport:
     data = iwa.iwasawa_su1n(config.n, k=config.k)
     n = config.n
-    report.add_equals("iwasawa.dim_k", data.compact_part.dim, n * n)
+    report.add_equals("iwasawa.dim_k", data.transvection.k_part.dim, n * n)
     report.add_equals("iwasawa.dim_a", data.abelian_part.dim, 1)
     report.add_equals("iwasawa.dim_m", data.centralizer_m.dim, (n - 1) ** 2)
     report.add_equals("iwasawa.dim_n", data.nilpotent_part.dim, 2 * n - 1)
@@ -428,8 +428,7 @@ def _find_transitive_elliptic(report: CertificateReport, config: RunConfig) -> C
         cert = lie.series_certificate(h_phi)
         report.add_equals(f"{tag}.dim", h_phi.dim, 2 * n)
         report.add_flag(f"{tag}.solvable", cert.solvable)
-        fields = geometry.fundamental_fields(data.model, data.element,
-                                             [gen, *data.nilpotent_part.basis], pts)
+        fields = geometry.fundamental_fields(data.model, [gen, *data.nilpotent_part.basis], pts)
         _transitive_rank(report, tag, data.model, fields, pts, "ball sample", config)
         # sorted after rounding, so that rounding noise cannot reorder the list
         spectrum = np.sort_complex(np.round(lie.ad_eigenvalues(data.nilpotent_part, gen), 6))
@@ -482,8 +481,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=50)
         p.add_argument("--tol", type=float, default=core.DEFAULT_TOL, help="algebraic tolerance")
         p.add_argument("--tol-rank", type=float, default=lie.RANK_RTOL)
-        p.add_argument("--exact", action="store_true",
-                       help="cross-check nullspace dimensions with rational arithmetic")
         p.add_argument("--out", type=str, default=None, help="also write the report to a file")
 
     common(sub.add_parser("construct", help="build a model and print its descriptor"))
@@ -491,7 +488,10 @@ def _parser() -> argparse.ArgumentParser:
     common(pv)
     pv.add_argument("--debug-corrupt-omega", action="store_true",
                     help="negative control: perturb Omega to force a FAIL")
-    common(sub.add_parser("transvection", help="transvection algebra certificate"))
+    pt = sub.add_parser("transvection", help="transvection algebra certificate")
+    common(pt)
+    pt.add_argument("--exact", action="store_true",
+                    help="cross-check the centralizer dimension with rational arithmetic")
     pf = sub.add_parser("find-transitive", help="simply-transitive subgroup certificates")
     common(pf)
     pf.add_argument("--candidate-file", type=str, default=None)
@@ -506,7 +506,7 @@ def _config_from_args(args) -> RunConfig:
     config = RunConfig(
         case=args.case, n=args.n, k=args.k, p=args.p, q=args.q, seed=args.seed,
         samples=args.samples, tol_algebraic=args.tol,
-        tol_rank=args.tol_rank, exact_mode=args.exact)
+        tol_rank=args.tol_rank, exact_mode=getattr(args, "exact", False))
     config.validate()
     return config
 

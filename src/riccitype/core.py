@@ -1,8 +1,9 @@
-"""Ambient symplectic vector spaces, characteristic elements and the quadric Sigma_A.
+"""Normal-form models (Omega, A) and the quadric Sigma_A.
 
 A model is a symplectic vector space (R^{2(n+1)}, Omega) together with a
-characteristic element A in sp(Omega) satisfying A^2 = mu*Id.  Three normal
-forms are supported, tagged by the sign of mu:
+characteristic element A in sp(Omega) satisfying A^2 = mu*Id; both live on
+``SymplecticModel``, and only the normal forms below build one.  Three
+normal forms are supported, tagged by the sign of mu:
 
 * ``hyperbolic``  (mu = k^2 > 0):   A = diag(k*I, -k*I) in a basis of two
   dual Lagrangian blocks, Omega = [[0, I], [-I, 0]].
@@ -12,11 +13,11 @@ forms are supported, tagged by the sign of mu:
   (e_1..e_p, f_1..f_{2(n+1-p)}, e*_1..e*_p) with Omega in 3x3 block form.
 
 The level set Sigma_A = {x : Omega(x, Ax) = 1} carries the one-parameter
-flow exp(tA), given in closed form per sign class (``exp_tA``) and as a
-truncated Taylor series for the oracle (``series_exp``).  A batch of
-Sigma_A points is an (S, N) array, one point per row, as every layer reads
-it; ``sample_sigma`` draws it as one seeded block and solves the quadric
-row-wise.
+flow exp(tA), given in closed form per sign class (``exp_tA``; the model's
+own flow is ``SymplecticModel.flow``) and as a truncated Taylor series for
+the oracle (``series_exp``).  A batch of Sigma_A points is an (S, N) array,
+one point per row, as every layer reads it; ``sample_sigma`` draws it as
+one seeded block and solves the quadric row-wise.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def signature_matrix(p: int, q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymplecticModel:
-    """Ambient space data: case tag, dimensions and Omega."""
+    """Ambient space data: case tag, dimensions, Omega and A with A^2 = mu*Id."""
 
     case: str
     n: int
@@ -54,6 +55,8 @@ class SymplecticModel:
     p: int
     q: int
     omega: np.ndarray
+    A: np.ndarray
+    mu: float
 
     @property
     def ambient_dim(self) -> int:
@@ -80,24 +83,9 @@ class SymplecticModel:
         """Omega(x, y), as 1/2 (x Omega y - y Omega x): exactly antisymmetric in rounding."""
         return 0.5 * float(x @ self.omega @ y - y @ self.omega @ x)
 
-
-@dataclass(frozen=True)
-class CharacteristicElement:
-    """Element A of sp(Omega) with A^2 = mu*Id."""
-
-    matrix: np.ndarray
-    mu: float
-
     def flow(self, t) -> np.ndarray:
         """exp(tA) in closed form, one matrix per time of an array."""
-        return exp_tA(self.matrix, self.mu, t)
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce CharacteristicElement or array-like to a square matrix."""
-    if isinstance(a, CharacteristicElement):
-        return a.matrix
-    return np.asarray(a, dtype=float)
+        return exp_tA(self.A, self.mu, t)
 
 
 def apply_rows(mat, vecs) -> np.ndarray:
@@ -113,17 +101,16 @@ def dot_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _hyperbolic_model(n: int, k: float) -> tuple[SymplecticModel, CharacteristicElement]:
+def _hyperbolic_model(n: int, k: float) -> SymplecticModel:
     m = n + 1
     omega = standard_symplectic_form(m)
     a = np.zeros((2 * m, 2 * m))
     a[:m, :m] = k * np.eye(m)
     a[m:, m:] = -k * np.eye(m)
-    model = SymplecticModel("hyperbolic", n, k, 0, 0, omega)
-    return model, CharacteristicElement(a, k * k)
+    return SymplecticModel("hyperbolic", n, k, 0, 0, omega, a, k * k)
 
 
-def _elliptic_model(n: int, k: float, p: int) -> tuple[SymplecticModel, CharacteristicElement]:
+def _elliptic_model(n: int, k: float, p: int) -> SymplecticModel:
     m = n + 1
     q = m - p
     ipq = signature_matrix(p, q)
@@ -133,11 +120,10 @@ def _elliptic_model(n: int, k: float, p: int) -> tuple[SymplecticModel, Characte
     a = np.zeros((2 * m, 2 * m))
     a[:m, m:] = -k * np.eye(m)
     a[m:, :m] = k * np.eye(m)
-    model = SymplecticModel("elliptic", n, k, p, q, omega)
-    return model, CharacteristicElement(a, -k * k)
+    return SymplecticModel("elliptic", n, k, p, q, omega, a, -k * k)
 
 
-def _nilpotent_model(n: int, p: int, q: int) -> tuple[SymplecticModel, CharacteristicElement]:
+def _nilpotent_model(n: int, p: int, q: int) -> SymplecticModel:
     m = n + 1 - p
     dim = 2 * (n + 1)
     iqp = signature_matrix(q, p - q)
@@ -147,12 +133,11 @@ def _nilpotent_model(n: int, p: int, q: int) -> tuple[SymplecticModel, Character
     omega[p:p + 2 * m, p:p + 2 * m] = standard_symplectic_form(m)
     a = np.zeros((dim, dim))
     a[:p, p + 2 * m:] = np.eye(p)
-    model = SymplecticModel("nilpotent", n, 0.0, p, q, omega)
-    return model, CharacteristicElement(a, 0.0)
+    return SymplecticModel("nilpotent", n, 0.0, p, q, omega, a, 0.0)
 
 
 def build_model(case: str, n: int, k: float = 1.0, p: int | None = None,
-                q: int | None = None) -> tuple[SymplecticModel, CharacteristicElement]:
+                q: int | None = None) -> SymplecticModel:
     """Construct the normal-form model for one of the three cases.
 
     Raises ValueError for n < 2, k <= 0 or mu = +-k^2 not finite and nonzero
@@ -197,7 +182,7 @@ def exp_tA(a_matrix: np.ndarray, mu: float, t) -> np.ndarray:
     mu = -k^2: cos(kt) I + sin(kt)/k A
     mu = 0:    I + t A
     """
-    a = as_matrix(a_matrix)
+    a = np.asarray(a_matrix, dtype=float)
     ident = np.eye(a.shape[0])
     t = np.asarray(t, dtype=float)[..., None, None]
     if mu > 0:
@@ -212,7 +197,7 @@ def exp_tA(a_matrix: np.ndarray, mu: float, t) -> np.ndarray:
 def series_exp(a_matrix: np.ndarray, t, terms: int = 25) -> np.ndarray:
     """Truncated Taylor series of exp(tA), the oracle for exp_tA; an array of times
     gives one matrix per time."""
-    a = as_matrix(a_matrix)
+    a = np.asarray(a_matrix, dtype=float)
     t = np.asarray(t, dtype=float)[..., None, None]
     acc = term = np.eye(a.shape[0])
     for j in range(1, terms):
@@ -226,22 +211,22 @@ def sp_residual(omega: np.ndarray, x: np.ndarray) -> float:
     return float(np.max(np.abs(x.T @ omega + omega @ x)))
 
 
-def characteristic_residuals(model: SymplecticModel, elem: CharacteristicElement) -> dict:
-    """Residuals of the defining identities of a characteristic element."""
-    a = elem.matrix
+def characteristic_residuals(model: SymplecticModel) -> dict:
+    """Residuals of the defining identities of the model's characteristic element A."""
+    a = model.A
     return {
         "sp_membership": sp_residual(model.omega, a),
-        "square_identity": float(np.max(np.abs(a @ a - elem.mu * np.eye(a.shape[0])))),
+        "square_identity": float(np.max(np.abs(a @ a - model.mu * np.eye(a.shape[0])))),
         "nonzero": float(np.max(np.abs(a))),
     }
 
 
-def sigma_value(model: SymplecticModel, a, x):
+def sigma_value(model: SymplecticModel, x):
     """Omega(x, Ax), one value per row of a stack; a point is on Sigma_A iff this equals 1."""
     v = np.asarray(x, dtype=float)
     if v.shape[-1] != model.ambient_dim:
         raise ValueError(f"expected vector of length {model.ambient_dim}, got {v.shape[-1]}")
-    return (v[..., None, :] @ model.omega @ apply_rows(as_matrix(a), v)[..., None])[..., 0, 0]
+    return (v[..., None, :] @ model.omega @ apply_rows(model.A, v)[..., None])[..., 0, 0]
 
 
 #: rounds of redraws allowed for the rows whose free block is numerically degenerate
@@ -285,7 +270,7 @@ def _solve_quadric(model: SymplecticModel, z: np.ndarray) -> np.ndarray:
     return x
 
 
-def sample_sigma(model: SymplecticModel, a, count: int, seed: int) -> np.ndarray:
+def sample_sigma(model: SymplecticModel, count: int, seed: int) -> np.ndarray:
     """Deterministic seeded sample of Sigma_A, one point per row of a (count, N) array.
 
     One standard-normal block holds every row's free coordinates: x+, x-
@@ -310,7 +295,7 @@ def sample_sigma(model: SymplecticModel, a, count: int, seed: int) -> np.ndarray
     if bad.any():
         raise RuntimeError("sampling failed: degenerate draws exhausted the retry budget")
     x = _solve_quadric(model, z)
-    miss = np.abs(sigma_value(model, a, x) - 1.0)
+    miss = np.abs(sigma_value(model, x) - 1.0)
     if np.any(miss > 1e-12):
         raise RuntimeError(f"sampled point misses Sigma_A by {miss[np.argmax(miss > 1e-12)]:.3e}")
     return x

@@ -1,6 +1,8 @@
 """Reduction geometry of M_A = Sigma_A / exp(tA).
 
-Points of the quotient are carried in per-case chart representations:
+Every function takes the model, which carries A and its flow; none takes A
+separately.  Points of the quotient are carried in per-case chart
+representations:
 
 * hyperbolic:        (u, w) with <u,u> = 1, <u,w> = 0   (tangent-sphere picture)
 * elliptic, p = 1:   w in C^n with |w| < 1, stored as (Re w, Im w)
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CharacteristicElement, SymplecticModel, apply_rows, as_matrix, dot_rows
+from .core import SymplecticModel, apply_rows, dot_rows
 from .lie import rank_count
 
 
@@ -85,7 +87,7 @@ def _elliptic_z(model: SymplecticModel, x: np.ndarray) -> np.ndarray:
     return x[..., :m] + 1j * x[..., m:]
 
 
-def project(model: SymplecticModel, a, x) -> np.ndarray:
+def project(model: SymplecticModel, x) -> np.ndarray:
     """Chart coordinates of the exp(tA)-orbit of x in Sigma_A.
 
     ``x`` is one point or an (S, N) stack of points, one per row; the chart
@@ -117,7 +119,7 @@ def project(model: SymplecticModel, a, x) -> np.ndarray:
     return np.concatenate([xs_small - t * xs, capx, xs], axis=-1)
 
 
-def chart_section(model: SymplecticModel, a, coords) -> np.ndarray:
+def chart_section(model: SymplecticModel, coords) -> np.ndarray:
     """A Sigma_A point in the fiber over each chart point (a section of the projection)."""
     c = np.asarray(coords, dtype=float)
     kind = chart_kind(model)
@@ -139,7 +141,7 @@ def chart_section(model: SymplecticModel, a, coords) -> np.ndarray:
     return c.copy()
 
 
-def fiber_time(model: SymplecticModel, a, x, y):
+def fiber_time(model: SymplecticModel, x, y):
     """Flow time t with y approx exp(tA) x, per-case closed form, one per row of a stack."""
     vx, vy = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if model.case == "hyperbolic":
@@ -155,14 +157,14 @@ def fiber_time(model: SymplecticModel, a, x, y):
     return np.sum(eps * xs_y[0] * xs_y[2], axis=-1) - np.sum(eps * xs_x[0] * xs_x[2], axis=-1)
 
 
-def fiber_distance(model: SymplecticModel, a: CharacteristicElement, x, y):
+def fiber_distance(model: SymplecticModel, x, y):
     """Distance from y to the exp(tA)-orbit through x (chart-free comparison), per row."""
     vy = np.asarray(y, dtype=float)
-    moved = apply_rows(a.flow(fiber_time(model, a, x, vy)), np.asarray(x, dtype=float))
+    moved = apply_rows(model.flow(fiber_time(model, x, vy)), np.asarray(x, dtype=float))
     return np.max(np.abs(vy - moved), axis=-1)
 
 
-def horizontal_basis(model: SymplecticModel, a, x) -> HorizontalFrame:
+def horizontal_basis(model: SymplecticModel, x) -> HorizontalFrame:
     """Orthonormal basis of H_x = {v : Omega(v, x) = Omega(v, Ax) = 0}.
 
     ``x`` is one point or an (S, N) stack of points, one per row; a stack
@@ -172,7 +174,7 @@ def horizontal_basis(model: SymplecticModel, a, x) -> HorizontalFrame:
     v = np.asarray(x, dtype=float)
     pts = v.reshape(-1, v.shape[-1])
     # H_x does not depend on the scale of A; at unit scale the Omega A x row survives the rank cut
-    unit = as_matrix(a) / np.max(np.abs(as_matrix(a)))
+    unit = model.A / np.max(np.abs(model.A))
     constraints = np.stack([apply_rows(model.omega, pts),
                             apply_rows(model.omega, apply_rows(unit, pts))], axis=1)
     _, s, vt = np.linalg.svd(constraints)
@@ -191,7 +193,7 @@ def horizontal_basis(model: SymplecticModel, a, x) -> HorizontalFrame:
     return HorizontalFrame(pts, frame, gram)
 
 
-def differential_project(model: SymplecticModel, a, x, v) -> np.ndarray:
+def differential_project(model: SymplecticModel, x, v) -> np.ndarray:
     """Exact differential of the projection on tangents of Sigma_A, per case.
 
     At one point ``x``, ``v`` is one (N,) tangent or an (N, m) matrix with
@@ -240,31 +242,33 @@ def differential_project(model: SymplecticModel, a, x, v) -> np.ndarray:
     return out[..., 0] if one else out
 
 
-def fundamental_fields(model: SymplecticModel, a, generators, coords) -> np.ndarray:
+def fundamental_fields(model: SymplecticModel, generators, coords) -> np.ndarray:
     """Fundamental vector fields on the chart of centralizer generators.
 
     The field of X at pi(x) is d/dt pi(exp(-tX) x) at t = 0, which is the
     exact differential d pi_x(-X x), at x = chart_section(coords).  One
     chart point gives the (2n, g) matrix whose column j is the field of
     generator j; an (S, 2n) stack gives an (S, 2n, g) field stack.  Each
-    generator must lie in the centralizer of A in sp: the residuals
-    |X^T Omega + Omega X| and |[X, A]| must be at most 1e-8.
+    generator must lie in the centralizer of A in sp: |X^T Omega + Omega X|
+    must be at most 1e-8, and |[X, A^]| at most 1e-8 max|X| for the unit-scale
+    A^ = A / max|A|, since |[X, A]| grows with the scale k of A.
     """
-    amat = as_matrix(a)
+    unit = model.A / np.max(np.abs(model.A))
     gens = np.asarray(generators, dtype=float)
     for x_mat in gens:
         sp_res = float(np.max(np.abs(x_mat.T @ model.omega + model.omega @ x_mat)))
-        comm_res = float(np.max(np.abs(x_mat @ amat - amat @ x_mat)))
-        if not (sp_res <= 1e-8 and comm_res <= 1e-8):
+        comm_res = float(np.max(np.abs(x_mat @ unit - unit @ x_mat)))
+        # written as `not <=` so that a NaN residual fails the guard
+        if not (sp_res <= 1e-8 and comm_res <= 1e-8 * np.max(np.abs(x_mat))):
             raise ValueError(f"generator is not in the centralizer of A in sp "
                              f"(residuals {sp_res:.2e}, {comm_res:.2e})")
-    x = chart_section(model, a, coords)
+    x = chart_section(model, coords)
     # X x for every generator X, one matrix-vector product each, one column per generator
     images = np.swapaxes(-(gens @ x[..., None, :, None])[..., 0], -1, -2)
-    return differential_project(model, a, x, images)
+    return differential_project(model, x, images)
 
 
-def lift_tangent(model: SymplecticModel, a, x, chart_tangents) -> np.ndarray:
+def lift_tangent(model: SymplecticModel, x, chart_tangents) -> np.ndarray:
     """Horizontal lifts to H_x of chart tangents at project(x).
 
     ``chart_tangents`` is one tangent or a matrix with one tangent per column,
@@ -279,8 +283,8 @@ def lift_tangent(model: SymplecticModel, a, x, chart_tangents) -> np.ndarray:
     SVD-based solve over a digit of accuracy.
     """
     xv = np.asarray(x, dtype=float)
-    frame = horizontal_basis(model, a, xv).vectors
-    q, r = np.linalg.qr(differential_project(model, a, xv, frame))
+    frame = horizontal_basis(model, xv).vectors
+    q, r = np.linalg.qr(differential_project(model, xv, frame))
     rhs = np.swapaxes(q, -1, -2) @ np.asarray(chart_tangents, dtype=float)
     return frame @ np.linalg.solve(r, rhs)
 
@@ -295,7 +299,7 @@ def darboux_matrix(model: SymplecticModel) -> np.ndarray:
     return mat
 
 
-def chart_omega_matrix(model: SymplecticModel, a, x) -> np.ndarray:
+def chart_omega_matrix(model: SymplecticModel, x) -> np.ndarray:
     """Matrix of the reduced form on the coordinate directions at project(x).
 
     Only the intrinsic charts (ball, Darboux) are coordinate systems, with the
@@ -308,12 +312,12 @@ def chart_omega_matrix(model: SymplecticModel, a, x) -> np.ndarray:
     if kind in ("tangent_sphere", "quadric"):
         raise ChartUnavailableError(f"the {kind} representation has no coordinate directions; "
                                     "the reduced form matrix needs the ball or Darboux chart")
-    cp = project(model, a, x)
-    lifts = lift_tangent(model, a, chart_section(model, a, cp), np.eye(2 * model.n))
+    cp = project(model, x)
+    lifts = lift_tangent(model, chart_section(model, cp), np.eye(2 * model.n))
     return np.swapaxes(lifts, -1, -2) @ model.omega @ lifts
 
 
-def curvature(model: SymplecticModel, a, xbar, ybar, zbar) -> np.ndarray:
+def curvature(model: SymplecticModel, xbar, ybar, zbar) -> np.ndarray:
     """Curvature endomorphism applied to horizontal vectors.
 
     R(X, Y)Z = -2 Omega(X,Y) AZ - Omega(X,Z) AY + Omega(Y,Z) AX
@@ -323,7 +327,7 @@ def curvature(model: SymplecticModel, a, xbar, ybar, zbar) -> np.ndarray:
     column, or an (S, N, m) stack of such matrices; column j of the result
     is R(X_j, Y_j) Z_j.
     """
-    amat = as_matrix(a)
+    amat = model.A
     om = model.omega
     x, y, z = (np.asarray(v, dtype=float) for v in (xbar, ybar, zbar))
     ax, ay, az = amat @ x, amat @ y, amat @ z
@@ -336,13 +340,13 @@ def curvature(model: SymplecticModel, a, xbar, ybar, zbar) -> np.ndarray:
             + pair(ax, z) * y - pair(ay, z) * x)
 
 
-def ricci_endomorphism(model: SymplecticModel, a, frame: HorizontalFrame) -> np.ndarray:
+def ricci_endomorphism(model: SymplecticModel, frame: HorizontalFrame) -> np.ndarray:
     """Matrix of the Ricci endomorphism -2(n+1) A restricted to H_x, in the frame.
 
     A frame stack gives one matrix per sample, as an (S, 2n, 2n) stack.
     """
     v = frame.vectors
-    av = as_matrix(a) @ v
+    av = model.A @ v
     coeff = np.swapaxes(v, -1, -2) @ av  # frame is Euclidean-orthonormal and A preserves H_x
     if np.max(np.abs(v @ coeff - av)) > 1e-8:
         raise ValueError("frame mismatch: A does not preserve the given frame span")
@@ -365,24 +369,24 @@ def _trace_ricci(gram: np.ndarray, paired: np.ndarray) -> np.ndarray:
              - gram @ (ginv_t @ paired))
 
 
-def ricci_tensor(model: SymplecticModel, a, frame: HorizontalFrame):
+def ricci_tensor(model: SymplecticModel, frame: HorizontalFrame):
     """Trace Ricci tensor r(X, Y) = Tr(Z -> R(X, Z) Y) and the Gram matrix G in the frame.
 
     A frame stack gives one r and G per sample, two (S, 2n, 2n) stacks.
     """
     v = frame.vectors
-    paired = np.swapaxes(as_matrix(a) @ v, -1, -2) @ model.omega @ v  # Omega(A v_i, v_j)
+    paired = np.swapaxes(model.A @ v, -1, -2) @ model.omega @ v  # Omega(A v_i, v_j)
     return _trace_ricci(frame.gram, paired), frame.gram
 
 
-def transvection_generators(model: SymplecticModel, a, frame: HorizontalFrame) -> np.ndarray:
+def transvection_generators(model: SymplecticModel, frame: HorizontalFrame) -> np.ndarray:
     """Odd generators X_u = (Au).x - u.(Ax) of the transvection algebra at x = frame.base.
 
     (a.b) y = Omega(a, y) b + Omega(b, y) a.  For u in H_x, X_u commutes with
     A, X_u x = u, and S_x X_u S_x = -X_u, so the X_u span p1 at x.  One X_u
     per frame vector u: a (2n, N, N) stack.
     """
-    amat, om, x, u = as_matrix(a), model.omega, frame.base, frame.vectors.T
+    amat, om, x, u = model.A, model.omega, frame.base, frame.vectors.T
 
     def sym(rows, b):  # rows[m].b for every row: b Omega(rows[m], .) + rows[m] Omega(b, .)
         return b[:, None] * (rows @ om)[:, None, :] + rows[:, :, None] * (b @ om)
@@ -390,7 +394,7 @@ def transvection_generators(model: SymplecticModel, a, frame: HorizontalFrame) -
     return sym(u @ amat.T, x) - sym(u, amat @ x)
 
 
-def algebra_curvature(model: SymplecticModel, a, frame: HorizontalFrame) -> np.ndarray:
+def algebra_curvature(model: SymplecticModel, frame: HorizontalFrame) -> np.ndarray:
     """Curvature R_ijkl = Omega(-[[X_i, X_j], X_k] x, v_l) of the transvection algebra at x.
 
     R(u, v)w = -[[X_u, X_v], X_w] x on the odd part (Kobayashi & Nomizu II,
@@ -398,7 +402,7 @@ def algebra_curvature(model: SymplecticModel, a, frame: HorizontalFrame) -> np.n
     closed-form ``curvature`` is not used.  The (2n)^4 array is filled row by row.
     """
     v = frame.vectors
-    gens = transvection_generators(model, a, frame)
+    gens = transvection_generators(model, frame)
     moved = gens @ v  # moved[j, :, k] = X_j v_k, and X_j x = v_j
     om_v = model.omega @ v
     curv = np.empty((v.shape[1],) * 4)
@@ -427,7 +431,7 @@ def _ricci_type_defect(curv: np.ndarray, gram: np.ndarray, n: int):
     return float(np.max(rows)), ric
 
 
-def ricci_type_residual(model: SymplecticModel, a, x) -> float:
+def ricci_type_residual(model: SymplecticModel, x) -> float:
     """Sup-norm of R - E(r) over all frame 4-tuples at one point x of Sigma_A.
 
     E(X,Y,Z,T) = -1/(2n+2) [2 w(X,Y) r(Z,T) + w(X,Z) r(Y,T) + w(X,T) r(Y,Z)
@@ -436,11 +440,11 @@ def ricci_type_residual(model: SymplecticModel, a, x) -> float:
     at x (``algebra_curvature``).  The transvection group acts transitively
     and preserves R, so the base point stands for every point.
     """
-    frame = horizontal_basis(model, a, x)
-    return _ricci_type_defect(algebra_curvature(model, a, frame), frame.gram, model.n)[0]
+    frame = horizontal_basis(model, x)
+    return _ricci_type_defect(algebra_curvature(model, frame), frame.gram, model.n)[0]
 
 
-def curvature_cyclic_residual(model: SymplecticModel, a, frame: HorizontalFrame,
+def curvature_cyclic_residual(model: SymplecticModel, frame: HorizontalFrame,
                               triples: int = 50, seed: int = 0):
     """Max norm of R(X,Y)Z + R(Y,Z)X + R(Z,X)Y over random horizontal triples.
 
@@ -453,33 +457,33 @@ def curvature_cyclic_residual(model: SymplecticModel, a, frame: HorizontalFrame,
                        for i in range(len(stack))])
     # one triple per column
     xb, yb, zb = (stack @ np.swapaxes(coeffs[:, :, i], 1, 2) for i in range(3))
-    total = (curvature(model, a, xb, yb, zb)
-             + curvature(model, a, yb, zb, xb)
-             + curvature(model, a, zb, xb, yb))
+    total = (curvature(model, xb, yb, zb)
+             + curvature(model, yb, zb, xb)
+             + curvature(model, zb, xb, yb))
     worst = np.max(np.abs(total), axis=(1, 2), initial=0.0)
     return worst if v.ndim == 3 else float(worst[0])
 
 
-def symmetry_matrix(model: SymplecticModel, a, x) -> np.ndarray:
+def symmetry_matrix(model: SymplecticModel, x) -> np.ndarray:
     """Linear symmetry S_x y = -y + 2 Omega(y, Ax) x - 2 Omega(y, x) Ax."""
     xv = np.asarray(x, dtype=float)
-    ax = as_matrix(a) @ xv
+    ax = model.A @ xv
     return (-np.eye(model.ambient_dim)
             + 2.0 * np.outer(xv, model.omega @ ax)
             - 2.0 * np.outer(ax, model.omega @ xv))
 
 
-def _symmetry_differential(model: SymplecticModel, a, s, x, sx):
+def _symmetry_differential(model: SymplecticModel, s, x, sx):
     """The horizontal frame L at x and T = d pi_{sx}(s L), for sx = s x.
 
     s commutes with A and preserves Omega, so s L is tangent to Sigma_A at s x
     and T is the chart differential of the reduced symmetry on the tangents d pi_x(L).
     """
-    lifts = horizontal_basis(model, a, x).vectors
-    return lifts, differential_project(model, a, sx, s @ lifts)
+    lifts = horizontal_basis(model, x).vectors
+    return lifts, differential_project(model, sx, s @ lifts)
 
 
-def symmetry_pullback_residual(model: SymplecticModel, a, s, x, sx, y):
+def symmetry_pullback_residual(model: SymplecticModel, s, x, sx, y):
     """|J^T omega' J - omega| for the chart differential J of the reduced symmetry, exactly.
 
     x is a section point, sx = s x, and y the section point over project(sx),
@@ -489,13 +493,13 @@ def symmetry_pullback_residual(model: SymplecticModel, a, s, x, sx, y):
     That holds in any basis, and on the orthonormal frame the rounding floor
     is eps, not eps |L|^2 for lifts L.
     """
-    lifts, tangents = _symmetry_differential(model, a, s, x, sx)
-    moved = lift_tangent(model, a, y, tangents)
+    lifts, tangents = _symmetry_differential(model, s, x, sx)
+    moved = lift_tangent(model, y, tangents)
     forms = [np.swapaxes(v, -1, -2) @ model.omega @ v for v in (moved, lifts)]
     return np.max(np.abs(forms[0] - forms[1]), axis=(-2, -1))
 
 
-def reduced_symmetry_report(model: SymplecticModel, a, x_center, samples) -> dict:
+def reduced_symmetry_report(model: SymplecticModel, x_center, samples) -> dict:
     """Residuals of the reduced-symmetry axioms at an (S, N) stack of Sigma_A samples.
 
     Returns ambient involution/symplectic/commutation residuals, the chart
@@ -503,28 +507,28 @@ def reduced_symmetry_report(model: SymplecticModel, a, x_center, samples) -> dic
     symplectic-pullback residual of the chart differential (where a chart
     exists), as (S,) arrays.
     """
-    s = symmetry_matrix(model, a, x_center)
+    s = symmetry_matrix(model, x_center)
     pts = np.asarray(samples, dtype=float)
     out = {
         "symmetry_squared": float(np.max(np.abs(s @ s - np.eye(model.ambient_dim)))),
         "symmetry_symplectic": float(np.max(np.abs(s.T @ model.omega @ s - model.omega))),
-        "symmetry_commutes_A": float(np.max(np.abs(s @ as_matrix(a) - as_matrix(a) @ s))),
+        "symmetry_commutes_A": float(np.max(np.abs(s @ model.A - model.A @ s))),
         "chart_available": chart_kind(model) is not None,
     }
     if not out["chart_available"]:
         x0 = np.asarray(x_center, dtype=float)
-        out["fixed_point"] = float(fiber_distance(model, a, x0, s @ x0))
-        out["involution_in_chart"] = fiber_distance(model, a, pts,
+        out["fixed_point"] = float(fiber_distance(model, x0, s @ x0))
+        out["involution_in_chart"] = fiber_distance(model, pts,
                                                     apply_rows(s, apply_rows(s, pts)))
         return out
-    center = project(model, a, x_center)
+    center = project(model, x_center)
     out["fixed_point"] = float(np.max(np.abs(
-        center - project(model, a, s @ chart_section(model, a, center)))))
+        center - project(model, s @ chart_section(model, center)))))
     # one section point and one image per sample feed both checks
-    cp = project(model, a, pts)
-    x = chart_section(model, a, cp)
+    cp = project(model, pts)
+    x = chart_section(model, cp)
     sx = apply_rows(s, x)
-    y = chart_section(model, a, project(model, a, sx))
-    out["involution_in_chart"] = np.max(np.abs(cp - project(model, a, apply_rows(s, y))), axis=-1)
-    out["symplectic_pullback"] = symmetry_pullback_residual(model, a, s, x, sx, y)
+    y = chart_section(model, project(model, sx))
+    out["involution_in_chart"] = np.max(np.abs(cp - project(model, apply_rows(s, y))), axis=-1)
+    out["symplectic_pullback"] = symmetry_pullback_residual(model, s, x, sx, y)
     return out

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SymplecticModel, as_matrix, sp_residual
+from .core import SymplecticModel, sp_residual
 
 #: relative singular-value threshold for rank decisions
 RANK_RTOL = 1e-7
@@ -145,8 +145,8 @@ def line(x: np.ndarray) -> MatrixLieSubspace:
     return subspace_from_matrices([x], x.shape[0])
 
 
-def centralizer_in_sp(model: SymplecticModel, a, exact: bool = False) -> MatrixLieSubspace:
-    """Basis of {X : tX Omega + Omega X = 0 and XA = AX}, solved on S = Omega X.
+def centralizer_in_sp(model: SymplecticModel, exact: bool = False) -> MatrixLieSubspace:
+    """Basis of {X : tX Omega + Omega X = 0 and XA = AX} for the model's A, solved on S = Omega X.
 
     X is in sp(Omega) iff S is symmetric and, as tA Omega = -Omega A, XA = AX
     iff SA + tA S = 0: one ``rank_split`` on the N(N+1)/2 upper-triangle
@@ -154,14 +154,13 @@ def centralizer_in_sp(model: SymplecticModel, a, exact: bool = False) -> MatrixL
     vectors give orthonormal X = tOmega S (Omega is a signed permutation).  With
     exact=True a rational nullspace of the unweighted system checks the dimension.
     """
-    amat = as_matrix(a)
     omega = model.omega
     dim = model.ambient_dim
     if not np.max(np.abs(omega.T @ omega - np.eye(dim))) <= ZERO_FLOOR:
         raise ValueError("Omega is not orthogonal, so X = tOmega S does not invert S = Omega X")
     # [X, A] = 0 is scale-free: at unit scale the commutation rows survive the
     # relative rank cut and the rational audit's rounding for any k
-    unit = amat / np.max(np.abs(amat))
+    unit = model.A / np.max(np.abs(model.A))
     if not sp_residual(omega, unit) <= ZERO_FLOOR:
         raise ValueError("A is not in sp(Omega), so XA = AX is not SA + tA S = 0")
     row, col = np.triu_indices(dim)

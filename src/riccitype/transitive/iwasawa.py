@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import CharacteristicElement, SymplecticModel, build_model
+from ..core import SymplecticModel, build_model
 from ..lie import MatrixLieSubspace, ad_matrix, rank_split, subspace_from_matrices
 from ..transvection import TransvectionData, transvection_algebra
 
@@ -55,10 +55,7 @@ class IwasawaData:
     """su(1, n) with its Iwasawa-adapted pieces, all as real matrix subspaces."""
 
     model: SymplecticModel
-    element: CharacteristicElement
-    transvection: TransvectionData
-    algebra: MatrixLieSubspace        # g = su(1, n)
-    compact_part: MatrixLieSubspace   # k = u(n)
+    transvection: TransvectionData    # g = su(1, n), with k = u(n) its k_part
     abelian_part: MatrixLieSubspace   # a, one-dimensional
     centralizer_m: MatrixLieSubspace  # m = centralizer of a in k
     nilpotent_part: MatrixLieSubspace  # n = positive ad(a)-eigenspaces
@@ -73,8 +70,8 @@ def iwasawa_su1n(n: int, k: float = 1.0) -> IwasawaData:
     """Build su(1, n) inside the elliptic p = 1 model with its Iwasawa pieces."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    model, elem = build_model("elliptic", n, k=k, p=1)
-    tv = transvection_algebra(model, elem)
+    model = build_model("elliptic", n, k=k, p=1)
+    tv = transvection_algebra(model)
     g = tv.algebra
     a_gen = rank_one_odd_element(n)
     if tv.p_part.distance(a_gen / np.linalg.norm(a_gen)) > 1e-9:
@@ -93,10 +90,7 @@ def iwasawa_su1n(n: int, k: float = 1.0) -> IwasawaData:
     m_part = MatrixLieSubspace(model.ambient_dim, kernel.T @ k_part.rows)
     return IwasawaData(
         model=model,
-        element=elem,
         transvection=tv,
-        algebra=g,
-        compact_part=k_part,
         abelian_part=subspace_from_matrices([a_gen], model.ambient_dim),
         centralizer_m=m_part,
         nilpotent_part=n_plus,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import SymplecticModel, apply_rows, as_matrix, dot_rows
+from ..core import SymplecticModel, apply_rows, dot_rows
 from ..geometry import darboux_matrix
 from ..lie import (RANK_RTOL, MatrixLieSubspace, bracket_rows, constants_certificate, line,
                    rank_count, structure_constants, subspace_from_matrices)
@@ -196,19 +196,17 @@ def simply_transitive_certificate(model: SymplecticModel, matrices,
 
     ``matrices`` is the (S, 2n, g) field stack, one field per column, that
     ``geometry.fundamental_fields`` returns for S chart points.  Reports the
-    rank and smallest singular value at every sample; the verdict fails with
-    the index of the first sample whose rank drops below the chart dimension.
+    least rank and the least (2n)-th singular value over the samples, and as
+    ``witness`` the index of the first sample whose rank drops below the chart
+    dimension 2n (None when none does).
     """
     expected = 2 * model.n
     svals = np.linalg.svd(np.asarray(matrices, dtype=float), compute_uv=False)
     ranks = rank_count(svals, rank_tol)
     deficient = np.flatnonzero(ranks < expected)
     return {
-        "expected_rank": expected,
-        "ranks": ranks.tolist(),
         "min_rank": int(ranks.min()),
         "min_singular_value": float(svals[:, min(expected, svals.shape[1]) - 1].min()),
-        "passed": deficient.size == 0,
         "witness": int(deficient[0]) if deficient.size else None,
     }
 
@@ -265,7 +263,7 @@ def strongly_hamiltonian_defect(B: np.ndarray, omega0: np.ndarray) -> np.ndarray
     return 0.5 * (B.T @ omega0 @ B - omega0)
 
 
-def heisenberg_extension_check(model: SymplecticModel, a, c: float = 1.0) -> dict:
+def heisenberg_extension_check(model: SymplecticModel, c: float = 1.0) -> dict:
     """Structure of the dilation extension for B = c*Id.
 
     The derived algebra of h_{c Id, c} is Heisenberg of dimension 2n - 1 and
@@ -275,7 +273,7 @@ def heisenberg_extension_check(model: SymplecticModel, a, c: float = 1.0) -> dic
     """
     d = 2 * (model.n - 1)
     sub, gens, cand = build_h(model, c * np.eye(d), a=0.0, c=c)
-    c_h, _ = structure_constants(sub, line(as_matrix(a)))
+    c_h, _ = structure_constants(sub, line(model.A))
     ident = np.eye(sub.dim)
     rows = bracket_rows(c_h, ident, ident)  # h' as orthonormal coordinate rows
     # brackets of h' in the coordinates of h, then read in the rows of h'

@@ -111,11 +111,11 @@ def orbit_rank_ts3_evidence(w: np.ndarray, k: float = 1.0) -> dict:
     if not np.all(np.isfinite(w)):
         raise ValueError(f"w must be finite, got {w.tolist()}")
     w = w / np.max(np.abs(w))
-    model, elem = build_model("hyperbolic", 3, k=k)
+    model = build_model("hyperbolic", 3, k=k)
     gens = su2_left_basis() + [eta(v, w) for v in np.eye(3)] + [eta(w, w)]
     zero = np.zeros((4, 4))
     lifted = [np.block([[x, zero], [zero, -x.T]]) for x in gens]
-    fields = fundamental_fields(model, elem, lifted, np.eye(8)[0])  # at u = e1, w = 0
+    fields = fundamental_fields(model, lifted, np.eye(8)[0])  # at u = e1, w = 0
     svals = np.linalg.svd(fields[:, :6], compute_uv=False)
     # the rank cut is relative to the largest field, with an absolute floor of 1e-7
     rank = int(rank_count(svals, atol=1e-7))
@@ -126,5 +126,4 @@ def orbit_rank_ts3_evidence(w: np.ndarray, k: float = 1.0) -> dict:
         "dim_needed": 6,
         "su2_rank": su2_rank,
         "stabilizer_field_norm": float(np.max(np.abs(fields[:, 6]))),
-        "passed": rank <= 5 and su2_rank == 3,
     }

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SymplecticModel, as_matrix
+from .core import SymplecticModel
 from .geometry import symmetry_matrix
 from .lie import (
     MatrixLieSubspace,
@@ -78,17 +78,15 @@ def algebra_dimension(model: SymplecticModel) -> int:
     return (n + 1) ** 2 - 1 if model.case != "nilpotent" else p ** 2 + 2 * p * (n + 1 - p) - 1
 
 
-def transvection_algebra(model: SymplecticModel, a,
-                         exact: bool = False) -> TransvectionData:
+def transvection_algebra(model: SymplecticModel, exact: bool = False) -> TransvectionData:
     """Assemble the transvection algebra from the centralizer split at the base point."""
-    s_mat = symmetry_matrix(model, a, base_point(model))
-    g1 = centralizer_in_sp(model, a, exact=exact)
+    s_mat = symmetry_matrix(model, base_point(model))
+    g1 = centralizer_in_sp(model, exact=exact)
     p1 = involution_eigenspace(g1, s_mat, -1)
     k1 = bracket_span(p1)
     if p1.dim == 0 or k1.dim == 0:
         raise ValueError("degenerate eigenspace split; check the base point")
-    amat = as_matrix(a)
-    a_unit = amat / np.linalg.norm(amat.reshape(-1))
+    a_unit = model.A / np.linalg.norm(model.A.reshape(-1))
     a_distance = k1.distance(a_unit)
     k_rows, modulo = k1.rows, None
     if a_distance <= A_MEMBERSHIP_TOL:
@@ -96,7 +94,7 @@ def transvection_algebra(model: SymplecticModel, a,
         flat_a = a_unit.reshape(-1)
         k_rows = subspace_from_matrices(k1.rows - np.outer(k1.rows @ flat_a, flat_a),
                                         model.ambient_dim).rows
-        modulo = line(amat)
+        modulo = line(model.A)
     # S is orthogonal, so theta = Ad S preserves the trace form and its
     # eigenspaces p1 and k1 are trace-orthogonal: the stacked rows stay orthonormal
     algebra = MatrixLieSubspace(model.ambient_dim, np.vstack([p1.rows, k_rows]))

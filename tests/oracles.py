@@ -43,8 +43,7 @@ import numpy as np
 from scipy.linalg import expm, null_space
 
 from riccitype import geometry, lie
-from riccitype.core import (DEFAULT_TOL, MAX_SAMPLE_RETRIES, CharacteristicElement, as_matrix,
-                            sigma_value, standard_symplectic_form)
+from riccitype.core import DEFAULT_TOL, MAX_SAMPLE_RETRIES, sigma_value, standard_symplectic_form
 from riccitype.transitive import nilpotent as nil
 
 
@@ -54,33 +53,33 @@ def coordinates_oracle(sub, mats):
     return np.linalg.lstsq(sub.basis.reshape(sub.dim, -1).T, flat, rcond=None)[0]
 
 
-def pushforward(model, a, x, v, fd_step=1e-5):
+def pushforward(model, x, v, fd_step=1e-5):
     """Finite-difference differential of the projection applied to an ambient tangent."""
     xv = np.asarray(x, dtype=float)
-    plus = geometry.project(model, a, retract_to_sigma(model, a, xv + fd_step * v))
-    minus = geometry.project(model, a, retract_to_sigma(model, a, xv - fd_step * v))
+    plus = geometry.project(model, retract_to_sigma(model, xv + fd_step * v))
+    minus = geometry.project(model, retract_to_sigma(model, xv - fd_step * v))
     return (plus - minus) / (2.0 * fd_step)
 
 
-def horizontal_projection(model, a, x, v):
+def horizontal_projection(model, x, v):
     """Component of v in H_x along span{x, Ax}."""
     xv = np.asarray(x, dtype=float)
-    ax = as_matrix(a) @ xv
+    ax = model.A @ xv
     sigma = model.pairing(xv, ax)
     alpha = model.pairing(v, ax) / sigma
     beta = -model.pairing(v, xv) / sigma
     return v - alpha * xv - beta * ax
 
 
-def retract_to_sigma(model, a, z):
+def retract_to_sigma(model, z):
     """Rescale a nearby ambient point back onto Sigma_A."""
-    val = sigma_value(model, a, z)
+    val = sigma_value(model, z)
     if val <= 0:
         raise ValueError("cannot retract: Omega(z, Az) <= 0")
     return np.asarray(z, dtype=float) / np.sqrt(val)
 
 
-def connection_nabla(model, a, x, xbar, yfield, fd_step=1e-5):
+def connection_nabla(model, x, xbar, yfield, fd_step=1e-5):
     """Covariant derivative of a horizontal field in a horizontal direction.
 
     Evaluates D0_{Xbar} Ybar - Omega(A Xbar, Ybar) x + Omega(Xbar, Ybar) Ax,
@@ -90,18 +89,18 @@ def connection_nabla(model, a, x, xbar, yfield, fd_step=1e-5):
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
     xv = np.asarray(x, dtype=float)
-    amat = as_matrix(a)
+    amat = model.A
     xbar = np.asarray(xbar, dtype=float)
     y_here = np.asarray(yfield(xv), dtype=float)
-    y_plus = np.asarray(yfield(retract_to_sigma(model, a, xv + fd_step * xbar)), dtype=float)
-    y_minus = np.asarray(yfield(retract_to_sigma(model, a, xv - fd_step * xbar)), dtype=float)
+    y_plus = np.asarray(yfield(retract_to_sigma(model, xv + fd_step * xbar)), dtype=float)
+    y_minus = np.asarray(yfield(retract_to_sigma(model, xv - fd_step * xbar)), dtype=float)
     flat = (y_plus - y_minus) / (2.0 * fd_step)
     return (flat
             - model.pairing(amat @ xbar, y_here) * xv
             + model.pairing(xbar, y_here) * (amat @ xv))
 
 
-def coordinate_tangents(model, a, center, x):
+def coordinate_tangents(model, center, x):
     """Chart tangents at project(x) of the local coordinate fields of the chart centred at
     the chart point ``center``, one per column.
 
@@ -121,44 +120,44 @@ def coordinate_tangents(model, a, center, x):
         pivot = int(np.argmax(np.abs(model.eps * center[-model.p:])))
         pair = [pivot, 2 * m - model.p + pivot]
     free = np.delete(np.arange(2 * m), pair)
-    frame = geometry.horizontal_basis(model, a, x).vectors
-    diff = geometry.differential_project(model, a, x, frame)
+    frame = geometry.horizontal_basis(model, x).vectors
+    diff = geometry.differential_project(model, x, frame)
     return diff @ np.linalg.inv(diff[free])
 
 
-def coordinate_field(model, a, center, index):
+def coordinate_field(model, center, index):
     """Horizontal lift of the index-th local coordinate field of the chart centred at
     ``center`` (``coordinate_tangents``), as a field on Sigma_A."""
 
     def field(z):
-        tangent = coordinate_tangents(model, a, center, z)[:, index]
-        return geometry.lift_tangent(model, a, z, tangent)
+        tangent = coordinate_tangents(model, center, z)[:, index]
+        return geometry.lift_tangent(model, z, tangent)
 
     return field
 
 
-def symmetry_chart_differential(model, a, s, x, directions, step=1e-5):
+def symmetry_chart_differential(model, s, x, directions, step=1e-5):
     """Central differences of the reduced symmetry ``s`` in the chart, along ambient
     tangents at x (one per column): each side is retracted to Sigma_A and
     projected, so no local chart is involved."""
     cols = []
     for v in np.asarray(directions, dtype=float).T:
-        plus, minus = (geometry.project(model, a, s @ geometry.chart_section(
-            model, a, geometry.project(model, a, retract_to_sigma(model, a, x + h * v))))
+        plus, minus = (geometry.project(model, s @ geometry.chart_section(
+            model, geometry.project(model, retract_to_sigma(model, x + h * v))))
             for h in (step, -step))
         cols.append((plus - minus) / (2.0 * step))
     return np.stack(cols, axis=1)
 
 
-def act_chart(model, a, g, cp, tol=1e-8):
+def act_chart(model, g, cp, tol=1e-8):
     """Induced action of a centralizing symplectic map on chart coordinates."""
-    amat = as_matrix(a)
+    amat = model.A
     sp_res = float(np.max(np.abs(g.T @ model.omega @ g - model.omega)))
     comm_res = float(np.max(np.abs(g @ amat - amat @ g)))
     if sp_res > tol or comm_res > tol:
         raise ValueError(
             f"g is not in the centralizer of A in Sp (residuals {sp_res:.2e}, {comm_res:.2e})")
-    return geometry.project(model, a, g @ geometry.chart_section(model, a, cp))
+    return geometry.project(model, g @ geometry.chart_section(model, cp))
 
 
 def act_tangent_sphere(b, u, w, k):
@@ -182,10 +181,10 @@ def gl_to_sp_hyperbolic(model, b):
     return g
 
 
-def differenced_field(model, a, x_mat, cp, step):
+def differenced_field(model, x_mat, cp, step):
     """Fundamental field of X as the central difference of the chart action of exp(-sX)."""
-    plus = act_chart(model, a, expm(-step * x_mat), cp)
-    minus = act_chart(model, a, expm(step * x_mat), cp)
+    plus = act_chart(model, expm(-step * x_mat), cp)
+    minus = act_chart(model, expm(step * x_mat), cp)
     return (plus - minus) / (2.0 * step)
 
 
@@ -333,26 +332,26 @@ def normalize_candidate(model, cand):
     return out, conjugators
 
 
-def horizontality_residual(model, a, x, v):
+def horizontality_residual(model, x, v):
     """max |Omega(v, x)|, |Omega(v, Ax)|: zero exactly when v lies in H_x."""
     xv = np.asarray(x, dtype=float)
-    ax = as_matrix(a) @ xv
+    ax = model.A @ xv
     return max(abs(model.pairing(v, xv)), abs(model.pairing(v, ax)))
 
 
-def reduced_omega(model, a, x, xbar, ybar, tol=1e-7):
+def reduced_omega(model, x, xbar, ybar, tol=1e-7):
     """Reduced symplectic form omega(X, Y) = Omega(Xbar, Ybar) on horizontal lifts."""
     for v in (xbar, ybar):
         scale = max(1.0, float(np.linalg.norm(v)))
-        if horizontality_residual(model, a, x, v) > tol * scale:
+        if horizontality_residual(model, x, v) > tol * scale:
             raise ValueError("input vector is not horizontal at x")
     return model.pairing(np.asarray(xbar, float), np.asarray(ybar, float))
 
 
-def frame_pairing(model, a, frame):
+def frame_pairing(model, frame):
     """W_ij = Omega(A v_i, v_j) on the columns of a frame."""
     v = frame.vectors
-    return (as_matrix(a) @ v).T @ model.omega @ v
+    return (model.A @ v).T @ model.omega @ v
 
 
 def curvature_tensor(gram, paired):
@@ -391,7 +390,7 @@ def _redraw(rng, size, accept, redraws):
     raise RuntimeError("sampling failed: degenerate draws exhausted the retry budget")
 
 
-def sample_sigma_pointwise(model, a, count, seed):
+def sample_sigma_pointwise(model, count, seed):
     """Per-point reference for ``core.sample_sigma``.
 
     Returns the (count, N) stack and the index of the first point whose
@@ -428,16 +427,16 @@ def sample_sigma_pointwise(model, a, count, seed):
             v = np.concatenate([x, capx, xs])
         if redraws and first_redraw is None:
             first_redraw = i
-        val = model.pairing(v, as_matrix(a) @ v)
+        val = model.pairing(v, model.A @ v)
         if abs(val - 1.0) > 1e-12:
             raise RuntimeError(f"sampled point misses Sigma_A by {abs(val - 1.0):.3e}")
         points.append(v)
     return np.array(points), first_redraw
 
 
-def centralizer_system(model, a):
+def centralizer_system(model):
     """(2N^2, N^2) rows of tX Omega + Omega X = 0 and [X, A / max|A|] = 0 on row-major vec(X)."""
-    amat = as_matrix(a)
+    amat = model.A
     omega = model.omega
     dim = model.ambient_dim
     ident = np.eye(dim)
@@ -449,9 +448,9 @@ def centralizer_system(model, a):
     return np.vstack([sp_rows, comm_rows])
 
 
-def centralizer_oracle(model, a):
+def centralizer_oracle(model):
     """The centralizer of A in sp(Omega) as one SVD null space of ``centralizer_system``."""
-    system = centralizer_system(model, a)
+    system = centralizer_system(model)
     return lie.MatrixLieSubspace(model.ambient_dim, lie.rank_split(system)[1].T)
 
 
@@ -541,7 +540,8 @@ def build_A_from_ricci(rho_check, mu, n, tol=DEFAULT_TOL):
 
         [[0, mu/4(n+1)^2, 0], [1, 0, 0], [0, 0, -rho_check/2(n+1)]]
 
-    which squares to (mu/4(n+1)^2)*Id.  Its ambient form is ricci_ambient_form(n).
+    which squares to (mu/4(n+1)^2)*Id, and that square's mu/4(n+1)^2, as the pair
+    (matrix, mu).  Its ambient form is ricci_ambient_form(n).
     """
     rho = np.asarray(rho_check, dtype=float)
     if rho.shape != (2 * n, 2 * n):
@@ -553,4 +553,4 @@ def build_A_from_ricci(rho_check, mu, n, tol=DEFAULT_TOL):
     a[0, 1] = mu / (4.0 * (n + 1) ** 2)
     a[1, 0] = 1.0
     a[2:, 2:] = -rho / (2.0 * (n + 1))
-    return CharacteristicElement(a, mu / (4.0 * (n + 1) ** 2))
+    return a, mu / (4.0 * (n + 1) ** 2)

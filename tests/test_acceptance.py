@@ -36,13 +36,13 @@ def test_criterion_1_construction_identities():
     worst_sq = 0.0
     worst_exp = 0.0
     for case, n, p, q in core.admissible_parameters((2, 3, 4)):
-        model, elem = core.build_model(case, n, k=1.0, p=p or None, q=q or None)
-        res = core.characteristic_residuals(model, elem)
+        model = core.build_model(case, n, k=1.0, p=p or None, q=q or None)
+        res = core.characteristic_residuals(model)
         worst_sp = max(worst_sp, res["sp_membership"])
         worst_sq = max(worst_sq, res["square_identity"])
         for t in (-3.0, -1.1, 0.4, 3.0):
             worst_exp = max(worst_exp, float(np.max(np.abs(
-                elem.flow(t) - series_exp(elem.matrix, t)))))
+                model.flow(t) - series_exp(model.A, t)))))
     record(1, "construction identities",
            worst_sp <= 1e-12 and worst_sq <= 1e-12 and worst_exp <= 1e-10,
            f"sp={worst_sp:.1e} square={worst_sq:.1e} exp={worst_exp:.1e}")
@@ -71,26 +71,26 @@ def test_criterion_2_geometry_suite():
     worst_cyclic = 0.0
     worst_rho = 0.0
     for case, n, p, q in GEOMETRY_MODELS:
-        model, elem = core.build_model(case, n, p=p, q=q)
+        model = core.build_model(case, n, p=p, q=q)
         ident = np.eye(2 * n)
         # Ricci type on the algebra's curvature at the base point, and the
         # einsum oracle on the closed form at every sample
         worst_ricci = max(worst_ricci, geometry.ricci_type_residual(
-            model, elem, transvection.base_point(model)))
-        for i, pt in enumerate(core.sample_sigma(model, elem, 50, seed=0)):
-            frame = geometry.horizontal_basis(model, elem, pt)
-            paired = frame_pairing(model, elem, frame)
+            model, transvection.base_point(model)))
+        for i, pt in enumerate(core.sample_sigma(model, 50, seed=0)):
+            frame = geometry.horizontal_basis(model, pt)
+            paired = frame_pairing(model, frame)
             worst_ricci = max(worst_ricci, ricci_type_defect(frame.gram, paired, n)[0])
             worst_cyclic = max(worst_cyclic, geometry.curvature_cyclic_residual(
-                model, elem, frame, triples=3, seed=i))
-            rho = geometry.ricci_endomorphism(model, elem, frame)
+                model, frame, triples=3, seed=i))
+            rho = geometry.ricci_endomorphism(model, frame)
             worst_rho = max(worst_rho, float(np.max(np.abs(
-                rho @ rho - 4 * (n + 1) ** 2 * elem.mu * ident))))
+                rho @ rho - 4 * (n + 1) ** 2 * model.mu * ident))))
     worst_sym = 0.0
     for case, n, p, q in SYMMETRY_MODELS:
-        model, elem = core.build_model(case, n, p=p, q=q)
-        samples = core.sample_sigma(model, elem, 20, seed=1)
-        rep = geometry.reduced_symmetry_report(model, elem, transvection.base_point(model),
+        model = core.build_model(case, n, p=p, q=q)
+        samples = core.sample_sigma(model, 20, seed=1)
+        rep = geometry.reduced_symmetry_report(model, transvection.base_point(model),
                                                samples)
         worst_sym = max(worst_sym, rep["symmetry_squared"], rep["fixed_point"],
                         np.max(rep["involution_in_chart"]),
@@ -103,17 +103,17 @@ def test_criterion_2_geometry_suite():
 
 
 def test_criterion_3_darboux():
-    model, elem = core.build_model("nilpotent", 2, p=2, q=1)
+    model = core.build_model("nilpotent", 2, p=2, q=1)
     dar = geometry.darboux_matrix(model)
     worst = 0.0
-    for pt in core.sample_sigma(model, elem, 50, seed=2):
+    for pt in core.sample_sigma(model, 50, seed=2):
         worst = max(worst, float(np.max(np.abs(
-            geometry.chart_omega_matrix(model, elem, pt) - dar))))
-    model3, elem3 = core.build_model("nilpotent", 3, p=2, q=1)
+            geometry.chart_omega_matrix(model, pt) - dar))))
+    model3 = core.build_model("nilpotent", 3, p=2, q=1)
     dar3 = geometry.darboux_matrix(model3)
-    for pt in core.sample_sigma(model3, elem3, 50, seed=2):
+    for pt in core.sample_sigma(model3, 50, seed=2):
         worst = max(worst, float(np.max(np.abs(
-            geometry.chart_omega_matrix(model3, elem3, pt) - dar3))))
+            geometry.chart_omega_matrix(model3, pt) - dar3))))
     record(3, "global Darboux chart", worst <= 1e-8, f"residual={worst:.1e}")
 
 
@@ -122,32 +122,32 @@ def test_criterion_4_transvection_dimensions():
     details = []
     for n in (2, 3, 4):
         for case, p in (("hyperbolic", None), ("elliptic", 1), ("elliptic", n + 1)):
-            model, elem = core.build_model(case, n, p=p)
-            data = transvection.transvection_algebra(model, elem)
+            model = core.build_model(case, n, p=p)
+            data = transvection.transvection_algebra(model)
             good = data.algebra.dim == (n + 1) ** 2 - 1
             ok &= good
             if not good:
                 details.append(f"{case} n={n} dim={data.algebra.dim}")
     for n in (2, 3):
-        model, elem = core.build_model("nilpotent", n, p=1, q=1)
-        data = transvection.transvection_algebra(model, elem)
+        model = core.build_model("nilpotent", n, p=1, q=1)
+        data = transvection.transvection_algebra(model)
         cert, label = transvection.classify_transvection(data, model)
         ok &= cert.abelian and cert.dimension == 2 * n
-    model, elem = core.build_model("nilpotent", 2, p=2, q=1)
-    data = transvection.transvection_algebra(model, elem)
+    model = core.build_model("nilpotent", 2, p=2, q=1)
+    data = transvection.transvection_algebra(model)
     cert, label = transvection.classify_transvection(data, model)
     ideal = transvection.nilpotent_ideal_report(cert)
     ok &= (cert.dimension == 7 and cert.solvable
            and ideal["codimension"] == 1 and ideal["nilpotent"])
-    model, elem = core.build_model("nilpotent", 3, p=3, q=2)
-    data = transvection.transvection_algebra(model, elem)
+    model = core.build_model("nilpotent", 3, p=3, q=2)
+    data = transvection.transvection_algebra(model)
     cert, label = transvection.classify_transvection(data, model)
     ok &= not cert.solvable
     record(4, "transvection dimensions", ok, "; ".join(details) or "all dims as classified")
 
 
 def test_criterion_5_flat_case_family():
-    model, elem = core.build_model("nilpotent", 2, p=2, q=1)
+    model = core.build_model("nilpotent", 2, p=2, q=1)
     om0 = model.omega0
     d = 2
     rng = np.random.default_rng(7)
@@ -168,10 +168,10 @@ def test_criterion_5_flat_case_family():
     for b_mat, c in accepted:
         cand = nil.make_candidate(b_mat, b_tilde=np.zeros(d), c=c)
         worst_closure = max(worst_closure, *nil.closure_conditions(cand, om0))
-        fields = geometry.fundamental_fields(model, elem, nil.family_generators(cand, om0),
+        fields = geometry.fundamental_fields(model, nil.family_generators(cand, om0),
                                              points)
         cert = nil.simply_transitive_certificate(model, fields)
-        worst_rank_ok &= cert["passed"] and cert["min_rank"] == 4
+        worst_rank_ok &= cert["witness"] is None and cert["min_rank"] == 4
         for cp, mat in zip(points[:25], fields):
             worst_ham = max(worst_ham, nil.hamiltonian_residual(model, b_mat, c, mat, cp))
         defect = np.max(np.abs(nil.strongly_hamiltonian_defect(b_mat, om0)))
@@ -190,7 +190,7 @@ def test_criterion_5_flat_case_family():
         min_violation = min(min_violation, max(nil.closure_conditions(cand, om0)))
     heis_ok = True
     for c in (1.0, -1.0):
-        rep = nil.heisenberg_extension_check(model, elem, c=c)
+        rep = nil.heisenberg_extension_check(model, c=c)
         got = sorted(np.round(rep["dilation_eigenvalues"].real, 9).tolist())
         heis_ok &= (rep["certificate"].heisenberg and rep["derived_dim"] == 3
                     and got == sorted(rep["expected_eigenvalues"]))
@@ -216,10 +216,10 @@ def test_criterion_6_iwasawa_family():
             h_phi, gen = iwa.build_a_phi(data, phi)
             cert = lie.series_certificate(h_phi)
             ok &= cert.solvable and h_phi.dim == 2 * n
-            fields = geometry.fundamental_fields(data.model, data.element,
-                                                 [gen, *data.nilpotent_part.basis], points)
+            fields = geometry.fundamental_fields(data.model, [gen, *data.nilpotent_part.basis],
+                                                 points)
             rank_cert = nil.simply_transitive_certificate(data.model, fields)
-            ok &= rank_cert["passed"] and rank_cert["min_rank"] == 2 * n
+            ok &= rank_cert["witness"] is None and rank_cert["min_rank"] == 2 * n
             spectrum = lie.ad_eigenvalues(data.nilpotent_part, gen)
             if idx == 0:
                 base_spec = spectrum

@@ -110,6 +110,25 @@ def test_fd_step_flag_is_a_usage_error(capsys):
     assert "--fd-step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["construct", "verify-geometry", "find-transitive",
+                                     "quaternion-evidence"])
+def test_exact_flag_is_a_usage_error_outside_transvection(capsys, command):
+    # only the transvection certificate has a rational cross-check
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--case", "hyperbolic", "--n", "2", "--exact"])
+    assert exc.value.code == 2
+    assert "--exact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["1e4", "1e8", "1e12"])
+def test_find_transitive_elliptic_passes_at_large_k(capsys, k):
+    # the fields' centralizer guard reads |[X, A]| at the unit scale of A
+    code, out, err = run(capsys, "find-transitive", "--case", "elliptic", "--n", "2",
+                         "--p", "1", "--k", k)
+    assert (code, err) == (0, "")
+    assert "verdict: PASS" in out
+
+
 def test_transvection_hyperbolic(capsys):
     code, out, _ = run(capsys, "transvection", "--case", "hyperbolic", "--n", "2")
     assert code == 0
@@ -159,7 +178,7 @@ def test_exact_dimension_mismatch_is_fail_report(capsys, monkeypatch):
     assert code == 1
     assert err == ""
     assert "verdict=FAIL" in out
-    dim = lie.centralizer_in_sp(*core.build_model("nilpotent", 2, p=2, q=1)).dim
+    dim = lie.centralizer_in_sp(core.build_model("nilpotent", 2, p=2, q=1)).dim
     assert (f"witness.0=centralizer.exact_dim: floating nullspace dim {dim} "
             f"!= exact dim {dim + 1}") in out
 
@@ -680,13 +699,13 @@ def _spoil_sample_3(values, spoil=NAN):
 
 # each witness helper returns what the witness says after "<entry>: "
 def _sigma_point(case, n, p, q):
-    model, elem = core.build_model(case, n, p=p or None, q=q or None)
-    return f"worst sample 3: {core.sample_sigma(model, elem, 6, seed=5)[3].tolist()}"
+    model = core.build_model(case, n, p=p or None, q=q or None)
+    return f"worst sample 3: {core.sample_sigma(model, 6, seed=5)[3].tolist()}"
 
 
 def _base_point(case, n, p, q):
     from riccitype import transvection
-    model, _ = core.build_model(case, n, p=p or None, q=q or None)
+    model = core.build_model(case, n, p=p or None, q=q or None)
     return f"base point {transvection.base_point(model).tolist()}"
 
 

@@ -19,8 +19,8 @@ def series_exp(a, t, terms=25):
 
 @pytest.mark.parametrize("case,n,p,q", core.admissible_parameters((2, 3, 4)))
 def test_construction_identities(case, n, p, q):
-    model, elem = core.build_model(case, n, k=1.0, p=p or None, q=q or None)
-    res = core.characteristic_residuals(model, elem)
+    model = core.build_model(case, n, k=1.0, p=p or None, q=q or None)
+    res = core.characteristic_residuals(model)
     assert res["sp_membership"] <= 1e-12
     assert res["square_identity"] <= 1e-12
     assert res["nonzero"] > 0
@@ -30,8 +30,8 @@ def test_construction_identities(case, n, p, q):
 
 
 def test_nilpotent_block_structure():
-    model, elem = core.build_model("nilpotent", 2, p=2, q=1)
-    a = elem.matrix
+    model = core.build_model("nilpotent", 2, p=2, q=1)
+    a = model.A
     assert np.allclose(a[:2, 4:], np.eye(2))
     a_zeroed = a.copy()
     a_zeroed[:2, 4:] = 0
@@ -42,12 +42,12 @@ def test_nilpotent_block_structure():
 
 
 def test_hyperbolic_normal_form():
-    model, elem = core.build_model("hyperbolic", 2, k=1.0)
+    model = core.build_model("hyperbolic", 2, k=1.0)
     expected = np.zeros((6, 6))
     expected[:3, :3] = np.eye(3)
     expected[3:, 3:] = -np.eye(3)
-    assert np.array_equal(elem.matrix, expected)
-    assert np.allclose(elem.matrix @ elem.matrix, np.eye(6))
+    assert np.array_equal(model.A, expected)
+    assert np.allclose(model.A @ model.A, np.eye(6))
 
 
 @pytest.mark.parametrize("case,kwargs", [
@@ -66,24 +66,23 @@ def test_build_model_rejects_bad_parameters(case, kwargs):
 
 
 def test_build_A_from_ricci_zero_case():
-    elem = build_A_from_ricci(np.zeros((4, 4)), 0.0, 2)
-    a = elem.matrix
+    a, _ = build_A_from_ricci(np.zeros((4, 4)), 0.0, 2)
     assert np.linalg.matrix_rank(a) == 1
     assert np.max(np.abs(a @ a)) == 0
 
 
 def test_build_A_from_ricci_positive_square():
     # direct matrix-squaring oracle for rho_check = Id, mu = 1
-    elem = build_A_from_ricci(np.eye(4), 1.0, 2)
-    square = elem.matrix @ elem.matrix
+    a, mu = build_A_from_ricci(np.eye(4), 1.0, 2)
+    square = a @ a
     assert np.max(np.abs(square - np.eye(6) / 36.0)) <= 1e-15
-    assert abs(elem.mu - 1.0 / 36.0) <= 1e-15
+    assert abs(mu - 1.0 / 36.0) <= 1e-15
 
 
 def test_build_A_from_ricci_negative_square():
     rho = core.standard_symplectic_form(2)  # J with J^2 = -Id, J in sp
-    elem = build_A_from_ricci(rho, -1.0, 2)
-    square = elem.matrix @ elem.matrix
+    a, _ = build_A_from_ricci(rho, -1.0, 2)
+    square = a @ a
     assert np.max(np.abs(square + np.eye(6) / 36.0)) <= 1e-15
 
 
@@ -94,8 +93,8 @@ def test_build_A_from_ricci_sp_membership_for_sp_input():
     rho[1, 3] = rho[3, 1] = 1.0
     omega4 = core.standard_symplectic_form(2)
     assert core.sp_residual(omega4, rho) == 0
-    elem = build_A_from_ricci(rho, 1.0, 2)
-    assert core.sp_residual(ricci_ambient_form(2), elem.matrix) <= 1e-15
+    a, _ = build_A_from_ricci(rho, 1.0, 2)
+    assert core.sp_residual(ricci_ambient_form(2), a) <= 1e-15
 
 
 def test_build_A_from_ricci_rejects_bad_square():
@@ -111,13 +110,13 @@ def test_build_A_from_ricci_rejects_bad_square():
     ("nilpotent", 2, 2, 1),
 ])
 def test_exp_identity_at_zero(case, n, p, q):
-    model, elem = core.build_model(case, n, p=p, q=q)
-    assert np.array_equal(core.exp_tA(elem.matrix, elem.mu, 0.0), np.eye(model.ambient_dim))
+    model = core.build_model(case, n, p=p, q=q)
+    assert np.array_equal(core.exp_tA(model.A, model.mu, 0.0), np.eye(model.ambient_dim))
 
 
 def test_exp_nilpotent_closed_form():
-    model, elem = core.build_model("nilpotent", 2, p=2, q=1)
-    assert np.array_equal(elem.flow(3.0), np.eye(6) + 3.0 * elem.matrix)
+    model = core.build_model("nilpotent", 2, p=2, q=1)
+    assert np.array_equal(model.flow(3.0), np.eye(6) + 3.0 * model.A)
 
 
 @pytest.mark.parametrize("case,n,p,t", [
@@ -127,23 +126,23 @@ def test_exp_nilpotent_closed_form():
     ("elliptic", 3, 2, 3.0),
 ])
 def test_exp_matches_series_oracle(case, n, p, t):
-    model, elem = core.build_model(case, n, p=p)
-    assert np.max(np.abs(elem.flow(t) - series_exp(elem.matrix, t))) <= 1e-12
+    model = core.build_model(case, n, p=p)
+    assert np.max(np.abs(model.flow(t) - series_exp(model.A, t))) <= 1e-12
 
 
 @pytest.mark.parametrize("case,n,p", [("hyperbolic", 2, None), ("elliptic", 3, 2),
                                     ("hyperbolic", 16, None), ("elliptic", 16, 1)])
 def test_series_exp_stack_matches_single_times(case, n, p):
     # verify-geometry's flow.series_oracle reads both stacks in one call each
-    model, elem = core.build_model(case, n, p=p)
+    model = core.build_model(case, n, p=p)
     ts = np.linspace(-3.0, 3.0, 7)
-    stack = core.series_exp(elem.matrix, ts)
-    flows = core.exp_tA(elem.matrix, elem.mu, ts)
+    stack = core.series_exp(model.A, ts)
+    flows = core.exp_tA(model.A, model.mu, ts)
     assert stack.shape == flows.shape == (7, model.ambient_dim, model.ambient_dim)
     for t, mat, flow in zip(ts, stack, flows):
-        assert np.array_equal(mat, core.series_exp(elem.matrix, t))
-        assert np.array_equal(mat, series_exp(elem.matrix, t))
-        assert np.array_equal(flow, core.exp_tA(elem.matrix, elem.mu, t))
+        assert np.array_equal(mat, core.series_exp(model.A, t))
+        assert np.array_equal(mat, series_exp(model.A, t))
+        assert np.array_equal(flow, core.exp_tA(model.A, model.mu, t))
 
 
 @pytest.mark.parametrize("case,n,p,q", [
@@ -152,41 +151,41 @@ def test_series_exp_stack_matches_single_times(case, n, p):
     ("nilpotent", 3, 3, 2),
 ])
 def test_exp_flow_properties(case, n, p, q):
-    model, elem = core.build_model(case, n, p=p, q=q)
+    model = core.build_model(case, n, p=p, q=q)
     rng = np.random.default_rng(0)
     for _ in range(5):
         s, t = rng.uniform(-5, 5, size=2)
-        lhs = elem.flow(s) @ elem.flow(t)
-        assert np.max(np.abs(lhs - elem.flow(s + t))) <= 1e-10
-    m = elem.flow(1.3)
+        lhs = model.flow(s) @ model.flow(t)
+        assert np.max(np.abs(lhs - model.flow(s + t))) <= 1e-10
+    m = model.flow(1.3)
     assert np.max(np.abs(m.T @ model.omega @ m - model.omega)) <= 1e-12
-    for pt in core.sample_sigma(model, elem, 5, seed=1):
-        moved = elem.flow(2.1) @ pt
-        assert abs(core.sigma_value(model, elem, moved) - core.sigma_value(model, elem, pt)) <= 1e-10
+    for pt in core.sample_sigma(model, 5, seed=1):
+        moved = model.flow(2.1) @ pt
+        assert abs(core.sigma_value(model, moved) - core.sigma_value(model, pt)) <= 1e-10
 
 
 def test_sigma_value_base_points_and_scaling():
-    model, elem = core.build_model("nilpotent", 2, p=2, q=1)
+    model = core.build_model("nilpotent", 2, p=2, q=1)
     e1_star = np.zeros(6)
     e1_star[4] = 1.0
-    assert core.sigma_value(model, elem, e1_star) == 1.0
+    assert core.sigma_value(model, e1_star) == 1.0
 
-    model_e, elem_e = core.build_model("elliptic", 2, k=1.0, p=1)
+    model_e = core.build_model("elliptic", 2, k=1.0, p=1)
     e1 = np.zeros(6)
     e1[0] = 1.0
-    assert core.sigma_value(model_e, elem_e, e1) == 1.0
+    assert core.sigma_value(model_e, e1) == 1.0
 
     rng = np.random.default_rng(3)
     x = rng.standard_normal(6)
     lam = 1.7
-    assert np.isclose(core.sigma_value(model_e, elem_e, lam * x),
-                      lam ** 2 * core.sigma_value(model_e, elem_e, x))
+    assert np.isclose(core.sigma_value(model_e, lam * x),
+                      lam ** 2 * core.sigma_value(model_e, x))
 
 
 def test_sigma_value_dimension_mismatch():
-    model, elem = core.build_model("elliptic", 2, p=1)
+    model = core.build_model("elliptic", 2, p=1)
     with pytest.raises(ValueError):
-        core.sigma_value(model, elem, np.zeros(4))
+        core.sigma_value(model, np.zeros(4))
 
 
 @pytest.mark.parametrize("case,n,p,q", [
@@ -200,44 +199,44 @@ def test_sigma_value_dimension_mismatch():
     ("nilpotent", 3, 3, 1),
 ])
 def test_sample_sigma_constraint_and_determinism(case, n, p, q):
-    model, elem = core.build_model(case, n, p=p, q=q)
-    pts = core.sample_sigma(model, elem, 25, seed=7)
+    model = core.build_model(case, n, p=p, q=q)
+    pts = core.sample_sigma(model, 25, seed=7)
     for pt in pts:
-        assert abs(core.sigma_value(model, elem, pt) - 1.0) <= 1e-12
-    again = core.sample_sigma(model, elem, 25, seed=7)
+        assert abs(core.sigma_value(model, pt) - 1.0) <= 1e-12
+    again = core.sample_sigma(model, 25, seed=7)
     for a, b in zip(pts, again):
         assert np.array_equal(a, b)
 
 
 def test_sample_sigma_hyperbolic_pairing():
     k = 0.8
-    model, elem = core.build_model("hyperbolic", 2, k=k)
-    for pt in core.sample_sigma(model, elem, 10, seed=1):
+    model = core.build_model("hyperbolic", 2, k=k)
+    for pt in core.sample_sigma(model, 10, seed=1):
         xp, xm = pt[:3], pt[3:]
         assert abs(xp @ xm + 1.0 / (2.0 * k)) <= 1e-12
 
 
 def test_sample_sigma_nilpotent_component():
-    model, elem = core.build_model("nilpotent", 2, p=2, q=1)
-    for pt in core.sample_sigma(model, elem, 20, seed=0):
+    model = core.build_model("nilpotent", 2, p=2, q=1)
+    for pt in core.sample_sigma(model, 20, seed=0):
         xs = pt[4:]
         assert xs[0] > 0
         assert abs(xs[0] ** 2 - xs[1] ** 2 - 1.0) <= 1e-12
 
 
 def test_sample_sigma_rejects_bad_count():
-    model, elem = core.build_model("hyperbolic", 2)
+    model = core.build_model("hyperbolic", 2)
     with pytest.raises(ValueError):
-        core.sample_sigma(model, elem, 0, seed=0)
+        core.sample_sigma(model, 0, seed=0)
 
 
 @pytest.mark.parametrize("case,n,p,q", core.admissible_parameters((2, 3, 4)))
 def test_sample_sigma_matches_pointwise_reference(case, n, p, q):
     # each block row is the point the per-point sampler draws, up to its first redraw
-    model, elem = core.build_model(case, n, p=p or None, q=q or None)
+    model = core.build_model(case, n, p=p or None, q=q or None)
     for seed in range(8):
-        got = core.sample_sigma(model, elem, 50, seed)
-        want, first_redraw = sample_sigma_pointwise(model, elem, 50, seed)
+        got = core.sample_sigma(model, 50, seed)
+        want, first_redraw = sample_sigma_pointwise(model, 50, seed)
         assert isinstance(got, np.ndarray) and got.shape == (50, model.ambient_dim)
         if first_redraw is None:
             assert np.array_equal(got, want)
@@ -247,18 +246,18 @@ def test_sample_sigma_matches_pointwise_reference(case, n, p, q):
 
 def test_sample_sigma_redraws_degenerate_rows():
     # hyperbolic n = 2, seed 5: row 47 has max|x+| < 0.1 and is redrawn after the block
-    model, elem = core.build_model("hyperbolic", 2)
-    xs = core.sample_sigma(model, elem, 50, seed=5)
-    want, first_redraw = sample_sigma_pointwise(model, elem, 50, seed=5)
+    model = core.build_model("hyperbolic", 2)
+    xs = core.sample_sigma(model, 50, seed=5)
+    want, first_redraw = sample_sigma_pointwise(model, 50, seed=5)
     assert first_redraw == 47
     assert np.all(np.max(np.abs(xs[:, :3]), axis=1) >= 0.1)
-    assert np.max(np.abs(core.sigma_value(model, elem, xs) - 1.0)) <= 1e-12
+    assert np.max(np.abs(core.sigma_value(model, xs) - 1.0)) <= 1e-12
     assert np.array_equal(xs[:47], want[:47])
 
 
 def test_sample_sigma_retry_budget(monkeypatch):
     monkeypatch.setattr(core, "MAX_SAMPLE_RETRIES", 0)
-    model, elem = core.build_model("hyperbolic", 2)
-    assert core.sample_sigma(model, elem, 50, seed=0).shape == (50, 6)
+    model = core.build_model("hyperbolic", 2)
+    assert core.sample_sigma(model, 50, seed=0).shape == (50, 6)
     with pytest.raises(RuntimeError, match="exhausted the retry budget"):
-        core.sample_sigma(model, elem, 50, seed=5)
+        core.sample_sigma(model, 50, seed=5)

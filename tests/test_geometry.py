@@ -29,7 +29,7 @@ def build(case, n, p, q):
     return core.build_model(case, n, p=p, q=q)
 
 
-def moderate_chart_point(model, elem, rng, scale=0.6):
+def moderate_chart_point(model, rng, scale=0.6):
     """Chart coordinates with O(1) entries (keeps fd truncation terms small)."""
     kind = geometry.chart_kind(model)
     n = model.n
@@ -60,11 +60,11 @@ def moderate_chart_point(model, elem, rng, scale=0.6):
 
 @pytest.mark.parametrize("case,n,p,q", ALL_CASES)
 def test_horizontal_basis_frame(case, n, p, q):
-    model, elem = build(case, n, p, q)
-    for pt in core.sample_sigma(model, elem, 5, seed=2):
-        frame = geometry.horizontal_basis(model, elem, pt)
+    model = build(case, n, p, q)
+    for pt in core.sample_sigma(model, 5, seed=2):
+        frame = geometry.horizontal_basis(model, pt)
         assert frame.vectors.shape == (model.ambient_dim, 2 * n)
-        ax = elem.matrix @ pt
+        ax = model.A @ pt
         for j in range(2 * n):
             v = frame.vectors[:, j]
             assert abs(model.pairing(v, pt)) <= 1e-12
@@ -74,9 +74,9 @@ def test_horizontal_basis_frame(case, n, p, q):
 
 
 def test_horizontal_basis_contains_f_directions():
-    model, elem = build("nilpotent", 2, 2, 1)
+    model = build("nilpotent", 2, 2, 1)
     x0 = base_point(model)
-    frame = geometry.horizontal_basis(model, elem, x0)
+    frame = geometry.horizontal_basis(model, x0)
     span = frame.vectors @ frame.vectors.T  # orthonormal columns
     for a in range(2):
         f = np.zeros(6)
@@ -86,11 +86,11 @@ def test_horizontal_basis_contains_f_directions():
 
 def test_project_hyperbolic_formula():
     k = 1.3
-    model, elem = core.build_model("hyperbolic", 2, k=k)
-    pt = core.sample_sigma(model, elem, 1, seed=4)[0]
+    model = core.build_model("hyperbolic", 2, k=k)
+    pt = core.sample_sigma(model, 1, seed=4)[0]
     xp, xm = pt[:3], pt[3:]
     r = np.sqrt(xp @ xp)
-    cp = geometry.project(model, elem, pt)
+    cp = geometry.project(model, pt)
     u, w = cp[:3], cp[3:]
     assert np.allclose(u, xp / r)
     assert np.allclose(w, r * xm + u / (2 * k))
@@ -99,75 +99,75 @@ def test_project_hyperbolic_formula():
 
 
 def test_project_nilpotent_base_point_is_origin():
-    model, elem = build("nilpotent", 2, 2, 1)
-    cp = geometry.project(model, elem, base_point(model))
+    model = build("nilpotent", 2, 2, 1)
+    cp = geometry.project(model, base_point(model))
     assert np.max(np.abs(cp)) == 0
 
 
 @pytest.mark.parametrize("case,n,p,q", CHART_CASES)
 def test_project_flow_invariance(case, n, p, q):
-    model, elem = build(case, n, p, q)
+    model = build(case, n, p, q)
     rng = np.random.default_rng(8)
-    for pt in core.sample_sigma(model, elem, 10, seed=8):
-        cp = geometry.project(model, elem, pt)
+    for pt in core.sample_sigma(model, 10, seed=8):
+        cp = geometry.project(model, pt)
         for _ in range(2):
             t = float(rng.uniform(-3, 3))
-            cp2 = geometry.project(model, elem, elem.flow(t) @ pt)
+            cp2 = geometry.project(model, model.flow(t) @ pt)
             assert np.max(np.abs(cp - cp2)) <= 1e-9
 
 
 def test_project_flow_invariance_fiber_elliptic_p2():
-    model, elem = build("elliptic", 2, 2, None)
+    model = build("elliptic", 2, 2, None)
     with pytest.raises(geometry.ChartUnavailableError):
-        geometry.project(model, elem, core.sample_sigma(model, elem, 1, seed=0)[0])
-    for pt in core.sample_sigma(model, elem, 10, seed=3):
-        moved = elem.flow(1.7) @ pt
-        assert geometry.fiber_distance(model, elem, pt, moved) <= 1e-10
+        geometry.project(model, core.sample_sigma(model, 1, seed=0)[0])
+    for pt in core.sample_sigma(model, 10, seed=3):
+        moved = model.flow(1.7) @ pt
+        assert geometry.fiber_distance(model, pt, moved) <= 1e-10
 
 
 def test_project_rejects_wrong_component():
-    model, elem = build("nilpotent", 2, 2, 1)
-    pt = core.sample_sigma(model, elem, 1, seed=0)[0]
+    model = build("nilpotent", 2, 2, 1)
+    pt = core.sample_sigma(model, 1, seed=0)[0]
     flipped = pt.copy()
     flipped[4:] = -flipped[4:]
     with pytest.raises(ValueError):
-        geometry.project(model, elem, flipped)
+        geometry.project(model, flipped)
 
 
 @pytest.mark.parametrize("case,n,p,q", CHART_CASES)
 def test_chart_section_inverts_project(case, n, p, q):
-    model, elem = build(case, n, p, q)
-    for pt in core.sample_sigma(model, elem, 5, seed=11):
-        cp = geometry.project(model, elem, pt)
-        x = geometry.chart_section(model, elem, cp)
-        assert abs(core.sigma_value(model, elem, x) - 1.0) <= 1e-10
-        assert np.max(np.abs(cp - geometry.project(model, elem, x))) <= 1e-9
+    model = build(case, n, p, q)
+    for pt in core.sample_sigma(model, 5, seed=11):
+        cp = geometry.project(model, pt)
+        x = geometry.chart_section(model, cp)
+        assert abs(core.sigma_value(model, x) - 1.0) <= 1e-10
+        assert np.max(np.abs(cp - geometry.project(model, x))) <= 1e-9
 
 
 def test_lift_darboux_closed_form_table():
-    model, elem = build("nilpotent", 2, 2, 1)
+    model = build("nilpotent", 2, 2, 1)
     x = np.array([0.3, -0.7, 0.2, 0.5, 1.0, 0.0])  # gamma = 0
-    lift_y0 = geometry.lift_tangent(model, elem, x, [1.0, 0, 0, 0])
+    lift_y0 = geometry.lift_tangent(model, x, [1.0, 0, 0, 0])
     assert np.allclose(lift_y0, [0, 1, 0, 0, 0, 0])
-    lift_gamma = geometry.lift_tangent(model, elem, x, [0, 0, 0, 1.0])
+    lift_gamma = geometry.lift_tangent(model, x, [0, 0, 0, 1.0])
     assert np.allclose(lift_gamma, [0.7, 0.3, 0, 0, 0, 1.0])
 
 
 @pytest.mark.parametrize("case,n,p,q", CHART_CASES)
 def test_lift_roundtrip_fd_oracle(case, n, p, q):
-    model, elem = build(case, n, p, q)
+    model = build(case, n, p, q)
     rng = np.random.default_rng(13)
-    for pt in core.sample_sigma(model, elem, 3, seed=13):
-        frame = geometry.horizontal_basis(model, elem, pt)
+    for pt in core.sample_sigma(model, 3, seed=13):
+        frame = geometry.horizontal_basis(model, pt)
         v = frame.vectors @ rng.standard_normal(2 * n)
-        tangent = pushforward(model, elem, pt, v, fd_step=1e-5)
-        lift = geometry.lift_tangent(model, elem, pt, tangent)
-        assert horizontality_residual(model, elem, pt, lift) <= 1e-8
-        back = pushforward(model, elem, pt, lift, fd_step=1e-5)
+        tangent = pushforward(model, pt, v, fd_step=1e-5)
+        lift = geometry.lift_tangent(model, pt, tangent)
+        assert horizontality_residual(model, pt, lift) <= 1e-8
+        back = pushforward(model, pt, lift, fd_step=1e-5)
         assert np.max(np.abs(back - tangent)) <= 1e-6
 
 
-def lift_oracle(model, elem, x, tangent):
+def lift_oracle(model, x, tangent):
     """The former one-tangent-at-a-time lift: a frame and 2n differentials per tangent."""
     if geometry.chart_kind(model) == "darboux":
         xs_small, capx, xs = x[:2], x[2:-2], x[-2:]
@@ -184,8 +184,8 @@ def lift_oracle(model, elem, x, tangent):
         out[-2] = dgamma * sh
         out[-1] = dgamma * ch
         return out
-    frame = geometry.horizontal_basis(model, elem, x)
-    mat = np.stack([geometry.differential_project(model, elem, x, frame.vectors[:, j])
+    frame = geometry.horizontal_basis(model, x)
+    mat = np.stack([geometry.differential_project(model, x, frame.vectors[:, j])
                     for j in range(frame.vectors.shape[1])], axis=1)
     coeff, *_ = np.linalg.lstsq(mat, tangent, rcond=None)
     return frame.vectors @ coeff
@@ -193,19 +193,19 @@ def lift_oracle(model, elem, x, tangent):
 
 @pytest.mark.parametrize("case,n,p,q", CHART_CASES)
 def test_lift_tangent_matrix_matches_per_column_oracle(case, n, p, q):
-    model, elem = build(case, n, p, q)
+    model = build(case, n, p, q)
     rng = np.random.default_rng(59)
-    for pt in core.sample_sigma(model, elem, 4, seed=59):
-        cp = geometry.project(model, elem, pt)
-        dirs = coordinate_tangents(model, elem, cp, pt)
+    for pt in core.sample_sigma(model, 4, seed=59):
+        cp = geometry.project(model, pt)
+        dirs = coordinate_tangents(model, cp, pt)
         tangents = np.concatenate([dirs, dirs @ rng.standard_normal((2 * n, 3))], axis=1)
-        lifts = geometry.lift_tangent(model, elem, pt, tangents)
+        lifts = geometry.lift_tangent(model, pt, tangents)
         assert lifts.shape == (model.ambient_dim, tangents.shape[1])
         for j in range(tangents.shape[1]):
-            want = lift_oracle(model, elem, pt, tangents[:, j])
+            want = lift_oracle(model, pt, tangents[:, j])
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(lifts[:, j] - want)) <= 1e-12 * scale
-            single = geometry.lift_tangent(model, elem, pt, tangents[:, j])
+            single = geometry.lift_tangent(model, pt, tangents[:, j])
             assert single.shape == (model.ambient_dim,)
             assert np.max(np.abs(single - want)) <= 1e-12 * scale
 
@@ -285,79 +285,79 @@ BATCH_CASES = core.admissible_parameters((2, 3)) + [("hyperbolic", 8, 0, 0)]
 def test_frame_stack_matches_single_frames(case, n, p, q):
     # the report values rest on the stacked calls giving each sample exactly
     # what the per-frame calls give it
-    model, elem = build(case, n, p or None, q or None)
+    model = build(case, n, p or None, q or None)
     count = 20 if n == 8 else 6
-    pts = core.sample_sigma(model, elem, count, seed=73)
-    frames = geometry.horizontal_basis(model, elem, pts)
+    pts = core.sample_sigma(model, count, seed=73)
+    frames = geometry.horizontal_basis(model, pts)
     assert frames.vectors.shape == (count, model.ambient_dim, 2 * n)
     assert all(frames.vectors[i].flags.c_contiguous for i in range(count))
-    cyc = geometry.curvature_cyclic_residual(model, elem, frames, triples=5, seed=73)
-    ric, gram = geometry.ricci_tensor(model, elem, frames)
-    rho = geometry.ricci_endomorphism(model, elem, frames)
+    cyc = geometry.curvature_cyclic_residual(model, frames, triples=5, seed=73)
+    ric, gram = geometry.ricci_tensor(model, frames)
+    rho = geometry.ricci_endomorphism(model, frames)
     assert cyc.shape == (count,)
     assert ric.shape == gram.shape == (count, 2 * n, 2 * n)
     for i, pt in enumerate(pts):
-        frame = geometry.horizontal_basis(model, elem, pt)
+        frame = geometry.horizontal_basis(model, pt)
         assert np.array_equal(frames.vectors[i], frame.vectors)
         assert np.array_equal(frames.gram[i], frame.gram)
         assert np.array_equal(frames.base[i], frame.base)
-        one = geometry.curvature_cyclic_residual(model, elem, frame, triples=5, seed=73 + i)
+        one = geometry.curvature_cyclic_residual(model, frame, triples=5, seed=73 + i)
         assert isinstance(one, float) and cyc[i] == one
-        one_ric, one_gram = geometry.ricci_tensor(model, elem, frame)
+        one_ric, one_gram = geometry.ricci_tensor(model, frame)
         assert np.array_equal(ric[i], one_ric)
         assert np.array_equal(gram[i], one_gram)
-        assert np.array_equal(rho[i], geometry.ricci_endomorphism(model, elem, frame))
+        assert np.array_equal(rho[i], geometry.ricci_endomorphism(model, frame))
 
 
 @pytest.mark.parametrize("case,n,p,q", BATCH_CASES)
 def test_chart_stack_matches_single_points(case, n, p, q):
     # every chart-layer function gives each row of a stack exactly what it gives
     # that point alone, so a stacked report reads the per-point values
-    model, elem = build(case, n, p or None, q or None)
+    model = build(case, n, p or None, q or None)
     count = 20 if n == 8 else 6
-    pts = core.sample_sigma(model, elem, count, seed=83)
+    pts = core.sample_sigma(model, count, seed=83)
     ts = np.random.default_rng(83).uniform(-3.0, 3.0, size=count)
-    flows = elem.flow(ts)
+    flows = model.flow(ts)
     moved = core.apply_rows(flows, pts)
-    sigma = core.sigma_value(model, elem, pts)
-    times = geometry.fiber_time(model, elem, pts, moved)
-    dists = geometry.fiber_distance(model, elem, pts, moved)
+    sigma = core.sigma_value(model, pts)
+    times = geometry.fiber_time(model, pts, moved)
+    dists = geometry.fiber_distance(model, pts, moved)
     assert sigma.shape == times.shape == dists.shape == (count,)
     for i in range(count):
-        assert np.array_equal(flows[i], elem.flow(ts[i]))
-        assert np.array_equal(moved[i], elem.flow(ts[i]) @ pts[i])
-        assert sigma[i] == core.sigma_value(model, elem, pts[i])
-        assert times[i] == geometry.fiber_time(model, elem, pts[i], moved[i])
-        assert dists[i] == geometry.fiber_distance(model, elem, pts[i], moved[i])
+        assert np.array_equal(flows[i], model.flow(ts[i]))
+        assert np.array_equal(moved[i], model.flow(ts[i]) @ pts[i])
+        assert sigma[i] == core.sigma_value(model, pts[i])
+        assert times[i] == geometry.fiber_time(model, pts[i], moved[i])
+        assert dists[i] == geometry.fiber_distance(model, pts[i], moved[i])
     kind = geometry.chart_kind(model)
     if kind is None:
         return
-    cps = geometry.project(model, elem, pts)
-    sections = geometry.chart_section(model, elem, cps)
-    frames = geometry.horizontal_basis(model, elem, pts).vectors
-    tangents = geometry.differential_project(model, elem, pts, frames)
-    first = geometry.differential_project(model, elem, pts, frames[..., 0])
-    lifts = geometry.lift_tangent(model, elem, pts, tangents)
-    s = geometry.symmetry_matrix(model, elem, base_point(model))
+    cps = geometry.project(model, pts)
+    sections = geometry.chart_section(model, cps)
+    frames = geometry.horizontal_basis(model, pts).vectors
+    tangents = geometry.differential_project(model, pts, frames)
+    first = geometry.differential_project(model, pts, frames[..., 0])
+    lifts = geometry.lift_tangent(model, pts, tangents)
+    s = geometry.symmetry_matrix(model, base_point(model))
     sx = core.apply_rows(s, sections)
-    images = geometry.chart_section(model, elem, geometry.project(model, elem, sx))
-    pullback = geometry.symmetry_pullback_residual(model, elem, s, sections, sx, images)
+    images = geometry.chart_section(model, geometry.project(model, sx))
+    pullback = geometry.symmetry_pullback_residual(model, s, sections, sx, images)
     assert tangents.shape == (count, cps.shape[1], 2 * n) and pullback.shape == (count,)
     for i in range(count):
-        assert np.array_equal(cps[i], geometry.project(model, elem, pts[i]))
-        assert np.array_equal(sections[i], geometry.chart_section(model, elem, cps[i]))
+        assert np.array_equal(cps[i], geometry.project(model, pts[i]))
+        assert np.array_equal(sections[i], geometry.chart_section(model, cps[i]))
         assert np.array_equal(tangents[i],
-                              geometry.differential_project(model, elem, pts[i], frames[i]))
-        assert np.array_equal(first[i], geometry.differential_project(model, elem, pts[i],
+                              geometry.differential_project(model, pts[i], frames[i]))
+        assert np.array_equal(first[i], geometry.differential_project(model, pts[i],
                                                                       frames[i][:, 0]))
-        assert np.array_equal(lifts[i], geometry.lift_tangent(model, elem, pts[i], tangents[i]))
+        assert np.array_equal(lifts[i], geometry.lift_tangent(model, pts[i], tangents[i]))
         assert np.array_equal(sx[i], s @ sections[i])
-        assert pullback[i] == geometry.symmetry_pullback_residual(model, elem, s, sections[i],
+        assert pullback[i] == geometry.symmetry_pullback_residual(model, s, sections[i],
                                                                   sx[i], images[i])
     if kind in ("ball", "darboux"):
-        forms = geometry.chart_omega_matrix(model, elem, pts)
+        forms = geometry.chart_omega_matrix(model, pts)
         for i in range(count):
-            assert np.array_equal(forms[i], geometry.chart_omega_matrix(model, elem, pts[i]))
+            assert np.array_equal(forms[i], geometry.chart_omega_matrix(model, pts[i]))
 
 
 @pytest.mark.parametrize("case", ["nilpotent", "elliptic"])
@@ -365,19 +365,19 @@ def test_field_stack_matches_single_points(case):
     # the Darboux family of the nilpotent (2, 2, 1) model, and the Iwasawa h_phi on the ball
     rng = np.random.default_rng(89)
     if case == "nilpotent":
-        model, elem = build("nilpotent", 2, 2, 1)
+        model = build("nilpotent", 2, 2, 1)
         b_mat, c = np.diag([1.0, -1.0]), 1.0
         gens = nil.family_generators(nil.make_candidate(b_mat, c=c), model.omega0)
         coords = rng.standard_normal((30, 4))
     else:
         data = iwa.iwasawa_su1n(2)
-        model, elem = data.model, data.element
+        model = data.model
         gens = [iwa.build_a_phi(data, np.array([0.7]))[1], *data.nilpotent_part.basis]
         coords = iwa.sample_ball_points(2, 30, seed=89)
-    fields = geometry.fundamental_fields(model, elem, gens, coords)
+    fields = geometry.fundamental_fields(model, gens, coords)
     assert fields.shape == (30, 4, len(gens))
     for i in range(30):
-        assert np.array_equal(fields[i], geometry.fundamental_fields(model, elem, gens, coords[i]))
+        assert np.array_equal(fields[i], geometry.fundamental_fields(model, gens, coords[i]))
     if case == "nilpotent":
         residuals = nil.hamiltonian_residual(model, b_mat, c, fields, coords)
         assert residuals.shape == (30,)
@@ -385,31 +385,46 @@ def test_field_stack_matches_single_points(case):
             assert residuals[i] == nil.hamiltonian_residual(model, b_mat, c, fields[i], coords[i])
 
 
+@pytest.mark.parametrize("k", [1.0, 1e8])
+def test_field_centralizer_guard_is_scale_free(k):
+    # |[X, A]| grows with k; the guard reads [X, A / max|A|] against max|X|, so the
+    # Iwasawa generators pass at any k and a generator off the centralizer fails at any k
+    data = iwa.iwasawa_su1n(2, k=k)
+    gens = [iwa.build_a_phi(data, np.array([0.7]))[1], *data.nilpotent_part.basis]
+    coords = iwa.sample_ball_points(2, 5, seed=3)
+    assert geometry.fundamental_fields(data.model, gens, coords).shape == (5, 4, 4)
+    sym = np.random.default_rng(5).standard_normal((6, 6))
+    off = data.model.omega.T @ (sym + sym.T)  # in sp(Omega), not commuting with A
+    for bad in (off, gens[0] + 1e-6 * off / np.max(np.abs(off))):
+        with pytest.raises(ValueError, match="not in the centralizer of A"):
+            geometry.fundamental_fields(data.model, [gens[0], bad], coords)
+
+
 def test_frame_stack_raises_for_a_bad_sample():
-    model, elem = build("hyperbolic", 2, None, None)
-    pts = core.sample_sigma(model, elem, 3, seed=79)
+    model = build("hyperbolic", 2, None, None)
+    pts = core.sample_sigma(model, 3, seed=79)
     pts[1] = 0.0  # span{x, Ax} collapses: rank deficient
     with pytest.raises(ValueError, match="rank deficient"):
-        geometry.horizontal_basis(model, elem, pts)
+        geometry.horizontal_basis(model, pts)
 
 
 @pytest.mark.parametrize("case,n,p,q", CHART_CASES)
 def test_differential_project_matches_fd(case, n, p, q):
-    model, elem = build(case, n, p, q)
+    model = build(case, n, p, q)
     rng = np.random.default_rng(14)
-    pt = core.sample_sigma(model, elem, 1, seed=14)[0]
-    frame = geometry.horizontal_basis(model, elem, pt)
+    pt = core.sample_sigma(model, 1, seed=14)[0]
+    frame = geometry.horizontal_basis(model, pt)
     # the frame, a random horizontal tangent, and A x (tangent to the fiber, mapped to 0)
     tangents = np.column_stack([frame.vectors, frame.vectors @ rng.standard_normal(2 * n),
-                                elem.matrix @ pt])
-    exact = geometry.differential_project(model, elem, pt, tangents)
-    chart_dim = geometry.project(model, elem, pt).shape[0]
+                                model.A @ pt])
+    exact = geometry.differential_project(model, pt, tangents)
+    chart_dim = geometry.project(model, pt).shape[0]
     assert exact.shape == (chart_dim, tangents.shape[1])
     for j in range(tangents.shape[1]):
-        single = geometry.differential_project(model, elem, pt, tangents[:, j])
+        single = geometry.differential_project(model, pt, tangents[:, j])
         assert single.shape == (chart_dim,)
         assert np.max(np.abs(exact[:, j] - single)) <= 1e-14
-        fd = pushforward(model, elem, pt, tangents[:, j], fd_step=1e-5)
+        fd = pushforward(model, pt, tangents[:, j], fd_step=1e-5)
         assert np.max(np.abs(exact[:, j] - fd)) <= 1e-6
 
 
@@ -418,53 +433,53 @@ def test_differential_project_matches_fd(case, n, p, q):
 def test_reduced_omega_antisymmetry_and_errors(seed, order):
     # exact in rounding, whatever the memory layout of the frame the vectors come from
     for case, n, p, q in CHART_CASES:
-        model, elem = build(case, n, p, q)
-        for pt in core.sample_sigma(model, elem, 10, seed=seed):
-            vecs = np.asarray(geometry.horizontal_basis(model, elem, pt).vectors, order=order)
+        model = build(case, n, p, q)
+        for pt in core.sample_sigma(model, 10, seed=seed):
+            vecs = np.asarray(geometry.horizontal_basis(model, pt).vectors, order=order)
             for i, v in enumerate(vecs.T):
-                assert reduced_omega(model, elem, pt, v, v) == 0
+                assert reduced_omega(model, pt, v, v) == 0
                 for w in vecs.T[i + 1:]:
-                    vw = reduced_omega(model, elem, pt, v, w)
-                    assert vw == -reduced_omega(model, elem, pt, w, v)
+                    vw = reduced_omega(model, pt, v, w)
+                    assert vw == -reduced_omega(model, pt, w, v)
     with pytest.raises(ValueError):
-        reduced_omega(model, elem, pt, pt, w)
+        reduced_omega(model, pt, pt, w)
 
 
 @pytest.mark.parametrize("case,n,p,q", [("hyperbolic", 2, None, None), ("nilpotent", 3, 3, 2)])
 def test_chart_omega_matrix_needs_an_intrinsic_chart(case, n, p, q):
     # the tangent-sphere and quadric representations are embedded, not coordinate systems
-    model, elem = build(case, n, p, q)
-    pt = core.sample_sigma(model, elem, 1, seed=0)[0]
+    model = build(case, n, p, q)
+    pt = core.sample_sigma(model, 1, seed=0)[0]
     with pytest.raises(geometry.ChartUnavailableError, match="needs the ball or Darboux chart"):
-        geometry.chart_omega_matrix(model, elem, pt)
+        geometry.chart_omega_matrix(model, pt)
 
 
 def test_darboux_chart_matrix_constant():
-    model, elem = build("nilpotent", 2, 2, 1)
+    model = build("nilpotent", 2, 2, 1)
     dar = geometry.darboux_matrix(model)
     assert dar[0, -1] == 1.0 and dar[-1, 0] == -1.0
     worst = 0.0
-    for pt in core.sample_sigma(model, elem, 20, seed=6):
-        mat = geometry.chart_omega_matrix(model, elem, pt)
+    for pt in core.sample_sigma(model, 20, seed=6):
+        mat = geometry.chart_omega_matrix(model, pt)
         worst = max(worst, float(np.max(np.abs(mat - dar))))
     assert worst <= 1e-8
 
 
 def test_darboux_lift_omega_values():
-    model, elem = build("nilpotent", 2, 2, 1)
+    model = build("nilpotent", 2, 2, 1)
     om0 = model.omega0
     rng = np.random.default_rng(21)
     for _ in range(20):
-        cp = moderate_chart_point(model, elem, rng, scale=1.0)
-        x = geometry.chart_section(model, elem, cp)
-        lifts = [geometry.lift_tangent(model, elem, x, e) for e in np.eye(4)]
+        cp = moderate_chart_point(model, rng, scale=1.0)
+        x = geometry.chart_section(model, cp)
+        lifts = [geometry.lift_tangent(model, x, e) for e in np.eye(4)]
         assert abs(model.pairing(lifts[0], lifts[3]) - 1.0) <= 1e-12
         assert abs(model.pairing(lifts[1], lifts[2]) - om0[0, 1]) <= 1e-12
 
 
-def constant_projection_field(model, elem, c):
+def constant_projection_field(model, c):
     def field(z):
-        return horizontal_projection(model, elem, z, c)
+        return horizontal_projection(model, z, c)
     return field
 
 
@@ -474,15 +489,15 @@ def constant_projection_field(model, elem, c):
 def test_connection_against_analytic_oracle(case, n, p, q):
     # field = horizontal projection of a constant vector; its flat derivative
     # has a closed form, giving an independent value for the connection
-    model, elem = build(case, n, p, q)
-    a = elem.matrix
-    pt = core.sample_sigma(model, elem, 1, seed=9)[0]
+    model = build(case, n, p, q)
+    a = model.A
+    pt = core.sample_sigma(model, 1, seed=9)[0]
     rng = np.random.default_rng(9)
     c = rng.standard_normal(model.ambient_dim)
-    frame = geometry.horizontal_basis(model, elem, pt)
+    frame = geometry.horizontal_basis(model, pt)
     xbar = frame.vectors @ rng.standard_normal(2 * n)
-    field = constant_projection_field(model, elem, c)
-    got = connection_nabla(model, elem, pt, xbar, field)
+    field = constant_projection_field(model, c)
+    got = connection_nabla(model, pt, xbar, field)
     x = pt
     ax = a @ x
     y_here = field(x)
@@ -494,34 +509,34 @@ def test_connection_against_analytic_oracle(case, n, p, q):
 
 
 def test_connection_rejects_bad_step():
-    model, elem = build("nilpotent", 2, 2, 1)
-    pt = core.sample_sigma(model, elem, 1, seed=0)[0]
+    model = build("nilpotent", 2, 2, 1)
+    pt = core.sample_sigma(model, 1, seed=0)[0]
     with pytest.raises(ValueError):
-        connection_nabla(model, elem, pt, np.zeros(6), lambda z: z, fd_step=0.0)
+        connection_nabla(model, pt, np.zeros(6), lambda z: z, fd_step=0.0)
 
 
 @pytest.mark.parametrize("case,n,p,q", CHART_CASES)
 def test_connection_torsion_free_on_coordinate_fields(case, n, p, q):
-    model, elem = build(case, n, p, q)
+    model = build(case, n, p, q)
     rng = np.random.default_rng(31)
-    cp = moderate_chart_point(model, elem, rng)
-    x = geometry.chart_section(model, elem, cp)
+    cp = moderate_chart_point(model, rng)
+    x = geometry.chart_section(model, cp)
     pairs = [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)]
     for i, j in pairs:
-        fi = coordinate_field(model, elem, cp, i)
-        fj = coordinate_field(model, elem, cp, j)
-        nij = connection_nabla(model, elem, x, fi(x), fj)
-        nji = connection_nabla(model, elem, x, fj(x), fi)
+        fi = coordinate_field(model, cp, i)
+        fj = coordinate_field(model, cp, j)
+        nij = connection_nabla(model, x, fi(x), fj)
+        nji = connection_nabla(model, x, fj(x), fi)
         assert np.max(np.abs(nij - nji)) <= 1e-5
 
 
 @pytest.mark.parametrize("case,n,p,q", CHART_CASES)
 def test_connection_parallel_omega(case, n, p, q):
-    model, elem = build(case, n, p, q)
+    model = build(case, n, p, q)
     rng = np.random.default_rng(33)
-    cp = moderate_chart_point(model, elem, rng)
-    x = geometry.chart_section(model, elem, cp)
-    fields = [coordinate_field(model, elem, cp, i) for i in range(3)]
+    cp = moderate_chart_point(model, rng)
+    x = geometry.chart_section(model, cp)
+    fields = [coordinate_field(model, cp, i) for i in range(3)]
     fx, fy, fz = fields
     h = 1e-5
 
@@ -529,11 +544,11 @@ def test_connection_parallel_omega(case, n, p, q):
         return float(fy(z) @ model.omega @ fz(z))
 
     xbar = fx(x)
-    xp = retract_to_sigma(model, elem, x + h * xbar)
-    xm = retract_to_sigma(model, elem, x - h * xbar)
+    xp = retract_to_sigma(model, x + h * xbar)
+    xm = retract_to_sigma(model, x - h * xbar)
     deriv = (w_yz(xp) - w_yz(xm)) / (2 * h)
-    nxy = connection_nabla(model, elem, x, xbar, fy)
-    nxz = connection_nabla(model, elem, x, xbar, fz)
+    nxy = connection_nabla(model, x, xbar, fy)
+    nxz = connection_nabla(model, x, xbar, fz)
     residual = abs(deriv - float(nxy @ model.omega @ fz(x))
                    - float(fy(x) @ model.omega @ nxz))
     assert residual <= 1e-5
@@ -541,57 +556,57 @@ def test_connection_parallel_omega(case, n, p, q):
 
 @pytest.mark.parametrize("case,n,p,q", ALL_CASES)
 def test_curvature_antisymmetry_and_cyclic(case, n, p, q):
-    model, elem = build(case, n, p, q)
-    pt = core.sample_sigma(model, elem, 1, seed=17)[0]
-    frame = geometry.horizontal_basis(model, elem, pt)
+    model = build(case, n, p, q)
+    pt = core.sample_sigma(model, 1, seed=17)[0]
+    frame = geometry.horizontal_basis(model, pt)
     rng = np.random.default_rng(17)
     xb, zb = (frame.vectors @ rng.standard_normal(2 * n) for _ in range(2))
-    assert np.max(np.abs(geometry.curvature(model, elem, xb, xb, zb))) <= 1e-12
-    assert geometry.curvature_cyclic_residual(model, elem, frame, triples=50, seed=1) <= 1e-9
+    assert np.max(np.abs(geometry.curvature(model, xb, xb, zb))) <= 1e-12
+    assert geometry.curvature_cyclic_residual(model, frame, triples=50, seed=1) <= 1e-9
     # the one (triples, 3, 2n) draw holds the per-triple draws of the same stream
     per_triple = np.random.default_rng(1)
     assert np.array_equal(np.random.default_rng(1).standard_normal((50, 3, 2 * n)),
                           np.stack([per_triple.standard_normal((3, 2 * n)) for _ in range(50)]))
     # one vector per column: each column is the curvature of that column's vectors
     cols = [rng.standard_normal((model.ambient_dim, 4)) for _ in range(3)]
-    batched = geometry.curvature(model, elem, *cols)
+    batched = geometry.curvature(model, *cols)
     for j in range(4):
-        single = geometry.curvature(model, elem, *(c[:, j] for c in cols))
+        single = geometry.curvature(model, *(c[:, j] for c in cols))
         assert _relative(batched[:, j], single) <= 1e-12
     # output stays horizontal
-    out = geometry.curvature(model, elem, xb, zb, xb)
-    assert horizontality_residual(model, elem, pt, out) <= 1e-10
+    out = geometry.curvature(model, xb, zb, xb)
+    assert horizontality_residual(model, pt, out) <= 1e-10
 
 
 def test_curvature_vanishes_on_kernel_directions():
     # mu = 0: on horizontal vectors killed by A the whole formula collapses
-    model, elem = build("nilpotent", 2, 2, 1)
+    model = build("nilpotent", 2, 2, 1)
     f1 = np.zeros(6)
     f1[2] = 1.0
     f2 = np.zeros(6)
     f2[3] = 1.0
     # A f = 0 and Omega(f1, f2) spans the only term; R has A factors throughout
-    out = geometry.curvature(model, elem, f1, f2, f1)
+    out = geometry.curvature(model, f1, f2, f1)
     assert np.max(np.abs(out)) <= 1e-14
 
 
 @pytest.mark.parametrize("case,n,p,q", ALL_CASES)
 def test_ricci_endomorphism_square_and_trace_route(case, n, p, q):
-    model, elem = build(case, n, p, q)
+    model = build(case, n, p, q)
     ident = np.eye(2 * n)
-    for pt in core.sample_sigma(model, elem, 20, seed=19):
-        frame = geometry.horizontal_basis(model, elem, pt)
-        rho = geometry.ricci_endomorphism(model, elem, frame)
-        assert np.max(np.abs(rho @ rho - 4 * (n + 1) ** 2 * elem.mu * ident)) <= 1e-9
+    for pt in core.sample_sigma(model, 20, seed=19):
+        frame = geometry.horizontal_basis(model, pt)
+        rho = geometry.ricci_endomorphism(model, frame)
+        assert np.max(np.abs(rho @ rho - 4 * (n + 1) ** 2 * model.mu * ident)) <= 1e-9
         gram = frame.vectors.T @ model.omega @ frame.vectors
-        trace_ric = geometry.ricci_tensor(model, elem, frame)[0]
+        trace_ric = geometry.ricci_tensor(model, frame)[0]
         assert np.max(np.abs(gram @ rho - trace_ric)) <= 1e-9
 
 
 def test_ricci_endomorphism_nilpotent_square_zero():
-    model, elem = build("nilpotent", 3, 2, 2)
-    pt = core.sample_sigma(model, elem, 1, seed=23)[0]
-    rho = geometry.ricci_endomorphism(model, elem, geometry.horizontal_basis(model, elem, pt))
+    model = build("nilpotent", 3, 2, 2)
+    pt = core.sample_sigma(model, 1, seed=23)[0]
+    rho = geometry.ricci_endomorphism(model, geometry.horizontal_basis(model, pt))
     assert np.max(np.abs(rho @ rho)) <= 1e-10
 
 
@@ -604,26 +619,26 @@ def test_ricci_endomorphism_nilpotent_square_zero():
 ])
 def test_ricci_type_residual_small(case, n, p, q):
     # the algebra route holds at every point, not only at the base point
-    model, elem = build(case, n, p, q)
-    for pt in [base_point(model), *core.sample_sigma(model, elem, 10, seed=29)]:
-        assert geometry.ricci_type_residual(model, elem, pt) <= 1e-8
+    model = build(case, n, p, q)
+    for pt in [base_point(model), *core.sample_sigma(model, 10, seed=29)]:
+        assert geometry.ricci_type_residual(model, pt) <= 1e-8
 
 
 def test_ricci_type_residual_frame_rebase_invariant():
-    model, elem = build("elliptic", 2, 1, None)
-    pt = core.sample_sigma(model, elem, 1, seed=31)[0]
-    base = geometry.ricci_type_residual(model, elem, pt)
+    model = build("elliptic", 2, 1, None)
+    pt = core.sample_sigma(model, 1, seed=31)[0]
+    base = geometry.ricci_type_residual(model, pt)
     # the residual is tensorial: recomputing on a re-based frame changes nothing
     # beyond conditioning
-    frame = geometry.horizontal_basis(model, elem, pt)
+    frame = geometry.horizontal_basis(model, pt)
     rng = np.random.default_rng(31)
     mix = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     vectors = frame.vectors @ mix
     rebased = geometry.HorizontalFrame(pt, vectors, vectors.T @ model.omega @ vectors)
-    curv = geometry.algebra_curvature(model, elem, rebased)
+    curv = geometry.algebra_curvature(model, rebased)
     gram = rebased.gram
     residual, ric = geometry._ricci_type_defect(curv, gram, model.n)
-    paired = frame_pairing(model, elem, rebased)
+    paired = frame_pairing(model, rebased)
     want, want_ric = ricci_type_defect(gram, paired, model.n)
     assert residual <= 1e-8
     assert want <= 1e-8
@@ -660,14 +675,14 @@ def test_ricci_type_defect_detects_wrong_coefficient():
     # the size the einsum oracle reads on the closed form
     for case, n, p, q in [("hyperbolic", 3, None, None), ("elliptic", 3, 2, None),
                           ("nilpotent", 4, 3, 2), ("hyperbolic", 16, None, None)]:
-        model, elem = build(case, n, p, q)
+        model = build(case, n, p, q)
         points = [base_point(model)]
         if n <= 4:
-            points += list(core.sample_sigma(model, elem, 3, seed=67))
+            points += list(core.sample_sigma(model, 3, seed=67))
         for pt in points:
-            frame = geometry.horizontal_basis(model, elem, pt)
-            curv = geometry.algebra_curvature(model, elem, frame)
-            paired = frame_pairing(model, elem, frame)
+            frame = geometry.horizontal_basis(model, pt)
+            curv = geometry.algebra_curvature(model, frame)
+            paired = frame_pairing(model, frame)
             for wrong_n in (n - 1, n + 1, 2 * n):
                 got = geometry._ricci_type_defect(curv, frame.gram, wrong_n)[0]
                 want = ricci_type_defect(frame.gram, paired, wrong_n)[0]
@@ -680,36 +695,36 @@ def test_ricci_type_defect_detects_wrong_coefficient():
 @pytest.mark.parametrize("k", [1e-3, 1.0, 1e3])
 def test_ricci_type_residual_k_ladder(case, n, p, q, k):
     # k scales A and leaves the (1,3) curvature alone: the check holds at every k
-    model, elem = core.build_model(case, n, k=k, p=p)
-    assert geometry.ricci_type_residual(model, elem, base_point(model)) <= 1e-8
+    model = core.build_model(case, n, k=k, p=p)
+    assert geometry.ricci_type_residual(model, base_point(model)) <= 1e-8
 
 
 @pytest.mark.parametrize("case,n,p,q", core.admissible_parameters((2, 3, 4)))
 def test_transvection_generators_span_p_part(case, n, p, q):
     # the closed-form X_u span the odd part that the centralizer split computes
-    model, elem = build(case, n, p or None, q or None)
+    model = build(case, n, p or None, q or None)
     x0 = base_point(model)
-    frame = geometry.horizontal_basis(model, elem, x0)
-    gens = geometry.transvection_generators(model, elem, frame)
-    s = geometry.symmetry_matrix(model, elem, x0)
-    amat, om = elem.matrix, model.omega
+    frame = geometry.horizontal_basis(model, x0)
+    gens = geometry.transvection_generators(model, frame)
+    s = geometry.symmetry_matrix(model, x0)
+    amat, om = model.A, model.omega
     assert np.max(np.abs(np.swapaxes(gens, 1, 2) @ om + om @ gens)) <= 1e-12
     assert np.max(np.abs(amat @ gens - gens @ amat)) <= 1e-12
     assert np.max(np.abs(s @ gens @ s + gens)) <= 1e-12
     assert np.max(np.abs((gens @ x0).T - frame.vectors)) <= 1e-12
     span = lie.subspace_from_matrices(gens, model.ambient_dim)
-    p_part = transvection_algebra(model, elem).p_part
+    p_part = transvection_algebra(model).p_part
     assert span.dim == p_part.dim == 2 * n
     assert span.distance(p_part.basis) <= 1e-12
     assert p_part.distance(span.basis) <= 1e-12
 
 
 def test_ricci_type_residual_memory_n16():
-    model, elem = build("hyperbolic", 16, None, None)
+    model = build("hyperbolic", 16, None, None)
     x0 = base_point(model)
     tracemalloc.start()
     try:
-        residual = geometry.ricci_type_residual(model, elem, x0)
+        residual = geometry.ricci_type_residual(model, x0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -720,36 +735,36 @@ def test_ricci_type_residual_memory_n16():
 
 @pytest.mark.parametrize("case,n,p,q", ALL_CASES)
 def test_ambient_symmetry_properties(case, n, p, q):
-    model, elem = build(case, n, p, q)
-    pt = core.sample_sigma(model, elem, 1, seed=37)[0]
-    s = geometry.symmetry_matrix(model, elem, pt)
+    model = build(case, n, p, q)
+    pt = core.sample_sigma(model, 1, seed=37)[0]
+    s = geometry.symmetry_matrix(model, pt)
     assert np.max(np.abs(s @ pt - pt)) <= 1e-12
-    ax = elem.matrix @ pt
+    ax = model.A @ pt
     assert np.max(np.abs(s @ ax - ax)) <= 1e-12
     rng = np.random.default_rng(37)
     for _ in range(20):
         y = rng.standard_normal(model.ambient_dim)
         assert np.max(np.abs(s @ (s @ y) - y)) <= 1e-10
     assert np.max(np.abs(s.T @ model.omega @ s - model.omega)) <= 1e-12
-    assert np.max(np.abs(s @ elem.matrix - elem.matrix @ s)) <= 1e-12
+    assert np.max(np.abs(s @ model.A - model.A @ s)) <= 1e-12
 
 
 def test_symmetry_matrix_matches_normal_forms():
-    model, elem = core.build_model("hyperbolic", 2, k=0.5)
-    s = geometry.symmetry_matrix(model, elem, base_point(model))
+    model = core.build_model("hyperbolic", 2, k=0.5)
+    s = geometry.symmetry_matrix(model, base_point(model))
     block = np.diag([1.0, -1.0, -1.0])
     assert np.max(np.abs(s - np.block([[block, np.zeros((3, 3))],
                                        [np.zeros((3, 3)), block]]))) <= 1e-12
-    model, elem = build("nilpotent", 2, 2, 1)
-    s = geometry.symmetry_matrix(model, elem, base_point(model))
+    model = build("nilpotent", 2, 2, 1)
+    s = geometry.symmetry_matrix(model, base_point(model))
     assert np.max(np.abs(s - np.diag([1.0, -1, -1, -1, 1, -1]))) <= 1e-12
 
 
 @pytest.mark.parametrize("case,n,p,q", ALL_CASES)
 def test_reduced_symmetry_report(case, n, p, q):
-    model, elem = build(case, n, p, q)
-    samples = core.sample_sigma(model, elem, 8, seed=41)
-    rep = geometry.reduced_symmetry_report(model, elem, base_point(model), samples)
+    model = build(case, n, p, q)
+    samples = core.sample_sigma(model, 8, seed=41)
+    rep = geometry.reduced_symmetry_report(model, base_point(model), samples)
     assert rep["symmetry_squared"] <= 1e-12
     assert rep["fixed_point"] <= 1e-9
     assert len(rep["involution_in_chart"]) == len(samples)
@@ -764,49 +779,49 @@ def test_symplectic_pullback_rounding_floor_n16():
     # verify-geometry --case hyperbolic --n 16 --seed 1 reads its first 20 samples; there the
     # lifted graph-chart tangents reach 1.3e3, which put an eps |L|^2 floor of 1.3e-10 on
     # the pullback, while the orthonormal frame holds it near eps
-    model, elem = build("hyperbolic", 16, None, None)
-    samples = core.sample_sigma(model, elem, 50, seed=1)[:20]
-    rep = geometry.reduced_symmetry_report(model, elem, base_point(model), samples)
+    model = build("hyperbolic", 16, None, None)
+    samples = core.sample_sigma(model, 50, seed=1)[:20]
+    rep = geometry.reduced_symmetry_report(model, base_point(model), samples)
     assert np.max(rep["symplectic_pullback"]) <= 1e-13
 
 
 @pytest.mark.parametrize("case,n,p,q", CHART_CASES)
 def test_symmetry_differential_matches_fd(case, n, p, q):
-    model, elem = build(case, n, p, q)
-    s = geometry.symmetry_matrix(model, elem, base_point(model))
+    model = build(case, n, p, q)
+    s = geometry.symmetry_matrix(model, base_point(model))
     rng = np.random.default_rng(61)
-    cps = ([geometry.project(model, elem, pt) for pt in core.sample_sigma(model, elem, 4, seed=61)]
-           + [moderate_chart_point(model, elem, rng) for _ in range(3)])
+    cps = ([geometry.project(model, pt) for pt in core.sample_sigma(model, 4, seed=61)]
+           + [moderate_chart_point(model, rng) for _ in range(3)])
     for cp in cps:
-        x = geometry.chart_section(model, elem, cp)
-        lifts, tangents = geometry._symmetry_differential(model, elem, s, x, s @ x)
-        fd = symmetry_chart_differential(model, elem, s, x, lifts)
+        x = geometry.chart_section(model, cp)
+        lifts, tangents = geometry._symmetry_differential(model, s, x, s @ x)
+        fd = symmetry_chart_differential(model, s, x, lifts)
         for j in range(tangents.shape[1]):
             assert _relative(tangents[:, j], fd[:, j]) <= 1e-6
 
 
 def test_act_chart_flow_is_identity():
     for case, n, p, q in CHART_CASES:
-        model, elem = build(case, n, p, q)
-        cp = geometry.project(model, elem, core.sample_sigma(model, elem, 1, seed=43)[0])
-        moved = act_chart(model, elem, elem.flow(1.3), cp)
+        model = build(case, n, p, q)
+        cp = geometry.project(model, core.sample_sigma(model, 1, seed=43)[0])
+        moved = act_chart(model, model.flow(1.3), cp)
         assert np.max(np.abs(cp - moved)) <= 1e-9
 
 
 def test_act_chart_rejects_non_centralizing():
-    model, elem = build("hyperbolic", 2, None, None)
-    cp = geometry.project(model, elem, core.sample_sigma(model, elem, 1, seed=43)[0])
+    model = build("hyperbolic", 2, None, None)
+    cp = geometry.project(model, core.sample_sigma(model, 1, seed=43)[0])
     g = np.eye(6)
     g[0, 1] = 1.0  # symplectic only against the wrong pairing, and not centralizing
     with pytest.raises(ValueError):
-        act_chart(model, elem, g, cp)
+        act_chart(model, g, cp)
 
 
 def test_act_tangent_sphere_closed_form():
     k = 1.0
-    model, elem = core.build_model("hyperbolic", 2, k=k)
+    model = core.build_model("hyperbolic", 2, k=k)
     rng = np.random.default_rng(47)
-    cp = moderate_chart_point(model, elem, rng)
+    cp = moderate_chart_point(model, rng)
     u, w = cp[:3], cp[3:]
     # scalar matrices act trivially
     u2, w2 = act_tangent_sphere(2.5 * np.eye(3), u, w, k)
@@ -821,7 +836,7 @@ def test_act_tangent_sphere_closed_form():
     # generic B agrees with project(g . section)
     b = rng.standard_normal((3, 3)) + 3 * np.eye(3)
     g = gl_to_sp_hyperbolic(model, b)
-    moved = act_chart(model, elem, g, cp)
+    moved = act_chart(model, g, cp)
     u2, w2 = act_tangent_sphere(b, u, w, k)
     assert np.max(np.abs(moved - np.concatenate([u2, w2]))) <= 1e-9
 
@@ -829,11 +844,11 @@ def test_act_tangent_sphere_closed_form():
 @pytest.mark.parametrize("case,n,p,q",
                          core.admissible_parameters((2, 3, 4)) + [("hyperbolic", 8, 0, 0)])
 def test_ricci_type_residual_full_admissible_sweep(case, n, p, q):
-    model, elem = build(case, n, p or None, q or None)
-    for i, pt in enumerate([base_point(model), *core.sample_sigma(model, elem, 3, seed=53)]):
-        frame = geometry.horizontal_basis(model, elem, pt)
-        curv = geometry.algebra_curvature(model, elem, frame)
-        paired = frame_pairing(model, elem, frame)
+    model = build(case, n, p or None, q or None)
+    for i, pt in enumerate([base_point(model), *core.sample_sigma(model, 3, seed=53)]):
+        frame = geometry.horizontal_basis(model, pt)
+        curv = geometry.algebra_curvature(model, frame)
+        paired = frame_pairing(model, frame)
         # the algebra's curvature is the closed form, materialized by the oracle
         assert np.max(np.abs(curv - curvature_tensor(frame.gram, paired))) <= 1e-13
         residual, ric = geometry._ricci_type_defect(curv, frame.gram, n)
@@ -844,7 +859,7 @@ def test_ricci_type_residual_full_admissible_sweep(case, n, p, q):
         # r vanishes on the flat p = 1 models, up to rounding of either route
         assert np.max(np.abs(ric - want_ric)) <= 1e-12 * max(1.0, float(np.max(np.abs(want_ric))))
         if i > 0:  # the sampled trace route and the oracle's trace, at the samples
-            assert _relative(geometry.ricci_tensor(model, elem, frame)[0], want_ric) <= 1e-12
+            assert _relative(geometry.ricci_tensor(model, frame)[0], want_ric) <= 1e-12
 
 
 def test_reduced_symmetry_check_report():
@@ -853,9 +868,9 @@ def test_reduced_symmetry_check_report():
     config = cli.RunConfig(case="nilpotent", n=2, p=2, q=1, samples=5, seed=3)
     report = cli.cmd_verify_geometry(config)
     assert report.verdict == "PASS"
-    model, elem = build("nilpotent", 2, 2, 1)
-    samples = core.sample_sigma(model, elem, 5, seed=3)
-    rep = geometry.reduced_symmetry_report(model, elem, base_point(model), samples)
+    model = build("nilpotent", 2, 2, 1)
+    samples = core.sample_sigma(model, 5, seed=3)
+    rep = geometry.reduced_symmetry_report(model, base_point(model), samples)
     want = [("symmetry.squares_to_identity", rep["symmetry_squared"], 1e-12),
             ("symmetry.symplectic", rep["symmetry_symplectic"], 1e-12),
             ("symmetry.commutes_with_A", rep["symmetry_commutes_A"], 1e-12),

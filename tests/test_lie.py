@@ -40,18 +40,18 @@ def test_bracket_shape_mismatch():
     ("nilpotent", 2, 2, 1, 11),
 ])
 def test_centralizer_dimension(case, n, p, q, expected):
-    model, elem = core.build_model(case, n, p=p, q=q)
-    g1 = lie.centralizer_in_sp(model, elem)
+    model = core.build_model(case, n, p=p, q=q)
+    g1 = lie.centralizer_in_sp(model)
     assert g1.dim == expected
     assert lie.structure_constants(g1)[1] <= 1e-10
     for b in g1.basis:
         assert core.sp_residual(model.omega, b) <= 1e-12
-        assert np.max(np.abs(b @ elem.matrix - elem.matrix @ b)) <= 1e-12
+        assert np.max(np.abs(b @ model.A - model.A @ b)) <= 1e-12
 
 
 def test_centralizer_exact_mode_cross_check():
-    model, elem = core.build_model("nilpotent", 2, p=2, q=1)
-    g1 = lie.centralizer_in_sp(model, elem, exact=True)
+    model = core.build_model("nilpotent", 2, p=2, q=1)
+    g1 = lie.centralizer_in_sp(model, exact=True)
     assert g1.dim == 11
 
 
@@ -62,8 +62,8 @@ K_LADDER = [1e-7, 1e-3, 0.1, 1.0, 2.0, 10.0, 1e2, 1e3]
 def test_centralizer_matches_vec_x_oracle(k):
     # the (m, m) solve on symmetric S = Omega X against the (2N^2, N^2) stack on vec(X)
     for case, n, p, q in core.admissible_parameters((2, 3, 4)):
-        model, elem = core.build_model(case, n, k=k, p=p, q=q)
-        new, old = lie.centralizer_in_sp(model, elem), centralizer_oracle(model, elem)
+        model = core.build_model(case, n, k=k, p=p, q=q)
+        new, old = lie.centralizer_in_sp(model), centralizer_oracle(model)
         assert new.dim == old.dim, (case, n, p, q)
         assert max(new.distance(old.basis), old.distance(new.basis)) <= 1e-13, (case, n, p, q)
         assert np.max(np.abs(new.rows @ new.rows.T - np.eye(new.dim))) <= 1e-13
@@ -79,30 +79,31 @@ def test_centralizer_exact_dimension_on_symmetric_system(monkeypatch, n):
         return rational_nullspace_dimension(mat)
     monkeypatch.setattr(exact, "rational_nullspace_dimension", recorded)
     for case, n_, p, q in core.admissible_parameters((n,)):
-        model, elem = core.build_model(case, n_, p=p, q=q)
+        model = core.build_model(case, n_, p=p, q=q)
         # exact=True raises when the rational and floating dimensions differ
-        sub = lie.centralizer_in_sp(model, elem, exact=True)
-        assert sub.dim == lie.centralizer_in_sp(model, elem).dim
+        sub = lie.centralizer_in_sp(model, exact=True)
+        assert sub.dim == lie.centralizer_in_sp(model).dim
     m = (2 * n + 2) * (2 * n + 3) // 2
     assert shapes == [(m, m)] * len(core.admissible_parameters((n,)))
 
 
 def test_centralizer_refuses_non_orthogonal_omega():
     from dataclasses import replace
-    model, elem = core.build_model("hyperbolic", 2)
+    model = core.build_model("hyperbolic", 2)
     with pytest.raises(ValueError, match="Omega is not orthogonal"):
-        lie.centralizer_in_sp(replace(model, omega=2.0 * model.omega), elem)
+        lie.centralizer_in_sp(replace(model, omega=2.0 * model.omega))
 
 
 def test_centralizer_refuses_a_outside_sp():
-    model, elem = core.build_model("elliptic", 2, p=1)
+    from dataclasses import replace
+    model = core.build_model("elliptic", 2, p=1)
     with pytest.raises(ValueError, match=r"A is not in sp\(Omega\)"):
-        lie.centralizer_in_sp(model, elem.matrix + 1e-6 * np.eye(model.ambient_dim))
+        lie.centralizer_in_sp(replace(model, A=model.A + 1e-6 * np.eye(model.ambient_dim)))
 
 
 def test_rational_nullspace_oracle():
     # independent rational-arithmetic dimension for the same constraint system
-    model, elem = core.build_model("nilpotent", 2, p=2, q=1)
+    model = core.build_model("nilpotent", 2, p=2, q=1)
     dim = model.ambient_dim
     ident = np.eye(dim)
     perm = np.zeros((dim * dim, dim * dim))
@@ -111,7 +112,7 @@ def test_rational_nullspace_oracle():
             perm[i * dim + j, j * dim + i] = 1.0
     system = np.vstack([
         np.kron(ident, model.omega.T) @ perm + np.kron(model.omega, ident),
-        np.kron(ident, elem.matrix.T) - np.kron(elem.matrix, ident),
+        np.kron(ident, model.A.T) - np.kron(model.A, ident),
     ])
     assert rational_nullspace_dimension(system) == 11
 
@@ -132,11 +133,11 @@ def test_closure_residual_examples():
 
 
 def test_involution_eigenspace_dims_and_restriction():
-    model, elem = core.build_model("hyperbolic", 2)
+    model = core.build_model("hyperbolic", 2)
     from riccitype.transvection import base_point
     from riccitype.geometry import symmetry_matrix
-    s = symmetry_matrix(model, elem, base_point(model))
-    g1 = lie.centralizer_in_sp(model, elem)
+    s = symmetry_matrix(model, base_point(model))
+    g1 = lie.centralizer_in_sp(model)
     minus = lie.involution_eigenspace(g1, s, -1)
     plus = lie.involution_eigenspace(g1, s, +1)
     assert minus.dim == 4  # 2n
@@ -148,8 +149,8 @@ def test_involution_eigenspace_dims_and_restriction():
 
 
 def test_involution_eigenspace_rejects_non_involution():
-    model, elem = core.build_model("hyperbolic", 2)
-    g1 = lie.centralizer_in_sp(model, elem)
+    model = core.build_model("hyperbolic", 2)
+    g1 = lie.centralizer_in_sp(model)
     with pytest.raises(ValueError, match="not involutive"):
         # conjugation by sqrt(2) I doubles every matrix
         lie.involution_eigenspace(g1, np.sqrt(2.0) * np.eye(g1.ambient_dim), +1)
@@ -163,11 +164,11 @@ def test_involution_eigenspace_rejects_non_preserving():
 
 
 def test_bracket_span_hyperbolic_k1():
-    model, elem = core.build_model("hyperbolic", 2)
+    model = core.build_model("hyperbolic", 2)
     from riccitype.transvection import base_point
     from riccitype.geometry import symmetry_matrix
-    s = symmetry_matrix(model, elem, base_point(model))
-    g1 = lie.centralizer_in_sp(model, elem)
+    s = symmetry_matrix(model, base_point(model))
+    g1 = lie.centralizer_in_sp(model)
     p1 = lie.involution_eigenspace(g1, s, -1)
     k1 = lie.bracket_span(p1)
     assert k1.dim == 4  # gl(n) for n = 2
@@ -182,10 +183,10 @@ def test_bracket_span_abelian_is_zero():
 
 
 def test_bracket_span_nilpotent_contains_A():
-    model, elem = core.build_model("nilpotent", 2, p=2, q=1)
+    model = core.build_model("nilpotent", 2, p=2, q=1)
     from riccitype.transvection import transvection_algebra
-    data = transvection_algebra(model, elem)
-    a_unit = elem.matrix / np.linalg.norm(elem.matrix.reshape(-1))
+    data = transvection_algebra(model)
+    a_unit = model.A / np.linalg.norm(model.A.reshape(-1))
     assert data.k_part.distance(a_unit) <= 1e-9
 
 
@@ -272,9 +273,9 @@ def test_center_svd_runs_only_for_the_heisenberg_test(monkeypatch):
     monkeypatch.setattr(lie, "_svd", recording)
     # d = 15 and d = 11 are odd, but [g, g] is not a line: no center SVD
     for case, n, p, q in [("hyperbolic", 3, None, None), ("nilpotent", 3, 2, 1)]:
-        model, elem = core.build_model(case, n, p=p, q=q)
+        model = core.build_model(case, n, p=p, q=q)
         callers.clear()
-        transvection.classify_transvection(transvection.transvection_algebra(model, elem), model)
+        transvection.classify_transvection(transvection.transvection_algebra(model), model)
         assert "rank_split" in callers and "constants_certificate" not in callers, case
     # the Iwasawa n is Heisenberg: one SVD of its center system
     data = iwasawa.iwasawa_su1n(3)
@@ -302,8 +303,8 @@ def test_derived_algebra_formed_once_per_certificate(monkeypatch):
     cert = lie.series_certificate(heisenberg3())
     assert cert.heisenberg and derived_spans(cert, 3) == 1
     spans.clear()
-    model, elem = core.build_model("nilpotent", 3, p=2, q=1)
-    data = transvection.transvection_algebra(model, elem)
+    model = core.build_model("nilpotent", 3, p=2, q=1)
+    data = transvection.transvection_algebra(model)
     cert, _ = transvection.classify_transvection(data, model)
     ideal = transvection.nilpotent_ideal_report(cert)
     assert ideal["codimension"] == 1 and ideal["nilpotent"]
@@ -312,8 +313,8 @@ def test_derived_algebra_formed_once_per_certificate(monkeypatch):
 
 
 def test_subspace_independence_invariant():
-    model, elem = core.build_model("elliptic", 3, p=2)
-    g1 = lie.centralizer_in_sp(model, elem)
+    model = core.build_model("elliptic", 3, p=2)
+    g1 = lie.centralizer_in_sp(model)
     s = np.linalg.svd(g1.rows, compute_uv=False)
     assert s[-1] / s[0] > 1e-7
 
@@ -321,7 +322,7 @@ def test_subspace_independence_invariant():
 def test_ad_eigenspaces_su12():
     from riccitype.transitive.iwasawa import iwasawa_su1n
     data = iwasawa_su1n(2)
-    vals = np.linalg.eigvalsh(lie.ad_matrix(data.algebra, data.a_generator))
+    vals = np.linalg.eigvalsh(lie.ad_matrix(data.transvection.algebra, data.a_generator))
     lams, mults = np.unique(np.round(vals).astype(int), return_counts=True)
     assert np.max(np.abs(vals - np.round(vals))) <= 1e-9
     assert dict(zip(lams.tolist(), mults.tolist())) == {-2: 1, -1: 2, 0: 2, 1: 2, 2: 1}
@@ -399,17 +400,17 @@ def test_rank_cuts_have_wide_gaps(monkeypatch):
     monkeypatch.setattr(lie, "rank_split", recording_split)
     monkeypatch.setattr(iwasawa, "rank_split", recording_split)
     for case, n, p, q in core.admissible_parameters((2, 3)):
-        model, elem = core.build_model(case, n, p=p, q=q)
-        classify_transvection(transvection_algebra(model, elem), model)
+        model = core.build_model(case, n, p=p, q=q)
+        classify_transvection(transvection_algebra(model), model)
     for n in (2, 3):
-        model, elem = core.build_model("nilpotent", n, p=2, q=1)
-        assert nilpotent.heisenberg_extension_check(model, elem)["certificate"].heisenberg
+        model = core.build_model("nilpotent", n, p=2, q=1)
+        assert nilpotent.heisenberg_extension_check(model)["certificate"].heisenberg
         data = iwasawa.iwasawa_su1n(n)
         assert lie.series_certificate(data.nilpotent_part).heisenberg
         h_phi, _ = iwasawa.build_a_phi(data, np.linspace(-1.0, 1.5, n - 1))
         assert lie.series_certificate(h_phi).solvable
         # the Iwasawa cut at 0.5 sits between the integer eigenvalues of ad(a)
-        vals = np.linalg.eigvalsh(lie.ad_matrix(data.algebra, data.a_generator))
+        vals = np.linalg.eigvalsh(lie.ad_matrix(data.transvection.algebra, data.a_generator))
         assert np.max(np.abs(vals - np.round(vals))) <= 1e-9
         assert set(np.round(vals).tolist()) <= {-2.0, -1.0, 0.0, 1.0, 2.0}
     assert len(gaps) > 100
@@ -419,8 +420,8 @@ def test_rank_cuts_have_wide_gaps(monkeypatch):
 def test_center_memory_stays_small():
     import tracemalloc
     from riccitype.transvection import transvection_algebra
-    model, elem = core.build_model("hyperbolic", 5)
-    data = transvection_algebra(model, elem)
+    model = core.build_model("hyperbolic", 5)
+    data = transvection_algebra(model)
     assert data.algebra.dim == 35
     tracemalloc.start()
     try:
@@ -438,8 +439,8 @@ def test_center_memory_stays_small():
 
 def test_closure_residual_memory_stays_small():
     import tracemalloc
-    model, elem = core.build_model("nilpotent", 7, p=2, q=1)
-    g1 = lie.centralizer_in_sp(model, elem)
+    model = core.build_model("nilpotent", 7, p=2, q=1)
+    g1 = lie.centralizer_in_sp(model)
     assert g1.dim == 106
     peaks = []
     for route in (lie.closure_residual, lambda s: lie.structure_constants(s)[1]):
@@ -471,10 +472,10 @@ EQUIVALENCE_CASES = [("hyperbolic", 2, None, None), ("hyperbolic", 3, None, None
 @pytest.mark.parametrize("case,n,p,q", EQUIVALENCE_CASES)
 def test_batched_brackets_match_pairwise_loops(case, n, p, q):
     from riccitype.transvection import transvection_algebra
-    model, elem = core.build_model(case, n, p=p, q=q)
-    data = transvection_algebra(model, elem)
+    model = core.build_model(case, n, p=p, q=q)
+    data = transvection_algebra(model)
     g = data.algebra
-    for modulo in (None, lie.line(elem.matrix)):
+    for modulo in (None, lie.line(model.A)):
         gk = lie.structure_constants(g, modulo)[1]
         assert abs(gk - closure_residual_oracle(g, modulo)) <= 1e-10
         pk = lie.structure_constants(data.p_part, modulo)[1]
@@ -492,10 +493,10 @@ def test_batched_brackets_match_pairwise_loops(case, n, p, q):
 def test_pair_kernel_matches_full_bracket_tensor(n):
     from riccitype.transvection import transvection_algebra
     for case, n_, p, q in core.admissible_parameters((n,)):
-        model, elem = core.build_model(case, n_, p=p, q=q)
-        data = transvection_algebra(model, elem)
+        model = core.build_model(case, n_, p=p, q=q)
+        data = transvection_algebra(model)
         for s, modulo in [(data.centralizer, None), (data.p_part, None),
-                          (data.algebra, None), (data.algebra, lie.line(elem.matrix))]:
+                          (data.algebra, None), (data.algebra, lie.line(model.A))]:
             c, res = lie.structure_constants(s, modulo)
             c_old, res_old = structure_constants_oracle(s, modulo)
             assert np.max(np.abs(c - c_old), initial=0.0) <= 1e-13, (case, n_, p, q)
@@ -514,8 +515,8 @@ def off_centralizer_row(model, g1, seed):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_closure_residual_matches_oracle_on_centralizer(n):
     for seed, (case, n_, p, q) in enumerate(core.admissible_parameters((n,))):
-        model, elem = core.build_model(case, n_, p=p, q=q)
-        g1 = lie.centralizer_in_sp(model, elem)
+        model = core.build_model(case, n_, p=p, q=q)
+        g1 = lie.centralizer_in_sp(model)
         res = lie.closure_residual(g1)
         assert abs(res - structure_constants_oracle(g1)[1]) <= 1e-15, (case, n_, p, q)
         assert res <= 1e-10
@@ -531,8 +532,8 @@ def test_closure_residual_matches_oracle_on_centralizer(n):
 def test_graded_certificate_matches_full_constants(n):
     from riccitype.transvection import transvection_algebra
     for case, n_, p, q in core.admissible_parameters((n,)):
-        model, elem = core.build_model(case, n_, p=p, q=q)
-        data = transvection_algebra(model, elem)
+        model = core.build_model(case, n_, p=p, q=q)
+        data = transvection_algebra(model)
         c, res = lie.structure_constants(data.algebra, data.modulo)
         graded = lie.constants_certificate(c, res, generators=data.p_part.dim)
         full = lie.constants_certificate(c, res)
@@ -546,8 +547,8 @@ def test_graded_certificate_matches_full_constants(n):
 
 def equivalence_data(case, n, p, q):
     from riccitype.transvection import transvection_algebra
-    model, elem = core.build_model(case, n, p=p, q=q)
-    return model, transvection_algebra(model, elem)
+    model = core.build_model(case, n, p=p, q=q)
+    return model, transvection_algebra(model)
 
 
 @pytest.mark.parametrize("case,n,p,q", EQUIVALENCE_CASES)

@@ -5,6 +5,10 @@ branch plus ``--exact``, ``--candidate-file``, ``--debug-corrupt-omega`` and a
 failing ``--tol``, run under ``sys.setprofile``.  The ``def`` functions of ``src/riccitype``
 (methods and nested functions included) that never run must be exactly the
 allowlist: a helper that no command reaches belongs in the tests, or nowhere.
+
+A second guard reads the source alone: every parameter of a ``def`` or
+``lambda`` in the package is read in its body, or is allowlisted.  A
+parameter that no body reads is one every caller must still supply.
 """
 
 import ast
@@ -26,6 +30,9 @@ NEVER_RUN = {
     "lie.bracket",
     "cli.script_main",
 }
+
+#: parameters that their function's body never reads, as "module.qualname(parameter)"
+UNREAD_PARAMETERS = set()
 
 SMALL = ["--n", "2", "--samples", "5"]
 OPERATIONS = [
@@ -51,19 +58,17 @@ OPERATIONS = [
 ]
 
 
-def defined_functions() -> dict:
-    """{(file, first line): "module.qualname"} of every def in the package.
-
-    The first line is that of the first decorator, as in ``co_firstlineno``.
-    """
-    out = {}
+def package_functions() -> list:
+    """(file, "module.qualname", node) for every def and lambda in the package;
+    a lambda is named ``<lambda>``."""
+    out = []
 
     def visit(node, path, prefix):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                out[(str(path), first)] = f"{prefix}{child.name}"
-                visit(child, path, f"{prefix}{child.name}.")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = f"{prefix}{getattr(child, 'name', '<lambda>')}"
+                out.append((str(path), name, child))
+                visit(child, path, f"{name}.")
             else:
                 name = f"{child.name}." if isinstance(child, ast.ClassDef) else ""
                 visit(child, path, prefix + name)
@@ -72,6 +77,34 @@ def defined_functions() -> dict:
         module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
         visit(ast.parse(path.read_text()), path, f"{module}.")
     return out
+
+
+def defined_functions() -> dict:
+    """{(file, first line): "module.qualname"} of every def in the package.
+
+    The first line is that of the first decorator, as in ``co_firstlineno``.
+    """
+    return {(path, min([node.lineno] + [d.lineno for d in node.decorator_list])): name
+            for path, name, node in package_functions() if not isinstance(node, ast.Lambda)}
+
+
+def unread_parameters() -> set:
+    """"module.qualname(parameter)" for every parameter of a def or lambda in the
+    package that its body never loads; a nested function that reads it counts."""
+    out = set()
+    for _, name, node in package_functions():
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out.update(f"{name}({p})" for p in params if p not in read)
+    return out
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == UNREAD_PARAMETERS
 
 
 def test_only_allowlisted_functions_never_run(tmp_path, capsys):

@@ -14,28 +14,28 @@ def build(case, n, p=None, q=None, k=1.0):
 
 def test_base_points_match_normal_forms():
     k = 0.5
-    model, elem = build("hyperbolic", 2, k=k)
+    model = build("hyperbolic", 2, k=k)
     x0 = transvection.base_point(model)
     expected = np.zeros(6)
     expected[0] = -1.0
     expected[3] = 1.0
     assert np.allclose(x0, expected)  # 1/sqrt(2k) = 1 for k = 1/2
-    assert abs(core.sigma_value(model, elem, x0) - 1.0) <= 1e-14
+    assert abs(core.sigma_value(model, x0) - 1.0) <= 1e-14
 
-    model, elem = build("elliptic", 2, p=1, k=4.0)
+    model = build("elliptic", 2, p=1, k=4.0)
     x0 = transvection.base_point(model)
     assert np.isclose(x0[0], 0.5)
-    assert abs(core.sigma_value(model, elem, x0) - 1.0) <= 1e-14
+    assert abs(core.sigma_value(model, x0) - 1.0) <= 1e-14
 
-    model, elem = build("nilpotent", 2, p=2, q=1)
+    model = build("nilpotent", 2, p=2, q=1)
     x0 = transvection.base_point(model)
     assert x0[4] == 1.0 and np.sum(np.abs(x0)) == 1.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_hyperbolic_transvection_is_sl(n):
-    model, elem = build("hyperbolic", n)
-    data = transvection.transvection_algebra(model, elem)
+    model = build("hyperbolic", n)
+    data = transvection.transvection_algebra(model)
     assert data.centralizer.dim == (n + 1) ** 2
     assert data.p_part.dim == 2 * n
     assert data.modulo is None
@@ -48,8 +48,8 @@ def test_hyperbolic_transvection_is_sl(n):
 
 @pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (3, 1), (3, 4), (4, 2)])
 def test_elliptic_transvection_is_su(n, p):
-    model, elem = build("elliptic", n, p=p)
-    data = transvection.transvection_algebra(model, elem)
+    model = build("elliptic", n, p=p)
+    data = transvection.transvection_algebra(model)
     assert data.p_part.dim == 2 * n
     assert data.modulo is None
     assert data.algebra.dim == (n + 1) ** 2 - 1
@@ -59,8 +59,8 @@ def test_elliptic_transvection_is_su(n, p):
 
 
 def test_nilpotent_p2_q1_dimensions():
-    model, elem = build("nilpotent", 2, p=2, q=1)
-    data = transvection.transvection_algebra(model, elem)
+    model = build("nilpotent", 2, p=2, q=1)
+    data = transvection.transvection_algebra(model)
     assert data.centralizer.dim == 11
     assert data.p_part.dim == 4
     assert data.modulo is not None
@@ -76,8 +76,8 @@ def test_nilpotent_p2_q1_dimensions():
     (4, 3, 3, False, False),
 ])
 def test_nilpotent_classification(n, p, q, expect_solvable, expect_abelian):
-    model, elem = build("nilpotent", n, p=p, q=q)
-    data = transvection.transvection_algebra(model, elem)
+    model = build("nilpotent", n, p=p, q=q)
+    data = transvection.transvection_algebra(model)
     cert, label = transvection.classify_transvection(data, model)
     assert cert.solvable == expect_solvable
     assert cert.abelian == expect_abelian
@@ -99,33 +99,33 @@ def test_nilpotent_classification(n, p, q, expect_solvable, expect_abelian):
     ("nilpotent", 3, 2, 2),
 ])
 def test_sigma1_invariants(case, n, p, q):
-    model, elem = build(case, n, p=p, q=q)
-    data = transvection.transvection_algebra(model, elem)
+    model = build(case, n, p=p, q=q)
+    data = transvection.transvection_algebra(model)
     s = data.symmetry
     assert np.max(np.abs(s @ s - np.eye(model.ambient_dim))) <= 1e-10
-    assert np.max(np.abs(s @ elem.matrix @ s - elem.matrix)) <= 1e-10
+    assert np.max(np.abs(s @ model.A @ s - model.A)) <= 1e-10
     # sigma1 preserves g1
     for b in data.centralizer.basis:
         assert data.centralizer.distance(s @ b @ s) <= 1e-9
 
 
 def test_A_membership_sides():
-    model, elem = build("hyperbolic", 2)
-    data = transvection.transvection_algebra(model, elem)
-    a_unit = elem.matrix / np.linalg.norm(elem.matrix.reshape(-1))
+    model = build("hyperbolic", 2)
+    data = transvection.transvection_algebra(model)
+    a_unit = model.A / np.linalg.norm(model.A.reshape(-1))
     assert data.a_distance == data.k_part.distance(a_unit) > 1e-3
-    model, elem = build("nilpotent", 3, p=2, q=1)
-    data = transvection.transvection_algebra(model, elem)
-    a_unit = elem.matrix / np.linalg.norm(elem.matrix.reshape(-1))
+    model = build("nilpotent", 3, p=2, q=1)
+    data = transvection.transvection_algebra(model)
+    a_unit = model.A / np.linalg.norm(model.A.reshape(-1))
     assert data.a_distance == data.k_part.distance(a_unit) <= 1e-9
 
 
 def test_flow_kernel_acts_trivially_on_chart():
     # the one-parameter flow generated by A induces the identity downstairs
-    model, elem = build("nilpotent", 2, p=2, q=1)
-    cp = geometry.project(model, elem, core.sample_sigma(model, elem, 1, seed=2)[0])
+    model = build("nilpotent", 2, p=2, q=1)
+    cp = geometry.project(model, core.sample_sigma(model, 1, seed=2)[0])
     for t in (-1.0, 0.4, 2.0):
-        moved = act_chart(model, elem, elem.flow(t), cp)
+        moved = act_chart(model, model.flow(t), cp)
         assert np.max(np.abs(cp - moved)) <= 1e-9
 
 
@@ -142,17 +142,17 @@ def test_subspaces_have_orthonormal_rows(case, n, p, q):
     # subspace the package builds must carry orthonormal rows
     from riccitype.transitive import iwasawa
     from riccitype.transitive import nilpotent as nil
-    model, elem = build(case, n, p or None, q or None)
-    data = transvection.transvection_algebra(model, elem)
-    subs = [data.centralizer, data.p_part, data.k_part, data.algebra, lie.line(elem.matrix),
+    model = build(case, n, p or None, q or None)
+    data = transvection.transvection_algebra(model)
+    subs = [data.centralizer, data.p_part, data.k_part, data.algebra, lie.line(model.A),
             lie.bracket_span(data.algebra)]
     if data.modulo is not None:
         subs.append(data.modulo)
     if case == "elliptic" and p == 1:
         iw = iwasawa.iwasawa_su1n(n)
         h_phi, _ = iwasawa.build_a_phi(iw, np.linspace(-1.0, 1.5, n - 1))
-        subs += [iw.algebra, iw.compact_part, iw.abelian_part, iw.centralizer_m,
-                 iw.nilpotent_part, h_phi]
+        subs += [iw.transvection.algebra, iw.transvection.k_part, iw.abelian_part,
+                 iw.centralizer_m, iw.nilpotent_part, h_phi]
     if case == "nilpotent" and p == 2 and q == 1:
         subs.append(nil.build_h(model, np.eye(2 * (n - 1)))[0])
     for sub in subs:
@@ -164,8 +164,8 @@ def test_subspaces_have_orthonormal_rows(case, n, p, q):
 def test_structure_constants_have_symmetric_pair_blocks(case, n, p, q):
     # the algebra's basis is p1 rows then k~ rows, so c is graded:
     # [p, p] in k, [p, k] and [k, p] in p, [k, k] in k
-    model, elem = build(case, n, p or None, q or None)
-    data = transvection.transvection_algebra(model, elem)
+    model = build(case, n, p or None, q or None)
+    data = transvection.transvection_algebra(model)
     c = transvection.classify_transvection(data, model)[0].structure
     pp, kk = slice(None, data.p_part.dim), slice(data.p_part.dim, None)
     off = [c[pp, pp, pp], c[pp, kk, kk], c[kk, pp, kk], c[kk, kk, pp]]
