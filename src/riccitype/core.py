@@ -217,7 +217,6 @@ def characteristic_residuals(model: SymplecticModel) -> dict:
     return {
         "sp_membership": sp_residual(model.omega, a),
         "square_identity": float(np.max(np.abs(a @ a - model.mu * np.eye(a.shape[0])))),
-        "nonzero": float(np.max(np.abs(a))),
     }
 
 

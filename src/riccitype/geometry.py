@@ -31,12 +31,12 @@ connection is a test oracle.
 ``horizontal_basis`` takes one point or an (S, N) stack and returns a
 ``HorizontalFrame`` (with its Gram matrix) carrying that sample axis;
 ``curvature`` takes one vector per column, of one matrix or of a stack.  The
-cyclic check, the trace Ricci tensor (``ricci_tensor``, O(n^3)) and the
-Ricci endomorphism take a frame or a frame stack and return one value, or
-one r, rho and Gram matrix, per sample; in every layer each sample gets the
-BLAS and LAPACK calls it would get alone.  The Ricci-type check
-(``ricci_type_residual``) runs at one point, on the curvature of the
-transvection algebra built from closed-form odd generators (``algebra_curvature``).
+cyclic check and the Ricci endomorphism take a frame or a frame stack and
+return one value, or one rho, per sample; in every layer each sample gets the
+BLAS and LAPACK calls it would get alone.  The Ricci-type check and the trace
+route G rho = r (``ricci_type_residual``) run at one point, on the curvature
+of the transvection algebra built from closed-form odd generators
+(``algebra_curvature``) and the one r traced from it.
 """
 
 from __future__ import annotations
@@ -353,32 +353,6 @@ def ricci_endomorphism(model: SymplecticModel, frame: HorizontalFrame) -> np.nda
     return -2.0 * (model.n + 1) * coeff
 
 
-def _trace_ricci(gram: np.ndarray, paired: np.ndarray) -> np.ndarray:
-    """r_ij = -sum_{m,a} (G^-1)_ma R_imja of the closed-form curvature, term by term in O(n^3).
-
-    G_ij = Omega(v_i, v_j) and W_ij = Omega(A v_i, v_j) are (2n, 2n) matrices or
-    (S, 2n, 2n) stacks, and R_ijkl = -2 G_ij W_kl - G_ik W_jl + G_jk W_il
-    + W_ik G_jl - W_jk G_il.
-    """
-    ginv = np.linalg.inv(gram)
-    ginv_t = np.swapaxes(ginv, -1, -2)
-    return -(-2.0 * gram @ ginv @ np.swapaxes(paired, -1, -2)
-             - gram * np.sum(ginv * paired, axis=(-2, -1), keepdims=True)
-             + paired @ (ginv_t @ gram)
-             + paired * np.sum(ginv * gram, axis=(-2, -1), keepdims=True)
-             - gram @ (ginv_t @ paired))
-
-
-def ricci_tensor(model: SymplecticModel, frame: HorizontalFrame):
-    """Trace Ricci tensor r(X, Y) = Tr(Z -> R(X, Z) Y) and the Gram matrix G in the frame.
-
-    A frame stack gives one r and G per sample, two (S, 2n, 2n) stacks.
-    """
-    v = frame.vectors
-    paired = np.swapaxes(model.A @ v, -1, -2) @ model.omega @ v  # Omega(A v_i, v_j)
-    return _trace_ricci(frame.gram, paired), frame.gram
-
-
 def transvection_generators(model: SymplecticModel, frame: HorizontalFrame) -> np.ndarray:
     """Odd generators X_u = (Au).x - u.(Ax) of the transvection algebra at x = frame.base.
 
@@ -431,30 +405,33 @@ def _ricci_type_defect(curv: np.ndarray, gram: np.ndarray, n: int):
     return float(np.max(rows)), ric
 
 
-def ricci_type_residual(model: SymplecticModel, x) -> float:
-    """Sup-norm of R - E(r) over all frame 4-tuples at one point x of Sigma_A.
+def ricci_type_residual(model: SymplecticModel, x) -> tuple[float, float]:
+    """Sup-norms of R - E(r) and of G rho - r at one point x of Sigma_A.
 
     E(X,Y,Z,T) = -1/(2n+2) [2 w(X,Y) r(Z,T) + w(X,Z) r(Y,T) + w(X,T) r(Y,Z)
                             - w(Y,Z) r(X,T) - w(Y,T) r(X,Z)]
     with r the trace Ricci tensor of R, the transvection algebra's curvature
-    at x (``algebra_curvature``).  The transvection group acts transitively
-    and preserves R, so the base point stands for every point.
+    at x (``algebra_curvature``), over all frame 4-tuples; G rho - r compares
+    the Gram matrix times the Ricci endomorphism with that same r.  The
+    transvection group acts transitively and preserves R, r and A, so the
+    base point stands for every point.
     """
     frame = horizontal_basis(model, x)
-    return _ricci_type_defect(algebra_curvature(model, frame), frame.gram, model.n)[0]
+    defect, ric = _ricci_type_defect(algebra_curvature(model, frame), frame.gram, model.n)
+    return defect, float(np.max(np.abs(frame.gram @ ricci_endomorphism(model, frame) - ric)))
 
 
 def curvature_cyclic_residual(model: SymplecticModel, frame: HorizontalFrame,
                               triples: int = 50, seed: int = 0):
     """Max norm of R(X,Y)Z + R(Y,Z)X + R(Z,X)Y over random horizontal triples.
 
-    Sample i of a frame stack draws its triples from ``default_rng(seed + i)``
-    and gets its own value, an (S,) array; a single frame is sample 0.
+    One ``default_rng(seed)`` draws the (S, triples, 3, 2n) coefficients of a
+    frame stack, whose sample i reads row i and gets its own value, an (S,)
+    array; a single frame is row 0.
     """
     v = frame.vectors
     stack = v.reshape(-1, *v.shape[-2:])
-    coeffs = np.stack([np.random.default_rng(seed + i).standard_normal((triples, 3, v.shape[-1]))
-                       for i in range(len(stack))])
+    coeffs = np.random.default_rng(seed).standard_normal((len(stack), triples, 3, v.shape[-1]))
     # one triple per column
     xb, yb, zb = (stack @ np.swapaxes(coeffs[:, :, i], 1, 2) for i in range(3))
     total = (curvature(model, xb, yb, zb)
@@ -513,9 +490,8 @@ def reduced_symmetry_report(model: SymplecticModel, x_center, samples) -> dict:
         "symmetry_squared": float(np.max(np.abs(s @ s - np.eye(model.ambient_dim)))),
         "symmetry_symplectic": float(np.max(np.abs(s.T @ model.omega @ s - model.omega))),
         "symmetry_commutes_A": float(np.max(np.abs(s @ model.A - model.A @ s))),
-        "chart_available": chart_kind(model) is not None,
     }
-    if not out["chart_available"]:
+    if chart_kind(model) is None:
         x0 = np.asarray(x_center, dtype=float)
         out["fixed_point"] = float(fiber_distance(model, x0, s @ x0))
         out["involution_in_chart"] = fiber_distance(model, pts,

@@ -123,7 +123,6 @@ def orbit_rank_ts3_evidence(w: np.ndarray, k: float = 1.0) -> dict:
     return {
         "singular_values": svals,
         "rank": rank,
-        "dim_needed": 6,
         "su2_rank": su2_rank,
         "stabilizer_field_norm": float(np.max(np.abs(fields[:, 6]))),
     }

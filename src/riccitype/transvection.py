@@ -131,7 +131,6 @@ def nilpotent_ideal_report(cert: StructureCertificate) -> dict:
     ideal_res = float(np.max(np.abs(image - (image @ ideal.T) @ ideal), initial=0.0))
     series = series_dims(c, ideal, bracket_rows(c, ideal, ideal), against_self=False)
     return {
-        "ideal_dim": ideal.shape[0],
         "codimension": d - ideal.shape[0],
         "ideal_residual": ideal_res,
         "lower_central_dims": series,

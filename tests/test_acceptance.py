@@ -70,13 +70,15 @@ def test_criterion_2_geometry_suite():
     worst_ricci = 0.0
     worst_cyclic = 0.0
     worst_rho = 0.0
+    worst_trace = 0.0
     for case, n, p, q in GEOMETRY_MODELS:
         model = core.build_model(case, n, p=p, q=q)
         ident = np.eye(2 * n)
-        # Ricci type on the algebra's curvature at the base point, and the
-        # einsum oracle on the closed form at every sample
-        worst_ricci = max(worst_ricci, geometry.ricci_type_residual(
-            model, transvection.base_point(model)))
+        # Ricci type and the trace route G rho = r on the algebra's curvature at
+        # the base point, and the einsum oracle on the closed form at every sample
+        residual, trace = geometry.ricci_type_residual(model, transvection.base_point(model))
+        worst_ricci = max(worst_ricci, residual)
+        worst_trace = max(worst_trace, trace)
         for i, pt in enumerate(core.sample_sigma(model, 50, seed=0)):
             frame = geometry.horizontal_basis(model, pt)
             paired = frame_pairing(model, frame)
@@ -97,9 +99,9 @@ def test_criterion_2_geometry_suite():
                         np.max(rep["symplectic_pullback"]))
     record(2, "geometry suite",
            worst_ricci <= 1e-8 and worst_cyclic <= 1e-9 and worst_rho <= 1e-9
-           and worst_sym <= 1e-5,
+           and worst_trace <= 1e-9 and worst_sym <= 1e-5,
            f"ricci={worst_ricci:.1e} cyclic={worst_cyclic:.1e} "
-           f"rho2={worst_rho:.1e} symmetry={worst_sym:.1e}")
+           f"rho2={worst_rho:.1e} trace={worst_trace:.1e} symmetry={worst_sym:.1e}")
 
 
 def test_criterion_3_darboux():
