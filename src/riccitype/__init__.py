@@ -1,7 +1,7 @@
 """Reduced symplectic symmetric spaces of Ricci type.
 
 Construction of the three normal-form models, numerical verification of
-the reduced geometry (form, connection, curvature, symmetries), transvection
+the reduced geometry (form, curvature, symmetries), transvection
 algebra certificates, and construction plus certification of simply
 transitive subgroups where they exist.
 

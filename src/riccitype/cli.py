@@ -165,24 +165,15 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
         report.add_sampled(name, dists, config.tol_algebraic, point)
 
     def curvature_suite():
-        # one frame stack serves the sampled entries; the Ricci-type and trace
-        # entries read the base point once: the group is transitive
-        frame = geometry.horizontal_basis(model, xs)
-        cyc = geometry.curvature_cyclic_residual(model, frame, triples=5, seed=config.seed)
-        # before the rho stack exists, which would otherwise stay alive across the
-        # (2n)^4 curvature array of the base point
-        ricci, trace = geometry.ricci_type_residual(model, x0)
-        rho = geometry.ricci_endomorphism(model, frame)
-        ident = np.eye(2 * model.n)
-        # rho^2 = 4(n+1)^2 mu Id grows like |mu|; the factor is 1 at k = 1 and at mu = 0
-        rho_sq = np.max(np.abs(rho @ rho - 4.0 * (model.n + 1) ** 2 * model.mu * ident),
-                        axis=(1, 2)) / max(1.0, abs(model.mu))
-        report.add_sampled("curvature.cyclic_identity", cyc, config.tol_algebraic, point)
-        if not report.add_residual("curvature.ricci_type_residual", ricci, 1e-8):
-            report.add_witness(f"curvature.ricci_type_residual: base point {x0.tolist()}")
-        report.add_sampled("ricci.square_identity", rho_sq, config.tol_algebraic, point)
-        if not report.add_residual("ricci.trace_route_match", trace, config.tol_algebraic):
-            report.add_witness(f"ricci.trace_route_match: base point {x0.tolist()}")
+        # every curvature entry reads the base point once: the group is transitive
+        res = geometry.ricci_type_residual(model, x0)
+        for name, key, threshold in (
+                ("curvature.cyclic_identity", "cyclic", config.tol_algebraic),
+                ("curvature.ricci_type_residual", "ricci_type", 1e-8),
+                ("ricci.square_identity", "square", config.tol_algebraic),
+                ("ricci.trace_route_match", "trace_route", config.tol_algebraic)):
+            if not report.add_residual(name, res[key], threshold):
+                report.add_witness(f"{name}: base point {x0.tolist()}")
 
     def darboux():
         if geometry.chart_kind(model) != "darboux":

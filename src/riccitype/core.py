@@ -13,9 +13,9 @@ normal forms are supported, tagged by the sign of mu:
   (e_1..e_p, f_1..f_{2(n+1-p)}, e*_1..e*_p) with Omega in 3x3 block form.
 
 The level set Sigma_A = {x : Omega(x, Ax) = 1} carries the one-parameter
-flow exp(tA), given in closed form per sign class (``exp_tA``; the model's
-own flow is ``SymplecticModel.flow``) and as a truncated Taylor series for
-the oracle (``series_exp``).  A batch of Sigma_A points is an (S, N) array,
+flow exp(tA), given in closed form per sign class by the model's own
+``SymplecticModel.flow`` and as a truncated Taylor series for the oracle
+(``series_exp``).  A batch of Sigma_A points is an (S, N) array,
 one point per row, as every layer reads it; ``sample_sigma`` draws it as
 one seeded block and solves the quadric row-wise.
 """
@@ -84,8 +84,21 @@ class SymplecticModel:
         return 0.5 * float(x @ self.omega @ y - y @ self.omega @ x)
 
     def flow(self, t) -> np.ndarray:
-        """exp(tA) in closed form, one matrix per time of an array."""
-        return exp_tA(self.A, self.mu, t)
+        """exp(tA) in closed form for A^2 = mu*Id, one matrix per time of an array.
+
+        mu = k^2:  cosh(kt) I + sinh(kt)/k A
+        mu = -k^2: cos(kt) I + sin(kt)/k A
+        mu = 0:    I + t A
+        """
+        ident = np.eye(self.ambient_dim)
+        t = np.asarray(t, dtype=float)[..., None, None]
+        if self.mu > 0:
+            k = np.sqrt(self.mu)
+            return np.cosh(k * t) * ident + (np.sinh(k * t) / k) * self.A
+        if self.mu < 0:
+            k = np.sqrt(-self.mu)
+            return np.cos(k * t) * ident + (np.sin(k * t) / k) * self.A
+        return ident + t * self.A
 
 
 def apply_rows(mat, vecs) -> np.ndarray:
@@ -175,28 +188,9 @@ def admissible_parameters(n_values=(2, 3, 4)) -> list[tuple[str, int, int, int]]
     return out
 
 
-def exp_tA(a_matrix: np.ndarray, mu: float, t) -> np.ndarray:
-    """Closed-form exp(tA) for A^2 = mu*Id; an array of times gives one matrix per time.
-
-    mu = k^2:  cosh(kt) I + sinh(kt)/k A
-    mu = -k^2: cos(kt) I + sin(kt)/k A
-    mu = 0:    I + t A
-    """
-    a = np.asarray(a_matrix, dtype=float)
-    ident = np.eye(a.shape[0])
-    t = np.asarray(t, dtype=float)[..., None, None]
-    if mu > 0:
-        k = np.sqrt(mu)
-        return np.cosh(k * t) * ident + (np.sinh(k * t) / k) * a
-    if mu < 0:
-        k = np.sqrt(-mu)
-        return np.cos(k * t) * ident + (np.sin(k * t) / k) * a
-    return ident + t * a
-
-
 def series_exp(a_matrix: np.ndarray, t, terms: int = 25) -> np.ndarray:
-    """Truncated Taylor series of exp(tA), the oracle for exp_tA; an array of times
-    gives one matrix per time."""
+    """Truncated Taylor series of exp(tA), the oracle for ``SymplecticModel.flow``; an
+    array of times gives one matrix per time."""
     a = np.asarray(a_matrix, dtype=float)
     t = np.asarray(t, dtype=float)[..., None, None]
     acc = term = np.eye(a.shape[0])

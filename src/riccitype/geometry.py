@@ -13,8 +13,8 @@ The elliptic case with p > 1 has no chart here; fiber distances are used
 instead to compare points of the quotient.
 
 Horizontal geometry lives at the Sigma level: H_x = span{x, Ax}^perp is
-symplectic and pushes down isomorphically, so the reduced form, connection,
-curvature and symmetries are all evaluated on horizontal representatives.
+symplectic and pushes down isomorphically, so the reduced form, curvature
+and symmetries are all evaluated on horizontal representatives.
 
 A chart point is a plain coordinate array, one (d,) point or an (S, d) stack
 of points one per row, in the chart ``chart_kind(model)``.  Every chart
@@ -29,14 +29,13 @@ pullback is exact too.  No finite difference is left: the difference-quotient
 connection is a test oracle.
 
 ``horizontal_basis`` takes one point or an (S, N) stack and returns a
-``HorizontalFrame`` (with its Gram matrix) carrying that sample axis;
-``curvature`` takes one vector per column, of one matrix or of a stack.  The
-cyclic check and the Ricci endomorphism take a frame or a frame stack and
-return one value, or one rho, per sample; in every layer each sample gets the
-BLAS and LAPACK calls it would get alone.  The Ricci-type check and the trace
-route G rho = r (``ricci_type_residual``) run at one point, on the curvature
-of the transvection algebra built from closed-form odd generators
-(``algebra_curvature``) and the one r traced from it.
+``HorizontalFrame`` (with its Gram matrix) carrying that sample axis; each
+sample gets the BLAS and LAPACK calls it would get alone.  The curvature is
+that of the transvection algebra, built from closed-form odd generators
+(``algebra_curvature``); no closed-form curvature is kept.  Its four checks,
+the cyclic identity, the Ricci-type identity R = E(r), rho^2 = 4(n+1)^2 mu Id
+and the trace route G rho = r (``ricci_type_residual``), run at one point, on
+that curvature, the one r traced from it and the one rho of the frame.
 """
 
 from __future__ import annotations
@@ -317,29 +316,6 @@ def chart_omega_matrix(model: SymplecticModel, x) -> np.ndarray:
     return np.swapaxes(lifts, -1, -2) @ model.omega @ lifts
 
 
-def curvature(model: SymplecticModel, xbar, ybar, zbar) -> np.ndarray:
-    """Curvature endomorphism applied to horizontal vectors.
-
-    R(X, Y)Z = -2 Omega(X,Y) AZ - Omega(X,Z) AY + Omega(Y,Z) AX
-               + Omega(AX,Z) Y - Omega(AY,Z) X
-
-    Each argument is one (N,) vector, an (N, m) matrix with one vector per
-    column, or an (S, N, m) stack of such matrices; column j of the result
-    is R(X_j, Y_j) Z_j.
-    """
-    amat = model.A
-    om = model.omega
-    x, y, z = (np.asarray(v, dtype=float) for v in (xbar, ybar, zbar))
-    ax, ay, az = amat @ x, amat @ y, amat @ z
-    axis = 0 if x.ndim == 1 else -2
-
-    def pair(u, v):  # Omega(u, v), column by column
-        return np.sum(u * (om @ v), axis=axis, keepdims=True)
-
-    return (-2.0 * pair(x, y) * az - pair(x, z) * ay + pair(y, z) * ax
-            + pair(ax, z) * y - pair(ay, z) * x)
-
-
 def ricci_endomorphism(model: SymplecticModel, frame: HorizontalFrame) -> np.ndarray:
     """Matrix of the Ricci endomorphism -2(n+1) A restricted to H_x, in the frame.
 
@@ -348,7 +324,8 @@ def ricci_endomorphism(model: SymplecticModel, frame: HorizontalFrame) -> np.nda
     v = frame.vectors
     av = model.A @ v
     coeff = np.swapaxes(v, -1, -2) @ av  # frame is Euclidean-orthonormal and A preserves H_x
-    if np.max(np.abs(v @ coeff - av)) > 1e-8:
+    # A v grows like the scale k of A: read against max|A|, which is 1 at k = 1 and at mu = 0
+    if np.max(np.abs(v @ coeff - av)) > 1e-8 * np.max(np.abs(model.A)):
         raise ValueError("frame mismatch: A does not preserve the given frame span")
     return -2.0 * (model.n + 1) * coeff
 
@@ -372,8 +349,8 @@ def algebra_curvature(model: SymplecticModel, frame: HorizontalFrame) -> np.ndar
     """Curvature R_ijkl = Omega(-[[X_i, X_j], X_k] x, v_l) of the transvection algebra at x.
 
     R(u, v)w = -[[X_u, X_v], X_w] x on the odd part (Kobayashi & Nomizu II,
-    ch. XI), with X_u from ``transvection_generators`` at x = frame.base; the
-    closed-form ``curvature`` is not used.  The (2n)^4 array is filled row by row.
+    ch. XI), with X_u from ``transvection_generators`` at x = frame.base.  The
+    (2n)^4 array is filled row by row.
     """
     v = frame.vectors
     gens = transvection_generators(model, frame)
@@ -389,56 +366,53 @@ def algebra_curvature(model: SymplecticModel, frame: HorizontalFrame) -> np.ndar
 
 
 def _ricci_type_defect(curv: np.ndarray, gram: np.ndarray, n: int):
-    """Sup-norm of R - E(r) for a (2n)^4 curvature array R, and its trace Ricci tensor r.
+    """Sup-norm of R - E(r) for a (2n)^4 curvature array R, its trace Ricci tensor r,
+    and the sup-norm of the cyclic sum R_ijkl + R_jkil + R_kijl.
 
     r_ij = -sum_{m,a} (G^-1)_ma R_imja, and E(r) (see ``ricci_type_residual``)
-    has the coefficient f = -1/(2n+2); it is built one row i at a time.
+    has the coefficient f = -1/(2n+2); E(r) and the cyclic sum are built one
+    row i at a time.
     """
     ric = -np.einsum("ma,imja->ij", np.linalg.inv(gram), curv)
     f = -1.0 / (2.0 * (n + 1))
-    rows = [np.max(np.abs(curv[i] - f * (2.0 * gram[i, :, None, None] * ric
-                                         + gram[i, None, :, None] * ric[:, None, :]
-                                         + gram[i, None, None, :] * ric[:, :, None]
-                                         - gram[:, :, None] * ric[i, None, None, :]
-                                         - gram[:, None, :] * ric[i, None, :, None])))
-            for i in range(len(curv))]
-    return float(np.max(rows)), ric
+    defects, cyclic = [], []
+    for i in range(len(curv)):
+        defects.append(np.max(np.abs(curv[i] - f * (2.0 * gram[i, :, None, None] * ric
+                                                    + gram[i, None, :, None] * ric[:, None, :]
+                                                    + gram[i, None, None, :] * ric[:, :, None]
+                                                    - gram[:, :, None] * ric[i, None, None, :]
+                                                    - gram[:, None, :] * ric[i, None, :, None]))))
+        # R_ijkl + R_jkil + R_kijl at [j, k, l]
+        cyclic.append(np.max(np.abs(curv[i] + curv[:, :, i] + np.swapaxes(curv[:, i], 0, 1))))
+    # np.max keeps a NaN row, which Python's max would drop
+    return float(np.max(defects)), ric, float(np.max(cyclic))
 
 
-def ricci_type_residual(model: SymplecticModel, x) -> tuple[float, float]:
-    """Sup-norms of R - E(r) and of G rho - r at one point x of Sigma_A.
+def ricci_type_residual(model: SymplecticModel, x) -> dict:
+    """Sup-norms of the curvature identities at one point x of Sigma_A.
 
-    E(X,Y,Z,T) = -1/(2n+2) [2 w(X,Y) r(Z,T) + w(X,Z) r(Y,T) + w(X,T) r(Y,Z)
-                            - w(Y,Z) r(X,T) - w(Y,T) r(X,Z)]
-    with r the trace Ricci tensor of R, the transvection algebra's curvature
-    at x (``algebra_curvature``), over all frame 4-tuples; G rho - r compares
-    the Gram matrix times the Ricci endomorphism with that same r.  The
-    transvection group acts transitively and preserves R, r and A, so the
-    base point stands for every point.
+    R is the transvection algebra's curvature at x (``algebra_curvature``)
+    over all frame 4-tuples, r its trace Ricci tensor and rho the Ricci
+    endomorphism in the frame.  The keys are
+    ``cyclic``: R_ijkl + R_jkil + R_kijl, the first Bianchi identity;
+    ``ricci_type``: R - E(r), with
+        E(X,Y,Z,T) = -1/(2n+2) [2 w(X,Y) r(Z,T) + w(X,Z) r(Y,T) + w(X,T) r(Y,Z)
+                                - w(Y,Z) r(X,T) - w(Y,T) r(X,Z)];
+    ``square``: rho^2 - 4(n+1)^2 mu Id, divided by max(1, |mu|) since it grows
+    like |mu| (the factor is 1 at k = 1 and at mu = 0);
+    ``trace_route``: G rho - r, the Gram matrix times rho against that same r.
+    The transvection group acts transitively by symplectic maps that commute
+    with A, so it preserves R, r and rho, and the base point stands for every
+    point.
     """
     frame = horizontal_basis(model, x)
-    defect, ric = _ricci_type_defect(algebra_curvature(model, frame), frame.gram, model.n)
-    return defect, float(np.max(np.abs(frame.gram @ ricci_endomorphism(model, frame) - ric)))
-
-
-def curvature_cyclic_residual(model: SymplecticModel, frame: HorizontalFrame,
-                              triples: int = 50, seed: int = 0):
-    """Max norm of R(X,Y)Z + R(Y,Z)X + R(Z,X)Y over random horizontal triples.
-
-    One ``default_rng(seed)`` draws the (S, triples, 3, 2n) coefficients of a
-    frame stack, whose sample i reads row i and gets its own value, an (S,)
-    array; a single frame is row 0.
-    """
-    v = frame.vectors
-    stack = v.reshape(-1, *v.shape[-2:])
-    coeffs = np.random.default_rng(seed).standard_normal((len(stack), triples, 3, v.shape[-1]))
-    # one triple per column
-    xb, yb, zb = (stack @ np.swapaxes(coeffs[:, :, i], 1, 2) for i in range(3))
-    total = (curvature(model, xb, yb, zb)
-             + curvature(model, yb, zb, xb)
-             + curvature(model, zb, xb, yb))
-    worst = np.max(np.abs(total), axis=(1, 2), initial=0.0)
-    return worst if v.ndim == 3 else float(worst[0])
+    defect, ric, cyclic = _ricci_type_defect(algebra_curvature(model, frame), frame.gram,
+                                             model.n)
+    rho = ricci_endomorphism(model, frame)
+    square = rho @ rho - 4.0 * (model.n + 1) ** 2 * model.mu * np.eye(2 * model.n)
+    return {"cyclic": cyclic, "ricci_type": defect,
+            "square": float(np.max(np.abs(square))) / max(1.0, abs(model.mu)),
+            "trace_route": float(np.max(np.abs(frame.gram @ rho - ric)))}
 
 
 def symmetry_matrix(model: SymplecticModel, x) -> np.ndarray:

@@ -13,7 +13,10 @@ horizontal field along the line retracted to Sigma_A (``connection_nabla``),
 on horizontal projections of constant vectors and on the lifted local
 coordinate fields (``coordinate_tangents``: unit vectors in the intrinsic
 charts, a solve on the chart differential in the graph charts); no command
-needs it.  ``sample_sigma_pointwise`` is the per-point Sigma_A sampler that
+needs it.  ``curvature_tensor`` materializes the closed-form curvature
+R(X, Y)Z = -2 Omega(X, Y) AZ - ... on a frame; the package keeps only the
+transvection algebra's curvature, and the tests compare the two.
+``sample_sigma_pointwise`` is the per-point Sigma_A sampler that
 the block sampler replaced: it draws each point's free coordinates in turn
 and redraws a degenerate block in place.
 ``closure_conditions_pairwise`` evaluates the p = 2 closure identities one

@@ -12,7 +12,7 @@ from riccitype.transitive import iwasawa as iwa
 from riccitype.transitive import nilpotent as nil
 from riccitype.transitive import quaternion as quat
 
-from oracles import frame_pairing, ricci_type_defect
+from oracles import curvature_tensor, frame_pairing, ricci_type_defect
 
 
 def record(number, title, ok, detail=""):
@@ -74,17 +74,21 @@ def test_criterion_2_geometry_suite():
     for case, n, p, q in GEOMETRY_MODELS:
         model = core.build_model(case, n, p=p, q=q)
         ident = np.eye(2 * n)
-        # Ricci type and the trace route G rho = r on the algebra's curvature at
-        # the base point, and the einsum oracle on the closed form at every sample
-        residual, trace = geometry.ricci_type_residual(model, transvection.base_point(model))
-        worst_ricci = max(worst_ricci, residual)
-        worst_trace = max(worst_trace, trace)
-        for i, pt in enumerate(core.sample_sigma(model, 50, seed=0)):
+        # the four curvature identities on the algebra's curvature at the base
+        # point, and the einsum oracle on the closed form at every sample
+        res = geometry.ricci_type_residual(model, transvection.base_point(model))
+        worst_ricci = max(worst_ricci, res["ricci_type"])
+        worst_cyclic = max(worst_cyclic, res["cyclic"])
+        worst_rho = max(worst_rho, res["square"])
+        worst_trace = max(worst_trace, res["trace_route"])
+        for pt in core.sample_sigma(model, 50, seed=0):
             frame = geometry.horizontal_basis(model, pt)
             paired = frame_pairing(model, frame)
             worst_ricci = max(worst_ricci, ricci_type_defect(frame.gram, paired, n)[0])
-            worst_cyclic = max(worst_cyclic, geometry.curvature_cyclic_residual(
-                model, frame, triples=3, seed=i))
+            closed = curvature_tensor(frame.gram, paired)
+            worst_cyclic = max(worst_cyclic, float(np.max(np.abs(
+                closed + np.transpose(closed, (2, 0, 1, 3))
+                + np.transpose(closed, (1, 2, 0, 3))))))
             rho = geometry.ricci_endomorphism(model, frame)
             worst_rho = max(worst_rho, float(np.max(np.abs(
                 rho @ rho - 4 * (n + 1) ** 2 * model.mu * ident))))

@@ -160,6 +160,40 @@ def test_trace_route_catches_a_spoiled_algebra_curvature(capsys, monkeypatch, ca
     assert f"witness.0=ricci.trace_route_match: base point {x0.tolist()}" in out
 
 
+def _algebra_curvature_terms(model, frame):
+    """The two terms of -[[X_i, X_j], X_k] x = -[X_i, X_j] v_k + X_k [X_i, X_j] x,
+    each paired with every v_l, as (2n)^4 arrays."""
+    from riccitype import geometry
+    gens = geometry.transvection_generators(model, frame)
+    brackets = np.einsum("iab,jbc->ijac", gens, gens) - np.einsum("jab,ibc->ijac", gens, gens)
+    om_v = model.omega @ frame.vectors
+    first = -np.einsum("ijab,bk,al->ijkl", brackets, frame.vectors, om_v)
+    second = np.einsum("kab,ijbc,c,al->ijkl", gens, brackets, frame.base, om_v)
+    return first, second
+
+
+@pytest.mark.parametrize("case,n,p,q", NONFLAT_N23)
+def test_cyclic_identity_catches_a_flipped_curvature_term(capsys, monkeypatch, case, n, p, q):
+    # with the sign of X_k [X_i, X_j] x flipped the algebra's curvature is no longer
+    # cyclic, and the entry reads it at the base point
+    from riccitype import geometry, transvection
+    model = core.build_model(case, n, p=p or None, q=q or None)
+    x0 = transvection.base_point(model)
+    frame = geometry.horizontal_basis(model, x0)
+    first, second = _algebra_curvature_terms(model, frame)
+    assert np.max(np.abs(first + second - geometry.algebra_curvature(model, frame))) <= 1e-12
+
+    def flipped(model, frame):
+        first, second = _algebra_curvature_terms(model, frame)
+        return first - second
+    monkeypatch.setattr(geometry, "algebra_curvature", flipped)
+    code, out, _ = run(capsys, "verify-geometry", *_tuple_argv(case, n, p, q),
+                       "--samples", "6")
+    assert code == 1
+    assert re.search(r"\[FAIL\] curvature\.cyclic_identity ", out)
+    assert f"witness.0=curvature.cyclic_identity: base point {x0.tolist()}" in out
+
+
 HYPERBOLIC_ELLIPTIC_N234 = [t for t in core.admissible_parameters((2, 3, 4))
                             if t[0] != "nilpotent"]
 
@@ -553,33 +587,31 @@ def test_blas_threads_pinned_only_by_default(env_vars):
     assert got["env"] == {k: env_vars.get(k) for k in BLAS_THREAD_VARS}
 
 
-@pytest.mark.parametrize("target,name", [
-    ("curvature_cyclic_residual", "curvature.cyclic_identity"),
-    ("ricci_type_residual", "curvature.ricci_type_residual"),
-    ("ricci_type_residual", "ricci.trace_route_match"),
-])
+# the key of each curvature entry among the base-point residuals of ricci_type_residual
+CURVATURE_KEYS = {"curvature.cyclic_identity": "cyclic",
+                  "curvature.ricci_type_residual": "ricci_type",
+                  "ricci.square_identity": "square", "ricci.trace_route_match": "trace_route"}
+
+
+@pytest.mark.parametrize("target,name", [("ricci_type_residual", name)
+                                         for name in CURVATURE_KEYS])
 def test_curvature_witness_names_worst_sample(capsys, monkeypatch, target, name):
     from riccitype import geometry
     original = getattr(geometry, target)
     calls = []
-    sampled = target == "curvature_cyclic_residual"
 
     def spiked(*args, **kwargs):
-        # one call: sample 3 of the batched cyclic residuals reads 1.0, or the
-        # Ricci-type or the trace-route residual at the base point does
+        # one call, at the base point, whose residual for the entry reads 1.0
         out = original(*args, **kwargs)
         calls.append(None)
-        if sampled:
-            return _spoil_sample_3(out, 1.0)
-        return (1.0, out[1]) if name.startswith("curvature.") else (out[0], 1.0)
+        return {**out, CURVATURE_KEYS[name]: 1.0}
     monkeypatch.setattr(geometry, target, spiked)
     code, out, _ = run(capsys, "verify-geometry", "--case", "hyperbolic", "--n", "2",
                        "--samples", "6", "--seed", "5")
     assert len(calls) == 1
     assert code == 1
     assert re.search(rf"\[FAIL\] {re.escape(name)} +1\.0+e\+00 ", out)
-    where = (_sigma_point if sampled else _base_point)(*HYPERBOLIC)
-    assert f"witness.0={name}: {where}" in out
+    assert f"witness.0={name}: {_base_point(*HYPERBOLIC)}" in out
 
 
 def test_report_seed_changes_samples_not_verdict(capsys):
@@ -770,6 +802,14 @@ def _spoil_sample_3(values, spoil=NAN):
     return out
 
 
+def _nan_entry(values):
+    # a copy of an array whose last entry is NaN: in the algebra's curvature that
+    # is in the last row only, which Python's max over the row maxima would drop
+    out = np.array(values, dtype=float)
+    out.flat[-1] = NAN
+    return out
+
+
 # each witness helper returns what the witness says after "<entry>: "
 def _sigma_point(case, n, p, q):
     model = core.build_model(case, n, p=p or None, q=q or None)
@@ -810,17 +850,18 @@ NAN_CASES = {  # test id: command, tuple, spiked function, its spiked call, spoi
                         "projection.flow_invariance", _sigma_point),
     "flow_invariance_fiber": ("verify-geometry", ELLIPTIC_P2, "geometry.fiber_distance", 0,
                               _spoil_sample_3, "projection.flow_invariance_fiber", _sigma_point),
-    "cyclic_identity": ("verify-geometry", HYPERBOLIC, "geometry.curvature_cyclic_residual", 0,
-                        _spoil_sample_3, "curvature.cyclic_identity", _sigma_point),
-    # two residuals, at the base point: the Ricci-type defect and the trace route
+    # the curvature entries read the base point: one NaN in the algebra's curvature
+    # or in rho, or one residual of ricci_type_residual set to NaN
+    "cyclic_identity": ("verify-geometry", HYPERBOLIC, "geometry.algebra_curvature", 0,
+                        _nan_entry, "curvature.cyclic_identity", _base_point),
     "ricci_type_residual": ("verify-geometry", HYPERBOLIC, "geometry.ricci_type_residual", 0,
-                            lambda out: (NAN, out[1]), "curvature.ricci_type_residual",
-                            _base_point),
-    # call 0, at the base point, feeds the trace route; call 1 is the sample stack
-    "square_identity": ("verify-geometry", HYPERBOLIC, "geometry.ricci_endomorphism", 1,
-                        _spoil_sample_3, "ricci.square_identity", _sigma_point),
+                            lambda out: {**out, "ricci_type": NAN},
+                            "curvature.ricci_type_residual", _base_point),
+    "square_identity": ("verify-geometry", HYPERBOLIC, "geometry.ricci_endomorphism", 0,
+                        _nan_entry, "ricci.square_identity", _base_point),
     "trace_route_match": ("verify-geometry", HYPERBOLIC, "geometry.ricci_type_residual", 0,
-                          lambda out: (out[0], NAN), "ricci.trace_route_match", _base_point),
+                          lambda out: {**out, "trace_route": NAN}, "ricci.trace_route_match",
+                          _base_point),
     "darboux_constant": ("verify-geometry", DARBOUX, "geometry.chart_omega_matrix", 0,
                          _spoil_sample_3, "reduced_form.darboux_constant", _sigma_point),
     "involution_in_chart": ("verify-geometry", DARBOUX, "geometry.reduced_symmetry_report", 0,

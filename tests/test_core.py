@@ -111,7 +111,7 @@ def test_build_A_from_ricci_rejects_bad_square():
 ])
 def test_exp_identity_at_zero(case, n, p, q):
     model = core.build_model(case, n, p=p, q=q)
-    assert np.array_equal(core.exp_tA(model.A, model.mu, 0.0), np.eye(model.ambient_dim))
+    assert np.array_equal(model.flow(0.0), np.eye(model.ambient_dim))
 
 
 def test_exp_nilpotent_closed_form():
@@ -137,12 +137,12 @@ def test_series_exp_stack_matches_single_times(case, n, p):
     model = core.build_model(case, n, p=p)
     ts = np.linspace(-3.0, 3.0, 7)
     stack = core.series_exp(model.A, ts)
-    flows = core.exp_tA(model.A, model.mu, ts)
+    flows = model.flow(ts)
     assert stack.shape == flows.shape == (7, model.ambient_dim, model.ambient_dim)
     for t, mat, flow in zip(ts, stack, flows):
         assert np.array_equal(mat, core.series_exp(model.A, t))
         assert np.array_equal(mat, series_exp(model.A, t))
-        assert np.array_equal(flow, core.exp_tA(model.A, model.mu, t))
+        assert np.array_equal(flow, model.flow(t))
 
 
 @pytest.mark.parametrize("case,n,p,q", [

@@ -234,29 +234,25 @@ def count_calls(monkeypatch, names):
 def test_verify_geometry_builds_one_frame_per_sample(monkeypatch):
     calls, stacks = count_calls(monkeypatch, (
         "horizontal_basis", "differential_project", "lift_tangent", "ricci_type_residual",
-        "ricci_endomorphism", "algebra_curvature", "curvature"))
+        "ricci_endomorphism", "algebra_curvature"))
     counts = {}
     for samples in (10, 40):
         calls.update(dict.fromkeys(calls, 0))
         stacks.clear()
         config = cli.RunConfig(case="hyperbolic", n=2, samples=samples, seed=0)
         assert cli.cmd_verify_geometry(config).verdict == "PASS"
-        # one stack over every sample, one frame at the base point for the
-        # Ricci-type check, then the stacks of the image differential and of
-        # the lift of the pullback over the first 20 samples
-        assert stacks == [samples, None, min(samples, 20), min(samples, 20)]
-        assert calls["horizontal_basis"] == 2 + 2 * calls["lift_tangent"]
+        # one frame at the base point for the curvature entries, then the
+        # stacks of the image differential and of the lift of the pullback
+        # over the first 20 samples
+        assert stacks == [None, min(samples, 20), min(samples, 20)]
+        assert calls["horizontal_basis"] == 1 + 2 * calls["lift_tangent"]
         assert calls["lift_tangent"] > 0
         # one differential of the whole frame stack per lift, and one image differential
         assert calls["differential_project"] == calls["lift_tangent"] + 1
-        # Ricci type and the trace route once, on the algebra's curvature at the
-        # base point; rho once over the stack for the square identity and once
-        # at the base point for the trace route
+        # the four curvature entries once, on the algebra's curvature and rho at
+        # the base point
         assert calls["ricci_type_residual"] == calls["algebra_curvature"] == 1
-        assert calls["ricci_endomorphism"] == 2
-        # one batched call per cyclic permutation, over all triples of every sample;
-        # the Ricci-type check does not read the closed-form curvature
-        assert calls["curvature"] == 3
+        assert calls["ricci_endomorphism"] == 1
         counts[samples] = dict(calls)
     # no call count grows with the samples: no per-sample loop over the chart layer
     assert counts[10] == counts[40]
@@ -292,24 +288,13 @@ def test_frame_stack_matches_single_frames(case, n, p, q):
     frames = geometry.horizontal_basis(model, pts)
     assert frames.vectors.shape == (count, model.ambient_dim, 2 * n)
     assert all(frames.vectors[i].flags.c_contiguous for i in range(count))
-    cyc = geometry.curvature_cyclic_residual(model, frames, triples=5, seed=73)
     rho = geometry.ricci_endomorphism(model, frames)
-    assert cyc.shape == (count,)
     assert frames.gram.shape == rho.shape == (count, 2 * n, 2 * n)
-    # one draw for the stack, sample i on row i; a single frame reads row 0
-    coeffs = np.random.default_rng(73).standard_normal((count, 5, 3, 2 * n))
     for i, pt in enumerate(pts):
         frame = geometry.horizontal_basis(model, pt)
         assert np.array_equal(frames.vectors[i], frame.vectors)
         assert np.array_equal(frames.gram[i], frame.gram)
         assert np.array_equal(frames.base[i], frame.base)
-        xb, yb, zb = (frame.vectors @ coeffs[i, :, j].T for j in range(3))
-        total = (geometry.curvature(model, xb, yb, zb) + geometry.curvature(model, yb, zb, xb)
-                 + geometry.curvature(model, zb, xb, yb))
-        assert cyc[i] == np.max(np.abs(total))
-        if i == 0:
-            one = geometry.curvature_cyclic_residual(model, frame, triples=5, seed=73)
-            assert isinstance(one, float) and cyc[0] == one
         assert np.array_equal(rho[i], geometry.ricci_endomorphism(model, frame))
 
 
@@ -558,39 +543,43 @@ def test_connection_parallel_omega(case, n, p, q):
     assert residual <= 1e-5
 
 
+def _cyclic_sum(curv):
+    """R_ijkl + R_jkil + R_kijl of a whole (2n)^4 curvature array."""
+    return curv + np.transpose(curv, (2, 0, 1, 3)) + np.transpose(curv, (1, 2, 0, 3))
+
+
 @pytest.mark.parametrize("case,n,p,q", ALL_CASES)
 def test_curvature_antisymmetry_and_cyclic(case, n, p, q):
+    # the algebra's curvature at a sampled point, not only at the base point
     model = build(case, n, p, q)
     pt = core.sample_sigma(model, 1, seed=17)[0]
     frame = geometry.horizontal_basis(model, pt)
-    rng = np.random.default_rng(17)
-    xb, zb = (frame.vectors @ rng.standard_normal(2 * n) for _ in range(2))
-    assert np.max(np.abs(geometry.curvature(model, xb, xb, zb))) <= 1e-12
-    assert geometry.curvature_cyclic_residual(model, frame, triples=50, seed=1) <= 1e-9
-    # the one (triples, 3, 2n) draw holds the per-triple draws of the same stream
-    per_triple = np.random.default_rng(1)
-    assert np.array_equal(np.random.default_rng(1).standard_normal((50, 3, 2 * n)),
-                          np.stack([per_triple.standard_normal((3, 2 * n)) for _ in range(50)]))
-    # one vector per column: each column is the curvature of that column's vectors
-    cols = [rng.standard_normal((model.ambient_dim, 4)) for _ in range(3)]
-    batched = geometry.curvature(model, *cols)
-    for j in range(4):
-        single = geometry.curvature(model, *(c[:, j] for c in cols))
-        assert _relative(batched[:, j], single) <= 1e-12
-    # output stays horizontal
-    out = geometry.curvature(model, xb, zb, xb)
-    assert horizontality_residual(model, pt, out) <= 1e-10
+    curv = geometry.algebra_curvature(model, frame)
+    assert np.max(np.abs(curv + np.swapaxes(curv, 0, 1))) <= 1e-12
+    # the row-by-row cyclic sum is that of the whole array
+    cyclic = geometry._ricci_type_defect(curv, frame.gram, n)[2]
+    assert cyclic == np.max(np.abs(_cyclic_sum(curv)))
+    assert cyclic <= 1e-9
+    # the closed form, materialized by the oracle, is cyclic too
+    closed = curvature_tensor(frame.gram, frame_pairing(model, frame))
+    assert np.max(np.abs(_cyclic_sum(closed))) <= 1e-9
 
 
 def test_curvature_vanishes_on_kernel_directions():
-    # mu = 0: on horizontal vectors killed by A the whole formula collapses
+    # mu = 0: on horizontal vectors killed by A the closed form collapses, and so
+    # does the algebra's curvature
     model = build("nilpotent", 2, 2, 1)
+    x0 = base_point(model)
+    frame = geometry.horizontal_basis(model, x0)
     f1 = np.zeros(6)
     f1[2] = 1.0
     f2 = np.zeros(6)
     f2[3] = 1.0
-    # A f = 0 and Omega(f1, f2) spans the only term; R has A factors throughout
-    out = geometry.curvature(model, f1, f2, f1)
+    # A f = 0, and f1, f2 lie in H_x0, so their frame coefficients give them back
+    c1, c2 = frame.vectors.T @ f1, frame.vectors.T @ f2
+    assert np.array_equal(frame.vectors @ c1, f1) and np.array_equal(frame.vectors @ c2, f2)
+    # Omega(R(f1, f2) f1, v_l) for every frame vector v_l; Omega is nondegenerate on H_x0
+    out = np.einsum("i,j,k,ijkl->l", c1, c2, c1, geometry.algebra_curvature(model, frame))
     assert np.max(np.abs(out)) <= 1e-14
 
 
@@ -615,6 +604,31 @@ def test_ricci_endomorphism_nilpotent_square_zero():
     assert np.max(np.abs(rho @ rho)) <= 1e-10
 
 
+@pytest.mark.parametrize("k", [1e9, 1e12])
+def test_ricci_endomorphism_accepts_sampled_frames_at_large_k(k):
+    # A v grows like k: on sampled CP^2 frames the guard's defect reads about
+    # 3e-7 absolute at k = 1e9 but 3e-16 relative to max|A|
+    model = core.build_model("elliptic", 2, k=k, p=3)
+    frames = geometry.horizontal_basis(model, core.sample_sigma(model, 6, seed=41))
+    rho = geometry.ricci_endomorphism(model, frames)
+    assert rho.shape == (6, 4, 4)
+    assert np.max(np.abs(rho @ rho - 36.0 * model.mu * np.eye(4))) <= 1e-12 * abs(model.mu)
+
+
+@pytest.mark.parametrize("k", [1.0, 1e9])
+def test_ricci_endomorphism_refuses_a_tilted_frame(k):
+    # one frame vector tilted by 1e-6 towards x: A no longer preserves the span,
+    # and the relative guard still sees it at large k
+    model = core.build_model("elliptic", 2, k=k, p=3)
+    frame = geometry.horizontal_basis(model, core.sample_sigma(model, 1, seed=41)[0])
+    vectors = frame.vectors.copy()
+    vectors[:, 0] += 1e-6 * frame.base / np.linalg.norm(frame.base)
+    vectors = np.linalg.qr(vectors)[0]
+    tilted = geometry.HorizontalFrame(frame.base, vectors, vectors.T @ model.omega @ vectors)
+    with pytest.raises(ValueError, match="frame mismatch"):
+        geometry.ricci_endomorphism(model, tilted)
+
+
 @pytest.mark.parametrize("case,n,p,q", [
     ("hyperbolic", 2, None, None), ("hyperbolic", 3, None, None), ("hyperbolic", 4, None, None),
     ("elliptic", 2, 1, None), ("elliptic", 2, 2, None), ("elliptic", 3, 2, None),
@@ -626,15 +640,17 @@ def test_ricci_type_residual_small(case, n, p, q):
     # the algebra route holds at every point, not only at the base point
     model = build(case, n, p, q)
     for pt in [base_point(model), *core.sample_sigma(model, 10, seed=29)]:
-        residual, trace = geometry.ricci_type_residual(model, pt)
-        assert residual <= 1e-8
-        assert trace <= 1e-9
+        res = geometry.ricci_type_residual(model, pt)
+        assert res["ricci_type"] <= 1e-8
+        assert res["trace_route"] <= 1e-9
+        assert res["cyclic"] <= 1e-9
+        assert res["square"] <= 1e-9
 
 
 def test_ricci_type_residual_frame_rebase_invariant():
     model = build("elliptic", 2, 1, None)
     pt = core.sample_sigma(model, 1, seed=31)[0]
-    base = geometry.ricci_type_residual(model, pt)[0]
+    base = geometry.ricci_type_residual(model, pt)["ricci_type"]
     # the residual is tensorial: recomputing on a re-based frame changes nothing
     # beyond conditioning
     frame = geometry.horizontal_basis(model, pt)
@@ -644,7 +660,8 @@ def test_ricci_type_residual_frame_rebase_invariant():
     rebased = geometry.HorizontalFrame(pt, vectors, vectors.T @ model.omega @ vectors)
     curv = geometry.algebra_curvature(model, rebased)
     gram = rebased.gram
-    residual, ric = geometry._ricci_type_defect(curv, gram, model.n)
+    residual, ric, cyclic = geometry._ricci_type_defect(curv, gram, model.n)
+    assert cyclic <= 1e-9
     paired = frame_pairing(model, rebased)
     want, want_ric = ricci_type_defect(gram, paired, model.n)
     assert residual <= 1e-8
@@ -689,10 +706,14 @@ def test_ricci_type_defect_detects_wrong_coefficient():
 def test_ricci_type_residual_k_ladder(case, n, p, q, k):
     # k scales A and leaves the (1,3) curvature alone: the check holds at every k
     model = core.build_model(case, n, k=k, p=p)
-    residual, trace = geometry.ricci_type_residual(model, base_point(model))
-    assert residual <= 1e-8
-    # G rho - r reads rounding of the size of r, which grows like k
-    assert trace <= 1e-12 * max(1.0, k)
+    res = geometry.ricci_type_residual(model, base_point(model))
+    assert res["ricci_type"] <= 1e-8
+    # G rho - r and the cyclic sum read rounding of the size of r and R on the
+    # orthonormal ambient frame, which grow like k
+    assert res["trace_route"] <= 1e-12 * max(1.0, k)
+    assert res["cyclic"] <= 1e-12 * max(1.0, k)
+    # rho^2 - 4(n+1)^2 mu Id is read relative to max(1, |mu|)
+    assert res["square"] <= 1e-12
 
 
 @pytest.mark.parametrize("case,n,p,q", core.admissible_parameters((2, 3, 4)))
@@ -720,11 +741,12 @@ def test_ricci_type_residual_memory_n16():
     x0 = base_point(model)
     tracemalloc.start()
     try:
-        residual, trace = geometry.ricci_type_residual(model, x0)
+        res = geometry.ricci_type_residual(model, x0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert residual <= 1e-8 and trace <= 1e-10
+    assert res["ricci_type"] <= 1e-8 and res["trace_route"] <= 1e-10
+    assert res["cyclic"] <= 1e-10 and res["square"] <= 1e-10
     # one (32)^4 float array is 8 MB; the einsum route peaked at 32 MB
     assert peak < 24 * 2 ** 20
 
@@ -847,8 +869,9 @@ def test_ricci_type_residual_full_admissible_sweep(case, n, p, q):
         paired = frame_pairing(model, frame)
         # the algebra's curvature is the closed form, materialized by the oracle
         assert np.max(np.abs(curv - curvature_tensor(frame.gram, paired))) <= 1e-13
-        residual, ric = geometry._ricci_type_defect(curv, frame.gram, n)
+        residual, ric, cyclic = geometry._ricci_type_defect(curv, frame.gram, n)
         assert residual <= 1e-8
+        assert cyclic <= 1e-9
         # the einsum oracle materializes R and E(r) from the closed form; both routes agree
         want, want_ric = ricci_type_defect(frame.gram, paired, n)
         assert want <= 1e-8
