@@ -31,7 +31,8 @@ connection is a test oracle.
 ``horizontal_basis`` takes one point or an (S, N) stack and returns a
 ``HorizontalFrame`` (with its Gram matrix) carrying that sample axis; each
 sample gets the BLAS and LAPACK calls it would get alone.  The curvature is
-that of the transvection algebra, built from closed-form odd generators
+that of the transvection algebra, built from closed-form odd generators as one
+(2n)^2 x N by N x (2n)^2 matrix product, symmetrized in place
 (``algebra_curvature``); no closed-form curvature is kept.  Its four checks,
 the cyclic identity, the Ricci-type identity R = E(r), rho^2 = 4(n+1)^2 mu Id
 and the trace route G rho = r (``ricci_type_residual``), run at one point, on
@@ -349,19 +350,32 @@ def algebra_curvature(model: SymplecticModel, frame: HorizontalFrame) -> np.ndar
     """Curvature R_ijkl = Omega(-[[X_i, X_j], X_k] x, v_l) of the transvection algebra at x.
 
     R(u, v)w = -[[X_u, X_v], X_w] x on the odd part (Kobayashi & Nomizu II,
-    ch. XI), with X_u from ``transvection_generators`` at x = frame.base.  The
-    (2n)^4 array is filled row by row.
+    ch. XI), with X_u from ``transvection_generators`` at x = frame.base.
+    Since X_j x = v_j, the commutator expands to
+    -X_i X_j v_k + X_j X_i v_k + X_k X_i v_j - X_k X_j v_i, so with
+    T_abcd = Omega(X_c X_a v_b, v_d), R_ijkl = S_ijkl - S_jikl for
+    S_ijkl = T_ijkl + T_ikjl.  T is one (2n)^2 x N by N x (2n)^2 product, and
+    S and then R are built in its buffer, so the (2n)^4 array is the only one;
+    R comes out exactly antisymmetric in (i, j).
     """
     v = frame.vectors
     gens = transvection_generators(model, frame)
-    moved = gens @ v  # moved[j, :, k] = X_j v_k, and X_j x = v_j
-    om_v = model.omega @ v
-    curv = np.empty((v.shape[1],) * 4)
-    for i in range(len(curv)):
-        bv = gens[i] @ moved - gens @ moved[i]  # [X_i, X_j] v_k at [j, :, k]
-        bx = moved[i].T - moved[:, :, i]  # [X_i, X_j] x at row j
-        # -[[X_i, X_j], X_k] x = -[X_i, X_j] v_k + X_k [X_i, X_j] x, at [j, k]
-        curv[i] = (np.moveaxis(gens @ bx.T, 2, 0) - np.swapaxes(bv, 1, 2)) @ om_v
+    d = v.shape[1]
+
+    def columns(stack):  # [a, :, b] -> one column per pair (a, b)
+        return np.moveaxis(stack, 1, 0).reshape(len(v), d * d)
+
+    # T[(a, b), (c, d)] = (X_a v_b)^T X_c^T Omega v_d
+    curv = columns(gens @ v).T @ columns(np.swapaxes(gens, 1, 2) @ (model.omega @ v))
+    curv = curv.reshape((d,) * 4)
+    pair = np.empty((d, d, d))  # one scratch block, reused by both loops
+    for i in range(d):  # S_i = T_i + T_i^T on the middle pair, so exactly symmetric there
+        curv[i] = np.add(curv[i], np.swapaxes(curv[i], 0, 1), out=pair)
+    for i in range(d):
+        block = np.subtract(curv[i, i + 1:], curv[i + 1:, i], out=pair[:d - i - 1])
+        curv[i, i + 1:] = block
+        np.negative(block, out=curv[i + 1:, i])
+        curv[i, i] = 0.0
     return curv
 
 
@@ -370,20 +384,30 @@ def _ricci_type_defect(curv: np.ndarray, gram: np.ndarray, n: int):
     and the sup-norm of the cyclic sum R_ijkl + R_jkil + R_kijl.
 
     r_ij = -sum_{m,a} (G^-1)_ma R_imja, and E(r) (see ``ricci_type_residual``)
-    has the coefficient f = -1/(2n+2); E(r) and the cyclic sum are built one
-    row i at a time.
+    has the coefficient f = -1/(2n+2).  E(r) and the cyclic sum are built one
+    row i at a time: E_i / f = 2 G_ij r_kl + P[j, k, l] + P[j, l, k], where
+    P[j, a, b] = r_ja G_ib - G_ja r_ib is one product of inner dimension 2.
     """
     ric = -np.einsum("ma,imja->ij", np.linalg.inv(gram), curv)
     f = -1.0 / (2.0 * (n + 1))
+    d = len(curv)
+    pairs = np.stack([ric, gram], axis=-1).reshape(d * d, 2)  # row (j, a): (r_ja, G_ja)
+    # row buffers, reused: a fresh block per row costs more in page faults than its arithmetic
+    p, row = np.empty((d, d, d)), np.empty((d, d, d))
     defects, cyclic = [], []
-    for i in range(len(curv)):
-        defects.append(np.max(np.abs(curv[i] - f * (2.0 * gram[i, :, None, None] * ric
-                                                    + gram[i, None, :, None] * ric[:, None, :]
-                                                    + gram[i, None, None, :] * ric[:, :, None]
-                                                    - gram[:, :, None] * ric[i, None, None, :]
-                                                    - gram[:, None, :] * ric[i, None, :, None]))))
+    for i in range(d):
+        np.matmul(pairs, np.stack([gram[i], -ric[i]]), out=p.reshape(d * d, d))
+        # curv[i] - f (2 G_ij r_kl + P[j, k, l] + P[j, l, k]), evaluated in that order
+        np.multiply(2.0 * gram[i, :, None], ric.reshape(1, d * d), out=row.reshape(d, d * d))
+        row += p
+        row += np.swapaxes(p, 1, 2)
+        row *= f
+        np.subtract(curv[i], row, out=row)
+        defects.append(np.max(np.abs(row, out=row)))
         # R_ijkl + R_jkil + R_kijl at [j, k, l]
-        cyclic.append(np.max(np.abs(curv[i] + curv[:, :, i] + np.swapaxes(curv[:, i], 0, 1))))
+        np.add(curv[i], curv[:, :, i], out=row)
+        row += np.swapaxes(curv[:, i], 0, 1)
+        cyclic.append(np.max(np.abs(row, out=row)))
     # np.max keeps a NaN row, which Python's max would drop
     return float(np.max(defects)), ric, float(np.max(cyclic))
 
@@ -401,6 +425,10 @@ def ricci_type_residual(model: SymplecticModel, x) -> dict:
     ``square``: rho^2 - 4(n+1)^2 mu Id, divided by max(1, |mu|) since it grows
     like |mu| (the factor is 1 at k = 1 and at mu = 0);
     ``trace_route``: G rho - r, the Gram matrix times rho against that same r.
+    ``ricci_type`` and ``trace_route`` are divided by max(1, max|A|): the
+    orthonormal frame does not depend on the scale k of A, X_u grows like
+    sqrt(k) and x like 1/sqrt(k), so R, r and G rho grow like k (the factor
+    is 1 at k = 1 and at mu = 0).
     The transvection group acts transitively by symplectic maps that commute
     with A, so it preserves R, r and rho, and the base point stands for every
     point.
@@ -410,9 +438,10 @@ def ricci_type_residual(model: SymplecticModel, x) -> dict:
                                              model.n)
     rho = ricci_endomorphism(model, frame)
     square = rho @ rho - 4.0 * (model.n + 1) ** 2 * model.mu * np.eye(2 * model.n)
-    return {"cyclic": cyclic, "ricci_type": defect,
+    scale = max(1.0, float(np.max(np.abs(model.A))))
+    return {"cyclic": cyclic, "ricci_type": defect / scale,
             "square": float(np.max(np.abs(square))) / max(1.0, abs(model.mu)),
-            "trace_route": float(np.max(np.abs(frame.gram @ rho - ric)))}
+            "trace_route": float(np.max(np.abs(frame.gram @ rho - ric))) / scale}
 
 
 def symmetry_matrix(model: SymplecticModel, x) -> np.ndarray:

@@ -16,6 +16,12 @@ charts, a solve on the chart differential in the graph charts); no command
 needs it.  ``curvature_tensor`` materializes the closed-form curvature
 R(X, Y)Z = -2 Omega(X, Y) AZ - ... on a frame; the package keeps only the
 transvection algebra's curvature, and the tests compare the two.
+``algebra_curvature_terms`` gives the two terms of that curvature,
+-[X_i, X_j] v_k and X_k [X_i, X_j] x, as einsums over the generators, the
+route that ``geometry.algebra_curvature``'s one product of pair columns
+replaced; ``ricci_type_defect_rows`` is the row loop of R - E(r) and the
+cyclic sum that ``geometry._ricci_type_defect``'s inner-dimension-2 products
+replaced.
 ``sample_sigma_pointwise`` is the per-point Sigma_A sampler that
 the block sampler replaced: it draws each point's free coordinates in turn
 and redraws a degenerate block in place.
@@ -367,6 +373,32 @@ def curvature_tensor(gram, paired):
             + np.einsum("jk,il->ijkl", gram, paired)
             + np.einsum("ik,jl->ijkl", paired, gram)
             - np.einsum("jk,il->ijkl", paired, gram))
+
+
+def algebra_curvature_terms(model, frame):
+    """The two terms of -[[X_i, X_j], X_k] x = -[X_i, X_j] v_k + X_k [X_i, X_j] x,
+    each paired with every v_l, as (2n)^4 arrays."""
+    gens = geometry.transvection_generators(model, frame)
+    brackets = np.einsum("iab,jbc->ijac", gens, gens) - np.einsum("jab,ibc->ijac", gens, gens)
+    om_v = model.omega @ frame.vectors
+    first = -np.einsum("ijab,bk,al->ijkl", brackets, frame.vectors, om_v, optimize=True)
+    second = np.einsum("kab,ijbc,c,al->ijkl", gens, brackets, frame.base, om_v, optimize=True)
+    return first, second
+
+
+def ricci_type_defect_rows(curv, gram, n):
+    """sup |R - E(r)|, r and the sup of the cyclic sum, one broadcast row i at a time."""
+    ric = -np.einsum("ma,imja->ij", np.linalg.inv(gram), curv)
+    f = -1.0 / (2.0 * (n + 1))
+    defects, cyclic = [], []
+    for i in range(len(curv)):
+        defects.append(np.max(np.abs(curv[i] - f * (2.0 * gram[i, :, None, None] * ric
+                                                    + gram[i, None, :, None] * ric[:, None, :]
+                                                    + gram[i, None, None, :] * ric[:, :, None]
+                                                    - gram[:, :, None] * ric[i, None, None, :]
+                                                    - gram[:, None, :] * ric[i, None, :, None]))))
+        cyclic.append(np.max(np.abs(curv[i] + curv[:, :, i] + np.swapaxes(curv[:, i], 0, 1))))
+    return float(np.max(defects)), ric, float(np.max(cyclic))
 
 
 def ricci_type_defect(gram, paired, n):

@@ -14,6 +14,8 @@ import riccitype
 from riccitype import core, lie, serialize
 from riccitype.cli import main
 
+from oracles import algebra_curvature_terms
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -160,16 +162,33 @@ def test_trace_route_catches_a_spoiled_algebra_curvature(capsys, monkeypatch, ca
     assert f"witness.0=ricci.trace_route_match: base point {x0.tolist()}" in out
 
 
-def _algebra_curvature_terms(model, frame):
-    """The two terms of -[[X_i, X_j], X_k] x = -[X_i, X_j] v_k + X_k [X_i, X_j] x,
-    each paired with every v_l, as (2n)^4 arrays."""
+# CP^n: the only hyperbolic or elliptic tuples with n = 2-4 whose sampler still
+# reaches the curvature entries at k >= 1e6 (the others fail sampling.sigma, D4)
+CP_N234 = [("elliptic", n, n + 1, 0) for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("k", ["1e6", "1e9", "1e12"])
+@pytest.mark.parametrize("case,n,p,q", CP_N234)
+def test_curvature_entries_pass_at_large_k(capsys, case, n, p, q, k):
+    # R, r and G rho grow like k on the orthonormal frame: read against max|A|,
+    # R - E(r) and G rho - r are rounding of relative size eps
+    _, out, _ = run(capsys, "verify-geometry", *_tuple_argv(case, n, p, q), "--k", k,
+                    "--samples", "6")
+    assert re.search(r"\[PASS\] curvature\.ricci_type_residual ", out)
+    assert re.search(r"\[PASS\] ricci\.trace_route_match ", out)
+
+
+@pytest.mark.parametrize("case,n,p,q", CP_N234)
+def test_trace_route_catches_a_scaled_curvature_at_large_k(capsys, monkeypatch, case, n, p, q):
+    # the relative read still sees a curvature off by 1 %
     from riccitype import geometry
-    gens = geometry.transvection_generators(model, frame)
-    brackets = np.einsum("iab,jbc->ijac", gens, gens) - np.einsum("jab,ibc->ijac", gens, gens)
-    om_v = model.omega @ frame.vectors
-    first = -np.einsum("ijab,bk,al->ijkl", brackets, frame.vectors, om_v)
-    second = np.einsum("kab,ijbc,c,al->ijkl", gens, brackets, frame.base, om_v)
-    return first, second
+    original = geometry.algebra_curvature
+    monkeypatch.setattr(geometry, "algebra_curvature", lambda *args: 1.01 * original(*args))
+    code, out, _ = run(capsys, "verify-geometry", *_tuple_argv(case, n, p, q), "--k", "1e9",
+                       "--samples", "6")
+    assert code == 1
+    assert re.search(r"\[PASS\] curvature\.ricci_type_residual ", out)
+    assert re.search(r"\[FAIL\] ricci\.trace_route_match ", out)
 
 
 @pytest.mark.parametrize("case,n,p,q", NONFLAT_N23)
@@ -180,11 +199,11 @@ def test_cyclic_identity_catches_a_flipped_curvature_term(capsys, monkeypatch, c
     model = core.build_model(case, n, p=p or None, q=q or None)
     x0 = transvection.base_point(model)
     frame = geometry.horizontal_basis(model, x0)
-    first, second = _algebra_curvature_terms(model, frame)
+    first, second = algebra_curvature_terms(model, frame)
     assert np.max(np.abs(first + second - geometry.algebra_curvature(model, frame))) <= 1e-12
 
     def flipped(model, frame):
-        first, second = _algebra_curvature_terms(model, frame)
+        first, second = algebra_curvature_terms(model, frame)
         return first - second
     monkeypatch.setattr(geometry, "algebra_curvature", flipped)
     code, out, _ = run(capsys, "verify-geometry", *_tuple_argv(case, n, p, q),
@@ -515,6 +534,9 @@ def test_report_determinism(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify-geometry", "--case", "hyperbolic", "--n", "8", "--samples", "10"],
+    # the (2n)^2 x N by N x (2n)^2 curvature product at the size samples_large runs
+    ["verify-geometry", "--case", "hyperbolic", "--n", "16"],
+    ["verify-geometry", "--case", "elliptic", "--n", "16", "--p", "5"],
     ["verify-geometry", "--case", "nilpotent", "--n", "8", "--p", "3", "--q", "2",
      "--samples", "10"],
     # 50 samples in one batched (2n)^4 pass
