@@ -309,16 +309,17 @@ def _transitive_rank(report: CertificateReport, name: str, model, fields: np.nda
     report.add_info(f"{name}.min_singular_value", cert["min_singular_value"])
 
 
-def _certify_candidate(report: CertificateReport, model, name: str,
-                       b_mat: np.ndarray, c: float, config: RunConfig,
+def _certify_candidate(report: CertificateReport, model, a_line: lie.MatrixLieSubspace,
+                       name: str, b_mat: np.ndarray, c: float, config: RunConfig,
                        a_tilde=None, a: float = 0.0) -> None:
+    """The entries of one candidate h_{B, a~, a, c}; ``a_line`` is ``lie.line(model.A)``."""
     omega0 = model.omega0
     sub, _, cand = nil.build_h(model, b_mat, a_tilde=a_tilde, a=a, c=c)
     report.add_residual(f"{name}.closure_conditions",
                         max(nil.closure_conditions(cand, omega0)), 1e-10)
     report.add_equals(f"{name}.dim", sub.dim, 2 * model.n)
     report.add_residual(f"{name}.bracket_closure_mod_A",
-                        lie.closure_residual(sub, lie.line(model.A)), 1e-10)
+                        lie.closure_residual(sub, a_line), 1e-10)
     rng = np.random.default_rng(config.seed + 17)
     pts = rng.standard_normal((max(config.samples, 100), 2 * model.n))  # Darboux chart points
     # the normalized family (B, c), to which a~ and a are conjugated away
@@ -372,6 +373,7 @@ def cmd_find_transitive(config: RunConfig, candidate_file: str | None = None) ->
         return report
 
     # p = 2, q = 1: certify candidates
+    a_line = lie.line(model.A)
     if candidate_file is not None:
         with open(candidate_file) as fh:
             raw = serialize.parse_candidate(fh.read())
@@ -379,22 +381,22 @@ def cmd_find_transitive(config: RunConfig, candidate_file: str | None = None) ->
         if raw["B"].shape[0] != d:
             raise ValueError(f"candidate dim={raw['B'].shape[0]} does not match "
                              f"2(n-1) = {d} for n={model.n}")
-        _certify_candidate(report, model, "file_candidate", raw["B"], raw["c"],
+        _certify_candidate(report, model, a_line, "file_candidate", raw["B"], raw["c"],
                            config, a_tilde=raw["a_tilde"], a=raw["a"])
     else:
         for name, b_mat, c in _default_candidates(model, config.seed):
-            _certify_candidate(report, model, name, b_mat, c, config)
+            _certify_candidate(report, model, a_line, name, b_mat, c, config)
         # normalization exercise: a~ and a nonzero, same split-signature B
         d = 2 * (model.n - 1)
         at = np.zeros(d)
         at[0] = 0.5
-        _certify_candidate(report, model, "unnormalized", np.eye(d), 1.0, config,
+        _certify_candidate(report, model, a_line, "unnormalized", np.eye(d), 1.0, config,
                            a_tilde=at, a=0.7)
         for name, cand in _negative_controls(model):
             if not report.add_exceeds(f"{name}.closure_conditions",
                                       max(nil.closure_conditions(cand, model.omega0)), 1e-3):
                 report.add_witness(f"{name} unexpectedly closes")
-        heis = nil.heisenberg_extension_check(model, c=1.0)
+        heis = nil.heisenberg_extension_check(model, a_line, c=1.0)
         report.add_flag("heisenberg.derived_is_heisenberg", heis["certificate"].heisenberg)
         report.add_equals("heisenberg.derived_dim", heis["derived_dim"], 2 * model.n - 1)
         got = sorted(np.round(heis["dilation_eigenvalues"].real, 8).tolist())

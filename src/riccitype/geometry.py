@@ -36,7 +36,10 @@ that of the transvection algebra, built from closed-form odd generators as one
 (``algebra_curvature``); no closed-form curvature is kept.  Its four checks,
 the cyclic identity, the Ricci-type identity R = E(r), rho^2 = 4(n+1)^2 mu Id
 and the trace route G rho = r (``ricci_type_residual``), run at one point, on
-that curvature, the one r traced from it and the one rho of the frame.
+that curvature, the one r traced from it and the one rho of the frame.  The
+two tensor checks read only the independent components of R: R is exactly
+antisymmetric in its first pair, so R - E(r) is read on j > i and the cyclic
+sum, alternating in (i, j, k), on j > i, k > i.
 """
 
 from __future__ import annotations
@@ -355,8 +358,8 @@ def algebra_curvature(model: SymplecticModel, frame: HorizontalFrame) -> np.ndar
     -X_i X_j v_k + X_j X_i v_k + X_k X_i v_j - X_k X_j v_i, so with
     T_abcd = Omega(X_c X_a v_b, v_d), R_ijkl = S_ijkl - S_jikl for
     S_ijkl = T_ijkl + T_ikjl.  T is one (2n)^2 x N by N x (2n)^2 product, and
-    S and then R are built in its buffer, so the (2n)^4 array is the only one;
-    R comes out exactly antisymmetric in (i, j).
+    S and R are built in its buffer in one pass over the rows i, so the (2n)^4
+    array is the only one; R comes out exactly antisymmetric in (i, j).
     """
     v = frame.vectors
     gens = transvection_generators(model, frame)
@@ -368,24 +371,32 @@ def algebra_curvature(model: SymplecticModel, frame: HorizontalFrame) -> np.ndar
     # T[(a, b), (c, d)] = (X_a v_b)^T X_c^T Omega v_d
     curv = columns(gens @ v).T @ columns(np.swapaxes(gens, 1, 2) @ (model.omega @ v))
     curv = curv.reshape((d,) * 4)
-    pair = np.empty((d, d, d))  # one scratch block, reused by both loops
-    for i in range(d):  # S_i = T_i + T_i^T on the middle pair, so exactly symmetric there
-        curv[i] = np.add(curv[i], np.swapaxes(curv[i], 0, 1), out=pair)
+    pair = np.empty((d, d, d))  # one scratch block, reused by every row
     for i in range(d):
-        block = np.subtract(curv[i, i + 1:], curv[i + 1:, i], out=pair[:d - i - 1])
-        curv[i, i + 1:] = block
-        np.negative(block, out=curv[i + 1:, i])
+        # S_i = T_i + T_i^T on the middle pair, so exactly symmetric there; rows
+        # i' < i are S already, so R_i'i = S_i'i - S_ii' and its negative follow
+        curv[i] = np.add(curv[i], np.swapaxes(curv[i], 0, 1), out=pair)
+        block = np.subtract(curv[:i, i], curv[i, :i], out=pair[:i])
+        curv[:i, i] = block
+        np.negative(block, out=curv[i, :i])
         curv[i, i] = 0.0
     return curv
 
 
 def _ricci_type_defect(curv: np.ndarray, gram: np.ndarray, n: int):
     """Sup-norm of R - E(r) for a (2n)^4 curvature array R, its trace Ricci tensor r,
-    and the sup-norm of the cyclic sum R_ijkl + R_jkil + R_kijl.
+    and the sup-norm of the cyclic sum C_ijkl = R_ijkl + R_jkil + R_kijl.
 
     r_ij = -sum_{m,a} (G^-1)_ma R_imja, and E(r) (see ``ricci_type_residual``)
-    has the coefficient f = -1/(2n+2).  E(r) and the cyclic sum are built one
-    row i at a time: E_i / f = 2 G_ij r_kl + P[j, k, l] + P[j, l, k], where
+    has the coefficient f = -1/(2n+2).  Both sups are read on independent
+    components only, which needs R exactly antisymmetric in (i, j), as
+    ``algebra_curvature`` returns it.  Then R - E(r) is antisymmetric in
+    (i, j) too (E(r) is, since G is), so the rows j > i carry all of it.  And
+    C is alternating in (i, j, k): cyclic by its definition, and
+    C_jikl = -C_ijkl term by term.  So every |C| is read at j > i, k > i (up
+    to the order of its three terms in floating point), or is 0 at a repeated
+    index; R_kijl is read there as -R_ikjl, an exact negation.  Row i of
+    E(r)/f is 2 G_ij r_kl + P[j, k, l] + P[j, l, k], where
     P[j, a, b] = r_ja G_ib - G_ja r_ib is one product of inner dimension 2.
     """
     ric = -np.einsum("ma,imja->ij", np.linalg.inv(gram), curv)
@@ -393,21 +404,24 @@ def _ricci_type_defect(curv: np.ndarray, gram: np.ndarray, n: int):
     d = len(curv)
     pairs = np.stack([ric, gram], axis=-1).reshape(d * d, 2)  # row (j, a): (r_ja, G_ja)
     # row buffers, reused: a fresh block per row costs more in page faults than its arithmetic
-    p, row = np.empty((d, d, d)), np.empty((d, d, d))
+    pbuf, rbuf = np.empty(d ** 3), np.empty(d ** 3)
     defects, cyclic = [], []
-    for i in range(d):
-        np.matmul(pairs, np.stack([gram[i], -ric[i]]), out=p.reshape(d * d, d))
-        # curv[i] - f (2 G_ij r_kl + P[j, k, l] + P[j, l, k]), evaluated in that order
-        np.multiply(2.0 * gram[i, :, None], ric.reshape(1, d * d), out=row.reshape(d, d * d))
-        row += p
-        row += np.swapaxes(p, 1, 2)
-        row *= f
-        np.subtract(curv[i], row, out=row)
-        defects.append(np.max(np.abs(row, out=row)))
-        # R_ijkl + R_jkil + R_kijl at [j, k, l]
-        np.add(curv[i], curv[:, :, i], out=row)
-        row += np.swapaxes(curv[:, i], 0, 1)
-        cyclic.append(np.max(np.abs(row, out=row)))
+    for i in range(d - 1):
+        m = d - i - 1  # the rows j > i
+        p, rows = pbuf[:m * d * d].reshape(m, d, d), rbuf[:m * d * d].reshape(m, d, d)
+        np.matmul(pairs[(i + 1) * d:], np.stack([gram[i], -ric[i]]), out=p.reshape(m * d, d))
+        # R_i - f (2 G_ij r_kl + P[j, k, l] + P[j, l, k]) on j > i, evaluated in that order
+        np.multiply(2.0 * gram[i, i + 1:, None], ric.reshape(1, d * d), out=rows.reshape(m, -1))
+        rows += p
+        rows += np.swapaxes(p, 1, 2)
+        rows *= f
+        np.subtract(curv[i, i + 1:], rows, out=rows)
+        defects.append(np.max(np.abs(rows, out=rows)))
+        # R_ijkl + R_jkil - R_ikjl at [j, k, l], j, k > i
+        upper = curv[i, i + 1:, i + 1:]
+        cyc = np.add(upper, curv[i + 1:, i + 1:, i], out=rbuf[:m * m * d].reshape(m, m, d))
+        cyc -= np.swapaxes(upper, 0, 1)
+        cyclic.append(np.max(np.abs(cyc, out=cyc)))
     # np.max keeps a NaN row, which Python's max would drop
     return float(np.max(defects)), ric, float(np.max(cyclic))
 
@@ -416,10 +430,15 @@ def ricci_type_residual(model: SymplecticModel, x) -> dict:
     """Sup-norms of the curvature identities at one point x of Sigma_A.
 
     R is the transvection algebra's curvature at x (``algebra_curvature``)
-    over all frame 4-tuples, r its trace Ricci tensor and rho the Ricci
-    endomorphism in the frame.  The keys are
-    ``cyclic``: R_ijkl + R_jkil + R_kijl, the first Bianchi identity;
-    ``ricci_type``: R - E(r), with
+    in the frame, r its trace Ricci tensor and rho the Ricci endomorphism in
+    the frame.  R is exactly antisymmetric in (i, j), so the two tensor keys
+    read its independent components only, which carry every value
+    (``_ricci_type_defect``).  The keys are
+    ``cyclic``: R_ijkl + R_jkil + R_kijl on j, k > i.  R_ijkl = S_ijkl - S_jikl
+        with S symmetric in its middle pair satisfies it whatever the
+        generators, so it checks how R is assembled, not the first Bianchi
+        identity of the connection;
+    ``ricci_type``: R - E(r) on j > i, with
         E(X,Y,Z,T) = -1/(2n+2) [2 w(X,Y) r(Z,T) + w(X,Z) r(Y,T) + w(X,T) r(Y,Z)
                                 - w(Y,Z) r(X,T) - w(Y,T) r(X,Z)];
     ``square``: rho^2 - 4(n+1)^2 mu Id, divided by max(1, |mu|) since it grows

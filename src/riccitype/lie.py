@@ -134,10 +134,11 @@ _BLOCK = 8
 def _pair_brackets(basis: np.ndarray):
     """Yield (i, j, flat) per block of rows i: flat[m] is [b_i, b_j] flattened, i = i[m] < j[m]."""
     d = basis.shape[0]
-    for start in range(0, d, _BLOCK):
-        i, j = np.triu_indices(min(_BLOCK, d - start), 1, d - start)
-        x, y = basis[i + start], basis[j + start]
-        yield i + start, j + start, (x @ y - y @ x).reshape(i.size, basis[0].size)
+    i, j = np.triu_indices(d, 1)  # row-major: the pairs of each block of rows are one slice
+    cuts = [*np.searchsorted(i, range(0, d, _BLOCK)), i.size]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        x, y = basis[i[lo:hi]], basis[j[lo:hi]]
+        yield i[lo:hi], j[lo:hi], (x @ y - y @ x).reshape(hi - lo, basis[0].size)
 
 
 def line(x: np.ndarray) -> MatrixLieSubspace:

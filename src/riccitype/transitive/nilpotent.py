@@ -28,7 +28,7 @@ import numpy as np
 
 from ..core import SymplecticModel, apply_rows, dot_rows
 from ..geometry import darboux_matrix
-from ..lie import (RANK_RTOL, MatrixLieSubspace, bracket_rows, constants_certificate, line,
+from ..lie import (RANK_RTOL, MatrixLieSubspace, bracket_rows, constants_certificate,
                    rank_count, structure_constants, subspace_from_matrices)
 
 
@@ -263,17 +263,19 @@ def strongly_hamiltonian_defect(B: np.ndarray, omega0: np.ndarray) -> np.ndarray
     return 0.5 * (B.T @ omega0 @ B - omega0)
 
 
-def heisenberg_extension_check(model: SymplecticModel, c: float = 1.0) -> dict:
+def heisenberg_extension_check(model: SymplecticModel, a_line: MatrixLieSubspace,
+                               c: float = 1.0) -> dict:
     """Structure of the dilation extension for B = c*Id.
 
     The derived algebra of h_{c Id, c} is Heisenberg of dimension 2n - 1 and
     the complement generator acts on it with eigenvalues -c (multiplicity
     2n - 2) and -2c (multiplicity 1).  Both are read in the coordinates of
-    h, from its structure constants modulo R*A.
+    h, from its structure constants modulo R*A; ``a_line`` is that line,
+    ``line(model.A)``.
     """
     d = 2 * (model.n - 1)
     sub, gens, cand = build_h(model, c * np.eye(d), a=0.0, c=c)
-    c_h, _ = structure_constants(sub, line(model.A))
+    c_h, _ = structure_constants(sub, a_line)
     ident = np.eye(sub.dim)
     rows = bracket_rows(c_h, ident, ident)  # h' as orthonormal coordinate rows
     # brackets of h' in the coordinates of h, then read in the rows of h'

@@ -196,7 +196,7 @@ def test_criterion_5_flat_case_family():
         min_violation = min(min_violation, max(nil.closure_conditions(cand, om0)))
     heis_ok = True
     for c in (1.0, -1.0):
-        rep = nil.heisenberg_extension_check(model, c=c)
+        rep = nil.heisenberg_extension_check(model, lie.line(model.A), c=c)
         got = sorted(np.round(rep["dilation_eigenvalues"].real, 9).tolist())
         heis_ok &= (rep["certificate"].heisenberg and rep["derived_dim"] == 3
                     and got == sorted(rep["expected_eigenvalues"]))

@@ -825,10 +825,18 @@ def _spoil_sample_3(values, spoil=NAN):
 
 
 def _nan_entry(values):
-    # a copy of an array whose last entry is NaN: in the algebra's curvature that
-    # is in the last row only, which Python's max over the row maxima would drop
+    # a copy of an array whose last entry is NaN
     out = np.array(values, dtype=float)
     out.flat[-1] = NAN
+    return out
+
+
+def _nan_last_read_row(curv):
+    # a copy of the algebra's curvature with R[d-2, d-1, d-1, d-1] NaN: the cyclic
+    # sum reads it in its last row i = d - 2 only, which Python's max over the row
+    # maxima would drop (R[d-1, d-1] is the zero diagonal, never read)
+    out = np.array(curv, dtype=float)
+    out[-2, -1, -1, -1] = NAN
     return out
 
 
@@ -875,7 +883,7 @@ NAN_CASES = {  # test id: command, tuple, spiked function, its spiked call, spoi
     # the curvature entries read the base point: one NaN in the algebra's curvature
     # or in rho, or one residual of ricci_type_residual set to NaN
     "cyclic_identity": ("verify-geometry", HYPERBOLIC, "geometry.algebra_curvature", 0,
-                        _nan_entry, "curvature.cyclic_identity", _base_point),
+                        _nan_last_read_row, "curvature.cyclic_identity", _base_point),
     "ricci_type_residual": ("verify-geometry", HYPERBOLIC, "geometry.ricci_type_residual", 0,
                             lambda out: {**out, "ricci_type": NAN},
                             "curvature.ricci_type_residual", _base_point),

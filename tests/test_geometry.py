@@ -557,9 +557,13 @@ def test_curvature_antisymmetry_and_cyclic(case, n, p, q):
     frame = geometry.horizontal_basis(model, pt)
     curv = geometry.algebra_curvature(model, frame)
     assert np.max(np.abs(curv + np.swapaxes(curv, 0, 1))) <= 1e-12
-    # the row-by-row cyclic sum is that of the whole array
+    # the row loop reads the cyclic sum on j, k > i: exactly the whole array's
+    # sum there, and its sup up to the order of the three terms elsewhere
     cyclic = geometry._ricci_type_defect(curv, frame.gram, n)[2]
-    assert cyclic == np.max(np.abs(_cyclic_sum(curv)))
+    whole = np.abs(_cyclic_sum(curv))
+    i, j, k = np.indices(curv.shape[:3])
+    assert cyclic == np.max(whole[(j > i) & (k > i)])
+    assert abs(cyclic - np.max(whole)) <= 1e-14 * max(1.0, float(np.max(np.abs(curv))))
     assert cyclic <= 1e-9
     # the closed form, materialized by the oracle, is cyclic too
     closed = curvature_tensor(frame.gram, frame_pairing(model, frame))
@@ -883,6 +887,8 @@ def test_ricci_type_residual_full_admissible_sweep(case, n, p, q):
         # the inner-dimension-2 products of E(r) against the broadcast row loop
         rows_residual, rows_ric, rows_cyclic = ricci_type_defect_rows(curv, frame.gram, n)
         assert np.array_equal(ric, rows_ric)
+        if i == 0:  # x0 frames have exact entries: the independent components read the same sups
+            assert (residual, cyclic) == (rows_residual, rows_cyclic)
         assert abs(residual - rows_residual) <= 1e-14 * scale
         assert abs(cyclic - rows_cyclic) <= 1e-14 * scale
         # the einsum oracle materializes R and E(r) from the closed form; both routes agree
@@ -893,6 +899,20 @@ def test_ricci_type_residual_full_admissible_sweep(case, n, p, q):
         # the trace route G rho = r against the oracle's trace, at every point
         got = frame.gram @ geometry.ricci_endomorphism(model, frame)
         assert np.max(np.abs(got - want_ric)) <= 1e-12 * max(1.0, float(np.max(np.abs(want_ric))))
+
+
+@pytest.mark.parametrize("case,n,p,q", [("hyperbolic", 16, 0, 0), ("elliptic", 16, 1, 0),
+                                        ("elliptic", 16, 5, 0), ("nilpotent", 16, 2, 1),
+                                        ("nilpotent", 16, 3, 2)])
+def test_ricci_type_defect_at_x0_n16_matches_full_rows(case, n, p, q):
+    # at x0 the sups on the independent components are those of the whole tensor
+    model = build(case, n, p or None, q or None)
+    frame = geometry.horizontal_basis(model, base_point(model))
+    curv = geometry.algebra_curvature(model, frame)
+    residual, ric, cyclic = geometry._ricci_type_defect(curv, frame.gram, n)
+    rows_residual, rows_ric, rows_cyclic = ricci_type_defect_rows(curv, frame.gram, n)
+    assert np.array_equal(ric, rows_ric)
+    assert (residual, cyclic) == (rows_residual, rows_cyclic)
 
 
 def test_reduced_symmetry_check_report():

@@ -404,7 +404,8 @@ def test_rank_cuts_have_wide_gaps(monkeypatch):
         classify_transvection(transvection_algebra(model), model)
     for n in (2, 3):
         model = core.build_model("nilpotent", n, p=2, q=1)
-        assert nilpotent.heisenberg_extension_check(model)["certificate"].heisenberg
+        heis = nilpotent.heisenberg_extension_check(model, lie.line(model.A))
+        assert heis["certificate"].heisenberg
         data = iwasawa.iwasawa_su1n(n)
         assert lie.series_certificate(data.nilpotent_part).heisenberg
         h_phi, _ = iwasawa.build_a_phi(data, np.linspace(-1.0, 1.5, n - 1))

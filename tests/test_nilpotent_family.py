@@ -449,7 +449,7 @@ def test_strongly_hamiltonian_iff_scalar(setup):
 @pytest.mark.parametrize("c", [1.0, -1.0])
 def test_heisenberg_extension(c):
     model = core.build_model("nilpotent", 2, p=2, q=1)
-    rep = nil.heisenberg_extension_check(model, c=c)
+    rep = nil.heisenberg_extension_check(model, lie.line(model.A), c=c)
     assert rep["derived_dim"] == 3
     assert rep["certificate"].heisenberg
     # the same h' as matrices, modulo R*A: nilpotent, with a one-dimensional center
@@ -466,7 +466,7 @@ def test_heisenberg_extension(c):
 
 def test_heisenberg_extension_larger_n():
     model = core.build_model("nilpotent", 3, p=2, q=1)
-    rep = nil.heisenberg_extension_check(model, c=1.0)
+    rep = nil.heisenberg_extension_check(model, lie.line(model.A), c=1.0)
     assert rep["derived_dim"] == 5
     assert rep["certificate"].heisenberg
     got = sorted(np.round(rep["dilation_eigenvalues"].real, 9).tolist())
@@ -488,7 +488,7 @@ def test_heisenberg_extension_reads_derived_algebra_from_constants(monkeypatch, 
                 yield i, j, flat
         return counted
     monkeypatch.setattr(lie, "_pair_brackets", counting(lie._pair_brackets))
-    cert = nil.heisenberg_extension_check(model, c=c)["certificate"]
+    cert = nil.heisenberg_extension_check(model, lie.line(model.A), c=c)["certificate"]
     # one bracket computation, of each of h's 2n(2n - 1)/2 pairs i < j once;
     # h' is read from its structure constants
     dim = model.ambient_dim
@@ -503,6 +503,17 @@ def test_heisenberg_extension_reads_derived_algebra_from_constants(monkeypatch, 
     derived = lie.MatrixLieSubspace(dim, rows @ sub.rows)
     assert cert == lie.series_certificate(derived, modulo=modulo)
     assert cert.closure_residual <= 1e-12
+
+
+def test_find_transitive_builds_the_line_of_a_once(monkeypatch):
+    # every candidate's closure mod R*A and the Heisenberg check read one line R*A
+    built = []
+    original = lie.line
+    monkeypatch.setattr(lie, "line", lambda x: built.append(None) or original(x))
+    report = cli.cmd_find_transitive(cli.RunConfig(case="nilpotent", n=2, p=2, q=1, seed=0))
+    assert report.verdict == "PASS"
+    assert sum(e.name.endswith(".bracket_closure_mod_A") for e in report.entries) == 5
+    assert len(built) == 1
 
 
 def test_normalize_preserves_transitivity_verdict(setup):
