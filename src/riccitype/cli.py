@@ -61,6 +61,10 @@ class RunConfig:
             raise ValueError(f"tol-rank must be < 1, got {self.tol_rank}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # the hyperbolic model has neither p nor q, the elliptic one has q = n + 1 - p
+        for flag in {"hyperbolic": ("p", "q"), "elliptic": ("q",)}.get(self.case, ()):
+            if getattr(self, flag) is not None:
+                raise ValueError(f"--{flag} does not apply to the {self.case} case")
 
     def as_dict(self) -> dict:
         out = {"case": self.case, "n": self.n, "seed": self.seed,
@@ -311,15 +315,16 @@ def _transitive_rank(report: CertificateReport, name: str, model, fields: np.nda
 
 def _certify_candidate(report: CertificateReport, model, a_line: lie.MatrixLieSubspace,
                        name: str, b_mat: np.ndarray, c: float, config: RunConfig,
-                       a_tilde=None, a: float = 0.0) -> None:
-    """The entries of one candidate h_{B, a~, a, c}; ``a_line`` is ``lie.line(model.A)``."""
+                       a_tilde=None, a: float = 0.0):
+    """The entries of one candidate h_{B, a~, a, c}; ``a_line`` is ``lie.line(model.A)``.
+    Returns its subspace, generator stack and structure constants modulo R*A."""
     omega0 = model.omega0
-    sub, _, cand = nil.build_h(model, b_mat, a_tilde=a_tilde, a=a, c=c)
+    sub, gens, cand = nil.build_h(model, b_mat, a_tilde=a_tilde, a=a, c=c)
     report.add_residual(f"{name}.closure_conditions",
                         max(nil.closure_conditions(cand, omega0)), 1e-10)
     report.add_equals(f"{name}.dim", sub.dim, 2 * model.n)
-    report.add_residual(f"{name}.bracket_closure_mod_A",
-                        lie.closure_residual(sub, a_line), 1e-10)
+    c_h, residual = lie.structure_constants(sub, a_line)
+    report.add_residual(f"{name}.bracket_closure_mod_A", residual, 1e-10)
     rng = np.random.default_rng(config.seed + 17)
     pts = rng.standard_normal((max(config.samples, 100), 2 * model.n))  # Darboux chart points
     # the normalized family (B, c), to which a~ and a are conjugated away
@@ -339,6 +344,7 @@ def _certify_candidate(report: CertificateReport, model, a_line: lie.MatrixLieSu
     report.add_flag(f"{name}.strongly_hamiltonian_iff_scalar",
                     (defect <= 1e-12) == is_scalar,
                     detail=f"defect={defect:.3e}, B==c*Id: {is_scalar}")
+    return sub, gens, c_h
 
 
 def cmd_find_transitive(config: RunConfig, candidate_file: str | None = None) -> CertificateReport:
@@ -384,8 +390,8 @@ def cmd_find_transitive(config: RunConfig, candidate_file: str | None = None) ->
         _certify_candidate(report, model, a_line, "file_candidate", raw["B"], raw["c"],
                            config, a_tilde=raw["a_tilde"], a=raw["a"])
     else:
-        for name, b_mat, c in _default_candidates(model, config.seed):
-            _certify_candidate(report, model, a_line, name, b_mat, c, config)
+        certified = {name: _certify_candidate(report, model, a_line, name, b_mat, c, config)
+                     for name, b_mat, c in _default_candidates(model, config.seed)}
         # normalization exercise: a~ and a nonzero, same split-signature B
         d = 2 * (model.n - 1)
         at = np.zeros(d)
@@ -396,12 +402,13 @@ def cmd_find_transitive(config: RunConfig, candidate_file: str | None = None) ->
             if not report.add_exceeds(f"{name}.closure_conditions",
                                       max(nil.closure_conditions(cand, model.omega0)), 1e-3):
                 report.add_witness(f"{name} unexpectedly closes")
-        heis = nil.heisenberg_extension_check(model, a_line, c=1.0)
+        sub, gens, c_h = certified["scalar_c_plus"]  # h_{Id, 1}, so -c = -1 and -2c = -2
+        heis = nil.heisenberg_extension_check(sub, gens[0], c_h)
         report.add_flag("heisenberg.derived_is_heisenberg", heis["certificate"].heisenberg)
         report.add_equals("heisenberg.derived_dim", heis["derived_dim"], 2 * model.n - 1)
         got = sorted(np.round(heis["dilation_eigenvalues"].real, 8).tolist())
         report.add_equals("heisenberg.dilation_spectrum", str(got),
-                          str(sorted(heis["expected_eigenvalues"])))
+                          str([-2.0] + [-1.0] * (2 * model.n - 2)))
     return report
 
 

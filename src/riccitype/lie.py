@@ -142,8 +142,12 @@ def _pair_brackets(basis: np.ndarray):
 
 
 def line(x: np.ndarray) -> MatrixLieSubspace:
-    """The one-dimensional span of a single matrix."""
-    return subspace_from_matrices([x], x.shape[0])
+    """The one-dimensional span of a single matrix: the row x / |x|_F.  A zero or
+    non-finite matrix is refused; a small one is not, since max|A| = k can be tiny."""
+    flat = np.reshape(np.asarray(x, dtype=float), (1, -1))
+    if not 0.0 < np.max(np.abs(flat)) < np.inf:  # a NaN max-norm fails too
+        raise ValueError("a line needs a nonzero finite matrix")
+    return MatrixLieSubspace(x.shape[0], flat / np.linalg.norm(flat))
 
 
 def centralizer_in_sp(model: SymplecticModel, exact: bool = False) -> MatrixLieSubspace:

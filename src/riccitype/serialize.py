@@ -68,9 +68,13 @@ def parse_candidate(text: str) -> dict:
                if kv.get("a_tilde", "").strip() else np.zeros(d))
     if a_tilde.shape[0] != d:
         raise ValueError(f"a_tilde must have {d} entries")
-    return {
+    out = {
         "B": b_flat.reshape(d, d),
         "a_tilde": a_tilde,
         "a": float(kv.get("a", "0")),
         "c": float(kv.get("c", "1")),
     }
+    for key, value in out.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"candidate {key} must be finite")
+    return out

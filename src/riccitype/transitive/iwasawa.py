@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import SymplecticModel, build_model
-from ..lie import MatrixLieSubspace, ad_matrix, rank_split, subspace_from_matrices
+from ..lie import MatrixLieSubspace, ad_matrix, line, rank_split, subspace_from_matrices
 from ..transvection import TransvectionData, transvection_algebra
 
 
@@ -91,7 +91,7 @@ def iwasawa_su1n(n: int, k: float = 1.0) -> IwasawaData:
     return IwasawaData(
         model=model,
         transvection=tv,
-        abelian_part=subspace_from_matrices([a_gen], model.ambient_dim),
+        abelian_part=line(a_gen),
         centralizer_m=m_part,
         nilpotent_part=n_plus,
         a_generator=a_gen,

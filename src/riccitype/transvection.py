@@ -86,15 +86,15 @@ def transvection_algebra(model: SymplecticModel, exact: bool = False) -> Transve
     k1 = bracket_span(p1)
     if p1.dim == 0 or k1.dim == 0:
         raise ValueError("degenerate eigenspace split; check the base point")
-    a_unit = model.A / np.linalg.norm(model.A.reshape(-1))
-    a_distance = k1.distance(a_unit)
+    a_line = line(model.A)
+    a_distance = k1.distance(a_line.rows)
     k_rows, modulo = k1.rows, None
     if a_distance <= A_MEMBERSHIP_TOL:
         # quotient by R*A: keep the trace-orthogonal complement of A inside k1
-        flat_a = a_unit.reshape(-1)
+        flat_a = a_line.rows[0]
         k_rows = subspace_from_matrices(k1.rows - np.outer(k1.rows @ flat_a, flat_a),
                                         model.ambient_dim).rows
-        modulo = line(model.A)
+        modulo = a_line
     # S is orthogonal, so theta = Ad S preserves the trace form and its
     # eigenspaces p1 and k1 are trace-orthogonal: the stacked rows stay orthonormal
     algebra = MatrixLieSubspace(model.ambient_dim, np.vstack([p1.rows, k_rows]))

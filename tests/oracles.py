@@ -33,6 +33,9 @@ family (B, c); no command needs the conjugators, since the result is
 ``nilpotent.make_candidate(B, c=c)`` for every family ``build_h`` completes.  ``moment_map_f`` is the
 closed-form Hamiltonian of a normalized p = 2 family in the Darboux chart,
 which ``moment_map_gradient`` differences; no command needs it.
+``heisenberg_candidate`` builds h_{c Id, c} and its structure constants modulo
+R*A as ``find-transitive`` certifies its ``scalar_c_plus`` candidate, the input
+``nilpotent.heisenberg_extension_check`` reads.
 ``centralizer_oracle`` solves the centralizer of A in sp(Omega) from the
 (2N^2, N^2) stack of the sp and commutation rows on vec(X), and
 ``structure_constants_oracle`` projects the full (d, d, N^2) bracket tensor
@@ -339,6 +342,14 @@ def normalize_candidate(model, cand):
         conjugators.append(g)
         out = replace(out, a=out.a + 2.0 * r * out.c)
     return out, conjugators
+
+
+def heisenberg_candidate(model, c=1.0):
+    """(subspace, complement generator K(1, 0, 0), structure constants modulo R*A) of
+    h_{c Id, c} in a nilpotent p = 2, q = 1 model, built as ``find-transitive`` builds it."""
+    sub, gens, _ = nil.build_h(model, c * np.eye(2 * (model.n - 1)), c=c)
+    c_h, _ = lie.structure_constants(sub, lie.line(model.A))
+    return sub, gens[0], c_h
 
 
 def horizontality_residual(model, x, v):

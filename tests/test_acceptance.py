@@ -12,7 +12,7 @@ from riccitype.transitive import iwasawa as iwa
 from riccitype.transitive import nilpotent as nil
 from riccitype.transitive import quaternion as quat
 
-from oracles import curvature_tensor, frame_pairing, ricci_type_defect
+from oracles import curvature_tensor, frame_pairing, heisenberg_candidate, ricci_type_defect
 
 
 def record(number, title, ok, detail=""):
@@ -196,10 +196,10 @@ def test_criterion_5_flat_case_family():
         min_violation = min(min_violation, max(nil.closure_conditions(cand, om0)))
     heis_ok = True
     for c in (1.0, -1.0):
-        rep = nil.heisenberg_extension_check(model, lie.line(model.A), c=c)
+        rep = nil.heisenberg_extension_check(*heisenberg_candidate(model, c))
         got = sorted(np.round(rep["dilation_eigenvalues"].real, 9).tolist())
         heis_ok &= (rep["certificate"].heisenberg and rep["derived_dim"] == 3
-                    and got == sorted(rep["expected_eigenvalues"]))
+                    and got == sorted([-c, -c, -2.0 * c]))
     record(5, "flat-case transitive family",
            worst_closure <= 1e-10 and min_violation > 1e-3 and worst_rank_ok
            and worst_ham <= 1e-5 and sh_equiv and heis_ok,

@@ -225,6 +225,14 @@ def test_transvection_passes_at_large_k(capsys, case, n, p, q, k):
     assert (code, err) == (0, ""), out
 
 
+@pytest.mark.parametrize("k", ["1e-13", "1e-30"])
+@pytest.mark.parametrize("case,n,p,q", HYPERBOLIC_ELLIPTIC_N234)
+def test_transvection_passes_at_small_k(capsys, case, n, p, q, k):
+    # A has max-norm k, far below ZERO_FLOOR here: its line R*A is still a unit row
+    code, out, err = run(capsys, "transvection", *_tuple_argv(case, n, p, q), "--k", k)
+    assert (code, err) == (0, ""), out
+
+
 @pytest.mark.parametrize("k", ["1", "1e9"])
 def test_sigma1_fixes_a_fails_for_a_perturbed_symmetry(capsys, monkeypatch, k):
     # scaling S by 1 + 5e-7 moves S A S off A by 1e-6 relative, at every k
@@ -667,6 +675,21 @@ def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
 HYPERBOLIC_ARGS = ("--case", "hyperbolic", "--n", "2")
 DARBOUX_ARGS = ("--case", "nilpotent", "--n", "2", "--p", "2", "--q", "1")
 K_SQUARE = "k must be finite and > 0 with k^2 finite and nonzero"
+
+
+class CandidateText(str):
+    """A candidate file's text in an argv: the test writes it and passes the file's path."""
+
+
+def candidate_argv(key_value):
+    """find-transitive on a valid n = 2 candidate file with one line added or replaced."""
+    lines = {"dim": "2", "B": "1 0 0 -1", "a_tilde": "0.2 0", "a": "0.3", "c": "1"}
+    key, value = key_value.split("=")
+    lines[key] = value
+    text = CandidateText("".join(f"{k}={v}\n" for k, v in lines.items()))
+    return ("find-transitive", *DARBOUX_ARGS, "--candidate-file", text)
+
+
 INVALID_INPUTS = {  # test id: argv, a fragment of the one error line
     "k_nan": (("verify-geometry", *HYPERBOLIC_ARGS, "--k", "nan"), "k must be finite and > 0"),
     "k_inf": (("verify-geometry", *HYPERBOLIC_ARGS, "--k", "inf"), "k must be finite and > 0"),
@@ -696,11 +719,33 @@ INVALID_INPUTS = {  # test id: argv, a fragment of the one error line
     **{f"k_square_underflow_{command}": ((command, "--case", "elliptic", "--n", "2", "--p", "1",
                                           "--k", "1e-200"), K_SQUARE)
        for command in ("transvection", "verify-geometry")},
+    # a non-finite candidate entry is named by its key, before any precondition reads it
+    **{f"candidate_{key}_{value}": (candidate_argv(f"{key}={entries}"),
+                                    f"candidate {key} must be finite")
+       for key, value, entries in [("B", "nan", "nan 0 0 -1"), ("B", "inf", "1 0 0 inf"),
+                                   ("a_tilde", "nan", "nan 0"), ("a_tilde", "inf", "0 -inf"),
+                                   ("a", "nan", "nan"), ("a", "inf", "inf"),
+                                   ("c", "nan", "nan"), ("c", "inf", "-inf")]},
+    # flags that the model does not read: hyperbolic has no p or q, elliptic q = n + 1 - p
+    "p_hyperbolic": (("find-transitive", *HYPERBOLIC_ARGS, "--p", "2"),
+                     "--p does not apply to the hyperbolic case"),
+    "q_hyperbolic": (("verify-geometry", *HYPERBOLIC_ARGS, "--q", "1"),
+                     "--q does not apply to the hyperbolic case"),
+    "p_q_hyperbolic": (("transvection", *HYPERBOLIC_ARGS, "--p", "2", "--q", "1"),
+                       "--p does not apply to the hyperbolic case"),
+    "q_elliptic": (("transvection", "--case", "elliptic", "--n", "2", "--p", "1", "--q", "7"),
+                   "--q does not apply to the elliptic case"),
+    "q_elliptic_construct": (("construct", "--case", "elliptic", "--n", "3", "--p", "2",
+                              "--q", "2"), "--q does not apply to the elliptic case"),
 }
 
 
 @pytest.mark.parametrize("argv,message", list(INVALID_INPUTS.values()), ids=list(INVALID_INPUTS))
-def test_invalid_input_is_a_usage_error(capsys, argv, message):
+def test_invalid_input_is_a_usage_error(capsys, tmp_path, argv, message):
+    path = tmp_path / "cand.txt"
+    for text in (a for a in argv if isinstance(a, CandidateText)):
+        path.write_text(text)
+    argv = [str(path) if isinstance(a, CandidateText) else a for a in argv]
     code, out, err = run(capsys, *argv, "--samples", "5")
     assert (code, out) == (2, "")
     lines = err.splitlines()

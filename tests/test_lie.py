@@ -7,8 +7,8 @@ from riccitype import core, lie
 from riccitype.exact import rational_nullspace_dimension
 
 from oracles import (bracket_span_oracle, center_oracle, centralizer_oracle,
-                     closure_residual_oracle, coordinates_oracle, series_oracle,
-                     structure_constants_oracle)
+                     closure_residual_oracle, coordinates_oracle, heisenberg_candidate,
+                     series_oracle, structure_constants_oracle)
 
 
 def e_matrix(i, j, n=2):
@@ -245,6 +245,26 @@ def test_series_certificate_zero_dimensional():
     assert cert.abelian and cert.solvable and not cert.heisenberg
 
 
+@pytest.mark.parametrize("x", [np.zeros((4, 4)), np.full((4, 4), np.nan),
+                               np.diag([1.0, np.inf, 0.0, 0.0]), np.diag([np.nan, 1.0, 0.0, 0.0])],
+                         ids=["zero", "nan", "inf", "nan_and_finite"])
+def test_line_refuses_zero_and_non_finite_matrices(x):
+    with pytest.raises(ValueError, match="a line needs a nonzero finite matrix"):
+        lie.line(x)
+
+
+def test_line_is_the_row_span_of_a():
+    # the unit row x / |x|_F is the row that the SVD of the one-row stack gives, up to
+    # sign, on every nilpotent A, so the quotients by R*A keep their bits
+    for case, n, p, q in core.admissible_parameters((2, 3, 4)):
+        if case == "nilpotent":
+            model = core.build_model(case, n, p=p, q=q)
+            row = lie.line(model.A).rows
+            svd_row = lie.subspace_from_matrices([model.A], model.ambient_dim).rows
+            assert row.shape == (1, model.ambient_dim ** 2)
+            assert np.array_equal(row, svd_row) or np.array_equal(row, -svd_row)
+
+
 def test_closure_residual_refuses_modulo_not_orthogonal_to_s():
     # the quotient rows are stacked under those of s as they are, so they must be
     # orthonormal and orthogonal to s
@@ -404,7 +424,7 @@ def test_rank_cuts_have_wide_gaps(monkeypatch):
         classify_transvection(transvection_algebra(model), model)
     for n in (2, 3):
         model = core.build_model("nilpotent", n, p=2, q=1)
-        heis = nilpotent.heisenberg_extension_check(model, lie.line(model.A))
+        heis = nilpotent.heisenberg_extension_check(*heisenberg_candidate(model))
         assert heis["certificate"].heisenberg
         data = iwasawa.iwasawa_su1n(n)
         assert lie.series_certificate(data.nilpotent_part).heisenberg

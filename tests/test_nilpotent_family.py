@@ -15,9 +15,9 @@ from riccitype.transitive import nilpotent as nil
 from riccitype.transitive import quaternion as quat
 
 from oracles import (center_oracle, closed_form_fields, closure_conditions_pairwise,
-                     differenced_field, fundamental_field_p2q1, generator_tuples, moment_map_f,
-                     moment_map_gradient, normalize_candidate, series_oracle,
-                     tangent_sphere_field)
+                     differenced_field, fundamental_field_p2q1, generator_tuples,
+                     heisenberg_candidate, moment_map_f, moment_map_gradient,
+                     normalize_candidate, series_oracle, tangent_sphere_field)
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +221,11 @@ def test_build_h_rejects_preconditions(setup):
         nil.build_h(model, np.eye(2), c=0.5)
     with pytest.raises(ValueError, match="isotropic"):
         nil.build_h(model, -np.eye(2), c=1.0)
+    # a NaN residual fails a precondition
+    with pytest.raises(ValueError, match="B\\^2"):
+        nil.build_h(model, np.diag([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="c\\^2"):
+        nil.build_h(model, np.eye(2), c=np.nan)
 
 
 def test_build_h_closure_fails_without_isotropy():
@@ -449,60 +454,71 @@ def test_strongly_hamiltonian_iff_scalar(setup):
 @pytest.mark.parametrize("c", [1.0, -1.0])
 def test_heisenberg_extension(c):
     model = core.build_model("nilpotent", 2, p=2, q=1)
-    rep = nil.heisenberg_extension_check(model, lie.line(model.A), c=c)
+    sub, x, c_h = heisenberg_candidate(model, c)
+    rep = nil.heisenberg_extension_check(sub, x, c_h)
     assert rep["derived_dim"] == 3
     assert rep["certificate"].heisenberg
     # the same h' as matrices, modulo R*A: nilpotent, with a one-dimensional center
-    sub, _, _ = nil.build_h(model, c * np.eye(2), c=c)
     modulo = lie.line(model.A)
-    rows = lie.bracket_rows(lie.structure_constants(sub, modulo)[0], np.eye(4), np.eye(4))
+    rows = lie.bracket_rows(c_h, np.eye(4), np.eye(4))
     derived = lie.MatrixLieSubspace(model.ambient_dim, rows @ sub.rows)
     assert series_oracle(derived, False, modulo) == [3, 1, 0]
     assert center_oracle(derived, modulo).dim == 1
     got = sorted(np.round(rep["dilation_eigenvalues"].real, 9).tolist())
-    assert got == sorted(rep["expected_eigenvalues"])
+    assert got == sorted([-c, -c, -2.0 * c])
     assert np.max(np.abs(rep["dilation_eigenvalues"].imag)) <= 1e-9
 
 
 def test_heisenberg_extension_larger_n():
     model = core.build_model("nilpotent", 3, p=2, q=1)
-    rep = nil.heisenberg_extension_check(model, lie.line(model.A), c=1.0)
+    rep = nil.heisenberg_extension_check(*heisenberg_candidate(model, 1.0))
     assert rep["derived_dim"] == 5
     assert rep["certificate"].heisenberg
     got = sorted(np.round(rep["dilation_eigenvalues"].real, 9).tolist())
     assert got == [-2.0, -1.0, -1.0, -1.0, -1.0]
 
 
+def counting(calls, name, original):
+    """``original`` with every call recorded in ``calls`` under ``name``; a generator
+    is recorded when it is called, before it yields."""
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    return counted
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("c", [1.0, -1.0])
 def test_heisenberg_extension_reads_derived_algebra_from_constants(monkeypatch, n, c):
     model = core.build_model("nilpotent", n, p=2, q=1)
+    sub, x, c_h = heisenberg_candidate(model, c)
     calls = []
-
-    def counting(original):
-        def counted(basis):
-            pairs = []
-            calls.append((basis.shape, pairs))
-            for i, j, flat in original(basis):
-                pairs.extend(zip(i.tolist(), j.tolist()))
-                yield i, j, flat
-        return counted
-    monkeypatch.setattr(lie, "_pair_brackets", counting(lie._pair_brackets))
-    cert = nil.heisenberg_extension_check(model, lie.line(model.A), c=c)["certificate"]
-    # one bracket computation, of each of h's 2n(2n - 1)/2 pairs i < j once;
-    # h' is read from its structure constants
-    dim = model.ambient_dim
-    assert [shape for shape, _ in calls] == [(2 * n, dim, dim)]
-    assert calls[0][1] == list(zip(*(k.tolist() for k in np.triu_indices(2 * n, 1))))
+    monkeypatch.setattr(lie, "_pair_brackets", counting(calls, "brackets", lie._pair_brackets))
+    monkeypatch.setattr(nil, "build_h", counting(calls, "build_h", nil.build_h))
+    cert = nil.heisenberg_extension_check(sub, x, c_h)["certificate"]
+    # h' is read from the structure constants the candidate was certified with
+    assert calls == []
     monkeypatch.undo()
     # the matrix route: h' as matrices, its own bracket tensor, modulo R*A
-    sub, _, _ = nil.build_h(model, c * np.eye(2 * (n - 1)), c=c)
     modulo = lie.line(model.A)
-    c_h, _ = lie.structure_constants(sub, modulo)
     rows = lie.bracket_rows(c_h, np.eye(sub.dim), np.eye(sub.dim))
-    derived = lie.MatrixLieSubspace(dim, rows @ sub.rows)
+    derived = lie.MatrixLieSubspace(model.ambient_dim, rows @ sub.rows)
     assert cert == lie.series_certificate(derived, modulo=modulo)
     assert cert.closure_residual <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_find_transitive_builds_and_brackets_each_candidate_once(monkeypatch, n):
+    # the Heisenberg entries read the scalar_c_plus candidate: five families, five
+    # builds and five bracket passes (six of each when h_{Id, 1} was rebuilt)
+    calls = []
+    monkeypatch.setattr(lie, "_pair_brackets", counting(calls, "brackets", lie._pair_brackets))
+    monkeypatch.setattr(nil, "build_h", counting(calls, "build_h", nil.build_h))
+    report = cli.cmd_find_transitive(cli.RunConfig(case="nilpotent", n=n, p=2, q=1, seed=0))
+    assert report.verdict == "PASS"
+    assert sum(e.name.endswith(".bracket_closure_mod_A") for e in report.entries) == 5
+    assert sum(e.name.startswith("heisenberg.") for e in report.entries) == 3
+    assert (calls.count("build_h"), calls.count("brackets")) == (5, 5)
 
 
 def test_find_transitive_builds_the_line_of_a_once(monkeypatch):

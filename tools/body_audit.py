@@ -1,0 +1,116 @@
+"""Compare the output of two source trees on every benchmark command line.
+
+Usage::
+
+    python tools/body_audit.py <parent_src> <change_src> [--workload NAME] [--seeds S ...]
+
+Each ``*_src`` is a directory that holds the ``riccitype`` package (a
+checkout's ``src``).  The operations are those of ``perfbench/workloads.py``
+(read, not changed), each run once per seed (default 0-7) with ``--seed``
+appended; an operation that several workloads share is run once.  ``--workload``
+(repeatable) narrows the run to some workloads.  Every command line goes
+through ``riccitype.cli.main`` in one fresh interpreter per tree, with stdout
+and stderr captured, and with Python's warning registry reset per command line
+so that each prints its warnings as it would in its own process; the path of
+the tree, which a warning names, is compared as ``<src>``.  The trees run one
+after the other.
+
+Prints every command line whose exit code, stdout or stderr differs between
+the two trees, then a summary line; exits 1 if any differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "perfbench"))
+
+import workloads  # noqa: E402
+
+
+def command_lines(names, seeds) -> list[list[str]]:
+    """The distinct operations of the named workloads, each with every seed appended."""
+    ops = {}
+    for name in names:
+        for op in workloads.operations(name):
+            ops.setdefault(workloads.op_key(op), op)
+    return [workloads.with_seed(op, seed) for op in ops.values() for seed in seeds]
+
+
+def run_tree(src: str, argvs: list[list[str]]) -> list[dict]:
+    """Exit code, stdout and stderr of every command line, run in this interpreter; the
+    tree's path, which warnings name, reads ``<src>`` in stderr."""
+    root = Path(src).resolve()
+    sys.path.insert(0, str(root))
+    from riccitype import cli
+
+    if Path(cli.__file__).resolve().parent.parent != root:
+        raise SystemExit(f"riccitype imported from {cli.__file__}, not from {src}")
+    results = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+            except Exception as exc:  # recorded, so that the other tree is compared too
+                code = f"raised {type(exc).__name__}: {exc}"
+        results.append({"code": code, "stdout": out.getvalue(),
+                        "stderr": err.getvalue().replace(str(root), "<src>")})
+    return results
+
+
+def run_in_subprocess(src: str, argvs: list[list[str]]) -> list[dict]:
+    """``run_tree`` in a fresh interpreter, so that the two trees share no module."""
+    script = ("import json, sys; sys.path.insert(0, sys.argv[1]); import body_audit; "
+              "spec = json.load(sys.stdin); "
+              "json.dump(body_audit.run_tree(spec['src'], spec['argvs']), sys.stdout)")
+    proc = subprocess.run([sys.executable, "-c", script, str(Path(__file__).resolve().parent)],
+                          input=json.dumps({"src": src, "argvs": argvs}),
+                          capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"the run of {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def differences(argvs, parent: list[dict], change: list[dict]) -> list[str]:
+    """One line per command line whose exit code, stdout or stderr differs."""
+    lines = []
+    for argv, old, new in zip(argvs, parent, change, strict=True):
+        fields = [key for key in ("code", "stdout", "stderr") if old[key] != new[key]]
+        if fields:
+            lines.append(f"{' '.join(argv)}: {', '.join(fields)} differ"
+                         f" (exit {old['code']} -> {new['code']})")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS),
+                        help="audit only this workload (repeatable; default: all)")
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(8)))
+    args = parser.parse_args(argv)
+    argvs = command_lines(args.workload or list(workloads.WORKLOADS), args.seeds)
+    parent = run_in_subprocess(args.parent_src, argvs)
+    change = run_in_subprocess(args.change_src, argvs)
+    lines = differences(argvs, parent, change)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} of {len(argvs)} command lines differ")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
