@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields, replace as dc_replace
 
 import numpy as np
 
@@ -61,10 +61,6 @@ class RunConfig:
             raise ValueError(f"tol-rank must be < 1, got {self.tol_rank}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # the hyperbolic model has neither p nor q, the elliptic one has q = n + 1 - p
-        for flag in {"hyperbolic": ("p", "q"), "elliptic": ("q",)}.get(self.case, ()):
-            if getattr(self, flag) is not None:
-                raise ValueError(f"--{flag} does not apply to the {self.case} case")
 
     def as_dict(self) -> dict:
         out = {"case": self.case, "n": self.n, "seed": self.seed,
@@ -455,7 +451,7 @@ def cmd_quaternion_evidence(config: RunConfig, w: np.ndarray) -> CertificateRepo
     x, y = z[:, 4:7], z[:, 7:]
     report.add_sampled("eta.equivariance", np.maximum(*quat.equivariance_residuals(qs, x, y)),
                        1e-10, lambda i: f"q, x, y = {[v[i].tolist() for v in (qs, x, y)]}")
-    evidence = quat.orbit_rank_ts3_evidence(w, k=config.k)
+    evidence = quat.orbit_rank_ts3_evidence(w)
     ok = report.add_flag("orbit.rank_at_most_5", evidence["rank"] <= 5,
                          detail=f"rank={evidence['rank']} of needed 6")
     if not ok:
@@ -466,52 +462,58 @@ def cmd_quaternion_evidence(config: RunConfig, w: np.ndarray) -> CertificateRepo
     return report
 
 
+#: argparse settings of each flag.  A flag that sets a RunConfig field has no
+#: default here: when it is not given it is absent, and the field's default holds.
+FLAGS = {"case": {"choices": core.CASES}, "k": {"type": float}, "tol-rank": {"type": float},
+         **{flag: {"type": int} for flag in ("n", "p", "q", "seed")},
+         "samples": {"type": int, "help": "sample points; quaternion-evidence and the nilpotent "
+                     "p = 2 branch of find-transitive draw max(samples, 100)"},
+         "tol": {"type": float, "dest": "tol_algebraic", "metavar": "TOL",
+                 "help": "algebraic tolerance"},
+         "exact": {"action": "store_true", "dest": "exact_mode",
+                   "help": "cross-check the centralizer dimension with rational arithmetic"},
+         "debug-corrupt-omega": {"action": "store_true", "default": False,
+                                 "help": "negative control: perturb Omega to force a FAIL"},
+         "candidate-file": {"default": None},
+         "w": {"default": "1,0,0", "help": "comma-separated nonzero vector in R^3"},
+         "out": {"default": None, "help": "also write the report to a file"}}
+
+#: {command: (help, the flags it reads)}, plus an unread --seed on transvection: callers append one
+COMMANDS = {command: (text, flags.split()) for command, text, flags in [
+    ("construct", "build a model and print its descriptor", "case n k p q seed samples out"),
+    ("verify-geometry", "curvature/Ricci/symmetry suite",
+     "case n k p q seed samples tol debug-corrupt-omega out"),
+    ("transvection", "transvection algebra certificate", "case n k p q seed tol exact out"),
+    ("find-transitive", "simply-transitive subgroup certificates",
+     "case n k p q seed samples tol tol-rank candidate-file out"),
+    ("quaternion-evidence", "double-cover and orbit-rank evidence", "seed samples tol w out")]}
+
+#: {case: the flags its model does not read}: elliptic q = n + 1 - p, nilpotent (mu = 0) has no k
+UNREAD_BY_CASE = {"hyperbolic": ("p", "q"), "elliptic": ("q",), "nilpotent": ("k",)}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
+    """The argument parser, built once per process from ``COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="riccitype",
         description="Ricci-type reduced symplectic symmetric spaces: "
                     "construction, verification and transitive-subgroup certificates")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--case", choices=core.CASES, default="nilpotent")
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--k", type=float, default=1.0)
-        p.add_argument("--p", type=int, default=None)
-        p.add_argument("--q", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=50)
-        p.add_argument("--tol", type=float, default=core.DEFAULT_TOL, help="algebraic tolerance")
-        p.add_argument("--tol-rank", type=float, default=lie.RANK_RTOL)
-        p.add_argument("--out", type=str, default=None, help="also write the report to a file")
-
-    common(sub.add_parser("construct", help="build a model and print its descriptor"))
-    pv = sub.add_parser("verify-geometry", help="curvature/Ricci/symmetry suite")
-    common(pv)
-    pv.add_argument("--debug-corrupt-omega", action="store_true",
-                    help="negative control: perturb Omega to force a FAIL")
-    pt = sub.add_parser("transvection", help="transvection algebra certificate")
-    common(pt)
-    pt.add_argument("--exact", action="store_true",
-                    help="cross-check the centralizer dimension with rational arithmetic")
-    pf = sub.add_parser("find-transitive", help="simply-transitive subgroup certificates")
-    common(pf)
-    pf.add_argument("--candidate-file", type=str, default=None)
-    pq = sub.add_parser("quaternion-evidence", help="double-cover and orbit-rank evidence")
-    common(pq)
-    pq.add_argument("--w", type=str, default="1,0,0",
-                    help="comma-separated nonzero vector in R^3")
+    for command, (text, flags) in COMMANDS.items():
+        cmd = sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            cmd.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    config = RunConfig(
-        case=args.case, n=args.n, k=args.k, p=args.p, q=args.q, seed=args.seed,
-        samples=args.samples, tol_algebraic=args.tol,
-        tol_rank=args.tol_rank, exact_mode=getattr(args, "exact", False))
+    given = vars(args)
+    config = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
     config.validate()
+    for flag in UNREAD_BY_CASE[config.case]:
+        if flag in given:
+            raise ValueError(f"--{flag} does not apply to the {config.case} case")
     return config
 
 
@@ -524,7 +526,6 @@ def main(argv=None) -> int:
             buf = io.StringIO()
             code = cmd_construct(config, out=buf)
             text = buf.getvalue()
-            report = None
         else:
             if args.command == "verify-geometry":
                 report = cmd_verify_geometry(config, corrupt_omega=args.debug_corrupt_omega)
@@ -535,8 +536,6 @@ def main(argv=None) -> int:
             elif args.command == "quaternion-evidence":
                 w = np.array([float(v) for v in args.w.split(",")])
                 report = cmd_quaternion_evidence(config, w)
-            else:  # pragma: no cover
-                raise ValueError(f"unknown command {args.command}")
             text = report.render()
             code = report.exit_code
         if args.out:

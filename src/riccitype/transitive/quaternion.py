@@ -95,7 +95,7 @@ def su2_left_basis() -> list[np.ndarray]:
     return [q_left_matrix(np.concatenate([[0.0], e])) for e in np.eye(3)]
 
 
-def orbit_rank_ts3_evidence(w: np.ndarray, k: float = 1.0) -> dict:
+def orbit_rank_ts3_evidence(w: np.ndarray) -> dict:
     """Rank bound for su(2)_L + eta(. , w) at the base point of TS^3.
 
     Each X in gl(4) acts through diag(X, -X^T), which centralizes A in sp;
@@ -104,6 +104,7 @@ def orbit_rank_ts3_evidence(w: np.ndarray, k: float = 1.0) -> dict:
     the rank of the su(2)_L fields alone (expected 3) and the norm of the
     field of the stabilizer element eta(w, w).  w is read at max|w| = 1:
     span{eta(., w)} and the line of eta(w, w) do not depend on its scale.
+    The model is read at k = 1, as A_k = k A_1 only rescales it.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != (3,) or np.max(np.abs(w)) == 0.0:
@@ -111,7 +112,7 @@ def orbit_rank_ts3_evidence(w: np.ndarray, k: float = 1.0) -> dict:
     if not np.all(np.isfinite(w)):
         raise ValueError(f"w must be finite, got {w.tolist()}")
     w = w / np.max(np.abs(w))
-    model = build_model("hyperbolic", 3, k=k)
+    model = build_model("hyperbolic", 3)
     gens = su2_left_basis() + [eta(v, w) for v in np.eye(3)] + [eta(w, w)]
     zero = np.zeros((4, 4))
     lifted = [np.block([[x, zero], [zero, -x.T]]) for x in gens]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import riccitype
-from riccitype import core, lie, serialize
+from riccitype import cli, core, lie, serialize
 from riccitype.cli import main
 
 from oracles import algebra_curvature_terms
@@ -128,6 +128,17 @@ def test_exact_flag_is_a_usage_error_outside_transvection(capsys, command):
         main([command, "--case", "hyperbolic", "--n", "2", "--exact"])
     assert exc.value.code == 2
     assert "--exact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [(command, flag) for command, (_, row) in
+                                          cli.COMMANDS.items() for flag in cli.FLAGS
+                                          if flag not in row])
+def test_unread_flag_is_a_usage_error(capsys, command, flag):
+    # a command accepts only the flags of its row of the table
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{flag}"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", ["1e4", "1e8", "1e12"])
@@ -470,7 +481,7 @@ def test_frame_invertibility_fail_names_sample_and_gamma(capsys, monkeypatch):
     ["find-transitive", "--case", "nilpotent", "--n", "2", "--p", "2", "--q", "1",
      "--samples", "3"],
     ["find-transitive", "--case", "elliptic", "--n", "2", "--p", "1", "--samples", "3"],
-    ["quaternion-evidence", "--n", "2", "--samples", "3"],
+    ["quaternion-evidence", "--samples", "3"],
 ])
 def test_commands_run_without_scipy(argv):
     # numpy is the only runtime dependency: every command runs with scipy unimportable
@@ -695,7 +706,6 @@ INVALID_INPUTS = {  # test id: argv, a fragment of the one error line
     "k_inf": (("verify-geometry", *HYPERBOLIC_ARGS, "--k", "inf"), "k must be finite and > 0"),
     "k_inf_elliptic": (("transvection", "--case", "elliptic", "--n", "2", "--p", "1",
                         "--k", "inf"), "k must be finite and > 0"),
-    "k_nan_quaternion": (("quaternion-evidence", "--k", "nan"), "k must be finite and > 0"),
     "tol_nan": (("verify-geometry", *HYPERBOLIC_ARGS, "--tol", "nan"),
                 "tolerances must be finite and positive"),
     "tol_inf": (("verify-geometry", *HYPERBOLIC_ARGS, "--tol", "inf"),
@@ -737,6 +747,10 @@ INVALID_INPUTS = {  # test id: argv, a fragment of the one error line
                    "--q does not apply to the elliptic case"),
     "q_elliptic_construct": (("construct", "--case", "elliptic", "--n", "3", "--p", "2",
                               "--q", "2"), "--q does not apply to the elliptic case"),
+    # mu = 0: the nilpotent model has no scale k
+    **{f"k_nilpotent_{command}": ((command, *DARBOUX_ARGS, "--k", "5"),
+                                  "--k does not apply to the nilpotent case")
+       for command in ("construct", "verify-geometry", "transvection", "find-transitive")},
 }
 
 
@@ -746,7 +760,8 @@ def test_invalid_input_is_a_usage_error(capsys, tmp_path, argv, message):
     for text in (a for a in argv if isinstance(a, CandidateText)):
         path.write_text(text)
     argv = [str(path) if isinstance(a, CandidateText) else a for a in argv]
-    code, out, err = run(capsys, *argv, "--samples", "5")
+    samples = ["--samples", "5"] if "samples" in cli.COMMANDS[argv[0]][1] else []
+    code, out, err = run(capsys, *argv, *samples)
     assert (code, out) == (2, "")
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
