@@ -9,8 +9,13 @@ ones, whose kernel an economy SVD would drop), cut at a relative and/or
 absolute singular-value threshold, that also reports the singular-value
 gap at the cut; ``rank_count`` is that cut on given singular values, for
 callers that take their own SVD.  Brackets of a basis with itself are formed
-for the pairs i < j by one kernel, in fixed blocks of rows i, so that only one
-block of products is held at a time.
+for a list of pairs i < j by one kernel, in fixed blocks of rows i, so that only
+one block of products is held at a time.  ``bracket_span`` and ``closure_residual``
+take the pairs whose supports meet (a nonzero column of b_i meets a nonzero row of
+b_j, or the other way round): any other bracket is a sum of exact 0 * x, so exactly
+0, and neither the span nor the sup moves (few pairs meet in the exactly sparse
+hyperbolic and nilpotent bases).  ``structure_constants`` takes every pair: a GEMM
+row rounds by the number of rows sharing it, so fewer would move c's last digits.
 
 The structure of a bracket-closed subspace of dimension d (closure,
 derived series, Heisenberg flag) is read from its structure constants,
@@ -131,11 +136,18 @@ def subspace_from_matrices(mats, ambient_dim: int) -> MatrixLieSubspace:
 _BLOCK = 8
 
 
-def _pair_brackets(basis: np.ndarray):
-    """Yield (i, j, flat) per block of rows i: flat[m] is [b_i, b_j] flattened, i = i[m] < j[m]."""
-    d = basis.shape[0]
-    i, j = np.triu_indices(d, 1)  # row-major: the pairs of each block of rows are one slice
-    cuts = [*np.searchsorted(i, range(0, d, _BLOCK)), i.size]
+def _meeting_pairs(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j, row-major, for which b_i b_j or b_j b_i has a product term not
+    exactly 0 * x: from the supports of the columns of each b_i and the rows of each b_j."""
+    cols, rows = (np.any(basis != 0, axis=axis).astype(float) for axis in (1, 2))
+    meet = cols @ rows.T > 0
+    return np.nonzero(np.triu(meet | meet.T, 1))
+
+
+def _pair_brackets(basis: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """Yield (i, j, flat) per block of rows i: flat[m] is [b_i, b_j] flattened, for the
+    pairs i[m] < j[m] in row-major order (so that each block of rows is one slice)."""
+    cuts = [*np.searchsorted(i, range(0, basis.shape[0], _BLOCK)), i.size]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         x, y = basis[i[lo:hi]], basis[j[lo:hi]]
         yield i[lo:hi], j[lo:hi], (x @ y - y @ x).reshape(hi - lo, basis[0].size)
@@ -204,25 +216,23 @@ def involution_eigenspace(s: MatrixLieSubspace, sym: np.ndarray, sign: int) -> M
 
 
 def bracket_span(s: MatrixLieSubspace) -> MatrixLieSubspace:
-    """Span of the derived subspace [s, s], from the brackets of the pairs i < j."""
-    flat = [block for _, _, block in _pair_brackets(s.basis)]
+    """Span of the derived subspace [s, s], from the brackets of the meeting pairs i < j:
+    ``_row_span`` drops the exactly zero brackets of the others, so the span is bit-identical."""
+    flat = [block for _, _, block in _pair_brackets(s.basis, *_meeting_pairs(s.basis))]
     return subspace_from_matrices(np.vstack(flat) if flat else flat, s.ambient_dim)
 
 
-def closure_residual(s: MatrixLieSubspace, modulo: MatrixLieSubspace | None = None,
-                     c: np.ndarray | None = None) -> float:
-    """Sup-norm of the brackets of the pairs i < j off span(s + modulo), which is 0
-    when s closes; a (d, d, d) ``c`` is filled with their coordinates on s, c[j, i] = -c[i, j].
-
-    Each block of pairs is projected by two GEMMs onto the rows q of s followed by
-    those of ``modulo``: extra orthonormal rows, orthogonal to s (a ValueError
-    otherwise).  c keeps the coordinates on the rows of s.
-    """
+def _project_pairs(s: MatrixLieSubspace, modulo: MatrixLieSubspace | None, pairs,
+                   c: np.ndarray | None = None) -> float:
+    """Sup-norm of the brackets of ``pairs`` off span(s + modulo); a (d, d, d) ``c`` is
+    filled with their coordinates on s, c[j, i] = -c[i, j].  Each block is projected by
+    two GEMMs onto the rows of s followed by those of ``modulo``: extra orthonormal
+    rows, orthogonal to s (a ValueError otherwise)."""
     q = s.rows if modulo is None else np.vstack([s.rows, modulo.rows])
     if not np.max(np.abs(q @ q.T - np.eye(q.shape[0])), initial=0.0) <= 1e-12:
         raise ValueError("the rows of s and modulo are not jointly orthonormal")
     residual = 0.0
-    for i, j, flat in _pair_brackets(s.basis):
+    for i, j, flat in _pair_brackets(s.basis, *pairs):
         on_span = flat @ q.T
         flat -= on_span @ q
         residual = max(residual, float(np.max(np.abs(flat), initial=0.0)))
@@ -232,12 +242,17 @@ def closure_residual(s: MatrixLieSubspace, modulo: MatrixLieSubspace | None = No
     return residual
 
 
+def closure_residual(s: MatrixLieSubspace, modulo: MatrixLieSubspace | None = None) -> float:
+    """Sup-norm of the brackets off span(s + modulo), 0 when s closes, on the meeting pairs."""
+    return _project_pairs(s, modulo, _meeting_pairs(s.basis))
+
+
 def structure_constants(s: MatrixLieSubspace, modulo: MatrixLieSubspace | None = None
                         ) -> tuple[np.ndarray, float]:
     """(c, residual): [b_i, b_j] = sum_k c[i, j, k] b_k (mod ``modulo``), and the
-    ``closure_residual`` of s."""
+    closure residual of s, from every pair i < j."""
     c = np.zeros((s.dim,) * 3)
-    return c, closure_residual(s, modulo, c)
+    return c, _project_pairs(s, modulo, np.triu_indices(s.dim, 1), c)
 
 
 def bracket_rows(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

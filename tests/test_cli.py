@@ -496,27 +496,34 @@ def test_commands_run_without_scipy(argv):
 
 
 def test_bracket_tensor_built_once_per_algebra(monkeypatch):
-    from riccitype import cli, lie
+    from riccitype import transvection
     calls = []
 
     def counting(original):
-        def counted(basis):
+        def counted(basis, i, j):
             pairs = []
             calls.append((basis.shape[0], pairs))
-            for i, j, flat in original(basis):
-                assert flat.shape == (i.size, basis[0].size)
-                pairs.extend(zip(i.tolist(), j.tolist()))
-                yield i, j, flat
+            for bi, bj, flat in original(basis, i, j):
+                assert flat.shape == (bi.size, basis[0].size)
+                pairs.extend(zip(bi.tolist(), bj.tolist()))
+                yield bi, bj, flat
         return counted
     # every bracket of a transvection report goes through the pair kernel
     monkeypatch.setattr(lie, "_pair_brackets", counting(lie._pair_brackets))
     config = cli.RunConfig(case="nilpotent", n=3, p=2, q=1)
     assert cli.cmd_transvection(config).verdict == "PASS"
     # [p1, p1] (d = 6), the (11, 11) algebra and the centralizer's closure
-    # (d = 22), each bracketing every pair i < j exactly once, in row blocks
-    assert sorted(d for d, _ in calls) == [6, 11, 22]
-    for d, pairs in calls:
-        assert pairs == list(zip(*(k.tolist() for k in np.triu_indices(d, 1))))
+    # (d = 22), each bracketing its pairs exactly once, in order, in row blocks
+    assert [d for d, _ in calls] == [6, 11, 22]
+    (_, k1_pairs), (_, algebra_pairs), (_, g1_pairs) = calls
+    # the algebra's structure constants bracket every pair i < j
+    assert algebra_pairs == list(zip(*(k.tolist() for k in np.triu_indices(11, 1))))
+    # [p1, p1] and the centralizer closure bracket only the pairs whose supports
+    # meet, since every other bracket is exactly zero
+    data = transvection.transvection_algebra(core.build_model("nilpotent", 3, p=2, q=1))
+    for pairs, s, count in [(k1_pairs, data.p_part, 7), (g1_pairs, data.centralizer, 79)]:
+        assert pairs == list(zip(*(k.tolist() for k in lie._meeting_pairs(s.basis))))
+        assert len(pairs) == count  # of 15 and of 231
     assert lie._BLOCK < 22  # the centralizer spans more than one block
 
 

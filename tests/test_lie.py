@@ -549,6 +549,64 @@ def test_closure_residual_matches_oracle_on_centralizer(n):
         assert lie.closure_residual(broken) > 1e-3, (case, n_, p, q)
 
 
+def sparse_off_centralizer_row(model, g1):
+    """The first unit tOmega (E_rc + E_cr), r <= c, exactly orthogonal to g1, or None.
+
+    It is in sp(Omega) and outside g1, with one or two nonzero entries, so that,
+    unlike the dense ``off_centralizer_row``, it meets only some pairs of g1.
+    """
+    dim = model.ambient_dim
+    for r, c in zip(*np.triu_indices(dim)):
+        sym = np.zeros((dim, dim))
+        sym[r, c] = sym[c, r] = 1.0
+        x = (model.omega.T @ sym).reshape(-1)
+        if not np.any(g1.rows @ x):
+            return x / np.linalg.norm(x)
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_closure_residual_catches_a_sparse_row_outside_the_centralizer(n):
+    sparse = [t for t in core.admissible_parameters((n,)) if t[0] != "elliptic"]
+    for case, n_, p, q in sparse:
+        model = core.build_model(case, n_, p=p, q=q)
+        g1 = lie.centralizer_in_sp(model)
+        rows = g1.rows.copy()
+        rows[0] = sparse_off_centralizer_row(model, g1)
+        broken = lie.MatrixLieSubspace(g1.ambient_dim, rows)
+        assert np.max(np.abs(broken.rows @ broken.rows.T - np.eye(g1.dim))) <= 1e-12
+        # the closure reads only the meeting pairs, and still sees the row
+        assert lie._meeting_pairs(broken.basis)[0].size < g1.dim * (g1.dim - 1) // 2
+        res = lie.closure_residual(broken)
+        assert res > 1e-3, (case, n_, p, q)
+        assert res == structure_constants_oracle(broken)[1], (case, n_, p, q)
+
+
+def dense_pair_brackets(s):
+    """(d, d, N^2) brackets [b_i, b_j] of every pair, one matrix product per pair."""
+    basis = s.basis
+    prod = basis[:, None] @ basis[None]
+    return (prod - prod.swapaxes(0, 1)).reshape(s.dim, s.dim, -1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_pairs_outside_the_meeting_set_bracket_to_exact_zero(n):
+    from riccitype.transvection import transvection_algebra
+    # the 46 admissible tuples with n = 2-4, and the largest nilpotent benchmark config
+    for case, n_, p, q in core.admissible_parameters((n,)) if n < 7 else [("nilpotent", 7, 2, 1)]:
+        data = transvection_algebra(core.build_model(case, n_, p=p, q=q))
+        for s in (data.centralizer, data.p_part, data.algebra):
+            outside = np.triu(np.ones((s.dim, s.dim), dtype=bool), 1)
+            outside[lie._meeting_pairs(s.basis)] = False
+            assert not np.any(dense_pair_brackets(s)[outside]), (case, n_, p, q, s.dim)
+            if case == "elliptic":  # dense bases: every pair meets
+                assert not np.any(outside)
+    if n == 7:
+        # a silent fall-back to every pair would bracket all 5565 pairs of g1
+        assert data.centralizer.dim == 106
+        assert lie._meeting_pairs(data.centralizer.basis)[0].size == 1167
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_graded_certificate_matches_full_constants(n):
     from riccitype.transvection import transvection_algebra
