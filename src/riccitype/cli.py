@@ -66,13 +66,8 @@ class RunConfig:
         out = {"case": self.case, "n": self.n, "seed": self.seed,
                "samples": self.samples, "tol_algebraic": self.tol_algebraic,
                "tol_rank": self.tol_rank, "exact": self.exact_mode}
-        if self.case in ("hyperbolic", "elliptic"):
-            out["k"] = self.k
-        if self.p is not None:
-            out["p"] = self.p
-        if self.q is not None:
-            out["q"] = self.q
-        return out
+        read = {name: getattr(self, name) for name in core.CASES[self.case]}
+        return out | {name: value for name, value in read.items() if value is not None}
 
 
 def _build(config: RunConfig):
@@ -227,9 +222,9 @@ def cmd_transvection(config: RunConfig) -> CertificateReport:
     sig = data.symmetry
     theta_sq = float(np.max(np.abs(sig @ sig - np.eye(model.ambient_dim))))
     report.add_residual("sigma1.involution", theta_sq, 1e-10)
-    # relative to max|A|, which is k: 1 at k = 1 and for every nilpotent model
+    # relative to the scale k = max|A|: 1 at k = 1 and for every nilpotent model
     report.add_residual("sigma1.fixes_A", float(np.max(np.abs(
-        sig @ model.A @ sig - model.A)) / np.max(np.abs(model.A))), 1e-10)
+        sig @ model.A @ sig - model.A)) / model.k), 1e-10)
 
     # for nilpotent p = n + 1 there is no middle block and A is not a bracket of p1
     if model.case == "nilpotent" and model.p <= model.n:
@@ -265,10 +260,9 @@ def cmd_transvection(config: RunConfig) -> CertificateReport:
     return report
 
 
-def _default_candidates(model: core.SymplecticModel, seed: int):
-    """Accepted sweep: scalar, split-signature, and a random Sp-conjugate."""
-    d = 2 * (model.n - 1)
-    omega0 = model.omega0
+def _default_candidates(omega0: np.ndarray, d: int, seed: int):
+    """Accepted sweep on the d-dimensional middle block of form omega0: scalar,
+    split-signature, and a random Sp-conjugate."""
     split = core.signature_matrix(d // 2, d // 2)
     rng = np.random.default_rng(seed)
     gen = rng.standard_normal((d, d))
@@ -283,8 +277,7 @@ def _default_candidates(model: core.SymplecticModel, seed: int):
     ]
 
 
-def _negative_controls(model: core.SymplecticModel):
-    d = 2 * (model.n - 1)
+def _negative_controls(d: int):
     e1 = np.eye(d)[0]
     j = core.standard_symplectic_form(d // 2).T
     return [
@@ -310,9 +303,10 @@ def _transitive_rank(report: CertificateReport, name: str, model, fields: np.nda
 
 
 def _certify_candidate(report: CertificateReport, model, a_line: lie.MatrixLieSubspace,
-                       name: str, b_mat: np.ndarray, c: float, config: RunConfig,
-                       a_tilde=None, a: float = 0.0):
-    """The entries of one candidate h_{B, a~, a, c}; ``a_line`` is ``lie.line(model.A)``.
+                       pts: np.ndarray, name: str, b_mat: np.ndarray, c: float,
+                       config: RunConfig, a_tilde=None, a: float = 0.0):
+    """The entries of one candidate h_{B, a~, a, c}; ``a_line`` is ``lie.line(model.A)`` and
+    ``pts`` the Darboux chart points, one per row, that every candidate reads.
     Returns its subspace, generator stack and structure constants modulo R*A."""
     omega0 = model.omega0
     sub, gens, cand = nil.build_h(model, b_mat, a_tilde=a_tilde, a=a, c=c)
@@ -321,8 +315,6 @@ def _certify_candidate(report: CertificateReport, model, a_line: lie.MatrixLieSu
     report.add_equals(f"{name}.dim", sub.dim, 2 * model.n)
     c_h, residual = lie.structure_constants(sub, a_line)
     report.add_residual(f"{name}.bracket_closure_mod_A", residual, 1e-10)
-    rng = np.random.default_rng(config.seed + 17)
-    pts = rng.standard_normal((max(config.samples, 100), 2 * model.n))  # Darboux chart points
     # the normalized family (B, c), to which a~ and a are conjugated away
     normalized = nil.family_generators(nil.make_candidate(b_mat, c=c), omega0)
     mats = geometry.fundamental_fields(model, normalized, pts)
@@ -374,27 +366,28 @@ def cmd_find_transitive(config: RunConfig, candidate_file: str | None = None) ->
         report.add_unknown("open.p_gt_2", OPEN_CASE)
         return report
 
-    # p = 2, q = 1: certify candidates
+    # p = 2, q = 1: certify candidates on one block of Darboux chart points
     a_line = lie.line(model.A)
+    pts = np.random.default_rng(config.seed + 17).standard_normal(
+        (max(config.samples, 100), 2 * model.n))
+    d = 2 * (model.n - 1)  # the middle block, on which B acts
     if candidate_file is not None:
         with open(candidate_file) as fh:
             raw = serialize.parse_candidate(fh.read())
-        d = 2 * (model.n - 1)
         if raw["B"].shape[0] != d:
             raise ValueError(f"candidate dim={raw['B'].shape[0]} does not match "
                              f"2(n-1) = {d} for n={model.n}")
-        _certify_candidate(report, model, a_line, "file_candidate", raw["B"], raw["c"],
+        _certify_candidate(report, model, a_line, pts, "file_candidate", raw["B"], raw["c"],
                            config, a_tilde=raw["a_tilde"], a=raw["a"])
     else:
-        certified = {name: _certify_candidate(report, model, a_line, name, b_mat, c, config)
-                     for name, b_mat, c in _default_candidates(model, config.seed)}
+        certified = {name: _certify_candidate(report, model, a_line, pts, name, b_mat, c, config)
+                     for name, b_mat, c in _default_candidates(model.omega0, d, config.seed)}
         # normalization exercise: a~ and a nonzero, same split-signature B
-        d = 2 * (model.n - 1)
         at = np.zeros(d)
         at[0] = 0.5
-        _certify_candidate(report, model, a_line, "unnormalized", np.eye(d), 1.0, config,
+        _certify_candidate(report, model, a_line, pts, "unnormalized", np.eye(d), 1.0, config,
                            a_tilde=at, a=0.7)
-        for name, cand in _negative_controls(model):
+        for name, cand in _negative_controls(d):
             if not report.add_exceeds(f"{name}.closure_conditions",
                                       max(nil.closure_conditions(cand, model.omega0)), 1e-3):
                 report.add_witness(f"{name} unexpectedly closes")
@@ -409,7 +402,7 @@ def cmd_find_transitive(config: RunConfig, candidate_file: str | None = None) ->
 
 
 def _find_transitive_elliptic(report: CertificateReport, config: RunConfig) -> CertificateReport:
-    data = iwa.iwasawa_su1n(config.n, k=config.k)
+    data = iwa.iwasawa_su1n(config.n)
     n = config.n
     report.add_equals("iwasawa.dim_k", data.transvection.k_part.dim, n * n)
     report.add_equals("iwasawa.dim_a", data.abelian_part.dim, 1)
@@ -485,11 +478,8 @@ COMMANDS = {command: (text, flags.split()) for command, text, flags in [
      "case n k p q seed samples tol debug-corrupt-omega out"),
     ("transvection", "transvection algebra certificate", "case n k p q seed tol exact out"),
     ("find-transitive", "simply-transitive subgroup certificates",
-     "case n k p q seed samples tol tol-rank candidate-file out"),
+     "case n p q seed samples tol tol-rank candidate-file out"),
     ("quaternion-evidence", "double-cover and orbit-rank evidence", "seed samples tol w out")]}
-
-#: {case: the flags its model does not read}: elliptic q = n + 1 - p, nilpotent (mu = 0) has no k
-UNREAD_BY_CASE = {"hyperbolic": ("p", "q"), "elliptic": ("q",), "nilpotent": ("k",)}
 
 
 @functools.cache
@@ -511,8 +501,8 @@ def _config_from_args(args) -> RunConfig:
     given = vars(args)
     config = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
     config.validate()
-    for flag in UNREAD_BY_CASE[config.case]:
-        if flag in given:
+    for flag in ("k", "p", "q"):
+        if flag in given and flag not in core.CASES[config.case]:
             raise ValueError(f"--{flag} does not apply to the {config.case} case")
     return config
 

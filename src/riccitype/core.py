@@ -2,8 +2,9 @@
 
 A model is a symplectic vector space (R^{2(n+1)}, Omega) together with a
 characteristic element A in sp(Omega) satisfying A^2 = mu*Id; both live on
-``SymplecticModel``, and only the normal forms below build one.  Three
-normal forms are supported, tagged by the sign of mu:
+``SymplecticModel``, and only the normal forms below build one.  ``CASES``
+maps each, tagged by the sign of mu, to the parameters (k, p, q) it reads;
+every A has entries in {0, +-k}, so k = max|A| (k = 1 when nilpotent):
 
 * ``hyperbolic``  (mu = k^2 > 0):   A = diag(k*I, -k*I) in a basis of two
   dual Lagrangian blocks, Omega = [[0, I], [-I, 0]].
@@ -15,9 +16,8 @@ normal forms are supported, tagged by the sign of mu:
 The level set Sigma_A = {x : Omega(x, Ax) = 1} carries the one-parameter
 flow exp(tA), given in closed form per sign class by the model's own
 ``SymplecticModel.flow`` and as a truncated Taylor series for the oracle
-(``series_exp``).  A batch of Sigma_A points is an (S, N) array,
-one point per row, as every layer reads it; ``sample_sigma`` draws it as
-one seeded block and solves the quadric row-wise.
+(``series_exp``).  A batch of Sigma_A points is an (S, N) array, one point per
+row as every layer reads it, which ``sample_sigma`` draws as one seeded block.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CASES = ("hyperbolic", "elliptic", "nilpotent")
+CASES = {"hyperbolic": ("k",), "elliptic": ("k", "p"), "nilpotent": ("p", "q")}
 
 #: absolute tolerance for algebraic identities on unit-scale inputs
 DEFAULT_TOL = 1e-9
@@ -47,7 +47,7 @@ def signature_matrix(p: int, q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymplecticModel:
-    """Ambient space data: case tag, dimensions, Omega and A with A^2 = mu*Id."""
+    """Ambient space data: case tag, dimensions, the scale k = max|A|, Omega and A^2 = mu*Id."""
 
     case: str
     n: int
@@ -146,7 +146,7 @@ def _nilpotent_model(n: int, p: int, q: int) -> SymplecticModel:
     omega[p:p + 2 * m, p:p + 2 * m] = standard_symplectic_form(m)
     a = np.zeros((dim, dim))
     a[:p, p + 2 * m:] = np.eye(p)
-    return SymplecticModel("nilpotent", n, 0.0, p, q, omega, a, 0.0)
+    return SymplecticModel("nilpotent", n, 1.0, p, q, omega, a, 0.0)
 
 
 def build_model(case: str, n: int, k: float = 1.0, p: int | None = None,
@@ -158,11 +158,11 @@ def build_model(case: str, n: int, k: float = 1.0, p: int | None = None,
     nilpotent: 1 <= q <= p <= n+1).
     """
     if case not in CASES:
-        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
+        raise ValueError(f"unknown case {case!r}; expected one of {tuple(CASES)}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     # written as `not (k > 0 and 0 < k^2 < inf)` so that NaN fails too
-    if case in ("hyperbolic", "elliptic") and not (k > 0 and 0 < float(k) * float(k) < np.inf):
+    if "k" in CASES[case] and not (k > 0 and 0 < float(k) * float(k) < np.inf):
         raise ValueError(f"k must be finite and > 0 with k^2 finite and nonzero, got {k}")
     if case == "hyperbolic":
         return _hyperbolic_model(n, float(k))

@@ -177,7 +177,7 @@ def horizontal_basis(model: SymplecticModel, x) -> HorizontalFrame:
     v = np.asarray(x, dtype=float)
     pts = v.reshape(-1, v.shape[-1])
     # H_x does not depend on the scale of A; at unit scale the Omega A x row survives the rank cut
-    unit = model.A / np.max(np.abs(model.A))
+    unit = model.A / model.k
     constraints = np.stack([apply_rows(model.omega, pts),
                             apply_rows(model.omega, apply_rows(unit, pts))], axis=1)
     _, s, vt = np.linalg.svd(constraints)
@@ -256,7 +256,7 @@ def fundamental_fields(model: SymplecticModel, generators, coords) -> np.ndarray
     must be at most 1e-8, and |[X, A^]| at most 1e-8 max|X| for the unit-scale
     A^ = A / max|A|, since |[X, A]| grows with the scale k of A.
     """
-    unit = model.A / np.max(np.abs(model.A))
+    unit = model.A / model.k
     gens = np.asarray(generators, dtype=float)
     for x_mat in gens:
         sp_res = float(np.max(np.abs(x_mat.T @ model.omega + model.omega @ x_mat)))
@@ -329,7 +329,7 @@ def ricci_endomorphism(model: SymplecticModel, frame: HorizontalFrame) -> np.nda
     av = model.A @ v
     coeff = np.swapaxes(v, -1, -2) @ av  # frame is Euclidean-orthonormal and A preserves H_x
     # A v grows like the scale k of A: read against max|A|, which is 1 at k = 1 and at mu = 0
-    if np.max(np.abs(v @ coeff - av)) > 1e-8 * np.max(np.abs(model.A)):
+    if np.max(np.abs(v @ coeff - av)) > 1e-8 * model.k:
         raise ValueError("frame mismatch: A does not preserve the given frame span")
     return -2.0 * (model.n + 1) * coeff
 
@@ -457,7 +457,7 @@ def ricci_type_residual(model: SymplecticModel, x) -> dict:
                                              model.n)
     rho = ricci_endomorphism(model, frame)
     square = rho @ rho - 4.0 * (model.n + 1) ** 2 * model.mu * np.eye(2 * model.n)
-    scale = max(1.0, float(np.max(np.abs(model.A))))
+    scale = max(1.0, model.k)
     return {"cyclic": cyclic, "ricci_type": defect / scale,
             "square": float(np.max(np.abs(square))) / max(1.0, abs(model.mu)),
             "trace_route": float(np.max(np.abs(frame.gram @ rho - ric))) / scale}

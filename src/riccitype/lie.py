@@ -177,7 +177,7 @@ def centralizer_in_sp(model: SymplecticModel, exact: bool = False) -> MatrixLieS
         raise ValueError("Omega is not orthogonal, so X = tOmega S does not invert S = Omega X")
     # [X, A] = 0 is scale-free: at unit scale the commutation rows survive the
     # relative rank cut and the rational audit's rounding for any k
-    unit = model.A / np.max(np.abs(model.A))
+    unit = model.A / model.k
     if not sp_residual(omega, unit) <= ZERO_FLOOR:
         raise ValueError("A is not in sp(Omega), so XA = AX is not SA + tA S = 0")
     row, col = np.triu_indices(dim)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SymplecticModel
+from .core import CASES, SymplecticModel
 
 
 def format_matrix(mat: np.ndarray) -> str:
@@ -21,14 +21,9 @@ def format_vector(vec: np.ndarray) -> str:
 
 
 def model_descriptor(model: SymplecticModel) -> str:
-    lines = [f"case={model.case}", f"n={model.n}"]
-    if model.case in ("hyperbolic", "elliptic"):
-        lines.append(f"k={model.k!r}")
-    if model.case in ("elliptic", "nilpotent"):
-        lines.append(f"p={model.p}")
-    if model.case == "nilpotent":
-        lines.append(f"q={model.q}")
-    return "\n".join(lines)
+    """case, n and the parameters that the case reads (``CASES``), one key=value per line."""
+    return "\n".join([f"case={model.case}", f"n={model.n}",
+                      *(f"{name}={getattr(model, name)}" for name in CASES[model.case])])
 
 
 def parse_key_values(text: str) -> dict[str, str]:

@@ -66,11 +66,13 @@ class IwasawaData:
         return self.model.n
 
 
-def iwasawa_su1n(n: int, k: float = 1.0) -> IwasawaData:
-    """Build su(1, n) inside the elliptic p = 1 model with its Iwasawa pieces."""
+def iwasawa_su1n(n: int) -> IwasawaData:
+    """Build su(1, n) inside the elliptic p = 1 model, at k = 1, with its Iwasawa pieces.
+
+    A_k = k A_1 has the centralizer of A_1, so the pieces do not depend on k."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    model = build_model("elliptic", n, k=k, p=1)
+    model = build_model("elliptic", n, p=1)
     tv = transvection_algebra(model)
     g = tv.algebra
     a_gen = rank_one_odd_element(n)

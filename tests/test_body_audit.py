@@ -34,3 +34,11 @@ def test_body_audit_dedupes_shared_operations():
     lines = body_audit.command_lines(["algebra_large", "samples_large", "admissible_sweep"],
                                      range(8))
     assert len(lines) == len({" ".join(line) for line in lines}) == 196 * 8
+
+
+def test_body_audit_k_ladder_size():
+    # 3 commands x (7 values x 9 tuples at n = 2, 3 + 5 values x 15 tuples at n = 2-4),
+    # at the first seed only
+    lines = body_audit.command_lines(["k_ladder"], range(8))
+    assert len(lines) == len({" ".join(line) for line in lines}) == 414
+    assert all(line[-2:] == ["--seed", "0"] for line in lines)

@@ -141,13 +141,29 @@ def test_unread_flag_is_a_usage_error(capsys, command, flag):
     assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("k", ["1e4", "1e8", "1e12"])
-def test_find_transitive_elliptic_passes_at_large_k(capsys, k):
-    # the fields' centralizer guard reads |[X, A]| at the unit scale of A
-    code, out, err = run(capsys, "find-transitive", "--case", "elliptic", "--n", "2",
-                         "--p", "1", "--k", k)
-    assert (code, err) == (0, "")
-    assert "verdict: PASS" in out
+@pytest.mark.parametrize("case,reads", core.CASES.items(), ids=list(core.CASES))
+def test_case_parameters_follow_the_cases_table(case, reads):
+    # the descriptor, the report's config and the refused flags all read core.CASES
+    model = core.build_model(case, 3, k=2.0, p=2, q=1)
+    assert [line.split("=")[0] for line in
+            serialize.model_descriptor(model).splitlines()] == ["case", "n", *reads]
+    config = cli.RunConfig(case=case, n=3, k=2.0, p=2, q=1)
+    assert [key for key in config.as_dict() if key in ("k", "p", "q")] == list(reads)
+    refused = set()
+    for flag in ("k", "p", "q"):
+        args = cli._parser().parse_args(["construct", "--case", case, f"--{flag}", "1"])
+        try:
+            cli._config_from_args(args)
+        except ValueError as exc:
+            assert str(exc) == f"--{flag} does not apply to the {case} case"
+            refused.add(flag)
+    assert refused == {"k", "p", "q"} - set(reads)
+
+
+def test_unknown_case_names_every_case():
+    with pytest.raises(ValueError, match=re.escape(
+            "expected one of ('hyperbolic', 'elliptic', 'nilpotent')")):
+        core.build_model("parabolic", 2)
 
 
 NONFLAT_N23 = [t for t in core.admissible_parameters((2, 3))
@@ -757,7 +773,7 @@ INVALID_INPUTS = {  # test id: argv, a fragment of the one error line
     # mu = 0: the nilpotent model has no scale k
     **{f"k_nilpotent_{command}": ((command, *DARBOUX_ARGS, "--k", "5"),
                                   "--k does not apply to the nilpotent case")
-       for command in ("construct", "verify-geometry", "transvection", "find-transitive")},
+       for command in ("construct", "verify-geometry", "transvection")},
 }
 
 

@@ -29,6 +29,14 @@ def test_construction_identities(case, n, p, q):
     assert abs(np.linalg.det(model.omega)) > 1e-6
 
 
+@pytest.mark.parametrize("k", [1e-12, 1e-7, 1.0, 1e3, 1e12])
+def test_model_k_is_the_scale_of_a(k):
+    # every normal form's A has entries in {0, +-k}, and the nilpotent one in {0, 1}
+    for case, n, p, q in core.admissible_parameters((2, 3, 4)):
+        model = core.build_model(case, n, k=k, p=p or None, q=q or None)
+        assert np.max(np.abs(model.A)) == model.k == (1.0 if case == "nilpotent" else k)
+
+
 def test_nilpotent_block_structure():
     model = core.build_model("nilpotent", 2, p=2, q=1)
     a = model.A

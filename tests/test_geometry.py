@@ -377,17 +377,29 @@ def test_field_stack_matches_single_points(case):
 
 @pytest.mark.parametrize("k", [1.0, 1e8])
 def test_field_centralizer_guard_is_scale_free(k):
-    # |[X, A]| grows with k; the guard reads [X, A / max|A|] against max|X|, so the
-    # Iwasawa generators pass at any k and a generator off the centralizer fails at any k
-    data = iwa.iwasawa_su1n(2, k=k)
+    # |[X, A]| grows with k; the guard reads [X, A / k] against max|X|, so the Iwasawa
+    # generators (A_k = k A_1 has the centralizer of A_1) pass at any k and a generator
+    # off the centralizer fails at any k
+    data = iwa.iwasawa_su1n(2)
+    model = core.build_model("elliptic", 2, k=k, p=1)
     gens = [iwa.build_a_phi(data, np.array([0.7]))[1], *data.nilpotent_part.basis]
     coords = iwa.sample_ball_points(2, 5, seed=3)
-    assert geometry.fundamental_fields(data.model, gens, coords).shape == (5, 4, 4)
+    assert geometry.fundamental_fields(model, gens, coords).shape == (5, 4, 4)
     sym = np.random.default_rng(5).standard_normal((6, 6))
-    off = data.model.omega.T @ (sym + sym.T)  # in sp(Omega), not commuting with A
+    off = model.omega.T @ (sym + sym.T)  # in sp(Omega), not commuting with A
     for bad in (off, gens[0] + 1e-6 * off / np.max(np.abs(off))):
         with pytest.raises(ValueError, match="not in the centralizer of A"):
-            geometry.fundamental_fields(data.model, [gens[0], bad], coords)
+            geometry.fundamental_fields(model, [gens[0], bad], coords)
+
+
+@pytest.mark.parametrize("k", [1e4, 1e8, 1e12])
+def test_field_centralizer_guard_accepts_p_part_at_large_k(k):
+    # the p-part of the elliptic p = 1 model at scale k: |[X, A]| is rounding of size
+    # k max|X| eps, which an absolute 1e-8 bound refused from k = 1e8
+    model = core.build_model("elliptic", 2, k=k, p=1)
+    gens = transvection_algebra(model).p_part.basis
+    coords = iwa.sample_ball_points(2, 5, seed=3)
+    assert geometry.fundamental_fields(model, gens, coords).shape == (5, 4, len(gens))
 
 
 def test_frame_stack_raises_for_a_bad_sample():

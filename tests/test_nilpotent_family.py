@@ -136,7 +136,7 @@ def accepted_candidates(model):
     the default sweep and the unnormalized family."""
     d = 2 * (model.n - 1)
     cands = [nil.build_h(model, b_mat, c=c)[2] for seed in range(8)
-             for _, b_mat, c in cli._default_candidates(model, seed)]
+             for _, b_mat, c in cli._default_candidates(model.omega0, d, seed)]
     at = np.zeros(d)
     at[0] = 0.5
     return cands + [nil.build_h(model, np.eye(d), a_tilde=at, a=0.7, c=1.0)[2]]
@@ -146,7 +146,8 @@ def report_candidates(n):
     """The candidates whose closure a find-transitive run checks, at seeds 0-7: the
     accepted candidates and the six negative controls."""
     model = core.build_model("nilpotent", n, p=2, q=1)
-    return model, accepted_candidates(model) + [cand for _, cand in cli._negative_controls(model)]
+    controls = [cand for _, cand in cli._negative_controls(2 * (n - 1))]
+    return model, accepted_candidates(model) + controls
 
 
 def assert_matches_loop(cand, om0):

@@ -178,8 +178,6 @@ UNMOVED_FLAGS = {
     ("transvection", "exact"): "moves the output only when the rational and floating "
                                "dimensions disagree (test_exact_dimension_mismatch_is_fail_report)",
     ("quaternion-evidence", "w"): "every nonzero w gives the same entries",
-    ("find-transitive", "k"): "A = k A_1: the hyperbolic entry is documented, and the "
-                              "su(1, n) entries of elliptic p = 1 do not depend on the scale",
 }
 
 CONFIG_LINE = re.compile(r"^ *config[ .].*\n", re.MULTILINE)

@@ -8,7 +8,10 @@ Each ``*_src`` is a directory that holds the ``riccitype`` package (a
 checkout's ``src``).  The operations are those of ``perfbench/workloads.py``
 (read, not changed), each run once per seed (default 0-7) with ``--seed``
 appended; an operation that several workloads share is run once.  ``--workload``
-(repeatable) narrows the run to some workloads.  Every command line goes
+(repeatable) narrows the run to some workloads, or selects the ``k_ladder``
+set, which no default run includes: the commands that read ``--k`` over the
+hyperbolic and elliptic tuples at small and large scales, run at the first
+seed only, since it varies k instead (414 command lines).  Every command line goes
 through ``riccitype.cli.main`` in one fresh interpreter per tree, with stdout
 and stderr captured, and with Python's warning registry reset per command line
 so that each prints its warnings as it would in its own process; the path of
@@ -36,13 +39,34 @@ sys.path.insert(0, str(REPO / "perfbench"))
 import workloads  # noqa: E402
 
 
+def k_ladder() -> list[list[str]]:
+    """construct, verify-geometry and transvection over the hyperbolic and elliptic tuples:
+    a narrow ladder of k at n = 2, 3 and a wide one at n = 2-4."""
+    ops = []
+    for ks, n_values in [(("1e-7", "1e-3", "0.1", "2", "10", "100", "1e3"), (2, 3)),
+                         (("1e-12", "1e-10", "1e6", "1e9", "1e12"), (2, 3, 4))]:
+        for case, n, p, q in workloads._admissible_parameters(n_values):
+            if case != "nilpotent":
+                ops += [[command, *workloads._case_args(case, n, p, q), "--k", k]
+                        for k in ks for command in ("construct", "verify-geometry",
+                                                    "transvection")]
+    return ops
+
+
+#: the command-line sets that --workload selects: the benchmark's workloads and the k ladder
+SETS = {**workloads.WORKLOADS, "k_ladder": k_ladder}
+
+
 def command_lines(names, seeds) -> list[list[str]]:
-    """The distinct operations of the named workloads, each with every seed appended."""
-    ops = {}
+    """The distinct operations of the named sets, each with every seed appended (the k
+    ladder with the first seed only)."""
+    lines = {}
     for name in names:
-        for op in workloads.operations(name):
-            ops.setdefault(workloads.op_key(op), op)
-    return [workloads.with_seed(op, seed) for op in ops.values() for seed in seeds]
+        for op in SETS[name]():
+            for seed in seeds[:1] if name == "k_ladder" else seeds:
+                line = workloads.with_seed(op, seed)
+                lines.setdefault(workloads.op_key(line), line)
+    return list(lines.values())
 
 
 def run_tree(src: str, argvs: list[list[str]]) -> list[dict]:
@@ -98,8 +122,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
-    parser.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS),
-                        help="audit only this workload (repeatable; default: all)")
+    parser.add_argument("--workload", action="append", choices=sorted(SETS),
+                        help="audit only this workload or set (repeatable; default: every "
+                             "benchmark workload)")
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(8)))
     args = parser.parse_args(argv)
     argvs = command_lines(args.workload or list(workloads.WORKLOADS), args.seeds)
