@@ -260,36 +260,6 @@ def cmd_transvection(config: RunConfig) -> CertificateReport:
     return report
 
 
-def _default_candidates(omega0: np.ndarray, d: int, seed: int):
-    """Accepted sweep on the d-dimensional middle block of form omega0: scalar,
-    split-signature, and a random Sp-conjugate."""
-    split = core.signature_matrix(d // 2, d // 2)
-    rng = np.random.default_rng(seed)
-    gen = rng.standard_normal((d, d))
-    sp_gen = 0.5 * (gen - omega0 @ gen.T @ np.linalg.inv(omega0))
-    s = core.series_exp(sp_gen, 0.3)
-    conj = s @ split @ np.linalg.inv(s)
-    return [
-        ("scalar_c_plus", np.eye(d), 1.0),
-        ("scalar_c_minus", -np.eye(d), -1.0),
-        ("split_signature", split, 1.0),
-        ("sp_conjugate", conj, 1.0),
-    ]
-
-
-def _negative_controls(d: int):
-    e1 = np.eye(d)[0]
-    j = core.standard_symplectic_form(d // 2).T
-    return [
-        ("violates_c_tilde", nil.make_candidate(np.eye(d), c_tilde=e1)),
-        ("violates_b_square", nil.make_candidate(np.diag([2.0] + [1.0] * (d - 1)))),
-        ("violates_eps", nil.make_candidate(j, epsilon=1)),
-        ("violates_c_square", nil.make_candidate(np.eye(d), c=2.0)),
-        ("violates_b_tilde", nil.make_candidate(np.eye(d), b_tilde=e1)),
-        ("violates_isotropy", nil.make_candidate(-np.eye(d), c=1.0)),
-    ]
-
-
 def _transitive_rank(report: CertificateReport, name: str, model, fields: np.ndarray,
                      pts: np.ndarray, where: str, config: RunConfig) -> None:
     """The ``<name>.transitive_rank`` entry of an (S, 2n, g) field stack at the chart
@@ -303,11 +273,11 @@ def _transitive_rank(report: CertificateReport, name: str, model, fields: np.nda
 
 
 def _certify_candidate(report: CertificateReport, model, a_line: lie.MatrixLieSubspace,
-                       pts: np.ndarray, name: str, b_mat: np.ndarray, c: float,
-                       config: RunConfig, a_tilde=None, a: float = 0.0):
-    """The entries of one candidate h_{B, a~, a, c}; ``a_line`` is ``lie.line(model.A)`` and
-    ``pts`` the Darboux chart points, one per row, that every candidate reads.
-    Returns its subspace, generator stack and structure constants modulo R*A."""
+                       pts: np.ndarray, config: RunConfig, name: str, b_mat: np.ndarray,
+                       c: float, a_tilde: np.ndarray, a: float):
+    """The entries of one member (name, B, c, a~, a), that is h_{B, a~, a, c}, at the Darboux
+    chart points ``pts``; ``a_line`` is ``lie.line(model.A)``.  Returns its subspace,
+    generator stack and structure constants modulo R*A."""
     omega0 = model.omega0
     sub, gens, cand = nil.build_h(model, b_mat, a_tilde=a_tilde, a=a, c=c)
     report.add_residual(f"{name}.closure_conditions",
@@ -366,28 +336,23 @@ def cmd_find_transitive(config: RunConfig, candidate_file: str | None = None) ->
         report.add_unknown("open.p_gt_2", OPEN_CASE)
         return report
 
-    # p = 2, q = 1: certify candidates on one block of Darboux chart points
-    a_line = lie.line(model.A)
-    pts = np.random.default_rng(config.seed + 17).standard_normal(
-        (max(config.samples, 100), 2 * model.n))
-    d = 2 * (model.n - 1)  # the middle block, on which B acts
-    if candidate_file is not None:
+    # p = 2, q = 1: certify each member on one block of Darboux chart points
+    d = len(model.omega0)  # the middle block, on which B acts
+    if candidate_file is None:
+        members = nil.sweep_members(model.omega0, config.seed)
+    else:
         with open(candidate_file) as fh:
             raw = serialize.parse_candidate(fh.read())
         if raw["B"].shape[0] != d:
             raise ValueError(f"candidate dim={raw['B'].shape[0]} does not match "
                              f"2(n-1) = {d} for n={model.n}")
-        _certify_candidate(report, model, a_line, pts, "file_candidate", raw["B"], raw["c"],
-                           config, a_tilde=raw["a_tilde"], a=raw["a"])
-    else:
-        certified = {name: _certify_candidate(report, model, a_line, pts, name, b_mat, c, config)
-                     for name, b_mat, c in _default_candidates(model.omega0, d, config.seed)}
-        # normalization exercise: a~ and a nonzero, same split-signature B
-        at = np.zeros(d)
-        at[0] = 0.5
-        _certify_candidate(report, model, a_line, pts, "unnormalized", np.eye(d), 1.0, config,
-                           a_tilde=at, a=0.7)
-        for name, cand in _negative_controls(d):
+        members = [("file_candidate", raw["B"], raw["c"], raw["a_tilde"], raw["a"])]
+    a_line = lie.line(model.A)
+    pts = nil.darboux_points(model.n, config.samples, config.seed)
+    certified = {member[0]: _certify_candidate(report, model, a_line, pts, config, *member)
+                 for member in members}
+    if candidate_file is None:
+        for name, cand in nil.negative_controls(d):
             if not report.add_exceeds(f"{name}.closure_conditions",
                                       max(nil.closure_conditions(cand, model.omega0)), 1e-3):
                 report.add_witness(f"{name} unexpectedly closes")

@@ -3,9 +3,9 @@
 Subspaces of gl(N, R) are carried as orthonormal rows of their
 flattened basis matrices (``MatrixLieSubspace.rows``), so coordinates
 and distances are projections onto the rows.  Every rank, row-space and
-null-space decision goes through one rank-revealing kernel,
-``rank_split``: an economy SVD for tall matrices (full V only for wide
-ones, whose kernel an economy SVD would drop), cut at a relative and/or
+null-space decision goes through one rank-revealing kernel, ``rank_split``:
+an SVD (economy for tall matrices; full V for wide ones, whose kernel no caller
+reads, only so that report bodies stay byte-identical) cut at a relative and/or
 absolute singular-value threshold, that also reports the singular-value
 gap at the cut; ``rank_count`` is that cut on given singular values, for
 callers that take their own SVD.  Brackets of a basis with itself are formed

@@ -17,7 +17,8 @@ A unipotent move and a shear conjugate every accepted family to its normalized f
 Accepted families act simply transitively on the x*^1 > 0 component; the
 action is Hamiltonian with explicit comoment, and strongly Hamiltonian
 exactly when B = c*Id, in which case the algebra is a one-dimensional
-dilation extension of the Heisenberg algebra.
+dilation extension of the Heisenberg algebra.  The p = 2 ``find-transitive``
+sweep reads ``sweep_members``, ``negative_controls`` and ``darboux_points``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import SymplecticModel, apply_rows, dot_rows
+from ..core import (SymplecticModel, apply_rows, dot_rows, series_exp, signature_matrix,
+                    standard_symplectic_form)
 from ..geometry import darboux_matrix
 from ..lie import (RANK_RTOL, MatrixLieSubspace, bracket_rows, constants_certificate,
                    rank_count, subspace_from_matrices)
@@ -67,6 +69,38 @@ def make_candidate(B, a_tilde=None, b_tilde=None, c_tilde=None, a: float = 0.0,
         c=float(c),
         epsilon=int(epsilon),
     )
+
+
+def sweep_members(omega0: np.ndarray, seed: int) -> list:
+    """The accepted members of the p = 2 sweep on the middle block of form omega0, in
+    report order, as (name, B, c, a~, a): the scalars, the split signature, a seeded
+    Sp-conjugate of it, and a~ = e1/2, a = 0.7 on the normalized family scalar_c_plus."""
+    d = len(omega0)
+    split = signature_matrix(d // 2, d // 2)
+    gen = np.random.default_rng(seed).standard_normal((d, d))
+    s = series_exp(0.5 * (gen - omega0 @ gen.T @ np.linalg.inv(omega0)), 0.3)
+    zero = np.zeros(d)
+    return [("scalar_c_plus", np.eye(d), 1.0, zero, 0.0),
+            ("scalar_c_minus", -np.eye(d), -1.0, zero, 0.0),
+            ("split_signature", split, 1.0, zero, 0.0),
+            ("sp_conjugate", s @ split @ np.linalg.inv(s), 1.0, zero, 0.0),
+            ("unnormalized", np.eye(d), 1.0, 0.5 * np.eye(d)[0], 0.7)]
+
+
+def negative_controls(d: int) -> list:
+    """(name, candidate) pairs on a d-dimensional block, each breaking one closure condition."""
+    e1, ident = np.eye(d)[0], np.eye(d)
+    return [("violates_c_tilde", make_candidate(ident, c_tilde=e1)),
+            ("violates_b_square", make_candidate(np.diag([2.0] + [1.0] * (d - 1)))),
+            ("violates_eps", make_candidate(standard_symplectic_form(d // 2).T, epsilon=1)),
+            ("violates_c_square", make_candidate(ident, c=2.0)),
+            ("violates_b_tilde", make_candidate(ident, b_tilde=e1)),
+            ("violates_isotropy", make_candidate(-ident, c=1.0))]
+
+
+def darboux_points(n: int, samples: int, seed: int) -> np.ndarray:
+    """Seeded (max(samples, 100), 2n) block of Darboux chart points, one per row."""
+    return np.random.default_rng(seed + 17).standard_normal((max(samples, 100), 2 * n))
 
 
 def b_tilde_from_relation(a_tilde: np.ndarray, B: np.ndarray, c: float,

@@ -395,6 +395,32 @@ def test_find_transitive_candidate_file(tmp_path, capsys):
     assert "verdict: PASS" in out
 
 
+def _member_entries(out, member):
+    """(entry, value, threshold, verdict) of each machine-block entry of one member."""
+    kv = serialize.parse_key_values(out.split("-- machine --", 1)[1])
+    entries = [(key.removesuffix("name"), name) for key, name in kv.items()
+               if key.startswith("entry.") and key.endswith(".name")]
+    return [(name.removeprefix(member), kv[f"{key}value"], kv.get(f"{key}threshold"),
+             kv[f"{key}verdict"]) for key, name in entries if name.startswith(member)]
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_file_member_is_certified_as_a_sweep_member(tmp_path, capsys, seed):
+    # a candidate file goes through the sweep's loop: the unnormalized member
+    # (B = Id, c = 1, a~ = (0.5, 0), a = 0.7), read from a file, gives byte-equal values
+    from riccitype.transitive import nilpotent as nil
+    name, b_mat, c, a_tilde, a = nil.sweep_members(core.standard_symplectic_form(1), 0)[-1]
+    assert name == "unnormalized"
+    path = tmp_path / "cand.txt"
+    path.write_text(serialize.format_candidate(b_mat, a_tilde, a, c))
+    argv = ("find-transitive", *DARBOUX_ARGS, "--seed", seed)
+    _, sweep, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--candidate-file", str(path))
+    assert (code, err) == (0, "")
+    from_file = _member_entries(out, "file_candidate.")
+    assert len(from_file) == 8 and from_file == _member_entries(sweep, "unnormalized.")
+
+
 def test_find_transitive_bad_candidate_file_fails(tmp_path, capsys):
     path = tmp_path / "cand.txt"
     path.write_text(serialize.format_candidate(
@@ -936,8 +962,8 @@ def _base_point(case, n, p, q):
 
 
 def _darboux_point(case, n, p, q):
-    rng = np.random.default_rng(5 + 17)
-    return f"worst sample 3: {[rng.standard_normal(2 * n) for _ in range(4)][3].tolist()}"
+    from riccitype.transitive import nilpotent as nil
+    return f"worst sample 3: {nil.darboux_points(n, 6, seed=5)[3].tolist()}"
 
 
 def _quaternion_draw(case, n, p, q):

@@ -438,6 +438,33 @@ def test_rank_cuts_have_wide_gaps(monkeypatch):
     assert min(gaps) >= 1e10
 
 
+def test_only_row_spans_split_wide_matrices(monkeypatch, capsys):
+    # rank_split forms the full V of a wide matrix, but no caller reads a wide kernel:
+    # over every command at the 46 admissible tuples only _row_span splits wide
+    # matrices, and with every wide kernel replaced by NaN each report is unchanged
+    import sys
+
+    from riccitype import cli
+    from riccitype.transitive import iwasawa
+    from test_contract import ARGVS
+
+    def reports():
+        return [(cli.main(argv), capsys.readouterr()) for argv in ARGVS]
+    before = reports()
+    split, callers = lie.rank_split, {}
+
+    def poisoning_split(mat, *args, **kwargs):
+        rows, kernel, gap = split(mat, *args, **kwargs)
+        wide = mat.shape[0] < mat.shape[1]
+        callers.setdefault(sys._getframe(1).f_code.co_name, set()).add(wide)
+        return rows, np.full_like(kernel, np.nan) if wide else kernel, gap
+    monkeypatch.setattr(lie, "rank_split", poisoning_split)
+    monkeypatch.setattr(iwasawa, "rank_split", poisoning_split)
+    assert reports() == before
+    assert callers == {"_row_span": {False, True}, "centralizer_in_sp": {False},
+                       "involution_eigenspace": {False}, "iwasawa_su1n": {False}}
+
+
 def test_center_memory_stays_small():
     import tracemalloc
     from riccitype.transvection import transvection_algebra

@@ -132,21 +132,19 @@ def test_closure_isotropy_control_after_rebasing_omega0():
 
 
 def accepted_candidates(model):
-    """The candidates that a find-transitive run completes with build_h, at seeds 0-7:
-    the default sweep and the unnormalized family."""
-    d = 2 * (model.n - 1)
-    cands = [nil.build_h(model, b_mat, c=c)[2] for seed in range(8)
-             for _, b_mat, c in cli._default_candidates(model.omega0, d, seed)]
-    at = np.zeros(d)
-    at[0] = 0.5
-    return cands + [nil.build_h(model, np.eye(d), a_tilde=at, a=0.7, c=1.0)[2]]
+    """The distinct candidates that a find-transitive run completes with build_h, at
+    seeds 0-7: each sweep member once per B that a seed gives it."""
+    members = {(name, b_mat.tobytes()): (b_mat, c, at, a) for seed in range(8)
+               for name, b_mat, c, at, a in nil.sweep_members(model.omega0, seed)}
+    return [nil.build_h(model, b_mat, a_tilde=at, a=a, c=c)[2]
+            for b_mat, c, at, a in members.values()]
 
 
 def report_candidates(n):
     """The candidates whose closure a find-transitive run checks, at seeds 0-7: the
     accepted candidates and the six negative controls."""
     model = core.build_model("nilpotent", n, p=2, q=1)
-    controls = [cand for _, cand in cli._negative_controls(2 * (n - 1))]
+    controls = [cand for _, cand in nil.negative_controls(2 * (n - 1))]
     return model, accepted_candidates(model) + controls
 
 
@@ -162,7 +160,7 @@ def assert_matches_loop(cand, om0):
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
 def test_closure_conditions_match_pairwise_loop(n):
     model, cands = report_candidates(n)
-    assert len(cands) == 39
+    assert len(cands) == 18  # 3 fixed members, 8 seeded sp_conjugate, unnormalized, 6 controls
     for cand in cands:
         assert_matches_loop(cand, model.omega0)
 
@@ -531,6 +529,51 @@ def test_find_transitive_builds_the_line_of_a_once(monkeypatch):
     assert report.verdict == "PASS"
     assert sum(e.name.endswith(".bracket_closure_mod_A") for e in report.entries) == 5
     assert len(built) == 1
+
+
+def rank_formula_members(model):
+    """(B, c) of accepted members: for c = +-1, B = c*Id with m = 0..n-1 entries -c in
+    the first Lagrangian half, then six seeded Sp-conjugates of such a B."""
+    n, om0 = model.n, model.omega0
+    d = len(om0)
+
+    def diagonal(c, m):
+        return c * np.diag([-1.0] * m + [1.0] * (d - m))
+    members = [(diagonal(c, m), c) for c in (1.0, -1.0) for m in range(n)]
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        c, m = float(rng.choice([1.0, -1.0])), int(rng.integers(n))
+        gen = rng.standard_normal((d, d))
+        s = expm(0.15 * (gen - om0 @ gen.T @ np.linalg.inv(om0)))
+        members.append((s @ diagonal(c, m) @ np.linalg.inv(s), c))
+    return members
+
+
+def absolute_rank(mat):
+    return lie.rank_split(mat, rtol=0.0, atol=1e-9)[0].shape[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_derived_algebra_bracket_rank_is_the_rank_of_omega0_on_e(n):
+    # modulo R*A, h' = [h, h] has dimension 2n - 1 and its bracket, c' read as a
+    # d' x d'^2 matrix, has the rank r of Omega0 on E = ker(B - c*Id): h' is
+    # heis_{r+1} + R^{2n-2-r}, and every stratum r = 0, 2, ..., 2n - 2 is reached
+    model = core.build_model("nilpotent", n, p=2, q=1)
+    om0, a_line = model.omega0, lie.line(model.A)
+    strata = set()
+    for b_mat, c in rank_formula_members(model):
+        sub = nil.build_h(model, b_mat, c=c)[0]
+        c_h = lie.structure_constants(sub, a_line)[0]
+        rows = lie.bracket_rows(c_h, np.eye(sub.dim), np.eye(sub.dim))
+        c_derived = np.einsum("ai,bj,ijk->abk", rows, rows, c_h) @ rows.T
+        # absolute cuts: on a conjugate of +-Id, B - c*Id is rounding noise, which a
+        # relative cut would count as rank
+        e = lie.rank_split(b_mat - c * np.eye(len(om0)), rtol=0.0, atol=1e-9)[1]
+        r = absolute_rank(e.T @ om0 @ e)
+        assert rows.shape[0] == 2 * n - 1
+        assert absolute_rank(c_derived.reshape(len(rows), -1)) == r
+        strata.add(r)
+    assert strata == set(range(0, 2 * n - 1, 2))
 
 
 def test_normalize_preserves_transitivity_verdict(setup):
