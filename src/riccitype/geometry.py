@@ -30,14 +30,14 @@ connection is a test oracle.
 
 ``horizontal_basis`` takes one point or an (S, N) stack and returns a
 ``HorizontalFrame`` (with its Gram matrix) carrying that sample axis; each
-sample gets the BLAS and LAPACK calls it would get alone.  The curvature is
-that of the transvection algebra, built from closed-form odd generators as one
-(2n)^2 x N by N x (2n)^2 matrix product, symmetrized in place
-(``algebra_curvature``); no closed-form curvature is kept.  Its four checks,
-the cyclic identity, the Ricci-type identity R = E(r), rho^2 = 4(n+1)^2 mu Id
-and the trace route G rho = r (``ricci_type_residual``), run at one point, on
-that curvature, the one r traced from it and the one rho of the frame.  The
-two tensor checks read only the independent components of R: R is exactly
+sample gets the BLAS and LAPACK calls it would get alone.  The curvature is the
+transvection algebra's, from closed-form odd generators, in support form: the
+entries that can be nonzero and their values (``algebra_curvature``); neither a
+closed-form curvature nor a (2n)^4 array is formed.  Its four checks, the
+cyclic identity, R = E(r), rho^2 = 4(n+1)^2 mu Id and the trace route G rho = r
+(``ricci_type_residual``), run at one point, on that curvature, the one r
+traced from it and the one rho of the frame.  The two tensor checks read only
+the independent components of R where a term can be nonzero: R is exactly
 antisymmetric in its first pair, so R - E(r) is read on j > i and the cyclic
 sum, alternating in (i, j, k), on j > i, k > i.
 """
@@ -349,91 +349,134 @@ def transvection_generators(model: SymplecticModel, frame: HorizontalFrame) -> n
     return sym(u @ amat.T, x) - sym(u, amat @ x)
 
 
-def algebra_curvature(model: SymplecticModel, frame: HorizontalFrame) -> np.ndarray:
-    """Curvature R_ijkl = Omega(-[[X_i, X_j], X_k] x, v_l) of the transvection algebra at x.
+def _table(keys: list, values: list):
+    """The sorted distinct keys of some slots, and the value each slot gives each key.
 
+    ``keys`` and ``values`` hold one array per slot; where a slot gives a key
+    more than once, every copy carries the same value.  Returns the distinct
+    keys, sorted, and the (slots, keys) table whose row s holds, at each key,
+    the value slot s gives it, or 0.  The keys are deduplicated by one sort:
+    numpy's hash-based ``unique`` is several times slower on these arrays.
+    """
+    slots = np.arange(len(keys)).repeat([len(k) for k in keys])
+    flat = np.concatenate(keys)
+    order = flat.argsort()
+    flat = flat[order]
+    first = np.empty(len(flat), bool)
+    first[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    table = np.zeros((len(keys), np.count_nonzero(first)))
+    table[slots[order], first.cumsum() - 1] = np.concatenate(values)[order]
+    return flat[first], table
+
+
+#: R_ijkl = (T_ijkl + T_ikjl) - (T_jikl + T_jkil) reads the entry T_abcd at
+#: (i, j, k, l) = (a, b, c, d), (a, c, b, d), (b, a, c, d) and (c, a, b, d): the
+#: powers of 2n in those four keys, for the digits in the order (a, c, b, d)
+_T_READS = np.array([[3, 1, 2, 0], [3, 2, 1, 0], [2, 1, 3, 0], [2, 3, 1, 0]])
+
+
+def algebra_curvature(model: SymplecticModel, frame: HorizontalFrame):
+    """Curvature R_ijkl = Omega(-[[X_i, X_j], X_k] x, v_l) of the transvection algebra at x,
+    in support form.
+
+    Returns (keys, values): the sorted flat indices ((i d + j) d + k) d + l,
+    d = 2n, of the entries that can be nonzero, and R at them; every other
+    entry of R is exactly 0, and no (2n)^4 array is formed.
     R(u, v)w = -[[X_u, X_v], X_w] x on the odd part (Kobayashi & Nomizu II,
     ch. XI), with X_u from ``transvection_generators`` at x = frame.base.
     Since X_j x = v_j, the commutator expands to
     -X_i X_j v_k + X_j X_i v_k + X_k X_i v_j - X_k X_j v_i, so with
     T_abcd = Omega(X_c X_a v_b, v_d), R_ijkl = S_ijkl - S_jikl for
-    S_ijkl = T_ijkl + T_ikjl.  T is one (2n)^2 x N by N x (2n)^2 product, and
-    S and R are built in its buffer in one pass over the rows i, so the (2n)^4
-    array is the only one; R comes out exactly antisymmetric in (i, j).
+    S_ijkl = T_ijkl + T_ikjl.  T = U^T W for the columns U_ab = X_a v_b and
+    W_cd = X_c^T Omega v_d, formed on their nonzero columns only, as one small
+    product; every other T entry is exactly 0.  Each R entry reads its four T
+    entries (``_table``) in the sums and difference above, so R is exactly
+    0 at i = j and exactly -R_jikl at i > j: antisymmetric in (i, j).
     """
     v = frame.vectors
     gens = transvection_generators(model, frame)
     d = v.shape[1]
 
     def columns(stack):  # [a, :, b] -> one column per pair (a, b)
-        return np.moveaxis(stack, 1, 0).reshape(len(v), d * d)
+        return stack.transpose(1, 0, 2).reshape(len(v), d * d)
 
-    # T[(a, b), (c, d)] = (X_a v_b)^T X_c^T Omega v_d
-    curv = columns(gens @ v).T @ columns(np.swapaxes(gens, 1, 2) @ (model.omega @ v))
-    curv = curv.reshape((d,) * 4)
-    pair = np.empty((d, d, d))  # one scratch block, reused by every row
-    for i in range(d):
-        # S_i = T_i + T_i^T on the middle pair, so exactly symmetric there; rows
-        # i' < i are S already, so R_i'i = S_i'i - S_ii' and its negative follow
-        curv[i] = np.add(curv[i], np.swapaxes(curv[i], 0, 1), out=pair)
-        block = np.subtract(curv[:i, i], curv[i, :i], out=pair[:i])
-        curv[:i, i] = block
-        np.negative(block, out=curv[i, :i])
-        curv[i, i] = 0.0
-    return curv
+    u = columns(gens @ v)
+    w = columns(gens.transpose(0, 2, 1) @ (model.omega @ v))
+    cu, cw = np.flatnonzero(u.any(axis=0)), np.flatnonzero(w.any(axis=0))
+    # T[(a, b), (c, d)] = (X_a v_b)^T X_c^T Omega v_d on those columns
+    t = u[:, cu].T @ w[:, cw]
+    rows, cols = np.nonzero(t)
+    digits = np.concatenate(np.divmod([cu[rows], cw[cols]], d))  # rows a, c, b, d
+    keys, terms = _table(list(d ** _T_READS @ digits), [t[rows, cols]] * 4)
+    return keys, (terms[0] + terms[1]) - (terms[2] + terms[3])
 
 
-def _ricci_type_defect(curv: np.ndarray, gram: np.ndarray, n: int):
-    """Sup-norm of R - E(r) for a (2n)^4 curvature array R, its trace Ricci tensor r,
-    and the sup-norm of the cyclic sum C_ijkl = R_ijkl + R_jkil + R_kijl.
+def _ricci_type_defect(curv, gram: np.ndarray, n: int):
+    """Sup-norm of R - E(r) for a curvature R in support form (``algebra_curvature``),
+    its trace Ricci tensor r, and the sup-norm of the cyclic sum C_ijkl = R_ijkl + R_jkil + R_kijl.
 
-    r_ij = -sum_{m,a} (G^-1)_ma R_imja, and E(r) (see ``ricci_type_residual``)
-    has the coefficient f = -1/(2n+2).  Both sups are read on independent
-    components only, which needs R exactly antisymmetric in (i, j), as
-    ``algebra_curvature`` returns it.  Then R - E(r) is antisymmetric in
-    (i, j) too (E(r) is, since G is), so the rows j > i carry all of it.  And
-    C is alternating in (i, j, k): cyclic by its definition, and
-    C_jikl = -C_ijkl term by term.  So every |C| is read at j > i, k > i (up
-    to the order of its three terms in floating point), or is 0 at a repeated
-    index; R_kijl is read there as -R_ikjl, an exact negation.  Row i of
-    E(r)/f is 2 G_ij r_kl + P[j, k, l] + P[j, l, k], where
-    P[j, a, b] = r_ja G_ib - G_ja r_ib is one product of inner dimension 2.
+    r_ij = -sum_{m,a} (G^-1)_ma R_imja, summed left to right over ascending
+    (m, a), the order of the keys of R_imja.  E(r) (see ``ricci_type_residual``)
+    is f (2 G_ij r_kl + P_jkl + P_jlk), evaluated in that order, with
+    f = -1/(2n+2) and P_jab = r_ja G_ib - G_ja r_ib, two rounded products and
+    their rounded difference.  Both sups are read on independent components
+    only, as R is exactly antisymmetric in (i, j).  Then R - E(r) is
+    antisymmetric in (i, j) too (E(r) is, since G is), so j > i carries all of
+    it.  And C is alternating in (i, j, k): cyclic by its definition, and
+    C_jikl = -C_ijkl term by term.  So every |C| is read at j > i, k > i as
+    (R_ijkl + R_jkil) - R_ikjl (R_kijl = -R_ikjl exactly), or is 0 at a
+    repeated index.  Both are evaluated only where a term can be nonzero: the
+    keys of R, read at their own place, as R_jkil and as R_ikjl, and the places
+    where E(r) meets two nonzero entries of G or r.  Everywhere else they read
+    0 - 0.
     """
-    ric = -np.einsum("ma,imja->ij", np.linalg.inv(gram), curv)
+    keys, vals = curv
+    d = len(gram)
+    dd = d * d
+    im, ja = np.divmod(keys, dd)
+    (i, m), (j, a) = np.divmod(im, d), np.divmod(ja, d)  # R_imja
+    ij, ma = i * d + j, m * d + a
+    ric = -np.bincount(ij, np.linalg.inv(gram).ravel()[ma] * vals, dd).reshape(d, d)
     f = -1.0 / (2.0 * (n + 1))
-    d = len(curv)
-    pairs = np.stack([ric, gram], axis=-1).reshape(d * d, 2)  # row (j, a): (r_ja, G_ja)
-    # row buffers, reused: a fresh block per row costs more in page faults than its arithmetic
-    pbuf, rbuf = np.empty(d ** 3), np.empty(d ** 3)
-    defects, cyclic = [], []
-    for i in range(d - 1):
-        m = d - i - 1  # the rows j > i
-        p, rows = pbuf[:m * d * d].reshape(m, d, d), rbuf[:m * d * d].reshape(m, d, d)
-        np.matmul(pairs[(i + 1) * d:], np.stack([gram[i], -ric[i]]), out=p.reshape(m * d, d))
-        # R_i - f (2 G_ij r_kl + P[j, k, l] + P[j, l, k]) on j > i, evaluated in that order
-        np.multiply(2.0 * gram[i, i + 1:, None], ric.reshape(1, d * d), out=rows.reshape(m, -1))
-        rows += p
-        rows += np.swapaxes(p, 1, 2)
-        rows *= f
-        np.subtract(curv[i, i + 1:], rows, out=rows)
-        defects.append(np.max(np.abs(rows, out=rows)))
-        # R_ijkl + R_jkil - R_ikjl at [j, k, l], j, k > i
-        upper = curv[i, i + 1:, i + 1:]
-        cyc = np.add(upper, curv[i + 1:, i + 1:, i], out=rbuf[:m * m * d].reshape(m, m, d))
-        cyc -= np.swapaxes(upper, 0, 1)
-        cyclic.append(np.max(np.abs(cyc, out=cyc)))
-    # np.max keeps a NaN row, which Python's max would drop
-    return float(np.max(defects)), ric, float(np.max(cyclic))
+    # E(r) reads G and r at (i, j) and (k, l), (j, k) and (i, l), (j, l) and (i, k): two
+    # nonzero entries (x1, y1), (x2, y2) meet at (x1, y1, x2, y2), (x2, x1, y1, y2) and
+    # (x2, x1, y2, y1), kept at j > i; outer sums run over (first entry, second entry)
+    pairs = np.flatnonzero((gram != 0) | (ric != 0))
+    x, y = np.divmod(pairs, d)
+    below, top = np.greater.outer(x, x), x * d ** 3
+    meets = np.concatenate([np.add.outer(pairs[x < y] * dd, pairs),
+                            np.add.outer(pairs * d, top + y)[below],
+                            np.add.outer(x * dd + y, top + y * d)[below]], axis=None)
+    # R_imja as R_ijkl at (i, m, j, a), as R_jkil at (j, i, m, a), as R_ikjl at (i, j, m, a)
+    own, jkil, ikjl = m > i, (i > j) & (m > j), (j > i) & (m > i)
+    places, terms = _table([keys[own], ((j * d + i) * dd + ma)[jkil], (ij * dd + ma)[ikjl], meets],
+                           [vals[own], vals[jkil], vals[ikjl], np.zeros(len(meets))])
+    ij, kl = np.divmod(places, dd)
+    (i, j), (k, l) = np.divmod(ij, d), np.divmod(kl, d)
+    gf, rf = gram.ravel(), ric.ravel()
+    ends = np.array([k, l])
+    fore, aft = j * d + ends, i * d + ends[::-1]  # P_jkl and P_jlk
+    p = rf[fore] * gf[aft] + gf[fore] * -rf[aft]
+    e = 2.0 * gf[ij] * rf[kl]
+    e += p[0]
+    e += p[1]
+    e *= f
+    # max keeps a NaN, and reads 0 when nothing can be nonzero
+    defect = np.abs(terms[0] - e).max(initial=0.0)
+    cyclic = np.abs((terms[0] + terms[1]) - terms[2])[k > i].max(initial=0.0)
+    return float(defect), ric, float(cyclic)
 
 
 def ricci_type_residual(model: SymplecticModel, x) -> dict:
     """Sup-norms of the curvature identities at one point x of Sigma_A.
 
-    R is the transvection algebra's curvature at x (``algebra_curvature``)
-    in the frame, r its trace Ricci tensor and rho the Ricci endomorphism in
-    the frame.  R is exactly antisymmetric in (i, j), so the two tensor keys
-    read its independent components only, which carry every value
-    (``_ricci_type_defect``).  The keys are
+    R is the transvection algebra's curvature at x (``algebra_curvature``, in
+    support form) in the frame, r its trace Ricci tensor and rho the Ricci
+    endomorphism in the frame.  R is exactly antisymmetric in (i, j), so the
+    two tensor keys read its independent components only, which carry every
+    value, and only where a term can be nonzero (``_ricci_type_defect``).
+    The keys are
     ``cyclic``: R_ijkl + R_jkil + R_kijl on j, k > i.  R_ijkl = S_ijkl - S_jikl
         with S symmetric in its middle pair satisfies it whatever the
         generators, so it checks how R is assembled, not the first Bianchi

@@ -18,10 +18,15 @@ R(X, Y)Z = -2 Omega(X, Y) AZ - ... on a frame; the package keeps only the
 transvection algebra's curvature, and the tests compare the two.
 ``algebra_curvature_terms`` gives the two terms of that curvature,
 -[X_i, X_j] v_k and X_k [X_i, X_j] x, as einsums over the generators, the
-route that ``geometry.algebra_curvature``'s one product of pair columns
-replaced; ``ricci_type_defect_rows`` is the row loop of R - E(r) and the
-cyclic sum that ``geometry._ricci_type_defect``'s inner-dimension-2 products
-replaced.
+route that the one product of pair columns replaced; ``ricci_type_defect_rows``
+is the row loop of R - E(r) and the cyclic sum that the inner-dimension-2
+products replaced.  ``algebra_curvature_dense`` and ``ricci_type_defect_dense``
+are that whole-array kernel, the (2n)^4 product of every pair column and the
+row loop of inner-dimension-2 products, which ``geometry``'s support route
+replaced: the bit-for-bit oracle at the base point.  ``dense_form`` and
+``support_form`` convert a curvature between the (2n)^4 array and the support
+form (sorted flat indices and values) that ``geometry.algebra_curvature``
+returns, so that fault tensors built here can stand in for it.
 ``sample_sigma_pointwise`` is the per-point Sigma_A sampler that
 the block sampler replaced: it draws each point's free coordinates in turn
 and redraws a degenerate block in place.
@@ -395,6 +400,81 @@ def algebra_curvature_terms(model, frame):
     first = -np.einsum("ijab,bk,al->ijkl", brackets, frame.vectors, om_v, optimize=True)
     second = np.einsum("kab,ijbc,c,al->ijkl", gens, brackets, frame.base, om_v, optimize=True)
     return first, second
+
+
+def dense_form(curv, d):
+    """The (d, d, d, d) array of a curvature in support form (flat indices, values)."""
+    out = np.zeros(d ** 4)
+    out[curv[0]] = curv[1]
+    return out.reshape((d,) * 4)
+
+
+def support_form(curv):
+    """The support form of a (2n)^4 curvature array: its nonzero flat indices, sorted,
+    and the values there (a NaN counts as nonzero)."""
+    keys = np.flatnonzero(curv)
+    return keys, curv.ravel()[keys]
+
+
+def algebra_curvature_dense(model, frame):
+    """The algebra's curvature as one (2n)^4 array: T = one (2n)^2 x N by N x (2n)^2
+    product of every pair column, then S and R built in its buffer row by row."""
+    v = frame.vectors
+    gens = geometry.transvection_generators(model, frame)
+    d = v.shape[1]
+
+    def columns(stack):  # [a, :, b] -> one column per pair (a, b)
+        return np.moveaxis(stack, 1, 0).reshape(len(v), d * d)
+
+    # T[(a, b), (c, d)] = (X_a v_b)^T X_c^T Omega v_d
+    curv = columns(gens @ v).T @ columns(np.swapaxes(gens, 1, 2) @ (model.omega @ v))
+    curv = curv.reshape((d,) * 4)
+    pair = np.empty((d, d, d))  # one scratch block, reused by every row
+    for i in range(d):
+        # S_i = T_i + T_i^T on the middle pair; rows i' < i are S already, so
+        # R_i'i = S_i'i - S_ii' and its negative follow
+        curv[i] = np.add(curv[i], np.swapaxes(curv[i], 0, 1), out=pair)
+        block = np.subtract(curv[:i, i], curv[i, :i], out=pair[:i])
+        curv[:i, i] = block
+        np.negative(block, out=curv[i, :i])
+        curv[i, i] = 0.0
+    return curv
+
+
+def ricci_type_defect_dense(curv, gram, n):
+    """sup |R - E(r)| on j > i, r and the sup of the cyclic sum on j, k > i of a (2n)^4
+    array, one row i at a time, with each row of E(r) from one product of inner dimension 2
+    (P[j, a, b] = r_ja G_ib - G_ja r_ib, as the BLAS kernel rounds it)."""
+    ric = -np.einsum("ma,imja->ij", np.linalg.inv(gram), curv)
+    f = -1.0 / (2.0 * (n + 1))
+    d = len(curv)
+    pairs = np.stack([ric, gram], axis=-1).reshape(d * d, 2)  # row (j, a): (r_ja, G_ja)
+    defects, cyclic = [], []
+    for i in range(d - 1):
+        m = d - i - 1  # the rows j > i
+        p = (pairs[(i + 1) * d:] @ np.stack([gram[i], -ric[i]])).reshape(m, d, d)
+        rows = 2.0 * gram[i, i + 1:, None] * ric.reshape(1, d * d)
+        rows = rows.reshape(m, d, d) + p
+        rows += np.swapaxes(p, 1, 2)
+        rows *= f
+        defects.append(np.max(np.abs(curv[i, i + 1:] - rows)))
+        upper = curv[i, i + 1:, i + 1:]
+        cyclic.append(np.max(np.abs((upper + curv[i + 1:, i + 1:, i])
+                                    - np.swapaxes(upper, 0, 1))))
+    return float(np.max(defects)), ric, float(np.max(cyclic))
+
+
+def ricci_type_residual_dense(model, x):
+    """``geometry.ricci_type_residual`` on the whole-array kernel."""
+    frame = geometry.horizontal_basis(model, x)
+    defect, ric, cyclic = ricci_type_defect_dense(algebra_curvature_dense(model, frame),
+                                                  frame.gram, model.n)
+    rho = geometry.ricci_endomorphism(model, frame)
+    square = rho @ rho - 4.0 * (model.n + 1) ** 2 * model.mu * np.eye(2 * model.n)
+    scale = max(1.0, model.k)
+    return {"cyclic": cyclic, "ricci_type": defect / scale,
+            "square": float(np.max(np.abs(square))) / max(1.0, abs(model.mu)),
+            "trace_route": float(np.max(np.abs(frame.gram @ rho - ric))) / scale}
 
 
 def ricci_type_defect_rows(curv, gram, n):

@@ -42,3 +42,10 @@ def test_body_audit_k_ladder_size():
     lines = body_audit.command_lines(["k_ladder"], range(8))
     assert len(lines) == len({" ".join(line) for line in lines}) == 414
     assert all(line[-2:] == ["--seed", "0"] for line in lines)
+
+
+def test_body_audit_ladder_size():
+    # verify-geometry for 5 chart kinds x n = 8, 12, 16, 24, 32, at the first seed only
+    lines = body_audit.command_lines(["ladder"], range(8))
+    assert len(lines) == len({" ".join(line) for line in lines}) == 25
+    assert all(line[0] == "verify-geometry" and line[-2:] == ["--seed", "0"] for line in lines)

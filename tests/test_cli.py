@@ -14,7 +14,7 @@ import riccitype
 from riccitype import cli, core, lie, serialize
 from riccitype.cli import main
 
-from oracles import algebra_curvature_terms
+from oracles import algebra_curvature_terms, dense_form, support_form
 
 
 def run(capsys, *argv):
@@ -170,6 +170,12 @@ NONFLAT_N23 = [t for t in core.admissible_parameters((2, 3))
                if not (t[0] == "nilpotent" and t[2] == 1)]
 
 
+def _scaled(curv, factor):
+    # a curvature in support form (flat indices, values) with every value times factor
+    keys, values = curv
+    return keys, factor * values
+
+
 @pytest.mark.parametrize("spoil", [-1.0, 1.01], ids=["sign", "scale"])
 @pytest.mark.parametrize("case,n,p,q", NONFLAT_N23)
 def test_trace_route_catches_a_spoiled_algebra_curvature(capsys, monkeypatch, case, n, p, q,
@@ -179,7 +185,7 @@ def test_trace_route_catches_a_spoiled_algebra_curvature(capsys, monkeypatch, ca
     from riccitype import geometry, transvection
     original = geometry.algebra_curvature
     monkeypatch.setattr(geometry, "algebra_curvature",
-                        lambda *args: spoil * original(*args))
+                        lambda *args: _scaled(original(*args), spoil))
     code, out, _ = run(capsys, "verify-geometry", *_tuple_argv(case, n, p, q),
                        "--samples", "6")
     assert code == 1
@@ -210,7 +216,8 @@ def test_trace_route_catches_a_scaled_curvature_at_large_k(capsys, monkeypatch, 
     # the relative read still sees a curvature off by 1 %
     from riccitype import geometry
     original = geometry.algebra_curvature
-    monkeypatch.setattr(geometry, "algebra_curvature", lambda *args: 1.01 * original(*args))
+    monkeypatch.setattr(geometry, "algebra_curvature",
+                        lambda *args: _scaled(original(*args), 1.01))
     code, out, _ = run(capsys, "verify-geometry", *_tuple_argv(case, n, p, q), "--k", "1e9",
                        "--samples", "6")
     assert code == 1
@@ -227,11 +234,12 @@ def test_cyclic_identity_catches_a_flipped_curvature_term(capsys, monkeypatch, c
     x0 = transvection.base_point(model)
     frame = geometry.horizontal_basis(model, x0)
     first, second = algebra_curvature_terms(model, frame)
-    assert np.max(np.abs(first + second - geometry.algebra_curvature(model, frame))) <= 1e-12
+    curv = dense_form(geometry.algebra_curvature(model, frame), 2 * n)
+    assert np.max(np.abs(first + second - curv)) <= 1e-12
 
     def flipped(model, frame):
         first, second = algebra_curvature_terms(model, frame)
-        return first - second
+        return support_form(first - second)
     monkeypatch.setattr(geometry, "algebra_curvature", flipped)
     code, out, _ = run(capsys, "verify-geometry", *_tuple_argv(case, n, p, q),
                        "--samples", "6")
@@ -941,12 +949,12 @@ def _nan_entry(values):
 
 
 def _nan_last_read_row(curv):
-    # a copy of the algebra's curvature with R[d-2, d-1, d-1, d-1] NaN: the cyclic
-    # sum reads it in its last row i = d - 2 only, which Python's max over the row
-    # maxima would drop (R[d-1, d-1] is the zero diagonal, never read)
-    out = np.array(curv, dtype=float)
+    # a copy of the algebra's curvature (support form, hyperbolic n = 2, so d = 4)
+    # with R[d-2, d-1, d-1, d-1] NaN, which only the cyclic sum at i = d - 2 reads:
+    # its sup must keep the NaN (R[d-1, d-1] is the zero diagonal, never read)
+    out = dense_form(curv, 4)
     out[-2, -1, -1, -1] = NAN
-    return out
+    return support_form(out)
 
 
 # each witness helper returns what the witness says after "<entry>: "

@@ -10,11 +10,13 @@ from riccitype.transitive import iwasawa as iwa
 from riccitype.transitive import nilpotent as nil
 from riccitype.transvection import base_point, transvection_algebra
 
-from oracles import (act_chart, act_tangent_sphere, algebra_curvature_terms, connection_nabla,
-                     coordinate_field, coordinate_tangents, curvature_tensor, frame_pairing,
+from oracles import (act_chart, act_tangent_sphere, algebra_curvature_dense,
+                     algebra_curvature_terms, connection_nabla, coordinate_field,
+                     coordinate_tangents, curvature_tensor, dense_form, frame_pairing,
                      gl_to_sp_hyperbolic, horizontal_projection, horizontality_residual,
                      pushforward, reduced_omega, retract_to_sigma, ricci_type_defect,
-                     ricci_type_defect_rows, symmetry_chart_differential)
+                     ricci_type_defect_rows, ricci_type_residual_dense,
+                     symmetry_chart_differential)
 
 CHART_CASES = [
     ("hyperbolic", 2, None, None),
@@ -567,11 +569,12 @@ def test_curvature_antisymmetry_and_cyclic(case, n, p, q):
     model = build(case, n, p, q)
     pt = core.sample_sigma(model, 1, seed=17)[0]
     frame = geometry.horizontal_basis(model, pt)
-    curv = geometry.algebra_curvature(model, frame)
+    support = geometry.algebra_curvature(model, frame)
+    curv = dense_form(support, 2 * n)
     assert np.max(np.abs(curv + np.swapaxes(curv, 0, 1))) <= 1e-12
-    # the row loop reads the cyclic sum on j, k > i: exactly the whole array's
+    # the kernel reads the cyclic sum on j, k > i: exactly the whole array's
     # sum there, and its sup up to the order of the three terms elsewhere
-    cyclic = geometry._ricci_type_defect(curv, frame.gram, n)[2]
+    cyclic = geometry._ricci_type_defect(support, frame.gram, n)[2]
     whole = np.abs(_cyclic_sum(curv))
     i, j, k = np.indices(curv.shape[:3])
     assert cyclic == np.max(whole[(j > i) & (k > i)])
@@ -596,7 +599,8 @@ def test_curvature_vanishes_on_kernel_directions():
     c1, c2 = frame.vectors.T @ f1, frame.vectors.T @ f2
     assert np.array_equal(frame.vectors @ c1, f1) and np.array_equal(frame.vectors @ c2, f2)
     # Omega(R(f1, f2) f1, v_l) for every frame vector v_l; Omega is nondegenerate on H_x0
-    out = np.einsum("i,j,k,ijkl->l", c1, c2, c1, geometry.algebra_curvature(model, frame))
+    out = np.einsum("i,j,k,ijkl->l", c1, c2, c1,
+                    dense_form(geometry.algebra_curvature(model, frame), 4))
     assert np.max(np.abs(out)) <= 1e-14
 
 
@@ -765,8 +769,112 @@ def test_ricci_type_residual_memory_n16():
         tracemalloc.stop()
     assert res["ricci_type"] <= 1e-8 and res["trace_route"] <= 1e-10
     assert res["cyclic"] <= 1e-10 and res["square"] <= 1e-10
-    # one (32)^4 float array is 8 MB, and the kernels hold no second one
-    assert peak < 12 * 2 ** 20
+    # one (32)^4 float array would be 8 MB; the support route holds under 2 MB
+    assert peak < 3 * 2 ** 20
+
+
+@pytest.mark.parametrize("case,p", [("hyperbolic", None), ("elliptic", 1)])
+def test_ricci_type_residual_memory_n32(case, p):
+    model = build(case, 32, p, None)
+    x0 = base_point(model)
+    tracemalloc.start()
+    try:
+        res = geometry.ricci_type_residual(model, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res["ricci_type"] <= 1e-8 and res["trace_route"] <= 1e-10
+    assert res["cyclic"] <= 1e-10 and res["square"] <= 1e-10
+    # one (64)^4 float array would be 134 MB; the generator stacks take most of the peak
+    assert peak < 16 * 2 ** 20
+
+
+#: the five chart kinds of the benchmark's verify-geometry operations
+CHART_KINDS = [("hyperbolic", 0, 0), ("elliptic", 1, 0), ("elliptic", 5, 0), ("nilpotent", 2, 1),
+               ("nilpotent", 3, 2)]
+#: (case, n, p, q, k) of the base points pinned against the whole-array kernel: the 46
+#: tuples with n = 2-4 at k = 1, the hyperbolic and elliptic tuples of the narrow (n = 2,
+#: 3) and wide (n = 2-4) k ladders, and the chart kinds at n = 8, 12, 16
+BASE_POINT_PINS = (
+    [(case, n, p, q, 1.0) for case, n, p, q in core.admissible_parameters((2, 3, 4))]
+    + [(case, n, p, q, k)
+       for ks, n_values in [((1e-7, 1e-3, 0.1, 2.0, 10.0, 100.0, 1e3), (2, 3)),
+                            ((1e-12, 1e-10, 1e6, 1e9, 1e12), (2, 3, 4))]
+       for case, n, p, q in core.admissible_parameters(n_values) if case != "nilpotent"
+       for k in ks]
+    + [(case, n, p, q, 1.0) for n in (8, 12, 16) for case, p, q in CHART_KINDS])
+
+
+def _pinned_model(case, n, p, q, k):
+    if case == "nilpotent":
+        return core.build_model(case, n, p=p, q=q)
+    return core.build_model(case, n, k=k, p=p or None)
+
+
+@pytest.mark.parametrize("case,n,p,q,k", BASE_POINT_PINS)
+def test_support_route_matches_the_whole_array_kernel_at_x0(case, n, p, q, k):
+    # the four residuals that verify-geometry prints, bit for bit
+    model = _pinned_model(case, n, p, q, k)
+    x0 = base_point(model)
+    assert geometry.ricci_type_residual(model, x0) == ricci_type_residual_dense(model, x0)
+
+
+#: base points whose SVD frame keeps rounding residues (entries of 1.6e-16, so U and W
+#: carry entries within 1e-15 of their largest, and G^-1 one of 5e-49): the facts hold
+#: there once those are read as 0, and the residuals still match bit for bit
+SVD_RESIDUE = {("hyperbolic", 2, 0, 0, 100.0), ("hyperbolic", 3, 0, 0, 100.0)}
+
+
+@pytest.mark.parametrize("case,n,p,q,k", BASE_POINT_PINS)
+def test_base_point_facts_behind_the_exact_support_route(case, n, p, q, k):
+    # the support route gives the whole-array kernel's bits at x0 because (a) no T
+    # entry sums two nonzero products, so any blocking of the product rounds it
+    # alike, and (b) G^-1 has one nonzero per row, so the trace sums one term per m,
+    # as the einsum does; at SVD_RESIDUE both hold up to the residues
+    drift = "the support route's report bodies may then drift by rounding"
+    floor = 1e-15 if (case, n, p, q, k) in SVD_RESIDUE else 0.0
+
+    def support(a):
+        return np.abs(a) > floor * np.max(np.abs(a))
+
+    model = _pinned_model(case, n, p, q, k)
+    frame = geometry.horizontal_basis(model, base_point(model))
+    gens = geometry.transvection_generators(model, frame)
+    d = 2 * n
+    u = support((gens @ frame.vectors).transpose(1, 0, 2).reshape(-1, d * d))
+    w = (gens.transpose(0, 2, 1) @ (model.omega @ frame.vectors)).transpose(1, 0, 2)
+    w = support(w.reshape(-1, d * d))
+    u, w = u[:, u.any(axis=0)], w[:, w.any(axis=0)]
+    products = u.T.astype(int) @ w.astype(int)
+    assert products.max(initial=0) <= 1, (
+        f"a T entry sums {products.max()} nonzero products at x0: {drift}")
+    per_row = np.count_nonzero(support(np.linalg.inv(frame.gram)), axis=1)
+    assert np.all(per_row == 1), f"G^-1 rows at x0 hold {per_row.tolist()} nonzeros: {drift}"
+
+
+@pytest.mark.parametrize("case,n,p,q", core.admissible_parameters((2, 3, 4)))
+def test_support_route_agrees_with_the_whole_array_kernel_at_samples(case, n, p, q):
+    # dense frames: r sums its terms in another order than the einsum, so the two
+    # kernels agree to rounding of the size of R
+    model = build(case, n, p or None, q or None)
+    for pt in core.sample_sigma(model, 3, seed=61):
+        frame = geometry.horizontal_basis(model, pt)
+        bound = 1e-14 * max(1.0, float(np.max(np.abs(algebra_curvature_dense(model, frame)))))
+        got, want = geometry.ricci_type_residual(model, pt), ricci_type_residual_dense(model, pt)
+        assert all(abs(got[key] - want[key]) <= bound for key in want), (got, want)
+
+
+def test_support_route_rounds_each_product_of_e_of_r():
+    # hyperbolic n = 4 at k = 100, outside every audited set: some P_jab = r_ja G_ib -
+    # G_ja r_ib have two nonzero products.  The whole-array kernel's BLAS product of inner
+    # dimension 2 fused them into one rounding; the support route rounds each product and
+    # their sum, so ricci_type reads 5.68e-16 against 1.137e-15, and nothing else moves
+    model = core.build_model("hyperbolic", 4, k=100.0)
+    x0 = base_point(model)
+    got, want = geometry.ricci_type_residual(model, x0), ricci_type_residual_dense(model, x0)
+    assert {key: got[key] for key in ("cyclic", "square", "trace_route")} == {
+        key: want[key] for key in ("cyclic", "square", "trace_route")}
+    assert got["ricci_type"] <= 1e-14 and want["ricci_type"] <= 1e-14
 
 
 @pytest.mark.parametrize("case,n,p,q", ALL_CASES)
@@ -883,8 +991,9 @@ def test_ricci_type_residual_full_admissible_sweep(case, n, p, q):
     model = build(case, n, p or None, q or None)
     for i, pt in enumerate([base_point(model), *core.sample_sigma(model, 3, seed=53)]):
         frame = geometry.horizontal_basis(model, pt)
-        curv = geometry.algebra_curvature(model, frame)
-        # S - S^T on the first pair, formed in place, is exactly antisymmetric
+        support = geometry.algebra_curvature(model, frame)
+        curv = dense_form(support, 2 * n)
+        # S_ijkl - S_jikl, formed at i < j and at i > j, is exactly antisymmetric
         assert np.all(curv + np.swapaxes(curv, 0, 1) == 0)
         scale = max(1.0, float(np.max(np.abs(curv))))
         # the one product of pair columns is the commutator route's two einsum terms
@@ -893,14 +1002,16 @@ def test_ricci_type_residual_full_admissible_sweep(case, n, p, q):
         paired = frame_pairing(model, frame)
         # the algebra's curvature is the closed form, materialized by the oracle
         assert np.max(np.abs(curv - curvature_tensor(frame.gram, paired))) <= 1e-13
-        residual, ric, cyclic = geometry._ricci_type_defect(curv, frame.gram, n)
+        residual, ric, cyclic = geometry._ricci_type_defect(support, frame.gram, n)
         assert residual <= 1e-8
         assert cyclic <= 1e-9
-        # the inner-dimension-2 products of E(r) against the broadcast row loop
+        # the support route against the broadcast row loop, whose r is the einsum trace
         rows_residual, rows_ric, rows_cyclic = ricci_type_defect_rows(curv, frame.gram, n)
-        assert np.array_equal(ric, rows_ric)
         if i == 0:  # x0 frames have exact entries: the independent components read the same sups
+            assert np.array_equal(ric, rows_ric)
             assert (residual, cyclic) == (rows_residual, rows_cyclic)
+        # at a dense frame r sums its terms in another order than the einsum
+        assert np.max(np.abs(ric - rows_ric)) <= 1e-14 * scale
         assert abs(residual - rows_residual) <= 1e-14 * scale
         assert abs(cyclic - rows_cyclic) <= 1e-14 * scale
         # the einsum oracle materializes R and E(r) from the closed form; both routes agree
@@ -920,9 +1031,10 @@ def test_ricci_type_defect_at_x0_n16_matches_full_rows(case, n, p, q):
     # at x0 the sups on the independent components are those of the whole tensor
     model = build(case, n, p or None, q or None)
     frame = geometry.horizontal_basis(model, base_point(model))
-    curv = geometry.algebra_curvature(model, frame)
-    residual, ric, cyclic = geometry._ricci_type_defect(curv, frame.gram, n)
-    rows_residual, rows_ric, rows_cyclic = ricci_type_defect_rows(curv, frame.gram, n)
+    support = geometry.algebra_curvature(model, frame)
+    residual, ric, cyclic = geometry._ricci_type_defect(support, frame.gram, n)
+    rows_residual, rows_ric, rows_cyclic = ricci_type_defect_rows(dense_form(support, 2 * n),
+                                                                  frame.gram, n)
     assert np.array_equal(ric, rows_ric)
     assert (residual, cyclic) == (rows_residual, rows_cyclic)
 

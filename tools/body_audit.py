@@ -8,10 +8,12 @@ Each ``*_src`` is a directory that holds the ``riccitype`` package (a
 checkout's ``src``).  The operations are those of ``perfbench/workloads.py``
 (read, not changed), each run once per seed (default 0-7) with ``--seed``
 appended; an operation that several workloads share is run once.  ``--workload``
-(repeatable) narrows the run to some workloads, or selects the ``k_ladder``
-set, which no default run includes: the commands that read ``--k`` over the
-hyperbolic and elliptic tuples at small and large scales, run at the first
-seed only, since it varies k instead (414 command lines).  Every command line goes
+(repeatable) narrows the run to some workloads, or selects a set that no
+default run includes, run at the first seed only: ``k_ladder``, the commands
+that read ``--k`` over the hyperbolic and elliptic tuples at small and large
+scales, since it varies k instead (414 command lines), and ``ladder``,
+``verify-geometry`` for the five chart kinds of ``samples_large`` at
+n = 8, 12, 16, 24 and 32, since it varies n instead (25).  Every command line goes
 through ``riccitype.cli.main`` in one fresh interpreter per tree, with stdout
 and stderr captured, and with Python's warning registry reset per command line
 so that each prints its warnings as it would in its own process; the path of
@@ -53,17 +55,27 @@ def k_ladder() -> list[list[str]]:
     return ops
 
 
-#: the command-line sets that --workload selects: the benchmark's workloads and the k ladder
-SETS = {**workloads.WORKLOADS, "k_ladder": k_ladder}
+def ladder() -> list[list[str]]:
+    """verify-geometry for the five chart kinds of samples_large at n = 8, 12, 16, 24, 32."""
+    charts = [("hyperbolic", 0, 0), ("elliptic", 1, 0), ("elliptic", 5, 0),
+              ("nilpotent", 2, 1), ("nilpotent", 3, 2)]
+    return [["verify-geometry", *workloads._case_args(case, n, p, q)]
+            for n in (8, 12, 16, 24, 32) for case, p, q in charts]
+
+
+#: the command-line sets that --workload selects: the benchmark's workloads, and the k
+#: ladder and the size ladder, which run at the first seed only
+SETS = {**workloads.WORKLOADS, "k_ladder": k_ladder, "ladder": ladder}
+FIRST_SEED_ONLY = ("k_ladder", "ladder")
 
 
 def command_lines(names, seeds) -> list[list[str]]:
-    """The distinct operations of the named sets, each with every seed appended (the k
-    ladder with the first seed only)."""
+    """The distinct operations of the named sets, each with every seed appended (the two
+    ladders with the first seed only)."""
     lines = {}
     for name in names:
         for op in SETS[name]():
-            for seed in seeds[:1] if name == "k_ladder" else seeds:
+            for seed in seeds[:1] if name in FIRST_SEED_ONLY else seeds:
                 line = workloads.with_seed(op, seed)
                 lines.setdefault(workloads.op_key(line), line)
     return list(lines.values())
