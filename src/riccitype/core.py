@@ -227,12 +227,13 @@ MAX_SAMPLE_RETRIES = 100
 
 
 def _degenerate(model: SymplecticModel, z: np.ndarray) -> np.ndarray:
-    """Rows of free draws that cannot be solved onto Sigma_A: max|x+| < 0.1
-    (hyperbolic), |pos|^2 < 1e-8 for the positive-sign block otherwise."""
+    """Rows of free draws (at scale 1/sqrt(k)) that cannot be solved onto Sigma_A:
+    max|x+| < 0.1/sqrt(k) (hyperbolic), |pos|^2 < 1e-8/k for the positive-sign block
+    otherwise."""
     if model.case == "hyperbolic":
-        return np.max(np.abs(z[:, :model.n + 1]), axis=1) < 0.1
+        return np.max(np.abs(z[:, :model.n + 1]), axis=1) < 0.1 / np.sqrt(model.k)
     pos = z[:, model.ambient_dim:]
-    return dot_rows(pos, pos) < 1e-8
+    return dot_rows(pos, pos) < 1e-8 / model.k
 
 
 def _solve_quadric(model: SymplecticModel, z: np.ndarray) -> np.ndarray:
@@ -266,7 +267,8 @@ def _solve_quadric(model: SymplecticModel, z: np.ndarray) -> np.ndarray:
 def sample_sigma(model: SymplecticModel, count: int, seed: int) -> np.ndarray:
     """Deterministic seeded sample of Sigma_A, one point per row of a (count, N) array.
 
-    One standard-normal block holds every row's free coordinates: x+, x-
+    One standard-normal block, divided by sqrt(k) since Sigma_{k A_1} = Sigma_{A_1} / sqrt(k),
+    holds every row's free coordinates: x+, x-
     (hyperbolic); x, y, then the positive-sign block (elliptic); x, X, x*,
     then the positive-sign block (nilpotent).  The quadric is solved exactly
     per row, for one linear coordinate (hyperbolic) or by rescaling the
@@ -278,12 +280,13 @@ def sample_sigma(model: SymplecticModel, count: int, seed: int) -> np.ndarray:
         raise ValueError("count must be >= 1")
     extra = {"hyperbolic": 0, "elliptic": 2 * model.p, "nilpotent": model.q}[model.case]
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, model.ambient_dim + extra))
+    scale = np.sqrt(model.k)
+    z = rng.standard_normal((count, model.ambient_dim + extra)) / scale
     bad = _degenerate(model, z)
     for _ in range(MAX_SAMPLE_RETRIES):
         if not bad.any():
             break
-        z[bad] = rng.standard_normal((int(bad.sum()), z.shape[1]))
+        z[bad] = rng.standard_normal((int(bad.sum()), z.shape[1])) / scale
         bad = _degenerate(model, z)
     if bad.any():
         raise RuntimeError("sampling failed: degenerate draws exhausted the retry budget")

@@ -129,7 +129,8 @@ def chart_section(model: SymplecticModel, coords) -> np.ndarray:
     if kind == "tangent_sphere":
         m = model.n + 1
         u, w = c[..., :m], c[..., m:]
-        return np.concatenate([u, w - u / (2.0 * model.k)], axis=-1)
+        root = np.sqrt(model.k)  # the fiber point at |x+| = 1/sqrt(k), the scale of Sigma_A
+        return np.concatenate([u / root, root * (w - u / (2.0 * model.k))], axis=-1)
     if kind == "ball":
         n = model.n
         w = c[..., :n] + 1j * c[..., n:]

@@ -5,9 +5,10 @@ for computed checks, DOCUMENTED for classification facts that are recorded
 rather than recomputed, and UNKNOWN for questions left open.  The overall
 verdict is PASS iff every computed entry passes, FAIL if any fails, and
 UNKNOWN when nothing was computed.  ``add_sampled`` is the one reduction
-of a residual sampled over points or times.  Rendering is byte-stable for
-a fixed configuration: no timestamps, fixed float formatting, ordered
-entries.
+of a residual sampled over points or times.  A residual, sampled or exceeds
+entry reads its threshold by name from ``RESIDUALS`` or ``FLOORS``; no caller
+passes one.  Rendering is byte-stable for a fixed configuration: no
+timestamps, fixed float formatting, ordered entries.
 """
 
 from __future__ import annotations
@@ -38,6 +39,28 @@ class ReportEntry:
     detail: str = ""
 
 
+#: the threshold of every residual and sampled entry (its value <= the threshold passes), by
+#: entry name, or by "*.<entry>" for the find-transitive members, the controls and phi<i>;
+#: "tol" is the report's own config["tol_algebraic"] (--tol)
+RESIDUALS = {
+    "characteristic.sp_membership": 1e-12, "characteristic.square_identity": 1e-12,
+    "flow.series_oracle": 1e-10, "projection.flow_invariance": "tol",
+    "projection.flow_invariance_fiber": "tol", "curvature.cyclic_identity": "tol",
+    "curvature.ricci_type_residual": 1e-8, "ricci.square_identity": "tol",
+    "ricci.trace_route_match": "tol", "reduced_form.darboux_constant": 1e-8,
+    "symmetry.squares_to_identity": 1e-12, "symmetry.symplectic": 1e-12,
+    "symmetry.commutes_with_A": 1e-12, "symmetry.fixed_point": "tol",
+    "symmetry.involution_in_chart": 1e-8, "symmetry.symplectic_pullback": 1e-5,
+    "centralizer.closure": 1e-10, "sigma1.involution": 1e-10, "sigma1.fixes_A": 1e-10,
+    "A.in_k1": "tol", "algebra.closure": "tol", "algebra.sl_traceless": 1e-10,
+    "ideal.bracket_containment": "tol", "*.closure_conditions": 1e-10,
+    "*.bracket_closure_mod_A": 1e-10, "*.hamiltonian_identity": "tol",
+    "eta.equivariance": 1e-10, "orbit.stabilizer_field": "tol",
+}
+#: the floor of every negative-control entry (its value > the floor passes), keyed as above
+FLOORS = {"A.not_in_k1": 1e-3, "*.frame_invertibility": 1e-9, "*.closure_conditions": 1e-3}
+
+
 @dataclass
 class CertificateReport:
     command: str
@@ -45,43 +68,45 @@ class CertificateReport:
     entries: list[ReportEntry] = field(default_factory=list)
     witnesses: list[str] = field(default_factory=list)
 
-    def add_residual(self, name: str, value: float, threshold: float,
-                     detail: str = "") -> bool:
-        ok = float(value) <= float(threshold)
-        self.entries.append(ReportEntry(name, float(value), float(threshold),
-                                        "PASS" if ok else "FAIL", detail))
+    def _threshold(self, table: dict, name: str) -> float:
+        """The row of ``name`` in ``table``: its own, else that of "*.<entry>"."""
+        row = table[name] if name in table else table["*." + name.partition(".")[2]]
+        return float(self.config["tol_algebraic"] if row == "tol" else row)
+
+    def _add(self, name: str, value, threshold, ok, detail: str = "", witness=None):
+        """Append a PASS/FAIL entry; on FAIL, ``witness`` (if given) is its witness."""
+        self.entries.append(ReportEntry(name, value, threshold, "PASS" if ok else "FAIL", detail))
+        if not ok and witness is not None:
+            self.add_witness(witness)
         return ok
 
-    def add_sampled(self, name: str, values, threshold: float, sample) -> bool:
+    def add_residual(self, name: str, value: float, witness: str | None = None) -> bool:
+        """Passes when the value is at most its row of ``RESIDUALS``."""
+        threshold = self._threshold(RESIDUALS, name)
+        return self._add(name, float(value), threshold, float(value) <= threshold, "", witness)
+
+    def add_sampled(self, name: str, values, sample) -> bool:
         """Residual valued at its worst sample; ``np.argmax`` makes a NaN the worst, so it fails.
 
         On FAIL one witness names the entry, the worst index i and ``sample(i)``.
         """
         worst = int(np.argmax(values))
-        ok = self.add_residual(name, values[worst], threshold)
+        ok = self.add_residual(name, values[worst])
         if not ok:
             self.add_witness(f"{name}: worst sample {worst}: {sample(worst)}")
         return ok
 
-    def add_exceeds(self, name: str, value: float, floor: float,
-                    detail: str = "") -> bool:
-        """Negative-control entry: passes when the value exceeds the floor."""
-        ok = float(value) > float(floor)
-        self.entries.append(ReportEntry(name, float(value), float(floor),
-                                        "PASS" if ok else "FAIL",
-                                        detail or "expected to exceed threshold"))
-        return ok
+    def add_exceeds(self, name: str, value: float, witness: str | None = None) -> bool:
+        """Negative-control entry: passes when the value exceeds its row of ``FLOORS``."""
+        floor = self._threshold(FLOORS, name)
+        return self._add(name, float(value), floor, float(value) > floor,
+                         "expected to exceed threshold", witness)
 
-    def add_equals(self, name: str, value, expected, detail: str = "") -> bool:
-        ok = value == expected
-        self.entries.append(ReportEntry(name, value, expected,
-                                        "PASS" if ok else "FAIL", detail))
-        return ok
+    def add_equals(self, name: str, value, expected) -> bool:
+        return self._add(name, value, expected, value == expected)
 
-    def add_flag(self, name: str, ok: bool, detail: str = "") -> bool:
-        self.entries.append(ReportEntry(name, bool(ok), True,
-                                        "PASS" if ok else "FAIL", detail))
-        return bool(ok)
+    def add_flag(self, name: str, ok: bool, detail: str = "", witness=None) -> bool:
+        return self._add(name, bool(ok), True, bool(ok), detail, witness)
 
     def add_documented(self, name: str, statement: str) -> None:
         self.entries.append(ReportEntry(name, statement, None, "DOCUMENTED"))

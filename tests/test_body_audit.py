@@ -49,3 +49,13 @@ def test_body_audit_ladder_size():
     lines = body_audit.command_lines(["ladder"], range(8))
     assert len(lines) == len({" ".join(line) for line in lines}) == 25
     assert all(line[0] == "verify-geometry" and line[-2:] == ["--seed", "0"] for line in lines)
+
+
+def test_body_audit_fail_paths_size():
+    # verify-geometry --debug-corrupt-omega over the 46 tuples at n = 2-4, --tol 1e-30 on
+    # verify-geometry, transvection and find-transitive over them and on quaternion-evidence,
+    # and D6's line, which keeps its seed 13; the others at the first seed only
+    lines = body_audit.command_lines(["fail_paths"], range(8))
+    assert len(lines) == len({" ".join(line) for line in lines}) == 46 + 3 * 46 + 1 + 1 == 186
+    assert sum(line[-2:] == ["--seed", "13"] for line in lines) == 1
+    assert all(line[-2:] in (["--seed", "0"], ["--seed", "13"]) for line in lines)

@@ -61,8 +61,8 @@ def test_verify_geometry_passes(capsys, argv):
 SMALL_K_TUPLES = [
     *[("elliptic", n, p, "1e-7") for n in (2, 3) for p in range(1, n + 2)],
     *[("hyperbolic", n, None, k) for n in (2, 3) for k in ("1e-4", "1e-5")],
-    pytest.param("hyperbolic", 2, None, "1e-7", marks=pytest.mark.xfail(
-        strict=True, reason="the sampler's solved coordinate reaches 3.7e6 at k = 1e-7")),
+    # the sampler draws at the scale 1/sqrt(k) of Sigma_A, so no solved coordinate blows up
+    ("hyperbolic", 2, None, "1e-7"),
 ]
 
 
@@ -475,10 +475,12 @@ def test_verify_geometry_sampler_failure_is_fail_report(capsys):
                for ln in out.splitlines())
 
 
-def test_construct_sampler_failure_exits_one(capsys):
-    # at k = 1e3 a hyperbolic draw misses Sigma_A by more than 1e-12: the FAIL that
-    # verify-geometry reports as sampling.sigma, here one line on stderr
-    code, out, err = run(capsys, "construct", "--case", "hyperbolic", "--n", "2", "--k", "1e3")
+def test_construct_sampler_failure_exits_one(capsys, monkeypatch):
+    # a quadric solve spoiled by a relative 1e-9 misses Sigma_A by more than 1e-12: the FAIL
+    # that verify-geometry reports as sampling.sigma, here one line on stderr
+    solve = core._solve_quadric
+    monkeypatch.setattr(core, "_solve_quadric", lambda model, z: solve(model, z) * (1 + 1e-9))
+    code, out, err = run(capsys, "construct", "--case", "hyperbolic", "--n", "2")
     assert code == 1
     assert len(err.splitlines()) == 1
     assert err.startswith("error: sampled point misses Sigma_A by ")
@@ -496,11 +498,13 @@ def test_verify_geometry_exhausted_redraws_is_fail_report(capsys, monkeypatch):
             "retry budget") in out
 
 
-def test_verify_geometry_nan_series_oracle_fails(capsys):
-    # exp(tA) overflows at k = 1e6; the NaN residual must FAIL, not read as 0
+def test_verify_geometry_nan_series_oracle_fails(capsys, monkeypatch):
+    # the Taylor oracle of an A scaled past the float range overflows to NaN; the NaN
+    # residual must FAIL, not read as 0
+    series = core.series_exp
+    monkeypatch.setattr(core, "series_exp", lambda a, t: series(a * 1e300, t))
     with pytest.warns(RuntimeWarning):
-        code, out, _ = run(capsys, "verify-geometry", "--case", "hyperbolic", "--n", "2",
-                           "--k", "1e6")
+        code, out, _ = run(capsys, "verify-geometry", "--case", "hyperbolic", "--n", "2")
     assert code == 1
     assert re.search(r"\[FAIL\] flow\.series_oracle +nan ", out)
     assert "witness.0=flow.series_oracle: worst sample 0: t = -3" in out
@@ -522,6 +526,40 @@ def test_frame_invertibility_fail_names_sample_and_gamma(capsys, monkeypatch):
     assert code == 1
     assert re.search(r"witness\.0=scalar_c_plus: frame nearly singular at sample 7: "
                      r"gamma = -?\d", out)
+
+
+def _closing_control(monkeypatch):
+    from riccitype.transitive import nilpotent as nil
+    monkeypatch.setattr(nil, "negative_controls",
+                        lambda d: [("violates_c_tilde", nil.make_candidate(np.eye(d)))])
+    return ["find-transitive", "--case", "nilpotent", "--n", "2", "--p", "2", "--q", "1"]
+
+
+def _orbit_rank_six(monkeypatch):
+    from riccitype.transitive import quaternion as quat
+    original = quat.orbit_rank_ts3_evidence
+    monkeypatch.setattr(quat, "orbit_rank_ts3_evidence", lambda w: {**original(w), "rank": 6})
+    return ["quaternion-evidence"]
+
+
+SINGULAR_VALUES = ("singular values [1.618033988749895, 1.618033988749895, 1.0, "
+                   "0.6180339887498948, 0.6180339887498948, 0.0]")
+
+
+@pytest.mark.parametrize("fault,entry,witness", [
+    (_closing_control, "  [FAIL] violates_c_tilde.closure_conditions              "
+     "0.000000000e+00  (threshold 1.000000000e-03)", "violates_c_tilde unexpectedly closes"),
+    (_orbit_rank_six, "  [FAIL] orbit.rank_at_most_5    false  (threshold true)",
+     SINGULAR_VALUES)], ids=["control_closes", "orbit_rank_six"])
+def test_witness_that_no_command_line_reaches(capsys, monkeypatch, fault, entry, witness):
+    # a control that closes, and a w whose orbit reaches rank 6, under a fault: the exact
+    # entry and witness lines
+    code, out, err = run(capsys, *fault(monkeypatch))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert entry in lines
+    assert f"  witness: {witness}" in lines
+    assert f"witness.0={witness}" in lines
 
 
 @pytest.mark.parametrize("argv", [
@@ -804,6 +842,12 @@ INVALID_INPUTS = {  # test id: argv, a fragment of the one error line
                    "--q does not apply to the elliptic case"),
     "q_elliptic_construct": (("construct", "--case", "elliptic", "--n", "3", "--p", "2",
                               "--q", "2"), "--q does not apply to the elliptic case"),
+    # a candidate file is a member of the nilpotent p = 2, q = 1 family only
+    **{f"candidate_file_{case}": (("find-transitive", "--case", case, "--n", str(n), *args,
+                                   "--candidate-file", "/nonexistent"),
+                                  "--candidate-file applies only to the nilpotent p = 2, q = 1")
+       for case, n, args in [("hyperbolic", 2, ()), ("elliptic", 2, ("--p", "1")),
+                             ("nilpotent", 3, ("--p", "3", "--q", "1"))]},
     # mu = 0: the nilpotent model has no scale k
     **{f"k_nilpotent_{command}": ((command, *DARBOUX_ARGS, "--k", "5"),
                                   "--k does not apply to the nilpotent case")

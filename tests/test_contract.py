@@ -1,4 +1,4 @@
-"""The exit-code contract over the admissible range at k = 1.
+"""The exit-code contract over the admissible range at k = 1, and over the k ladders.
 
 Every command, over the 46 admissible (case, n, p, q) with n = 2-4, and
 ``quaternion-evidence``, at seeds 1-7, run in process: each exits 0 (PASS, or
@@ -6,13 +6,23 @@ only DOCUMENTED/UNKNOWN verdicts), writes nothing to stderr and raises no
 warning.  Seed 0 is the default of the sweeps in ``test_cli``; the one known
 failure, D6 at seed 13, is the strict xfail
 ``test_cli.py::test_find_transitive_nilpotent_passes_at_seed_13``.
+
+The same holds for the 414 command lines of both k ladders
+(``tools/body_audit.py --workload k_ladder``), except for a pinned list of
+hyperbolic lines at k < 1, each of which must exit 1 with a witness.
 """
 
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from riccitype import cli, core
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import body_audit  # noqa: E402
 
 SEEDS = range(1, 8)
 
@@ -46,3 +56,30 @@ def test_every_admissible_run_exits_zero_without_stderr(capsys, seed):
         if code != 0 or err or caught:
             broken.append((argv, code, err, [str(w.message) for w in caught]))
     assert broken == []
+
+
+#: k-ladder lines that exit 1: the hyperbolic tangent-sphere chart's second block carries
+#: u/(2k), so at small k its chart reads lose digits like eps/k (D4b's remainder; the
+#: chart-free fiber route of direction 23 removes it)
+K_LADDER_FAILS = {
+    "verify-geometry --case hyperbolic --n 3 --k 1e-7 --seed 0",
+    *(f"verify-geometry --case hyperbolic --n {n} --k {k} --seed 0"
+      for n in (2, 3, 4) for k in ("1e-10", "1e-12")),
+}
+
+
+def test_k_ladders_exit_zero_without_stderr(capsys):
+    lines = body_audit.command_lines(["k_ladder"], [0])
+    assert len(lines) == 414
+    broken, failed = [], set()
+    for argv in lines:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        out, err = capsys.readouterr()
+        if code == 1 and not err and not caught and "\nwitness.0=" in out:
+            failed.add(" ".join(argv))
+        elif code != 0 or err or caught:
+            broken.append((argv, code, err, [str(w.message) for w in caught]))
+    assert broken == []
+    assert failed == K_LADDER_FAILS

@@ -13,6 +13,11 @@ parameter that no body reads is one every caller must still supply.
 A third guard lifts the second to the command line: every flag that a command
 accepts (its row of ``cli.COMMANDS``) moves the command's output, its
 ``config`` lines removed, for some value, or is allowlisted.
+
+A fourth guard holds the threshold table to what the commands emit: every
+residual, sampled or exceeds entry of the operations matches exactly one row
+of ``report.RESIDUALS`` or ``report.FLOORS``, every row is matched, and the
+README's ``--tol`` sentence names exactly the rows that read ``"tol"``.
 """
 
 import ast
@@ -21,7 +26,9 @@ import sys
 from pathlib import Path
 
 import riccitype
-from riccitype import cli
+from riccitype import cli, report
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PACKAGE = Path(riccitype.__file__).resolve().parent
 
@@ -204,3 +211,31 @@ def test_every_accepted_flag_moves_the_output(tmp_path, capsys):
                     output([command, *flag_args(command, changed)]):
                 unmoved.add((command, flag))
     assert unmoved == set(UNMOVED_FLAGS)
+
+
+def test_every_threshold_entry_matches_one_row(monkeypatch, capsys):
+    tables = {"RESIDUALS": report.RESIDUALS, "FLOORS": report.FLOORS}
+    emitted = set()
+    lookup = report.CertificateReport._threshold
+
+    def recording(self, table, name):
+        emitted.add((next(key for key, rows in tables.items() if rows is table), name))
+        return lookup(self, table, name)
+
+    monkeypatch.setattr(report.CertificateReport, "_threshold", recording)
+    for op in OPERATIONS:
+        cli.main(op + flag_args(op[0], SMALL))
+    capsys.readouterr()
+    # the rows each emitted name could read: its own and its member pattern
+    rows = {(key, name): [row for row in (name, "*." + name.partition(".")[2])
+                          if row in tables[key]] for key, name in emitted}
+    assert {entry: found for entry, found in rows.items() if len(found) != 1} == {}
+    assert {(key, found[0]) for (key, _), found in rows.items()} == \
+        {(key, row) for key, table in tables.items() for row in table}
+
+
+def test_readme_tol_sentence_names_the_tol_rows():
+    text = README.read_text()
+    sentence = text[text.index("`--tol` (default"):text.index("No report entry uses")]
+    named = set(re.findall(r"`([\w*]+\.\w+)`", sentence))
+    assert named == {name for name, row in report.RESIDUALS.items() if row == "tol"}

@@ -11,14 +11,16 @@ appended; an operation that several workloads share is run once.  ``--workload``
 (repeatable) narrows the run to some workloads, or selects a set that no
 default run includes, run at the first seed only: ``k_ladder``, the commands
 that read ``--k`` over the hyperbolic and elliptic tuples at small and large
-scales, since it varies k instead (414 command lines), and ``ladder``,
+scales, since it varies k instead (414 command lines); ``ladder``,
 ``verify-geometry`` for the five chart kinds of ``samples_large`` at
-n = 8, 12, 16, 24 and 32, since it varies n instead (25).  Every command line goes
-through ``riccitype.cli.main`` in one fresh interpreter per tree, with stdout
-and stderr captured, and with Python's warning registry reset per command line
-so that each prints its warnings as it would in its own process; the path of
-the tree, which a warning names, is compared as ``<src>``.  The trees run one
-after the other.
+n = 8, 12, 16, 24 and 32, since it varies n instead (25); and ``fail_paths``, the
+command lines that drive the reports' FAIL paths (``verify-geometry
+--debug-corrupt-omega``, ``--tol 1e-30`` on every command that reads it, and D6's
+seed-13 line, which keeps its own seed; 186).  Every command line goes through
+``riccitype.cli.main`` in one fresh interpreter per tree, with stdout and stderr
+captured, and with Python's warning registry reset per command line so that each
+prints its warnings as it would in its own process; the path of the tree, which
+a warning names, is compared as ``<src>``.  The trees run one after the other.
 
 Prints every command line whose exit code, stdout or stderr differs between
 the two trees, then a summary line; exits 1 if any differs, else 0.
@@ -63,10 +65,24 @@ def ladder() -> list[list[str]]:
             for n in (8, 12, 16, 24, 32) for case, p, q in charts]
 
 
+def fail_paths() -> list[list[str]]:
+    """Command lines that drive the reports' FAIL paths: verify-geometry --debug-corrupt-omega
+    over the 46 tuples at n = 2-4, --tol 1e-30 for every command that reads it, and D6's
+    seed 13."""
+    tuples = [workloads._case_args(*params)
+              for params in workloads._admissible_parameters((2, 3, 4))]
+    return ([["verify-geometry", *args, "--debug-corrupt-omega"] for args in tuples]
+            + [[command, *args, "--tol", "1e-30"] for command in
+               ("verify-geometry", "transvection", "find-transitive") for args in tuples]
+            + [["quaternion-evidence", "--tol", "1e-30"],
+               ["find-transitive", *workloads._case_args("nilpotent", 3, 2, 1), "--seed", "13"]])
+
+
 #: the command-line sets that --workload selects: the benchmark's workloads, and the k
-#: ladder and the size ladder, which run at the first seed only
-SETS = {**workloads.WORKLOADS, "k_ladder": k_ladder, "ladder": ladder}
-FIRST_SEED_ONLY = ("k_ladder", "ladder")
+#: ladder, the size ladder and the FAIL paths, which run at the first seed only (a line
+#: that names its own seed keeps it)
+SETS = {**workloads.WORKLOADS, "k_ladder": k_ladder, "ladder": ladder, "fail_paths": fail_paths}
+FIRST_SEED_ONLY = ("k_ladder", "ladder", "fail_paths")
 
 
 def command_lines(names, seeds) -> list[list[str]]:
@@ -76,7 +92,7 @@ def command_lines(names, seeds) -> list[list[str]]:
     for name in names:
         for op in SETS[name]():
             for seed in seeds[:1] if name in FIRST_SEED_ONLY else seeds:
-                line = workloads.with_seed(op, seed)
+                line = op if "--seed" in op else workloads.with_seed(op, seed)
                 lines.setdefault(workloads.op_key(line), line)
     return list(lines.values())
 
