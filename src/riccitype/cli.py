@@ -158,8 +158,8 @@ def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> Certi
                                   - geometry.project(model, moved)), axis=-1)
             if model.case == "hyperbolic":  # the second block carries u/(2k): read it relative
                 dists = dists * min(model.k, 1.0)
-        else:
-            dists = geometry.fiber_distance(model, xs[:20], moved)
+        else:  # Sigma_A has size 1/sqrt(k): read the distance relative below k = 1
+            dists = geometry.fiber_distance(model, xs[:20], moved) * min(1.0, np.sqrt(model.k))
         name = "projection.flow_invariance" if has_chart else "projection.flow_invariance_fiber"
         report.add_sampled(name, dists, point)
 

@@ -3,14 +3,14 @@
 Subspaces of gl(N, R) are carried as orthonormal rows of their
 flattened basis matrices (``MatrixLieSubspace.rows``), so coordinates
 and distances are projections onto the rows.  Every rank, row-space and
-null-space decision goes through one rank-revealing kernel, ``rank_split``:
-an SVD (economy for tall matrices; full V for wide ones, whose kernel no caller
-reads, only so that report bodies stay byte-identical) cut at a relative and/or
-absolute singular-value threshold, that also reports the singular-value
-gap at the cut; ``rank_count`` is that cut on given singular values, for
-callers that take their own SVD.  Brackets of a basis with itself are formed
-for a list of pairs i < j by one kernel, in fixed blocks of rows i, so that only
-one block of products is held at a time.  ``bracket_span`` and ``closure_residual``
+null-space decision is one economy SVD cut at a relative and/or absolute
+singular-value threshold, that also reports the singular-value gap at the cut:
+``row_span`` keeps the rows above the cut, and ``null_space`` the vectors below
+it, of the matrix padded with zero rows to square when it is wide, so that the
+economy V holds every null vector; ``rank_count`` is that cut on given singular
+values, for callers that take their own SVD.  Brackets of a basis with itself
+are formed for a list of pairs i < j by one kernel, in fixed blocks of rows i, so
+that only one block of products is held at a time.  ``bracket_span`` and ``closure_residual``
 take the pairs whose supports meet (a nonzero column of b_i meets a nonzero row of
 b_j, or the other way round): any other bracket is a sum of exact 0 * x, so exactly
 0, and neither the span nor the sup moves (few pairs meet in the exactly sparse
@@ -52,28 +52,30 @@ def rank_count(s: np.ndarray, rtol: float = RANK_RTOL, atol: float = 0.0) -> int
     return (s > np.maximum(rtol * s[..., :1], atol)).sum(axis=-1)
 
 
-def _svd(mat) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and right singular vectors, as ``rank_split`` takes them."""
-    mat = np.asarray(mat, dtype=float)
-    _, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    return s, vt
-
-
-def rank_split(mat: np.ndarray, rtol: float = RANK_RTOL,
-               atol: float = 0.0) -> tuple[np.ndarray, np.ndarray, float]:
-    """Orthonormal row-space and null-space bases of an m x k matrix.
-
-    Singular values above ``max(rtol * sigma_0, atol)`` count towards the
-    rank r.  Returns ``(row_basis, null_basis, gap)``: row_basis is r x k
-    (orthonormal rows), null_basis is k x (k - r) (orthonormal columns),
-    and gap = sigma_r / sigma_{r+1} is the ratio of the smallest kept to
-    the largest dropped singular value (1-based), inf when either side of
-    the cut is empty or the largest dropped value is zero.
-    """
-    s, vt = _svd(mat)
+def _split(mat: np.ndarray, rtol: float, atol: float) -> tuple[np.ndarray, int, float]:
+    """(vt, r, gap) of the economy SVD of ``mat``: the singular values above
+    ``max(rtol * sigma_0, atol)`` count towards the rank r, and gap = sigma_r / sigma_{r+1}
+    is the ratio of the smallest kept to the largest dropped singular value (1-based),
+    inf when either side of the cut is empty or the largest dropped value is zero."""
+    _, s, vt = np.linalg.svd(mat, full_matrices=False)
     rank = int(rank_count(s, rtol, atol))
-    gap = s[rank - 1] / s[rank] if 0 < rank < s.size and s[rank] > 0 else np.inf
-    return vt[:rank], vt[rank:].T, float(gap)
+    return vt, rank, float(s[rank - 1] / s[rank] if 0 < rank < s.size and s[rank] > 0 else np.inf)
+
+
+def row_span(mat, rtol: float = RANK_RTOL, atol: float = 0.0) -> tuple[np.ndarray, float]:
+    """(rows, gap): r x k orthonormal rows spanning the row space of an m x k matrix."""
+    vt, rank, gap = _split(np.asarray(mat, dtype=float), rtol, atol)
+    return vt[:rank], gap
+
+
+def null_space(mat, rtol: float = RANK_RTOL, atol: float = 0.0) -> tuple[np.ndarray, float]:
+    """(basis, gap): k x (k - r) orthonormal columns spanning the null space of an m x k
+    matrix; a wide one is padded with zero rows to k x k, which adds zero singular values."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.shape[0] < mat.shape[1]:
+        mat = np.vstack([mat, np.zeros((mat.shape[1] - mat.shape[0], mat.shape[1]))])
+    vt, rank, gap = _split(mat, rtol, atol)
+    return vt[rank:].T, gap
 
 
 def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -88,7 +90,7 @@ class MatrixLieSubspace:
     """Span of N x N matrices, carried as orthonormal rows of their flattenings.
 
     ``rows`` is (dim, N^2) with rows @ rows.T = I; every constructor in this
-    package keeps that invariant (``rank_split`` row and null bases, and
+    package keeps that invariant (``row_span`` rows, ``null_space`` bases, and
     products of orthonormal coordinate columns with orthonormal rows), so
     coordinates and distances are projections onto the rows.
     """
@@ -123,7 +125,7 @@ ZERO_FLOOR = 1e-12
 def _row_span(stack: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the rows of ``stack`` whose max-norm exceeds ZERO_FLOOR."""
     stack = stack[np.max(np.abs(stack), axis=1) > ZERO_FLOOR]
-    return rank_split(stack, atol=ZERO_FLOOR)[0]
+    return row_span(stack, atol=ZERO_FLOOR)[0]
 
 
 def subspace_from_matrices(mats, ambient_dim: int) -> MatrixLieSubspace:
@@ -166,7 +168,7 @@ def centralizer_in_sp(model: SymplecticModel, exact: bool = False) -> MatrixLieS
     """Basis of {X : tX Omega + Omega X = 0 and XA = AX} for the model's A, solved on S = Omega X.
 
     X is in sp(Omega) iff S is symmetric and, as tA Omega = -Omega A, XA = AX
-    iff SA + tA S = 0: one ``rank_split`` on the N(N+1)/2 upper-triangle
+    iff SA + tA S = 0: one ``null_space`` on the N(N+1)/2 upper-triangle
     coordinates of S, weighted 1/sqrt(2) off the diagonal, so orthonormal null
     vectors give orthonormal X = tOmega S (Omega is a signed permutation).  With
     exact=True a rational nullspace of the unweighted system checks the dimension.
@@ -186,7 +188,7 @@ def centralizer_in_sp(model: SymplecticModel, exact: bool = False) -> MatrixLieS
     image = (sym.reshape(-1, dim) @ unit).reshape(sym.shape)
     system = (image + image.transpose(0, 2, 1))[:, row, col].T  # SA + t(SA) = SA + tA S
     weight = np.where(row == col, 1.0, np.sqrt(0.5))
-    coords = (rank_split(system * weight)[1] * weight[:, None]).T
+    coords = (null_space(system * weight)[0] * weight[:, None]).T
     s_mats = np.zeros((coords.shape[0], dim, dim))
     s_mats[:, row, col] = s_mats[:, col, row] = coords
     sub = MatrixLieSubspace(dim, (omega.T @ s_mats).reshape(-1, dim * dim))
@@ -211,7 +213,7 @@ def involution_eigenspace(s: MatrixLieSubspace, sym: np.ndarray, sign: int) -> M
     if not np.max(np.abs(t_mat @ t_mat - np.eye(s.dim)), initial=0.0) <= 1e-7:
         raise ValueError("conjugation by sym is not involutive on the subspace")
     # orthonormal coordinate columns of orthonormal rows give orthonormal rows
-    kernel = rank_split(t_mat - sign * np.eye(s.dim))[1]
+    kernel = null_space(t_mat - sign * np.eye(s.dim))[0]
     return MatrixLieSubspace(s.ambient_dim, kernel.T @ s.rows)
 
 
@@ -320,10 +322,12 @@ def constants_certificate(c: np.ndarray, residual: float,
     heisenberg = False
     if d >= 3 and d % 2 == 1 and derived[1] == 1:
         # the center solves sum_i a_i c[i, j, k] = 0 for all j < g and k: rows (j, k),
-        # columns i; one SVD serves its relative cut and the absolute rank cut below.
+        # columns i; one economy SVD (the system is tall) serves its relative cut and the
+        # absolute rank cut below.
         # center = derived algebra = R z, so c[i, j] = lam_ij z and the form lam
         # must have rank d - 1; lam[:, :g] has the same kernel R z, as p generates
-        sing, vt = _svd(c[:, :g].transpose(1, 2, 0).reshape(g * d, d))
+        _, sing, vt = np.linalg.svd(c[:, :g].transpose(1, 2, 0).reshape(g * d, d),
+                                    full_matrices=False)
         z, row = vt[-1], derived_rows[0]  # the center is R z when the relative cut drops one
         heisenberg = (rank_count(sing) == d - 1 and np.max(np.abs(row - (row @ z) * z)) <= 1e-7
                       and rank_count(sing, rtol=0.0, atol=1e-8) == d - 1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import SymplecticModel, build_model
-from ..lie import MatrixLieSubspace, ad_matrix, line, rank_split, subspace_from_matrices
+from ..lie import MatrixLieSubspace, ad_matrix, line, null_space, subspace_from_matrices
 from ..transvection import TransvectionData, transvection_algebra
 
 
@@ -88,7 +88,7 @@ def iwasawa_su1n(n: int) -> IwasawaData:
     # m = centralizer of a inside k = [p1, p1]
     k_part = tv.k_part
     cols = (a_gen @ k_part.basis - k_part.basis @ a_gen).reshape(k_part.dim, -1).T
-    kernel = rank_split(cols, rtol=1e-9)[1]
+    kernel = null_space(cols, rtol=1e-9)[0]
     m_part = MatrixLieSubspace(model.ambient_dim, kernel.T @ k_part.rows)
     return IwasawaData(
         model=model,

@@ -46,9 +46,11 @@ R*A as ``find-transitive`` certifies its ``scalar_c_plus`` candidate, the input
 ``structure_constants_oracle`` projects the full (d, d, N^2) bracket tensor
 over all pairs (i, j): the two routes that ``lie.centralizer_in_sp`` (on
 symmetric S = Omega X) and ``lie.structure_constants`` (pairs i < j only)
-replaced.  ``center_oracle``, ``series_oracle`` and ``closure_residual_oracle``
-read the center, the derived or lower central series and the closure of a
-subspace from one matrix bracket per pair, with no structure constants.
+replaced.  ``row_span_full_v`` is ``lie._row_span`` on the full V of a wide
+stack, the SVD that the economy one replaced.  ``center_oracle``,
+``series_oracle`` and ``closure_residual_oracle`` read the center, the derived
+or lower central series and the closure of a subspace from one matrix bracket
+per pair, with no structure constants.
 ``build_A_from_ricci`` realizes a prescribed Ricci endomorphism
 as a characteristic element on ``ricci_ambient_form`` (Cahen, Gutt &
 Rawnsley 2000); no command needs it.
@@ -577,7 +579,15 @@ def centralizer_system(model):
 def centralizer_oracle(model):
     """The centralizer of A in sp(Omega) as one SVD null space of ``centralizer_system``."""
     system = centralizer_system(model)
-    return lie.MatrixLieSubspace(model.ambient_dim, lie.rank_split(system)[1].T)
+    return lie.MatrixLieSubspace(model.ambient_dim, lie.null_space(system)[0].T)
+
+
+def row_span_full_v(stack):
+    """``lie._row_span`` on the full V of a wide stack, the SVD it took before the economy one:
+    the same rows above ZERO_FLOOR, cut at the same threshold."""
+    stack = stack[np.max(np.abs(stack), axis=1) > lie.ZERO_FLOOR]
+    _, s, vt = np.linalg.svd(stack, full_matrices=stack.shape[0] < stack.shape[1])
+    return vt[:int(lie.rank_count(s, atol=lie.ZERO_FLOOR))]
 
 
 def structure_constants_oracle(s, modulo=None):

@@ -8,6 +8,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
 import body_audit  # noqa: E402
+import pytest  # noqa: E402
 
 
 def test_body_audit_same_tree_is_identical():
@@ -59,3 +60,44 @@ def test_body_audit_fail_paths_size():
     assert len(lines) == len({" ".join(line) for line in lines}) == 46 + 3 * 46 + 1 + 1 == 186
     assert sum(line[-2:] == ["--seed", "13"] for line in lines) == 1
     assert all(line[-2:] in (["--seed", "0"], ["--seed", "13"]) for line in lines)
+
+
+def test_body_audit_names_each_moved_entry_and_value(monkeypatch, capsys):
+    def body(closure, ideal, dim, verdict="PASS"):
+        entries = [("algebra.closure", closure), ("ideal.bracket_containment", ideal),
+                   ("algebra.dim", dim)]
+        human = "".join(f"  [{verdict}] {name}  {value}\n" for name, value in entries)
+        machine = "".join(f"entry.{i}.name={name}\nentry.{i}.value={value}\n"
+                          for i, (name, value) in enumerate(entries))
+        return f"{human}\n-- machine --\n{machine}verdict={verdict}\n"
+
+    def result(stdout, code=0, stderr=""):
+        return {"code": code, "stdout": stdout, "stderr": stderr}
+    argvs = [["transvection", "--n", "2"], ["transvection", "--n", "3"], ["construct"]]
+    parent = [result(body("2.220446049e-16", "1.000000000e-16", "8")),
+              result(body("4.440892099e-16", "0.000000000e+00", "15")), result("mu=1.0\n")]
+    change = [result(body("3.330669074e-16", "1.000000000e-16", "8")),
+              result(body("2.220446049e-16", "1.110223025e-16", "16", "FAIL"), 1, "warning"),
+              result("mu=2.0\n")]
+    moves, others = body_audit.entry_moves(argvs, parent, change)
+    # a float value that moves is counted per entry name; every other moved field is named
+    assert moves == {"algebra.closure": [2, pytest.approx(2.22044605e-16, rel=1e-9)],
+                     "ideal.bracket_containment": [1, pytest.approx(1.110223025e-16, rel=1e-9)]}
+    assert others == ["transvection --n 3: code 0 -> 1",
+                      "transvection --n 3: stderr '' -> 'warning'",
+                      "transvection --n 3: the text outside the machine block differs beyond "
+                      "its floats",
+                      "transvection --n 3: entry.2.value '15' -> '16'",
+                      "transvection --n 3: verdict 'PASS' -> 'FAIL'",
+                      "construct: the text outside the machine block differs beyond its floats"]
+    assert body_audit.entry_moves(argvs, parent, parent) == ({}, [])
+    # the command prints the table after the differing lines, most lines first
+    monkeypatch.setattr(body_audit, "command_lines", lambda workloads, seeds: argvs)
+    monkeypatch.setattr(body_audit, "run_in_subprocess",
+                        lambda src, lines: parent if src == "parent" else change)
+    assert body_audit.main(["parent", "change"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[3:6] == ["entry algebra.closure: 2 lines, largest |delta| 2.220e-16",
+                        "entry ideal.bracket_containment: 1 lines, largest |delta| 1.110e-16",
+                        "moved transvection --n 3: code 0 -> 1"]
+    assert out[-1] == "3 of 3 command lines differ"

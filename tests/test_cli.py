@@ -61,8 +61,6 @@ def test_verify_geometry_passes(capsys, argv):
 SMALL_K_TUPLES = [
     *[("elliptic", n, p, "1e-7") for n in (2, 3) for p in range(1, n + 2)],
     *[("hyperbolic", n, None, k) for n in (2, 3) for k in ("1e-4", "1e-5")],
-    # the sampler draws at the scale 1/sqrt(k) of Sigma_A, so no solved coordinate blows up
-    ("hyperbolic", 2, None, "1e-7"),
 ]
 
 
@@ -73,6 +71,39 @@ def test_verify_geometry_passes_at_small_k(capsys, case, n, p, k):
     argv = ["verify-geometry", "--case", case, "--n", str(n), "--k", k, "--seed", "0"]
     code, out, _ = run(capsys, *argv, *(["--p", str(p)] if p else []))
     assert code == 0
+    assert "verdict: PASS" in out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fiber_flow_invariance_is_read_in_natural_units(capsys, seed):
+    # Sigma_A has size 1/sqrt(k), so the fiber distance reads eps/sqrt(k) absolute; it is read
+    # times min(1, sqrt(k)), as the hyperbolic chart distance is read times min(k, 1)
+    code, out, _ = run(capsys, "verify-geometry", "--case", "elliptic", "--n", "4", "--p", "2",
+                       "--k", "1e-12", "--seed", str(seed))
+    assert code == 0, out
+    assert "verdict: PASS" in out
+    value = re.search(r"\[PASS\] projection\.flow_invariance_fiber +(\S+) ", out)
+    assert value and float(value.group(1)) <= 1e-12
+
+
+#: (n, seed) at which hyperbolic verify-geometry at k = 1e-7 fails symmetry.involution_in_chart
+#: (1.1e-8 to 3.0e-8 against 1e-8): the tangent-sphere chart's second block u/(2k) (direction 23)
+HYPERBOLIC_SMALL_K_FAILS = {(2, 2), (2, 4), (2, 6), (3, 0), (3, 1), (3, 2), (3, 4), (3, 6),
+                            (4, 0), (4, 1), (4, 2), (4, 3), (4, 5), (4, 6), (4, 7)}
+
+
+@pytest.mark.parametrize("n,seed", [
+    pytest.param(n, seed, marks=pytest.mark.xfail(
+        strict=True, reason="direction 23: symmetry.involution_in_chart reads the tangent-sphere "
+                            "block u/(2k) at k = 1e-7"))
+    if (n, seed) in HYPERBOLIC_SMALL_K_FAILS else (n, seed)
+    for n in (2, 3, 4) for seed in range(8)])
+def test_verify_geometry_hyperbolic_at_k_1e_7(capsys, n, seed):
+    # the sampler draws at the scale 1/sqrt(k) of Sigma_A, so no solved coordinate blows up;
+    # every seed runs, so that the pairs the chart still fails show
+    code, out, _ = run(capsys, "verify-geometry", "--case", "hyperbolic", "--n", str(n),
+                       "--k", "1e-7", "--seed", str(seed))
+    assert code == 0, out
     assert "verdict: PASS" in out
 
 

@@ -8,7 +8,7 @@ from riccitype.exact import rational_nullspace_dimension
 
 from oracles import (bracket_span_oracle, center_oracle, centralizer_oracle,
                      closure_residual_oracle, coordinates_oracle, heisenberg_candidate,
-                     series_oracle, structure_constants_oracle)
+                     row_span_full_v, series_oracle, structure_constants_oracle)
 
 
 def e_matrix(i, j, n=2):
@@ -285,19 +285,19 @@ def test_center_svd_runs_only_for_the_heisenberg_test(monkeypatch):
     from riccitype import transvection
     from riccitype.transitive import iwasawa
     callers = []
-    original = lie._svd
+    original = np.linalg.svd
 
-    def recording(mat):
+    def recording(mat, *args, **kwargs):
         callers.append(sys._getframe(1).f_code.co_name)
-        return original(mat)
-    monkeypatch.setattr(lie, "_svd", recording)
+        return original(mat, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", recording)
     # d = 15 and d = 11 are odd, but [g, g] is not a line: no center SVD
     for case, n, p, q in [("hyperbolic", 3, None, None), ("nilpotent", 3, 2, 1)]:
         model = core.build_model(case, n, p=p, q=q)
         callers.clear()
         transvection.classify_transvection(transvection.transvection_algebra(model), model)
-        assert "rank_split" in callers and "constants_certificate" not in callers, case
-    # the Iwasawa n is Heisenberg: one SVD of its center system
+        assert "_split" in callers and "constants_certificate" not in callers, case
+    # the Iwasawa n is Heisenberg: one SVD of its center system serves both cuts
     data = iwasawa.iwasawa_su1n(3)
     callers.clear()
     assert lie.series_certificate(data.nilpotent_part).heisenberg
@@ -372,53 +372,64 @@ def check_split(mat, row_basis, null_basis, expected_rank, residual=None):
     assert np.max(np.abs(mat @ null_basis), initial=0.0) <= residual
 
 
+def split(mat, **cut):
+    """Row basis, null basis and the smaller of their two gaps: they differ when the largest
+    dropped singular value is rounding noise, which the two SVDs round differently."""
+    (row_basis, gap), (null_basis, null_gap) = lie.row_span(mat, **cut), lie.null_space(mat, **cut)
+    return row_basis, null_basis, min(gap, null_gap)
+
+
 @pytest.mark.parametrize("m,k,r", [(60, 8, 3), (8, 60, 3), (12, 12, 5), (5, 9, 5), (9, 5, 5)])
-def test_rank_split_matches_scipy_null_space(m, k, r):
+def test_row_span_and_null_space_match_scipy_null_space(m, k, r):
+    # the wide (8, 60) and (5, 9) matrices take the zero-padded null space
     from scipy.linalg import null_space
     rng = np.random.default_rng(m * 100 + k)
     mat = low_rank(rng, m, k, r)
-    row_basis, null_basis, gap = lie.rank_split(mat)
+    row_basis, null_basis, gap = split(mat)
     assert null_basis.shape[1] == null_space(mat, rcond=lie.RANK_RTOL).shape[1] == k - r
     check_split(mat, row_basis, null_basis, r)
     s = np.linalg.svd(mat, compute_uv=False)
-    assert gap == (np.inf if r == min(m, k) else pytest.approx(s[r - 1] / s[r], rel=1e-6))
+    row_gap = lie.row_span(mat)[1]
+    assert row_gap == (np.inf if r == min(m, k) else pytest.approx(s[r - 1] / s[r], rel=1e-6))
     assert gap > 1e10
 
 
-def test_rank_split_empty_and_zero():
-    row_basis, null_basis, gap = lie.rank_split(np.zeros((0, 4)))
+def test_row_span_and_null_space_empty_and_zero():
+    row_basis, null_basis, gap = split(np.zeros((0, 4)))
     check_split(np.zeros((0, 4)), row_basis, null_basis, 0)
     assert gap == np.inf
     for shape in [(6, 4), (4, 6)]:
-        row_basis, null_basis, gap = lie.rank_split(np.zeros(shape))
+        row_basis, null_basis, gap = split(np.zeros(shape))
         check_split(np.zeros(shape), row_basis, null_basis, 0)
         assert gap == np.inf
 
 
-def test_rank_split_absolute_cutoff():
+def test_row_span_and_null_space_absolute_cutoff():
     mat = np.diag([3.0, 1e-3, 1e-9, 0.0])
-    row_basis, null_basis, gap = lie.rank_split(mat, rtol=0.0, atol=1e-6)
+    row_basis, null_basis, gap = split(mat, rtol=0.0, atol=1e-6)
     check_split(mat, row_basis, null_basis, 2, residual=1e-9)
     assert gap == pytest.approx(1e6)
     # the cut is the larger of the relative and the absolute threshold
-    assert lie.rank_split(mat, rtol=1e-2, atol=1e-6)[0].shape[0] == 1
-    assert lie.rank_split(mat, rtol=1e-12, atol=1e-6)[0].shape[0] == 2
-    assert lie.rank_split(mat, rtol=0.0, atol=5.0)[0].shape[0] == 0
+    assert lie.row_span(mat, rtol=1e-2, atol=1e-6)[0].shape[0] == 1
+    assert lie.row_span(mat, rtol=1e-12, atol=1e-6)[0].shape[0] == 2
+    assert lie.null_space(mat, rtol=0.0, atol=5.0)[0].shape[1] == 4
 
 
 def test_rank_cuts_have_wide_gaps(monkeypatch):
     from riccitype.transitive import iwasawa, nilpotent
     from riccitype.transvection import classify_transvection, transvection_algebra
     gaps = []
-    split = lie.rank_split
 
-    def recording_split(*args, **kwargs):
-        out = split(*args, **kwargs)
-        gaps.append(out[2])
-        return out
+    def recording(kernel):
+        def cut(*args, **kwargs):
+            out = kernel(*args, **kwargs)
+            gaps.append(out[1])
+            return out
+        return cut
 
-    monkeypatch.setattr(lie, "rank_split", recording_split)
-    monkeypatch.setattr(iwasawa, "rank_split", recording_split)
+    monkeypatch.setattr(lie, "row_span", recording(lie.row_span))
+    monkeypatch.setattr(lie, "null_space", recording(lie.null_space))
+    monkeypatch.setattr(iwasawa, "null_space", lie.null_space)
     for case, n, p, q in core.admissible_parameters((2, 3)):
         model = core.build_model(case, n, p=p, q=q)
         classify_transvection(transvection_algebra(model), model)
@@ -439,30 +450,87 @@ def test_rank_cuts_have_wide_gaps(monkeypatch):
 
 
 def test_only_row_spans_split_wide_matrices(monkeypatch, capsys):
-    # rank_split forms the full V of a wide matrix, but no caller reads a wide kernel:
-    # over every command at the 46 admissible tuples only _row_span splits wide
-    # matrices, and with every wide kernel replaced by NaN each report is unchanged
+    # over every command at the 46 admissible tuples, null_space reads only the centralizer,
+    # involution and Iwasawa systems, none of them wide; the wide stacks are all row spans
     import sys
 
     from riccitype import cli
     from riccitype.transitive import iwasawa
     from test_contract import ARGVS
+    callers = {}
 
-    def reports():
-        return [(cli.main(argv), capsys.readouterr()) for argv in ARGVS]
-    before = reports()
-    split, callers = lie.rank_split, {}
+    def recording(kernel):
+        def cut(mat, *args, **kwargs):
+            frame = sys._getframe(1).f_code.co_name
+            callers.setdefault((kernel.__name__, frame), set()).add(mat.shape[0] < mat.shape[1])
+            return kernel(mat, *args, **kwargs)
+        return cut
 
-    def poisoning_split(mat, *args, **kwargs):
-        rows, kernel, gap = split(mat, *args, **kwargs)
-        wide = mat.shape[0] < mat.shape[1]
-        callers.setdefault(sys._getframe(1).f_code.co_name, set()).add(wide)
-        return rows, np.full_like(kernel, np.nan) if wide else kernel, gap
-    monkeypatch.setattr(lie, "rank_split", poisoning_split)
-    monkeypatch.setattr(iwasawa, "rank_split", poisoning_split)
-    assert reports() == before
-    assert callers == {"_row_span": {False, True}, "centralizer_in_sp": {False},
-                       "involution_eigenspace": {False}, "iwasawa_su1n": {False}}
+    monkeypatch.setattr(lie, "row_span", recording(lie.row_span))
+    monkeypatch.setattr(lie, "null_space", recording(lie.null_space))
+    monkeypatch.setattr(iwasawa, "null_space", lie.null_space)
+    for argv in ARGVS:
+        cli.main(argv)
+    capsys.readouterr()
+    assert callers == {("null_space", "centralizer_in_sp"): {False},
+                       ("null_space", "involution_eigenspace"): {False},
+                       ("null_space", "iwasawa_su1n"): {False},
+                       ("row_span", "_row_span"): {False, True}}
+
+
+def test_row_spans_match_the_full_v_oracle(monkeypatch, capsys):
+    # every row span that a command forms at the 46 admissible tuples has the rank and the
+    # span of the full-V SVD that the economy one replaced
+    from riccitype import cli
+    from test_contract import ARGVS
+    original, spans = lie._row_span, []
+
+    def compared(stack):
+        rows, oracle = original(stack), row_span_full_v(stack)
+        distance = np.max(np.abs(rows.T @ rows - oracle.T @ oracle), initial=0.0)
+        spans.append((rows.shape[0] == oracle.shape[0], stack.shape[0] < stack.shape[1],
+                      distance))
+        return rows
+
+    monkeypatch.setattr(lie, "_row_span", compared)
+    for argv in ARGVS:
+        cli.main(argv)
+    capsys.readouterr()
+    assert all(same_rank for same_rank, _, _ in spans)
+    assert any(wide for _, wide, _ in spans) and len(spans) > 200
+    assert max(distance for _, _, distance in spans) <= 1e-14
+
+
+def test_economy_row_spans_move_only_four_closure_residuals(monkeypatch, capsys):
+    # the full-V oracle gives back the bodies as they were before the economy SVD: at the 46
+    # tuples, seed 0, transvection and find-transitive differ from them only in four closure
+    # residuals, by at most 1e-15, and no exit code, verdict or other value moves
+    import sys
+    from pathlib import Path
+
+    from riccitype import cli
+    from test_contract import tuple_argv
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+    import body_audit
+    argvs = [[command, *tuple_argv(*params), "--seed", "0"]
+             for command in ("transvection", "find-transitive")
+             for params in core.admissible_parameters((2, 3, 4))]
+
+    def bodies():
+        results = []
+        for argv in argvs:
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            results.append({"code": code, "stdout": out, "stderr": err})
+        return results
+    economy = bodies()
+    monkeypatch.setattr(lie, "_row_span", row_span_full_v)
+    moves, others = body_audit.entry_moves(argvs, bodies(), economy)
+    assert others == []
+    assert set(moves) <= {"algebra.closure", "ideal.bracket_containment",
+                          "sp_conjugate.bracket_closure_mod_A",
+                          "unnormalized.bracket_closure_mod_A"}
+    assert max((delta for _, delta in moves.values()), default=0.0) <= 1e-15
 
 
 def test_center_memory_stays_small():

@@ -550,7 +550,7 @@ def rank_formula_members(model):
 
 
 def absolute_rank(mat):
-    return lie.rank_split(mat, rtol=0.0, atol=1e-9)[0].shape[0]
+    return lie.row_span(mat, rtol=0.0, atol=1e-9)[0].shape[0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -568,7 +568,7 @@ def test_derived_algebra_bracket_rank_is_the_rank_of_omega0_on_e(n):
         c_derived = np.einsum("ai,bj,ijk->abk", rows, rows, c_h) @ rows.T
         # absolute cuts: on a conjugate of +-Id, B - c*Id is rounding noise, which a
         # relative cut would count as rank
-        e = lie.rank_split(b_mat - c * np.eye(len(om0)), rtol=0.0, atol=1e-9)[1]
+        e = lie.null_space(b_mat - c * np.eye(len(om0)), rtol=0.0, atol=1e-9)[0]
         r = absolute_rank(e.T @ om0 @ e)
         assert rows.shape[0] == 2 * n - 1
         assert absolute_rank(c_derived.reshape(len(rows), -1)) == r

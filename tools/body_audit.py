@@ -23,7 +23,13 @@ prints its warnings as it would in its own process; the path of the tree, which
 a warning names, is compared as ``<src>``.  The trees run one after the other.
 
 Prints every command line whose exit code, stdout or stderr differs between
-the two trees, then a summary line; exits 1 if any differs, else 0.
+the two trees, then a summary line; exits 1 if any differs, else 0.  Between
+the two it prints one row per report entry whose float value moved in the
+machine block: the number of command lines in which it moved and the largest
+|delta|; then one row per other moved field, which names the command line, the
+field and both values: an exit code, stderr, a machine-block line that is not
+a float value, or the text outside the machine block beyond its floats.  When
+the trees agree, only the summary line is printed.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -146,6 +153,45 @@ def differences(argvs, parent: list[dict], change: list[dict]) -> list[str]:
     return lines
 
 
+#: a float as the report renders it (``report._fmt``)
+FLOAT = re.compile(r"[-+]?\d\.\d{9}e[-+]\d+")
+
+
+def _split_body(stdout: str) -> tuple[str, dict]:
+    """The human section of a report and its machine block as a dict of key=value lines
+    (empty when the output has no machine block)."""
+    head, sep, block = stdout.partition("\n-- machine --\n")
+    return head, dict(line.split("=", 1) for line in block.splitlines()) if sep else {}
+
+
+def entry_moves(argvs, parent: list[dict], change: list[dict]) -> tuple[dict, list[str]]:
+    """({entry name: [command lines in which its float value moved, largest |delta|]},
+    one line per other moved field)."""
+    moves, others = {}, []
+    for argv, old, new in zip(argvs, parent, change, strict=True):
+        cmd = " ".join(argv)
+        others += [f"{cmd}: {key} {old[key]!r} -> {new[key]!r}" for key in ("code", "stderr")
+                   if old[key] != new[key]]
+        (old_head, old_block), (new_head, new_block) = map(_split_body, (old["stdout"],
+                                                                      new["stdout"]))
+        if FLOAT.sub("<float>", old_head) != FLOAT.sub("<float>", new_head):
+            others.append(f"{cmd}: the text outside the machine block differs beyond its floats")
+        moved = {}
+        for key in sorted(old_block.keys() | new_block.keys()):
+            a, b = old_block.get(key), new_block.get(key)
+            if a == b:
+                continue
+            if key.endswith(".value") and FLOAT.fullmatch(a or "") and FLOAT.fullmatch(b or ""):
+                name = old_block[key.removesuffix("value") + "name"]
+                moved[name] = max(moved.get(name, 0.0), abs(float(a) - float(b)))
+            else:
+                others.append(f"{cmd}: {key} {a!r} -> {b!r}")
+        for name, delta in moved.items():
+            row = moves.setdefault(name, [0, 0.0])
+            row[0], row[1] = row[0] + 1, max(row[1], delta)
+    return moves, others
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src")
@@ -161,6 +207,11 @@ def main(argv=None) -> int:
     lines = differences(argvs, parent, change)
     for line in lines:
         print(line)
+    moves, others = entry_moves(argvs, parent, change)
+    for name, (count, delta) in sorted(moves.items(), key=lambda row: (-row[1][0], row[0])):
+        print(f"entry {name}: {count} lines, largest |delta| {delta:.3e}")
+    for line in others:
+        print(f"moved {line}")
     print(f"{len(lines)} of {len(argvs)} command lines differ")
     return 1 if lines else 0
 
