@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, fields, replace as dc_replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -118,14 +118,9 @@ def _guard(report: CertificateReport, name: str, fn):
         report.add_witness(f"{name}: {exc}")
 
 
-def cmd_verify_geometry(config: RunConfig, corrupt_omega: bool = False) -> CertificateReport:
+def cmd_verify_geometry(config: RunConfig) -> CertificateReport:
     report = CertificateReport("verify-geometry", config.as_dict())
     model = _build(config)
-    if corrupt_omega:
-        bad = model.omega.copy()
-        bad[0, -1] += 1e-3
-        model = dc_replace(model, omega=bad)
-        report.add_info("debug", "omega deliberately corrupted")
     res = core.characteristic_residuals(model)
     ok = report.add_residual("characteristic.sp_membership", res["sp_membership"])
     ok &= report.add_residual("characteristic.square_identity", res["square_identity"])
@@ -373,7 +368,7 @@ def _find_transitive_elliptic(report: CertificateReport, config: RunConfig) -> C
     report.add_equals("iwasawa.dim_a", data.abelian_part.dim, 1)
     report.add_equals("iwasawa.dim_m", data.centralizer_m.dim, (n - 1) ** 2)
     report.add_equals("iwasawa.dim_n", data.nilpotent_part.dim, 2 * n - 1)
-    cert_n = lie.series_certificate(data.nilpotent_part)
+    cert_n = lie.constants_certificate(*lie.structure_constants(data.nilpotent_part))
     report.add_flag("iwasawa.n_heisenberg", cert_n.heisenberg)
 
     rng = np.random.default_rng(config.seed)
@@ -383,7 +378,7 @@ def _find_transitive_elliptic(report: CertificateReport, config: RunConfig) -> C
     for idx, phi in enumerate(phis):
         tag = f"phi{idx}"
         h_phi, gen = iwa.build_a_phi(data, phi)
-        cert = lie.series_certificate(h_phi)
+        cert = lie.constants_certificate(*lie.structure_constants(h_phi))
         report.add_equals(f"{tag}.dim", h_phi.dim, 2 * n)
         report.add_flag(f"{tag}.solvable", cert.solvable)
         fields = geometry.fundamental_fields(data.model, [gen, *data.nilpotent_part.basis], pts)
@@ -428,8 +423,6 @@ FLAGS = {"case": {"choices": core.CASES}, "k": {"type": float}, "tol-rank": {"ty
                  "help": "algebraic tolerance"},
          "exact": {"action": "store_true", "dest": "exact_mode",
                    "help": "cross-check the centralizer dimension with rational arithmetic"},
-         "debug-corrupt-omega": {"action": "store_true", "default": False,
-                                 "help": "negative control: perturb Omega to force a FAIL"},
          "candidate-file": {"default": None},
          "w": {"default": "1,0,0", "help": "comma-separated nonzero vector in R^3"},
          "out": {"default": None, "help": "also write the report to a file"}}
@@ -437,8 +430,7 @@ FLAGS = {"case": {"choices": core.CASES}, "k": {"type": float}, "tol-rank": {"ty
 #: {command: (help, the flags it reads)}, plus an unread --seed on transvection: callers append one
 COMMANDS = {command: (text, flags.split()) for command, text, flags in [
     ("construct", "build a model and print its descriptor", "case n k p q seed samples out"),
-    ("verify-geometry", "curvature/Ricci/symmetry suite",
-     "case n k p q seed samples tol debug-corrupt-omega out"),
+    ("verify-geometry", "curvature/Ricci/symmetry suite", "case n k p q seed samples tol out"),
     ("transvection", "transvection algebra certificate", "case n k p q seed tol exact out"),
     ("find-transitive", "simply-transitive subgroup certificates",
      "case n p q seed samples tol tol-rank candidate-file out"),
@@ -481,7 +473,7 @@ def main(argv=None) -> int:
             text = buf.getvalue()
         else:
             if args.command == "verify-geometry":
-                report = cmd_verify_geometry(config, corrupt_omega=args.debug_corrupt_omega)
+                report = cmd_verify_geometry(config)
             elif args.command == "transvection":
                 report = cmd_transvection(config)
             elif args.command == "find-transitive":

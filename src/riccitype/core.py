@@ -79,10 +79,6 @@ class SymplecticModel:
             return np.concatenate([np.ones(self.p), -np.ones(self.q)])
         raise ValueError("eps is not defined for the hyperbolic case")
 
-    def pairing(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Omega(x, y), as 1/2 (x Omega y - y Omega x): exactly antisymmetric in rounding."""
-        return 0.5 * float(x @ self.omega @ y - y @ self.omega @ x)
-
     def flow(self, t) -> np.ndarray:
         """exp(tA) in closed form for A^2 = mu*Id, one matrix per time of an array.
 

@@ -24,8 +24,8 @@ the (d, d, d) array c with [b_i, b_j] = sum_k c[i, j, k] b_k (de Graaf,
 computes c block by block, and ``closure_residual`` only the residual of
 the brackets off the span; coordinate subspaces are then rows of length d.
 A quotient algebra (modulo extra orthonormal rows, orthogonal to s) is taken
-there and only there: those two and ``series_certificate`` take ``modulo``,
-and every other route works on c or on plain matrix brackets.
+by ``structure_constants`` alone, through its ``modulo``; every other route
+works on c or on plain matrix brackets.
 ``constants_certificate`` reads the certificate from c alone; when the first
 g basis elements p generate the algebra, [g, g] = [g, p] is read from its
 columns c[:, :g], and so is the center {x : [x, p] = 0} when the Heisenberg
@@ -76,13 +76,6 @@ def null_space(mat, rtol: float = RANK_RTOL, atol: float = 0.0) -> tuple[np.ndar
         mat = np.vstack([mat, np.zeros((mat.shape[1] - mat.shape[0], mat.shape[1]))])
     vt, rank, gap = _split(mat, rtol, atol)
     return vt[rank:].T, gap
-
-
-def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Commutator XY - YX."""
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    return x @ y - y @ x
 
 
 @dataclass
@@ -244,9 +237,9 @@ def _project_pairs(s: MatrixLieSubspace, modulo: MatrixLieSubspace | None, pairs
     return residual
 
 
-def closure_residual(s: MatrixLieSubspace, modulo: MatrixLieSubspace | None = None) -> float:
-    """Sup-norm of the brackets off span(s + modulo), 0 when s closes, on the meeting pairs."""
-    return _project_pairs(s, modulo, _meeting_pairs(s.basis))
+def closure_residual(s: MatrixLieSubspace) -> float:
+    """Sup-norm of the brackets off span(s), 0 when s closes, on the meeting pairs."""
+    return _project_pairs(s, None, _meeting_pairs(s.basis))
 
 
 def structure_constants(s: MatrixLieSubspace, modulo: MatrixLieSubspace | None = None
@@ -298,15 +291,10 @@ class StructureCertificate:
     derived_rows: np.ndarray = field(repr=False, compare=False)
 
 
-def series_certificate(s: MatrixLieSubspace,
-                       modulo: MatrixLieSubspace | None = None) -> StructureCertificate:
-    """Derived series dims and abelian/solvable/heisenberg flags."""
-    return constants_certificate(*structure_constants(s, modulo))
-
-
 def constants_certificate(c: np.ndarray, residual: float,
                           generators: int | None = None) -> StructureCertificate:
-    """``series_certificate`` of the algebra with structure constants c.
+    """Derived series dims and abelian/solvable/heisenberg flags of the algebra with
+    structure constants c.
 
     ``residual`` is the algebra's closure residual, as ``structure_constants``
     returns it; the certificate is refused when it exceeds 1e-8.  The first

@@ -53,7 +53,10 @@ or lower central series and the closure of a subspace from one matrix bracket
 per pair, with no structure constants.
 ``build_A_from_ricci`` realizes a prescribed Ricci endomorphism
 as a characteristic element on ``ricci_ambient_form`` (Cahen, Gutt &
-Rawnsley 2000); no command needs it.
+Rawnsley 2000); no command needs it.  ``bracket`` (the commutator),
+``pairing`` (Omega(x, y) of a model) and ``series_certificate`` (a subspace's
+structure certificate, as ``find-transitive`` takes it) are primitives that
+only the tests call.
 """
 
 from dataclasses import replace
@@ -64,6 +67,24 @@ from scipy.linalg import expm, null_space
 from riccitype import geometry, lie
 from riccitype.core import DEFAULT_TOL, MAX_SAMPLE_RETRIES, sigma_value, standard_symplectic_form
 from riccitype.transitive import nilpotent as nil
+
+
+def bracket(x, y):
+    """Commutator XY - YX."""
+    if x.shape != y.shape:
+        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
+    return x @ y - y @ x
+
+
+def pairing(model, x, y):
+    """Omega(x, y), as 1/2 (x Omega y - y Omega x): exactly antisymmetric in rounding."""
+    return 0.5 * float(x @ model.omega @ y - y @ model.omega @ x)
+
+
+def series_certificate(s, modulo=None):
+    """The structure certificate of a subspace (modulo extra orthonormal rows), from its
+    structure constants over every pair, as the commands take it."""
+    return lie.constants_certificate(*lie.structure_constants(s, modulo))
 
 
 def coordinates_oracle(sub, mats):
@@ -84,9 +105,9 @@ def horizontal_projection(model, x, v):
     """Component of v in H_x along span{x, Ax}."""
     xv = np.asarray(x, dtype=float)
     ax = model.A @ xv
-    sigma = model.pairing(xv, ax)
-    alpha = model.pairing(v, ax) / sigma
-    beta = -model.pairing(v, xv) / sigma
+    sigma = pairing(model, xv, ax)
+    alpha = pairing(model, v, ax) / sigma
+    beta = -pairing(model, v, xv) / sigma
     return v - alpha * xv - beta * ax
 
 
@@ -115,8 +136,8 @@ def connection_nabla(model, x, xbar, yfield, fd_step=1e-5):
     y_minus = np.asarray(yfield(retract_to_sigma(model, xv - fd_step * xbar)), dtype=float)
     flat = (y_plus - y_minus) / (2.0 * fd_step)
     return (flat
-            - model.pairing(amat @ xbar, y_here) * xv
-            + model.pairing(xbar, y_here) * (amat @ xv))
+            - pairing(model, amat @ xbar, y_here) * xv
+            + pairing(model, xbar, y_here) * (amat @ xv))
 
 
 def coordinate_tangents(model, center, x):
@@ -363,7 +384,7 @@ def horizontality_residual(model, x, v):
     """max |Omega(v, x)|, |Omega(v, Ax)|: zero exactly when v lies in H_x."""
     xv = np.asarray(x, dtype=float)
     ax = model.A @ xv
-    return max(abs(model.pairing(v, xv)), abs(model.pairing(v, ax)))
+    return max(abs(pairing(model, v, xv)), abs(pairing(model, v, ax)))
 
 
 def reduced_omega(model, x, xbar, ybar, tol=1e-7):
@@ -372,7 +393,7 @@ def reduced_omega(model, x, xbar, ybar, tol=1e-7):
         scale = max(1.0, float(np.linalg.norm(v)))
         if horizontality_residual(model, x, v) > tol * scale:
             raise ValueError("input vector is not horizontal at x")
-    return model.pairing(np.asarray(xbar, float), np.asarray(ybar, float))
+    return pairing(model, np.asarray(xbar, float), np.asarray(ybar, float))
 
 
 def frame_pairing(model, frame):
@@ -555,7 +576,7 @@ def sample_sigma_pointwise(model, count, seed):
             v = np.concatenate([x, capx, xs])
         if redraws and first_redraw is None:
             first_redraw = i
-        val = model.pairing(v, model.A @ v)
+        val = pairing(model, v, model.A @ v)
         if abs(val - 1.0) > 1e-12:
             raise RuntimeError(f"sampled point misses Sigma_A by {abs(val - 1.0):.3e}")
         points.append(v)
@@ -615,7 +636,7 @@ def reduce_oracle(x, modulo):
 
 def bracket_span_oracle(s1, s2, modulo=None):
     """Span of [s1, s2] (mod ``modulo``), one matrix bracket per pair of basis elements."""
-    mats = [reduce_oracle(lie.bracket(b1, b2), modulo) for b1 in s1.basis for b2 in s2.basis]
+    mats = [reduce_oracle(bracket(b1, b2), modulo) for b1 in s1.basis for b2 in s2.basis]
     return lie.subspace_from_matrices(mats, s1.ambient_dim)
 
 
@@ -626,14 +647,14 @@ def closure_residual_oracle(s, modulo=None):
         [*s.basis, *modulo.basis], s.ambient_dim)
     for i in range(s.dim):
         for j in range(i + 1, s.dim):
-            res = max(res, span.distance(lie.bracket(s.basis[i], s.basis[j])))
+            res = max(res, span.distance(bracket(s.basis[i], s.basis[j])))
     return res
 
 
 def center_oracle(s, modulo=None):
     """The center of s (mod ``modulo``), from one null space of all pair brackets."""
     system = np.concatenate(
-        [np.stack([reduce_oracle(lie.bracket(bi, bj), modulo).reshape(-1) for bi in s.basis],
+        [np.stack([reduce_oracle(bracket(bi, bj), modulo).reshape(-1) for bi in s.basis],
                   axis=1)
          for bj in s.basis], axis=0)
     kernel = null_space(system, rcond=lie.RANK_RTOL)

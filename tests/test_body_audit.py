@@ -53,13 +53,30 @@ def test_body_audit_ladder_size():
 
 
 def test_body_audit_fail_paths_size():
-    # verify-geometry --debug-corrupt-omega over the 46 tuples at n = 2-4, --tol 1e-30 on
+    # verify-geometry under the omega fault over the 46 tuples at n = 2-4, --tol 1e-30 on
     # verify-geometry, transvection and find-transitive over them and on quaternion-evidence,
     # and D6's line, which keeps its seed 13; the others at the first seed only
     lines = body_audit.command_lines(["fail_paths"], range(8))
     assert len(lines) == len({" ".join(line) for line in lines}) == 46 + 3 * 46 + 1 + 1 == 186
+    assert sum(line[0] == "fault=omega" for line in lines) == 46
     assert sum(line[-2:] == ["--seed", "13"] for line in lines) == 1
     assert all(line[-2:] in (["--seed", "0"], ["--seed", "13"]) for line in lines)
+
+
+def test_body_audit_runs_a_tagged_line_under_its_fault():
+    from riccitype import core
+
+    build = core.build_model
+    argv = ["verify-geometry", "--case", "hyperbolic", "--n", "2", "--samples", "5"]
+    assert body_audit.split_fault(["fault=omega", *argv]) == (body_audit.FAULTS["omega"], argv)
+    assert body_audit.split_fault(argv) == (None, argv)
+    clean, faulted, after = body_audit.run_tree(str(REPO / "src"),
+                                                [argv, ["fault=omega", *argv], argv])
+    # the perturbed Omega makes every Sigma_A draw miss the quadric; only the tagged line
+    # sees it, and the builder is restored after it
+    assert faulted["code"] == 1 and "[FAIL] sampling.sigma" in faulted["stdout"]
+    assert clean == after and clean["code"] == 0 and "\nverdict=PASS\n" in clean["stdout"]
+    assert core.build_model is build
 
 
 def test_body_audit_names_each_moved_entry_and_value(monkeypatch, capsys):

@@ -16,11 +16,22 @@ from riccitype.cli import main
 
 from oracles import algebra_curvature_terms, dense_form, support_form
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import body_audit  # noqa: E402
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_faulted(capsys, fault, *argv):
+    """``run`` with the models the command builds passed through a fault of
+    ``tools/body_audit.py``."""
+    with body_audit.faulted(core, body_audit.FAULTS[fault]):
+        return run(capsys, *argv)
 
 
 def test_construct_nilpotent(capsys):
@@ -116,8 +127,8 @@ def test_find_transitive_nilpotent_passes_at_seed_13(capsys):
 
 
 def test_verify_geometry_corrupted_omega_fails(capsys):
-    code, out, _ = run(capsys, "verify-geometry", "--case", "nilpotent", "--n", "2",
-                       "--p", "2", "--q", "1", "--samples", "5", "--debug-corrupt-omega")
+    code, out, _ = run_faulted(capsys, "omega", "verify-geometry", "--case", "nilpotent",
+                               "--n", "2", "--p", "2", "--q", "1", "--samples", "5")
     assert code == 1
     assert "verdict: FAIL" in out
     assert "witness" in out
@@ -149,6 +160,15 @@ def test_fd_step_flag_is_a_usage_error(capsys):
         main(["verify-geometry", "--case", "hyperbolic", "--n", "2", "--fd-step", "1e-5"])
     assert exc.value.code == 2
     assert "--fd-step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_debug_corrupt_omega_flag_is_a_usage_error(capsys, command):
+    # the corrupted-Omega negative control is the omega fault of tools/body_audit.py
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--debug-corrupt-omega"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --debug-corrupt-omega" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["construct", "verify-geometry", "find-transitive",
@@ -496,8 +516,8 @@ def test_find_transitive_candidate_dim_mismatch(tmp_path, capsys):
 
 def test_verify_geometry_sampler_failure_is_fail_report(capsys):
     # the corrupted form makes every Sigma_A draw miss the quadric
-    code, out, err = run(capsys, "verify-geometry", "--case", "hyperbolic", "--n", "2",
-                         "--debug-corrupt-omega")
+    code, out, err = run_faulted(capsys, "omega", "verify-geometry", "--case", "hyperbolic",
+                                 "--n", "2")
     assert code == 1
     assert err == ""
     assert "verdict=FAIL" in out

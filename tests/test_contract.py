@@ -10,6 +10,10 @@ failure, D6 at seed 13, is the strict xfail
 The same holds for the 414 command lines of both k ladders
 (``tools/body_audit.py --workload k_ladder``), except for a pinned list of
 hyperbolic lines at k < 1, each of which must exit 1 with a witness.
+
+On the 186 FAIL-path lines (``tools/body_audit.py --workload fail_paths``), the
+corrupted-Omega lines under the audit's ``omega`` fault, every FAIL report carries
+a witness, and no line writes to stderr.
 """
 
 import sys
@@ -20,7 +24,8 @@ import pytest
 
 from riccitype import cli, core
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "tools"))
 
 import body_audit  # noqa: E402
 
@@ -83,3 +88,18 @@ def test_k_ladders_exit_zero_without_stderr(capsys):
             broken.append((argv, code, err, [str(w.message) for w in caught]))
     assert broken == []
     assert failed == K_LADDER_FAILS
+
+
+def test_every_fail_on_the_fail_paths_carries_a_witness():
+    lines = body_audit.command_lines(["fail_paths"], [0])
+    broken, failed = [], set()
+    for line, result in zip(lines, body_audit.run_tree(str(REPO / "src"), lines)):
+        fails = "\nverdict=FAIL\n" in result["stdout"]
+        if fails:
+            failed.add(" ".join(line))
+        if result["code"] != int(fails) or result["stderr"] or \
+                (fails and "\nwitness.0=" not in result["stdout"]):
+            broken.append((line, result))
+    assert broken == []
+    # every negative control fails; at seed 0, 139 of the 186 lines fail
+    assert {" ".join(line) for line in lines if line[0] == "fault=omega"} <= failed

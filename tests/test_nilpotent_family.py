@@ -17,7 +17,8 @@ from riccitype.transitive import quaternion as quat
 from oracles import (center_oracle, closed_form_fields, closure_conditions_pairwise,
                      differenced_field, fundamental_field_p2q1, generator_tuples,
                      heisenberg_candidate, moment_map_f, moment_map_gradient,
-                     normalize_candidate, series_oracle, tangent_sphere_field)
+                     normalize_candidate, series_certificate, series_oracle,
+                     tangent_sphere_field)
 
 
 @pytest.fixture(scope="module")
@@ -502,7 +503,7 @@ def test_heisenberg_extension_reads_derived_algebra_from_constants(monkeypatch, 
     modulo = lie.line(model.A)
     rows = lie.bracket_rows(c_h, np.eye(sub.dim), np.eye(sub.dim))
     derived = lie.MatrixLieSubspace(model.ambient_dim, rows @ sub.rows)
-    assert cert == lie.series_certificate(derived, modulo=modulo)
+    assert cert == series_certificate(derived, modulo=modulo)
     assert cert.closure_residual <= 1e-12
 
 

@@ -14,13 +14,19 @@ that read ``--k`` over the hyperbolic and elliptic tuples at small and large
 scales, since it varies k instead (414 command lines); ``ladder``,
 ``verify-geometry`` for the five chart kinds of ``samples_large`` at
 n = 8, 12, 16, 24 and 32, since it varies n instead (25); and ``fail_paths``, the
-command lines that drive the reports' FAIL paths (``verify-geometry
---debug-corrupt-omega``, ``--tol 1e-30`` on every command that reads it, and D6's
-seed-13 line, which keeps its own seed; 186).  Every command line goes through
+command lines that drive the reports' FAIL paths (``verify-geometry`` under the
+``omega`` fault, ``--tol 1e-30`` on every command that reads it, and D6's seed-13
+line, which keeps its own seed; 186).  Every command line goes through
 ``riccitype.cli.main`` in one fresh interpreter per tree, with stdout and stderr
 captured, and with Python's warning registry reset per command line so that each
 prints its warnings as it would in its own process; the path of the tree, which
 a warning names, is compared as ``<src>``.  The trees run one after the other.
+
+A command line may begin with a ``fault=<name>`` token, which names an entry of
+``FAULTS``: a deliberate change to the model that ``riccitype.core.build_model``
+returns, so a negative control that the program itself does not carry.  The token
+is stripped before ``cli.main`` and applied to both trees alike, and a printed
+command line keeps it.
 
 Prints every command line whose exit code, stdout or stderr differs between
 the two trees, then a summary line; exits 1 if any differs, else 0.  Between
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -72,13 +79,34 @@ def ladder() -> list[list[str]]:
             for n in (8, 12, 16, 24, 32) for case, p, q in charts]
 
 
+def perturbed_omega(model):
+    """A copy of the model with Omega[0, -1] += 1e-3, so that Omega is no longer
+    antisymmetric: in the hyperbolic case every Sigma_A draw misses the quadric."""
+    bad = model.omega.copy()
+    bad[0, -1] += 1e-3
+    return dataclasses.replace(model, omega=bad)
+
+
+#: {name: fault}: a fault maps the model that ``riccitype.core.build_model`` returns to a
+#: broken one; a command line that begins with ``fault=<name>`` runs under it
+FAULTS = {"omega": perturbed_omega}
+
+
+def split_fault(argv: list[str]) -> tuple[object, list[str]]:
+    """(fault, command line): the ``FAULTS`` entry that a leading ``fault=<name>`` token
+    names (None without one), and the command line without the token."""
+    if argv and argv[0].startswith("fault="):
+        return FAULTS[argv[0].removeprefix("fault=")], argv[1:]
+    return None, argv
+
+
 def fail_paths() -> list[list[str]]:
-    """Command lines that drive the reports' FAIL paths: verify-geometry --debug-corrupt-omega
-    over the 46 tuples at n = 2-4, --tol 1e-30 for every command that reads it, and D6's
-    seed 13."""
+    """Command lines that drive the reports' FAIL paths: verify-geometry under the omega
+    fault over the 46 tuples at n = 2-4, --tol 1e-30 for every command that reads it, and
+    D6's seed 13."""
     tuples = [workloads._case_args(*params)
               for params in workloads._admissible_parameters((2, 3, 4))]
-    return ([["verify-geometry", *args, "--debug-corrupt-omega"] for args in tuples]
+    return ([["fault=omega", "verify-geometry", *args] for args in tuples]
             + [[command, *args, "--tol", "1e-30"] for command in
                ("verify-geometry", "transvection", "find-transitive") for args in tuples]
             + [["quaternion-evidence", "--tol", "1e-30"],
@@ -104,20 +132,35 @@ def command_lines(names, seeds) -> list[list[str]]:
     return list(lines.values())
 
 
+@contextlib.contextmanager
+def faulted(core, fault):
+    """Patch ``core.build_model`` so that the models it returns pass through ``fault``
+    (nothing for None) until the block ends."""
+    build = core.build_model
+    if fault is not None:
+        core.build_model = lambda *args, **kwargs: fault(build(*args, **kwargs))
+    try:
+        yield
+    finally:
+        core.build_model = build
+
+
 def run_tree(src: str, argvs: list[list[str]]) -> list[dict]:
-    """Exit code, stdout and stderr of every command line, run in this interpreter; the
-    tree's path, which warnings name, reads ``<src>`` in stderr."""
+    """Exit code, stdout and stderr of every command line, run in this interpreter, each
+    under the fault its ``fault=<name>`` token names; the tree's path, which warnings
+    name, reads ``<src>`` in stderr."""
     root = Path(src).resolve()
     sys.path.insert(0, str(root))
-    from riccitype import cli
+    from riccitype import cli, core
 
     if Path(cli.__file__).resolve().parent.parent != root:
         raise SystemExit(f"riccitype imported from {cli.__file__}, not from {src}")
     results = []
-    for argv in argvs:
+    for line in argvs:
+        fault, argv = split_fault(line)
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
+                contextlib.redirect_stderr(err), faulted(core, fault):
             try:
                 code = cli.main(argv)
             except SystemExit as exc:  # argparse usage errors
